@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import SemanticsError
-from .lts import Event, Lts, TAU, label_key, rename_lts
+from .lts import Event, Lts, TAU, label_key, rename_lts, tau_closure
 from .report import ConditionReport, Finding
 from .syntax import TVal
 
@@ -22,7 +22,7 @@ from .syntax import TVal
 def traces_upto(lts: Lts, depth: int) -> set[tuple[Event, ...]]:
     """All visible traces of length <= depth (finite, by bounded search)."""
     out = {()}
-    frontier = {(): lts.tau_closure(lts.root)}
+    frontier = {(): tau_closure(lts.edges, lts.root)}
     for _ in range(depth):
         nxt = {}
         for tr, closure in frontier.items():
@@ -34,19 +34,19 @@ def traces_upto(lts: Lts, depth: int) -> set[tuple[Event, ...]]:
                     if tr2 not in nxt:
                         nxt[tr2] = set()
                     nxt[tr2].add(tgt)
-        frontier = {tr: lts.tau_closure(ss) for tr, ss in nxt.items()}
+        frontier = {tr: tau_closure(lts.edges, ss) for tr, ss in nxt.items()}
         out.update(frontier.keys())
     return out
 
 
 def states_after(lts: Lts, trace) -> frozenset[int]:
     """τ-closed set of states reachable by the given visible trace."""
-    current = lts.tau_closure(lts.root)
+    current = tau_closure(lts.edges, lts.root)
     for e in trace:
         nxt = {tgt for s in current for lab, tgt, _ in lts.edges[s] if lab == e}
         if not nxt:
             return frozenset()
-        current = lts.tau_closure(nxt)
+        current = tau_closure(lts.edges, nxt)
     return current
 
 
@@ -196,7 +196,7 @@ def _divergent_states(lts: Lts) -> set[int]:
 
 def normalise(lts: Lts, *, forbid_divergence: bool = False) -> NormalisedSpec:
     diverging = _divergent_states(lts)
-    root = lts.tau_closure(lts.root)
+    root = tau_closure(lts.edges, lts.root)
     nodes = [root]
     index = {root: 0}
     trans: list[dict[Event, int]] = []
@@ -221,7 +221,7 @@ def normalise(lts: Lts, *, forbid_divergence: bool = False) -> NormalisedSpec:
                 succ.setdefault(lab, set()).add(tgt)
         row = {}
         for lab in sorted(succ, key=label_key):
-            closed = lts.tau_closure(succ[lab])
+            closed = tau_closure(lts.edges, succ[lab])
             tgt = index.get(closed)
             if tgt is None:
                 tgt = len(nodes)

@@ -13,14 +13,15 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
+from .errors import SemanticsError
 from .report import ConditionReport, Finding
 from .syntax import (
     AlphaPar, BANG, Condition, Construct, Definitions, DiffType,
     DOLLAR, EventSet, ExtChoice, Hide, Ident, If, IntChoice, Interleave,
     MixedGuard, NamedType, Prefix, ProcessTerm, QUERY, Rename, ReplAlphaPar,
     ReplExtChoice, ReplIntChoice, ReplInterleave, SetType, SharedPar,
-    Sliding, Stop, TType, TVal, channels, classify_fields, free_vars,
-    substitute,
+    Sliding, Stop, TType, TVal, REPLICATED, channels, classify_fields,
+    free_vars, substitute, subterms,
 )
 
 ProcRef = Union[str, ProcessTerm]
@@ -30,7 +31,7 @@ def _root(proc: ProcRef, defs: Definitions) -> tuple[ProcessTerm, str, set]:
     if isinstance(proc, str):
         eq = defs.equations.get(proc)
         if eq is None:
-            raise KeyError(f"undefined process {proc!r}")
+            raise SemanticsError(f"undefined process {proc!r}")
         return eq.body, proc, {proc}
     return proc, "<term>", set()
 
@@ -41,26 +42,13 @@ def _walk(term: ProcessTerm, defs: Definitions, where: str,
     if seen is None:
         seen = set()
     yield term, where
-    if isinstance(term, Prefix):
-        yield from _walk(term.cont, defs, where, seen)
-    elif isinstance(term, (ExtChoice, IntChoice, Sliding, Interleave)):
-        yield from _walk(term.left, defs, where, seen)
-        yield from _walk(term.right, defs, where, seen)
-    elif isinstance(term, If):
-        yield from _walk(term.then, defs, where, seen)
-        yield from _walk(term.els, defs, where, seen)
-    elif isinstance(term, (Hide, Rename)):
-        yield from _walk(term.proc, defs, where, seen)
-    elif isinstance(term, (AlphaPar, SharedPar)):
-        yield from _walk(term.left, defs, where, seen)
-        yield from _walk(term.right, defs, where, seen)
-    elif isinstance(term, (ReplAlphaPar, ReplInterleave, ReplIntChoice, ReplExtChoice)):
-        yield from _walk(term.body, defs, where, seen)
-    elif isinstance(term, Ident):
+    if isinstance(term, Ident):
         eq = defs.equations.get(term.name)
         if eq is not None and term.name not in seen:
             seen.add(term.name)
             yield from _walk(eq.body, defs, term.name, seen)
+    for sub in subterms(term):
+        yield from _walk(sub, defs, where, seen)
 
 
 def _tvals_in_construct(alpha: Construct):
@@ -341,39 +329,28 @@ class _ScopedConditional:
 def _scoped_conditionals(term: ProcessTerm, defs: Definitions, scope: dict,
                          where: str, seen: set) -> Iterator[_ScopedConditional]:
     if isinstance(term, Prefix):
-        inner = dict(scope)
+        scope = dict(scope)
         for f in term.construct.fields:
             if f.sel in (DOLLAR, QUERY):
                 if f.is_t():
-                    inner[f.payload] = "t"
+                    scope[f.payload] = "t"
                 elif isinstance(f.ty, NamedType):
-                    inner[f.payload] = f.ty.name
+                    scope[f.payload] = f.ty.name
                 else:
-                    inner[f.payload] = None
-        yield from _scoped_conditionals(term.cont, defs, inner, where, seen)
-    elif isinstance(term, (ExtChoice, IntChoice, Sliding, Interleave)):
-        yield from _scoped_conditionals(term.left, defs, scope, where, seen)
-        yield from _scoped_conditionals(term.right, defs, scope, where, seen)
+                    scope[f.payload] = None
     elif isinstance(term, If):
         if isinstance(term.guard, (Condition, MixedGuard)):
             yield _ScopedConditional(term, dict(scope), where)
-        yield from _scoped_conditionals(term.then, defs, scope, where, seen)
-        yield from _scoped_conditionals(term.els, defs, scope, where, seen)
-    elif isinstance(term, (Hide, Rename)):
-        yield from _scoped_conditionals(term.proc, defs, scope, where, seen)
-    elif isinstance(term, (AlphaPar, SharedPar)):
-        yield from _scoped_conditionals(term.left, defs, scope, where, seen)
-        yield from _scoped_conditionals(term.right, defs, scope, where, seen)
-    elif isinstance(term, (ReplAlphaPar, ReplInterleave, ReplIntChoice, ReplExtChoice)):
-        inner = dict(scope)
-        inner[term.var] = "t"
-        yield from _scoped_conditionals(term.body, defs, inner, where, seen)
+    elif isinstance(term, REPLICATED):
+        scope = {**scope, term.var: "t"}
     elif isinstance(term, Ident):
         eq = defs.equations.get(term.name)
         if eq is not None and term.name not in seen:
             seen.add(term.name)
             inner = {p: t for p, t in zip(eq.params, eq.param_types)}
             yield from _scoped_conditionals(eq.body, defs, inner, term.name, seen)
+    for sub in subterms(term):
+        yield from _scoped_conditionals(sub, defs, scope, where, seen)
 
 
 def revposconjeqt_evidence(proc: ProcRef, defs: Definitions, model: str,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
 from .errors import SemanticsError
-from .lts import Event, Lts, TAU, build
+from .lts import Event, Lts, TAU, build, tau_closure
 from .pretty import fmt_term
 from .ssos import Cond, Sslts, Vis
 from .ssos import successors as sym_successors
@@ -25,7 +25,7 @@ from .std_semantics import eval_guard, file_alphabet, tvalues_for
 from .syntax import (
     Condition, Construct, Definitions, DOLLAR, ExtChoice, If, MixedGuard,
     Prefix, ProcessTerm, QUERY, Sliding, alpha_canonical, classify_fields,
-    domain_values, free_vars, replace_selections, substitute,
+    domain_values, free_vars, replace_selections,
 )
 
 Environment = dict  # variable name -> TVal
@@ -56,7 +56,7 @@ class Configuration:
 
 
 def config_key(cfg: Configuration):
-    return alpha_canonical(substitute(cfg.term, cfg.env_dict()))
+    return alpha_canonical(cfg.term, cfg.env_dict())
 
 
 def eval_condition(cond: Condition, env: Environment) -> bool:
@@ -271,7 +271,7 @@ def check_environment_uniqueness(lts: Lts) -> list[str]:
             names = ", ".join(str(s) for s in sorted(macro))
             problems.append(f"configurations {{{names}}} reachable by one trace")
             continue
-        closure = lts.tau_closure(macro)
+        closure = tau_closure(lts.edges, macro)
         succ: dict = {}
         for s in closure:
             for lab, tgt, _ in lts.edges[s]:
@@ -295,7 +295,7 @@ def check_unique_matching_construct(lts: Lts) -> list[str]:
     queue = [frozenset((lts.root,))]
     while queue:
         macro = queue.pop()
-        closure = lts.tau_closure(macro)
+        closure = tau_closure(lts.edges, macro)
         succ: dict = {}
         uids: dict = {}
         for s in closure:

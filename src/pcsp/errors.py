@@ -42,7 +42,3 @@ class BoundExceeded(PcspError):
         self.bound = bound
         self.frontier = frontier
         super().__init__(f"{what} bound ({bound}) exceeded at: {frontier}")
-
-
-def parse_error(message: str, line: int = 0, col: int = 0, filename: str = "<input>") -> ParseError:
-    return ParseError([Diagnostic(message, line, col, filename)])

@@ -45,14 +45,6 @@ def label_key(label):
     return (1, label.channel, tuple(value_key(v) for v in label.values))
 
 
-def fmt_label(label) -> str:
-    return "τ" if label is TAU else str(label)
-
-
-def fmt_trace(trace) -> str:
-    return "<" + ", ".join(str(e) for e in trace) + ">"
-
-
 # An edge is (label, target_index, construct_uid_or_None).
 Edge = tuple
 
@@ -89,22 +81,29 @@ class Lts:
             return self.edges[idx]
         return [e for e in self.edges[idx] if e[0] == label]
 
-    def tau_closure(self, seed) -> frozenset[int]:
-        out = set(seed) if not isinstance(seed, int) else {seed}
-        stack = list(out)
-        while stack:
-            s = stack.pop()
-            for lab, tgt, _ in self.edges[s]:
-                if lab is TAU and tgt not in out:
-                    out.add(tgt)
-                    stack.append(tgt)
-        return frozenset(out)
-
     def initials(self, idx: int) -> frozenset[Event]:
         return frozenset(lab for lab, _, _ in self.edges[idx] if lab is not TAU)
 
     def is_stable(self, idx: int) -> bool:
         return all(lab is not TAU for lab, _, _ in self.edges[idx])
+
+
+def _is_tau(label) -> bool:
+    return label is TAU
+
+
+def tau_closure(edges, seed, follow: Callable[[object], bool] = _is_tau) -> frozenset[int]:
+    """The states reachable from seed (a state index or an iterable of them)
+    along edges, per-state lists of (label, target, ...) triples, whose label
+    satisfies follow; by default the τ edges."""
+    out = {seed} if isinstance(seed, int) else set(seed)
+    stack = list(out)
+    while stack:
+        for lab, tgt, _ in edges[stack.pop()]:
+            if tgt not in out and follow(lab):
+                out.add(tgt)
+                stack.append(tgt)
+    return frozenset(out)
 
 
 def build(root_payload, root_key, successors: Callable, *,

@@ -10,7 +10,7 @@ and ordinary boolean expressions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import Diagnostic, ParseError
 from .syntax import (
@@ -20,7 +20,8 @@ from .syntax import (
     Interleave, MixedGuard, NamedType, NatLit, NatMin, NatOp, Prefix, QUERY,
     Rename, ReplAlphaPar, ReplExtChoice, ReplIntChoice, ReplInterleave,
     AlphaPar, SetType, SharedPar, Sliding, Stop, T_TYPE, TType, TVal,
-    Assertion, VarRef, substitute, free_vars,
+    Assertion, VarRef, REPLICATED, free_vars, map_subterms, substitute,
+    subterms,
 )
 
 KEYWORDS = {
@@ -839,40 +840,6 @@ class _Resolver:
         return None
 
     def infer_term(self, term, scope, eq):
-        if isinstance(term, Stop):
-            return
-        if isinstance(term, Prefix):
-            inner = dict(scope)
-            for f in term.construct.fields:
-                if f.sel in (DOLLAR, QUERY):
-                    inner[f.payload] = self._binder_ty(f.ty)
-                elif isinstance(f.payload, str):
-                    self.note_var(inner, eq, f.payload,
-                                  _TY_T if f.bang_is_t else None)
-            self.infer_term(term.cont, inner, eq)
-            return
-        if isinstance(term, (ExtChoice, IntChoice, Sliding, Interleave)):
-            self.infer_term(term.left, scope, eq)
-            self.infer_term(term.right, scope, eq)
-            return
-        if isinstance(term, If):
-            if not isinstance(term.guard, (Condition, MixedGuard)):
-                self.infer_bool(term.guard, scope, eq)
-            self.infer_term(term.then, scope, eq)
-            self.infer_term(term.els, scope, eq)
-            return
-        if isinstance(term, (Hide, Rename)):
-            self.infer_term(term.proc, scope, eq)
-            return
-        if isinstance(term, (AlphaPar, SharedPar)):
-            self.infer_term(term.left, scope, eq)
-            self.infer_term(term.right, scope, eq)
-            return
-        if isinstance(term, (ReplAlphaPar, ReplInterleave, ReplIntChoice, ReplExtChoice)):
-            inner = dict(scope)
-            inner[term.var] = _TY_T
-            self.infer_term(term.body, inner, eq)
-            return
         if isinstance(term, Ident):
             callee = self.defs.equations.get(term.name)
             if callee is None:
@@ -888,6 +855,21 @@ class _Resolver:
                 if aty is not None and pty is None:
                     self.set_param(term.name, i, aty)
             return
+        if isinstance(term, Prefix):
+            scope = dict(scope)
+            for f in term.construct.fields:
+                if f.sel in (DOLLAR, QUERY):
+                    scope[f.payload] = self._binder_ty(f.ty)
+                elif isinstance(f.payload, str):
+                    self.note_var(scope, eq, f.payload,
+                                  _TY_T if f.bang_is_t else None)
+        elif isinstance(term, If):
+            if not isinstance(term.guard, (Condition, MixedGuard)):
+                self.infer_bool(term.guard, scope, eq)
+        elif isinstance(term, REPLICATED):
+            scope = {**scope, term.var: _TY_T}
+        for sub in subterms(term):
+            self.infer_term(sub, scope, eq)
 
     def run_inference(self):
         for phase in (False, True):
@@ -975,38 +957,6 @@ class _Resolver:
         return _TY_NAT
 
     def rewrite(self, term, scope, eq):
-        if isinstance(term, Stop):
-            return term
-        if isinstance(term, Prefix):
-            inner = dict(scope)
-            for f in term.construct.fields:
-                if f.sel in (DOLLAR, QUERY):
-                    inner[f.payload] = self._binder_ty(f.ty)
-            return Prefix(term.construct, self.rewrite(term.cont, inner, eq))
-        if isinstance(term, (ExtChoice, IntChoice, Sliding, Interleave)):
-            return type(term)(self.rewrite(term.left, scope, eq),
-                              self.rewrite(term.right, scope, eq))
-        if isinstance(term, If):
-            g = self.classify_guard(term.guard, scope, eq)
-            return If(g, self.rewrite(term.then, scope, eq),
-                      self.rewrite(term.els, scope, eq))
-        if isinstance(term, Hide):
-            return Hide(self.rewrite(term.proc, scope, eq), term.hidden)
-        if isinstance(term, Rename):
-            return Rename(self.rewrite(term.proc, scope, eq), term.pairs)
-        if isinstance(term, AlphaPar):
-            return AlphaPar(self.rewrite(term.left, scope, eq), term.left_alpha,
-                            self.rewrite(term.right, scope, eq), term.right_alpha)
-        if isinstance(term, SharedPar):
-            return SharedPar(self.rewrite(term.left, scope, eq), term.shared,
-                             self.rewrite(term.right, scope, eq))
-        if isinstance(term, (ReplAlphaPar, ReplInterleave, ReplIntChoice, ReplExtChoice)):
-            inner = dict(scope)
-            inner[term.var] = _TY_T
-            if isinstance(term, ReplAlphaPar):
-                return ReplAlphaPar(term.var, term.domain, term.alpha,
-                                    self.rewrite(term.body, inner, eq))
-            return type(term)(term.var, term.domain, self.rewrite(term.body, inner, eq))
         if isinstance(term, Ident):
             callee = self.defs.equations.get(term.name)
             if callee is None:
@@ -1020,7 +970,16 @@ class _Resolver:
                 else:
                     args.append(a)
             return Ident(term.name, tuple(args))
-        return term
+        if isinstance(term, Prefix):
+            scope = dict(scope)
+            for f in term.construct.fields:
+                if f.sel in (DOLLAR, QUERY):
+                    scope[f.payload] = self._binder_ty(f.ty)
+        elif isinstance(term, If):
+            term = replace(term, guard=self.classify_guard(term.guard, scope, eq))
+        elif isinstance(term, REPLICATED):
+            scope = {**scope, term.var: _TY_T}
+        return map_subterms(term, lambda sub: self.rewrite(sub, scope, eq))
 
     def finish(self):
         self.run_inference()

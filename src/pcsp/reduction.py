@@ -21,7 +21,7 @@ from .conditions import (
     check_no_mixed_inputs, check_seqnorm, revposconjeqt_evidence,
 )
 from .errors import SemanticsError
-from .lts import Event, Lts, TAU, rename_lts
+from .lts import Event, Lts, TAU, rename_lts, tau_closure
 from .report import ConditionReport
 from .ssos import Cond, Sslts, Vis, build_sslts, fmt_sym_label, nont_event_key
 from .std_semantics import build_lts
@@ -112,16 +112,8 @@ class ThresholdReport:
         return out
 
 
-def _cond_tau_closure(s: Sslts, seed) -> frozenset[int]:
-    out = set(seed)
-    stack = list(out)
-    while stack:
-        q = stack.pop()
-        for lab, tgt, _ in s.edges[q]:
-            if (lab is TAU or isinstance(lab, Cond)) and tgt not in out:
-                out.add(tgt)
-                stack.append(tgt)
-    return frozenset(out)
+def _tau_or_cond(lab) -> bool:
+    return lab is TAU or isinstance(lab, Cond)
 
 
 def thresh_traces(s: Sslts, max_macro_states: int = 100_000) -> tuple[int, Optional[TraceWitness]]:
@@ -130,7 +122,7 @@ def thresh_traces(s: Sslts, max_macro_states: int = 100_000) -> tuple[int, Optio
     transition system over the non-t projection of its visible labels
     (conditional and internal labels collapse into the closure)."""
     from .errors import BoundExceeded
-    root = _cond_tau_closure(s, (s.root,))
+    root = tau_closure(s.edges, s.root, _tau_or_cond)
     best = 0
     witness = None
     seen = {root}
@@ -155,7 +147,7 @@ def thresh_traces(s: Sslts, max_macro_states: int = 100_000) -> tuple[int, Optio
             if len(positions) > best:
                 best = len(positions)
                 witness = TraceWitness(rep, tuple(events), frozenset(positions))
-            nxt = _cond_tau_closure(s, targets)
+            nxt = tau_closure(s.edges, targets, _tau_or_cond)
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append((nxt, rep + (Vis(events[0]),)))
@@ -531,89 +523,3 @@ def verify_pmcp(defs: Definitions, spec: str, impl: str, model: str,
         conclusion = "per-size results"
     return PmcpVerdict("direct-per-size", model, bound, thresholds,
                        conditions, results, premises, conclusion, caveats)
-
-
-# ---------------------------------------------------------------------------
-# The worked proposition instances as executable checks
-
-_BIGPROP_SRC = """
-channel c : t.t.t
-channel d : t
-Proc(x) = c!x$y:t?z:t -> if y==z then d!x -> STOP else d$w:t -> STOP
-"""
-
-
-@dataclass
-class BigPropCase:
-    name: str
-    description: str
-    holds: bool
-
-
-def bigprop_testcases() -> list[BigPropCase]:
-    """Membership and non-membership checks, over the process
-    c!x$y:t?z:t -> if y=z then d!x -> STOP else d$w:t -> STOP at #T = 3 with
-    B = 1, that instantiate the trace- and failure-extension propositions."""
-    from .analysis import has_failure, has_trace
-    from .cose import concretize
-    from .parser import parse_definitions
-
-    defs = parse_definitions(_BIGPROP_SRC, "<bigprops>")
-    tsize = 3
-    tv = [TVal(i) for i in range(tsize)]
-    body = defs.equations["Proc"].body
-
-    def lts_with(x: int) -> Lts:
-        return concretize(defs, body, tsize, init_env={"x": TVal(x)})
-
-    l0 = lts_with(0)
-    l2 = lts_with(2)
-
-    def ev(ch, *idx):
-        return Event(ch, tuple(TVal(i) for i in idx))
-
-    cases = []
-
-    holds = all(has_trace(l0, (ev("c", 0, v2.index, v3.index),))
-                for v2 in tv for v3 in tv)
-    cases.append(BigPropCase(
-        "traces-1", "x=0: <c.0.v2.v3> is a trace for all v2, v3", holds))
-
-    holds = all(not has_trace(l2, (ev("c", 1, v2.index, v3.index),))
-                for v2 in tv for v3 in tv)
-    cases.append(BigPropCase(
-        "traces-2", "x=2: no trace <c.1.v2.v3> (collapsed output excluded)", holds))
-
-    holds = all(has_trace(l0, (ev("c", 0, 0, 2), ev("d", v.index))) for v in tv)
-    cases.append(BigPropCase(
-        "traces-3", "x=0 after <c.0.0.2>: every d.v is available", holds))
-
-    holds = has_trace(l0, (ev("c", 0, 1, 2), ev("d", 0)))
-    cases.append(BigPropCase(
-        "traces-4", "x=0 after <c.0.1.2>: d.0 is available (negative branch "
-        "covers the positive one)", holds))
-
-    all_c = {Event("c", (a, b, c)) for a in tv for b in tv for c in tv}
-    all_d = {Event("d", (v,)) for v in tv}
-
-    x1 = all_c - {Event("c", (TVal(0), TVal(1), v)) for v in tv}
-    cases.append(BigPropCase(
-        "failures-1", "x=0: (<>, {|c|} - {|c.0.1|}) is a failure",
-        has_failure(l0, (), x1)))
-
-    x2 = {e for e in all_c if e.values[0] == TVal(2)}
-    cases.append(BigPropCase(
-        "failures-2", "x=2: (<>, {|c.2|}) is not a failure",
-        not has_failure(l2, (), x2)))
-
-    x3 = all_c | {Event("d", (v,)) for v in tv if v != TVal(2)}
-    cases.append(BigPropCase(
-        "failures-3", "x=0: (<c.0.0.2>, {|c|} u {d.v | v /= 2}) is a failure",
-        has_failure(l0, (ev("c", 0, 0, 2),), x3)))
-
-    x4 = all_c | {Event("d", (v,)) for v in tv if v != TVal(0)}
-    cases.append(BigPropCase(
-        "failures-4", "x=0: (<c.0.1.2>, {|c|} u {d.v | v /= 0}) is a failure",
-        has_failure(l0, (ev("c", 0, 1, 2),), x4)))
-
-    return cases

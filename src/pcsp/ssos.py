@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterator, Union
 
 from .errors import BoundExceeded, SemanticsError
-from .lts import TAU
+from .lts import TAU, tau_closure
 from .pretty import fmt_condition, fmt_construct, fmt_term
 from .std_semantics import eval_guard, unfold_ident
 from .syntax import (
@@ -88,9 +88,6 @@ class Sslts:
 
     def n_edges(self) -> int:
         return sum(len(es) for es in self.edges)
-
-    def vis_edges(self, idx: int):
-        return [(lab, tgt) for lab, tgt, _ in self.edges[idx] if isinstance(lab, Vis)]
 
 
 def successors(term: ProcessTerm, defs: Definitions):
@@ -229,10 +226,6 @@ def _strip_tau(sigma):
     return tuple(sym_label_key(l) for l in sigma if l is not TAU)
 
 
-def vis_projection(sigma: SymbolicTrace) -> tuple:
-    return tuple(l for l in sigma if isinstance(l, Vis))
-
-
 def nont_event_key(e: Construct):
     """The non-t projection of a visible symbolic event: the channel plus the
     concrete non-t fields; every t field collapses to a wildcard."""
@@ -267,7 +260,7 @@ def check_unique_nontau_targets(s: Sslts) -> list[str]:
     τ-prefixes leads to a unique target state."""
     problems = []
     for st in range(s.n_states()):
-        closure = _tau_closure(s, st)
+        closure = tau_closure(s.edges, st)
         seen: dict = {}
         for q in sorted(closure):
             for lab, tgt, _ in s.edges[q]:
@@ -287,7 +280,7 @@ def check_lonely_conditionals(s: Sslts) -> list[str]:
     τ-reachable from it is that condition or its negation."""
     problems = []
     for st in range(s.n_states()):
-        closure = _tau_closure(s, st)
+        closure = tau_closure(s.edges, st)
         labels = [lab for q in closure for lab, _, _ in s.edges[q] if lab is not TAU]
         conds = [lab for lab in labels if isinstance(lab, Cond)]
         if not conds:
@@ -300,18 +293,6 @@ def check_lonely_conditionals(s: Sslts) -> list[str]:
                     f"state {st}: label {fmt_sym_label(lab)} alongside "
                     f"conditional {fmt_condition(base)}")
     return problems
-
-
-def _tau_closure(s: Sslts, seed: int) -> frozenset[int]:
-    out = {seed}
-    stack = [seed]
-    while stack:
-        q = stack.pop()
-        for lab, tgt, _ in s.edges[q]:
-            if lab is TAU and tgt not in out:
-                out.add(tgt)
-                stack.append(tgt)
-    return frozenset(out)
 
 
 def check_vis_label_shape(s: Sslts) -> list[str]:

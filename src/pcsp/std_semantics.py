@@ -6,6 +6,13 @@ simultaneously, then all t selections simultaneously); choice, binding and
 conditional rules are the usual ones, and the operators outside the
 sequential fragment (hiding, renaming, the parallels and their replicated
 forms) follow the standard CSP rules.
+
+Replicated parallel, interleaving and external choice over t are expanded
+into binary trees where a term first enters a state: the root, the body of
+an unfolded identifier, and the body of a resolved replicated internal
+choice (which itself stays primitive).  Every other successor is built from
+subterms of an expanded state, or substitutes values into one, so it is
+expanded already and exploration never re-walks whole states.
 """
 
 from __future__ import annotations
@@ -16,12 +23,12 @@ from typing import Optional, Union
 from .errors import SemanticsError
 from .lts import Event, Lts, TAU, build, rename_lts  # noqa: F401 (re-export)
 from .syntax import (
-    AlphaPar, Atom, ChanPrefixItem, Condition, Definitions, EventLitItem,
-    EventSet, ExtChoice, Hide, Ident, If, IntChoice, Interleave, MixedGuard,
-    Prefix, ProcessTerm, Rename, ReplAlphaPar, ReplExtChoice, ReplIntChoice,
-    ReplInterleave, SharedPar, Sliding, Stop, TVal, Value, alpha_canonical,
-    classify_fields, comms, construct_binding, domain_values, eval_bool,
-    eval_condition_closed, eval_scalar, replace_selections, substitute,
+    AlphaPar, Atom, Condition, Definitions, EventLitItem, EventSet, ExtChoice,
+    Hide, Ident, If, IntChoice, Interleave, MixedGuard, Prefix, ProcessTerm,
+    Rename, ReplAlphaPar, ReplExtChoice, ReplIntChoice, ReplInterleave,
+    SharedPar, Sliding, Stop, TVal, alpha_canonical, classify_fields, comms,
+    construct_binding, domain_values, eval_bool, eval_condition_closed,
+    eval_scalar, map_subterms, replace_selections, subst_event_set, substitute,
 )
 
 DEFAULT_MAX_STATES = 200_000
@@ -110,37 +117,17 @@ def unfold_ident(term: Ident, defs: Definitions):
     return substitute(eq.body, mapping)
 
 
-def expand_replicated(term: ProcessTerm, defs: Definitions, tvalues) -> ProcessTerm:
+def expand_replicated(term: ProcessTerm, tvalues) -> ProcessTerm:
     """Expand replicated parallel/interleave/external choice over t into
-    left-associated binary trees; replicated internal choice stays primitive
-    (it resolves by a τ per index)."""
-    if isinstance(term, (Stop, Ident)):
-        return term
-    if isinstance(term, Prefix):
-        return Prefix(term.construct, expand_replicated(term.cont, defs, tvalues))
-    if isinstance(term, (ExtChoice, IntChoice, Sliding, Interleave)):
-        return type(term)(expand_replicated(term.left, defs, tvalues),
-                          expand_replicated(term.right, defs, tvalues))
-    if isinstance(term, If):
-        return If(term.guard, expand_replicated(term.then, defs, tvalues),
-                  expand_replicated(term.els, defs, tvalues))
-    if isinstance(term, Hide):
-        return Hide(expand_replicated(term.proc, defs, tvalues), term.hidden)
-    if isinstance(term, Rename):
-        return Rename(expand_replicated(term.proc, defs, tvalues), term.pairs)
-    if isinstance(term, AlphaPar):
-        return AlphaPar(expand_replicated(term.left, defs, tvalues), term.left_alpha,
-                        expand_replicated(term.right, defs, tvalues), term.right_alpha)
-    if isinstance(term, SharedPar):
-        return SharedPar(expand_replicated(term.left, defs, tvalues), term.shared,
-                         expand_replicated(term.right, defs, tvalues))
+    left-associated binary trees, throughout the term; replicated internal
+    choice stays primitive (it resolves by a τ per index)."""
     if isinstance(term, ReplIntChoice):
         return term
     if isinstance(term, (ReplInterleave, ReplExtChoice)):
         members = domain_values(term.domain, tvalues)
         if not members:
             raise SemanticsError("replicated operator over an empty index set")
-        parts = [expand_replicated(substitute(term.body, {term.var: v}), defs, tvalues)
+        parts = [expand_replicated(substitute(term.body, {term.var: v}), tvalues)
                  for v in members]
         combine = Interleave if isinstance(term, ReplInterleave) else ExtChoice
         out = parts[0]
@@ -153,24 +140,14 @@ def expand_replicated(term: ProcessTerm, defs: Definitions, tvalues) -> ProcessT
             raise SemanticsError("replicated parallel over an empty index set")
         parts = []
         for v in members:
-            body = expand_replicated(substitute(term.body, {term.var: v}), defs, tvalues)
-            alpha = _subst_set(term.alpha, term.var, v)
-            parts.append((body, alpha))
+            body = expand_replicated(substitute(term.body, {term.var: v}), tvalues)
+            parts.append((body, subst_event_set(term.alpha, {term.var: v})))
         out, out_alpha = parts[0]
         for body, alpha in parts[1:]:
             out = AlphaPar(out, out_alpha, body, alpha)
             out_alpha = _union_set(out_alpha, alpha)
         return out
-    raise SemanticsError(f"expand_replicated: unknown term {term!r}")
-
-
-def _subst_set(evset: EventSet, var: str, v: Value) -> EventSet:
-    sub = lambda d: v if d == var else d
-    return EventSet(
-        tuple(ChanPrefixItem(c.channel, tuple(sub(d) for d in c.datums))
-              for c in evset.closures),
-        tuple(EventLitItem(e.channel, tuple(sub(d) for d in e.datums))
-              for e in evset.literals))
+    return map_subterms(term, lambda sub: expand_replicated(sub, tvalues))
 
 
 def _union_set(a: EventSet, b: EventSet) -> EventSet:
@@ -203,9 +180,6 @@ class Engine:
             got = eval_event_set(s, self.defs, self.tvalues)
             self._set_cache[s] = got
         return got
-
-    def normalize(self, term: ProcessTerm) -> ProcessTerm:
-        return expand_replicated(term, self.defs, self.tvalues)
 
     def successors(self, term: ProcessTerm):
         """(label, construct_uid, target_term) triples, unsorted."""
@@ -259,12 +233,13 @@ class Engine:
             branch = term.then if eval_guard(term.guard) else term.els
             return self.successors(branch)
         if isinstance(term, Ident):
-            return [(TAU, None, unfold_ident(term, self.defs))]
+            return [(TAU, None, expand_replicated(unfold_ident(term, self.defs), T))]
         if isinstance(term, ReplIntChoice):
             members = domain_values(term.domain, T)
             if not members:
                 raise SemanticsError("replicated internal choice over an empty index set")
-            return [(TAU, None, substitute(term.body, {term.var: v})) for v in members]
+            return [(TAU, None, expand_replicated(substitute(term.body, {term.var: v}), T))
+                    for v in members]
         if isinstance(term, Hide):
             hidden = self.evset(term.hidden)
             out = []
@@ -352,11 +327,10 @@ def build_lts(defs: Definitions, proc: Union[str, ProcessTerm], tsize: int,
     if init_subst:
         term = substitute(term, init_subst)
     engine = Engine(defs, tsize)
-    root = engine.normalize(term)
+    root = expand_replicated(term, engine.tvalues)
 
     def successors(payload):
         for lab, uid, nxt in engine.successors(payload):
-            nxt = engine.normalize(nxt)
             yield lab, uid, nxt, alpha_canonical(nxt)
 
     from .pretty import fmt_term

@@ -7,13 +7,22 @@ construct ``c S1 x1:X1 ... Sk xk:Xk`` carries one selector per field:
 (output).  The six index-set functions, the selector replacement function
 and capture-avoiding substitution defined here are the ground layer that
 every semantics consumes.
+
+``_rebind`` is the binder-aware pass behind both substitution and
+alpha canonicalisation: it rewrites free names through an environment and
+either lets binders shadow it (``substitute``) or renames them to
+``_b0, _b1, ...`` in traversal order (``alpha_canonical``), so both share
+one account of where each binder scopes.  ``subterms``/``map_subterms``
+read the subterm table, the process-term fields of each of the 16 term
+classes; walkers that only descend into subterms take them from there and
+keep explicit cases for the node kinds they act on.
 """
 
 from __future__ import annotations
 
 import itertools
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional, Union
 
 from .errors import SemanticsError
@@ -509,7 +518,43 @@ ProcessTerm = Union[
     ReplAlphaPar, ReplInterleave, ReplIntChoice, ReplExtChoice, Ident,
 ]
 
-BINARY_CHOICES = (ExtChoice, IntChoice, Sliding)
+REPLICATED = (ReplAlphaPar, ReplInterleave, ReplIntChoice, ReplExtChoice)
+
+# The subterm table: the process-term fields of each term class, in source
+# order.  Every other field (constructs, guards, event sets, binders,
+# domains, arguments) is data.
+_SUBTERM_FIELDS: dict[type, tuple[str, ...]] = {
+    Stop: (),
+    Prefix: ("cont",),
+    ExtChoice: ("left", "right"),
+    IntChoice: ("left", "right"),
+    Sliding: ("left", "right"),
+    If: ("then", "els"),
+    Hide: ("proc",),
+    Rename: ("proc",),
+    AlphaPar: ("left", "right"),
+    SharedPar: ("left", "right"),
+    Interleave: ("left", "right"),
+    ReplAlphaPar: ("body",),
+    ReplInterleave: ("body",),
+    ReplIntChoice: ("body",),
+    ReplExtChoice: ("body",),
+    Ident: (),
+}
+
+
+def subterms(term: ProcessTerm) -> tuple[ProcessTerm, ...]:
+    """The immediate process subterms of a term, in source order."""
+    return tuple(getattr(term, name) for name in _SUBTERM_FIELDS[type(term)])
+
+
+def map_subterms(term: ProcessTerm, fn) -> ProcessTerm:
+    """The term with fn applied to each immediate process subterm and every
+    other field kept."""
+    names = _SUBTERM_FIELDS[type(term)]
+    if not names:
+        return term
+    return replace(term, **{name: fn(getattr(term, name)) for name in names})
 
 
 # ---------------------------------------------------------------------------
@@ -553,98 +598,154 @@ class Definitions:
 
 
 # ---------------------------------------------------------------------------
-# Substitution, free variables, alpha canonicalisation
+# Substitution and alpha canonicalisation: one binder-aware pass
 
 SubstValue = Union[Value, int]
 
 
-def _subst_datum(d, mapping):
-    if isinstance(d, str) and d in mapping:
-        v = mapping[d]
+class _Renamer:
+    """Sequential bound-variable renamer; traversal order is deterministic, so
+    alpha-equivalent terms canonicalise to equal terms."""
+
+    def __init__(self):
+        self.counter = itertools.count()
+
+    def fresh(self) -> str:
+        return f"_b{next(self.counter)}"
+
+
+def _bind(name: str, env: dict, ren: Optional[_Renamer]) -> tuple[str, dict]:
+    """Enter the scope of a binder: without a renamer the binder shadows its
+    entry of env (substitution), with one it gets the next fresh name
+    (canonicalisation).  Returns the binder's new name and the inner env."""
+    if ren is None:
+        if name not in env:
+            return name, env
+        return name, {k: v for k, v in env.items() if k != name}
+    new = ren.fresh()
+    return new, {**env, name: new}
+
+
+# Leaf rewriters: a name in env becomes its value (or its fresh bound name);
+# every other name stays.
+
+def _datum(d, env):
+    if isinstance(d, str) and d in env:
+        v = env[d]
         if isinstance(v, int):
             raise SemanticsError(f"natural value substituted into event field {d!r}")
         return v
     return d
 
 
-def _subst_scalar(e: ScalarExpr, mapping) -> ScalarExpr:
-    if isinstance(e, VarRef):
-        if e.name in mapping:
-            v = mapping[e.name]
-            if isinstance(v, int):
-                return NatLit(v)
-            return v
-        return e
-    if isinstance(e, NatOp):
-        return NatOp(e.op, _subst_scalar(e.left, mapping), _subst_scalar(e.right, mapping))
-    if isinstance(e, NatMin):
-        return NatMin(_subst_scalar(e.left, mapping), _subst_scalar(e.right, mapping))
-    return e
-
-
-def _subst_bool(b: BoolExpr, mapping) -> BoolExpr:
-    if isinstance(b, Cmp):
-        return Cmp(b.op, _subst_scalar(b.left, mapping), _subst_scalar(b.right, mapping))
-    if isinstance(b, BoolNot):
-        return BoolNot(_subst_bool(b.arg, mapping))
-    if isinstance(b, BoolAnd):
-        return BoolAnd(_subst_bool(b.left, mapping), _subst_bool(b.right, mapping))
-    if isinstance(b, BoolOr):
-        return BoolOr(_subst_bool(b.left, mapping), _subst_bool(b.right, mapping))
-    return b
-
-
-def _subst_tterm(s: TTerm, mapping) -> TTerm:
-    if isinstance(s, str) and s in mapping:
-        v = mapping[s]
-        if not isinstance(v, TVal):
+def _tterm(s: TTerm, env) -> TTerm:
+    if isinstance(s, str) and s in env:
+        v = env[s]
+        if not isinstance(v, (str, TVal)):
             raise SemanticsError(f"non-t value substituted for t-variable {s!r}")
         return v
     return s
 
 
-def _subst_guard(g: Guard, mapping) -> Guard:
+def _scalar(e: ScalarExpr, env) -> ScalarExpr:
+    if isinstance(e, VarRef):
+        if e.name not in env:
+            return e
+        v = env[e.name]
+        if isinstance(v, str):
+            return VarRef(v)
+        return NatLit(v) if isinstance(v, int) else v
+    if isinstance(e, NatOp):
+        return NatOp(e.op, _scalar(e.left, env), _scalar(e.right, env))
+    if isinstance(e, NatMin):
+        return NatMin(_scalar(e.left, env), _scalar(e.right, env))
+    return e
+
+
+def _bool(b: BoolExpr, env) -> BoolExpr:
+    if isinstance(b, Cmp):
+        return Cmp(b.op, _scalar(b.left, env), _scalar(b.right, env))
+    if isinstance(b, BoolNot):
+        return BoolNot(_bool(b.arg, env))
+    if isinstance(b, (BoolAnd, BoolOr)):
+        return type(b)(_bool(b.left, env), _bool(b.right, env))
+    return b
+
+
+def _guard(g: Guard, env) -> Guard:
     if isinstance(g, Condition):
         return Condition(g.negated, tuple(
-            (_subst_tterm(l, mapping), _subst_tterm(r, mapping)) for l, r in g.atoms))
+            (_tterm(l, env), _tterm(r, env)) for l, r in g.atoms))
     if isinstance(g, MixedGuard):
         return MixedGuard(
             g.negated,
-            tuple((_subst_tterm(l, mapping), _subst_tterm(r, mapping)) for l, r in g.t_atoms),
-            tuple(_subst_bool(b, mapping) for b in g.other),
-        )
-    return _subst_bool(g, mapping)
+            tuple((_tterm(l, env), _tterm(r, env)) for l, r in g.t_atoms),
+            tuple(_bool(b, env) for b in g.other))
+    return _bool(g, env)
 
 
-def _subst_type(ty, mapping):
+def _type(ty, env):
     if isinstance(ty, SetType):
-        return SetType(tuple(_subst_datum(i, mapping) for i in ty.items), ty.is_t)
+        return SetType(tuple(_datum(i, env) for i in ty.items), ty.is_t)
     if isinstance(ty, DiffType):
-        return DiffType(tuple(_subst_datum(i, mapping) for i in ty.excluded))
+        return DiffType(tuple(_datum(i, env) for i in ty.excluded))
     return ty
 
 
-def subst_construct(alpha: Construct, mapping) -> Construct:
-    out = []
-    bound = set()
-    for f in alpha.fields:
-        if f.sel in (DOLLAR, QUERY):
-            ty = _subst_type(f.ty, {k: v for k, v in mapping.items() if k not in bound})
-            out.append(Field(f.sel, f.payload, ty, f.bang_is_t))
-            bound.add(f.payload)
-        else:
-            live = {k: v for k, v in mapping.items() if k not in bound}
-            out.append(Field(BANG, _subst_datum(f.payload, live), None, f.bang_is_t))
-    return Construct(alpha.channel, tuple(out), uid=alpha.uid)
-
-
-def _subst_evset(s: EventSet, mapping) -> EventSet:
+def subst_event_set(s: EventSet, env) -> EventSet:
+    """An event set with the names in env replaced by their values."""
     return EventSet(
-        tuple(ChanPrefixItem(c.channel, tuple(_subst_datum(d, mapping) for d in c.datums))
+        tuple(ChanPrefixItem(c.channel, tuple(_datum(d, env) for d in c.datums))
               for c in s.closures),
-        tuple(EventLitItem(e.channel, tuple(_subst_datum(d, mapping) for d in e.datums))
-              for e in s.literals),
-    )
+        tuple(EventLitItem(e.channel, tuple(_datum(d, env) for d in e.datums))
+              for e in s.literals))
+
+
+def _rebind(term: ProcessTerm, env: dict, ren: Optional[_Renamer]) -> ProcessTerm:
+    """Rewrite the free names of a term through env and its binders through
+    _bind.  Input binders scope over the fields to their right and over the
+    continuation; replicated binders scope over the alphabet and the body,
+    not over the domain."""
+    if ren is None and not env:
+        return term
+    if isinstance(term, Stop):
+        return term
+    if isinstance(term, Prefix):
+        fields = []
+        for f in term.construct.fields:
+            if f.sel == BANG:
+                fields.append(Field(BANG, _datum(f.payload, env), None, f.bang_is_t))
+            else:
+                ty = _type(f.ty, env)
+                name, env = _bind(f.payload, env, ren)
+                fields.append(Field(f.sel, name, ty, f.bang_is_t))
+        alpha = Construct(term.construct.channel, tuple(fields), uid=term.construct.uid)
+        return Prefix(alpha, _rebind(term.cont, env, ren))
+    if isinstance(term, (ExtChoice, IntChoice, Sliding, Interleave)):
+        return type(term)(_rebind(term.left, env, ren), _rebind(term.right, env, ren))
+    if isinstance(term, If):
+        return If(_guard(term.guard, env),
+                  _rebind(term.then, env, ren), _rebind(term.els, env, ren))
+    if isinstance(term, Hide):
+        return Hide(_rebind(term.proc, env, ren), subst_event_set(term.hidden, env))
+    if isinstance(term, Rename):
+        return Rename(_rebind(term.proc, env, ren), term.pairs)
+    if isinstance(term, AlphaPar):
+        return AlphaPar(_rebind(term.left, env, ren), subst_event_set(term.left_alpha, env),
+                        _rebind(term.right, env, ren), subst_event_set(term.right_alpha, env))
+    if isinstance(term, SharedPar):
+        return SharedPar(_rebind(term.left, env, ren), subst_event_set(term.shared, env),
+                         _rebind(term.right, env, ren))
+    if isinstance(term, REPLICATED):
+        domain = _type(term.domain, env)
+        var, env = _bind(term.var, env, ren)
+        if isinstance(term, ReplAlphaPar):
+            return ReplAlphaPar(var, domain, subst_event_set(term.alpha, env),
+                                _rebind(term.body, env, ren))
+        return type(term)(var, domain, _rebind(term.body, env, ren))
+    if isinstance(term, Ident):
+        return Ident(term.name, tuple(_scalar(a, env) for a in term.args))
+    raise SemanticsError(f"unknown process term {term!r}")
 
 
 def substitute(term: ProcessTerm, mapping: dict[str, SubstValue]) -> ProcessTerm:
@@ -654,53 +755,21 @@ def substitute(term: ProcessTerm, mapping: dict[str, SubstValue]) -> ProcessTerm
     parameters), so no renaming of binders is ever needed; binders simply
     shadow entries of the mapping.
     """
-    if not mapping:
-        return term
-    if isinstance(term, Stop):
-        return term
-    if isinstance(term, Prefix):
-        a = term.construct
-        binders = {f.payload for f in a.fields if f.sel in (DOLLAR, QUERY)}
-        inner = {k: v for k, v in mapping.items() if k not in binders}
-        return Prefix(subst_construct(a, mapping), substitute(term.cont, inner))
-    if isinstance(term, ExtChoice):
-        return ExtChoice(substitute(term.left, mapping), substitute(term.right, mapping))
-    if isinstance(term, IntChoice):
-        return IntChoice(substitute(term.left, mapping), substitute(term.right, mapping))
-    if isinstance(term, Sliding):
-        return Sliding(substitute(term.left, mapping), substitute(term.right, mapping))
-    if isinstance(term, If):
-        return If(_subst_guard(term.guard, mapping),
-                  substitute(term.then, mapping), substitute(term.els, mapping))
-    if isinstance(term, Hide):
-        return Hide(substitute(term.proc, mapping), _subst_evset(term.hidden, mapping))
-    if isinstance(term, Rename):
-        return Rename(substitute(term.proc, mapping), term.pairs)
-    if isinstance(term, AlphaPar):
-        return AlphaPar(substitute(term.left, mapping), _subst_evset(term.left_alpha, mapping),
-                        substitute(term.right, mapping), _subst_evset(term.right_alpha, mapping))
-    if isinstance(term, SharedPar):
-        return SharedPar(substitute(term.left, mapping), _subst_evset(term.shared, mapping),
-                         substitute(term.right, mapping))
-    if isinstance(term, Interleave):
-        return Interleave(substitute(term.left, mapping), substitute(term.right, mapping))
-    if isinstance(term, (ReplAlphaPar, ReplInterleave, ReplIntChoice, ReplExtChoice)):
-        inner = {k: v for k, v in mapping.items() if k != term.var}
-        domain = _subst_type(term.domain, mapping)
-        if isinstance(term, ReplAlphaPar):
-            return ReplAlphaPar(term.var, domain, _subst_evset(term.alpha, inner),
-                                substitute(term.body, inner))
-        return type(term)(term.var, domain, substitute(term.body, inner))
-    if isinstance(term, Ident):
-        out = []
-        for a in term.args:
-            if isinstance(a, (TVal, Atom)):
-                out.append(a)
-            else:
-                out.append(_subst_scalar(a, mapping))
-        return Ident(term.name, tuple(out))
-    raise SemanticsError(f"substitute: unknown term {term!r}")
+    return _rebind(term, mapping, None)
 
+
+def alpha_canonical(term: ProcessTerm,
+                    env: Optional[dict[str, SubstValue]] = None) -> ProcessTerm:
+    """Rename bound variables by a deterministic scheme, so that two terms are
+    alpha-equivalent iff their canonical forms are equal.  Free variables in
+    env are replaced by their values, so ``alpha_canonical(t, env)`` equals
+    ``alpha_canonical(substitute(t, env))``; other free variables are kept
+    by name.  Idempotent."""
+    return _rebind(term, env or {}, _Renamer())
+
+
+# ---------------------------------------------------------------------------
+# Free variables
 
 def _free_in_scalar(e: ScalarExpr) -> frozenset[str]:
     if isinstance(e, VarRef):
@@ -737,7 +806,7 @@ def _free_in_datums(datums) -> frozenset[str]:
     return frozenset(d for d in datums if isinstance(d, str))
 
 
-def _free_in_evset(s: EventSet) -> frozenset[str]:
+def _free_insubst_event_set(s: EventSet) -> frozenset[str]:
     out = frozenset()
     for c in s.closures:
         out |= _free_in_datums(c.datums)
@@ -774,16 +843,16 @@ def free_vars(term: ProcessTerm) -> frozenset[str]:
     if isinstance(term, If):
         return _free_in_guard(term.guard) | free_vars(term.then) | free_vars(term.els)
     if isinstance(term, Hide):
-        return free_vars(term.proc) | _free_in_evset(term.hidden)
+        return free_vars(term.proc) | _free_insubst_event_set(term.hidden)
     if isinstance(term, Rename):
         return free_vars(term.proc)
     if isinstance(term, AlphaPar):
         return (free_vars(term.left) | free_vars(term.right)
-                | _free_in_evset(term.left_alpha) | _free_in_evset(term.right_alpha))
+                | _free_insubst_event_set(term.left_alpha) | _free_insubst_event_set(term.right_alpha))
     if isinstance(term, SharedPar):
-        return free_vars(term.left) | free_vars(term.right) | _free_in_evset(term.shared)
+        return free_vars(term.left) | free_vars(term.right) | _free_insubst_event_set(term.shared)
     if isinstance(term, ReplAlphaPar):
-        inner = (free_vars(term.body) | _free_in_evset(term.alpha)) - {term.var}
+        inner = (free_vars(term.body) | _free_insubst_event_set(term.alpha)) - {term.var}
         return inner | _free_in_type(term.domain)
     if isinstance(term, (ReplInterleave, ReplIntChoice, ReplExtChoice)):
         return (free_vars(term.body) - {term.var}) | _free_in_type(term.domain)
@@ -794,127 +863,6 @@ def free_vars(term: ProcessTerm) -> frozenset[str]:
                 out |= _free_in_scalar(a)
         return out
     raise SemanticsError(f"free_vars: unknown term {term!r}")
-
-
-class _Renamer:
-    """Sequential bound-variable renamer; traversal order is deterministic, so
-    alpha-equivalent terms canonicalise to equal terms."""
-
-    def __init__(self):
-        self.counter = itertools.count()
-
-    def fresh(self) -> str:
-        return f"_b{next(self.counter)}"
-
-
-def _canon_datum(d, env):
-    if isinstance(d, str):
-        return env.get(d, d)
-    return d
-
-
-def _canon_scalar(e, env):
-    if isinstance(e, VarRef):
-        return VarRef(env.get(e.name, e.name))
-    if isinstance(e, NatOp):
-        return NatOp(e.op, _canon_scalar(e.left, env), _canon_scalar(e.right, env))
-    if isinstance(e, NatMin):
-        return NatMin(_canon_scalar(e.left, env), _canon_scalar(e.right, env))
-    return e
-
-
-def _canon_bool(b, env):
-    if isinstance(b, Cmp):
-        return Cmp(b.op, _canon_scalar(b.left, env), _canon_scalar(b.right, env))
-    if isinstance(b, BoolNot):
-        return BoolNot(_canon_bool(b.arg, env))
-    if isinstance(b, BoolAnd):
-        return BoolAnd(_canon_bool(b.left, env), _canon_bool(b.right, env))
-    if isinstance(b, BoolOr):
-        return BoolOr(_canon_bool(b.left, env), _canon_bool(b.right, env))
-    return b
-
-
-def _canon_guard(g, env):
-    if isinstance(g, Condition):
-        return Condition(g.negated, tuple(
-            (_canon_datum(l, env), _canon_datum(r, env)) for l, r in g.atoms))
-    if isinstance(g, MixedGuard):
-        return MixedGuard(
-            g.negated,
-            tuple((_canon_datum(l, env), _canon_datum(r, env)) for l, r in g.t_atoms),
-            tuple(_canon_bool(b, env) for b in g.other))
-    return _canon_bool(g, env)
-
-
-def _canon_type(ty, env):
-    if isinstance(ty, SetType):
-        return SetType(tuple(_canon_datum(i, env) for i in ty.items), ty.is_t)
-    if isinstance(ty, DiffType):
-        return DiffType(tuple(_canon_datum(i, env) for i in ty.excluded))
-    return ty
-
-
-def _canon_evset(s, env):
-    return EventSet(
-        tuple(ChanPrefixItem(c.channel, tuple(_canon_datum(d, env) for d in c.datums))
-              for c in s.closures),
-        tuple(EventLitItem(e.channel, tuple(_canon_datum(d, env) for d in e.datums))
-              for e in s.literals))
-
-
-def _canon(term, env, ren: _Renamer):
-    if isinstance(term, Stop):
-        return term
-    if isinstance(term, Prefix):
-        fields = []
-        env2 = dict(env)
-        for f in term.construct.fields:
-            if f.sel in (DOLLAR, QUERY):
-                ty = _canon_type(f.ty, env2)
-                new = ren.fresh()
-                env2[f.payload] = new
-                fields.append(Field(f.sel, new, ty, f.bang_is_t))
-            else:
-                fields.append(Field(BANG, _canon_datum(f.payload, env2), None, f.bang_is_t))
-        alpha = Construct(term.construct.channel, tuple(fields), uid=term.construct.uid)
-        return Prefix(alpha, _canon(term.cont, env2, ren))
-    if isinstance(term, (ExtChoice, IntChoice, Sliding, Interleave)):
-        return type(term)(_canon(term.left, env, ren), _canon(term.right, env, ren))
-    if isinstance(term, If):
-        return If(_canon_guard(term.guard, env),
-                  _canon(term.then, env, ren), _canon(term.els, env, ren))
-    if isinstance(term, Hide):
-        return Hide(_canon(term.proc, env, ren), _canon_evset(term.hidden, env))
-    if isinstance(term, Rename):
-        return Rename(_canon(term.proc, env, ren), term.pairs)
-    if isinstance(term, AlphaPar):
-        return AlphaPar(_canon(term.left, env, ren), _canon_evset(term.left_alpha, env),
-                        _canon(term.right, env, ren), _canon_evset(term.right_alpha, env))
-    if isinstance(term, SharedPar):
-        return SharedPar(_canon(term.left, env, ren), _canon_evset(term.shared, env),
-                         _canon(term.right, env, ren))
-    if isinstance(term, (ReplAlphaPar, ReplInterleave, ReplIntChoice, ReplExtChoice)):
-        domain = _canon_type(term.domain, env)
-        env2 = dict(env)
-        new = ren.fresh()
-        env2[term.var] = new
-        if isinstance(term, ReplAlphaPar):
-            return ReplAlphaPar(new, domain, _canon_evset(term.alpha, env2),
-                                _canon(term.body, env2, ren))
-        return type(term)(new, domain, _canon(term.body, env2, ren))
-    if isinstance(term, Ident):
-        return Ident(term.name, tuple(
-            a if isinstance(a, (TVal, Atom)) else _canon_scalar(a, env)
-            for a in term.args))
-    raise SemanticsError(f"alpha_canonical: unknown term {term!r}")
-
-
-def alpha_canonical(term: ProcessTerm) -> ProcessTerm:
-    """Rename bound variables by a deterministic scheme, so that two terms are
-    alpha-equivalent iff their canonical forms are equal.  Free variables are
-    kept by name.  Idempotent."""
-    return _canon(term, {}, _Renamer())
 
 
 # ---------------------------------------------------------------------------
@@ -1007,7 +955,7 @@ def comms(alpha: Construct, tvalues: tuple[TVal, ...]) -> list[tuple[Value, ...]
         out = []
         for vs, binding in prefixes:
             if f.sel == QUERY:
-                ty = _subst_type(f.ty, binding)
+                ty = _type(f.ty, binding)
                 for v in domain_values(ty, tvalues):
                     out.append((vs + (v,), {**binding, f.payload: v}))
             else:
@@ -1048,7 +996,7 @@ def comms_nont(alpha: Construct) -> list[Construct]:
         out = []
         for fs, binding in prefixes:
             if f.sel == QUERY and not f.is_t():
-                for v in domain_values(_subst_type(f.ty, binding), ()):
+                for v in domain_values(_type(f.ty, binding), ()):
                     out.append((fs + (Field(BANG, v, None, bang_is_t=False),),
                                 {**binding, f.payload: v}))
             elif (f.sel == BANG and not f.bang_is_t
@@ -1075,21 +1023,9 @@ def iter_constructs(term: ProcessTerm, defs: Optional[Definitions] = None,
     seen = _seen if _seen is not None else set()
     if isinstance(term, Prefix):
         yield term.construct
-        yield from iter_constructs(term.cont, defs, _seen=seen)
-    elif isinstance(term, (ExtChoice, IntChoice, Sliding, Interleave)):
-        yield from iter_constructs(term.left, defs, _seen=seen)
-        yield from iter_constructs(term.right, defs, _seen=seen)
-    elif isinstance(term, If):
-        yield from iter_constructs(term.then, defs, _seen=seen)
-        yield from iter_constructs(term.els, defs, _seen=seen)
-    elif isinstance(term, (Hide, Rename)):
-        yield from iter_constructs(term.proc, defs, _seen=seen)
-    elif isinstance(term, (AlphaPar, SharedPar)):
-        yield from iter_constructs(term.left, defs, _seen=seen)
-        yield from iter_constructs(term.right, defs, _seen=seen)
-    elif isinstance(term, (ReplAlphaPar, ReplInterleave, ReplIntChoice, ReplExtChoice)):
-        yield from iter_constructs(term.body, defs, _seen=seen)
     elif isinstance(term, Ident) and defs is not None:
         if term.name not in seen and term.name in defs.equations:
             seen.add(term.name)
             yield from iter_constructs(defs.equations[term.name].body, defs, _seen=seen)
+    for sub in subterms(term):
+        yield from iter_constructs(sub, defs, _seen=seen)

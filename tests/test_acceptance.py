@@ -7,7 +7,10 @@ from __future__ import annotations
 import itertools
 import time
 
-from conftest import ALL_CORPUS_FILES, CORPUS_SEQ, SEQNORM_SPECS, load, proc_body
+from conftest import (
+    ALL_CORPUS_FILES, CORPUS_SEQ, SEQNORM_SPECS, bigprop_testcases, load,
+    proc_body,
+)
 from pcsp import conditions
 from pcsp.analysis import (
     acceptances_after, has_failure, refines, refines_failures, strong_bisim,
@@ -21,8 +24,7 @@ from pcsp.lts import Event, TAU
 from pcsp.parser import parse_definitions
 from pcsp.pretty import fmt_definitions
 from pcsp.reduction import (
-    CollapsingFn, bigprop_testcases, thresh_failures, thresh_traces,
-    verify_pmcp,
+    CollapsingFn, thresh_failures, thresh_traces, verify_pmcp,
 )
 from pcsp.ssos import Cond, Vis, build_sslts
 from pcsp.std_semantics import build_lts, file_alphabet, tvalues_for

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from pcsp.cli import main
 
 
@@ -100,3 +102,16 @@ def test_verify_json_schema(capsys):
                             "sizes", "premises", "conclusion", "caveats"}
     assert payload["B"] == 1
     assert all(row["holds"] for row in payload["sizes"])
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "mutex.pcsp", "--spec", "Spec", "--impl", "Nope",
+     "--model", "traces", "--sizes", "1..2"),
+    ("conditions", "mutex.pcsp", "--proc", "Nope"),
+    ("lts", "mutex.pcsp", "--proc", "Nope", "--tsize", "2"),
+    ("refine", "mutex.pcsp", "--spec", "Spec", "--impl", "Nope", "--tsize", "2"),
+])
+def test_undefined_process_message(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: undefined process 'Nope'\n"

@@ -2,13 +2,13 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import load, proc_body
+from conftest import bigprop_testcases, load, proc_body
 from pcsp.analysis import refines
 from pcsp.lts import Event
 from pcsp.parser import parse_definitions
 from pcsp.reduction import (
-    CollapsingFn, bigprop_testcases, compute_thresholds, thresh_failures,
-    thresh_traces, verify_pmcp,
+    CollapsingFn, compute_thresholds, thresh_failures, thresh_traces,
+    verify_pmcp,
 )
 from pcsp.ssos import Vis, build_sslts, nont_event_key, symbolic_traces
 from pcsp.std_semantics import build_lts

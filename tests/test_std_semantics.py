@@ -3,7 +3,8 @@ from __future__ import annotations
 import pytest
 
 from pcsp.analysis import (
-    has_trace, initials_after, refines_failures, refines_traces, traces_upto,
+    has_trace, initials_after, refines_failures, refines_traces, strong_bisim,
+    traces_upto,
 )
 from pcsp.dot import lts_to_dot
 from pcsp.errors import BoundExceeded, SemanticsError
@@ -217,3 +218,29 @@ def test_dot_output_is_stable(mutex):
     b = lts_to_dot(build_lts(mutex, "Spec", 2))
     assert a == b
     assert a.startswith("digraph") and "enterCS.0" in a
+
+
+def test_replicated_operators_expanded_where_they_enter():
+    # each replicated operator first appears in a state through a prefix
+    # continuation, an identifier with arguments, or the body of a resolved
+    # replicated internal choice; Hand* expand them by hand at #T=2
+    defs = parse_definitions("""
+channel go
+channel a : t
+channel b : t.t
+Q(i) = a!i -> Q(i)
+R(j) = [] i:t @ b!j!i -> R(j)
+R2(j) = (b!j!0 -> R2(j)) [] (b!j!1 -> R2(j))
+ViaPrefix = go -> (||| i:t @ Q(i))
+ViaIdent = go -> R(1)
+ViaIntChoice = |~| j:t @ (|| i:t @ [{| b.j.i |}] b!j!i -> STOP)
+HandPrefix = go -> (Q(0) ||| Q(1))
+HandIdent = go -> R2(1)
+HandIntChoice = |~| j:t @ ((b!j!0 -> STOP) [{| b.j.0 |} || {| b.j.1 |}] (b!j!1 -> STOP))
+""")
+    for via, hand, states in (("ViaPrefix", "HandPrefix", 5),
+                              ("ViaIdent", "HandIdent", 3),
+                              ("ViaIntChoice", "HandIntChoice", 9)):
+        lv, lh = build_lts(defs, via, 2), build_lts(defs, hand, 2)
+        assert lv.n_states() == lh.n_states() == states, via
+        assert strong_bisim(lv, lh)[0], via

@@ -343,3 +343,12 @@ def test_replace_scopes_compose(term):
             stack.extend([node.left, node.right])
         elif hasattr(node, "then"):
             stack.extend([node.then, node.els])
+
+
+@given(terms(scope=("v1", "v2")),
+       st.fixed_dictionaries({}, optional={
+           v: st.builds(TVal, st.integers(0, 2)) for v in ("v1", "v2")}))
+@settings(max_examples=120, deadline=None)
+def test_alpha_canonical_under_env_is_canonical_substitution(term, env):
+    # binders named v1/v2 shadow the environment in both passes
+    assert alpha_canonical(term, env) == alpha_canonical(substitute(term, env))
