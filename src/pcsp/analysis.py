@@ -129,7 +129,7 @@ def _minimal_sets(sets) -> tuple[frozenset, ...]:
     return tuple(out)
 
 
-def _divergent_states(lts: Lts) -> set[int]:
+def _divergent_states(lts: Lts) -> frozenset[int]:
     """States lying on or reaching a τ-cycle via τ steps."""
     n = lts.n_states()
     index = {}
@@ -180,18 +180,14 @@ def _divergent_states(lts: Lts) -> set[int]:
                     for lab, tgt, _ in lts.edges[node])
                 if has_tau_cycle:
                     in_cycle.update(scc)
-    # propagate backwards over τ edges
-    diverging = set(in_cycle)
-    changed = True
-    while changed:
-        changed = False
-        for s in range(n):
-            if s in diverging:
-                continue
-            if any(lab is TAU and tgt in diverging for lab, tgt, _ in lts.edges[s]):
-                diverging.add(s)
-                changed = True
-    return diverging
+    # the states that reach a τ-cycle: the τ-closure of in_cycle over the
+    # reversed τ edges
+    reverse: list[list] = [[] for _ in range(n)]
+    for s, es in enumerate(lts.edges):
+        for lab, tgt, _ in es:
+            if lab is TAU:
+                reverse[tgt].append((TAU, s, None))
+    return tau_closure(reverse, in_cycle)
 
 
 def normalise(lts: Lts, *, forbid_divergence: bool = False) -> NormalisedSpec:

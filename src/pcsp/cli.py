@@ -3,9 +3,10 @@
 Subcommands: ``conditions``, ``lts``, ``sslts``, ``cose``, ``congruence``,
 ``refine``, ``threshold``, ``verify``.  Exit code 0 means every requested
 check passed, 1 means a check failed (with a counterexample where one
-exists), 2 means a usage error or diagnostic.  Paths that do not exist are
-resolved against the bundled corpus, so ``pcsp refine mutex.pcsp ...``
-works out of the box.
+exists), 2 means a usage error or diagnostic, and 3 means an internal error
+(a bug in pcsp), reported with its traceback on stderr.  Paths that do not
+exist are resolved against the bundled corpus, so ``pcsp refine mutex.pcsp
+...`` works out of the box.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import analysis, conditions, cose, dot, reduction, ssos, std_semantics
-from .errors import ParseError, PcspError
+from .errors import ParseError, PcspError, UsageError
 from .parser import parse_file
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
@@ -36,11 +37,15 @@ def _resolve(path: str) -> Path:
     raise FileNotFoundError(f"no such file: {path}")
 
 
-def _sizes(spec: str) -> list[int]:
-    if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(part) for part in spec.split(",") if part]
+def _sizes(spec: str, option: str) -> list[int]:
+    try:
+        if ".." in spec:
+            lo, hi = spec.split("..", 1)
+            return list(range(int(lo), int(hi) + 1))
+        return [int(part) for part in spec.split(",") if part]
+    except ValueError:
+        raise UsageError(f"{option} {spec!r}: expected sizes as N..M or "
+                         "N,M,...") from None
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -142,11 +147,13 @@ def cmd_conditions(args, defs) -> int:
         rs = conditions.check_all(name, defs)
         if args.eqt_model:
             rs.append(conditions.revposconjeqt_evidence(
-                name, defs, args.eqt_model, tuple(_sizes(args.eqt_sizes)),
+                name, defs, args.eqt_model,
+                tuple(_sizes(args.eqt_sizes, "--eqt-sizes")),
                 args.max_states))
         if args.typesym_sizes:
             rs.append(analysis.permutation_bisim_check(
-                defs, name, _sizes(args.typesym_sizes), args.max_states))
+                defs, name, _sizes(args.typesym_sizes, "--typesym-sizes"),
+                args.max_states))
         reports[name] = rs
         failed = failed or any(r.verdict == "fail" for r in rs)
     payload = {n: [r.to_dict() for r in rs] for n, rs in reports.items()}
@@ -238,10 +245,10 @@ def cmd_threshold(args, defs) -> int:
 
 def cmd_verify(args, defs) -> int:
     verdict = reduction.verify_pmcp(
-        defs, args.spec, args.impl, args.model, _sizes(args.sizes),
+        defs, args.spec, args.impl, args.model, _sizes(args.sizes, "--sizes"),
         abst=args.abst, valid_from=args.valid_from,
-        premise_sizes=_sizes(args.sample_premise) if args.sample_premise else (),
-        eqt_sizes=tuple(_sizes(args.eqt_sizes)),
+        premise_sizes=_sizes(args.sample_premise, "--sample-premise"),
+        eqt_sizes=tuple(_sizes(args.eqt_sizes, "--eqt-sizes")),
         assume_typesym=args.assume_typesym, max_states=args.max_states)
     lines = [f"mode: {verdict.mode}", f"model: {verdict.model}"]
     if verdict.bound is not None:
@@ -286,9 +293,15 @@ def main(argv=None) -> int:
         for d in exc.diagnostics:
             print(d.render(), file=sys.stderr)
         return 2
-    except (PcspError, FileNotFoundError, KeyError, ValueError) as exc:
+    except (PcspError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        import traceback  # only on this path: it adds to every start-up
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__} (a bug in pcsp; "
+              "the traceback is above)", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

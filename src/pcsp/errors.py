@@ -35,6 +35,10 @@ class SemanticsError(PcspError):
     ill-formed input that slipped past the checkers)."""
 
 
+class UsageError(PcspError):
+    """An argument outside what a command or an API entry point accepts."""
+
+
 class BoundExceeded(PcspError):
     """State-space or trace-depth bound exceeded; names the frontier state."""
 

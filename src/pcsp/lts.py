@@ -3,10 +3,11 @@ deterministic breadth-first builder shared by the two concrete semantics."""
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .errors import BoundExceeded
+from .errors import BoundExceeded, SemanticsError
 from .syntax import Value, value_key
 
 
@@ -53,9 +54,12 @@ Edge = tuple
 class Lts:
     """A rooted, finite LTS with deduplicated states.
 
-    states hold display payloads; keys hold the canonical identity used for
-    deduplication (shared across instantiation sizes so that state matching
-    between different type sizes is meaningful).
+    states hold display payloads; keys hold the identity used for
+    deduplication.  The standard semantics keys states by ids of its
+    per-build state graph, meaningful within one build only; the COSE
+    semantics keys them by configuration keys, which are shared across
+    instantiation sizes, so that check_monotonicity can match states
+    between sizes.
     """
 
     root: int
@@ -106,6 +110,19 @@ def tau_closure(edges, seed, follow: Callable[[object], bool] = _is_tau) -> froz
     return frozenset(out)
 
 
+@contextmanager
+def terms_bounded():
+    """Report a RecursionError as a diagnostic: state terms nest deeper the
+    longer exploration runs only under recursion through an operator
+    context, which the semantics does not support."""
+    try:
+        yield
+    except RecursionError:
+        raise SemanticsError(
+            "state terms grow without bound (recursion through an "
+            "operator context is not supported)") from None
+
+
 def build(root_payload, root_key, successors: Callable, *,
           alphabet: frozenset[Event], tsize: int,
           max_states: int, describe: Callable[[object], str]) -> Lts:
@@ -115,38 +132,32 @@ def build(root_payload, root_key, successors: Callable, *,
     exploration order and edge order are fixed by label and insertion order,
     so two runs produce identical structures.
     """
-    from .errors import SemanticsError
     states = [root_payload]
     keys = [root_key]
     index = {root_key: 0}
     edges: list[list[Edge]] = []
     frontier = 0
-    while frontier < len(states):
-        payload = states[frontier]
-        out = []
-        seen_edges = set()
-        try:
-            succ = sorted(successors(payload), key=lambda s: (label_key(s[0]),))
-        except RecursionError:
-            raise SemanticsError(
-                "state terms grow without bound (recursion through an "
-                "operator context is not supported)") from None
-        for label, uid, next_payload, next_key in succ:
-            tgt = index.get(next_key)
-            if tgt is None:
-                if len(states) >= max_states:
-                    raise BoundExceeded("state", max_states, describe(next_payload))
-                tgt = len(states)
-                index[next_key] = tgt
-                states.append(next_payload)
-                keys.append(next_key)
-            edge = (label, tgt, uid)
-            dedup = (label_key(label), tgt, uid)
-            if dedup not in seen_edges:
-                seen_edges.add(dedup)
-                out.append(edge)
-        edges.append(sorted(out, key=lambda e: (label_key(e[0]), e[1])))
-        frontier += 1
+    with terms_bounded():
+        while frontier < len(states):
+            out = []
+            seen_edges = set()
+            succ = sorted(successors(states[frontier]), key=lambda s: (label_key(s[0]),))
+            for label, uid, next_payload, next_key in succ:
+                tgt = index.get(next_key)
+                if tgt is None:
+                    if len(states) >= max_states:
+                        raise BoundExceeded("state", max_states, describe(next_payload))
+                    tgt = len(states)
+                    index[next_key] = tgt
+                    states.append(next_payload)
+                    keys.append(next_key)
+                edge = (label, tgt, uid)
+                dedup = (label_key(label), tgt, uid)
+                if dedup not in seen_edges:
+                    seen_edges.add(dedup)
+                    out.append(edge)
+            edges.append(sorted(out, key=lambda e: (label_key(e[0]), e[1])))
+            frontier += 1
     return Lts(0, states, keys, edges, alphabet, tsize, index)
 
 

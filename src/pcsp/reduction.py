@@ -13,6 +13,7 @@ t-inputs, maximised over consistent valuations of the guarding conditions.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -20,7 +21,7 @@ from .analysis import Verdict, divergence_free, refines
 from .conditions import (
     check_no_mixed_inputs, check_seqnorm, revposconjeqt_evidence,
 )
-from .errors import SemanticsError
+from .errors import SemanticsError, UsageError
 from .lts import Event, Lts, TAU, rename_lts, tau_closure
 from .report import ConditionReport
 from .ssos import Cond, Sslts, Vis, build_sslts, fmt_sym_label, nont_event_key
@@ -126,12 +127,12 @@ def thresh_traces(s: Sslts, max_macro_states: int = 100_000) -> tuple[int, Optio
     best = 0
     witness = None
     seen = {root}
-    queue = [(root, ())]
+    queue = deque([(root, ())])
     while queue:
         if len(seen) > max_macro_states:
             raise BoundExceeded("subset-construction state", max_macro_states,
                                 f"{len(queue)} macro-states pending")
-        macro, rep = queue.pop(0)
+        macro, rep = queue.popleft()
         groups: dict = {}
         for q in sorted(macro):
             for lab, tgt, _ in s.edges[q]:
@@ -438,10 +439,18 @@ def verify_pmcp(defs: Definitions, spec: str, impl: str, model: str,
     results: list[SizeResult] = []
     premises: list[SizeResult] = []
     conclusion = ""
+    builds: dict[tuple[str, int], Lts] = {}
+
+    def lts_of(proc: str, n: int) -> Lts:
+        # the specification is needed at one size by several steps
+        got = builds.get((proc, n))
+        if got is None:
+            got = builds[(proc, n)] = build_lts(defs, proc, n, max_states)
+        return got
 
     def direct(n: int) -> SizeResult:
-        lhs = build_lts(defs, spec, n, max_states)
-        rhs = build_lts(defs, impl, n, max_states)
+        lhs = lts_of(spec, n)
+        rhs = lts_of(impl, n)
         return SizeResult(n, f"{spec}({{0..{n - 1}}})", f"{impl}({{0..{n - 1}}})",
                           "direct", refines(lhs, rhs, model))
 
@@ -453,11 +462,11 @@ def verify_pmcp(defs: Definitions, spec: str, impl: str, model: str,
                            conditions, results, premises, conclusion, caveats)
 
     hat = bound + 1  # size of the reduced type {0..B}
-    spec_hat = build_lts(defs, spec, hat, max_states)
+    spec_hat = lts_of(spec, hat)
 
     if model == "failures":
         for n in sorted(set(size_list + [hat])):
-            if not divergence_free(build_lts(defs, spec, n, max_states)):
+            if not divergence_free(lts_of(spec, n)):
                 caveats.append(f"specification diverges at #T={n}")
                 hypotheses_ok = False
         caveats.append(
@@ -475,9 +484,9 @@ def verify_pmcp(defs: Definitions, spec: str, impl: str, model: str,
 
     if abst is not None:
         if valid_from is None:
-            raise ValueError("via-abstraction mode needs the bound from which "
+            raise UsageError("via-abstraction mode needs the bound from which "
                              "the abstraction premise holds (valid_from)")
-        abst_hat = build_lts(defs, abst, hat, max_states)
+        abst_hat = lts_of(abst, hat)
         v = refines(spec_hat, abst_hat, model)
         results_bound = max(valid_from, bound + 1)
         premises.append(SizeResult(
@@ -488,8 +497,7 @@ def verify_pmcp(defs: Definitions, spec: str, impl: str, model: str,
             f"#T >= {valid_from} is taken on assertion from the abstraction "
             "method")
         for n in premise_sizes:
-            impl_n = build_lts(defs, impl, n, max_states)
-            phi_impl = CollapsingFn(bound).lts(impl_n)
+            phi_impl = CollapsingFn(bound).lts(lts_of(impl, n))
             premises.append(SizeResult(
                 n, f"{abst}({{0..{bound}}})", f"phi({impl}({{0..{n - 1}}}))",
                 "premise-sample", refines(abst_hat, phi_impl, model)))
@@ -506,8 +514,7 @@ def verify_pmcp(defs: Definitions, spec: str, impl: str, model: str,
     derived = []
     for n in size_list:
         if n >= bound + 1:
-            impl_n = build_lts(defs, impl, n, max_states)
-            phi_impl = CollapsingFn(bound).lts(impl_n)
+            phi_impl = CollapsingFn(bound).lts(lts_of(impl, n))
             v = refines(spec_hat, phi_impl, model)
             results.append(SizeResult(
                 n, f"{spec}({{0..{bound}}})", f"phi({impl}({{0..{n - 1}}}))",

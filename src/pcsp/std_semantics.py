@@ -7,12 +7,24 @@ conditional rules are the usual ones, and the operators outside the
 sequential fragment (hiding, renaming, the parallels and their replicated
 forms) follow the standard CSP rules.
 
+Exploration runs over a per-build hash-consed state graph (StateGraph)
+rather than over whole terms.  The non-binding operators (external and
+sliding choice, interleaving, the two parallels, hiding, renaming) are
+nodes keyed by their operator and their operands' nodes; every other term
+is a leaf, keyed by its alpha-canonical form.  Each node's successors are
+computed once: the leaf rules (Engine) build target terms, and an operator
+rule combines its operands' memoised successor lists, so an operand that
+does not move is never explored again and no state is canonicalised or
+hashed whole.  The operator tree is not fixed in advance, as it would be
+in a compiled synchronisation tree: an identifier may unfold into a
+parallel composition after a τ, and the composition becomes new nodes.
+
 Replicated parallel, interleaving and external choice over t are expanded
 into binary trees where a term first enters a state: the root, the body of
 an unfolded identifier, and the body of a resolved replicated internal
-choice (which itself stays primitive).  Every other successor is built from
-subterms of an expanded state, or substitutes values into one, so it is
-expanded already and exploration never re-walks whole states.
+choice (which itself stays primitive).  One whose index set or alphabet
+mentions a variable bound by an enclosing prefix waits until the prefix
+has fired and is expanded when the state graph interns the continuation.
 """
 
 from __future__ import annotations
@@ -21,14 +33,16 @@ import itertools
 from typing import Optional, Union
 
 from .errors import SemanticsError
-from .lts import Event, Lts, TAU, build, rename_lts  # noqa: F401 (re-export)
+from .lts import Event, Lts, TAU, build, rename_lts, terms_bounded  # noqa: F401 (re-export)
 from .syntax import (
-    AlphaPar, Atom, Condition, Definitions, EventLitItem, EventSet, ExtChoice,
-    Hide, Ident, If, IntChoice, Interleave, MixedGuard, Prefix, ProcessTerm,
-    Rename, ReplAlphaPar, ReplExtChoice, ReplIntChoice, ReplInterleave,
-    SharedPar, Sliding, Stop, TVal, alpha_canonical, classify_fields, comms,
-    construct_binding, domain_values, eval_bool, eval_condition_closed,
-    eval_scalar, map_subterms, replace_selections, subst_event_set, substitute,
+    BANG, REPLICATED, AlphaPar, Atom, Condition, Definitions, EventLitItem,
+    EventSet, ExtChoice, Hide, Ident, If, IntChoice, Interleave, MixedGuard,
+    Prefix, ProcessTerm, Rename, ReplAlphaPar, ReplExtChoice, ReplIntChoice,
+    ReplInterleave, SharedPar, Sliding, Stop, TVal, alpha_canonical,
+    classify_fields, comms, construct_binding, domain_values, eval_bool,
+    eval_condition_closed, eval_scalar, free_vars, map_subterms,
+    iter_constructs, replace_selections, subst_event_set, substitute, subterms,
+    with_subterms,
 )
 
 DEFAULT_MAX_STATES = 200_000
@@ -117,37 +131,46 @@ def unfold_ident(term: Ident, defs: Definitions):
     return substitute(eq.body, mapping)
 
 
-def expand_replicated(term: ProcessTerm, tvalues) -> ProcessTerm:
+def expand_replicated(term: ProcessTerm, tvalues,
+                      bound: frozenset[str] = frozenset()) -> ProcessTerm:
     """Expand replicated parallel/interleave/external choice over t into
-    left-associated binary trees, throughout the term; replicated internal
-    choice stays primitive (it resolves by a τ per index)."""
+    left-associated binary trees, throughout the term.  Replicated internal
+    choice stays primitive (it resolves by a τ per index), and so does an
+    operator whose index set or alphabet mentions a variable bound by an
+    enclosing prefix (``bound``): the state graph expands it once the
+    prefix has fired and the continuation enters a state."""
     if isinstance(term, ReplIntChoice):
         return term
-    if isinstance(term, (ReplInterleave, ReplExtChoice)):
-        members = domain_values(term.domain, tvalues)
-        if not members:
-            raise SemanticsError("replicated operator over an empty index set")
-        parts = [expand_replicated(substitute(term.body, {term.var: v}), tvalues)
-                 for v in members]
-        combine = Interleave if isinstance(term, ReplInterleave) else ExtChoice
-        out = parts[0]
-        for p in parts[1:]:
-            out = combine(out, p)
-        return out
+    if isinstance(term, Prefix):
+        names = {f.payload for f in term.construct.fields if f.sel != BANG}
+        return Prefix(term.construct,
+                      expand_replicated(term.cont, tvalues, bound | names))
+    if not isinstance(term, REPLICATED):
+        return map_subterms(term, lambda sub: expand_replicated(sub, tvalues, bound))
+    if bound and free_vars(map_subterms(term, lambda _: Stop())) & bound:
+        return term
+    members = domain_values(term.domain, tvalues)
     if isinstance(term, ReplAlphaPar):
-        members = domain_values(term.domain, tvalues)
         if not members:
             raise SemanticsError("replicated parallel over an empty index set")
         parts = []
         for v in members:
-            body = expand_replicated(substitute(term.body, {term.var: v}), tvalues)
+            body = expand_replicated(substitute(term.body, {term.var: v}), tvalues, bound)
             parts.append((body, subst_event_set(term.alpha, {term.var: v})))
         out, out_alpha = parts[0]
         for body, alpha in parts[1:]:
             out = AlphaPar(out, out_alpha, body, alpha)
             out_alpha = _union_set(out_alpha, alpha)
         return out
-    return map_subterms(term, lambda sub: expand_replicated(sub, tvalues))
+    if not members:
+        raise SemanticsError("replicated operator over an empty index set")
+    parts = [expand_replicated(substitute(term.body, {term.var: v}), tvalues, bound)
+             for v in members]
+    combine = Interleave if isinstance(term, ReplInterleave) else ExtChoice
+    out = parts[0]
+    for p in parts[1:]:
+        out = combine(out, p)
+    return out
 
 
 def _union_set(a: EventSet, b: EventSet) -> EventSet:
@@ -167,19 +190,14 @@ def eval_guard(guard) -> bool:
 
 
 class Engine:
-    """Successor computation for closed terms at a fixed instantiation."""
+    """The leaf rules: successors of a closed prefix, internal choice,
+    identifier, replicated internal choice or STOP at a fixed
+    instantiation.  The operator rules, which combine the successors of
+    subterms, live in StateGraph."""
 
     def __init__(self, defs: Definitions, tsize: int):
         self.defs = defs
         self.tvalues = tvalues_for(tsize)
-        self._set_cache: dict = {}
-
-    def evset(self, s: EventSet) -> frozenset[Event]:
-        got = self._set_cache.get(s)
-        if got is None:
-            got = eval_event_set(s, self.defs, self.tvalues)
-            self._set_cache[s] = got
-        return got
 
     def successors(self, term: ProcessTerm):
         """(label, construct_uid, target_term) triples, unsorted."""
@@ -215,23 +233,8 @@ class Engine:
                 out.append((Event(alpha.channel, values), alpha.uid,
                             substitute(cont, binding)))
             return out
-        if isinstance(term, ExtChoice):
-            out = []
-            for lab, uid, nxt in self.successors(term.left):
-                out.append((lab, uid, ExtChoice(nxt, term.right) if lab is TAU else nxt))
-            for lab, uid, nxt in self.successors(term.right):
-                out.append((lab, uid, ExtChoice(term.left, nxt) if lab is TAU else nxt))
-            return out
         if isinstance(term, IntChoice):
             return [(TAU, None, term.left), (TAU, None, term.right)]
-        if isinstance(term, Sliding):
-            out = [(TAU, None, term.right)]
-            for lab, uid, nxt in self.successors(term.left):
-                out.append((lab, uid, Sliding(nxt, term.right) if lab is TAU else nxt))
-            return out
-        if isinstance(term, If):
-            branch = term.then if eval_guard(term.guard) else term.els
-            return self.successors(branch)
         if isinstance(term, Ident):
             return [(TAU, None, expand_replicated(unfold_ident(term, self.defs), T))]
         if isinstance(term, ReplIntChoice):
@@ -240,100 +243,252 @@ class Engine:
                 raise SemanticsError("replicated internal choice over an empty index set")
             return [(TAU, None, expand_replicated(substitute(term.body, {term.var: v}), T))
                     for v in members]
-        if isinstance(term, Hide):
-            hidden = self.evset(term.hidden)
-            out = []
-            for lab, uid, nxt in self.successors(term.proc):
-                lab2 = TAU if (lab is not TAU and lab in hidden) else lab
-                out.append((lab2, uid, Hide(nxt, term.hidden)))
-            return out
-        if isinstance(term, Rename):
-            mapping = _rename_map(term.pairs, self.defs, self.tvalues)
-            out = []
-            for lab, uid, nxt in self.successors(term.proc):
-                if lab is TAU or lab not in mapping:
-                    out.append((lab, uid, Rename(nxt, term.pairs)))
-                else:
-                    for lab2 in mapping[lab]:
-                        out.append((lab2, uid, Rename(nxt, term.pairs)))
-            return out
-        if isinstance(term, AlphaPar):
-            return self._par(term, self.evset(term.left_alpha),
-                             self.evset(term.right_alpha))
-        if isinstance(term, SharedPar):
-            shared = self.evset(term.shared)
-            return self._shared(term, shared)
-        if isinstance(term, Interleave):
-            out = []
-            for lab, uid, nxt in self.successors(term.left):
-                out.append((lab, uid, Interleave(nxt, term.right)))
-            for lab, uid, nxt in self.successors(term.right):
-                out.append((lab, uid, Interleave(term.left, nxt)))
-            return out
-        if isinstance(term, (ReplAlphaPar, ReplInterleave, ReplExtChoice)):
-            raise SemanticsError("replicated operator not expanded before exploration")
         raise SemanticsError(f"successors: unknown term {term!r}")
 
-    def _par(self, term: AlphaPar, la: frozenset[Event], ra: frozenset[Event]):
-        out = []
-        left_succ = self.successors(term.left)
-        right_succ = self.successors(term.right)
-        for lab, uid, nxt in left_succ:
-            if lab is TAU:
-                out.append((TAU, uid, AlphaPar(nxt, term.left_alpha, term.right,
-                                               term.right_alpha)))
-            elif lab in la:
-                if lab in ra:
-                    for lab2, uid2, nxt2 in right_succ:
-                        if lab2 == lab:
-                            out.append((lab, None,
-                                        AlphaPar(nxt, term.left_alpha, nxt2,
-                                                 term.right_alpha)))
-                else:
-                    out.append((lab, uid, AlphaPar(nxt, term.left_alpha, term.right,
-                                                   term.right_alpha)))
-        for lab, uid, nxt in right_succ:
-            if lab is TAU:
-                out.append((TAU, uid, AlphaPar(term.left, term.left_alpha, nxt,
-                                               term.right_alpha)))
-            elif lab in ra and lab not in la:
-                out.append((lab, uid, AlphaPar(term.left, term.left_alpha, nxt,
-                                               term.right_alpha)))
+
+# Operators whose nodes in the state graph are keyed by their operands'
+# nodes; every other term is a leaf.
+_OPERATORS = (ExtChoice, Sliding, Interleave, SharedPar, AlphaPar, Hide, Rename)
+_DEFERRED = (ReplAlphaPar, ReplInterleave, ReplExtChoice)
+
+
+class StateGraph:
+    """A hash-consed graph of the states of one build and their subterms.
+
+    A node is a leaf, keyed by its alpha-canonical term and the uids of its
+    constructs, or an operator node, keyed by (operator id, operand
+    nodes...), where the operator id numbers the operator with its operands
+    blanked out (its class and data: event sets, renaming pairs).  Two
+    terms share a node exactly when they are equal up to the names of bound
+    variables, so they have the same successors, down to construct uids.
+    Successors are memoised per node: an operator node combines its
+    operands' memoised lists and finds each target by its key, so an
+    operand that does not move is never explored again and no state term
+    is walked or hashed whole.
+
+    State identity ignores construct uids, as term equality does: state(i)
+    is the state class of node i, shared by the nodes of terms equal up to
+    bound names and uids.  Exploration keys states by class and takes each
+    state's edges from the first node of its class that it reaches.
+
+    Tables: ids (key -> node), kids (node -> its key for an operator node,
+    None for a leaf), terms (node -> a term it stands for, built on demand
+    for operator nodes), succ (node -> memoised [(label, construct_uid,
+    target node)]) and cls (node -> state class, on demand for operator
+    nodes).
+    """
+
+    def __init__(self, engine: Engine):
+        self.engine = engine
+        self.ids: dict = {}
+        self.kids: list = []
+        self.terms: list = []
+        self.succ: list = []
+        self.cls: list = []
+        self._classes: dict = {}
+        self._ops: dict = {}     # blanked operator -> operator id
+        self._blanks: list = []  # operator id -> blanked operator
+        self._sets: dict = {}
+
+    def _add(self, key, kids, term, cls) -> int:
+        i = len(self.kids)
+        self.ids[key] = i
+        self.kids.append(kids)
+        self.terms.append(term)
+        self.succ.append(None)
+        self.cls.append(cls)
+        return i
+
+    def intern(self, term: ProcessTerm) -> int:
+        """The node of a closed term; a replicated operator reaching here
+        (left unexpanded under a prefix that bound its index set) is
+        expanded first."""
+        if isinstance(term, _DEFERRED):
+            term = expand_replicated(term, self.engine.tvalues)
+        if isinstance(term, _OPERATORS):
+            blank = map_subterms(term, lambda _: Stop())
+            op = self._ops.get(blank)
+            if op is None:
+                op = self._ops[blank] = len(self._blanks)
+                self._blanks.append(blank)
+            key = (op, *map(self.intern, subterms(term)))
+            i = self.ids.get(key)
+            return self._add(key, key, term, None) if i is None else i
+        canon = alpha_canonical(term)
+        key = (canon, tuple(c.uid for c in iter_constructs(term)))
+        i = self.ids.get(key)
+        if i is None:
+            i = self._add(key, None, term,
+                          self._classes.setdefault(canon, len(self._classes)))
+        return i
+
+    def _node(self, key) -> int:
+        i = self.ids.get(key)
+        return self._add(key, key, None, None) if i is None else i
+
+    def term(self, i: int) -> ProcessTerm:
+        t = self.terms[i]
+        if t is None:
+            key = self.kids[i]
+            t = with_subterms(self._blanks[key[0]], [self.term(k) for k in key[1:]])
+            self.terms[i] = t
+        return t
+
+    def state(self, i: int) -> int:
+        """The state class of node i."""
+        c = self.cls[i]
+        if c is None:
+            key = self.kids[i]
+            ckey = (key[0], *[self.state(k) for k in key[1:]])
+            c = self.cls[i] = self._classes.setdefault(ckey, len(self._classes))
+        return c
+
+    def successors(self, i: int):
+        """(label, construct_uid, target node) triples of node i, in rule
+        order; computed once per node."""
+        out = self.succ[i]
+        if out is None:
+            key, term = self.kids[i], self.terms[i]
+            if key is not None:
+                blank = self._blanks[key[0]]
+                out = _RULES[type(blank)](self, key, blank)
+            elif isinstance(term, If):
+                branch = term.then if eval_guard(term.guard) else term.els
+                out = self.successors(self.intern(branch))
+            else:
+                out = [(lab, uid, self.intern(nxt))
+                       for lab, uid, nxt in self.engine.successors(term)]
+            self.succ[i] = out
         return out
 
-    def _shared(self, term: SharedPar, shared: frozenset[Event]):
-        out = []
-        left_succ = self.successors(term.left)
-        right_succ = self.successors(term.right)
-        for lab, uid, nxt in left_succ:
-            if lab is not TAU and lab in shared:
-                for lab2, uid2, nxt2 in right_succ:
-                    if lab2 == lab:
-                        out.append((lab, None, SharedPar(nxt, term.shared, nxt2)))
-            else:
-                out.append((lab, uid, SharedPar(nxt, term.shared, term.right)))
-        for lab, uid, nxt in right_succ:
-            if lab is TAU or lab not in shared:
-                out.append((lab, uid, SharedPar(term.left, term.shared, nxt)))
+    def evset(self, s: EventSet) -> frozenset[Event]:
+        got = self._sets.get(s)
+        if got is None:
+            got = eval_event_set(s, self.engine.defs, self.engine.tvalues)
+            self._sets[s] = got
+        return got
+
+    # The operator rules: each takes the node's key and its blanked
+    # operator, and lists the successors in the order of the CSP rules.
+
+    def _ext_choice(self, key, blank):
+        op, l, r = key
+        out = [(lab, uid, self._node((op, t, r)) if lab is TAU else t)
+               for lab, uid, t in self.successors(l)]
+        out += [(lab, uid, self._node((op, l, t)) if lab is TAU else t)
+                for lab, uid, t in self.successors(r)]
         return out
+
+    def _sliding(self, key, blank):
+        op, l, r = key
+        out = [(TAU, None, r)]
+        out += [(lab, uid, self._node((op, t, r)) if lab is TAU else t)
+                for lab, uid, t in self.successors(l)]
+        return out
+
+    def _interleave(self, key, blank):
+        op, l, r = key
+        out = [(lab, uid, self._node((op, t, r))) for lab, uid, t in self.successors(l)]
+        out += [(lab, uid, self._node((op, l, t))) for lab, uid, t in self.successors(r)]
+        return out
+
+    def _hide(self, key, blank: Hide):
+        op, p = key
+        hidden = self.evset(blank.hidden)
+        return [(TAU if lab is not TAU and lab in hidden else lab, uid,
+                 self._node((op, t))) for lab, uid, t in self.successors(p)]
+
+    def _rename(self, key, blank: Rename):
+        op, p = key
+        mapping = _rename_map(blank.pairs, self.engine.defs, self.engine.tvalues)
+        out = []
+        for lab, uid, t in self.successors(p):
+            nxt = self._node((op, t))
+            if lab is TAU or lab not in mapping:
+                out.append((lab, uid, nxt))
+            else:
+                out.extend((lab2, uid, nxt) for lab2 in mapping[lab])
+        return out
+
+    def _alpha_par(self, key, blank: AlphaPar):
+        op, l, r = key
+        la, ra = self.evset(blank.left_alpha), self.evset(blank.right_alpha)
+        right = self.successors(r)
+        partners = _by_label(right)
+        out = []
+        for lab, uid, t in self.successors(l):
+            if lab is TAU:
+                out.append((TAU, uid, self._node((op, t, r))))
+            elif lab in la:
+                if lab in ra:
+                    out.extend((lab, None, self._node((op, t, t2)))
+                               for t2 in partners.get(lab, ()))
+                else:
+                    out.append((lab, uid, self._node((op, t, r))))
+        for lab, uid, t in right:
+            if lab is TAU or (lab in ra and lab not in la):
+                out.append((lab, uid, self._node((op, l, t))))
+        return out
+
+    def _shared_par(self, key, blank: SharedPar):
+        op, l, r = key
+        shared = self.evset(blank.shared)
+        right = self.successors(r)
+        partners = _by_label(right)
+        out = []
+        for lab, uid, t in self.successors(l):
+            if lab is not TAU and lab in shared:
+                out.extend((lab, None, self._node((op, t, t2)))
+                           for t2 in partners.get(lab, ()))
+            else:
+                out.append((lab, uid, self._node((op, t, r))))
+        for lab, uid, t in right:
+            if lab is TAU or lab not in shared:
+                out.append((lab, uid, self._node((op, l, t))))
+        return out
+
+
+def _by_label(succ) -> dict:
+    """The targets of a successor list grouped by visible label, in order."""
+    out: dict = {}
+    for lab, _, t in succ:
+        if lab is not TAU:
+            out.setdefault(lab, []).append(t)
+    return out
+
+
+_RULES = {
+    ExtChoice: StateGraph._ext_choice,
+    Sliding: StateGraph._sliding,
+    Interleave: StateGraph._interleave,
+    Hide: StateGraph._hide,
+    Rename: StateGraph._rename,
+    AlphaPar: StateGraph._alpha_par,
+    SharedPar: StateGraph._shared_par,
+}
 
 
 def build_lts(defs: Definitions, proc: Union[str, ProcessTerm], tsize: int,
               max_states: int = DEFAULT_MAX_STATES,
               init_subst: Optional[dict] = None) -> Lts:
     """Breadth-first closure of the transition rules from the given process
-    (a defined name or a term, closed once init_subst is applied)."""
+    (a defined name or a term, closed once init_subst is applied).  The
+    states are terms; the keys are the state classes of this build's state
+    graph, so they identify states within one build only."""
     term = defs.body(proc) if isinstance(proc, str) else proc
     if init_subst:
         term = substitute(term, init_subst)
-    engine = Engine(defs, tsize)
-    root = expand_replicated(term, engine.tvalues)
+    graph = StateGraph(Engine(defs, tsize))
+    root = graph.intern(expand_replicated(term, graph.engine.tvalues))
+    state = graph.state
 
-    def successors(payload):
-        for lab, uid, nxt in engine.successors(payload):
-            yield lab, uid, nxt, alpha_canonical(nxt)
+    def successors(i):
+        return [(lab, uid, t, state(t)) for lab, uid, t in graph.successors(i)]
 
     from .pretty import fmt_term
-    return build(root, alpha_canonical(root), successors,
-                 alphabet=file_alphabet(defs, engine.tvalues), tsize=tsize,
-                 max_states=max_states, describe=fmt_term)
+    lts = build(root, state(root), successors,
+                alphabet=file_alphabet(defs, graph.engine.tvalues), tsize=tsize,
+                max_states=max_states, describe=lambda i: fmt_term(graph.term(i)))
+    with terms_bounded():
+        lts.states = [graph.term(i) for i in lts.states]
+    return lts

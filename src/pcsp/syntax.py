@@ -548,13 +548,19 @@ def subterms(term: ProcessTerm) -> tuple[ProcessTerm, ...]:
     return tuple(getattr(term, name) for name in _SUBTERM_FIELDS[type(term)])
 
 
-def map_subterms(term: ProcessTerm, fn) -> ProcessTerm:
-    """The term with fn applied to each immediate process subterm and every
-    other field kept."""
+def with_subterms(term: ProcessTerm, new) -> ProcessTerm:
+    """The term with its immediate process subterms replaced by new, in
+    source order, and every other field kept."""
     names = _SUBTERM_FIELDS[type(term)]
     if not names:
         return term
-    return replace(term, **{name: fn(getattr(term, name)) for name in names})
+    return replace(term, **dict(zip(names, new)))
+
+
+def map_subterms(term: ProcessTerm, fn) -> ProcessTerm:
+    """The term with fn applied to each immediate process subterm and every
+    other field kept."""
+    return with_subterms(term, [fn(sub) for sub in subterms(term)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,18 @@
 from __future__ import annotations
 
 import itertools
+import time
 
 import pytest
 
 from conftest import load
 from pcsp.analysis import (
-    acceptances_after, divergence_free, has_failure, has_trace,
+    _divergent_states, acceptances_after, divergence_free, has_failure, has_trace,
     initials_after, normalise, perm_event_fn, permutation_bisim_check,
     refines_failures, refines_traces, strong_bisim, traces_upto,
 )
 from pcsp.errors import SemanticsError
-from pcsp.lts import Event, rename_lts
+from pcsp.lts import TAU, Event, Lts, rename_lts
 from pcsp.parser import parse_definitions
 from pcsp.std_semantics import build_lts
 from pcsp.syntax import Stop, TVal
@@ -199,6 +200,17 @@ Loop = hid$x:t -> Loop
 HDiv = Loop \\ {|hid|}
 """)
     assert not divergence_free(build_lts(defs, "HDiv", 2))
+
+
+def test_long_tau_chain_into_a_loop_diverges_everywhere():
+    # 5 000 states in a τ chain ending in a τ self-loop: every state reaches
+    # the loop; finding them is linear in the edges, so it takes milliseconds
+    n = 5000
+    edges = [[(TAU, s + 1, None)] for s in range(n - 1)] + [[(TAU, n - 1, None)]]
+    lts = Lts(0, list(range(n)), list(range(n)), edges, frozenset(), 1)
+    start = time.perf_counter()
+    assert _divergent_states(lts) == frozenset(range(n))
+    assert time.perf_counter() - start < 2.0
 
 
 # -- semantic symmetry -----------------------------------------------------------------

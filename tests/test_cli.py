@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from pcsp import std_semantics
 from pcsp.cli import main
 
 
@@ -115,3 +116,28 @@ def test_undefined_process_message(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err == "error: undefined process 'Nope'\n"
+
+
+@pytest.mark.parametrize("argv, option", [
+    (("verify", "mutex.pcsp", "--spec", "Spec", "--impl", "Impl",
+      "--sizes", "1..x"), "--sizes '1..x'"),
+    (("conditions", "copy.pcsp", "--typesym-sizes", "2,a"), "--typesym-sizes '2,a'"),
+])
+def test_bad_sizes_message(capsys, argv, option):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {option}: expected sizes as N..M or N,M,...\n"
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    # an internal KeyError is a bug, not a diagnostic: exit 3 with the traceback
+    def broken(*args, **kwargs):
+        raise KeyError("missing table entry")
+
+    monkeypatch.setattr(std_semantics, "build_lts", broken)
+    code, out, err = run(capsys, "lts", "mutex.pcsp", "--proc", "Spec", "--tsize", "2")
+    assert code == 3 and out == ""
+    assert err.startswith("Traceback (most recent call last):")
+    assert "KeyError: 'missing table entry'" in err
+    assert err.endswith("internal error: KeyError (a bug in pcsp; "
+                        "the traceback is above)\n")

@@ -3,7 +3,9 @@ from __future__ import annotations
 import pytest
 
 from conftest import bigprop_testcases, load, proc_body
+from pcsp import reduction
 from pcsp.analysis import refines
+from pcsp.errors import UsageError
 from pcsp.lts import Event
 from pcsp.parser import parse_definitions
 from pcsp.reduction import (
@@ -178,6 +180,27 @@ def test_mutex_pipeline(model, mutex):
     assert {r.n for r in verdict.sizes} == {1, 2}
     assert all(r.verdict.holds for r in verdict.sizes)
     assert all(p.verdict.holds for p in verdict.premises)
+
+
+@pytest.mark.parametrize("abst", [None, "Abst"])
+def test_pipeline_builds_each_process_once_per_size(mutex, monkeypatch, abst):
+    calls = []
+
+    def counting(defs, proc, n, *args, **kwargs):
+        calls.append((proc, n))
+        return build_lts(defs, proc, n, *args, **kwargs)
+
+    monkeypatch.setattr(reduction, "build_lts", counting)
+    verdict = verify_pmcp(mutex, "Spec", "Impl", "failures", sizes=[1, 2, 3, 4],
+                          abst=abst, valid_from=3, premise_sizes=(3, 4))
+    assert verdict.holds()
+    assert len(calls) == len(set(calls))
+    assert ("Spec", 2) in calls
+
+
+def test_abstraction_mode_needs_valid_from(mutex):
+    with pytest.raises(UsageError, match="valid_from"):
+        verify_pmcp(mutex, "Spec", "Impl", "traces", sizes=[1, 2], abst="Abst")
 
 
 def test_ex511_pipeline_downgrades():

@@ -50,6 +50,23 @@ def test_bound_exceeded_names_frontier(mutex):
     assert "state bound (5)" in str(exc.value)
 
 
+def test_unbounded_growth_names_frontier():
+    # each a spawns one more copy of P, so the states grow without bound
+    defs = parse_definitions("channel a\nP = a -> (P ||| P)\n")
+    with pytest.raises(BoundExceeded) as exc:
+        build_lts(defs, "P", 1, max_states=4)
+    assert str(exc.value) == (
+        "state bound (4) exceeded at: a -> (P ||| P) ||| a -> (P ||| P)")
+
+
+def test_unbounded_nesting_is_a_diagnostic():
+    # every τ nests the state one choice deeper, beyond what the term
+    # functions can recurse through before the state bound is reached
+    defs = parse_definitions("channel a\nP = P [] STOP\n")
+    with pytest.raises(SemanticsError, match="state terms grow without bound"):
+        build_lts(defs, "P", 1, max_states=15_000)
+
+
 def test_unbound_identifier():
     defs = parse_definitions("channel a\nP = a -> Q0\nQ0 = STOP\n")
     from pcsp.syntax import Ident
@@ -223,9 +240,11 @@ def test_dot_output_is_stable(mutex):
 def test_replicated_operators_expanded_where_they_enter():
     # each replicated operator first appears in a state through a prefix
     # continuation, an identifier with arguments, or the body of a resolved
-    # replicated internal choice; Hand* expand them by hand at #T=2
+    # replicated internal choice, or has an index set or alphabet that an
+    # enclosing prefix binds; Hand* expand them by hand at #T=2
     defs = parse_definitions("""
 channel go
+channel c : t
 channel a : t
 channel b : t.t
 Q(i) = a!i -> Q(i)
@@ -234,13 +253,19 @@ R2(j) = (b!j!0 -> R2(j)) [] (b!j!1 -> R2(j))
 ViaPrefix = go -> (||| i:t @ Q(i))
 ViaIdent = go -> R(1)
 ViaIntChoice = |~| j:t @ (|| i:t @ [{| b.j.i |}] b!j!i -> STOP)
+ViaBoundDomain = c?x:t -> go -> (||| i:(t\\{x}) @ Q(i))
+ViaBoundAlpha = c$x:t -> (|| i:t @ [{| b.x.i |}] b!x!i -> STOP)
 HandPrefix = go -> (Q(0) ||| Q(1))
 HandIdent = go -> R2(1)
 HandIntChoice = |~| j:t @ ((b!j!0 -> STOP) [{| b.j.0 |} || {| b.j.1 |}] (b!j!1 -> STOP))
+HandBoundDomain = (c.0 -> go -> Q(1)) [] (c.1 -> go -> Q(0))
+HandBoundAlpha = |~| x:t @ c.x -> ((b!x!0 -> STOP) [{| b.x.0 |} || {| b.x.1 |}] (b!x!1 -> STOP))
 """)
     for via, hand, states in (("ViaPrefix", "HandPrefix", 5),
                               ("ViaIdent", "HandIdent", 3),
-                              ("ViaIntChoice", "HandIntChoice", 9)):
+                              ("ViaIntChoice", "HandIntChoice", 9),
+                              ("ViaBoundDomain", "HandBoundDomain", 7),
+                              ("ViaBoundAlpha", "HandBoundAlpha", 11)):
         lv, lh = build_lts(defs, via, 2), build_lts(defs, hand, 2)
         assert lv.n_states() == lh.n_states() == states, via
         assert strong_bisim(lv, lh)[0], via
