@@ -78,30 +78,7 @@ def has_failure(lts: Lts, trace, refused) -> bool:
 def divergence_free(lts: Lts) -> bool:
     """No τ-cycle is reachable from the root (the whole graph is reachable
     by construction)."""
-    color = [0] * lts.n_states()  # 0 new, 1 on stack, 2 done
-
-    for start in range(lts.n_states()):
-        if color[start]:
-            continue
-        stack = [(start, iter(lts.edges[start]))]
-        color[start] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for lab, tgt, _ in it:
-                if lab is not TAU:
-                    continue
-                if color[tgt] == 1:
-                    return False
-                if color[tgt] == 0:
-                    color[tgt] = 1
-                    stack.append((tgt, iter(lts.edges[tgt])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = 2
-                stack.pop()
-    return True
+    return not _divergent_states(lts)
 
 
 # ---------------------------------------------------------------------------
@@ -130,64 +107,24 @@ def _minimal_sets(sets) -> tuple[frozenset, ...]:
 
 
 def _divergent_states(lts: Lts) -> frozenset[int]:
-    """States lying on or reaching a τ-cycle via τ steps."""
+    """States lying on or reaching a τ-cycle via τ steps: what remains once
+    the states with no τ edge to a remaining state are peeled off, one at a
+    time, from the τ-terminal ones backwards."""
     n = lts.n_states()
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    counter = itertools.count()
-    in_cycle = set()
-
-    for root in range(n):
-        if root in index:
-            continue
-        work = [(root, iter(lts.edges[root]))]
-        index[root] = low[root] = next(counter)
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for lab, tgt, _ in it:
-                if lab is not TAU:
-                    continue
-                if tgt not in index:
-                    index[tgt] = low[tgt] = next(counter)
-                    stack.append(tgt)
-                    on_stack.add(tgt)
-                    work.append((tgt, iter(lts.edges[tgt])))
-                    advanced = True
-                    break
-                if tgt in on_stack:
-                    low[node] = min(low[node], index[tgt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                scc = []
-                while True:
-                    s = stack.pop()
-                    on_stack.discard(s)
-                    scc.append(s)
-                    if s == node:
-                        break
-                has_tau_cycle = len(scc) > 1 or any(
-                    lab is TAU and tgt == node
-                    for lab, tgt, _ in lts.edges[node])
-                if has_tau_cycle:
-                    in_cycle.update(scc)
-    # the states that reach a τ-cycle: the τ-closure of in_cycle over the
-    # reversed τ edges
-    reverse: list[list] = [[] for _ in range(n)]
+    out_degree = [0] * n
+    preds: list[list[int]] = [[] for _ in range(n)]
     for s, es in enumerate(lts.edges):
         for lab, tgt, _ in es:
             if lab is TAU:
-                reverse[tgt].append((TAU, s, None))
-    return tau_closure(reverse, in_cycle)
+                out_degree[s] += 1
+                preds[tgt].append(s)
+    stack = [s for s in range(n) if not out_degree[s]]
+    while stack:
+        for s in preds[stack.pop()]:
+            out_degree[s] -= 1
+            if not out_degree[s]:
+                stack.append(s)
+    return frozenset(s for s in range(n) if out_degree[s])
 
 
 def normalise(lts: Lts, *, forbid_divergence: bool = False) -> NormalisedSpec:
@@ -259,14 +196,13 @@ class Verdict:
         return out
 
 
-def _product_bfs(spec: Lts, impl: Lts, on_node: Callable) -> Optional[Verdict]:
-    """Breadth-first exploration of norm(spec) x impl, expanding edges in
-    label order so reported counterexamples are shortest and deterministic.
+def _product_bfs(norm: NormalisedSpec, impl: Lts, on_node: Callable) -> Optional[Verdict]:
+    """Breadth-first exploration of norm x impl, expanding edges in label
+    order so reported counterexamples are shortest and deterministic.
 
     on_node(nnode, impl_state, trace) may return a Verdict to stop early;
     trace reconstruction uses parent pointers.
     """
-    norm = on_node.norm
     start = (norm.root, impl.root)
     parent: dict = {start: None}
     queue = deque([start])
@@ -305,11 +241,7 @@ def refines_traces(spec: Lts, impl: Lts) -> Verdict:
     """spec ⊑ impl in the traces model: every trace of impl is one of spec."""
     norm = normalise(spec)
 
-    def on_node(nnode, istate, get_trace):
-        return None
-
-    on_node.norm = norm
-    bad = _product_bfs(spec, impl, on_node)
+    bad = _product_bfs(norm, impl, lambda nnode, istate, get_trace: None)
     return bad if bad is not None else Verdict(True)
 
 
@@ -328,8 +260,7 @@ def refines_failures(spec: Lts, impl: Lts) -> Verdict:
                 return None
         return Verdict(False, "refusal", get_trace(), frozenset(sigma - initials))
 
-    on_node.norm = norm
-    bad = _product_bfs(spec, impl, on_node)
+    bad = _product_bfs(norm, impl, on_node)
     return bad if bad is not None else Verdict(True)
 
 

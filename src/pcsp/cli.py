@@ -181,7 +181,7 @@ def cmd_lts(args, defs) -> int:
 def cmd_sslts(args, defs) -> int:
     s = ssos.build_sslts(defs, args.proc, args.max_states)
     if args.dot:
-        print(dot.sslts_to_dot(s, "sslts"), end="")
+        print(dot.lts_to_dot(s, "sslts"), end="")
         return 0
     _emit(args, {"proc": args.proc, "states": s.n_states(), "edges": s.n_edges()},
           f"{args.proc}: {s.n_states()} symbolic states, "

@@ -94,7 +94,7 @@ def _tvals_in_evset(s: EventSet):
                 yield d
 
 
-def _t_constants(node: ProcessTerm, include_alphabets: bool):
+def _t_constants(node: ProcessTerm):
     if isinstance(node, Prefix):
         yield from _tvals_in_construct(node.construct)
     elif isinstance(node, If):
@@ -103,16 +103,15 @@ def _t_constants(node: ProcessTerm, include_alphabets: bool):
         for a in node.args:
             if isinstance(a, TVal):
                 yield a
-    elif include_alphabets:
-        if isinstance(node, Hide):
-            yield from _tvals_in_evset(node.hidden)
-        elif isinstance(node, AlphaPar):
-            yield from _tvals_in_evset(node.left_alpha)
-            yield from _tvals_in_evset(node.right_alpha)
-        elif isinstance(node, SharedPar):
-            yield from _tvals_in_evset(node.shared)
-        elif isinstance(node, ReplAlphaPar):
-            yield from _tvals_in_evset(node.alpha)
+    elif isinstance(node, Hide):
+        yield from _tvals_in_evset(node.hidden)
+    elif isinstance(node, AlphaPar):
+        yield from _tvals_in_evset(node.left_alpha)
+        yield from _tvals_in_evset(node.right_alpha)
+    elif isinstance(node, SharedPar):
+        yield from _tvals_in_evset(node.shared)
+    elif isinstance(node, ReplAlphaPar):
+        yield from _tvals_in_evset(node.alpha)
 
 
 def _nonwhole_t_selections(node: ProcessTerm):
@@ -142,7 +141,7 @@ def check_data_independence(proc: ProcRef, defs: Definitions) -> ConditionReport
         elif isinstance(node, ReplIntChoice) and not isinstance(node.domain, TType):
             findings.append(Finding(
                 "i", "replicated internal choice not over the whole of t", where))
-        for v in _t_constants(node, include_alphabets=True):
+        for v in _t_constants(node):
             findings.append(Finding("iii", f"constant {v} of type t", where))
         if isinstance(node, Prefix):
             for desc in _nonwhole_t_selections(node):
@@ -283,7 +282,7 @@ def check_typesym_syntactic(proc: ProcRef, defs: Definitions) -> ConditionReport
     term, name, seen = _root(proc, defs)
     findings = []
     for node, where in _walk(term, defs, name, seen):
-        for v in _t_constants(node, include_alphabets=True):
+        for v in _t_constants(node):
             findings.append(Finding("i", f"constant {v} of type t", where))
         for desc in _nonwhole_t_selections(node):
             findings.append(Finding(

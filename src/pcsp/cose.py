@@ -19,9 +19,11 @@ from typing import Iterator, Optional, Union
 from .errors import SemanticsError
 from .lts import Event, Lts, TAU, build, tau_closure
 from .pretty import fmt_term
-from .ssos import Cond, Sslts, Vis
+from .ssos import Cond, Vis
 from .ssos import successors as sym_successors
-from .std_semantics import eval_guard, file_alphabet, tvalues_for
+from .std_semantics import (
+    check_guarded_recursion, eval_guard, file_alphabet, tvalues_for,
+)
 from .syntax import (
     Condition, Construct, Definitions, DOLLAR, ExtChoice, If, MixedGuard,
     Prefix, ProcessTerm, QUERY, Sliding, alpha_canonical, classify_fields,
@@ -183,17 +185,18 @@ def successors_of_config(cfg: Configuration, defs: Definitions, tvalues):
     return out
 
 
-def concretize(defs: Definitions, source: Union[Sslts, str, ProcessTerm],
+def concretize(defs: Definitions, source: Union[Lts, str, ProcessTerm],
                tsize: int, init_env: Optional[Environment] = None,
                max_states: int = 100_000) -> Lts:
     """The LTS of configurations rooted at (root state, initial environment),
     per the translation rules."""
-    if isinstance(source, Sslts):
+    if isinstance(source, Lts):
         root_term = source.states[source.root]
     elif isinstance(source, str):
         root_term = defs.body(source)
     else:
         root_term = source
+    check_guarded_recursion(root_term, defs)
     tvalues = tvalues_for(tsize)
     env = dict(init_env) if init_env else {}
     root = Configuration(root_term, restrict_env(env, root_term))
@@ -258,62 +261,46 @@ def generated_traces(sigma, env: Environment, tvalues) -> Iterator[tuple]:
 # ---------------------------------------------------------------------------
 # Regularity validators (assertions that hold for SeqNorm specifications)
 
-def check_environment_uniqueness(lts: Lts) -> list[str]:
-    """After any visible trace not ending in τ, exactly one configuration is
-    reachable (checked over the determinisation of the configuration LTS,
-    whose macro-states each correspond to at least one trace)."""
-    problems = []
-    seen = {frozenset((lts.root,))}
-    queue = [frozenset((lts.root,))]
+def _macro_states(lts: Lts):
+    """The determinisation of the LTS: yields each set of states reached by
+    a visible trace (before its τ-closure) with, per visible label leaving
+    its τ-closure, the set of targets and the set of construct uids."""
+    start = frozenset((lts.root,))
+    seen = {start}
+    queue = [start]
     while queue:
         macro = queue.pop()
-        if len(macro) != 1:
-            names = ", ".join(str(s) for s in sorted(macro))
-            problems.append(f"configurations {{{names}}} reachable by one trace")
-            continue
-        closure = tau_closure(lts.edges, macro)
         succ: dict = {}
-        for s in closure:
-            for lab, tgt, _ in lts.edges[s]:
-                if lab is TAU:
-                    continue
-                succ.setdefault(lab, set()).add(tgt)
-        for lab, tgts in succ.items():
+        for s in tau_closure(lts.edges, macro):
+            for lab, tgt, uid in lts.edges[s]:
+                if lab is not TAU:
+                    tgts, uids = succ.setdefault(lab, (set(), set()))
+                    tgts.add(tgt)
+                    uids.add(uid)
+        yield macro, succ
+        for tgts, _ in succ.values():
             nxt = frozenset(tgts)
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
-    return problems
+
+
+def check_environment_uniqueness(lts: Lts) -> list[str]:
+    """After any visible trace not ending in τ, exactly one configuration is
+    reachable (checked over the determinisation of the configuration LTS,
+    whose macro-states each correspond to at least one trace)."""
+    return [f"configurations {{{', '.join(map(str, sorted(macro)))}}} "
+            "reachable by one trace"
+            for macro, _ in _macro_states(lts) if len(macro) != 1]
 
 
 def check_unique_matching_construct(lts: Lts) -> list[str]:
     """Each (trace, event) pair is produced by a unique construct, checked by
     comparing the source identities on same-labelled edges reachable after a
     common trace."""
-    problems = []
-    seen = {frozenset((lts.root,))}
-    queue = [frozenset((lts.root,))]
-    while queue:
-        macro = queue.pop()
-        closure = tau_closure(lts.edges, macro)
-        succ: dict = {}
-        uids: dict = {}
-        for s in closure:
-            for lab, tgt, uid in lts.edges[s]:
-                if lab is TAU:
-                    continue
-                succ.setdefault(lab, set()).add(tgt)
-                uids.setdefault(lab, set()).add(uid)
-        for lab, us in uids.items():
-            if len(us) > 1:
-                problems.append(f"event {lab} arises from {len(us)} constructs "
-                                "after a common trace")
-        for lab, tgts in succ.items():
-            nxt = frozenset(tgts)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return problems
+    return [f"event {lab} arises from {len(uids)} constructs after a common trace"
+            for _, succ in _macro_states(lts)
+            for lab, (_, uids) in succ.items() if len(uids) > 1]
 
 
 def check_monotonicity(small: Lts, large: Lts) -> list[str]:
@@ -327,10 +314,8 @@ def check_monotonicity(small: Lts, large: Lts) -> list[str]:
             problems.append(f"configuration {small.states[idx].describe()} "
                             "unreachable at the larger instantiation")
             continue
-        small_edges = {(TAU if lab is TAU else lab, small.keys[tgt])
-                       for lab, tgt, _ in small.edges[idx]}
-        large_edges = {(TAU if lab is TAU else lab, large.keys[tgt])
-                       for lab, tgt, _ in large.edges[big]}
+        small_edges = {(lab, small.keys[tgt]) for lab, tgt, _ in small.edges[idx]}
+        large_edges = {(lab, large.keys[tgt]) for lab, tgt, _ in large.edges[big]}
         missing = small_edges - large_edges
         for lab, _ in sorted(missing, key=lambda e: str(e[0])):
             problems.append(f"transition {lab} from "

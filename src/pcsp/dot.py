@@ -12,7 +12,6 @@ import hashlib
 from .cose import Configuration
 from .lts import Lts, TAU
 from .pretty import fmt_term
-from .ssos import Sslts, fmt_sym_label
 
 
 def _node_id(key_repr: str) -> str:
@@ -50,12 +49,3 @@ def lts_to_dot(lts: Lts, name: str = "lts") -> str:
             rows.append((src, "τ" if lab is TAU else str(lab), tgt))
     return _render(name, ids, labels, lts.root, rows)
 
-
-def sslts_to_dot(s: Sslts, name: str = "sslts") -> str:
-    labels = [fmt_term(t) for t in s.states]
-    ids = [_node_id(f"{i}:{lab}") for i, lab in enumerate(labels)]
-    rows = []
-    for src in range(s.n_states()):
-        for lab, tgt, _ in s.edges[src]:
-            rows.append((src, fmt_sym_label(lab), tgt))
-    return _render(name, ids, labels, s.root, rows)

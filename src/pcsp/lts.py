@@ -1,10 +1,12 @@
-"""Concrete labelled transition systems: labels, the LTS container, and a
-deterministic breadth-first builder shared by the two concrete semantics."""
+"""Labelled transition systems: labels, the LTS container, and a
+deterministic breadth-first builder shared by the two concrete semantics
+and the semi-symbolic one."""
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable
 
 from .errors import BoundExceeded, SemanticsError
@@ -54,6 +56,10 @@ Edge = tuple
 class Lts:
     """A rooted, finite LTS with deduplicated states.
 
+    It also carries the semi-symbolic LTS of a sequential process: its
+    labels are then symbolic (ssos.Vis, ssos.Cond or τ), its alphabet is
+    empty and its tsize 0.
+
     states hold display payloads; keys hold the identity used for
     deduplication.  The standard semantics keys states by ids of its
     per-build state graph, meaningful within one build only; the COSE
@@ -79,11 +85,6 @@ class Lts:
 
     def n_edges(self) -> int:
         return sum(len(es) for es in self.edges)
-
-    def successors(self, idx: int, label=None):
-        if label is None:
-            return self.edges[idx]
-        return [e for e in self.edges[idx] if e[0] == label]
 
     def initials(self, idx: int) -> frozenset[Event]:
         return frozenset(lab for lab, _, _ in self.edges[idx] if lab is not TAU)
@@ -123,14 +124,24 @@ def terms_bounded():
             "operator context is not supported)") from None
 
 
+def _edge_row(edges, order: Callable = label_key) -> list[Edge]:
+    """One state's edges without repeats (equal label keys, targets and
+    uids; the first is kept), sorted by label and target."""
+    first = {}
+    for e in edges:
+        first.setdefault((order(e[0]), e[1], e[2]), e)
+    return [first[k] for k in sorted(first, key=itemgetter(0, 1))]
+
+
 def build(root_payload, root_key, successors: Callable, *,
           alphabet: frozenset[Event], tsize: int,
-          max_states: int, describe: Callable[[object], str]) -> Lts:
+          max_states: int, describe: Callable[[object], str],
+          order: Callable = label_key) -> Lts:
     """Deterministic BFS closure of a successor function.
 
     successors(payload) yields (label, uid, payload, key) quadruples;
-    exploration order and edge order are fixed by label and insertion order,
-    so two runs produce identical structures.
+    exploration order and edge order are fixed by label, sorted by order,
+    and insertion order, so two runs produce identical structures.
     """
     states = [root_payload]
     keys = [root_key]
@@ -140,8 +151,7 @@ def build(root_payload, root_key, successors: Callable, *,
     with terms_bounded():
         while frontier < len(states):
             out = []
-            seen_edges = set()
-            succ = sorted(successors(states[frontier]), key=lambda s: (label_key(s[0]),))
+            succ = sorted(successors(states[frontier]), key=lambda s: order(s[0]))
             for label, uid, next_payload, next_key in succ:
                 tgt = index.get(next_key)
                 if tgt is None:
@@ -151,12 +161,8 @@ def build(root_payload, root_key, successors: Callable, *,
                     index[next_key] = tgt
                     states.append(next_payload)
                     keys.append(next_key)
-                edge = (label, tgt, uid)
-                dedup = (label_key(label), tgt, uid)
-                if dedup not in seen_edges:
-                    seen_edges.add(dedup)
-                    out.append(edge)
-            edges.append(sorted(out, key=lambda e: (label_key(e[0]), e[1])))
+                out.append((label, tgt, uid))
+            edges.append(_edge_row(out, order))
             frontier += 1
     return Lts(0, states, keys, edges, alphabet, tsize, index)
 
@@ -164,17 +170,8 @@ def build(root_payload, root_key, successors: Callable, *,
 def rename_lts(lts: Lts, fn: Callable[[Event], Event]) -> Lts:
     """Relabel every visible edge through fn (total on the LTS's visible
     labels); τ and the state graph are unchanged."""
-    new_edges = []
-    for es in lts.edges:
-        out = []
-        seen = set()
-        for lab, tgt, uid in es:
-            lab2 = lab if lab is TAU else fn(lab)
-            k = (label_key(lab2), tgt, uid)
-            if k not in seen:
-                seen.add(k)
-                out.append((lab2, tgt, uid))
-        new_edges.append(sorted(out, key=lambda e: (label_key(e[0]), e[1])))
+    new_edges = [_edge_row([(lab if lab is TAU else fn(lab), tgt, uid)
+                            for lab, tgt, uid in es]) for es in lts.edges]
     alphabet = frozenset(fn(e) for e in lts.alphabet)
     return Lts(lts.root, list(lts.states), list(lts.keys), new_edges,
                alphabet, lts.tsize, dict(lts.key_index))

@@ -24,7 +24,7 @@ from .conditions import (
 from .errors import SemanticsError, UsageError
 from .lts import Event, Lts, TAU, rename_lts, tau_closure
 from .report import ConditionReport
-from .ssos import Cond, Sslts, Vis, build_sslts, fmt_sym_label, nont_event_key
+from .ssos import Cond, Vis, build_sslts, fmt_sym_label, nont_event_key
 from .std_semantics import build_lts
 from .syntax import (
     Condition, Construct, Definitions, TVal, Value, classify_fields,
@@ -117,7 +117,7 @@ def _tau_or_cond(lab) -> bool:
     return lab is TAU or isinstance(lab, Cond)
 
 
-def thresh_traces(s: Sslts, max_macro_states: int = 100_000) -> tuple[int, Optional[TraceWitness]]:
+def thresh_traces(s: Lts, max_macro_states: int = 100_000) -> tuple[int, Optional[TraceWitness]]:
     """Maximum cardinality of the union of t-output index sets over classes
     of non-t-equivalent symbolic traces, computed by determinising the
     transition system over the non-t projection of its visible labels
@@ -206,7 +206,7 @@ def _consistent(atoms, assignment) -> tuple[bool, int]:
     return True, len(classes)
 
 
-def _frontiers(s: Sslts, start: int):
+def _frontiers(s: Lts, start: int):
     """All (conditions-on-path, visible symbolic event) pairs reachable from
     the state through internal and conditional labels only."""
     results = []
@@ -231,7 +231,7 @@ def _cond_value(cond: Condition, atom_truth: dict) -> bool:
     return (not v) if cond.negated else v
 
 
-def thresh_failures(defs: Definitions, s: Sslts) -> tuple[int, Optional[str], list[str]]:
+def thresh_failures(defs: Definitions, s: Lts) -> tuple[int, Optional[str], list[str]]:
     """The stable-failures threshold: the traces threshold joined with, per
     state reachable at the start or right after a visible label and per
     consistent valuation of the guarding conditions, the count of distinct

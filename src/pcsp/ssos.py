@@ -10,19 +10,19 @@ during construction.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator, Union
 
-from .errors import BoundExceeded, SemanticsError
-from .lts import TAU, tau_closure
+from .errors import SemanticsError
+from .lts import TAU, Lts, build, tau_closure
 from .pretty import fmt_condition, fmt_construct, fmt_term
-from .std_semantics import eval_guard, unfold_ident
+from .std_semantics import (
+    check_guarded_recursion, eval_guard, resolve_selections, unfold_ident,
+)
 from .syntax import (
     BANG, Condition, Construct, Definitions, ExtChoice, Ident, If, IntChoice,
     MixedGuard, Prefix, ProcessTerm, Sliding, Stop, alpha_canonical,
-    classify_fields, comms_nont, domain_values, replace_selections,
-    substitute, value_key,
+    classify_fields, comms_nont, construct_binding, substitute, value_key,
 )
 
 
@@ -74,20 +74,11 @@ def fmt_sym_label(label) -> str:
     return "τ" if label is TAU else str(label)
 
 
-@dataclass
-class Sslts:
-    """A rooted, finite semi-symbolic LTS with deduplicated states."""
-
-    root: int
-    states: list
-    keys: list
-    edges: list[list[tuple]]  # (SymLabel, target, construct_uid | None)
-
-    def n_states(self) -> int:
-        return len(self.states)
-
-    def n_edges(self) -> int:
-        return sum(len(es) for es in self.edges)
+def _promote(succ, wrap):
+    """An operand's successors under a choice: τ and conditional labels keep
+    the choice (wrap puts it around the target), visible labels resolve it."""
+    return [(lab, uid, wrap(nxt) if lab is TAU or isinstance(lab, Cond) else nxt)
+            for lab, uid, nxt in succ]
 
 
 def successors(term: ProcessTerm, defs: Definitions):
@@ -95,47 +86,22 @@ def successors(term: ProcessTerm, defs: Definitions):
     if isinstance(term, Stop):
         return []
     if isinstance(term, Prefix):
-        alpha, cont = term.construct, term.cont
-        sets = classify_fields(alpha)
-        out = []
-        if sets.dollar_nont:
-            positions = sorted(sets.dollar_nont)
-            domains = [domain_values(alpha.fields[i - 1].ty, ()) for i in positions]
-            stripped = replace_selections(alpha, "non-t")
-            for vs in itertools.product(*domains):
-                binding = {alpha.fields[i - 1].payload: v
-                           for i, v in zip(positions, vs)}
-                out.append((TAU, alpha.uid, substitute(Prefix(stripped, cont), binding)))
+        out = resolve_selections(term, "non-t", ())
+        if out is not None:
             return out
-        for eps in comms_nont(alpha):
-            binding = {}
-            for i in sorted(classify_fields(alpha).query_nont):
-                binding[alpha.fields[i - 1].payload] = eps.fields[i - 1].payload
-            out.append((Vis(eps), alpha.uid, substitute(cont, binding)))
-        return out
+        alpha = term.construct
+        query = classify_fields(alpha).query_nont
+        return [(Vis(eps), alpha.uid, substitute(term.cont, construct_binding(
+                    alpha, [f.payload for f in eps.fields], query)))
+                for eps in comms_nont(alpha)]
     if isinstance(term, ExtChoice):
-        out = []
-        for lab, uid, nxt in successors(term.left, defs):
-            if lab is TAU or isinstance(lab, Cond):
-                out.append((lab, uid, ExtChoice(nxt, term.right)))
-            else:
-                out.append((lab, uid, nxt))
-        for lab, uid, nxt in successors(term.right, defs):
-            if lab is TAU or isinstance(lab, Cond):
-                out.append((lab, uid, ExtChoice(term.left, nxt)))
-            else:
-                out.append((lab, uid, nxt))
-        return out
+        return (_promote(successors(term.left, defs), lambda t: ExtChoice(t, term.right))
+                + _promote(successors(term.right, defs), lambda t: ExtChoice(term.left, t)))
     if isinstance(term, IntChoice):
         return [(TAU, None, term.left), (TAU, None, term.right)]
     if isinstance(term, Sliding):
-        out = [(TAU, None, term.right)]
-        for lab, uid, nxt in successors(term.left, defs):
-            if lab is TAU or isinstance(lab, Cond):
-                out.append((lab, uid, Sliding(nxt, term.right)))
-            else:
-                out.append((lab, uid, nxt))
-        return out
+        return [(TAU, None, term.right)] + _promote(
+            successors(term.left, defs), lambda t: Sliding(t, term.right))
     if isinstance(term, If):
         g = term.guard
         if isinstance(g, Condition):
@@ -153,8 +119,9 @@ def successors(term: ProcessTerm, defs: Definitions):
 
 
 def build_sslts(defs: Definitions, proc: Union[str, ProcessTerm],
-                max_states: int = 100_000, *, require_seq: bool = True) -> Sslts:
-    """Breadth-first closure of the symbolic transition rules.
+                max_states: int = 100_000, *, require_seq: bool = True) -> Lts:
+    """Breadth-first closure of the symbolic transition rules: an Lts with
+    symbolic labels, an empty alphabet and tsize 0.
 
     With require_seq (the default) the Seq checker runs first and a violation
     is a hard error, since the rules are only defined on that fragment.
@@ -167,33 +134,15 @@ def build_sslts(defs: Definitions, proc: Union[str, ProcessTerm],
             raise SemanticsError(
                 "process is not in the Seq fragment: "
                 + "; ".join(f.message for f in report.findings))
-    states = [term]
-    keys = [alpha_canonical(term)]
-    index = {keys[0]: 0}
-    edges = []
-    frontier = 0
-    while frontier < len(states):
-        out = []
-        seen = set()
-        succ = sorted(successors(states[frontier], defs),
-                      key=lambda s: sym_label_key(s[0]))
-        for lab, uid, nxt in succ:
-            key = alpha_canonical(nxt)
-            tgt = index.get(key)
-            if tgt is None:
-                if len(states) >= max_states:
-                    raise BoundExceeded("state", max_states, fmt_term(nxt))
-                tgt = len(states)
-                index[key] = tgt
-                states.append(nxt)
-                keys.append(key)
-            dd = (sym_label_key(lab), tgt, uid)
-            if dd not in seen:
-                seen.add(dd)
-                out.append((lab, tgt, uid))
-        edges.append(sorted(out, key=lambda e: (sym_label_key(e[0]), e[1])))
-        frontier += 1
-    return Sslts(0, states, keys, edges)
+    check_guarded_recursion(term, defs)
+
+    def succ(t):
+        return [(lab, uid, nxt, alpha_canonical(nxt))
+                for lab, uid, nxt in successors(t, defs)]
+
+    return build(term, alpha_canonical(term), succ, alphabet=frozenset(),
+                 tsize=0, max_states=max_states, describe=fmt_term,
+                 order=sym_label_key)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +151,7 @@ def build_sslts(defs: Definitions, proc: Union[str, ProcessTerm],
 SymbolicTrace = tuple
 
 
-def symbolic_traces(s: Sslts, maxlen: int) -> Iterator[SymbolicTrace]:
+def symbolic_traces(s: Lts, maxlen: int) -> Iterator[SymbolicTrace]:
     """All label sequences of length <= maxlen forming root paths (paths may
     revisit states, so the enumeration is by length)."""
     frontier = [((), s.root)]
@@ -255,7 +204,7 @@ def nont_equiv(sigma: SymbolicTrace, rho: SymbolicTrace) -> bool:
 # Structural checks used as construction-time assertions on normal
 # specifications (they hold for every SeqNorm process).
 
-def check_unique_nontau_targets(s: Sslts) -> list[str]:
+def check_unique_nontau_targets(s: Lts) -> list[str]:
     """From any state, a given visible or conditional label reachable through
     τ-prefixes leads to a unique target state."""
     problems = []
@@ -275,7 +224,7 @@ def check_unique_nontau_targets(s: Sslts) -> list[str]:
     return problems
 
 
-def check_lonely_conditionals(s: Sslts) -> list[str]:
+def check_lonely_conditionals(s: Lts) -> list[str]:
     """If a conditional edge is τ-reachable from a state, every non-τ edge
     τ-reachable from it is that condition or its negation."""
     problems = []
@@ -295,7 +244,7 @@ def check_lonely_conditionals(s: Sslts) -> list[str]:
     return problems
 
 
-def check_vis_label_shape(s: Sslts) -> list[str]:
+def check_vis_label_shape(s: Lts) -> list[str]:
     """Visible symbolic labels never contain non-t selections or inputs."""
     problems = []
     for st in range(s.n_states()):

@@ -33,7 +33,7 @@ import itertools
 from typing import Optional, Union
 
 from .errors import SemanticsError
-from .lts import Event, Lts, TAU, build, rename_lts, terms_bounded  # noqa: F401 (re-export)
+from .lts import Event, Lts, TAU, build, rename_lts, tau_closure, terms_bounded  # noqa: F401 (re-export)
 from .syntax import (
     BANG, REPLICATED, AlphaPar, Atom, Condition, Definitions, EventLitItem,
     EventSet, ExtChoice, Hide, Ident, If, IntChoice, Interleave, MixedGuard,
@@ -189,6 +189,23 @@ def eval_guard(guard) -> bool:
     return eval_bool(guard)
 
 
+def resolve_selections(term: Prefix, scope: str, tvalues):
+    """The τ-stage of a prefix that resolves its $-selections in scope ('t'
+    or 'non-t'): one (τ, construct_uid, target) triple per choice of values,
+    the chosen selections becoming outputs.  None when the prefix has no
+    selection in scope."""
+    alpha = term.construct
+    sets = classify_fields(alpha)
+    positions = sorted(sets.dollar_t if scope == "t" else sets.dollar_nont)
+    if not positions:
+        return None
+    names = [alpha.fields[i - 1].payload for i in positions]
+    domains = [domain_values(alpha.fields[i - 1].ty, tvalues) for i in positions]
+    stripped = Prefix(replace_selections(alpha, scope), term.cont)
+    return [(TAU, alpha.uid, substitute(stripped, dict(zip(names, vs))))
+            for vs in itertools.product(*domains)]
+
+
 class Engine:
     """The leaf rules: successors of a closed prefix, internal choice,
     identifier, replicated internal choice or STOP at a fixed
@@ -205,34 +222,15 @@ class Engine:
         if isinstance(term, Stop):
             return []
         if isinstance(term, Prefix):
-            alpha, cont = term.construct, term.cont
-            sets = classify_fields(alpha)
-            out = []
-            if sets.dollar_nont:
-                positions = sorted(sets.dollar_nont)
-                domains = [domain_values(alpha.fields[i - 1].ty, T) for i in positions]
-                stripped = replace_selections(alpha, "non-t")
-                for vs in itertools.product(*domains):
-                    binding = {alpha.fields[i - 1].payload: v
-                               for i, v in zip(positions, vs)}
-                    out.append((TAU, alpha.uid,
-                                substitute(Prefix(stripped, cont), binding)))
-                return out
-            if sets.dollar_t:
-                positions = sorted(sets.dollar_t)
-                domains = [domain_values(alpha.fields[i - 1].ty, T) for i in positions]
-                stripped = replace_selections(alpha, "t")
-                for vs in itertools.product(*domains):
-                    binding = {alpha.fields[i - 1].payload: v
-                               for i, v in zip(positions, vs)}
-                    out.append((TAU, alpha.uid,
-                                substitute(Prefix(stripped, cont), binding)))
-                return out
-            for values in comms(alpha, T):
-                binding = construct_binding(alpha, values, sets.query)
-                out.append((Event(alpha.channel, values), alpha.uid,
-                            substitute(cont, binding)))
-            return out
+            for scope in ("non-t", "t"):
+                out = resolve_selections(term, scope, T)
+                if out is not None:
+                    return out
+            alpha = term.construct
+            query = classify_fields(alpha).query
+            return [(Event(alpha.channel, values), alpha.uid,
+                     substitute(term.cont, construct_binding(alpha, values, query)))
+                    for values in comms(alpha, T)]
         if isinstance(term, IntChoice):
             return [(TAU, None, term.left), (TAU, None, term.right)]
         if isinstance(term, Ident):
@@ -468,6 +466,49 @@ _RULES = {
 }
 
 
+# The operators that stay around an operand after it moves: an identifier
+# reached again below one of them nests every state one level deeper.  Of
+# sliding choice only the left operand keeps its context.
+_KEEPERS = (ExtChoice, Interleave, SharedPar, AlphaPar, Hide, Rename,
+            ReplInterleave, ReplExtChoice, ReplAlphaPar)
+
+
+def _unguarded_calls(term: ProcessTerm, keeps: bool = False):
+    """(keeps, name, None) for each identifier occurrence of the term outside
+    prefixes and conditionals, shaped as an edge for tau_closure; keeps when
+    an operator above it keeps its context."""
+    if isinstance(term, Ident):
+        yield keeps, term.name, None
+    elif not isinstance(term, (Prefix, If)):
+        for i, sub in enumerate(subterms(term)):
+            yield from _unguarded_calls(sub, keeps or isinstance(term, _KEEPERS)
+                                        or (isinstance(term, Sliding) and i == 0))
+
+
+def check_guarded_recursion(term: ProcessTerm, defs: Definitions) -> None:
+    """Reject recursion through an operator context before exploring: a
+    cycle of unguarded identifier occurrences, among the equations the term
+    reaches, that passes below an operator keeping its context (either side
+    of [], |||, [|X|] and [A||B], the left of [>, hiding, renaming).  Its
+    state terms would grow without bound.  Conditionals are not looked
+    into, so a recursion that a guard bounds still builds."""
+    names, stack = set(), [term]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Ident) and t.name in defs.equations and t.name not in names:
+            names.add(t.name)
+            stack.append(defs.equations[t.name].body)
+        stack.extend(subterms(t))
+    calls = {name: [c for c in _unguarded_calls(defs.equations[name].body)
+                    if c[1] in names] for name in names}
+    for name in sorted(names):
+        for keeps, callee, _ in calls[name]:
+            if keeps and name in tau_closure(calls, [callee], lambda _: True):
+                raise SemanticsError(
+                    f"state terms grow without bound ({name!r} recurses through "
+                    "an operator context, which is not supported)")
+
+
 def build_lts(defs: Definitions, proc: Union[str, ProcessTerm], tsize: int,
               max_states: int = DEFAULT_MAX_STATES,
               init_subst: Optional[dict] = None) -> Lts:
@@ -478,6 +519,7 @@ def build_lts(defs: Definitions, proc: Union[str, ProcessTerm], tsize: int,
     term = defs.body(proc) if isinstance(proc, str) else proc
     if init_subst:
         term = substitute(term, init_subst)
+    check_guarded_recursion(term, defs)
     graph = StateGraph(Engine(defs, tsize))
     root = graph.intern(expand_replicated(term, graph.engine.tvalues))
     state = graph.state

@@ -11,7 +11,7 @@ every semantics consumes.
 ``_rebind`` is the binder-aware pass behind both substitution and
 alpha canonicalisation: it rewrites free names through an environment and
 either lets binders shadow it (``substitute``) or renames them to
-``_b0, _b1, ...`` in traversal order (``alpha_canonical``), so both share
+``#0, #1, ...`` in traversal order (``alpha_canonical``), so both share
 one account of where each binder scopes.  ``subterms``/``map_subterms``
 read the subterm table, the process-term fields of each of the 16 term
 classes; walkers that only descend into subterms take them from there and
@@ -611,13 +611,15 @@ SubstValue = Union[Value, int]
 
 class _Renamer:
     """Sequential bound-variable renamer; traversal order is deterministic, so
-    alpha-equivalent terms canonicalise to equal terms."""
+    alpha-equivalent terms canonicalise to equal terms.  The fresh names are
+    no identifier the tokenizer accepts, so a free variable of the source
+    never meets a canonical binder."""
 
     def __init__(self):
         self.counter = itertools.count()
 
     def fresh(self) -> str:
-        return f"_b{next(self.counter)}"
+        return f"#{next(self.counter)}"
 
 
 def _bind(name: str, env: dict, ren: Optional[_Renamer]) -> tuple[str, dict]:

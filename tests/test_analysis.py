@@ -4,6 +4,7 @@ import itertools
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import load
 from pcsp.analysis import (
@@ -245,3 +246,27 @@ def test_symmetric_traces_remark(mutex):
         for perm in itertools.permutations(range(n)):
             fn = perm_event_fn(perm)
             assert {tuple(fn(e) for e in t) for t in tr} == tr
+
+
+@st.composite
+def small_ltss(draw):
+    """Random LTSs of 1..7 states whose edges carry τ or the event a."""
+    n = draw(st.integers(1, 7))
+    edge = st.tuples(st.sampled_from((TAU, Event("a"))), st.integers(0, n - 1))
+    edges = [[(lab, tgt, None) for lab, tgt in draw(st.lists(edge, max_size=3))]
+             for _ in range(n)]
+    return Lts(0, list(range(n)), list(range(n)), edges, frozenset(), 1)
+
+
+@given(small_ltss())
+@settings(max_examples=300, deadline=None)
+def test_divergent_states_are_those_with_a_long_tau_path(lts):
+    # a τ-path as long as the state count repeats a state, so it reaches a
+    # τ-cycle; states with a τ-path of length k: R_0 all, R_k+1 = pre(R_k)
+    n = lts.n_states()
+    reach = set(range(n))
+    for _ in range(n):
+        reach = {s for s in range(n)
+                 if any(lab is TAU and t in reach for lab, t, _ in lts.edges[s])}
+    assert _divergent_states(lts) == reach
+    assert divergence_free(lts) == (not _divergent_states(lts))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -77,6 +78,20 @@ def test_parse_error_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "conditions", str(bad))
     assert code == 2
     assert "bad.pcsp:2:" in err
+
+
+@pytest.mark.parametrize("command", [("lts", "--tsize", "1"), ("sslts",),
+                                     ("cose", "--tsize", "1")])
+@pytest.mark.parametrize("body", ["P = P [] a -> STOP", "P = Q [] a -> STOP\nQ = P"])
+def test_recursion_through_an_operator_exits_2_at_once(tmp_path, capsys, body, command):
+    src = tmp_path / "grow.pcsp"
+    src.write_text(f"channel a\n{body}\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, command[0], str(src), "--proc", "P", *command[1:])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err == ("error: state terms grow without bound ('P' recurses "
+                   "through an operator context, which is not supported)\n")
 
 
 def test_missing_file_exits_2(capsys):

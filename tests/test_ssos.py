@@ -22,6 +22,17 @@ def vis_label_strings(s):
                   for es in s.edges for l, _, _ in es if isinstance(l, Vis))
 
 
+@pytest.mark.parametrize("name", ["_b0", "v"])
+def test_source_names_never_meet_canonical_binders(name):
+    # a free _b0 once read as the canonical name of the input y, so the two
+    # branches' states after the $-selection were merged (4 states, not 6)
+    defs = parse_definitions(f"""
+channel c, d, e, f : t
+P = (c${name}:t -> e?y:t -> d!{name} -> STOP) [] (f$w:t -> e?y:t -> d!y -> STOP)
+""")
+    assert build_sslts(defs, "P").n_states() == 6
+
+
 def test_stop_sslts():
     defs = parse_definitions("channel a\n")
     s = build_sslts(defs, Stop())

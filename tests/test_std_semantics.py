@@ -67,6 +67,18 @@ def test_unbounded_nesting_is_a_diagnostic():
         build_lts(defs, "P", 1, max_states=15_000)
 
 
+def test_bounded_recursion_through_a_conditional_builds():
+    # the guard bounds the nesting, so the recursion check does not look
+    # inside the conditional
+    defs = parse_definitions("""
+channel a, b
+P(n) = if n > 0 then (a -> STOP [] P(n-1)) else b -> STOP
+R = P(40)
+""")
+    lts = build_lts(defs, "R", 1)
+    assert (lts.n_states(), lts.n_edges()) == (43, 83)
+
+
 def test_unbound_identifier():
     defs = parse_definitions("channel a\nP = a -> Q0\nQ0 = STOP\n")
     from pcsp.syntax import Ident
