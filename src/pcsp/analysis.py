@@ -1,11 +1,12 @@
 """Denotational extraction and decision procedures over finite LTSs:
 traces, stable failures, refinement in both models, strong bisimulation
-with distinguishing formulas, divergence-freedom, and the sampled semantic
+with distinguishing formulas, divergence-freedom, and the semantic
 symmetry check."""
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -278,43 +279,43 @@ def refines(spec: Lts, impl: Lts, model: str) -> Verdict:
 def strong_bisim(l1: Lts, l2: Lts) -> tuple[bool, Optional[str]]:
     """Partition refinement over the disjoint union, treating τ as an
     ordinary label.  On failure, returns a distinguishing
-    Hennessy-Milner-style observation built from the refinement history."""
+    Hennessy-Milner-style observation built from the refinement history.
+
+    Labels are interned once per call, numbered in label_key order, so a
+    signature is a set of (label id, block) int pairs and sorting by id
+    sorts by label_key."""
     n1 = l1.n_states()
     n = n1 + l2.n_states()
 
-    edges = []
-    for s in range(l1.n_states()):
-        edges.append([(lab, tgt) for lab, tgt, _ in l1.edges[s]])
-    for s in range(l2.n_states()):
-        edges.append([(lab, tgt + n1) for lab, tgt, _ in l2.edges[s]])
+    key_of = {}  # label -> label_key, in order of first occurrence
+    for row in itertools.chain(l1.edges, l2.edges):
+        for lab, _, _ in row:
+            if lab not in key_of:
+                key_of[lab] = label_key(lab)
+    key_id = {key: i for i, key in enumerate(sorted(set(key_of.values())))}
+    lab_id = {lab: key_id[key] for lab, key in key_of.items()}
+    labels = {}  # id -> the first label with that id
+    for lab, i in lab_id.items():
+        labels.setdefault(i, lab)
+
+    edges = [[(lab_id[lab], tgt) for lab, tgt, _ in row] for row in l1.edges]
+    edges += [[(lab_id[lab], tgt + n1) for lab, tgt, _ in row] for row in l2.edges]
 
     block = [0] * n
-    history = [list(block)]
+    history = [block]
     while True:
-        sigs = {}
-        for s in range(n):
-            sig = frozenset((label_key(lab), block[tgt]) for lab, tgt in edges[s])
-            sigs[s] = (block[s], sig)
         renumber = {}
-        new_block = [0] * n
-        for s in range(n):
-            key = sigs[s]
-            if key not in renumber:
-                renumber[key] = len(renumber)
-            new_block[s] = renumber[key]
+        new_block = [renumber.setdefault(
+            (block[s], frozenset([(i, block[t]) for i, t in edges[s]])), len(renumber))
+            for s in range(n)]
         if new_block == block:
             break
         block = new_block
-        history.append(list(block))
+        history.append(block)
 
     r1, r2 = l1.root, l2.root + n1
     if block[r1] == block[r2]:
         return True, None
-
-    labels_by_key = {}
-    for s in range(n):
-        for lab, _ in edges[s]:
-            labels_by_key.setdefault(label_key(lab), lab)
 
     def first_diff_level(a, b):
         for lvl, blocks in enumerate(history):
@@ -322,41 +323,35 @@ def strong_bisim(l1: Lts, l2: Lts) -> tuple[bool, Optional[str]]:
                 return lvl
         return None
 
-    def succs(s, lab_key):
-        return [tgt for lab, tgt in edges[s] if label_key(lab) == lab_key]
+    def succs(s, i):
+        return [t for j, t in edges[s] if j == i]
 
     def dist(a, b, depth=0):
         if depth > len(history) + 4:
             return "..."
         lvl = first_diff_level(a, b)
         prev = history[lvl - 1]
-        siga = frozenset((label_key(lab), prev[tgt]) for lab, tgt in edges[a])
-        sigb = frozenset((label_key(lab), prev[tgt]) for lab, tgt in edges[b])
+        siga = frozenset((i, prev[t]) for i, t in edges[a])
+        sigb = frozenset((i, prev[t]) for i, t in edges[b])
         only_a = sorted(siga - sigb)
         only_b = sorted(sigb - siga)
         if only_a:
-            lab_key, blk = only_a[0]
-            lab = labels_by_key[lab_key]
-            a2 = min(t for t in succs(a, lab_key) if prev[t] == blk)
-            parts = sorted({dist(a2, t2, depth + 1) for t2 in succs(b, lab_key)})
+            i, blk = only_a[0]
+            a2 = min(t for t in succs(a, i) if prev[t] == blk)
+            parts = sorted({dist(a2, t2, depth + 1) for t2 in succs(b, i)})
             inner = " and ".join(parts) if parts else "true"
-            return f"<{'tau' if lab is TAU else lab}>({inner})"
-        lab_key, blk = only_b[0]
-        lab = labels_by_key[lab_key]
-        b2 = min(t for t in succs(b, lab_key) if prev[t] == blk)
-        parts = sorted({dist(b2, t2, depth + 1) for t2 in succs(a, lab_key)})
+            return f"<{'tau' if labels[i] is TAU else labels[i]}>({inner})"
+        i, blk = only_b[0]
+        b2 = min(t for t in succs(b, i) if prev[t] == blk)
+        parts = sorted({dist(b2, t2, depth + 1) for t2 in succs(a, i)})
         inner = " and ".join(parts) if parts else "true"
-        return f"not <{'tau' if lab is TAU else lab}>({inner})"
+        return f"not <{'tau' if labels[i] is TAU else labels[i]}>({inner})"
 
     return False, dist(r1, r2)
 
 
 # ---------------------------------------------------------------------------
-# Semantic type-symmetry spot check
-
-def permutations_of(n: int):
-    return itertools.permutations(range(n))
-
+# Semantic type-symmetry check
 
 def perm_event_fn(perm) -> Callable[[Event], Event]:
     def fn(e: Event) -> Event:
@@ -366,17 +361,29 @@ def perm_event_fn(perm) -> Callable[[Event], Event]:
 
 
 def permutation_bisim_check(defs, proc, sizes, max_states: int = 50_000) -> ConditionReport:
-    """Sampled check of full symmetry in t: for each requested size and each
-    bijection of the instantiation, the process must be strongly bisimilar to
-    its renaming under the bijection."""
+    """Check of full symmetry in t: at each requested size, the process must
+    be strongly bisimilar to its renaming under every bijection of the
+    instantiation.
+
+    Renaming by a bijection preserves bisimilarity and bisimilarity is
+    transitive, so if l ~ π(l) and l ~ σ(l) then l ~ σ(π(l)): the passing
+    bijections form a subgroup of S_n.  The transposition (1,0,2,…,n−1) and
+    the n-cycle (1,2,…,n−1,0) generate S_n, so when both pass every bijection
+    does.  Otherwise all n! bijections are checked, so that each failing one
+    is reported with a distinguishing formula."""
     from .std_semantics import build_lts
 
     findings = []
     total = 0
     for n in sizes:
         lts = build_lts(defs, proc, n, max_states)
-        for perm in permutations_of(n):
-            total += 1
+        total += math.factorial(n)
+        generators = ((1, 0, *range(2, n)), (*range(1, n), 0)) if n > 1 else ()
+        # at n = 2 the two generators are the same bijection
+        if all(strong_bisim(lts, rename_lts(lts, perm_event_fn(g)))[0]
+               for g in dict.fromkeys(generators)):
+            continue
+        for perm in itertools.permutations(range(n)):
             renamed = rename_lts(lts, perm_event_fn(perm))
             ok, formula = strong_bisim(lts, renamed)
             if not ok:

@@ -35,12 +35,12 @@ from typing import Optional, Union
 from .errors import SemanticsError
 from .lts import Event, Lts, TAU, build, rename_lts, tau_closure, terms_bounded  # noqa: F401 (re-export)
 from .syntax import (
-    BANG, REPLICATED, AlphaPar, Atom, Condition, Definitions, EventLitItem,
-    EventSet, ExtChoice, Hide, Ident, If, IntChoice, Interleave, MixedGuard,
-    Prefix, ProcessTerm, Rename, ReplAlphaPar, ReplExtChoice, ReplIntChoice,
-    ReplInterleave, SharedPar, Sliding, Stop, TVal, alpha_canonical,
-    classify_fields, comms, construct_binding, domain_values, eval_bool,
-    eval_condition_closed, eval_scalar, free_vars, map_subterms,
+    BANG, REPLICATED, AlphaPar, Atom, Condition, Definitions, Equation,
+    EventLitItem, EventSet, ExtChoice, Hide, Ident, If, IntChoice, Interleave,
+    MixedGuard, Prefix, ProcessTerm, Rename, ReplAlphaPar, ReplExtChoice,
+    ReplIntChoice, ReplInterleave, SharedPar, Sliding, Stop, TVal, VarRef,
+    alpha_canonical, classify_fields, comms, construct_binding, domain_values,
+    eval_bool, eval_condition_closed, eval_scalar, free_vars, map_subterms,
     iter_constructs, replace_selections, subst_event_set, substitute, subterms,
     with_subterms,
 )
@@ -473,6 +473,11 @@ _KEEPERS = (ExtChoice, Interleave, SharedPar, AlphaPar, Hide, Rename,
             ReplInterleave, ReplExtChoice, ReplAlphaPar)
 
 
+def _keeps(term: ProcessTerm, i: int) -> bool:
+    """Whether the term keeps its context around its i-th subterm."""
+    return isinstance(term, _KEEPERS) or (isinstance(term, Sliding) and i == 0)
+
+
 def _unguarded_calls(term: ProcessTerm, keeps: bool = False):
     """(keeps, name, None) for each identifier occurrence of the term outside
     prefixes and conditionals, shaped as an edge for tau_closure; keeps when
@@ -481,17 +486,37 @@ def _unguarded_calls(term: ProcessTerm, keeps: bool = False):
         yield keeps, term.name, None
     elif not isinstance(term, (Prefix, If)):
         for i, sub in enumerate(subterms(term)):
-            yield from _unguarded_calls(sub, keeps or isinstance(term, _KEEPERS)
-                                        or (isinstance(term, Sliding) and i == 0))
+            yield from _unguarded_calls(sub, keeps or _keeps(term, i))
+
+
+def _recalls_itself(eq: Equation) -> bool:
+    """Whether the body calls its own equation with its parameters unchanged
+    below an operator keeping its context, outside prefixes but possibly
+    inside conditionals: every guard above such a call evaluates as it did
+    at the unfolding, so the call is reached again one level deeper."""
+    own = tuple(VarRef(p) for p in eq.params)
+
+    def calls(term, keeps):
+        if isinstance(term, Ident):
+            return keeps and term.name == eq.name and term.args == own
+        if isinstance(term, Prefix) or (isinstance(term, REPLICATED)
+                                        and term.var in eq.params):
+            return False
+        return any(calls(sub, keeps or _keeps(term, i))
+                   for i, sub in enumerate(subterms(term)))
+
+    return calls(eq.body, False)
 
 
 def check_guarded_recursion(term: ProcessTerm, defs: Definitions) -> None:
     """Reject recursion through an operator context before exploring: a
     cycle of unguarded identifier occurrences, among the equations the term
     reaches, that passes below an operator keeping its context (either side
-    of [], |||, [|X|] and [A||B], the left of [>, hiding, renaming).  Its
-    state terms would grow without bound.  Conditionals are not looked
-    into, so a recursion that a guard bounds still builds."""
+    of [], |||, [|X|] and [A||B], the left of [>, hiding, renaming), or a
+    call of an equation to itself there with its parameters unchanged, also
+    inside a conditional.  Its state terms would grow without bound.  Other
+    calls inside conditionals are not looked into, so a recursion that a
+    guard bounds still builds."""
     names, stack = set(), [term]
     while stack:
         t = stack.pop()
@@ -502,11 +527,12 @@ def check_guarded_recursion(term: ProcessTerm, defs: Definitions) -> None:
     calls = {name: [c for c in _unguarded_calls(defs.equations[name].body)
                     if c[1] in names] for name in names}
     for name in sorted(names):
-        for keeps, callee, _ in calls[name]:
-            if keeps and name in tau_closure(calls, [callee], lambda _: True):
-                raise SemanticsError(
-                    f"state terms grow without bound ({name!r} recurses through "
-                    "an operator context, which is not supported)")
+        if _recalls_itself(defs.equations[name]) or any(
+                keeps and name in tau_closure(calls, [callee], lambda _: True)
+                for keeps, callee, _ in calls[name]):
+            raise SemanticsError(
+                f"state terms grow without bound ({name!r} recurses through "
+                "an operator context, which is not supported)")
 
 
 def build_lts(defs: Definitions, proc: Union[str, ProcessTerm], tsize: int,

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import itertools
+import math
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -246,6 +248,72 @@ def test_symmetric_traces_remark(mutex):
         for perm in itertools.permutations(range(n)):
             fn = perm_event_fn(perm)
             assert {tuple(fn(e) for e in t) for t in tr} == tr
+
+
+def _compose(p, q):
+    return tuple(p[i] for i in q)
+
+
+@st.composite
+def tval_ltss(draw, n):
+    """An LTS of up to 7 states over τ, c.i and d.i.j with i, j < n.  Drawn
+    on its own or, to reach every path of the generator check, made invariant
+    under the bijections of a drawn subgroup of S_n (the transposition's, the
+    n-cycle's or all of it): below a new root, a τ-step to a renamed copy of
+    the drawn LTS for each member of the subgroup."""
+    vals = [TVal(i) for i in range(n)]
+    labels = [TAU] + [Event("c", (v,)) for v in vals] + [
+        Event("d", (v, w)) for v in vals for w in vals]
+    k = draw(st.integers(1, 7))
+    edge = st.tuples(st.sampled_from(labels), st.integers(0, k - 1), st.none())
+    base = Lts(0, list(range(k)), list(range(k)),
+               [draw(st.lists(edge, max_size=3)) for _ in range(k)], frozenset(), n)
+    gens = draw(st.sampled_from(
+        ((), ((1, 0, *range(2, n)),), ((*range(1, n), 0),),
+         ((1, 0, *range(2, n)), (*range(1, n), 0))))) if n > 1 else ()
+    if not gens:
+        return base
+    group = {tuple(range(n))}
+    while True:
+        more = {_compose(g, p) for g in gens for p in group} - group
+        if not more:
+            break
+        group |= more
+    edges = [[(TAU, 1 + i * k, None) for i in range(len(group))]]
+    for p in sorted(group):
+        copy = rename_lts(base, perm_event_fn(p))
+        off = len(edges)
+        edges += [[(lab, off + t, uid) for lab, t, uid in es] for es in copy.edges]
+    return Lts(0, list(range(len(edges))), list(range(len(edges))), edges,
+               frozenset(), n)
+
+
+@st.composite
+def sized_tval_ltss(draw):
+    sizes = sorted(draw(st.sets(st.integers(1, 4), min_size=1, max_size=2)))
+    return {n: draw(tval_ltss(n)) for n in sizes}
+
+
+@given(sized_tval_ltss())
+@settings(max_examples=100, deadline=None)
+def test_generator_check_equals_the_exhaustive_check(ltss):
+    with mock.patch("pcsp.std_semantics.build_lts",
+                    lambda defs, proc, n, max_states: ltss[n]):
+        got = permutation_bisim_check(None, "P", tuple(ltss))
+    findings = []
+    for n, lts in ltss.items():
+        for perm in itertools.permutations(range(n)):
+            ok, formula = strong_bisim(lts, rename_lts(lts, perm_event_fn(perm)))
+            if not ok:
+                pi = ", ".join(f"{i}->{perm[i]}" for i in range(n))
+                findings.append(f"(bisim) [P] not bisimilar to its renaming under "
+                                f"{{{pi}}} at #T={n}; distinguished by {formula}")
+    total = sum(math.factorial(n) for n in ltss)
+    sizes = ",".join(map(str, ltss))
+    want = (("fail", findings, []) if findings else
+            ("evidence", [], [f"bisimilar to all {total} bijective renamings "
+                              f"at sizes {{{sizes}}}"]))
+    assert (got.verdict, [f.render() for f in got.findings], got.notes) == want
 
 
 @st.composite

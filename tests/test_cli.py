@@ -94,6 +94,21 @@ def test_recursion_through_an_operator_exits_2_at_once(tmp_path, capsys, body, c
                    "through an operator context, which is not supported)\n")
 
 
+@pytest.mark.parametrize("command", [("lts", "--tsize", "1"), ("sslts",),
+                                     ("cose", "--tsize", "1")])
+def test_self_recursion_behind_a_conditional_exits_2_at_once(tmp_path, capsys, command):
+    src = tmp_path / "grow.pcsp"
+    src.write_text("channel a\n"
+                   "Q(n) = if n > 0 then (Q(n) [] a -> STOP) else STOP\n"
+                   "P = Q(1)\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, command[0], str(src), "--proc", "P", *command[1:])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err == ("error: state terms grow without bound ('Q' recurses "
+                   "through an operator context, which is not supported)\n")
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "lts", "nonexistent.pcsp", "--proc", "P",
                        "--tsize", "1")

@@ -1,4 +1,5 @@
-"""Golden outputs of the README Quick-start commands.
+"""Golden outputs of the README Quick-start commands and of both paths of
+the semantic symmetry check.
 
 Every command runs through ``cli.main``; its stdout must equal
 ``golden/<name>.out`` byte for byte and its exit code must equal the one
@@ -37,6 +38,14 @@ _COMMANDS = {
     "lts-mutex-impl-2": (("lts", "mutex.pcsp", "--proc", "Impl", "--tsize", "2"), 0),
     "congruence-running-2": (("congruence", "running.pcsp", "--proc", "P",
                               "--tsize", "2"), 0),
+    # the semantic symmetry check: its fail path (every failing bijection with
+    # its formula) and its pass path
+    "typesym-ring-n1-3": (("conditions", "ring.pcsp", "--proc", "N1",
+                           "--typesym-sizes", "3"), 1),
+    "typesym-mutex-abst-2-3": (("conditions", "mutex.pcsp", "--proc", "Abst",
+                                "--typesym-sizes", "2,3"), 1),
+    "typesym-copy-2-3": (("conditions", "copy.pcsp", "--proc", "COPY",
+                          "--typesym-sizes", "2,3"), 0),
 }
 _DOT_COMMANDS = {
     "sslts-mutex-spec-dot": (("sslts", "mutex.pcsp", "--proc", "Spec", "--dot"), 0),

@@ -79,6 +79,30 @@ R = P(40)
     assert (lts.n_states(), lts.n_edges()) == (43, 83)
 
 
+@pytest.mark.parametrize("body", [
+    "Q(n) = if n > 0 then (Q(n) [] a -> STOP) else STOP",
+    "Q(n) = n > 0 & (Q(n) [] a -> STOP)",
+    "Q(n) = (if n > 0 then Q(n) else STOP) [] a -> STOP",
+])
+def test_self_call_with_unchanged_parameters_behind_a_conditional_is_rejected(body):
+    # the guard holds again at the call, so each unfolding nests deeper
+    defs = parse_definitions(f"channel a\n{body}\nP = Q(1)\n")
+    with pytest.raises(SemanticsError, match="'Q' recurses through an operator"):
+        build_lts(defs, "P", 1, max_states=2000)
+
+
+def test_self_call_on_a_replicated_binder_shadowing_a_parameter_builds():
+    # x in the call is the replicated binder, not the parameter: the guard
+    # fails one level down
+    defs = parse_definitions("""
+channel a : t
+Q(x, y) = if x == y then (||| x : (t\\{y}) @ Q(x, y)) else a.x -> STOP
+P = |~| y:t @ Q(y, y)
+""")
+    lts = build_lts(defs, "P", 3)
+    assert (lts.n_states(), lts.n_edges()) == (29, 42)
+
+
 def test_unbound_identifier():
     defs = parse_definitions("channel a\nP = a -> Q0\nQ0 = STOP\n")
     from pcsp.syntax import Ident
