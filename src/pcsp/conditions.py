@@ -21,7 +21,7 @@ from .syntax import (
     MixedGuard, NamedType, Prefix, ProcessTerm, QUERY, Rename, ReplAlphaPar,
     ReplExtChoice, ReplIntChoice, ReplInterleave, SetType, SharedPar,
     Sliding, Stop, TType, TVal, REPLICATED, channels, classify_fields,
-    free_vars, substitute, subterms,
+    free_vars, substitute, subterms, unfold_walk,
 )
 
 ProcRef = Union[str, ProcessTerm]
@@ -34,21 +34,6 @@ def _root(proc: ProcRef, defs: Definitions) -> tuple[ProcessTerm, str, set]:
             raise SemanticsError(f"undefined process {proc!r}")
         return eq.body, proc, {proc}
     return proc, "<term>", set()
-
-
-def _walk(term: ProcessTerm, defs: Definitions, where: str,
-          seen: Optional[set] = None) -> Iterator[tuple[ProcessTerm, str]]:
-    """Yield every node of the syntax, unfolding each identifier once."""
-    if seen is None:
-        seen = set()
-    yield term, where
-    if isinstance(term, Ident):
-        eq = defs.equations.get(term.name)
-        if eq is not None and term.name not in seen:
-            seen.add(term.name)
-            yield from _walk(eq.body, defs, term.name, seen)
-    for sub in subterms(term):
-        yield from _walk(sub, defs, where, seen)
 
 
 def _tvals_in_construct(alpha: Construct):
@@ -134,7 +119,7 @@ def check_data_independence(proc: ProcRef, defs: Definitions) -> ConditionReport
     selections from proper subsets of t."""
     term, name, seen = _root(proc, defs)
     findings = []
-    for node, where in _walk(term, defs, name, seen):
+    for node, where in unfold_walk(term, defs, name, seen):
         if isinstance(node, (ReplInterleave, ReplAlphaPar, ReplExtChoice)):
             findings.append(Finding(
                 "i", "replicated construct indexed over a set depending on t", where))
@@ -157,7 +142,7 @@ def check_data_independence(proc: ProcRef, defs: Definitions) -> ConditionReport
 def _dollar_t_binders(term: ProcessTerm, defs: Definitions,
                       seen: Optional[set] = None) -> frozenset[str]:
     out = set()
-    for node, _ in _walk(term, defs, "", seen if seen is not None else set()):
+    for node, _ in unfold_walk(term, defs, seen=seen):
         if isinstance(node, Prefix):
             for f in node.construct.fields:
                 if f.sel == DOLLAR and f.is_t():
@@ -173,7 +158,7 @@ def check_seq(proc: ProcRef, defs: Definitions) -> ConditionReport:
     for f in di.findings:
         findings.append(Finding("i", f"not data independent: ({f.clause}) {f.message}",
                                 f.where))
-    for node, where in _walk(term, defs, name, seen):
+    for node, where in unfold_walk(term, defs, name, seen):
         if isinstance(node, (Hide, Rename)):
             what = "hiding" if isinstance(node, Hide) else "renaming"
             findings.append(Finding("ii", f"contains {what}", where))
@@ -254,7 +239,7 @@ def check_seqnorm(proc: ProcRef, defs: Definitions) -> ConditionReport:
     findings = [Finding("Seq", f"({f.clause}) {f.message}", f.where)
                 for f in base.findings]
     if not base.findings:
-        for node, where in _walk(term, defs, name, seen):
+        for node, where in unfold_walk(term, defs, name, seen):
             if isinstance(node, (ExtChoice, IntChoice, Sliding)):
                 shared = (channels(node.left, defs, strict=False)
                           & channels(node.right, defs, strict=False))
@@ -281,7 +266,7 @@ def check_typesym_syntactic(proc: ProcRef, defs: Definitions) -> ConditionReport
     parallel composition are exempt from the selection restriction)."""
     term, name, seen = _root(proc, defs)
     findings = []
-    for node, where in _walk(term, defs, name, seen):
+    for node, where in unfold_walk(term, defs, name, seen):
         for v in _t_constants(node):
             findings.append(Finding("i", f"constant {v} of type t", where))
         for desc in _nonwhole_t_selections(node):
@@ -303,7 +288,7 @@ def check_no_mixed_inputs(proc: ProcRef, defs: Definitions) -> ConditionReport:
     deterministic input of any type."""
     term, name, seen = _root(proc, defs)
     findings = []
-    for node, where in _walk(term, defs, name, seen):
+    for node, where in unfold_walk(term, defs, name, seen):
         if isinstance(node, Prefix):
             sets = classify_fields(node.construct)
             if sets.dollar_t and sets.query:

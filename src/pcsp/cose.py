@@ -8,6 +8,12 @@ selections of the originating construct into outputs; symbolic τs carry
 over; conditional edges dissolve, contributing the transitions of their
 target when the condition holds in the environment.  Also implements the
 ternary relation linking symbolic traces, environments and concrete traces.
+
+Configurations are identified up to alpha-equivalence and kept minimal:
+one canonicalising walk of ``syntax`` per successor (``configure``) gives
+both the free names that the environment is restricted to and the
+canonical form of the term with the environment substituted, which is the
+configuration's key.
 """
 
 from __future__ import annotations
@@ -26,18 +32,11 @@ from .std_semantics import (
 )
 from .syntax import (
     Condition, Construct, Definitions, DOLLAR, ExtChoice, If, MixedGuard,
-    Prefix, ProcessTerm, QUERY, Sliding, alpha_canonical, classify_fields,
-    domain_values, free_vars, replace_selections,
+    Prefix, ProcessTerm, QUERY, Sliding, alpha_canonical, canonicalise,
+    classify_fields, domain_values, replace_selections,
 )
 
 Environment = dict  # variable name -> TVal
-
-
-def restrict_env(env: Environment, term: ProcessTerm) -> tuple:
-    """Environment minimality: keep only the free variables of the state,
-    as a sorted tuple usable in hashable configurations."""
-    fv = free_vars(term)
-    return tuple(sorted((k, v) for k, v in env.items() if k in fv))
 
 
 @dataclass(frozen=True)
@@ -57,8 +56,15 @@ class Configuration:
         return f"({fmt_term(self.term)}, {{{items}}})"
 
 
-def config_key(cfg: Configuration):
-    return alpha_canonical(cfg.term, cfg.env_dict())
+def configure(term: ProcessTerm, env: Environment) -> tuple[Configuration, ProcessTerm]:
+    """The configuration of term under env and its key, from one
+    canonicalising walk: env keeps only the free variables of the term
+    (environment minimality), and the key is the canonical form of the term
+    with env substituted."""
+    canon, free, _ = canonicalise(term, env)
+    cfg = Configuration(term, tuple(sorted(
+        (k, v) for k, v in env.items() if k in free)))
+    return cfg, canon
 
 
 def eval_condition(cond: Condition, env: Environment) -> bool:
@@ -139,10 +145,11 @@ def match(eps: Construct, event: Event) -> Environment:
 # Translation rules
 
 def successors_of_config(cfg: Configuration, defs: Definitions, tvalues):
-    """COSE transitions of a configuration.  Conditional symbolic edges whose
-    condition holds contribute the transitions of their target (so a false
-    condition contributes nothing); chains of conditionals are followed with
-    a cycle guard."""
+    """COSE transitions of a configuration, as (label, uid, target
+    configuration, its key).  Conditional symbolic edges whose condition
+    holds contribute the transitions of their target (so a false condition
+    contributes nothing); chains of conditionals are followed with a cycle
+    guard."""
     env = cfg.env_dict()
     out = []
     seen_terms = set()
@@ -154,8 +161,7 @@ def successors_of_config(cfg: Configuration, defs: Definitions, tvalues):
         seen_terms.add(key)
         for lab, uid, target in sym_successors(term, defs):
             if lab is TAU:
-                nxt = Configuration(target, restrict_env(env, target))
-                out.append((TAU, uid, nxt))
+                out.append((TAU, uid, *configure(target, env)))
             elif isinstance(lab, Cond):
                 if eval_condition(lab.condition, env):
                     expand(target)
@@ -171,15 +177,12 @@ def successors_of_config(cfg: Configuration, defs: Definitions, tvalues):
                         env2 = dict(env)
                         for i, v in zip(positions, vs):
                             env2[eps.fields[i - 1].payload] = v
-                        nxt = Configuration(transformed,
-                                            restrict_env(env2, transformed))
-                        out.append((TAU, eps.uid, nxt))
+                        out.append((TAU, eps.uid, *configure(transformed, env2)))
                 else:
                     for event in insts(eps, env, tvalues):
                         env2 = dict(env)
                         env2.update(match(eps, event))
-                        nxt = Configuration(target, restrict_env(env2, target))
-                        out.append((event, eps.uid, nxt))
+                        out.append((event, eps.uid, *configure(target, env2)))
 
     expand(cfg.term)
     return out
@@ -199,13 +202,9 @@ def concretize(defs: Definitions, source: Union[Lts, str, ProcessTerm],
     check_guarded_recursion(root_term, defs)
     tvalues = tvalues_for(tsize)
     env = dict(init_env) if init_env else {}
-    root = Configuration(root_term, restrict_env(env, root_term))
-
-    def successors(cfg: Configuration):
-        for lab, uid, nxt in successors_of_config(cfg, defs, tvalues):
-            yield lab, uid, nxt, config_key(nxt)
-
-    return build(root, config_key(root), successors,
+    root, root_key = configure(root_term, env)
+    return build(root, root_key,
+                 lambda cfg: successors_of_config(cfg, defs, tvalues),
                  alphabet=file_alphabet(defs, tvalues), tsize=tsize,
                  max_states=max_states, describe=Configuration.describe)
 

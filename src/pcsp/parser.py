@@ -10,7 +10,9 @@ and ordinary boolean expressions.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from typing import Optional
 
 from .errors import Diagnostic, ParseError
 from .syntax import (
@@ -21,7 +23,7 @@ from .syntax import (
     Rename, ReplAlphaPar, ReplExtChoice, ReplIntChoice, ReplInterleave,
     AlphaPar, SetType, SharedPar, Sliding, Stop, T_TYPE, TType, TVal,
     Assertion, VarRef, REPLICATED, free_vars, map_subterms, substitute,
-    subterms,
+    subterms, type_is_t,
 )
 
 KEYWORDS = {
@@ -227,7 +229,7 @@ class _Parser:
                     ty = self.parse_type_expr(sig_ty)
                 else:
                     ty = sig_ty
-                if self._type_class(ty) != self._type_class(sig_ty):
+                if type_is_t(ty) != type_is_t(sig_ty):
                     self.fail(f"annotation {ty} does not match field type {sig_ty} "
                               f"of channel {name!r}", sel_tok)
                 fields.append(Field(sel_tok.text, var.text, ty))
@@ -238,14 +240,6 @@ class _Parser:
             self.fail(f"channel {name!r} takes {len(sig)} field(s), "
                       f"got {len(fields)}", chan_tok)
         return Construct(name, tuple(fields), uid=self.fresh_uid())
-
-    @staticmethod
-    def _type_class(ty):
-        if isinstance(ty, (TType, DiffType)):
-            return "t"
-        if isinstance(ty, SetType):
-            return "t" if ty.is_t else "non-t"
-        return "non-t"
 
     # -- scalar and boolean expressions ---------------------------------------
 
@@ -530,7 +524,7 @@ class _Parser:
             alpha = self.parse_evset()
             self.eat_sym("]")
         body = self.parse_proc()
-        if self._type_class(domain) == "t":
+        if type_is_t(domain):
             if op == "|||":
                 return ReplInterleave(var.text, domain, body)
             if op == "|~|":
@@ -744,6 +738,18 @@ _TY_T = "t"
 _TY_NAT = "nat"
 
 
+@contextmanager
+def _nesting(name: str, filename: str, tok: Optional[Token] = None):
+    """Report a definition nested deeper than the recursive passes over its
+    terms reach as a diagnostic on the equation, not as an internal error."""
+    try:
+        yield
+    except RecursionError:
+        raise ParseError([Diagnostic(
+            f"the definition of {name!r} nests too deeply",
+            tok.line if tok else 0, tok.col if tok else 0, filename)]) from None
+
+
 class _Resolver:
     def __init__(self, defs: Definitions, filename: str):
         self.defs = defs
@@ -826,18 +832,30 @@ class _Resolver:
 
     @staticmethod
     def _binder_ty(ty):
-        if isinstance(ty, (TType, DiffType)):
+        if type_is_t(ty):
             return _TY_T
         if isinstance(ty, SetType):
-            if ty.is_t:
-                return _TY_T
-            for item in ty.items:
-                if isinstance(item, Atom):
-                    return item.type_name
-            return None
+            return next((i.type_name for i in ty.items if isinstance(i, Atom)), None)
         if isinstance(ty, NamedType):
             return ty.name
         return None
+
+    def scope_below(self, term, scope, noting=None):
+        """The scope of the subterms of term: a prefix input or a replicated
+        index binds its variable.  With noting (an equation name), the
+        variables a prefix outputs are noted too, each seeing the inputs to
+        its left."""
+        if isinstance(term, Prefix):
+            scope = dict(scope)
+            for f in term.construct.fields:
+                if f.sel in (DOLLAR, QUERY):
+                    scope[f.payload] = self._binder_ty(f.ty)
+                elif noting is not None and isinstance(f.payload, str):
+                    self.note_var(scope, noting, f.payload,
+                                  _TY_T if f.bang_is_t else None)
+        elif isinstance(term, REPLICATED):
+            scope = {**scope, term.var: _TY_T}
+        return scope
 
     def infer_term(self, term, scope, eq):
         if isinstance(term, Ident):
@@ -855,21 +873,11 @@ class _Resolver:
                 if aty is not None and pty is None:
                     self.set_param(term.name, i, aty)
             return
-        if isinstance(term, Prefix):
-            scope = dict(scope)
-            for f in term.construct.fields:
-                if f.sel in (DOLLAR, QUERY):
-                    scope[f.payload] = self._binder_ty(f.ty)
-                elif isinstance(f.payload, str):
-                    self.note_var(scope, eq, f.payload,
-                                  _TY_T if f.bang_is_t else None)
-        elif isinstance(term, If):
-            if not isinstance(term.guard, (Condition, MixedGuard)):
-                self.infer_bool(term.guard, scope, eq)
-        elif isinstance(term, REPLICATED):
-            scope = {**scope, term.var: _TY_T}
+        if isinstance(term, If) and not isinstance(term.guard, (Condition, MixedGuard)):
+            self.infer_bool(term.guard, scope, eq)
+        inner = self.scope_below(term, scope, eq)
         for sub in subterms(term):
-            self.infer_term(sub, scope, eq)
+            self.infer_term(sub, inner, eq)
 
     def run_inference(self):
         for phase in (False, True):
@@ -879,7 +887,8 @@ class _Resolver:
                 for name, eq in self.defs.equations.items():
                     scope = {p: self.param_ty[name][i]
                              for i, p in enumerate(eq.params)}
-                    self.infer_term(eq.body, scope, name)
+                    with _nesting(name, self.filename):
+                        self.infer_term(eq.body, scope, name)
                     for i, p in enumerate(eq.params):
                         if scope[p] is not None:
                             self.set_param(name, i, scope[p])
@@ -970,22 +979,17 @@ class _Resolver:
                 else:
                     args.append(a)
             return Ident(term.name, tuple(args))
-        if isinstance(term, Prefix):
-            scope = dict(scope)
-            for f in term.construct.fields:
-                if f.sel in (DOLLAR, QUERY):
-                    scope[f.payload] = self._binder_ty(f.ty)
-        elif isinstance(term, If):
+        if isinstance(term, If):
             term = replace(term, guard=self.classify_guard(term.guard, scope, eq))
-        elif isinstance(term, REPLICATED):
-            scope = {**scope, term.var: _TY_T}
-        return map_subterms(term, lambda sub: self.rewrite(sub, scope, eq))
+        inner = self.scope_below(term, scope)
+        return map_subterms(term, lambda sub: self.rewrite(sub, inner, eq))
 
     def finish(self):
         self.run_inference()
         for name, eq in list(self.defs.equations.items()):
             scope = {p: self.param_ty[name][i] for i, p in enumerate(eq.params)}
-            body = self.rewrite(eq.body, scope, name)
+            with _nesting(name, self.filename):
+                body = self.rewrite(eq.body, scope, name)
             fv = free_vars(body) - set(eq.params)
             for v in sorted(fv):
                 self.error(f"undefined variable {v!r} in the definition of {name!r}")
@@ -1049,7 +1053,8 @@ def parse_definitions(text: str, filename: str = "<input>") -> Definitions:
             sub.fail(f"duplicate definition of {name_tok.text!r}", name_tok)
         if name_tok.text in defs.channels:
             sub.fail(f"{name_tok.text!r} is already a channel name", name_tok)
-        body = sub.parse_proc()
+        with _nesting(name_tok.text, filename, name_tok):
+            body = sub.parse_proc()
         tail = sub.peek()
         if tail.kind != "eof":
             sub.fail(f"unexpected {tail.text!r} after process definition", tail)

@@ -39,9 +39,9 @@ from .syntax import (
     EventLitItem, EventSet, ExtChoice, Hide, Ident, If, IntChoice, Interleave,
     MixedGuard, Prefix, ProcessTerm, Rename, ReplAlphaPar, ReplExtChoice,
     ReplIntChoice, ReplInterleave, SharedPar, Sliding, Stop, TVal, VarRef,
-    alpha_canonical, classify_fields, comms, construct_binding, domain_values,
+    canonicalise, classify_fields, comms, construct_binding, domain_values,
     eval_bool, eval_condition_closed, eval_scalar, free_vars, map_subterms,
-    iter_constructs, replace_selections, subst_event_set, substitute, subterms,
+    replace_selections, subst_event_set, substitute, subterms, unfold_walk,
     with_subterms,
 )
 
@@ -254,11 +254,12 @@ class StateGraph:
     """A hash-consed graph of the states of one build and their subterms.
 
     A node is a leaf, keyed by its alpha-canonical term and the uids of its
-    constructs, or an operator node, keyed by (operator id, operand
-    nodes...), where the operator id numbers the operator with its operands
-    blanked out (its class and data: event sets, renaming pairs).  Two
-    terms share a node exactly when they are equal up to the names of bound
-    variables, so they have the same successors, down to construct uids.
+    constructs (both from one canonicalising walk), or an operator node,
+    keyed by (operator id, operand nodes...), where the operator id numbers
+    the operator with its operands blanked out (its class and data: event
+    sets, renaming pairs).  Two terms share a node exactly when they are
+    equal up to the names of bound variables, so they have the same
+    successors, down to construct uids.
     Successors are memoised per node: an operator node combines its
     operands' memoised lists and finds each target by its key, so an
     operand that does not move is never explored again and no state term
@@ -312,8 +313,8 @@ class StateGraph:
             key = (op, *map(self.intern, subterms(term)))
             i = self.ids.get(key)
             return self._add(key, key, term, None) if i is None else i
-        canon = alpha_canonical(term)
-        key = (canon, tuple(c.uid for c in iter_constructs(term)))
+        canon, _, uids = canonicalise(term)
+        key = (canon, uids)
         i = self.ids.get(key)
         if i is None:
             i = self._add(key, None, term,
@@ -478,58 +479,47 @@ def _keeps(term: ProcessTerm, i: int) -> bool:
     return isinstance(term, _KEEPERS) or (isinstance(term, Sliding) and i == 0)
 
 
-def _unguarded_calls(term: ProcessTerm, keeps: bool = False):
-    """(keeps, name, None) for each identifier occurrence of the term outside
-    prefixes and conditionals, shaped as an edge for tau_closure; keeps when
-    an operator above it keeps its context."""
-    if isinstance(term, Ident):
-        yield keeps, term.name, None
-    elif not isinstance(term, (Prefix, If)):
-        for i, sub in enumerate(subterms(term)):
-            yield from _unguarded_calls(sub, keeps or _keeps(term, i))
-
-
-def _recalls_itself(eq: Equation) -> bool:
-    """Whether the body calls its own equation with its parameters unchanged
-    below an operator keeping its context, outside prefixes but possibly
-    inside conditionals: every guard above such a call evaluates as it did
-    at the unfolding, so the call is reached again one level deeper."""
+def _calls(eq: Equation):
+    """(keeps, callee, guarded, passes) for each identifier occurrence of the
+    body outside prefixes: keeps when an operator above it keeps its
+    context, guarded when a conditional is above it, and passes when its
+    arguments are the equation's parameters in order, with no replicated
+    binder above shadowing one."""
     own = tuple(VarRef(p) for p in eq.params)
 
-    def calls(term, keeps):
+    def walk(term, keeps, guarded, shadowed):
         if isinstance(term, Ident):
-            return keeps and term.name == eq.name and term.args == own
-        if isinstance(term, Prefix) or (isinstance(term, REPLICATED)
-                                        and term.var in eq.params):
-            return False
-        return any(calls(sub, keeps or _keeps(term, i))
-                   for i, sub in enumerate(subterms(term)))
+            yield keeps, term.name, guarded, not shadowed and term.args == own
+        elif not isinstance(term, Prefix):
+            shadowed = shadowed or (isinstance(term, REPLICATED)
+                                    and term.var in eq.params)
+            for i, sub in enumerate(subterms(term)):
+                yield from walk(sub, keeps or _keeps(term, i),
+                                guarded or isinstance(term, If), shadowed)
 
-    return calls(eq.body, False)
+    return walk(eq.body, False, False, False)
 
 
 def check_guarded_recursion(term: ProcessTerm, defs: Definitions) -> None:
     """Reject recursion through an operator context before exploring: a
-    cycle of unguarded identifier occurrences, among the equations the term
-    reaches, that passes below an operator keeping its context (either side
-    of [], |||, [|X|] and [A||B], the left of [>, hiding, renaming), or a
-    call of an equation to itself there with its parameters unchanged, also
-    inside a conditional.  Its state terms would grow without bound.  Other
-    calls inside conditionals are not looked into, so a recursion that a
-    guard bounds still builds."""
-    names, stack = set(), [term]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, Ident) and t.name in defs.equations and t.name not in names:
-            names.add(t.name)
-            stack.append(defs.equations[t.name].body)
-        stack.extend(subterms(t))
-    calls = {name: [c for c in _unguarded_calls(defs.equations[name].body)
-                    if c[1] in names] for name in names}
+    cycle of identifier occurrences outside prefixes, among the equations
+    the term reaches, that passes below an operator keeping its context
+    (either side of [], |||, [|X|] and [A||B], the left of [>, hiding,
+    renaming).  Its state terms would grow without bound.  The cycle either
+    stays outside conditionals, or passes each equation's parameters on
+    unchanged, so that every guard on it evaluates as it did one unfolding
+    earlier.  Other calls inside conditionals are not looked into, so a
+    recursion that a guard bounds still builds."""
+    names = {where for _, where in unfold_walk(term, defs)} - {""}
+    calls = {name: [c for c in _calls(defs.equations[name]) if c[1] in names]
+             for name in names}
+    unguarded = {name: [(keeps, callee, None) for keeps, callee, guarded, _ in cs
+                        if not guarded] for name, cs in calls.items()}
+    passing = {name: [(keeps, callee, None) for keeps, callee, _, passes in cs
+                      if passes] for name, cs in calls.items()}
     for name in sorted(names):
-        if _recalls_itself(defs.equations[name]) or any(
-                keeps and name in tau_closure(calls, [callee], lambda _: True)
-                for keeps, callee, _ in calls[name]):
+        if any(keeps and name in tau_closure(graph, [callee], lambda _: True)
+               for graph in (unguarded, passing) for keeps, callee, _ in graph[name]):
             raise SemanticsError(
                 f"state terms grow without bound ({name!r} recurses through "
                 "an operator context, which is not supported)")

@@ -8,14 +8,17 @@ construct ``c S1 x1:X1 ... Sk xk:Xk`` carries one selector per field:
 and capture-avoiding substitution defined here are the ground layer that
 every semantics consumes.
 
-``_rebind`` is the binder-aware pass behind both substitution and
-alpha canonicalisation: it rewrites free names through an environment and
-either lets binders shadow it (``substitute``) or renames them to
-``#0, #1, ...`` in traversal order (``alpha_canonical``), so both share
-one account of where each binder scopes.  ``subterms``/``map_subterms``
-read the subterm table, the process-term fields of each of the 16 term
-classes; walkers that only descend into subterms take them from there and
-keep explicit cases for the node kinds they act on.
+``_rebind`` is the only code that knows where binders scope.  It rewrites
+free names through an environment and either lets binders shadow it
+(``substitute``) or renames them to ``#0, #1, ...`` in traversal order
+(``canonicalise``).  A canonicalising walk also records the free names it
+meets and the uids of the constructs it passes, so ``free_vars``,
+``alpha_canonical`` and the state keys of the semantics all come from it.
+``subterms``/``map_subterms`` read the subterm table, the process-term
+fields of each of the 16 term classes; walkers that only descend into
+subterms take them from there and keep explicit cases for the node kinds
+they act on.  ``unfold_walk`` visits every node reachable through the
+equations, unfolding each identifier once.
 """
 
 from __future__ import annotations
@@ -200,7 +203,6 @@ def classify_fields(alpha: Construct) -> IndexSets:
     buckets = {key: set() for key in
                ("$t", "$n", "?t", "?n", "!t", "!n")}
     for pos, f in enumerate(alpha.fields, start=1):
-        key = f.sel if f.sel != BANG else "!"
         if f.sel == DOLLAR:
             buckets["$t" if f.is_t() else "$n"].add(pos)
         elif f.sel == QUERY:
@@ -604,7 +606,7 @@ class Definitions:
 
 
 # ---------------------------------------------------------------------------
-# Substitution and alpha canonicalisation: one binder-aware pass
+# Substitution, alpha canonicalisation and free names: one binder-aware pass
 
 SubstValue = Union[Value, int]
 
@@ -613,13 +615,33 @@ class _Renamer:
     """Sequential bound-variable renamer; traversal order is deterministic, so
     alpha-equivalent terms canonicalise to equal terms.  The fresh names are
     no identifier the tokenizer accepts, so a free variable of the source
-    never meets a canonical binder."""
+    never meets a canonical binder.  It also records the uid of each
+    construct the walk passes, in traversal order."""
+
+    __slots__ = ("counter", "uids")
 
     def __init__(self):
         self.counter = itertools.count()
+        self.uids: list[int] = []
 
     def fresh(self) -> str:
         return f"#{next(self.counter)}"
+
+
+class _Scope(dict):
+    """The env of a canonicalising walk: free names map to their values,
+    names bound in scope to their fresh names.  Every leaf looks a name up
+    with ``in`` first, so ``__contains__`` records in ``free`` each name
+    that no binder in scope holds.  Substitution uses plain dicts and
+    records nothing."""
+
+    __slots__ = ("free",)
+
+    def __contains__(self, name) -> bool:
+        value = self.get(name)
+        if value.__class__ is not str:
+            self.free.add(name)
+        return value is not None
 
 
 def _bind(name: str, env: dict, ren: Optional[_Renamer]) -> tuple[str, dict]:
@@ -631,7 +653,10 @@ def _bind(name: str, env: dict, ren: Optional[_Renamer]) -> tuple[str, dict]:
             return name, env
         return name, {k: v for k, v in env.items() if k != name}
     new = ren.fresh()
-    return new, {**env, name: new}
+    inner = _Scope(env)
+    inner[name] = new
+    inner.free = env.free
+    return new, inner
 
 
 # Leaf rewriters: a name in env becomes its value (or its fresh bound name);
@@ -713,12 +738,15 @@ def _rebind(term: ProcessTerm, env: dict, ren: Optional[_Renamer]) -> ProcessTer
     """Rewrite the free names of a term through env and its binders through
     _bind.  Input binders scope over the fields to their right and over the
     continuation; replicated binders scope over the alphabet and the body,
-    not over the domain."""
+    not over the domain.  Canonicalising, the renamer records the construct
+    uids and the _Scope env the free names."""
     if ren is None and not env:
         return term
     if isinstance(term, Stop):
         return term
     if isinstance(term, Prefix):
+        if ren is not None:
+            ren.uids.append(term.construct.uid)
         fields = []
         for f in term.construct.fields:
             if f.sel == BANG:
@@ -766,111 +794,31 @@ def substitute(term: ProcessTerm, mapping: dict[str, SubstValue]) -> ProcessTerm
     return _rebind(term, mapping, None)
 
 
-def alpha_canonical(term: ProcessTerm,
-                    env: Optional[dict[str, SubstValue]] = None) -> ProcessTerm:
+def canonicalise(term: ProcessTerm, env: Optional[dict[str, SubstValue]] = None
+                 ) -> tuple[ProcessTerm, frozenset[str], tuple[int, ...]]:
     """Rename bound variables by a deterministic scheme, so that two terms are
     alpha-equivalent iff their canonical forms are equal.  Free variables in
-    env are replaced by their values, so ``alpha_canonical(t, env)`` equals
-    ``alpha_canonical(substitute(t, env))``; other free variables are kept
-    by name.  Idempotent."""
-    return _rebind(term, env or {}, _Renamer())
+    env are replaced by their values, so the canonical form under env equals
+    that of ``substitute(t, env)``; other free variables are kept by name.
+    Idempotent.  Returns (canonical form, free names, uids): the same walk
+    records the free names, whether or not env replaced them, and the uids
+    of the constructs in traversal (pre-)order."""
+    ren = _Renamer()
+    scope = _Scope(env or ())
+    scope.free = set()
+    canon = _rebind(term, scope, ren)
+    return canon, frozenset(scope.free), tuple(ren.uids)
 
 
-# ---------------------------------------------------------------------------
-# Free variables
-
-def _free_in_scalar(e: ScalarExpr) -> frozenset[str]:
-    if isinstance(e, VarRef):
-        return frozenset((e.name,))
-    if isinstance(e, NatOp):
-        return _free_in_scalar(e.left) | _free_in_scalar(e.right)
-    if isinstance(e, NatMin):
-        return _free_in_scalar(e.left) | _free_in_scalar(e.right)
-    return frozenset()
-
-
-def _free_in_bool(b: BoolExpr) -> frozenset[str]:
-    if isinstance(b, Cmp):
-        return _free_in_scalar(b.left) | _free_in_scalar(b.right)
-    if isinstance(b, BoolNot):
-        return _free_in_bool(b.arg)
-    if isinstance(b, (BoolAnd, BoolOr)):
-        return _free_in_bool(b.left) | _free_in_bool(b.right)
-    return frozenset()
-
-
-def _free_in_guard(g: Guard) -> frozenset[str]:
-    if isinstance(g, Condition):
-        return frozenset(s for a in g.atoms for s in a if isinstance(s, str))
-    if isinstance(g, MixedGuard):
-        out = frozenset(s for a in g.t_atoms for s in a if isinstance(s, str))
-        for b in g.other:
-            out |= _free_in_bool(b)
-        return out
-    return _free_in_bool(g)
-
-
-def _free_in_datums(datums) -> frozenset[str]:
-    return frozenset(d for d in datums if isinstance(d, str))
-
-
-def _free_insubst_event_set(s: EventSet) -> frozenset[str]:
-    out = frozenset()
-    for c in s.closures:
-        out |= _free_in_datums(c.datums)
-    for e in s.literals:
-        out |= _free_in_datums(e.datums)
-    return out
-
-
-def _free_in_type(ty) -> frozenset[str]:
-    if isinstance(ty, SetType):
-        return _free_in_datums(ty.items)
-    if isinstance(ty, DiffType):
-        return _free_in_datums(ty.excluded)
-    return frozenset()
+def alpha_canonical(term: ProcessTerm,
+                    env: Optional[dict[str, SubstValue]] = None) -> ProcessTerm:
+    """The alpha-canonical form of a term under env (see canonicalise)."""
+    return canonicalise(term, env)[0]
 
 
 def free_vars(term: ProcessTerm) -> frozenset[str]:
-    """Free variables of a process term (input binders scope over the
-    continuation; replicated binders scope over their body)."""
-    if isinstance(term, Stop):
-        return frozenset()
-    if isinstance(term, Prefix):
-        out = set()
-        bound = set()
-        for f in term.construct.fields:
-            if f.sel in (DOLLAR, QUERY):
-                out |= _free_in_type(f.ty) - bound
-                bound.add(f.payload)
-            elif isinstance(f.payload, str) and f.payload not in bound:
-                out.add(f.payload)
-        return frozenset(out) | (free_vars(term.cont) - bound)
-    if isinstance(term, (ExtChoice, IntChoice, Sliding, Interleave)):
-        return free_vars(term.left) | free_vars(term.right)
-    if isinstance(term, If):
-        return _free_in_guard(term.guard) | free_vars(term.then) | free_vars(term.els)
-    if isinstance(term, Hide):
-        return free_vars(term.proc) | _free_insubst_event_set(term.hidden)
-    if isinstance(term, Rename):
-        return free_vars(term.proc)
-    if isinstance(term, AlphaPar):
-        return (free_vars(term.left) | free_vars(term.right)
-                | _free_insubst_event_set(term.left_alpha) | _free_insubst_event_set(term.right_alpha))
-    if isinstance(term, SharedPar):
-        return free_vars(term.left) | free_vars(term.right) | _free_insubst_event_set(term.shared)
-    if isinstance(term, ReplAlphaPar):
-        inner = (free_vars(term.body) | _free_insubst_event_set(term.alpha)) - {term.var}
-        return inner | _free_in_type(term.domain)
-    if isinstance(term, (ReplInterleave, ReplIntChoice, ReplExtChoice)):
-        return (free_vars(term.body) - {term.var}) | _free_in_type(term.domain)
-    if isinstance(term, Ident):
-        out = frozenset()
-        for a in term.args:
-            if not isinstance(a, (TVal, Atom)):
-                out |= _free_in_scalar(a)
-        return out
-    raise SemanticsError(f"free_vars: unknown term {term!r}")
+    """Free variables of a process term."""
+    return canonicalise(term)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -1025,15 +973,21 @@ def construct_binding(alpha: Construct, values: tuple[Value, ...],
     return {alpha.fields[i - 1].payload: values[i - 1] for i in sorted(positions)}
 
 
-def iter_constructs(term: ProcessTerm, defs: Optional[Definitions] = None,
-                    *, _seen: Optional[set] = None) -> Iterator[Construct]:
-    """All prefix constructs within a term, unfolding identifiers at most once."""
-    seen = _seen if _seen is not None else set()
-    if isinstance(term, Prefix):
-        yield term.construct
-    elif isinstance(term, Ident) and defs is not None:
-        if term.name not in seen and term.name in defs.equations:
-            seen.add(term.name)
-            yield from iter_constructs(defs.equations[term.name].body, defs, _seen=seen)
-    for sub in subterms(term):
-        yield from iter_constructs(sub, defs, _seen=seen)
+def unfold_walk(term: ProcessTerm, defs: Definitions, where: str = "",
+                seen: Optional[set] = None) -> Iterator[tuple[ProcessTerm, str]]:
+    """Every node of a term in pre-order, each with the name of the equation
+    whose body it is in (where, for the term's own nodes).  Each identifier
+    is unfolded where it is first met and never again: seen holds the names
+    already unfolded and collects the new ones.  Iterative, so the depth of
+    a term costs no stack."""
+    seen = set() if seen is None else seen
+    stack = [(term, where)]
+    while stack:
+        node, where = stack.pop()
+        yield node, where
+        if isinstance(node, Ident) and node.name not in seen:
+            eq = defs.equations.get(node.name)
+            if eq is not None:
+                seen.add(node.name)
+                stack.append((eq.body, node.name))
+        stack.extend((sub, where) for sub in reversed(subterms(node)))

@@ -109,6 +109,36 @@ def test_self_recursion_behind_a_conditional_exits_2_at_once(tmp_path, capsys, c
                    "through an operator context, which is not supported)\n")
 
 
+@pytest.mark.parametrize("command", [("lts", "--tsize", "1"), ("sslts",),
+                                     ("cose", "--tsize", "1")])
+def test_mutual_recursion_behind_a_conditional_exits_2_at_once(tmp_path, capsys, command):
+    # R passes Q's parameter back unchanged, so the guard holds again
+    src = tmp_path / "grow.pcsp"
+    src.write_text("channel a\n"
+                   "Q(n) = if n > 0 then (R(n) [] a -> STOP) else STOP\n"
+                   "R(n) = Q(n)\n"
+                   "P = Q(1)\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, command[0], str(src), "--proc", "P",
+                         "--max-states", "2000", *command[1:])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err == ("error: state terms grow without bound ('Q' recurses "
+                   "through an operator context, which is not supported)\n")
+
+
+@pytest.mark.parametrize("body", ["a -> " * 5000 + "STOP",
+                                  " [] ".join(["a -> STOP"] * 5000)],
+                         ids=["prefixes", "choices"])
+def test_too_deeply_nested_definition_exits_2(tmp_path, capsys, body):
+    src = tmp_path / "deep.pcsp"
+    src.write_text(f"channel a\nP = {body}\n")
+    code, out, err = run(capsys, "lts", str(src), "--proc", "P", "--tsize", "1")
+    assert code == 2 and out == ""
+    assert err.endswith("the definition of 'P' nests too deeply\n")
+    assert "Traceback" not in err
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "lts", "nonexistent.pcsp", "--proc", "P",
                        "--tsize", "1")

@@ -1,14 +1,18 @@
 """Dual-route checks: the product-automaton refinement decision against an
 extensional oracle built from bounded trace/acceptance enumeration, the
 congruence of the two concrete semantics on randomly generated sequential
-terms, and strong bisimulation over interned labels against the
-label_key-signature partition refinement it replaced."""
+terms, strong bisimulation over interned labels against the
+label_key-signature partition refinement it replaced, and the free names
+and construct uids of the canonicalising walk against the separate
+free-variable and construct walks it replaced."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import load
+from conftest import ALL_CORPUS_FILES, load
 from pcsp.analysis import (
     acceptances_after, refines_failures, refines_traces, strong_bisim,
     traces_upto,
@@ -18,9 +22,15 @@ from pcsp.cose import concretize
 from pcsp.lts import TAU, Event, Lts, label_key
 from pcsp.parser import parse_definitions
 from pcsp.std_semantics import build_lts
-from pcsp.syntax import TVal
+from pcsp.syntax import (
+    AlphaPar, Atom, BoolAnd, BoolNot, BoolOr, Cmp, Condition, DiffType, DOLLAR,
+    ExtChoice, Hide, Ident, If, IntChoice, Interleave, MixedGuard, NatMin,
+    NatOp, Prefix, QUERY, Rename, ReplAlphaPar, ReplExtChoice, ReplIntChoice,
+    ReplInterleave, SetType, SharedPar, Sliding, Stop, T_TYPE, TVal, VarRef,
+    canonicalise, free_vars, map_subterms, subterms,
+)
 
-from test_syntax import terms
+from test_syntax import _VARS, terms
 
 _DEFS = parse_definitions("""
 datatype AB = a | b
@@ -216,3 +226,161 @@ def lts_pairs(draw):
 @settings(max_examples=300, deadline=None)
 def test_strong_bisim_agrees_with_the_reference(pair):
     assert strong_bisim(*pair) == _reference_strong_bisim(*pair)
+
+
+# -- the canonicalising walk against the walks it replaced -------------------
+
+def _reference_free_vars(term) -> frozenset[str]:
+    """free_vars as it was before the canonicalising walk recorded free
+    names: a second copy of the binder-scoping rules (input binders scope
+    over the fields to their right and the continuation, replicated binders
+    over the alphabet and the body)."""
+
+    def scalar(e):
+        if isinstance(e, VarRef):
+            return frozenset((e.name,))
+        if isinstance(e, (NatOp, NatMin)):
+            return scalar(e.left) | scalar(e.right)
+        return frozenset()
+
+    def boolean(b):
+        if isinstance(b, Cmp):
+            return scalar(b.left) | scalar(b.right)
+        if isinstance(b, BoolNot):
+            return boolean(b.arg)
+        if isinstance(b, (BoolAnd, BoolOr)):
+            return boolean(b.left) | boolean(b.right)
+        return frozenset()
+
+    def guard(g):
+        if isinstance(g, Condition):
+            return frozenset(s for a in g.atoms for s in a if isinstance(s, str))
+        if isinstance(g, MixedGuard):
+            out = frozenset(s for a in g.t_atoms for s in a if isinstance(s, str))
+            for b in g.other:
+                out |= boolean(b)
+            return out
+        return boolean(g)
+
+    def datums(ds):
+        return frozenset(d for d in ds if isinstance(d, str))
+
+    def event_set(s):
+        out = frozenset()
+        for c in s.closures:
+            out |= datums(c.datums)
+        for e in s.literals:
+            out |= datums(e.datums)
+        return out
+
+    def annotation(ty):
+        if isinstance(ty, SetType):
+            return datums(ty.items)
+        if isinstance(ty, DiffType):
+            return datums(ty.excluded)
+        return frozenset()
+
+    fv = _reference_free_vars
+    if isinstance(term, Stop):
+        return frozenset()
+    if isinstance(term, Prefix):
+        out = set()
+        bound = set()
+        for f in term.construct.fields:
+            if f.sel in (DOLLAR, QUERY):
+                out |= annotation(f.ty) - bound
+                bound.add(f.payload)
+            elif isinstance(f.payload, str) and f.payload not in bound:
+                out.add(f.payload)
+        return frozenset(out) | (fv(term.cont) - bound)
+    if isinstance(term, (ExtChoice, IntChoice, Sliding, Interleave)):
+        return fv(term.left) | fv(term.right)
+    if isinstance(term, If):
+        return guard(term.guard) | fv(term.then) | fv(term.els)
+    if isinstance(term, Hide):
+        return fv(term.proc) | event_set(term.hidden)
+    if isinstance(term, Rename):
+        return fv(term.proc)
+    if isinstance(term, AlphaPar):
+        return (fv(term.left) | fv(term.right)
+                | event_set(term.left_alpha) | event_set(term.right_alpha))
+    if isinstance(term, SharedPar):
+        return fv(term.left) | fv(term.right) | event_set(term.shared)
+    if isinstance(term, ReplAlphaPar):
+        inner = (fv(term.body) | event_set(term.alpha)) - {term.var}
+        return inner | annotation(term.domain)
+    if isinstance(term, (ReplInterleave, ReplIntChoice, ReplExtChoice)):
+        return (fv(term.body) - {term.var}) | annotation(term.domain)
+    if isinstance(term, Ident):
+        out = frozenset()
+        for a in term.args:
+            if not isinstance(a, (TVal, Atom)):
+                out |= scalar(a)
+        return out
+    raise AssertionError(f"unknown term {term!r}")
+
+
+def _reference_uids(term) -> tuple[int, ...]:
+    """The uids of iter_constructs(term), the recursive construct walk the
+    state graph keyed leaves by before: pre-order, identifiers not
+    unfolded."""
+    out = (term.construct.uid,) if isinstance(term, Prefix) else ()
+    for sub in subterms(term):
+        out += _reference_uids(sub)
+    return out
+
+
+def _check_canonicalise(term, env):
+    canon, free, uids = canonicalise(term, env)
+    assert free == _reference_free_vars(term) == free_vars(term)
+    assert uids == _reference_uids(term)
+    # the canonical form keeps every uid, and exactly the free names that
+    # env does not replace
+    assert _reference_uids(canon) == uids
+    assert _reference_free_vars(canon) == free - set(env)
+    assert canonicalise(canon)[0] == canon
+
+
+def _corpus_subterms():
+    for fname in ALL_CORPUS_FILES:
+        for eq in load(fname).equations.values():
+            stack = [eq.body]
+            while stack:
+                term = stack.pop()
+                yield term
+                stack.extend(subterms(term))
+
+
+def test_canonicalise_agrees_with_the_reference_on_the_corpus():
+    count = 0
+    for term in _corpus_subterms():
+        _check_canonicalise(term, {})
+        count += 1
+    assert count > 150
+
+
+@st.composite
+def narrowed_terms(draw):
+    """terms(scope=("xfree",)) with some t-input annotations narrowed to
+    t\\{v}, where v may be the input's own name: an input binder scopes
+    over the fields to its right, not over its own annotation."""
+
+    def narrow(term):
+        if not isinstance(term, Prefix):
+            return map_subterms(term, narrow)
+        fields = []
+        for f in term.construct.fields:
+            if f.sel in (DOLLAR, QUERY) and f.ty == T_TYPE and draw(st.booleans()):
+                v = draw(st.sampled_from((f.payload, "xfree") + _VARS))
+                f = replace(f, ty=DiffType((v,)))
+            fields.append(f)
+        return Prefix(replace(term.construct, fields=tuple(fields)),
+                      narrow(term.cont))
+
+    return narrow(draw(terms(scope=("xfree",))))
+
+
+@given(narrowed_terms(), st.sampled_from(({}, {"xfree": TVal(0)})))
+@settings(max_examples=200, deadline=None)
+def test_canonicalise_agrees_with_the_reference(term, env):
+    _check_canonicalise(term, env)

@@ -126,11 +126,12 @@ def test_conditional_free_bound():
                         ("ex511.pcsp", "Spec"), ("ex512.pcsp", "Spec"),
                         ("ex33.pcsp", "SeqOK")):
         defs = load(fname)
-        from pcsp.syntax import iter_constructs
+        from pcsp.syntax import Prefix, unfold_walk
         body = proc_body(defs, proc)
         per_construct = max(
-            (len(classify_fields(a).bang_t)
-             for a in iter_constructs(body, defs)), default=0)
+            (len(classify_fields(node.construct).bang_t)
+             for node, _ in unfold_walk(body, defs) if isinstance(node, Prefix)),
+            default=0)
         got = thresh_traces(build_sslts(defs, body))[0]
         assert got <= per_construct, (fname, proc)
         assert got == per_construct, (fname, proc)
