@@ -40,9 +40,12 @@ class UsageError(PcspError):
 
 
 class BoundExceeded(PcspError):
-    """State-space or trace-depth bound exceeded; names the frontier state."""
+    """State-space or trace-depth bound exceeded; names the frontier state
+    and, when given, the build that hit it (e.g. ``Impl at #T=6``)."""
 
-    def __init__(self, what: str, bound: int, frontier: str):
+    def __init__(self, what: str, bound: int, frontier: str, building: str = ""):
+        self.what = what
         self.bound = bound
         self.frontier = frontier
-        super().__init__(f"{what} bound ({bound}) exceeded at: {frontier}")
+        where = f"building {building}" if building else "at"
+        super().__init__(f"{what} bound ({bound}) exceeded {where}: {frontier}")

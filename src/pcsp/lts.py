@@ -28,12 +28,20 @@ class _Tau:
 TAU = _Tau()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
-    """A concrete visible event c.v1...vk."""
+    """A concrete visible event c.v1...vk.  Its hash is computed once, at
+    construction: events are looked up in sets and dicts on every edge."""
 
     channel: str
     values: tuple[Value, ...] = ()
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.channel, self.values)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return self.channel + "".join(f".{v}" for v in self.values)
@@ -125,12 +133,13 @@ def terms_bounded():
             "operator context is not supported)") from None
 
 
-def _edge_row(edges, order: Callable = label_key) -> list[Edge]:
-    """One state's edges without repeats (equal label keys, targets and
-    uids; the first is kept), sorted by label and target."""
+def _edge_row(keyed) -> list[Edge]:
+    """One state's edges, given as (label key, edge) pairs, without repeats
+    (equal label keys, targets and uids; the first is kept), sorted by
+    label key and target."""
     first = {}
-    for e in edges:
-        first.setdefault((order(e[0]), e[1], e[2]), e)
+    for k, e in keyed:
+        first.setdefault((k, e[1], e[2]), e)
     return [first[k] for k in sorted(first, key=itemgetter(0, 1))]
 
 
@@ -142,7 +151,8 @@ def build(root_payload, root_key, successors: Callable, *,
 
     successors(payload) yields (label, uid, payload, key) quadruples;
     exploration order and edge order are fixed by label, sorted by order,
-    and insertion order, so two runs produce identical structures.
+    and insertion order, so two runs produce identical structures.  Each
+    label's order key is computed once, for the sort and the edge row.
     """
     states = [root_payload]
     keys = [root_key]
@@ -152,8 +162,9 @@ def build(root_payload, root_key, successors: Callable, *,
     with terms_bounded():
         while frontier < len(states):
             out = []
-            succ = sorted(successors(states[frontier]), key=lambda s: order(s[0]))
-            for label, uid, next_payload, next_key in succ:
+            succ = sorted([(order(s[0]), s) for s in successors(states[frontier])],
+                          key=itemgetter(0))
+            for k, (label, uid, next_payload, next_key) in succ:
                 tgt = index.get(next_key)
                 if tgt is None:
                     if len(states) >= max_states:
@@ -162,17 +173,32 @@ def build(root_payload, root_key, successors: Callable, *,
                     index[next_key] = tgt
                     states.append(next_payload)
                     keys.append(next_key)
-                out.append((label, tgt, uid))
-            edges.append(_edge_row(out, order))
+                out.append((k, (label, tgt, uid)))
+            edges.append(_edge_row(out))
             frontier += 1
     return Lts(0, states, keys, edges, alphabet, tsize, index)
 
 
 def rename_lts(lts: Lts, fn: Callable[[Event], Event]) -> Lts:
     """Relabel every visible edge through fn (total on the LTS's visible
-    labels); τ and the state graph are unchanged."""
-    new_edges = [_edge_row([(lab if lab is TAU else fn(lab), tgt, uid)
-                            for lab, tgt, uid in es]) for es in lts.edges]
+    labels); τ and the state graph are unchanged.  fn and label_key run
+    once per distinct label."""
+    images = {TAU: (label_key(TAU), TAU)}
+
+    def image(lab):
+        got = images.get(lab)
+        if got is None:
+            new = fn(lab)
+            got = images[lab] = (label_key(new), new)
+        return got
+
+    new_edges = []
+    for es in lts.edges:
+        row = []
+        for lab, tgt, uid in es:
+            k, new = image(lab)
+            row.append((k, (new, tgt, uid)))
+        new_edges.append(_edge_row(row))
     alphabet = frozenset(fn(e) for e in lts.alphabet)
     return Lts(lts.root, list(lts.states), list(lts.keys), new_edges,
                alphabet, lts.tsize, dict(lts.key_index))

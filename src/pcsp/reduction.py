@@ -21,7 +21,7 @@ from .analysis import Verdict, divergence_free, refines
 from .conditions import (
     check_no_mixed_inputs, check_seqnorm, revposconjeqt_evidence,
 )
-from .errors import SemanticsError, UsageError
+from .errors import BoundExceeded, SemanticsError, UsageError
 from .lts import Event, Lts, TAU, rename_lts, tau_closure
 from .report import ConditionReport
 from .ssos import Cond, Vis, build_sslts, fmt_sym_label, nont_event_key
@@ -122,7 +122,6 @@ def thresh_traces(s: Lts, max_macro_states: int = 100_000) -> tuple[int, Optiona
     of non-t-equivalent symbolic traces, computed by determinising the
     transition system over the non-t projection of its visible labels
     (conditional and internal labels collapse into the closure)."""
-    from .errors import BoundExceeded
     root = tau_closure(s.edges, s.root, _tau_or_cond)
     best = 0
     witness = None
@@ -255,7 +254,6 @@ def thresh_failures(defs: Definitions, s: Lts) -> tuple[int, Optional[str], list
                             for c in conds for a in c.atoms})
         atoms = list(atom_keys)
         if len(atoms) > 20:
-            from .errors import BoundExceeded
             raise BoundExceeded("condition-valuation", 2 ** 20,
                                 f"{len(atoms)} distinct equality atoms")
         for assignment in itertools.product((True, False), repeat=len(atoms)):
@@ -439,13 +437,22 @@ def verify_pmcp(defs: Definitions, spec: str, impl: str, model: str,
     results: list[SizeResult] = []
     premises: list[SizeResult] = []
     conclusion = ""
-    builds: dict[tuple[str, int], Lts] = {}
+    builds: dict[tuple[str, int, Optional[int]], Lts] = {}
 
-    def lts_of(proc: str, n: int) -> Lts:
-        # the specification is needed at one size by several steps
-        got = builds.get((proc, n))
+    def lts_of(proc: str, n: int, collapsed: bool = False) -> Lts:
+        # The specification is needed at one size by several steps.  A
+        # build that phi collapses is explored modulo the permutations of
+        # {B..n-1}, which phi cannot tell apart, when Impl is syntactically
+        # symmetric in t; it is keyed apart from the full build.
+        sym = bound if collapsed and typesym.ok() else None
+        got = builds.get((proc, n, sym))
         if got is None:
-            got = builds[(proc, n)] = build_lts(defs, proc, n, max_states)
+            try:
+                got = build_lts(defs, proc, n, max_states, symmetric_from=sym)
+            except BoundExceeded as exc:
+                raise BoundExceeded(exc.what, exc.bound, exc.frontier,
+                                    f"{proc} at #T={n}") from None
+            builds[(proc, n, sym)] = got
         return got
 
     def direct(n: int) -> SizeResult:
@@ -497,7 +504,7 @@ def verify_pmcp(defs: Definitions, spec: str, impl: str, model: str,
             f"#T >= {valid_from} is taken on assertion from the abstraction "
             "method")
         for n in premise_sizes:
-            phi_impl = CollapsingFn(bound).lts(lts_of(impl, n))
+            phi_impl = CollapsingFn(bound).lts(lts_of(impl, n, collapsed=True))
             premises.append(SizeResult(
                 n, f"{abst}({{0..{bound}}})", f"phi({impl}({{0..{n - 1}}}))",
                 "premise-sample", refines(abst_hat, phi_impl, model)))
@@ -514,7 +521,7 @@ def verify_pmcp(defs: Definitions, spec: str, impl: str, model: str,
     derived = []
     for n in size_list:
         if n >= bound + 1:
-            phi_impl = CollapsingFn(bound).lts(lts_of(impl, n))
+            phi_impl = CollapsingFn(bound).lts(lts_of(impl, n, collapsed=True))
             v = refines(spec_hat, phi_impl, model)
             results.append(SizeResult(
                 n, f"{spec}({{0..{bound}}})", f"phi({impl}({{0..{n - 1}}}))",

@@ -19,16 +19,33 @@ hashed whole.  The operator tree is not fixed in advance, as it would be
 in a compiled synchronisation tree: an identifier may unfold into a
 parallel composition after a τ, and the composition becomes new nodes.
 
-Replicated parallel, interleaving and external choice over t are expanded
-into binary trees where a term first enters a state: the root, the body of
-an unfolded identifier, and the body of a resolved replicated internal
-choice (which itself stays primitive).  One whose index set or alphabet
-mentions a variable bound by an enclosing prefix waits until the prefix
-has fired and is expanded when the state graph interns the continuation.
+Replicated operators are expanded where a term first enters a state: the
+root, the body of an unfolded identifier, and the body of a resolved
+replicated internal choice (which itself stays primitive).  One whose
+index set or alphabet mentions a variable bound by an enclosing prefix
+waits until the prefix has fired and is expanded when the state graph
+interns the continuation.  An interleaving over the whole of t,
+``||| i:t @ P(i)`` at size n, becomes a single vector node of the state
+graph holding P(0)..P(n-1) in index order, so a move of one instance
+interns one node; it displays as the left-associated chain
+``P(0) ||| ... ||| P(n-1)``.  Every other replicated operator, and an
+interleaving over part of t, becomes a left-associated binary tree, as does
+a hand-written ``P ||| Q ||| ...``.
+
+build_lts(..., symmetric_from=B) explores modulo the permutations of
+{B..n-1}: every successor is replaced by a representative of its orbit, in
+which the t-values of the state are renamed and the instances of each
+vector move with their indices (scalarset symmetry reduction: Ip and Dill,
+"Better verification through symmetry", FMSD 1996).  The B-collapsing
+function cannot tell those permutations apart, so the result collapsed
+through it is strongly bisimilar to the collapsed full system when the
+process is symmetric in t; the argument is in build_lts.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import itertools
 from typing import Optional, Union
 
@@ -36,9 +53,10 @@ from .errors import SemanticsError
 from .lts import Event, Lts, TAU, build, rename_lts, tau_closure, terms_bounded  # noqa: F401 (re-export)
 from .syntax import (
     BANG, REPLICATED, AlphaPar, Atom, Condition, Definitions, Equation,
-    EventLitItem, EventSet, ExtChoice, Hide, Ident, If, IntChoice, Interleave,
-    MixedGuard, Prefix, ProcessTerm, Rename, ReplAlphaPar, ReplExtChoice,
-    ReplIntChoice, ReplInterleave, SharedPar, Sliding, Stop, TVal, VarRef,
+    EventLitItem, EventSet, ExtChoice, Hide, Ident, If, IndexedInterleave,
+    IntChoice, Interleave, MixedGuard, NamedType, Prefix, ProcessTerm, Rename,
+    ReplAlphaPar, ReplExtChoice, ReplIntChoice, ReplInterleave, SharedPar,
+    Sliding, Stop, TType, TVal, VarRef,
     canonicalise, classify_fields, comms, construct_binding, domain_values,
     eval_bool, eval_condition_closed, eval_scalar, free_vars, map_subterms,
     replace_selections, subst_event_set, substitute, subterms, unfold_walk,
@@ -134,7 +152,9 @@ def unfold_ident(term: Ident, defs: Definitions):
 def expand_replicated(term: ProcessTerm, tvalues,
                       bound: frozenset[str] = frozenset()) -> ProcessTerm:
     """Expand replicated parallel/interleave/external choice over t into
-    left-associated binary trees, throughout the term.  Replicated internal
+    left-associated binary trees, throughout the term; an interleaving over
+    the whole of t becomes a chain of IndexedInterleave, which the state
+    graph interns as one vector node.  Replicated internal
     choice stays primitive (it resolves by a τ per index), and so does an
     operator whose index set or alphabet mentions a variable bound by an
     enclosing prefix (``bound``): the state graph expands it once the
@@ -166,11 +186,11 @@ def expand_replicated(term: ProcessTerm, tvalues,
         raise SemanticsError("replicated operator over an empty index set")
     parts = [expand_replicated(substitute(term.body, {term.var: v}), tvalues, bound)
              for v in members]
-    combine = Interleave if isinstance(term, ReplInterleave) else ExtChoice
-    out = parts[0]
-    for p in parts[1:]:
-        out = combine(out, p)
-    return out
+    if isinstance(term, ReplExtChoice):
+        combine = ExtChoice
+    else:
+        combine = IndexedInterleave if isinstance(term.domain, TType) else Interleave
+    return functools.reduce(combine, parts)
 
 
 def _union_set(a: EventSet, b: EventSet) -> EventSet:
@@ -244,6 +264,63 @@ class Engine:
         raise SemanticsError(f"successors: unknown term {term!r}")
 
 
+def _instances(chain: IndexedInterleave, n: int) -> list:
+    """The n instances of an IndexedInterleave chain, in index order; an
+    instance may itself be a chain."""
+    out = []
+    for _ in range(n - 1):
+        out.append(chain.right)
+        chain = chain.left
+    out.append(chain)
+    return out[::-1]
+
+
+# Term and data classes that hold no t-value; the permutation walks skip them.
+_NO_TVALS = (str, int, bool, type(None), Atom, NamedType, TType, Stop)
+_INIT_FIELDS: dict = {}
+
+
+def _init_fields(cls) -> tuple[str, ...]:
+    got = _INIT_FIELDS.get(cls)
+    if got is None:
+        got = _INIT_FIELDS[cls] = tuple(f.name for f in dataclasses.fields(cls) if f.init)
+    return got
+
+
+def _t_values(obj, n: int, out: set) -> None:
+    """Add to out the indices of the t-values in a term or its data, and
+    every index below an IndexedInterleave chain."""
+    cls = obj.__class__
+    if cls is TVal:
+        out.add(obj.index)
+    elif cls is tuple:
+        for x in obj:
+            _t_values(x, n, out)
+    elif cls is IndexedInterleave:
+        out.update(range(n))
+    elif cls not in _NO_TVALS:
+        for name in _init_fields(cls):
+            _t_values(getattr(obj, name), n, out)
+
+
+def _permute_t(obj, pi: tuple[int, ...]):
+    """A term or its data with every t-value v renamed to pi[v] and the
+    instance at index j of every IndexedInterleave chain moved to pi[j]."""
+    cls = obj.__class__
+    if cls is TVal:
+        return TVal(pi[obj.index])
+    if cls is tuple:
+        return tuple(_permute_t(x, pi) for x in obj)
+    if cls is IndexedInterleave:
+        moved = [None] * len(pi)
+        for j, part in enumerate(_instances(obj, len(pi))):
+            moved[pi[j]] = _permute_t(part, pi)
+        return functools.reduce(IndexedInterleave, moved)
+    if cls in _NO_TVALS:
+        return obj
+    return cls(*[_permute_t(getattr(obj, name), pi) for name in _init_fields(cls)])
+
+
 # Operators whose nodes in the state graph are keyed by their operands'
 # nodes; every other term is a leaf.
 _OPERATORS = (ExtChoice, Sliding, Interleave, SharedPar, AlphaPar, Hide, Rename)
@@ -260,6 +337,10 @@ class StateGraph:
     sets, renaming pairs).  Two terms share a node exactly when they are
     equal up to the names of bound variables, so they have the same
     successors, down to construct uids.
+    An interleaving over t expanded at size n (a chain of
+    IndexedInterleave) is one vector node, keyed by (vector operator id,
+    the n instance nodes in index order): a move of one instance interns
+    one node, and term() rebuilds the left-associated chain.
     Successors are memoised per node: an operator node combines its
     operands' memoised lists and finds each target by its key, so an
     operand that does not move is never explored again and no state term
@@ -274,10 +355,11 @@ class StateGraph:
     None for a leaf), terms (node -> a term it stands for, built on demand
     for operator nodes), succ (node -> memoised [(label, construct_uid,
     target node)]) and cls (node -> state class, on demand for operator
-    nodes).
+    nodes).  The symmetry reduction adds memos of the t-values of a node,
+    of leaf renamings and of orbit representatives.
     """
 
-    def __init__(self, engine: Engine):
+    def __init__(self, engine: Engine, symmetric_from: Optional[int] = None):
         self.engine = engine
         self.ids: dict = {}
         self.kids: list = []
@@ -288,6 +370,14 @@ class StateGraph:
         self._ops: dict = {}     # blanked operator -> operator id
         self._blanks: list = []  # operator id -> blanked operator
         self._sets: dict = {}
+        self._vector_op = self._op(IndexedInterleave(Stop(), Stop()))
+        self.lo = symmetric_from         # representatives permute {lo..n-1}
+        self._tvals: dict = {}        # node -> the t-value indices it mentions
+        self._tval_sets: dict = {}    # one copy of each such tuple
+        self._blank_tvals: dict = {}  # operator id -> t-values of its data
+        self._renamed: dict = {}      # (leaf, images of its t-values) -> node
+        self._at_lo: dict = {}        # (instance node, index) -> sort class
+        self._reps: dict = {}         # node -> orbit representative
 
     def _add(self, key, kids, term, cls) -> int:
         i = len(self.kids)
@@ -298,28 +388,35 @@ class StateGraph:
         self.cls.append(cls)
         return i
 
+    def _op(self, blank) -> int:
+        op = self._ops.get(blank)
+        if op is None:
+            op = self._ops[blank] = len(self._blanks)
+            self._blanks.append(blank)
+        return op
+
     def intern(self, term: ProcessTerm) -> int:
         """The node of a closed term; a replicated operator reaching here
         (left unexpanded under a prefix that bound its index set) is
         expanded first."""
         if isinstance(term, _DEFERRED):
             term = expand_replicated(term, self.engine.tvalues)
-        if isinstance(term, _OPERATORS):
-            blank = map_subterms(term, lambda _: Stop())
-            op = self._ops.get(blank)
-            if op is None:
-                op = self._ops[blank] = len(self._blanks)
-                self._blanks.append(blank)
-            key = (op, *map(self.intern, subterms(term)))
+        if term.__class__ is IndexedInterleave:
+            parts = _instances(term, len(self.engine.tvalues))
+            key = (self._vector_op, *map(self.intern, parts))
+        elif isinstance(term, _OPERATORS):
+            key = (self._op(map_subterms(term, lambda _: Stop())),
+                   *map(self.intern, subterms(term)))
+        else:
+            canon, _, uids = canonicalise(term)
+            key = (canon, uids)
             i = self.ids.get(key)
-            return self._add(key, key, term, None) if i is None else i
-        canon, _, uids = canonicalise(term)
-        key = (canon, uids)
+            if i is None:
+                i = self._add(key, None, term,
+                              self._classes.setdefault(canon, len(self._classes)))
+            return i
         i = self.ids.get(key)
-        if i is None:
-            i = self._add(key, None, term,
-                          self._classes.setdefault(canon, len(self._classes)))
-        return i
+        return self._add(key, key, term, None) if i is None else i
 
     def _node(self, key) -> int:
         i = self.ids.get(key)
@@ -329,7 +426,11 @@ class StateGraph:
         t = self.terms[i]
         if t is None:
             key = self.kids[i]
-            t = with_subterms(self._blanks[key[0]], [self.term(k) for k in key[1:]])
+            parts = [self.term(k) for k in key[1:]]
+            if key[0] == self._vector_op:
+                t = functools.reduce(IndexedInterleave, parts)
+            else:
+                t = with_subterms(self._blanks[key[0]], parts)
             self.terms[i] = t
         return t
 
@@ -341,6 +442,119 @@ class StateGraph:
             ckey = (key[0], *[self.state(k) for k in key[1:]])
             c = self.cls[i] = self._classes.setdefault(ckey, len(self._classes))
         return c
+
+    # Symmetry: a permutation pi of {0..n-1}, as a tuple of images, acts
+    # on a node by renaming every t-value v of its term to pi[v] (in leaf
+    # terms and in operator data) and by moving the instance at position j
+    # of every vector, inside leaves too, to position pi[j].  Positions
+    # stay equal to the index values of their instances.
+
+    def tvals(self, i: int) -> tuple[int, ...]:
+        """The t-values node i depends on, ascending: those of its term, and
+        every index below a vector."""
+        got = self._tvals.get(i)
+        if got is None:
+            n = len(self.engine.tvalues)
+            key = self.kids[i]
+            vals: set = set()
+            if key is None:
+                _t_values(self.terms[i], n, vals)
+            elif key[0] == self._vector_op:
+                vals.update(range(n))
+            else:
+                vals.update(self._op_tvals(key[0]))
+                for k in key[1:]:
+                    vals.update(self.tvals(k))
+            got = tuple(sorted(vals))
+            got = self._tvals[i] = self._tval_sets.setdefault(got, got)
+        return got
+
+    def rename(self, i: int, pi: tuple[int, ...]) -> int:
+        """The node of node i under the permutation pi.  A leaf's renaming
+        is memoised per leaf and images of its t-values; an operator node
+        is rebuilt from its operands' renamings, one lookup per operand."""
+        vals = self.tvals(i)
+        images = tuple([pi[v] for v in vals])
+        if images == vals:
+            return i
+        key = self.kids[i]
+        if key is None:
+            got = self._renamed.get((i, images))
+            if got is None:
+                got = self._renamed[(i, images)] = self._rename_leaf(i, pi)
+            return got
+        kids = [self.rename(k, pi) for k in key[1:]]
+        if key[0] == self._vector_op:
+            moved = [0] * len(kids)
+            for j, k in enumerate(kids):
+                moved[pi[j]] = k
+            return self._node((key[0], *moved))
+        op = key[0]
+        if self._op_tvals(op):
+            op = self._op(_permute_t(self._blanks[op], pi))
+        return self._node((op, *kids))
+
+    def _op_tvals(self, op: int) -> set:
+        """The t-values of an operator's data (event sets, renamings)."""
+        got = self._blank_tvals.get(op)
+        if got is None:
+            got = self._blank_tvals[op] = set()
+            _t_values(self._blanks[op], len(self.engine.tvalues), got)
+        return got
+
+    def _rename_leaf(self, i: int, pi: tuple[int, ...]) -> int:
+        """The node of leaf i's term under pi."""
+        return self.intern(_permute_t(self.terms[i], pi))
+
+    def _first_vector(self, i: int) -> Optional[int]:
+        """The first vector node of node i, in pre-order over operator
+        nodes (leaves are not looked into), or None."""
+        stack = [i]
+        while stack:
+            i = stack.pop()
+            key = self.kids[i]
+            if key is not None:
+                if key[0] == self._vector_op:
+                    return i
+                stack.extend(reversed(key[1:]))
+        return None
+
+    def _class_at_lo(self, i: int, j: int) -> int:
+        """The state class of node i (the instance at index j of a vector)
+        renamed by the transposition of j and lo."""
+        got = self._at_lo.get((i, j))
+        if got is None:
+            swap = list(range(len(self.engine.tvalues)))
+            swap[self.lo], swap[j] = j, self.lo
+            got = self._at_lo[(i, j)] = self.state(self.rename(i, tuple(swap)))
+        return got
+
+    def representative(self, i: int) -> int:
+        """A member of node i's orbit under the permutations of {lo..n-1}.
+
+        Take the first vector of the state and sort its positions j >= lo
+        by the state class of instance j with its own index moved to lo,
+        ties broken by j; the permutation that sends the k-th of them to
+        position lo + k is applied to the whole state.  A state with no
+        vector is its own representative.  Any permutation of {lo..n-1}
+        would be sound (see build_lts); sorting makes the representative
+        canonical when, as in a farm of identical nodes, the vector
+        carries the state's t-values."""
+        got = self._reps.get(i)
+        if got is None:
+            got = i
+            vec = self._first_vector(i)
+            if vec is not None:
+                parts = self.kids[vec][1:]
+                lo = self.lo
+                order = sorted(range(lo, len(parts)),
+                               key=lambda j: (self._class_at_lo(parts[j], j), j))
+                pi = list(range(len(parts)))
+                for k, j in enumerate(order, lo):
+                    pi[j] = k
+                got = self.rename(i, tuple(pi))
+            self._reps[i] = got
+        return got
 
     def successors(self, i: int):
         """(label, construct_uid, target node) triples of node i, in rule
@@ -429,6 +643,13 @@ class StateGraph:
                 out.append((lab, uid, self._node((op, l, t))))
         return out
 
+    def _indexed_interleave(self, key, blank):
+        out = []
+        for j, c in enumerate(key[1:], 1):
+            out.extend((lab, uid, self._node(key[:j] + (t,) + key[j + 1:]))
+                       for lab, uid, t in self.successors(c))
+        return out
+
     def _shared_par(self, key, blank: SharedPar):
         op, l, r = key
         shared = self.evset(blank.shared)
@@ -460,6 +681,7 @@ _RULES = {
     ExtChoice: StateGraph._ext_choice,
     Sliding: StateGraph._sliding,
     Interleave: StateGraph._interleave,
+    IndexedInterleave: StateGraph._indexed_interleave,
     Hide: StateGraph._hide,
     Rename: StateGraph._rename,
     AlphaPar: StateGraph._alpha_par,
@@ -527,21 +749,49 @@ def check_guarded_recursion(term: ProcessTerm, defs: Definitions) -> None:
 
 def build_lts(defs: Definitions, proc: Union[str, ProcessTerm], tsize: int,
               max_states: int = DEFAULT_MAX_STATES,
-              init_subst: Optional[dict] = None) -> Lts:
+              init_subst: Optional[dict] = None, *,
+              symmetric_from: Optional[int] = None) -> Lts:
     """Breadth-first closure of the transition rules from the given process
     (a defined name or a term, closed once init_subst is applied).  The
     states are terms; the keys are the state classes of this build's state
-    graph, so they identify states within one build only."""
+    graph, so they identify states within one build only.
+
+    With symmetric_from = B, the root and every successor target are
+    replaced by their orbit representatives under the permutations of
+    {B..n-1} (StateGraph.representative), and the edges keep the labels of
+    the transitions they stand for.  For a process symmetric in t, each
+    such permutation pi is an automorphism of the transition relation on
+    terms that maps a label a to pi(a): renaming every t-value commutes
+    with the rules when the equations mention no t-constant, and moving
+    the instances of a vector along with their indices commutes with the
+    interleaving rule.  So the relation pairing a state s with every
+    pi(s) is a bisimulation up to relabelling by pi, and since the
+    B-collapsing function phi fixes {0..B-1}, phi(pi(a)) = phi(a): phi of
+    the result is strongly bisimilar to phi of the full system, which
+    preserves its traces and stable failures.  Only the phi-image of the
+    result is meaningful."""
     term = defs.body(proc) if isinstance(proc, str) else proc
     if init_subst:
         term = substitute(term, init_subst)
     check_guarded_recursion(term, defs)
-    graph = StateGraph(Engine(defs, tsize))
+    graph = StateGraph(Engine(defs, tsize), symmetric_from)
     root = graph.intern(expand_replicated(term, graph.engine.tvalues))
     state = graph.state
 
     def successors(i):
         return [(lab, uid, t, state(t)) for lab, uid, t in graph.successors(i)]
+
+    if symmetric_from is not None:
+        rep = graph.representative
+        with terms_bounded():
+            root = rep(root)
+
+        def successors(i):
+            out = []
+            for lab, uid, t in graph.successors(i):
+                t = rep(t)
+                out.append((lab, uid, t, state(t)))
+            return out
 
     from .pretty import fmt_term
     lts = build(root, state(root), successors,

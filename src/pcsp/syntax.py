@@ -15,7 +15,7 @@ free names through an environment and either lets binders shadow it
 meets and the uids of the constructs it passes, so ``free_vars``,
 ``alpha_canonical`` and the state keys of the semantics all come from it.
 ``subterms``/``map_subterms`` read the subterm table, the process-term
-fields of each of the 16 term classes; walkers that only descend into
+fields of each of the 17 term classes; walkers that only descend into
 subterms take them from there and keep explicit cases for the node kinds
 they act on.  ``unfold_walk`` visits every node reachable through the
 equations, unfolding each identifier once.
@@ -475,6 +475,15 @@ class Interleave:
     right: "ProcessTerm"
 
 
+@dataclass(frozen=True)
+class IndexedInterleave(Interleave):
+    """``||| i:t @ P(i)`` expanded at a size n: a left-associated chain of
+    n-1 of these holds P(0)..P(n-1) in index order.  It prints,
+    substitutes and canonicalises as the interleaving it is; the standard
+    semantics keeps the chain as one vector node whose positions are the
+    index values."""
+
+
 # Replicated operators whose index set depends on t stay primitive and are
 # expanded when the instantiation is known; non-t index sets are desugared
 # to binary operators at parse time.
@@ -537,6 +546,7 @@ _SUBTERM_FIELDS: dict[type, tuple[str, ...]] = {
     AlphaPar: ("left", "right"),
     SharedPar: ("left", "right"),
     Interleave: ("left", "right"),
+    IndexedInterleave: ("left", "right"),
     ReplAlphaPar: ("body",),
     ReplInterleave: ("body",),
     ReplIntChoice: ("body",),

@@ -190,6 +190,17 @@ def test_bad_sizes_message(capsys, argv, option):
     assert err == f"error: {option}: expected sizes as N..M or N,M,...\n"
 
 
+def test_verify_names_the_build_that_hits_the_bound(capsys):
+    # the reduced builds of Impl have 34, 56, 78, 100 and 122 states at
+    # #T=2..6, so the sixth size is the first over the bound
+    code, out, err = run(capsys, "verify", "mutex.pcsp", "--spec", "Spec",
+                         "--impl", "Impl", "--model", "failures",
+                         "--sizes", "1..8", "--max-states", "120")
+    assert code == 2 and out == ""
+    assert err.startswith(
+        "error: state bound (120) exceeded building Impl at #T=6: ")
+
+
 def test_internal_error_exit_code(capsys, monkeypatch):
     # an internal KeyError is a bug, not a diagnostic: exit 3 with the traceback
     def broken(*args, **kwargs):

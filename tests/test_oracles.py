@@ -4,9 +4,10 @@ congruence of the two concrete semantics on randomly generated sequential
 terms, strong bisimulation over interned labels against the
 label_key-signature partition refinement it replaced, the free names
 and construct uids of the canonicalising walk against the separate
-free-variable and construct walks it replaced, and concretize over its
+free-variable and construct walks it replaced, concretize over its
 table of symbolic states against the walk per event instance it
-replaced."""
+replaced, and the build modulo the symmetry that phi leaves against the
+full build, after phi."""
 
 from __future__ import annotations
 
@@ -16,21 +17,24 @@ from dataclasses import replace
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import ALL_CORPUS_FILES, load, proc_body
+from pcsp import reduction
 from pcsp.analysis import (
     acceptances_after, refines_failures, refines_traces, strong_bisim,
     traces_upto,
 )
+from pcsp.cli import corpus_path, main
 from pcsp.conditions import check_seq
 from pcsp.cose import (
     Configuration, concretize, eval_condition, insts, match, replace_t_initials,
 )
-from pcsp.errors import PcspError
+from pcsp.errors import BoundExceeded, PcspError
 from pcsp.lts import TAU, Event, Lts, build, label_key
 from pcsp.parser import parse_definitions
+from pcsp.reduction import CollapsingFn
 from pcsp.ssos import Cond
 from pcsp.ssos import successors as sym_successors
 from pcsp.std_semantics import (
-    build_lts, check_guarded_recursion, file_alphabet, tvalues_for,
+    StateGraph, build_lts, check_guarded_recursion, file_alphabet, tvalues_for,
 )
 from pcsp.syntax import (
     AlphaPar, Atom, BoolAnd, BoolNot, BoolOr, Cmp, Condition, DiffType, DOLLAR,
@@ -528,3 +532,105 @@ P(x, y) = a -> c!x -> d!y -> STOP [] b -> c!x -> d!x -> STOP
 @settings(max_examples=150, deadline=None)
 def test_concretize_agrees_with_the_reference(term, n, env):
     _check_concretize(_DEFS, term, n, init_env=env)
+
+
+# -- the build modulo symmetry against the full build, after phi ----------
+
+def _phi_bisimilar(defs, proc, n: int, bound: int, lo=None,
+                   max_states: int = 200_000) -> bool:
+    """Whether phi_bound collapses the full build of proc at #T=n and the
+    build modulo the permutations of {lo..n-1} (lo defaults to bound) to
+    strongly bisimilar systems."""
+    phi = CollapsingFn(bound)
+    full = build_lts(defs, proc, n, max_states)
+    reduced = build_lts(defs, proc, n, symmetric_from=bound if lo is None else lo)
+    return strong_bisim(phi.lts(full), phi.lts(reduced))[0]
+
+
+def test_reduced_mutex_impl_is_phi_bisimilar_to_the_full_one():
+    mutex = load("mutex.pcsp")
+    for n in range(2, 9):
+        assert _phi_bisimilar(mutex, "Impl", n, 1), n
+
+
+# Each worker hides its own internal event, so the hiding operator carries
+# a t-value that a permutation renames.
+_FARM = parse_definitions("""
+channel req, work, done : t
+W(i) = req.i -> work.i -> done.i -> W(i)
+Worker(i) = W(i) \\ {| work.i |}
+Farm = ||| i:t @ Worker(i)
+""")
+
+
+def test_mutant_representatives_fail_the_bisimilarity_check(monkeypatch):
+    assert _phi_bisimilar(_FARM, "Farm", 3, 1)
+    # permuting the values below B as well: phi_1 tells 0 from the rest
+    assert not _phi_bisimilar(load("mutex.pcsp"), "Impl", 3, 1, lo=0)
+    # renaming operator data but not leaf terms: a worker's hidden set no
+    # longer names its own work event
+    monkeypatch.setattr(StateGraph, "_rename_leaf", lambda self, i, pi: i)
+    assert not _phi_bisimilar(_FARM, "Farm", 3, 1)
+
+
+# Vectors inside leaf terms: below a prefix, and one in each instance.
+_NESTED = parse_definitions("""
+channel go
+channel a : t
+channel b : t.t
+Q(i) = a!i -> Q(i)
+ViaPrefix = go -> (||| i:t @ Q(i))
+Nested = ||| i:t @ (a!i -> (||| j:t @ b!i!j -> STOP))
+""")
+
+
+def test_vectors_inside_leaves_are_permuted_soundly():
+    for proc, n, bound in itertools.product(("ViaPrefix", "Nested"), (2, 3), (0, 1)):
+        assert _phi_bisimilar(_NESTED, proc, n, bound), (proc, n, bound)
+
+
+def test_symmetric_mutant_verifies_as_without_the_reduction(tmp_path, capsys,
+                                                            monkeypatch):
+    # nodes may enter the critical section without the token
+    text = corpus_path("mutex.pcsp").read_text()
+    node = "Node(i) = getToken.i -> Entering(i)\n"
+    assert node in text
+    src = tmp_path / "mutant.pcsp"
+    src.write_text(text.replace(
+        node, "Node(i) = getToken.i -> Entering(i) [] enterCS.i -> CS(i)\n"))
+    builds: dict = {}
+    reduced_sizes = set()
+
+    def verify(model, reduce):
+        # builds are shared between the runs; a build asked for modulo
+        # symmetry is made in full when the reduction is patched off
+        def cached_build_lts(defs, proc, n, max_states, symmetric_from=None):
+            sym = symmetric_from if reduce else None
+            if sym is not None:
+                reduced_sizes.add(n)
+            if (proc, n, sym) not in builds:
+                builds[proc, n, sym] = build_lts(defs, proc, n, max_states,
+                                                 symmetric_from=sym)
+            return builds[proc, n, sym]
+
+        monkeypatch.setattr(reduction, "build_lts", cached_build_lts)
+        code = main(["verify", str(src), "--spec", "Spec", "--impl", "Impl",
+                     "--model", model, "--sizes", "1..5"])
+        return code, capsys.readouterr().out
+
+    for model in ("traces", "failures"):
+        got = verify(model, reduce=True)
+        assert got == verify(model, reduce=False), model
+        assert got[0] == 1 and "FAILS" in got[1]
+    assert reduced_sizes == {2, 3, 4, 5}  # the theorem sizes
+
+
+@given(terms(scope=("i",), depth=2), st.integers(1, 4), st.sampled_from((0, 1, 2)))
+@settings(max_examples=80, deadline=None)
+def test_reduced_replicated_interleaving_is_phi_bisimilar(body, n, bound):
+    # i is the body's only free t-variable, so the farm is symmetric in t
+    farm = ReplInterleave("i", T_TYPE, body)
+    try:
+        assert _phi_bisimilar(_DEFS, farm, n, bound, max_states=3000)
+    except BoundExceeded:
+        assume(False)

@@ -50,6 +50,31 @@ def test_bound_exceeded_names_frontier(mutex):
     assert "state bound (5)" in str(exc.value)
 
 
+# Orbits of the states of mutex Impl(T_n) under the permutations of
+# {1..n-1}, counted from the full transition systems, which have 34 / 90 /
+# 226 / 546 / 1 282 / 2 946 / 6 658 / 14 850 / 32 770 states.
+MUTEX_ORBITS = {2: 34, 3: 56, 4: 78, 5: 100, 6: 122, 7: 144, 8: 166, 9: 188, 10: 210}
+
+
+def test_build_modulo_symmetry_keeps_one_state_per_orbit(mutex):
+    for n, orbits in MUTEX_ORBITS.items():
+        assert build_lts(mutex, "Impl", n, symmetric_from=1).n_states() == orbits, n
+
+
+def test_only_replicated_interleavings_are_permuted():
+    # a hand-written chain's positions are not index values, so it stays a
+    # binary tree that no permutation reorders
+    defs = parse_definitions("""
+channel req, done : t
+W(i) = req.i -> done.i -> W(i)
+Farm = ||| i:t @ W(i)
+Hand = W(0) ||| W(1) ||| W(2)
+""")
+    for proc, states in (("Farm", 3 * 6), ("Hand", 27)):
+        assert build_lts(defs, proc, 3).n_states() == 27
+        assert build_lts(defs, proc, 3, symmetric_from=1).n_states() == states, proc
+
+
 def test_unbounded_growth_names_frontier():
     # each a spawns one more copy of P, so the states grow without bound
     defs = parse_definitions("channel a\nP = a -> (P ||| P)\n")
