@@ -443,7 +443,8 @@ def verify_pmcp(defs: Definitions, spec: str, impl: str, model: str,
         # The specification is needed at one size by several steps.  A
         # build that phi collapses is explored modulo the permutations of
         # {B..n-1}, which phi cannot tell apart, when Impl is syntactically
-        # symmetric in t; it is keyed apart from the full build.
+        # symmetric in t; it is keyed apart from the full build.  An error
+        # names the build it stopped.
         sym = bound if collapsed and typesym.ok() else None
         got = builds.get((proc, n, sym))
         if got is None:
@@ -452,6 +453,8 @@ def verify_pmcp(defs: Definitions, spec: str, impl: str, model: str,
             except BoundExceeded as exc:
                 raise BoundExceeded(exc.what, exc.bound, exc.frontier,
                                     f"{proc} at #T={n}") from None
+            except SemanticsError as exc:
+                raise SemanticsError(f"{exc}, building {proc} at #T={n}") from None
             builds[(proc, n, sym)] = got
         return got
 

@@ -7,28 +7,49 @@ conditional rules are the usual ones, and the operators outside the
 sequential fragment (hiding, renaming, the parallels and their replicated
 forms) follow the standard CSP rules.
 
-Exploration runs over a per-build hash-consed state graph (StateGraph)
-rather than over whole terms.  The non-binding operators (external and
-sliding choice, interleaving, the two parallels, hiding, renaming) are
-nodes keyed by their operator and their operands' nodes; every other term
-is a leaf, keyed by its alpha-canonical form.  Each node's successors are
-computed once: the leaf rules (Engine) build target terms, and an operator
-rule combines its operands' memoised successor lists, so an operand that
-does not move is never explored again and no state is canonicalised or
-hashed whole.  The operator tree is not fixed in advance, as it would be
-in a compiled synchronisation tree: an identifier may unfold into a
-parallel composition after a τ, and the composition becomes new nodes.
+Positions.  Once per build the engine numbers the process subterms it
+reaches: the root term, and an equation's body when an identifier first
+unfolds to it.  A position is one occurrence of a subterm, with its free
+names in sorted order.  A leaf state is the pair (position, env), env
+holding the values of those names, so no state is substituted into whole:
+the leaf rules (Engine) evaluate a construct, guard, index set or argument
+list under env and extend env for the target, at a cost that does not grow
+with the size of the leaf.  The closed term a leaf stands for is built, from
+the memoised terms of its subterms, only where text is needed: Lts.states,
+DOT and BoundExceeded frontiers.
 
-Replicated operators are expanded where a term first enters a state: the
-root, the body of an unfolded identifier, and the body of a resolved
-replicated internal choice (which itself stays primitive).  One whose
-index set or alphabet mentions a variable bound by an enclosing prefix
-waits until the prefix has fired and is expanded when the state graph
-interns the continuation.  An interleaving over the whole of t,
-``||| i:t @ P(i)`` at size n, becomes a single vector node of the state
-graph holding P(0)..P(n-1) in index order, so a move of one instance
-interns one node; it displays as the left-associated chain
-``P(0) ||| ... ||| P(n-1)``.  Every other replicated operator, and an
+Exploration runs over a per-build hash-consed state graph (StateGraph).
+The non-binding operators (external and sliding choice, interleaving, the
+two parallels, hiding, renaming) are nodes keyed by their operator and
+their operands' nodes; every other term is a leaf.  Each node's successors
+are computed once: an operator rule combines its operands' memoised
+successor lists, so an operand that does not move is never explored again.
+The operator tree is not fixed in advance, as it would be in a compiled
+synchronisation tree: an identifier may unfold into a parallel composition
+after a τ, and the composition becomes new nodes.
+
+State classes.  States are told apart as closed terms up to the names of
+bound variables, construct uids aside.  The class of a leaf is a hash-consed
+id of its position's blank (the term with its subterms cut off) under env,
+canonicalised, and the classes of its subterms; a name bound inside the
+leaf enters a subterm's env as the de Bruijn index of its binder, so a
+subterm's class does not depend on where it stands.  Classes are memoised
+per (position, env), so a new leaf costs time in proportion to its new
+parts.  The uids of a leaf's constructs are hash-consed alongside, and
+leaves with equal (class, uids) share one node: pairs whose terms agree up
+to bound names, uids included, have the same successors wherever they
+come from.
+
+Replicated operators over t are expanded where a term first enters a state:
+the root, the body of an unfolded identifier, and the body of a resolved
+replicated internal choice (which itself stays primitive).  One whose index
+set or alphabet mentions a variable bound by an enclosing prefix waits until
+the prefix has fired and it is a state of its own.  Whether an occurrence
+is expanded is fixed when it is numbered.  An interleaving over the whole of
+t, ``||| i:t @ P(i)`` at size n, becomes a single vector node of the state
+graph holding P(0)..P(n-1) in index order, so a move of one instance interns
+one node; it displays as the left-associated chain ``P(0) ||| ... |||
+P(n-1)`` of IndexedInterleave.  Every other replicated operator, and an
 interleaving over part of t, becomes a left-associated binary tree, as does
 a hand-written ``P ||| Q ||| ...``.
 
@@ -64,6 +85,8 @@ from .syntax import (
 )
 
 DEFAULT_MAX_STATES = 200_000
+
+STOP = Stop()
 
 
 def tvalues_for(n: int) -> tuple[TVal, ...]:
@@ -133,64 +156,21 @@ def _closed_datums(item: EventLitItem):
     return item.datums
 
 
-def unfold_ident(term: Ident, defs: Definitions):
+def _arguments(term: Ident, defs: Definitions) -> tuple[Equation, dict]:
+    """The equation a closed identifier names and its parameters' values."""
     eq = defs.equations.get(term.name)
     if eq is None:
         raise SemanticsError(f"undefined process {term.name!r}")
     if len(term.args) != len(eq.params):
         raise SemanticsError(
             f"{term.name!r} expects {len(eq.params)} argument(s), got {len(term.args)}")
-    mapping = {}
-    for p, a in zip(eq.params, term.args):
-        if isinstance(a, (TVal, Atom)):
-            mapping[p] = a
-        else:
-            mapping[p] = eval_scalar(a)
+    return eq, {p: a if isinstance(a, (TVal, Atom)) else eval_scalar(a)
+                for p, a in zip(eq.params, term.args)}
+
+
+def unfold_ident(term: Ident, defs: Definitions):
+    eq, mapping = _arguments(term, defs)
     return substitute(eq.body, mapping)
-
-
-def expand_replicated(term: ProcessTerm, tvalues,
-                      bound: frozenset[str] = frozenset()) -> ProcessTerm:
-    """Expand replicated parallel/interleave/external choice over t into
-    left-associated binary trees, throughout the term; an interleaving over
-    the whole of t becomes a chain of IndexedInterleave, which the state
-    graph interns as one vector node.  Replicated internal
-    choice stays primitive (it resolves by a τ per index), and so does an
-    operator whose index set or alphabet mentions a variable bound by an
-    enclosing prefix (``bound``): the state graph expands it once the
-    prefix has fired and the continuation enters a state."""
-    if isinstance(term, ReplIntChoice):
-        return term
-    if isinstance(term, Prefix):
-        names = {f.payload for f in term.construct.fields if f.sel != BANG}
-        return Prefix(term.construct,
-                      expand_replicated(term.cont, tvalues, bound | names))
-    if not isinstance(term, REPLICATED):
-        return map_subterms(term, lambda sub: expand_replicated(sub, tvalues, bound))
-    if bound and free_vars(map_subterms(term, lambda _: Stop())) & bound:
-        return term
-    members = domain_values(term.domain, tvalues)
-    if isinstance(term, ReplAlphaPar):
-        if not members:
-            raise SemanticsError("replicated parallel over an empty index set")
-        parts = []
-        for v in members:
-            body = expand_replicated(substitute(term.body, {term.var: v}), tvalues, bound)
-            parts.append((body, subst_event_set(term.alpha, {term.var: v})))
-        out, out_alpha = parts[0]
-        for body, alpha in parts[1:]:
-            out = AlphaPar(out, out_alpha, body, alpha)
-            out_alpha = _union_set(out_alpha, alpha)
-        return out
-    if not members:
-        raise SemanticsError("replicated operator over an empty index set")
-    parts = [expand_replicated(substitute(term.body, {term.var: v}), tvalues, bound)
-             for v in members]
-    if isinstance(term, ReplExtChoice):
-        combine = ExtChoice
-    else:
-        combine = IndexedInterleave if isinstance(term.domain, TType) else Interleave
-    return functools.reduce(combine, parts)
 
 
 def _union_set(a: EventSet, b: EventSet) -> EventSet:
@@ -226,56 +206,309 @@ def resolve_selections(term: Prefix, scope: str, tvalues):
             for vs in itertools.product(*domains)]
 
 
+_VECTOR = IndexedInterleave(STOP, STOP)
+
+
+def _join(term: ProcessTerm) -> ProcessTerm:
+    """The blank of the binary operator a replicated operator (other than
+    internal choice or parallel) expands into."""
+    if isinstance(term, ReplExtChoice):
+        return ExtChoice(STOP, STOP)
+    return _VECTOR if isinstance(term.domain, TType) else Interleave(STOP, STOP)
+
+
+class _Bound(str):
+    """A name bound inside the leaf whose class is being computed, as the
+    de Bruijn index of its binder: ``^0`` is bound by the nearest binder
+    above the subterm that mentions it.  It means the same wherever that
+    subterm stands, and no source name starts with ``^``."""
+
+    __slots__ = ()
+
+    def __new__(cls, k: int):
+        return super().__new__(cls, f"^{k}")
+
+
+def _shifted(v, m: int):
+    """A value of an env as seen below m more binders."""
+    return _Bound(int(v[1:]) + m) if v.__class__ is _Bound else v
+
+
+class _Position:
+    """One numbered occurrence of a process subterm.
+
+    names are its free names, sorted; a leaf here carries their values in
+    that order.  blank is the term with its subterms replaced by STOP, and
+    binders the names it binds over them, in binding order.  kids are the
+    positions of the subterms as they stand in a state term.  A replicated
+    operator other than internal choice is expanded where it stands
+    (expand) unless a prefix between it and its entry point binds a name of
+    its index set or alphabet, or it lies inside a replicated operator kept
+    whole; a kept one's kids are kept whole throughout.  entry is the body
+    a replicated operator expands or resolves from once it is a state of its
+    own.  A prefix with its $-selections in one scope resolved is a position
+    of its own: base is the prefix before that stage and stage the (scope,
+    names) it resolves; the names' values follow base's env in its env.
+    plain: no replicated operator at or below it is expanded, so without
+    free names it stands for itself."""
+
+    __slots__ = ("term", "blank", "names", "binders", "kids", "plain",
+                 "expand", "entry", "base", "stage")
+
+    def __init__(self, term, blank, names, binders, kids, plain,
+                 expand=False, entry=None, base=None, stage=None):
+        self.term, self.blank, self.names, self.binders = term, blank, names, binders
+        self.kids, self.plain, self.expand, self.entry = kids, plain, expand, entry
+        self.base, self.stage = base, stage
+
+
 class Engine:
-    """The leaf rules: successors of a closed prefix, internal choice,
-    identifier, replicated internal choice or STOP at a fixed
-    instantiation.  The operator rules, which combine the successors of
-    subterms, live in StateGraph."""
+    """The positions of one build and the leaf rules over them at a fixed
+    instantiation: the successors of a prefix (with its two selection
+    stages), internal choice, identifier, replicated internal choice or
+    STOP, the branch a conditional takes, the operands of a replicated
+    operator, and the class and the term of a leaf.  The operator rules,
+    which combine the successors of subterms, live in StateGraph."""
 
     def __init__(self, defs: Definitions, tsize: int):
         self.defs = defs
         self.tvalues = tvalues_for(tsize)
+        self.positions: list[_Position] = []
+        self._bodies: dict = {}    # equation name -> position of its body
+        self._stages: dict = {}    # (prefix position, scope) -> position
+        self._classes: dict = {}   # (canonical blank, subterm classes...) -> class,
+                                   # (uid or None, subterm uids...) -> uids
+        self._class_of: dict = {}  # (position, env) -> (class, uids)
+        self._terms: dict = {}     # (position, env) -> closed term
+        self._closed: dict = {}    # (position, env) -> closed data
 
-    def successors(self, term: ProcessTerm):
-        """(label, construct_uid, target_term) triples, unsorted."""
-        T = self.tvalues
-        if isinstance(term, Stop):
+    def number(self, term: ProcessTerm, bound: frozenset = frozenset(),
+               raw: bool = False) -> int:
+        """The position of term entering a state (bound and raw left out),
+        numbering its subterms.  bound holds the names that prefixes bind
+        between the entry point and term; raw marks the inside of a
+        replicated operator kept whole."""
+        cls = term.__class__
+        blank = map_subterms(term, lambda _: STOP)
+        if cls is Prefix:
+            binders = tuple(f.payload for f in term.construct.fields if f.sel != BANG)
+        else:
+            binders = (term.var,) if cls in REPLICATED else ()
+        free = free_vars(blank)
+        expand, entry = False, None
+        if cls in REPLICATED and not raw:
+            expand = cls is not ReplIntChoice and not free & bound
+            kids = [self.number(term.body, bound, not expand)]
+            entry = kids[0] if expand else self.number(term.body)
+        else:
+            inner = bound.union(binders) if cls is Prefix else bound
+            kids = [self.number(sub, inner, raw) for sub in subterms(term)]
+        below = set()
+        for k in kids:
+            below.update(self.positions[k].names)
+        names = tuple(sorted(free | (below - set(binders))))
+        plain = not expand and all(self.positions[k].plain for k in kids)
+        return self._add(_Position(term, blank, names, binders, tuple(kids), plain,
+                                   expand, entry))
+
+    def _add(self, pos: _Position) -> int:
+        self.positions.append(pos)
+        return len(self.positions) - 1
+
+    def body(self, name: str) -> int:
+        """The position of an equation's body."""
+        p = self._bodies.get(name)
+        if p is None:
+            p = self._bodies[name] = self.number(self.defs.equations[name].body)
+        return p
+
+    def _stage(self, p: int, scope: str, names: tuple) -> int:
+        """The position of prefix p with its $-selections in scope resolved
+        to the values of names."""
+        q = self._stages.get((p, scope))
+        if q is None:
+            base = self.positions[p]
+            q = self._stages[p, scope] = self._add(_Position(
+                base.term, base.blank, base.names, base.binders, base.kids,
+                base.plain, base=p, stage=(scope, names)))
+        return q
+
+    def env_of(self, p: int, scope: dict) -> tuple:
+        """The env of position p under scope; a name scope lacks is unbound
+        and stands for itself."""
+        return tuple([scope.get(k, k) for k in self.positions[p].names])
+
+    def _construct(self, pos: _Position, env: tuple) -> tuple:
+        """A prefix leaf's construct with the values of env substituted and
+        its selections resolved, and the scope of its continuation apart
+        from the names its remaining binders bind.  A resolved stage
+        substitutes into the stage before it as the τ that resolved it did."""
+        if pos.base is None:
+            outer = dict(zip(pos.names, env))
+            return (substitute(pos.blank, outer).construct,
+                    {k: v for k, v in outer.items() if k not in pos.binders})
+        sel, names = pos.stage
+        n = len(env) - len(names)
+        alpha, scope = self.closed(pos.base, env[:n])
+        chosen = dict(zip(names, env[n:]))
+        alpha = substitute(Prefix(replace_selections(alpha, sel), STOP), chosen).construct
+        remaining = {f.payload for f in alpha.fields if f.sel != BANG}
+        return alpha, {**{k: v for k, v in chosen.items() if k not in remaining}, **scope}
+
+    def closed(self, p: int, env: tuple):
+        """The data of the leaf (p, env), memoised: for a prefix, its
+        construct and its continuation's scope (_construct); for any other
+        term, its blank with env substituted."""
+        key = (p, env)
+        got = self._closed.get(key)
+        if got is None:
+            pos = self.positions[p]
+            if pos.term.__class__ is Prefix:
+                got = self._construct(pos, env)
+            else:
+                got = substitute(pos.blank, dict(zip(pos.names, env)))
+            self._closed[key] = got
+        return got
+
+    def successors(self, p: int, env: tuple) -> list:
+        """(label, construct_uid, target position, target env) quadruples of
+        the leaf (p, env), unsorted; a conditional has none of its own."""
+        pos = self.positions[p]
+        cls = pos.term.__class__
+        if cls is Stop:
             return []
-        if isinstance(term, Prefix):
-            for scope in ("non-t", "t"):
-                out = resolve_selections(term, scope, T)
-                if out is not None:
-                    return out
-            alpha = term.construct
-            query = classify_fields(alpha).query
-            return [(Event(alpha.channel, values), alpha.uid,
-                     substitute(term.cont, construct_binding(alpha, values, query)))
-                    for values in comms(alpha, T)]
-        if isinstance(term, IntChoice):
-            return [(TAU, None, term.left), (TAU, None, term.right)]
-        if isinstance(term, Ident):
-            return [(TAU, None, expand_replicated(unfold_ident(term, self.defs), T))]
-        if isinstance(term, ReplIntChoice):
-            members = domain_values(term.domain, T)
+        if cls is Prefix:
+            return self._fire(p, pos, env)
+        scope = dict(zip(pos.names, env))
+        if cls is IntChoice:
+            return [(TAU, None, k, self.env_of(k, scope)) for k in pos.kids]
+        if cls is Ident:
+            eq, mapping = _arguments(self.closed(p, env), self.defs)
+            body = self.body(eq.name)
+            return [(TAU, None, body, self.env_of(body, mapping))]
+        if cls is ReplIntChoice:
+            members = domain_values(self.closed(p, env).domain, self.tvalues)
             if not members:
                 raise SemanticsError("replicated internal choice over an empty index set")
-            return [(TAU, None, expand_replicated(substitute(term.body, {term.var: v}), T))
+            return [(TAU, None, pos.entry, self.env_of(pos.entry, {**scope, pos.term.var: v}))
                     for v in members]
-        raise SemanticsError(f"successors: unknown term {term!r}")
+        raise SemanticsError(f"successors: unknown term {pos.term!r}")
+
+    def _fire(self, p: int, pos: _Position, env: tuple) -> list:
+        alpha, scope = self.closed(p, env)
+        sets = classify_fields(alpha)
+        for sel, dollar in (("non-t", sets.dollar_nont), ("t", sets.dollar_t)):
+            if dollar:
+                fields = [alpha.fields[i - 1] for i in sorted(dollar)]
+                q = self._stage(p, sel, tuple(f.payload for f in fields))
+                domains = [domain_values(f.ty, self.tvalues) for f in fields]
+                return [(TAU, alpha.uid, q, env + vs) for vs in itertools.product(*domains)]
+        cont = pos.kids[0]
+        return [(Event(alpha.channel, values), alpha.uid, cont,
+                 self.env_of(cont, {**scope, **construct_binding(alpha, values, sets.query)}))
+                for values in comms(alpha, self.tvalues)]
+
+    def branch(self, p: int, env: tuple) -> tuple:
+        """The (position, env) of the branch the conditional leaf takes."""
+        pos = self.positions[p]
+        scope = dict(zip(pos.names, env))
+        taken = pos.kids[0] if eval_guard(self.closed(p, env).guard) else pos.kids[1]
+        return taken, self.env_of(taken, scope)
+
+    def expansion(self, pos: _Position, scope: dict) -> list:
+        """The operands of the replicated operator at pos under scope, in
+        index order, as (join, scope of the body) pairs: join is the blank of
+        the binary operator joining the operand to those before it (None for
+        the first), so the operands fold into a left-associated tree."""
+        term = pos.term
+        members = domain_values(substitute(pos.blank, scope).domain, self.tvalues)
+        if not members:
+            what = "parallel" if isinstance(term, ReplAlphaPar) else "operator"
+            raise SemanticsError(f"replicated {what} over an empty index set")
+        out, union = [], None
+        for v in members:
+            inner = {**scope, term.var: v}
+            if isinstance(term, ReplAlphaPar):
+                alpha = subst_event_set(term.alpha, inner)
+                out.append((None if union is None else AlphaPar(STOP, union, STOP, alpha),
+                            inner))
+                union = alpha if union is None else _union_set(union, alpha)
+            else:
+                out.append((None if not out else _join(term), inner))
+        return out
+
+    def _class(self, key) -> int:
+        return self._classes.setdefault(key, len(self._classes))
+
+    def leaf_key(self, p: int, env: tuple) -> tuple[int, int]:
+        """(class, uids) of the term at position p under env.  Two (position,
+        env) pairs share the class exactly when their terms are alpha-equal,
+        construct uids aside, and share both exactly when the uids of their
+        constructs agree too.  Memoised per (position, env)."""
+        key = (p, env)
+        got = self._class_of.get(key)
+        if got is not None:
+            return got
+        pos = self.positions[p]
+        if pos.expand:
+            body = pos.kids[0]
+            for join, inner in self.expansion(pos, dict(zip(pos.names, env))):
+                part = self.leaf_key(body, self.env_of(body, inner))
+                got = part if join is None else (self._class((join, got[0], part[0])),
+                                                 self._class((None, got[1], part[1])))
+        else:
+            uid = None
+            if pos.term.__class__ is Prefix:
+                alpha, scope = self.closed(p, env)
+                binders = [f.payload for f in alpha.fields if f.sel != BANG]
+                blank = canonicalise(Prefix(alpha, STOP))[0].construct if binders else alpha
+                uid = alpha.uid
+            else:
+                scope = dict(zip(pos.names, env))
+                binders = pos.binders
+                blank = (canonicalise(pos.blank, scope)[0] if binders
+                         else self.closed(p, env))
+            if binders:
+                m = len(binders)
+                scope = {k: _shifted(v, m) for k, v in scope.items()}
+                for i, k in enumerate(binders):
+                    scope[k] = _Bound(m - 1 - i)
+            kids = [self.leaf_key(k, self.env_of(k, scope)) for k in pos.kids]
+            got = (self._class((blank, *[c for c, _ in kids])),
+                   self._class((uid, *[u for _, u in kids])))
+        self._class_of[key] = got
+        return got
+
+    def term(self, p: int, env: tuple) -> ProcessTerm:
+        """The closed term of the leaf (p, env), built from the memoised
+        terms of its subterms.  A prefix's is its construct under env and
+        its continuation's term, so a resolved selection reads as the output
+        the τ that resolved it made of it."""
+        key = (p, env)
+        got = self._terms.get(key)
+        if got is None:
+            pos = self.positions[p]
+            if pos.plain and not pos.names and pos.base is None:
+                got = pos.term
+            elif pos.term.__class__ is Prefix:
+                alpha, scope = self.closed(p, env)
+                cont = pos.kids[0]
+                got = Prefix(alpha, self.term(cont, self.env_of(cont, scope)))
+            elif pos.expand:
+                body = pos.kids[0]
+                for join, inner in self.expansion(pos, dict(zip(pos.names, env))):
+                    part = self.term(body, self.env_of(body, inner))
+                    got = part if join is None else with_subterms(join, [got, part])
+            else:
+                scope = dict(zip(pos.names, env))
+                inner = {k: v for k, v in scope.items() if k not in pos.binders}
+                got = with_subterms(self.closed(p, env),
+                                    [self.term(k, self.env_of(k, inner)) for k in pos.kids])
+            self._terms[key] = got
+        return got
 
 
-def _instances(chain: IndexedInterleave, n: int) -> list:
-    """The n instances of an IndexedInterleave chain, in index order; an
-    instance may itself be a chain."""
-    out = []
-    for _ in range(n - 1):
-        out.append(chain.right)
-        chain = chain.left
-    out.append(chain)
-    return out[::-1]
-
-
-# Term and data classes that hold no t-value; the permutation walks skip them.
+# Data classes that hold no t-value; the permutation walks skip them.
 _NO_TVALS = (str, int, bool, type(None), Atom, NamedType, TType, Stop)
 _INIT_FIELDS: dict = {}
 
@@ -287,82 +520,79 @@ def _init_fields(cls) -> tuple[str, ...]:
     return got
 
 
-def _t_values(obj, n: int, out: set) -> None:
-    """Add to out the indices of the t-values in a term or its data, and
-    every index below an IndexedInterleave chain."""
+def _t_values(obj, out: set) -> None:
+    """Add to out the indices of the t-values in an operator's data."""
     cls = obj.__class__
     if cls is TVal:
         out.add(obj.index)
     elif cls is tuple:
         for x in obj:
-            _t_values(x, n, out)
-    elif cls is IndexedInterleave:
-        out.update(range(n))
+            _t_values(x, out)
     elif cls not in _NO_TVALS:
         for name in _init_fields(cls):
-            _t_values(getattr(obj, name), n, out)
+            _t_values(getattr(obj, name), out)
 
 
 def _permute_t(obj, pi: tuple[int, ...]):
-    """A term or its data with every t-value v renamed to pi[v] and the
-    instance at index j of every IndexedInterleave chain moved to pi[j]."""
+    """An operator's data with every t-value v renamed to pi[v]."""
     cls = obj.__class__
     if cls is TVal:
         return TVal(pi[obj.index])
     if cls is tuple:
         return tuple(_permute_t(x, pi) for x in obj)
-    if cls is IndexedInterleave:
-        moved = [None] * len(pi)
-        for j, part in enumerate(_instances(obj, len(pi))):
-            moved[pi[j]] = _permute_t(part, pi)
-        return functools.reduce(IndexedInterleave, moved)
     if cls in _NO_TVALS:
         return obj
     return cls(*[_permute_t(getattr(obj, name), pi) for name in _init_fields(cls)])
 
 
 # Operators whose nodes in the state graph are keyed by their operands'
-# nodes; every other term is a leaf.
+# nodes; every other term is a leaf, and a replicated operator other than
+# internal choice becomes the operator nodes it expands into.
 _OPERATORS = (ExtChoice, Sliding, Interleave, SharedPar, AlphaPar, Hide, Rename)
-_DEFERRED = (ReplAlphaPar, ReplInterleave, ReplExtChoice)
+_EXPANDED = (ReplAlphaPar, ReplInterleave, ReplExtChoice)
 
 
 class StateGraph:
     """A hash-consed graph of the states of one build and their subterms.
 
-    A node is a leaf, keyed by its alpha-canonical term and the uids of its
-    constructs (both from one canonicalising walk), or an operator node,
+    A node is a leaf or an operator node.  A leaf is found by (position,
+    env) and keyed by Engine.leaf_key, (class, uids): pairs whose terms are
+    equal up to the names of bound variables, construct uids included,
+    share one node, as they have the same successors.  An operator node is
     keyed by (operator id, operand nodes...), where the operator id numbers
     the operator with its operands blanked out (its class and data: event
-    sets, renaming pairs).  Two terms share a node exactly when they are
-    equal up to the names of bound variables, so they have the same
-    successors, down to construct uids.
-    An interleaving over t expanded at size n (a chain of
-    IndexedInterleave) is one vector node, keyed by (vector operator id,
-    the n instance nodes in index order): a move of one instance interns
-    one node, and term() rebuilds the left-associated chain.
+    sets, renaming pairs).
+    An interleaving over t expanded at size n is one vector node, keyed by
+    (vector operator id, the n instance nodes in index order): a move of one
+    instance interns one node, and term() rebuilds the left-associated
+    chain of IndexedInterleave.
     Successors are memoised per node: an operator node combines its
     operands' memoised lists and finds each target by its key, so an
     operand that does not move is never explored again and no state term
     is walked or hashed whole.
 
     State identity ignores construct uids, as term equality does: state(i)
-    is the state class of node i, shared by the nodes of terms equal up to
-    bound names and uids.  Exploration keys states by class and takes each
-    state's edges from the first node of its class that it reaches.
+    is the state class of node i, a number given in the order classes are
+    first met.  A leaf's comes from its class, an operator node's from its
+    operator id and its operands' state classes.  Exploration keys states
+    by state class and takes each state's edges from the first node of its
+    class that it reaches.
 
-    Tables: ids (key -> node), kids (node -> its key for an operator node,
-    None for a leaf), terms (node -> a term it stands for, built on demand
-    for operator nodes), succ (node -> memoised [(label, construct_uid,
-    target node)]) and cls (node -> state class, on demand for operator
-    nodes).  The symmetry reduction adds memos of the t-values of a node,
-    of leaf renamings and of orbit representatives.
+    Tables: ids (operator key -> node), kids (node -> its key for an
+    operator node, None for a leaf), leaves (node -> the first (position,
+    env) of a leaf), terms (node -> its term, built on demand), succ (node
+    -> memoised [(label, construct_uid, target node)]) and cls (node ->
+    state class, on demand for operator nodes).  The symmetry reduction adds
+    memos of the t-values of a node and of orbit representatives.
     """
 
     def __init__(self, engine: Engine, symmetric_from: Optional[int] = None):
         self.engine = engine
         self.ids: dict = {}
+        self._leaves: dict = {}   # (class, uids) -> leaf node
+        self._leaf_at: dict = {}  # (position, env) -> leaf node
         self.kids: list = []
+        self.leaves: list = []
         self.terms: list = []
         self.succ: list = []
         self.cls: list = []
@@ -370,20 +600,19 @@ class StateGraph:
         self._ops: dict = {}     # blanked operator -> operator id
         self._blanks: list = []  # operator id -> blanked operator
         self._sets: dict = {}
-        self._vector_op = self._op(IndexedInterleave(Stop(), Stop()))
+        self._vector_op = self._op(_VECTOR)
         self.lo = symmetric_from         # representatives permute {lo..n-1}
         self._tvals: dict = {}        # node -> the t-value indices it mentions
         self._tval_sets: dict = {}    # one copy of each such tuple
         self._blank_tvals: dict = {}  # operator id -> t-values of its data
-        self._renamed: dict = {}      # (leaf, images of its t-values) -> node
         self._at_lo: dict = {}        # (instance node, index) -> sort class
         self._reps: dict = {}         # node -> orbit representative
 
-    def _add(self, key, kids, term, cls) -> int:
+    def _add(self, kids, leaf, cls) -> int:
         i = len(self.kids)
-        self.ids[key] = i
         self.kids.append(kids)
-        self.terms.append(term)
+        self.leaves.append(leaf)
+        self.terms.append(None)
         self.succ.append(None)
         self.cls.append(cls)
         return i
@@ -395,42 +624,54 @@ class StateGraph:
             self._blanks.append(blank)
         return op
 
-    def intern(self, term: ProcessTerm) -> int:
-        """The node of a closed term; a replicated operator reaching here
-        (left unexpanded under a prefix that bound its index set) is
-        expanded first."""
-        if isinstance(term, _DEFERRED):
-            term = expand_replicated(term, self.engine.tvalues)
-        if term.__class__ is IndexedInterleave:
-            parts = _instances(term, len(self.engine.tvalues))
-            key = (self._vector_op, *map(self.intern, parts))
-        elif isinstance(term, _OPERATORS):
-            key = (self._op(map_subterms(term, lambda _: Stop())),
-                   *map(self.intern, subterms(term)))
-        else:
-            canon, _, uids = canonicalise(term)
-            key = (canon, uids)
-            i = self.ids.get(key)
+    def intern(self, p: int, env: tuple) -> int:
+        """The node of position p under env: a replicated operator becomes
+        the operator nodes it expands into, an operator a node over its
+        operands' nodes, any other term a leaf."""
+        engine = self.engine
+        pos = engine.positions[p]
+        if isinstance(pos.term, _EXPANDED):
+            parts = engine.expansion(pos, dict(zip(pos.names, env)))
+            nodes = [self.intern(pos.entry, engine.env_of(pos.entry, inner))
+                     for _, inner in parts]
+            if len(parts) > 1 and parts[1][0] is _VECTOR:
+                return self._node((self._vector_op, *nodes))
+            out = nodes[0]
+            for (join, _), node in zip(parts[1:], nodes[1:]):
+                out = self._node((self._op(join), out, node))
+            return out
+        if isinstance(pos.term, _OPERATORS):
+            scope = dict(zip(pos.names, env))
+            return self._node((self._op(engine.closed(p, env)),
+                               *[self.intern(k, engine.env_of(k, scope)) for k in pos.kids]))
+        i = self._leaf_at.get((p, env))
+        if i is None:
+            key = engine.leaf_key(p, env)
+            i = self._leaves.get(key)
             if i is None:
-                i = self._add(key, None, term,
-                              self._classes.setdefault(canon, len(self._classes)))
-            return i
-        i = self.ids.get(key)
-        return self._add(key, key, term, None) if i is None else i
+                i = self._leaves[key] = self._add(None, (p, env), self._classes.setdefault(
+                    key[0], len(self._classes)))
+            self._leaf_at[p, env] = i
+        return i
 
     def _node(self, key) -> int:
         i = self.ids.get(key)
-        return self._add(key, key, None, None) if i is None else i
+        if i is None:
+            i = self.ids[key] = self._add(key, None, None)
+        return i
 
     def term(self, i: int) -> ProcessTerm:
         t = self.terms[i]
         if t is None:
             key = self.kids[i]
-            parts = [self.term(k) for k in key[1:]]
-            if key[0] == self._vector_op:
-                t = functools.reduce(IndexedInterleave, parts)
+            if key is None:
+                t = self.engine.term(*self.leaves[i])
             else:
-                t = with_subterms(self._blanks[key[0]], parts)
+                parts = [self.term(k) for k in key[1:]]
+                if key[0] == self._vector_op:
+                    t = functools.reduce(IndexedInterleave, parts)
+                else:
+                    t = with_subterms(self._blanks[key[0]], parts)
             self.terms[i] = t
         return t
 
@@ -445,22 +686,30 @@ class StateGraph:
 
     # Symmetry: a permutation pi of {0..n-1}, as a tuple of images, acts
     # on a node by renaming every t-value v of its term to pi[v] (in leaf
-    # terms and in operator data) and by moving the instance at position j
-    # of every vector, inside leaves too, to position pi[j].  Positions
-    # stay equal to the index values of their instances.
+    # envs and in operator data) and by moving the instance at position j
+    # of every vector to position pi[j].  Positions stay equal to the index
+    # values of their instances.  A leaf (position, env) goes to (position,
+    # pi(env)), with no walk of its term.  That is its renamed term: a
+    # process symmetric in t mentions no t-constant (TypeSym-syntactic), so
+    # its t-values all come from env, and an interleaving over t expanded
+    # inside the leaf is the same chain with its instances renamed and
+    # moved.  An operator over part of t that env names, such as t\{x},
+    # expands in index order under pi(env), which orders its renamed
+    # operands afresh: a strongly bisimilar term, as the operator is
+    # symmetric and associative, so the argument in build_lts stands.
 
     def tvals(self, i: int) -> tuple[int, ...]:
-        """The t-values node i depends on, ascending: those of its term, and
-        every index below a vector."""
+        """The t-values node i depends on, ascending: those of a leaf's env,
+        those of an operator's data and operands, and every index below a
+        vector."""
         got = self._tvals.get(i)
         if got is None:
-            n = len(self.engine.tvalues)
             key = self.kids[i]
             vals: set = set()
             if key is None:
-                _t_values(self.terms[i], n, vals)
+                vals.update(v.index for v in self.leaves[i][1] if v.__class__ is TVal)
             elif key[0] == self._vector_op:
-                vals.update(range(n))
+                vals.update(range(len(self.engine.tvalues)))
             else:
                 vals.update(self._op_tvals(key[0]))
                 for k in key[1:]:
@@ -470,19 +719,16 @@ class StateGraph:
         return got
 
     def rename(self, i: int, pi: tuple[int, ...]) -> int:
-        """The node of node i under the permutation pi.  A leaf's renaming
-        is memoised per leaf and images of its t-values; an operator node
-        is rebuilt from its operands' renamings, one lookup per operand."""
+        """The node of node i under the permutation pi: a leaf is interned
+        with its env renamed, an operator node is rebuilt from its operands'
+        renamings, one lookup per operand."""
         vals = self.tvals(i)
         images = tuple([pi[v] for v in vals])
         if images == vals:
             return i
         key = self.kids[i]
         if key is None:
-            got = self._renamed.get((i, images))
-            if got is None:
-                got = self._renamed[(i, images)] = self._rename_leaf(i, pi)
-            return got
+            return self._rename_leaf(i, pi)
         kids = [self.rename(k, pi) for k in key[1:]]
         if key[0] == self._vector_op:
             moved = [0] * len(kids)
@@ -499,12 +745,15 @@ class StateGraph:
         got = self._blank_tvals.get(op)
         if got is None:
             got = self._blank_tvals[op] = set()
-            _t_values(self._blanks[op], len(self.engine.tvalues), got)
+            _t_values(self._blanks[op], got)
         return got
 
     def _rename_leaf(self, i: int, pi: tuple[int, ...]) -> int:
-        """The node of leaf i's term under pi."""
-        return self.intern(_permute_t(self.terms[i], pi))
+        """The node of leaf i under pi."""
+        p, env = self.leaves[i]
+        tvalues = self.engine.tvalues
+        return self.intern(p, tuple([tvalues[pi[v.index]] if v.__class__ is TVal else v
+                                     for v in env]))
 
     def _first_vector(self, i: int) -> Optional[int]:
         """The first vector node of node i, in pre-order over operator
@@ -558,19 +807,22 @@ class StateGraph:
 
     def successors(self, i: int):
         """(label, construct_uid, target node) triples of node i, in rule
-        order; computed once per node."""
+        order; computed once per node.  A conditional leaf has those of the
+        branch it takes."""
         out = self.succ[i]
         if out is None:
-            key, term = self.kids[i], self.terms[i]
+            key = self.kids[i]
             if key is not None:
                 blank = self._blanks[key[0]]
                 out = _RULES[type(blank)](self, key, blank)
-            elif isinstance(term, If):
-                branch = term.then if eval_guard(term.guard) else term.els
-                out = self.successors(self.intern(branch))
             else:
-                out = [(lab, uid, self.intern(nxt))
-                       for lab, uid, nxt in self.engine.successors(term)]
+                p, env = self.leaves[i]
+                engine = self.engine
+                if engine.positions[p].term.__class__ is If:
+                    out = self.successors(self.intern(*engine.branch(p, env)))
+                else:
+                    out = [(lab, uid, self.intern(q, e))
+                           for lab, uid, q, e in engine.successors(p, env)]
             self.succ[i] = out
         return out
 
@@ -771,11 +1023,11 @@ def build_lts(defs: Definitions, proc: Union[str, ProcessTerm], tsize: int,
     preserves its traces and stable failures.  Only the phi-image of the
     result is meaningful."""
     term = defs.body(proc) if isinstance(proc, str) else proc
-    if init_subst:
-        term = substitute(term, init_subst)
     check_guarded_recursion(term, defs)
-    graph = StateGraph(Engine(defs, tsize), symmetric_from)
-    root = graph.intern(expand_replicated(term, graph.engine.tvalues))
+    engine = Engine(defs, tsize)
+    graph = StateGraph(engine, symmetric_from)
+    p = engine.body(proc) if isinstance(proc, str) else engine.number(term)
+    root = graph.intern(p, engine.env_of(p, init_subst or {}))
     state = graph.state
 
     def successors(i):

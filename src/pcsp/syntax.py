@@ -13,7 +13,8 @@ free names through an environment and either lets binders shadow it
 (``substitute``) or renames them to ``#0, #1, ...`` in traversal order
 (``canonicalise``).  A canonicalising walk also records the free names it
 meets and the uids of the constructs it passes, so ``free_vars``,
-``alpha_canonical`` and the state keys of the semantics all come from it.
+``alpha_canonical`` and the state keys of the semantics all come from it
+(the standard semantics canonicalises one node of a term at a time).
 ``subterms``/``map_subterms`` read the subterm table, the process-term
 fields of each of the 17 term classes; walkers that only descend into
 subterms take them from there and keep explicit cases for the node kinds
@@ -41,11 +42,30 @@ QUERY = "?"
 BANG = "!"
 
 
-@dataclass(frozen=True, order=True)
+_TVALS: dict[int, "TVal"] = {}  # index -> its one TVal
+
+
+@dataclass(frozen=True, order=True, init=False)
 class TVal:
-    """A value of the distinguished type: an index into T = {0..#T-1}."""
+    """A value of the distinguished type: an index into T = {0..#T-1}.
+
+    There is one instance per index (copies and unpickled values included),
+    so a TVal hashes by identity, in C: the state keys of the semantics are
+    tuples of values, hashed on every lookup."""
 
     index: int
+
+    __hash__ = object.__hash__
+
+    def __new__(cls, index: int):
+        got = _TVALS.get(index)
+        if got is None:
+            got = _TVALS[index] = object.__new__(cls)
+            object.__setattr__(got, "index", index)
+        return got
+
+    def __reduce__(self):
+        return TVal, (self.index,)
 
     def __str__(self) -> str:
         return str(self.index)
@@ -479,9 +499,10 @@ class Interleave:
 class IndexedInterleave(Interleave):
     """``||| i:t @ P(i)`` expanded at a size n: a left-associated chain of
     n-1 of these holds P(0)..P(n-1) in index order.  It prints,
-    substitutes and canonicalises as the interleaving it is; the standard
-    semantics keeps the chain as one vector node whose positions are the
-    index values."""
+    substitutes and canonicalises as the interleaving it is.  The standard
+    semantics explores such an interleaving as one vector node whose
+    positions are the index values, and builds the chain only as the term
+    of that node."""
 
 
 # Replicated operators whose index set depends on t stay primitive and are

@@ -201,6 +201,15 @@ def test_verify_names_the_build_that_hits_the_bound(capsys):
         "error: state bound (120) exceeded building Impl at #T=6: ")
 
 
+def test_verify_names_the_build_a_semantics_error_stops(capsys):
+    # Impl's |~| v:(t\{u}) ranges over nothing at #T=1, the first direct size
+    code, out, err = run(capsys, "verify", "ex512.pcsp", "--spec", "Spec",
+                         "--impl", "Impl", "--sizes", "1..4")
+    assert code == 2 and out == ""
+    assert err == ("error: replicated internal choice over an empty index set, "
+                   "building Impl at #T=1\n")
+
+
 def test_internal_error_exit_code(capsys, monkeypatch):
     # an internal KeyError is a bug, not a diagnostic: exit 3 with the traceback
     def broken(*args, **kwargs):

@@ -6,11 +6,14 @@ label_key-signature partition refinement it replaced, the free names
 and construct uids of the canonicalising walk against the separate
 free-variable and construct walks it replaced, concretize over its
 table of symbolic states against the walk per event instance it
-replaced, and the build modulo the symmetry that phi leaves against the
-full build, after phi."""
+replaced, build_lts over (position, env) leaves against the term-keyed
+leaves it replaced, and the build modulo the symmetry that phi leaves
+against the full build, after phi."""
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import itertools
 from dataclasses import replace
 
@@ -27,22 +30,26 @@ from pcsp.conditions import check_seq
 from pcsp.cose import (
     Configuration, concretize, eval_condition, insts, match, replace_t_initials,
 )
-from pcsp.errors import BoundExceeded, PcspError
-from pcsp.lts import TAU, Event, Lts, build, label_key
+from pcsp.errors import BoundExceeded, PcspError, SemanticsError
+from pcsp.lts import TAU, Event, Lts, build, label_key, terms_bounded
 from pcsp.parser import parse_definitions
+from pcsp.pretty import fmt_term
 from pcsp.reduction import CollapsingFn
 from pcsp.ssos import Cond
 from pcsp.ssos import successors as sym_successors
 from pcsp.std_semantics import (
-    StateGraph, build_lts, check_guarded_recursion, file_alphabet, tvalues_for,
+    DEFAULT_MAX_STATES, Engine, StateGraph, build_lts, check_guarded_recursion,
+    eval_guard, file_alphabet, resolve_selections, tvalues_for, unfold_ident,
 )
 from pcsp.syntax import (
-    AlphaPar, Atom, BoolAnd, BoolNot, BoolOr, Cmp, Condition, DiffType, DOLLAR,
-    ExtChoice, Hide, Ident, If, IntChoice, Interleave, MixedGuard, NatMin,
-    NatOp, Prefix, QUERY, Rename, ReplAlphaPar, ReplExtChoice, ReplIntChoice,
-    ReplInterleave, SetType, SharedPar, Sliding, Stop, T_TYPE, TVal, VarRef,
-    alpha_canonical, canonicalise, classify_fields, domain_values, free_vars,
-    map_subterms, subterms,
+    AlphaPar, Atom, BANG, BoolAnd, BoolNot, BoolOr, ChanPrefixItem, Cmp,
+    Condition, Construct, DiffType, DOLLAR, EventSet, ExtChoice, Field, Hide,
+    Ident, If, IndexedInterleave, IntChoice, Interleave, MixedGuard, NamedType,
+    NatMin, NatOp, Prefix, QUERY, Rename, ReplAlphaPar, ReplExtChoice,
+    ReplIntChoice, ReplInterleave, SetType, SharedPar, Sliding, Stop, T_TYPE,
+    TType, TVal, VarRef, alpha_canonical, canonicalise, classify_fields, comms,
+    construct_binding, domain_values, free_vars, map_subterms, subst_event_set,
+    substitute, subterms,
 )
 
 from test_syntax import _VARS, terms
@@ -532,6 +539,315 @@ P(x, y) = a -> c!x -> d!y -> STOP [] b -> c!x -> d!x -> STOP
 @settings(max_examples=150, deadline=None)
 def test_concretize_agrees_with_the_reference(term, n, env):
     _check_concretize(_DEFS, term, n, init_env=env)
+
+
+# -- build_lts over (position, env) leaves against term-keyed leaves -------
+
+def _reference_expand(term, tvalues, bound=frozenset()):
+    """expand_replicated as it was applied to every state term that entered
+    a state: replicated operators over t became binary trees, an
+    interleaving over the whole of t a chain of IndexedInterleave; internal
+    choice, and an operator whose index set or alphabet a prefix above
+    binds, stayed whole."""
+    if isinstance(term, ReplIntChoice):
+        return term
+    if isinstance(term, Prefix):
+        names = {f.payload for f in term.construct.fields if f.sel != BANG}
+        return Prefix(term.construct, _reference_expand(term.cont, tvalues, bound | names))
+    if not isinstance(term, (ReplAlphaPar, ReplInterleave, ReplExtChoice)):
+        return map_subterms(term, lambda sub: _reference_expand(sub, tvalues, bound))
+    if bound and free_vars(map_subterms(term, lambda _: Stop())) & bound:
+        return term
+    members = domain_values(term.domain, tvalues)
+    if isinstance(term, ReplAlphaPar):
+        if not members:
+            raise SemanticsError("replicated parallel over an empty index set")
+        parts = [(_reference_expand(substitute(term.body, {term.var: v}), tvalues, bound),
+                  subst_event_set(term.alpha, {term.var: v})) for v in members]
+        out, out_alpha = parts[0]
+        for body, alpha in parts[1:]:
+            out = AlphaPar(out, out_alpha, body, alpha)
+            out_alpha = EventSet(out_alpha.closures + alpha.closures,
+                                 out_alpha.literals + alpha.literals)
+        return out
+    if not members:
+        raise SemanticsError("replicated operator over an empty index set")
+    parts = [_reference_expand(substitute(term.body, {term.var: v}), tvalues, bound)
+             for v in members]
+    if isinstance(term, ReplExtChoice):
+        combine = ExtChoice
+    else:
+        combine = IndexedInterleave if isinstance(term.domain, TType) else Interleave
+    return functools.reduce(combine, parts)
+
+
+def _reference_leaf_successors(term, defs, tvalues):
+    """Engine.successors as it was: (label, uid, target term) triples of a
+    closed leaf term, every target substituted and expanded whole."""
+    if isinstance(term, Stop):
+        return []
+    if isinstance(term, Prefix):
+        for scope in ("non-t", "t"):
+            out = resolve_selections(term, scope, tvalues)
+            if out is not None:
+                return out
+        alpha = term.construct
+        query = classify_fields(alpha).query
+        return [(Event(alpha.channel, values), alpha.uid,
+                 substitute(term.cont, construct_binding(alpha, values, query)))
+                for values in comms(alpha, tvalues)]
+    if isinstance(term, IntChoice):
+        return [(TAU, None, term.left), (TAU, None, term.right)]
+    if isinstance(term, Ident):
+        return [(TAU, None, _reference_expand(unfold_ident(term, defs), tvalues))]
+    if isinstance(term, ReplIntChoice):
+        members = domain_values(term.domain, tvalues)
+        if not members:
+            raise SemanticsError("replicated internal choice over an empty index set")
+        return [(TAU, None, _reference_expand(substitute(term.body, {term.var: v}), tvalues))
+                for v in members]
+    raise SemanticsError(f"successors: unknown term {term!r}")
+
+
+def _reference_instances(chain, n):
+    out = []
+    for _ in range(n - 1):
+        out.append(chain.right)
+        chain = chain.left
+    out.append(chain)
+    return out[::-1]
+
+
+_PLAIN = (str, int, bool, type(None), Atom, NamedType, TType, Stop)
+
+
+def _reference_t_values(obj, n, out):
+    """The t-values of a leaf term, and every index below a chain."""
+    if obj.__class__ is TVal:
+        out.add(obj.index)
+    elif obj.__class__ is tuple:
+        for x in obj:
+            _reference_t_values(x, n, out)
+    elif obj.__class__ is IndexedInterleave:
+        out.update(range(n))
+    elif obj.__class__ not in _PLAIN:
+        for f in dataclasses.fields(obj):
+            _reference_t_values(getattr(obj, f.name), n, out)
+
+
+def _reference_permute_t(obj, pi):
+    """A leaf term with its t-values renamed by pi and the instances of its
+    chains moved with their indices."""
+    cls = obj.__class__
+    if cls is TVal:
+        return TVal(pi[obj.index])
+    if cls is tuple:
+        return tuple(_reference_permute_t(x, pi) for x in obj)
+    if cls is IndexedInterleave:
+        moved = [None] * len(pi)
+        for j, part in enumerate(_reference_instances(obj, len(pi))):
+            moved[pi[j]] = _reference_permute_t(part, pi)
+        return functools.reduce(IndexedInterleave, moved)
+    if cls in _PLAIN:
+        return obj
+    return cls(*[_reference_permute_t(getattr(obj, f.name), pi)
+                 for f in dataclasses.fields(cls) if f.init])
+
+
+class _ReferenceGraph(StateGraph):
+    """The state graph with its leaves as they were: a closed term, keyed
+    by its alpha-canonical form and the uids of its constructs, successors
+    from the term rules, renamed by renaming the term.  The operator
+    rules, the vectors and the representatives are StateGraph's."""
+
+    def __init__(self, engine, symmetric_from):
+        super().__init__(engine, symmetric_from)
+        self._term_ids = {}
+
+    def intern(self, term):
+        n = len(self.engine.tvalues)
+        if isinstance(term, (ReplAlphaPar, ReplInterleave, ReplExtChoice)):
+            term = _reference_expand(term, self.engine.tvalues)
+        if term.__class__ is IndexedInterleave:
+            return self._node((self._vector_op,
+                               *map(self.intern, _reference_instances(term, n))))
+        if isinstance(term, (ExtChoice, Sliding, Interleave, SharedPar, AlphaPar,
+                             Hide, Rename)):
+            return self._node((self._op(map_subterms(term, lambda _: Stop())),
+                               *map(self.intern, subterms(term))))
+        canon, _, uids = canonicalise(term)
+        i = self._term_ids.get((canon, uids))
+        if i is None:
+            i = self._term_ids[canon, uids] = self._add(
+                None, term, self._classes.setdefault(canon, len(self._classes)))
+        return i
+
+    def term(self, i):
+        return self.leaves[i] if self.kids[i] is None else super().term(i)
+
+    def successors(self, i):
+        if self.kids[i] is None and self.succ[i] is None:
+            term = self.leaves[i]
+            if isinstance(term, If):
+                branch = term.then if eval_guard(term.guard) else term.els
+                self.succ[i] = self.successors(self.intern(branch))
+            else:
+                self.succ[i] = [
+                    (lab, uid, self.intern(nxt)) for lab, uid, nxt in
+                    _reference_leaf_successors(term, self.engine.defs, self.engine.tvalues)]
+        return super().successors(i)
+
+    def tvals(self, i):
+        if self.kids[i] is not None:
+            return super().tvals(i)
+        vals = set()
+        _reference_t_values(self.leaves[i], len(self.engine.tvalues), vals)
+        return tuple(sorted(vals))
+
+    def _rename_leaf(self, i, pi):
+        return self.intern(_reference_permute_t(self.leaves[i], pi))
+
+
+def _reference_build_lts(defs, proc, tsize, max_states=DEFAULT_MAX_STATES,
+                         init_subst=None, *, symmetric_from=None):
+    """build_lts over _ReferenceGraph."""
+    term = defs.body(proc) if isinstance(proc, str) else proc
+    if init_subst:
+        term = substitute(term, init_subst)
+    check_guarded_recursion(term, defs)
+    graph = _ReferenceGraph(Engine(defs, tsize), symmetric_from)
+    state = graph.state
+    root = graph.intern(_reference_expand(term, graph.engine.tvalues))
+    rep = graph.representative if symmetric_from is not None else (lambda i: i)
+    with terms_bounded():
+        root = rep(root)
+
+    def successors(i):
+        return [(lab, uid, rep(t), state(rep(t))) for lab, uid, t in graph.successors(i)]
+
+    lts = build(root, state(root), successors,
+                alphabet=file_alphabet(defs, graph.engine.tvalues), tsize=tsize,
+                max_states=max_states, describe=lambda i: fmt_term(graph.term(i)))
+    with terms_bounded():
+        lts.states = [graph.term(i) for i in lts.states]
+    return lts
+
+
+def _build_outcome(fn, *args, **kwargs):
+    """Everything build_lts shows: the state terms (construct uids
+    included), the edges with their uids, the partition of the states by
+    key, the root and the alphabet, or the error the build stops with."""
+    try:
+        lts = fn(*args, **kwargs)
+    except PcspError as exc:
+        return type(exc).__name__, str(exc)
+    blocks: dict = {}
+    return ([repr(t) for t in lts.states], lts.edges,
+            [blocks.setdefault(k, len(blocks)) for k in lts.keys],
+            lts.root, lts.alphabet)
+
+
+def _check_build(*args, **kwargs):
+    got = _build_outcome(build_lts, *args, **kwargs)
+    assert got == _build_outcome(_reference_build_lts, *args, **kwargs)
+    return got
+
+
+def test_build_lts_agrees_with_the_reference_on_the_corpus():
+    built = 0
+    for fname in ALL_CORPUS_FILES:
+        defs = load(fname)
+        for name, eq in defs.equations.items():
+            if eq.params:
+                continue
+            for n in range(1, 5):
+                built += not isinstance(_check_build(defs, name, n, 2000)[0], str)
+    assert built > 60
+
+
+def test_build_lts_agrees_with_the_reference_on_mutex_and_bigprops():
+    mutex = load("mutex.pcsp")
+    for n in range(5, 9):
+        for sym in (None, 1):
+            _check_build(mutex, "Impl", n, symmetric_from=sym)
+    bigprops = load("bigprops.pcsp")
+    for n in range(1, 4):
+        for x in range(n):
+            _check_build(bigprops, proc_body(bigprops, "Proc"), n,
+                         init_subst={"x": TVal(x)})
+
+
+def test_leaves_of_different_positions_merge():
+    # c!x -> d!y under {x->0, y->0} and c!x -> d!x under {x->0} are one
+    # state, and so are c?u -> d!u and c?w -> d!w: keying states by
+    # (position, env) alone, or by bound names, would keep them apart
+    defs = parse_definitions("""
+channel a, b, e, f
+channel c : t
+channel d : t
+P(x, y) = a -> c!x -> d!y -> STOP [] b -> c!x -> d!x -> STOP
+  [] e -> c?u:t -> d!u -> STOP [] f -> c?w:t -> d!w -> STOP
+""")
+    states = _check_build(defs, proc_body(defs, "P"), 2,
+                          init_subst={"x": TVal(0), "y": TVal(0)})[0]
+    assert len(states) == 6
+
+
+_uids = itertools.count(5000)
+
+
+def _fresh_uids(term):
+    """The term with a new uid for every construct."""
+    if isinstance(term, Prefix):
+        return Prefix(replace(term.construct, uid=next(_uids)), _fresh_uids(term.cont))
+    return map_subterms(term, _fresh_uids)
+
+
+@st.composite
+def _replicated(draw, scope, nested=True):
+    """A replicated operator over t or t\\{x}, x in scope, whose body uses its
+    index i and may hold one more of them below a prefix; below a prefix
+    binding x it waits for the prefix to fire."""
+    kind = draw(st.sampled_from((ReplInterleave, ReplExtChoice, ReplIntChoice,
+                                 ReplAlphaPar)))
+    domain = draw(st.sampled_from((T_TYPE,) + tuple(DiffType((x,)) for x in scope)))
+    if nested and draw(st.booleans()):
+        body = draw(_bound_replicated(("i",) + scope, nested=False))
+    else:
+        body = draw(terms(scope=("i",) + scope, depth=1))
+    if kind is ReplAlphaPar:
+        datum = draw(st.sampled_from(("i",) + scope))
+        return ReplAlphaPar("i", domain, EventSet((ChanPrefixItem("ca", (datum,)),)), body)
+    return kind("i", domain, body)
+
+
+@st.composite
+def _bound_replicated(draw, scope, nested=True):
+    """ca?x:t -> R with R replicated over t or t\\{x}."""
+    alpha = Construct("ca", (Field(QUERY, "x", T_TYPE),), uid=next(_uids))
+    inner = ("x",) + tuple(v for v in scope if v != "x")
+    return Prefix(alpha, draw(_replicated(inner, nested)))
+
+
+@st.composite
+def leaf_terms(draw):
+    """A term with a copy of itself in which y is renamed x and every
+    binder and construct is new, so that under x = y their leaves merge, and a
+    replicated operator below a prefix that binds its index set or
+    alphabet, or with the whole of t as index set at the top."""
+    t1 = draw(terms(scope=("x", "y"), depth=2))
+    t2 = _fresh_uids(alpha_canonical(substitute(t1, {"y": "x"})))
+    repl = draw(st.one_of(_bound_replicated(()), _replicated(())))
+    return draw(st.sampled_from((IntChoice(IntChoice(t1, t2), repl),
+                                 ExtChoice(t1, Sliding(repl, t2)),
+                                 IntChoice(t1, t2))))
+
+
+@given(leaf_terms(), st.integers(1, 3), st.integers(0, 2), st.integers(0, 2))
+@settings(max_examples=150, deadline=None)
+def test_build_lts_agrees_with_the_reference(term, n, x, y):
+    _check_build(_DEFS, term, n, 400,
+                 init_subst={"x": TVal(x % n), "y": TVal(y % n)})
 
 
 # -- the build modulo symmetry against the full build, after phi ----------

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from pcsp.analysis import (
@@ -126,6 +128,16 @@ P = |~| y:t @ Q(y, y)
 """)
     lts = build_lts(defs, "P", 3)
     assert (lts.n_states(), lts.n_edges()) == (29, 42)
+
+
+def test_prefix_chain_builds_in_linear_time():
+    # a leaf costs its new parts only: with whole-term keys each of the 3 001
+    # states was walked whole, and the build took about 38 s
+    defs = parse_definitions("channel a\nP = " + "a -> " * 3000 + "STOP\n")
+    start = time.perf_counter()
+    lts = build_lts(defs, "P", 1)
+    assert time.perf_counter() - start < 5
+    assert (lts.n_states(), lts.n_edges()) == (3001, 3000)
 
 
 def test_unbound_identifier():

@@ -24,6 +24,25 @@ def eps_construct() -> Construct:
     ), uid=1)
 
 
+def test_tval_is_one_instance_per_index():
+    import copy
+    import dataclasses
+    import pickle
+
+    v = TVal(3)
+    assert TVal(3) is v and TVal(index=3) is v
+    assert copy.copy(v) is v and copy.deepcopy(v) is v
+    assert pickle.loads(pickle.dumps(v)) is v
+    assert dataclasses.replace(v, index=4) is TVal(4)
+    # it hashes by identity, in C, and compares, orders and prints as before
+    assert TVal.__hash__ is object.__hash__ and hash(v) == object.__hash__(v)
+    assert v == TVal(3) and v != TVal(4) and v != 3 and v != (3,)
+    assert TVal(2) < v <= TVal(3) and sorted([TVal(2), TVal(0)]) == [TVal(0), TVal(2)]
+    assert repr(v) == "TVal(index=3)" and str(v) == "3"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        v.index = 4
+
+
 def test_classify_fields_worked_example():
     sets = classify_fields(eps_construct())
     assert sets.dollar_t == {1}
