@@ -1,5 +1,5 @@
-"""Golden outputs of the README Quick-start commands and of both paths of
-the semantic symmetry check.
+"""Golden outputs of the README Quick-start commands, of ``conditions`` on
+every corpus file, and of both paths of the semantic symmetry check.
 
 Every command runs through ``cli.main``; its stdout must equal
 ``golden/<name>.out`` byte for byte and its exit code must equal the one
@@ -35,6 +35,15 @@ _COMMANDS = {
     "refine-ex511": (("refine", "ex511.pcsp", "--spec", "Spec", "--impl", "Impl",
                       "--model", "failures", "--tsize", "3"), 1),
     "conditions-mutex": (("conditions", "mutex.pcsp"), 1),
+    "conditions-bigprops": (("conditions", "bigprops.pcsp"), 1),
+    "conditions-copy": (("conditions", "copy.pcsp"), 0),
+    "conditions-ex315": (("conditions", "ex315.pcsp"), 0),
+    "conditions-ex33": (("conditions", "ex33.pcsp"), 1),
+    "conditions-ex511": (("conditions", "ex511.pcsp"), 1),
+    "conditions-ex512": (("conditions", "ex512.pcsp"), 1),
+    "conditions-ring": (("conditions", "ring.pcsp"), 1),
+    "conditions-running": (("conditions", "running.pcsp"), 1),
+    "conditions-traces-count": (("conditions", "traces-count.pcsp"), 0),
     "lts-mutex-impl-2": (("lts", "mutex.pcsp", "--proc", "Impl", "--tsize", "2"), 0),
     "congruence-running-2": (("congruence", "running.pcsp", "--proc", "P",
                               "--tsize", "2"), 0),
