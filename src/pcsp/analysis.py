@@ -14,7 +14,7 @@ from typing import Callable, Optional
 from .errors import SemanticsError
 from .lts import Event, Lts, TAU, label_key, rename_lts, tau_closure
 from .report import ConditionReport, Finding
-from .syntax import TVal
+from .syntax import permute_t
 
 
 # ---------------------------------------------------------------------------
@@ -354,10 +354,8 @@ def strong_bisim(l1: Lts, l2: Lts) -> tuple[bool, Optional[str]]:
 # Semantic type-symmetry check
 
 def perm_event_fn(perm) -> Callable[[Event], Event]:
-    def fn(e: Event) -> Event:
-        return Event(e.channel, tuple(
-            TVal(perm[v.index]) if isinstance(v, TVal) else v for v in e.values))
-    return fn
+    """Events renamed by the permutation perm of t."""
+    return lambda e: permute_t(e, perm)
 
 
 def permutation_bisim_check(defs, proc, sizes, max_states: int = 50_000) -> ConditionReport:

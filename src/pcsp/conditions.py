@@ -16,12 +16,11 @@ from typing import Iterator, Optional, Union
 from .errors import SemanticsError
 from .report import ConditionReport, Finding
 from .syntax import (
-    AlphaPar, BANG, Condition, Construct, Definitions, DiffType,
-    DOLLAR, EventSet, ExtChoice, Hide, Ident, If, IntChoice, Interleave,
-    MixedGuard, NamedType, Prefix, ProcessTerm, QUERY, Rename, ReplAlphaPar,
-    ReplExtChoice, ReplIntChoice, ReplInterleave, SetType, SharedPar,
-    Sliding, Stop, TType, TVal, REPLICATED, channels, classify_fields,
-    free_vars, substitute, subterms, unfold_walk,
+    AlphaPar, BANG, Condition, Definitions, DOLLAR, ExtChoice, Hide, Ident,
+    If, IntChoice, Interleave, MixedGuard, NamedType, Prefix, ProcessTerm,
+    QUERY, Rename, ReplAlphaPar, ReplExtChoice, ReplIntChoice, ReplInterleave,
+    SharedPar, Sliding, Stop, TType, TVal, REPLICATED, channels,
+    classify_fields, free_vars, substitute, subterms, t_values, unfold_walk,
 )
 
 ProcRef = Union[str, ProcessTerm]
@@ -34,69 +33,6 @@ def _root(proc: ProcRef, defs: Definitions) -> tuple[ProcessTerm, str, set]:
             raise SemanticsError(f"undefined process {proc!r}")
         return eq.body, proc, {proc}
     return proc, "<term>", set()
-
-
-def _tvals_in_construct(alpha: Construct):
-    for f in alpha.fields:
-        if f.sel == BANG:
-            if isinstance(f.payload, TVal):
-                yield f.payload
-        else:
-            ty = f.ty
-            items = ()
-            if isinstance(ty, SetType):
-                items = ty.items
-            elif isinstance(ty, DiffType):
-                items = ty.excluded
-            for i in items:
-                if isinstance(i, TVal):
-                    yield i
-
-
-def _tvals_in_guard(g):
-    if isinstance(g, Condition):
-        for l, r in g.atoms:
-            if isinstance(l, TVal):
-                yield l
-            if isinstance(r, TVal):
-                yield r
-    elif isinstance(g, MixedGuard):
-        for l, r in g.t_atoms:
-            if isinstance(l, TVal):
-                yield l
-            if isinstance(r, TVal):
-                yield r
-
-
-def _tvals_in_evset(s: EventSet):
-    for c in s.closures:
-        for d in c.datums:
-            if isinstance(d, TVal):
-                yield d
-    for e in s.literals:
-        for d in e.datums:
-            if isinstance(d, TVal):
-                yield d
-
-
-def _t_constants(node: ProcessTerm):
-    if isinstance(node, Prefix):
-        yield from _tvals_in_construct(node.construct)
-    elif isinstance(node, If):
-        yield from _tvals_in_guard(node.guard)
-    elif isinstance(node, Ident):
-        for a in node.args:
-            if isinstance(a, TVal):
-                yield a
-    elif isinstance(node, Hide):
-        yield from _tvals_in_evset(node.hidden)
-    elif isinstance(node, AlphaPar):
-        yield from _tvals_in_evset(node.left_alpha)
-        yield from _tvals_in_evset(node.right_alpha)
-    elif isinstance(node, SharedPar):
-        yield from _tvals_in_evset(node.shared)
-    elif isinstance(node, ReplAlphaPar):
-        yield from _tvals_in_evset(node.alpha)
 
 
 def _nonwhole_t_selections(node: ProcessTerm):
@@ -126,7 +62,7 @@ def check_data_independence(proc: ProcRef, defs: Definitions) -> ConditionReport
         elif isinstance(node, ReplIntChoice) and not isinstance(node.domain, TType):
             findings.append(Finding(
                 "i", "replicated internal choice not over the whole of t", where))
-        for v in _t_constants(node):
+        for v in t_values(node):
             findings.append(Finding("iii", f"constant {v} of type t", where))
         if isinstance(node, Prefix):
             for desc in _nonwhole_t_selections(node):
@@ -262,12 +198,14 @@ def check_seqnorm(proc: ProcRef, defs: Definitions) -> ConditionReport:
 
 def check_typesym_syntactic(proc: ProcRef, defs: Definitions) -> ConditionReport:
     """Sufficient syntactic condition for full symmetry in t: no t constants
-    and no selections from proper subsets of t (alphabets of an indexed
-    parallel composition are exempt from the selection restriction)."""
+    anywhere in the data of a term (constructs, guards, arguments, event
+    sets, renaming pairs and replicated operators' domains) and no
+    selections from proper subsets of t (alphabets of an indexed parallel
+    composition are exempt from the selection restriction)."""
     term, name, seen = _root(proc, defs)
     findings = []
     for node, where in unfold_walk(term, defs, name, seen):
-        for v in _t_constants(node):
+        for v in t_values(node):
             findings.append(Finding("i", f"constant {v} of type t", where))
         for desc in _nonwhole_t_selections(node):
             findings.append(Finding(

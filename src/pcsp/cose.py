@@ -255,19 +255,14 @@ def _configuration(cfg: tuple) -> Configuration:
     return Configuration(st.term, env)
 
 
-def concretize(defs: Definitions, source: Union[Lts, str, ProcessTerm],
+def concretize(defs: Definitions, source: Union[str, ProcessTerm],
                tsize: int, init_env: Optional[Environment] = None,
                max_states: int = 100_000) -> Lts:
     """The LTS of configurations rooted at (root state, initial environment),
     per the translation rules.  The breadth-first build runs over
     configuration ids; the returned keys are the configuration keys, which
     do not depend on tsize."""
-    if isinstance(source, Lts):
-        root_term = source.states[source.root]
-    elif isinstance(source, str):
-        root_term = defs.body(source)
-    else:
-        root_term = source
+    root_term = defs.body(source) if isinstance(source, str) else source
     check_guarded_recursion(root_term, defs)
     tvalues = tvalues_for(tsize)
     table = _Table(defs, tvalues)

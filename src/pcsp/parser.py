@@ -251,6 +251,11 @@ class _Parser:
             sel_tok = self.next()
             if sel_tok.text in ("$", "?"):
                 var = self.eat_ident("input variable")
+                if any(f.sel != BANG and f.payload == var.text for f in fields):
+                    # a name holds one value, so one of the two selections
+                    # would be lost
+                    self.fail(f"input variable {var.text!r} is bound twice in one "
+                              f"construct on channel {name!r}", var)
                 if self.at_sym(":"):
                     self.eat_sym(":")
                     ty = self.parse_type_expr(sig_ty)

@@ -119,21 +119,21 @@ def successors(term: ProcessTerm, defs: Definitions):
 
 
 def build_sslts(defs: Definitions, proc: Union[str, ProcessTerm],
-                max_states: int = 100_000, *, require_seq: bool = True) -> Lts:
+                max_states: int = 100_000) -> Lts:
     """Breadth-first closure of the symbolic transition rules: an Lts with
     symbolic labels, an empty alphabet and tsize 0.
 
-    With require_seq (the default) the Seq checker runs first and a violation
-    is a hard error, since the rules are only defined on that fragment.
+    The Seq checker runs first and a violation is a hard error, since the
+    rules are only defined on that fragment.
     """
+    from .conditions import check_seq
+
     term = defs.body(proc) if isinstance(proc, str) else proc
-    if require_seq:
-        from .conditions import check_seq
-        report = check_seq(term, defs)
-        if not report.ok():
-            raise SemanticsError(
-                "process is not in the Seq fragment: "
-                + "; ".join(f.message for f in report.findings))
+    report = check_seq(term, defs)
+    if not report.ok():
+        raise SemanticsError(
+            "process is not in the Seq fragment: "
+            + "; ".join(f.message for f in report.findings))
     check_guarded_recursion(term, defs)
 
     def succ(t):

@@ -65,7 +65,6 @@ process is symmetric in t; the argument is in build_lts.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 from typing import Optional, Union
@@ -75,13 +74,13 @@ from .lts import Event, Lts, TAU, build, rename_lts, tau_closure, terms_bounded 
 from .syntax import (
     BANG, REPLICATED, AlphaPar, Atom, Condition, Definitions, Equation,
     EventLitItem, EventSet, ExtChoice, Hide, Ident, If, IndexedInterleave,
-    IntChoice, Interleave, MixedGuard, NamedType, Prefix, ProcessTerm, Rename,
+    IntChoice, Interleave, MixedGuard, Prefix, ProcessTerm, Rename,
     ReplAlphaPar, ReplExtChoice, ReplIntChoice, ReplInterleave, SharedPar,
     Sliding, Stop, TType, TVal, VarRef,
     canonicalise, classify_fields, comms, construct_binding, domain_values,
     eval_bool, eval_condition_closed, eval_scalar, free_vars, map_subterms,
-    replace_selections, subst_event_set, substitute, subterms, unfold_walk,
-    with_subterms,
+    permute_t, replace_selections, subst_event_set, substitute, subterms,
+    t_values, unfold_walk, with_subterms,
 )
 
 DEFAULT_MAX_STATES = 200_000
@@ -508,43 +507,6 @@ class Engine:
         return got
 
 
-# Data classes that hold no t-value; the permutation walks skip them.
-_NO_TVALS = (str, int, bool, type(None), Atom, NamedType, TType, Stop)
-_INIT_FIELDS: dict = {}
-
-
-def _init_fields(cls) -> tuple[str, ...]:
-    got = _INIT_FIELDS.get(cls)
-    if got is None:
-        got = _INIT_FIELDS[cls] = tuple(f.name for f in dataclasses.fields(cls) if f.init)
-    return got
-
-
-def _t_values(obj, out: set) -> None:
-    """Add to out the indices of the t-values in an operator's data."""
-    cls = obj.__class__
-    if cls is TVal:
-        out.add(obj.index)
-    elif cls is tuple:
-        for x in obj:
-            _t_values(x, out)
-    elif cls not in _NO_TVALS:
-        for name in _init_fields(cls):
-            _t_values(getattr(obj, name), out)
-
-
-def _permute_t(obj, pi: tuple[int, ...]):
-    """An operator's data with every t-value v renamed to pi[v]."""
-    cls = obj.__class__
-    if cls is TVal:
-        return TVal(pi[obj.index])
-    if cls is tuple:
-        return tuple(_permute_t(x, pi) for x in obj)
-    if cls in _NO_TVALS:
-        return obj
-    return cls(*[_permute_t(getattr(obj, name), pi) for name in _init_fields(cls)])
-
-
 # Operators whose nodes in the state graph are keyed by their operands'
 # nodes; every other term is a leaf, and a replicated operator other than
 # internal choice becomes the operator nodes it expands into.
@@ -737,15 +699,14 @@ class StateGraph:
             return self._node((key[0], *moved))
         op = key[0]
         if self._op_tvals(op):
-            op = self._op(_permute_t(self._blanks[op], pi))
+            op = self._op(permute_t(self._blanks[op], pi))
         return self._node((op, *kids))
 
     def _op_tvals(self, op: int) -> set:
         """The t-values of an operator's data (event sets, renamings)."""
         got = self._blank_tvals.get(op)
         if got is None:
-            got = self._blank_tvals[op] = set()
-            _t_values(self._blanks[op], got)
+            got = self._blank_tvals[op] = {v.index for v in t_values(self._blanks[op])}
         return got
 
     def _rename_leaf(self, i: int, pi: tuple[int, ...]) -> int:
@@ -851,12 +812,6 @@ class StateGraph:
                 for lab, uid, t in self.successors(l)]
         return out
 
-    def _interleave(self, key, blank):
-        op, l, r = key
-        out = [(lab, uid, self._node((op, t, r))) for lab, uid, t in self.successors(l)]
-        out += [(lab, uid, self._node((op, l, t))) for lab, uid, t in self.successors(r)]
-        return out
-
     def _hide(self, key, blank: Hide):
         op, p = key
         hidden = self.evset(blank.hidden)
@@ -896,6 +851,8 @@ class StateGraph:
         return out
 
     def _indexed_interleave(self, key, blank):
+        # each operand moves alone: a binary node (op, l, r) and a vector
+        # (op, P(0), ..., P(n-1)) alike
         out = []
         for j, c in enumerate(key[1:], 1):
             out.extend((lab, uid, self._node(key[:j] + (t,) + key[j + 1:]))
@@ -932,7 +889,7 @@ def _by_label(succ) -> dict:
 _RULES = {
     ExtChoice: StateGraph._ext_choice,
     Sliding: StateGraph._sliding,
-    Interleave: StateGraph._interleave,
+    Interleave: StateGraph._indexed_interleave,
     IndexedInterleave: StateGraph._indexed_interleave,
     Hide: StateGraph._hide,
     Rename: StateGraph._rename,

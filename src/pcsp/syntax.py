@@ -18,12 +18,16 @@ meets and the uids of the constructs it passes, so ``free_vars``,
 ``subterms``/``map_subterms`` read the subterm table, the process-term
 fields of each of the 17 term classes; walkers that only descend into
 subterms take them from there and keep explicit cases for the node kinds
-they act on.  ``unfold_walk`` visits every node reachable through the
-equations, unfolding each identifier once.
+they act on.  Every other field is data: ``t_values``/``permute_t`` find
+and rename the t-values in it, for the side-condition checkers, the
+symmetry reduction and the renaming of events.  ``unfold_walk`` visits
+every node reachable through the equations, unfolding each identifier
+once.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import sys
 from dataclasses import dataclass, field, replace
@@ -594,6 +598,55 @@ def map_subterms(term: ProcessTerm, fn) -> ProcessTerm:
     """The term with fn applied to each immediate process subterm and every
     other field kept."""
     return with_subterms(term, [fn(sub) for sub in subterms(term)])
+
+
+# ---------------------------------------------------------------------------
+# The t-values of data: one walk over dataclass fields
+
+# Classes that hold no t-value; the walks do not look into them.
+_NO_TVALS = (str, int, bool, type(None), Atom, NamedType, TType)
+_DATA_FIELDS: dict[type, tuple[tuple[str, bool], ...]] = {}
+
+
+def _data_fields(cls) -> tuple[tuple[str, bool], ...]:
+    """(name, is data) for each constructor field of a dataclass, in order;
+    a process term's subterms (the subterm table) are not its data."""
+    got = _DATA_FIELDS.get(cls)
+    if got is None:
+        subs = _SUBTERM_FIELDS.get(cls, ())
+        got = _DATA_FIELDS[cls] = tuple(
+            (f.name, f.name not in subs) for f in dataclasses.fields(cls) if f.init)
+    return got
+
+
+def t_values(obj) -> Iterator[TVal]:
+    """Each t-value in obj, in field order: obj is a value, a type, a
+    construct, a guard, an event set, an event, a tuple of these, or a
+    process term, whose subterms are not looked into."""
+    cls = obj.__class__
+    if cls is TVal:
+        yield obj
+    elif cls is tuple:
+        for x in obj:
+            yield from t_values(x)
+    elif cls not in _NO_TVALS:
+        for name, data in _data_fields(cls):
+            if data:
+                yield from t_values(getattr(obj, name))
+
+
+def permute_t(obj, pi: tuple[int, ...]):
+    """obj (as for t_values) with every t-value v renamed to pi[v]; a
+    process term keeps its subterms."""
+    cls = obj.__class__
+    if cls is TVal:
+        return TVal(pi[obj.index])
+    if cls is tuple:
+        return tuple([permute_t(x, pi) for x in obj])
+    if cls in _NO_TVALS:
+        return obj
+    return cls(*[permute_t(getattr(obj, name), pi) if data else getattr(obj, name)
+                 for name, data in _data_fields(cls)])
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,16 @@ SEQNORM_SPECS = [
     ("ex33.pcsp", "SeqOK", None),
 ]
 
+# A t-constant that only a renaming mentions: Impl is not symmetric in t.
+RENAMED_CONSTANT = """\
+channel a, b, d : t
+channel go
+Node(i) = a.i -> b.i -> STOP
+W = go -> ((b?x:t -> STOP) [[ d.2 <- b.2 ]])
+Impl = (||| i:t @ Node(i)) [| {|b|} |] W
+S = a?i:t -> S [] b?i:t -> S [] d?i:t -> S [] go -> S
+"""
+
 ALL_CORPUS_FILES = [
     "running.pcsp", "mutex.pcsp", "copy.pcsp", "ring.pcsp", "ex33.pcsp",
     "ex315.pcsp", "ex511.pcsp", "ex512.pcsp", "bigprops.pcsp",

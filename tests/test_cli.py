@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from conftest import RENAMED_CONSTANT
 from pcsp import std_semantics
 from pcsp.cli import main
 
@@ -78,6 +79,41 @@ def test_parse_error_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "conditions", str(bad))
     assert code == 2
     assert "bad.pcsp:2:" in err
+
+
+def test_name_bound_twice_in_one_construct_exits_2(tmp_path, capsys):
+    src = tmp_path / "twice.pcsp"
+    src.write_text("channel c : t.t\nP = c$x:t$x:t -> STOP\n")
+    code, out, err = run(capsys, "lts", str(src), "--proc", "P", "--tsize", "2")
+    assert code == 2 and out == ""
+    assert err == (f"{src}:2:11: input variable 'x' is bound twice in one "
+                   "construct on channel 'c'\n")
+
+
+def test_conditions_report_a_renamed_t_constant(tmp_path, capsys):
+    src = tmp_path / "ren.pcsp"
+    src.write_text(RENAMED_CONSTANT)
+    code, out, _ = run(capsys, "conditions", str(src), "--proc", "Impl")
+    assert code == 1
+    assert ("  data-independence: fail\n"
+            "    (i) [Impl] replicated construct indexed over a set depending on t\n"
+            "    (iii) [W] constant 2 of type t\n") in out
+    assert "  TypeSym-syntactic: fail\n    (i) [W] constant 2 of type t\n" in out
+
+
+def test_verify_checks_each_size_when_impl_names_a_t_constant(tmp_path, capsys):
+    # TypeSym-syntactic fails, so no build is explored modulo symmetry: the
+    # verdict is direct per size, and exit 1 reports the failed condition
+    src = tmp_path / "ren.pcsp"
+    src.write_text(RENAMED_CONSTANT)
+    code, out, err = run(capsys, "verify", str(src), "--spec", "S", "--impl", "Impl",
+                         "--model", "traces", "--sizes", "1..3")
+    assert err == "" and code == 1
+    assert "mode: direct-per-size\n" in out
+    assert "TypeSym-syntactic: fail\n  (i) [W] constant 2 of type t\n" in out
+    for n in (1, 2, 3):
+        assert (f"#T={n} [direct] S({{0..{n - 1}}}) vs Impl({{0..{n - 1}}}): "
+                "holds\n") in out
 
 
 @pytest.mark.parametrize("command", [("lts", "--tsize", "1"), ("sslts",),

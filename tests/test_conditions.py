@@ -1,6 +1,8 @@
 from __future__ import annotations
 
-from conftest import ALL_CORPUS_FILES, load
+import pytest
+
+from conftest import ALL_CORPUS_FILES, RENAMED_CONSTANT, load
 from pcsp import conditions
 from pcsp.parser import parse_definitions
 from pcsp.syntax import Stop
@@ -96,6 +98,33 @@ def test_ex511_impl_fails_typesym_but_is_symmetric():
     r = conditions.check_typesym_syntactic("Impl", defs)
     assert r.verdict == "fail"
     assert "iv" in {f.clause for f in r.findings}
+
+
+# -- t-constants in every part of a term's data ---------------------------------
+
+_CONSTANT_CLAUSES = ((conditions.check_typesym_syntactic, "i"),
+                     (conditions.check_data_independence, "iii"))
+
+
+def test_constant_in_a_renaming_pair_is_reported():
+    defs = parse_definitions(RENAMED_CONSTANT)
+    for check, clause in _CONSTANT_CLAUSES:
+        r = check("Impl", defs)
+        assert r.verdict == "fail"
+        assert [(f.where, f.message) for f in r.findings if f.clause == clause] \
+            == [("W", "constant 2 of type t")] * 2
+
+
+@pytest.mark.parametrize("body, constants", [
+    ("|~| v:{0,1} @ c!v -> STOP", [0, 1]),
+    ("||| i:(t\\{0}) @ c!i -> STOP", [0]),
+])
+def test_constants_in_a_replicated_domain_are_reported(body, constants):
+    defs = parse_definitions(f"channel c : t\nP = {body}\n")
+    for check, clause in _CONSTANT_CLAUSES:
+        r = check("P", defs)
+        assert [f.message for f in r.findings if f.clause == clause] \
+            == [f"constant {k} of type t" for k in constants]
 
 
 # -- mixed inputs ---------------------------------------------------------------

@@ -77,6 +77,18 @@ def test_diagnostics_carry_positions():
     assert d.filename == "f.pcsp" and d.line == 2 and d.col > 0
 
 
+@pytest.mark.parametrize("construct", ["c$x:t$x:t", "c?x:t?x:t", "c$x:t?x"])
+def test_name_bound_twice_in_one_construct_rejected(construct):
+    # a name holds one value: at #T=2, c$x:t$x:t offered only c.0.0 and
+    # c.1.1 while c?x:t?x:t offered all four pairs
+    with pytest.raises(ParseError) as exc:
+        parse_definitions(f"channel c : t.t\nP = {construct} -> STOP\n",
+                          filename="f.pcsp")
+    d = exc.value.diagnostics[0]
+    assert (d.filename, d.line, d.col) == ("f.pcsp", 2, 11)
+    assert d.message == "input variable 'x' is bound twice in one construct on channel 'c'"
+
+
 def test_duplicate_definition_rejected():
     with pytest.raises(ParseError) as exc:
         parse_definitions("channel a\nP = a -> STOP\nP = STOP\n")

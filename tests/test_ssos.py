@@ -126,5 +126,5 @@ channel c : t.t
 channel d : t
 P = c?x:t?y:t -> ((if x==y then d!x -> STOP else STOP) [] c!x!y -> STOP)
 """)
-    s = build_sslts(defs, "P", require_seq=True)
+    s = build_sslts(defs, "P")
     assert check_lonely_conditionals(s) != []

@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pcsp.errors import SemanticsError
+from pcsp.lts import Event
 from pcsp.parser import parse_definitions
 from pcsp.syntax import (
     Atom, BANG, Condition, Construct, DOLLAR, Field, NamedType, Prefix,
     QUERY, Stop, T_TYPE, TVal, alpha_canonical, channels, classify_fields,
-    comms, comms_nont, free_vars, replace_selections, substitute,
+    comms, comms_nont, free_vars, permute_t, replace_selections, substitute,
+    t_values,
 )
 
 X_TYPE = NamedType("X", (Atom("X", "u", 0), Atom("X", "v", 1)))
@@ -231,6 +233,21 @@ P(v) = c?a:t -> d!v -> STOP
 """)
     canon = alpha_canonical(defs.equations["P"].body)
     assert "v" in free_vars(canon)
+
+
+def test_t_values_read_a_terms_data_and_not_its_subterms():
+    defs = parse_definitions("""
+channel c, d : t
+P = (c!1 -> STOP) [[ d.2 <- c.0 ]]
+""")
+    term = defs.equations["P"].body
+    assert list(t_values(term)) == [TVal(2), TVal(0)]
+    assert list(t_values(term.proc)) == [TVal(1)]
+    moved = permute_t(term, (1, 2, 0))
+    assert moved.proc is term.proc
+    assert list(t_values(moved)) == [TVal(0), TVal(1)]
+    assert permute_t(Event("c", (TVal(0), TVal(2))), (1, 2, 0)) \
+        == Event("c", (TVal(1), TVal(0)))
 
 
 # -- property tests ----------------------------------------------------------
