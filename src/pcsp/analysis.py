@@ -1,7 +1,7 @@
-"""Denotational extraction and decision procedures over finite LTSs:
-traces, stable failures, refinement in both models, strong bisimulation
-with distinguishing formulas, divergence-freedom, and the semantic
-symmetry check."""
+"""Decision procedures over finite LTSs: divergence-freedom, normalisation
+of a specification, refinement in the traces and stable-failures models,
+strong bisimulation with distinguishing formulas, and the semantic symmetry
+check."""
 
 from __future__ import annotations
 
@@ -15,71 +15,6 @@ from .errors import SemanticsError
 from .lts import Event, Lts, TAU, label_key, rename_lts, tau_closure
 from .report import ConditionReport, Finding
 from .syntax import permute_t
-
-
-# ---------------------------------------------------------------------------
-# Traces and failures
-
-def traces_upto(lts: Lts, depth: int) -> set[tuple[Event, ...]]:
-    """All visible traces of length <= depth (finite, by bounded search)."""
-    out = {()}
-    frontier = {(): tau_closure(lts.edges, lts.root)}
-    for _ in range(depth):
-        nxt = {}
-        for tr, closure in frontier.items():
-            for s in closure:
-                for lab, tgt, _ in lts.edges[s]:
-                    if lab is TAU:
-                        continue
-                    tr2 = tr + (lab,)
-                    if tr2 not in nxt:
-                        nxt[tr2] = set()
-                    nxt[tr2].add(tgt)
-        frontier = {tr: tau_closure(lts.edges, ss) for tr, ss in nxt.items()}
-        out.update(frontier.keys())
-    return out
-
-
-def states_after(lts: Lts, trace) -> frozenset[int]:
-    """τ-closed set of states reachable by the given visible trace."""
-    current = tau_closure(lts.edges, lts.root)
-    for e in trace:
-        nxt = {tgt for s in current for lab, tgt, _ in lts.edges[s] if lab == e}
-        if not nxt:
-            return frozenset()
-        current = tau_closure(lts.edges, nxt)
-    return current
-
-
-def has_trace(lts: Lts, trace) -> bool:
-    return bool(states_after(lts, trace)) or not trace
-
-
-def initials_after(lts: Lts, trace) -> frozenset[Event]:
-    """Events available immediately after the trace."""
-    out = set()
-    for s in states_after(lts, trace):
-        out |= lts.initials(s)
-    return frozenset(out)
-
-
-def acceptances_after(lts: Lts, trace) -> frozenset[frozenset[Event]]:
-    """Initial sets of the stable states reachable after the trace."""
-    return frozenset(lts.initials(s) for s in states_after(lts, trace)
-                     if lts.is_stable(s))
-
-
-def has_failure(lts: Lts, trace, refused) -> bool:
-    """(trace, refused) is a stable failure: some stable state after the
-    trace accepts nothing in the refused set."""
-    refused = frozenset(refused)
-    return any(not (acc & refused) for acc in acceptances_after(lts, trace))
-
-
-def divergence_free(lts: Lts) -> bool:
-    """No τ-cycle is reachable from the root (the whole graph is reachable
-    by construction)."""
-    return not _divergent_states(lts)
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +61,12 @@ def _divergent_states(lts: Lts) -> frozenset[int]:
             if not out_degree[s]:
                 stack.append(s)
     return frozenset(s for s in range(n) if out_degree[s])
+
+
+def divergence_free(lts: Lts) -> bool:
+    """No τ-cycle is reachable from the root (the whole graph is reachable
+    by construction)."""
+    return not _divergent_states(lts)
 
 
 def normalise(lts: Lts, *, forbid_divergence: bool = False) -> NormalisedSpec:

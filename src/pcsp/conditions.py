@@ -19,8 +19,9 @@ from .syntax import (
     AlphaPar, BANG, Condition, Definitions, DOLLAR, ExtChoice, Hide, Ident,
     If, IntChoice, Interleave, MixedGuard, NamedType, Prefix, ProcessTerm,
     QUERY, Rename, ReplAlphaPar, ReplExtChoice, ReplIntChoice, ReplInterleave,
-    SharedPar, Sliding, Stop, TType, TVal, REPLICATED, channels,
-    classify_fields, free_vars, substitute, subterms, t_values, unfold_walk,
+    SharedPar, Sliding, TType, TVal, REPLICATED, channels,
+    classify_fields, free_vars, initial_spine, substitute, subterms, t_values,
+    unfold_walk,
 )
 
 ProcRef = Union[str, ProcessTerm]
@@ -143,30 +144,6 @@ def check_seq(proc: ProcRef, defs: Definitions) -> ConditionReport:
 # ---------------------------------------------------------------------------
 # SeqNorm
 
-def _initial_t_conditional(term: ProcessTerm, defs: Definitions,
-                           seen: Optional[set] = None) -> bool:
-    """A conditional choice on t occurs before any prefix on some spine."""
-    if seen is None:
-        seen = set()
-    if isinstance(term, (Stop, Prefix)):
-        return False
-    if isinstance(term, (ExtChoice, IntChoice, Sliding)):
-        return (_initial_t_conditional(term.left, defs, seen)
-                or _initial_t_conditional(term.right, defs, seen))
-    if isinstance(term, If):
-        if isinstance(term.guard, (Condition, MixedGuard)):
-            return True
-        return (_initial_t_conditional(term.then, defs, seen)
-                or _initial_t_conditional(term.els, defs, seen))
-    if isinstance(term, Ident):
-        if term.name in seen:
-            return False
-        seen.add(term.name)
-        eq = defs.equations.get(term.name)
-        return eq is not None and _initial_t_conditional(eq.body, defs, seen)
-    return False
-
-
 def check_seqnorm(proc: ProcRef, defs: Definitions) -> ConditionReport:
     """Seq plus normality: choice arguments use disjoint channel sets and have
     no conditional choice on t before a prefix."""
@@ -177,14 +154,14 @@ def check_seqnorm(proc: ProcRef, defs: Definitions) -> ConditionReport:
     if not base.findings:
         for node, where in unfold_walk(term, defs, name, seen):
             if isinstance(node, (ExtChoice, IntChoice, Sliding)):
-                shared = (channels(node.left, defs, strict=False)
-                          & channels(node.right, defs, strict=False))
+                shared = channels(node.left, defs) & channels(node.right, defs)
                 if shared:
                     findings.append(Finding(
                         "channels", "choice arguments share channel(s) "
                         + ", ".join(sorted(shared)), where))
                 for side, sub in (("left", node.left), ("right", node.right)):
-                    if _initial_t_conditional(sub, defs):
+                    if any(isinstance(n, If) and isinstance(n.guard, (Condition, MixedGuard))
+                           for n in initial_spine(sub, defs)):
                         findings.append(Finding(
                             "cond-before-prefix",
                             f"conditional choice on t before a prefix in the "

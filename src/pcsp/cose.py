@@ -6,8 +6,7 @@ symbolic event with nondeterministic selections over t first resolves them
 by a τ that records the chosen values in the environment and rewrites the
 selections of the originating construct into outputs; symbolic τs carry
 over; conditional edges dissolve, contributing the transitions of their
-target when the condition holds in the environment.  Also implements the
-ternary relation linking symbolic traces, environments and concrete traces.
+target when the condition holds in the environment.
 
 Each call works over a table of the symbolic states it meets, keyed by
 canonical form and construct uids as the standard semantics keys its
@@ -24,12 +23,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 from .errors import SemanticsError
-from .lts import Event, Lts, TAU, build, tau_closure
+from .lts import Event, Lts, TAU, build
 from .pretty import fmt_term
-from .ssos import Cond, Vis
+from .ssos import Cond
 from .ssos import successors as sym_successors
 from .std_semantics import (
     check_guarded_recursion, eval_guard, file_alphabet, tvalues_for,
@@ -54,9 +53,6 @@ class Configuration:
 
     term: ProcessTerm
     env: tuple  # sorted (name, TVal) pairs
-
-    def env_dict(self) -> Environment:
-        return dict(self.env)
 
     def describe(self) -> str:
         items = ", ".join(f"{k}->{v}" for k, v in self.env)
@@ -274,117 +270,3 @@ def concretize(defs: Definitions, source: Union[str, ProcessTerm],
     return Lts(lts.root, [_configuration(cfg) for cfg in lts.states],
                [table.keys[cid] for cid in lts.keys], lts.edges,
                lts.alphabet, tsize)
-
-
-# ---------------------------------------------------------------------------
-# Symbolic traces generating concrete traces
-
-def generates(sigma, env: Environment, trace, tvalues) -> bool:
-    """The least ternary relation: τ labels are skipped, a conditional label
-    requires its condition to hold, and a visible symbolic label consumes one
-    concrete event it instantiates, extending the environment."""
-    if not sigma:
-        return not trace
-    head, rest = sigma[0], sigma[1:]
-    if head is TAU:
-        return generates(rest, env, trace, tvalues)
-    if isinstance(head, Cond):
-        return (eval_condition(head.condition, env)
-                and generates(rest, env, trace, tvalues))
-    eps = head.event if isinstance(head, Vis) else head
-    if not trace:
-        return False
-    event = trace[0]
-    if event not in insts(eps, env, tvalues):
-        return False
-    env2 = dict(env)
-    env2.update(match(eps, event))
-    return generates(rest, env2, trace[1:], tvalues)
-
-
-def generated_traces(sigma, env: Environment, tvalues) -> Iterator[tuple]:
-    """All concrete traces the symbolic trace generates under the given
-    initial environment."""
-    if not sigma:
-        yield ()
-        return
-    head, rest = sigma[0], sigma[1:]
-    if head is TAU:
-        yield from generated_traces(rest, env, tvalues)
-        return
-    if isinstance(head, Cond):
-        if eval_condition(head.condition, env):
-            yield from generated_traces(rest, env, tvalues)
-        return
-    eps = head.event if isinstance(head, Vis) else head
-    for event in insts(eps, env, tvalues):
-        env2 = dict(env)
-        env2.update(match(eps, event))
-        for tail in generated_traces(rest, env2, tvalues):
-            yield (event,) + tail
-
-
-# ---------------------------------------------------------------------------
-# Regularity validators (assertions that hold for SeqNorm specifications)
-
-def _macro_states(lts: Lts):
-    """The determinisation of the LTS: yields each set of states reached by
-    a visible trace (before its τ-closure) with, per visible label leaving
-    its τ-closure, the set of targets and the set of construct uids."""
-    start = frozenset((lts.root,))
-    seen = {start}
-    queue = [start]
-    while queue:
-        macro = queue.pop()
-        succ: dict = {}
-        for s in tau_closure(lts.edges, macro):
-            for lab, tgt, uid in lts.edges[s]:
-                if lab is not TAU:
-                    tgts, uids = succ.setdefault(lab, (set(), set()))
-                    tgts.add(tgt)
-                    uids.add(uid)
-        yield macro, succ
-        for tgts, _ in succ.values():
-            nxt = frozenset(tgts)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-
-
-def check_environment_uniqueness(lts: Lts) -> list[str]:
-    """After any visible trace not ending in τ, exactly one configuration is
-    reachable (checked over the determinisation of the configuration LTS,
-    whose macro-states each correspond to at least one trace)."""
-    return [f"configurations {{{', '.join(map(str, sorted(macro)))}}} "
-            "reachable by one trace"
-            for macro, _ in _macro_states(lts) if len(macro) != 1]
-
-
-def check_unique_matching_construct(lts: Lts) -> list[str]:
-    """Each (trace, event) pair is produced by a unique construct, checked by
-    comparing the source identities on same-labelled edges reachable after a
-    common trace."""
-    return [f"event {lab} arises from {len(uids)} constructs after a common trace"
-            for _, succ in _macro_states(lts)
-            for lab, (_, uids) in succ.items() if len(uids) > 1]
-
-
-def check_monotonicity(small: Lts, large: Lts) -> list[str]:
-    """Every transition available at a sub-instantiation is available at the
-    larger one, with matching source and target configurations (matching via
-    the type-independent configuration keys)."""
-    problems = []
-    for idx, key in enumerate(small.keys):
-        big = large.key_index.get(key)
-        if big is None:
-            problems.append(f"configuration {small.states[idx].describe()} "
-                            "unreachable at the larger instantiation")
-            continue
-        small_edges = {(lab, small.keys[tgt]) for lab, tgt, _ in small.edges[idx]}
-        large_edges = {(lab, large.keys[tgt]) for lab, tgt, _ in large.edges[big]}
-        missing = small_edges - large_edges
-        for lab, _ in sorted(missing, key=lambda e: str(e[0])):
-            problems.append(f"transition {lab} from "
-                            f"{small.states[idx].describe()} missing at the "
-                            "larger instantiation")
-    return problems

@@ -74,7 +74,7 @@ class Lts:
     semantics builds over int configuration ids and then replaces them by
     the configuration keys (canonical terms with the environment
     substituted), which are shared across instantiation sizes, so that
-    check_monotonicity can match states between sizes.
+    key_index matches states between sizes.
     """
 
     root: int

@@ -1,11 +1,13 @@
 """Text front end for ``.pcsp`` definition files.
 
-Declarations (``channel``, ``datatype``, ``const``) are collected in a first
-pass so that equation bodies can be parsed against channel signatures
-regardless of declaration order.  Process parameters are untyped in the
-source; a small inference pass types them from their uses (event positions,
-arithmetic, argument passing) before guards are classified into t-conditions
-and ordinary boolean expressions.
+The token stream is split into items, each running from a declaration
+keyword or an equation head to the next one, and each item is parsed by the
+one grammar for its kind.  Declarations (``channel``, ``datatype``,
+``const``, ``assert``) are parsed in a first pass so that equation bodies
+can be parsed against channel signatures regardless of declaration order.
+Process parameters are untyped in the source; a small inference pass types
+them from their uses (event positions, arithmetic, argument passing) before
+guards are classified into t-conditions and ordinary boolean expressions.
 """
 
 from __future__ import annotations
@@ -611,98 +613,28 @@ def _is_eq_head(toks: list[Token], j: int) -> bool:
     return toks[k].kind == "sym" and toks[k].text == "="
 
 
-def _sym_at(toks, j, text) -> bool:
-    return toks[j].kind == "sym" and toks[j].text == text
-
-
-def _decl_extent(toks: list[Token], i: int, filename: str) -> int:
-    """Token index one past a declaration item, found by shape alone (no name
-    resolution, so declarations may reference types defined later)."""
-    kw = toks[i].text
-
-    def oops(j):
-        t = toks[min(j, len(toks) - 1)]
-        raise ParseError([Diagnostic(
-            f"malformed {kw} declaration", t.line, t.col, filename)])
-
-    def consume_type(j):
-        if _sym_at(toks, j, "(") or _sym_at(toks, j, "{"):
-            close = {"(": ")", "{": "}"}[toks[j].text]
-            opened = toks[j].text
-            depth = 1
-            j += 1
-            while toks[j].kind != "eof" and depth:
-                if _sym_at(toks, j, opened):
-                    depth += 1
-                elif _sym_at(toks, j, close):
-                    depth -= 1
-                j += 1
-            if depth:
-                oops(j)
-            return j
-        if toks[j].kind != "ident":
-            oops(j)
-        j += 1
-        if _sym_at(toks, j, "\\"):
-            return consume_type(j + 1)
-        return j
-
-    j = i + 1
-    if kw == "channel":
-        if toks[j].kind != "ident":
-            oops(j)
-        j += 1
-        while _sym_at(toks, j, ","):
-            if toks[j + 1].kind != "ident":
-                oops(j + 1)
-            j += 2
-        if _sym_at(toks, j, ":"):
-            j = consume_type(j + 1)
-            while _sym_at(toks, j, "."):
-                j = consume_type(j + 1)
-        return j
-    if kw == "datatype":
-        if toks[j].kind != "ident" or not _sym_at(toks, j + 1, "="):
-            oops(j)
-        j += 2
-        if toks[j].kind != "ident":
-            oops(j)
-        j += 1
-        while _sym_at(toks, j, "|"):
-            if toks[j + 1].kind != "ident":
-                oops(j + 1)
-            j += 2
-        return j
-    if kw == "const":
-        if toks[j].kind != "ident" or not _sym_at(toks, j + 1, "=") \
-                or toks[j + 2].kind != "num":
-            oops(j)
-        return j + 3
-    # assert
-    if toks[j].kind != "ident" or toks[j + 1].text not in ("[T=", "[F=") \
-            or toks[j + 2].kind != "ident":
-        oops(j)
-    return j + 3
+def _is_decl(t: Token) -> bool:
+    return t.kind == "ident" and t.text in _DECL_KWS
 
 
 def _scan_items(toks: list[Token], filename: str):
-    """Split the token stream into declaration and equation items."""
+    """Split the token stream into declaration and equation items.  Each item
+    runs from a declaration keyword or an equation head up to the next one;
+    the scan of a datatype or const starts after its ``Name =``, which has
+    the shape of an equation head.  The item's own parser checks the rest."""
     items = []
     i = 0
     while toks[i].kind != "eof":
         t = toks[i]
-        if t.kind == "ident" and t.text in _DECL_KWS:
-            j = _decl_extent(toks, i, filename)
-            items.append((i, j))
-            i = j
-            continue
-        if not _is_eq_head(toks, i):
+        if not (_is_decl(t) or _is_eq_head(toks, i)):
             raise ParseError([Diagnostic(
                 f"expected a declaration or equation, found {t.text!r}",
                 t.line, t.col, filename)])
         j = i + 1
+        if t.text in ("datatype", "const") and _is_eq_head(toks, j):
+            j += 2
         while toks[j].kind != "eof" and not _is_eq_head(toks, j) \
-                and not (toks[j].kind == "ident" and toks[j].text in _DECL_KWS):
+                and not _is_decl(toks[j]):
             j += 1
         items.append((i, j))
         i = j
@@ -1051,8 +983,7 @@ def parse_definitions(text: str, filename: str = "<input>") -> Definitions:
     equation_items = []
     decl_items = []
     for start, end in items:
-        head = toks[start]
-        if head.kind == "ident" and head.text in _DECL_KWS:
+        if _is_decl(toks[start]):
             decl_items.append((start, end))
         else:
             equation_items.append((start, end))

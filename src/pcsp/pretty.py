@@ -1,14 +1,15 @@
 """Concrete-syntax printer.
 
-The printed form of a parsed file re-parses to an identical AST; term
-printing is also used for state labels in DOT output and diagnostics.
+Prints terms, constructs, guards, event sets and types; the printed form of
+a term re-parses to an identical AST.  Term printing labels states in DOT
+output and diagnostics.
 """
 
 from __future__ import annotations
 
 from .syntax import (
     Atom, BANG, BoolAnd, BoolLit, BoolNot, BoolOr, Cmp, Condition, Construct,
-    Definitions, DOLLAR, EventLitItem, EventSet, ExtChoice, Field, Hide,
+    DOLLAR, EventLitItem, EventSet, ExtChoice, Field, Hide,
     Ident, If, IntChoice, Interleave, MixedGuard, NatLit, NatMin, NatOp,
     Prefix, QUERY, Rename, ReplAlphaPar, ReplExtChoice, ReplIntChoice,
     ReplInterleave, AlphaPar, SharedPar, Sliding, Stop, TVal, VarRef,
@@ -180,25 +181,3 @@ def _fmt_ren(x) -> str:
     if isinstance(x, EventLitItem):
         return x.channel + "".join("." + fmt_datum(d) for d in x.datums)
     return x
-
-
-def fmt_definitions(defs: Definitions) -> str:
-    lines = []
-    for name, sig in defs.channels.items():
-        if sig:
-            lines.append(f"channel {name} : " + ".".join(fmt_type(t) for t in sig))
-        else:
-            lines.append(f"channel {name}")
-    for name, values in defs.datatypes.items():
-        lines.append(f"datatype {name} = " + " | ".join(a.name for a in values))
-    for name, v in defs.consts.items():
-        lines.append(f"const {name} = {v}")
-    for eq in defs.equations.values():
-        head = eq.name
-        if eq.params:
-            head += "(" + ",".join(eq.params) + ")"
-        lines.append(f"{head} = {fmt_term(eq.body)}")
-    for a in defs.assertions:
-        op = "[T=" if a.model == "traces" else "[F="
-        lines.append(f"assert {a.lhs} {op} {a.rhs}")
-    return "\n".join(lines) + "\n"

@@ -32,7 +32,7 @@ from .syntax import (
 
 
 # ---------------------------------------------------------------------------
-# Collapsing functions and their liftings
+# Collapsing functions
 
 @dataclass(frozen=True)
 class CollapsingFn:
@@ -48,31 +48,8 @@ class CollapsingFn:
     def event(self, e: Event) -> Event:
         return Event(e.channel, tuple(self.value(v) for v in e.values))
 
-    def trace(self, tr) -> tuple:
-        return tuple(self.event(e) for e in tr)
-
-    def value_set(self, s) -> frozenset:
-        return frozenset(self.value(v) for v in s)
-
-    def event_set(self, s) -> frozenset:
-        return frozenset(self.event(e) for e in s)
-
-    def environment(self, env: dict) -> dict:
-        return {k: self.value(v) for k, v in env.items()}
-
     def lts(self, l: Lts) -> Lts:
         return rename_lts(l, self.event)
-
-    def inverse_value(self, v: Value, tsize: int) -> frozenset:
-        if isinstance(v, TVal) and 0 <= v.index <= self.bound:
-            return frozenset(tv for tv in (TVal(i) for i in range(tsize))
-                             if self.value(tv) == v)
-        return frozenset((v,))
-
-    def inverse_event(self, e: Event, tsize: int) -> frozenset[Event]:
-        domains = [sorted(self.inverse_value(v, tsize), key=str) for v in e.values]
-        return frozenset(Event(e.channel, tuple(vs))
-                         for vs in itertools.product(*domains))
 
 
 # ---------------------------------------------------------------------------

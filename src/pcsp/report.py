@@ -54,7 +54,3 @@ class ConditionReport:
 
 def failed(name: str, findings) -> ConditionReport:
     return ConditionReport(name, "fail", list(findings))
-
-
-def passed(name: str, notes=()) -> ConditionReport:
-    return ConditionReport(name, "pass", [], list(notes))

@@ -5,16 +5,17 @@ uninstantiated.  Labels are τ, visible symbolic events (constructs whose
 non-t inputs have been resolved to concrete outputs), or conditional events
 (a t-condition or its negation).  Conditional and τ labels are promoted
 through external and sliding choice alike; non-t conditionals are evaluated
-during construction.
+during construction.  The non-t projection of a visible symbolic event is
+the key by which the traces threshold groups events.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Union
 
 from .errors import SemanticsError
-from .lts import TAU, Lts, build, tau_closure
+from .lts import TAU, Lts, build
 from .pretty import fmt_condition, fmt_construct, fmt_term
 from .std_semantics import (
     check_guarded_recursion, eval_guard, resolve_selections, unfold_ident,
@@ -146,34 +147,7 @@ def build_sslts(defs: Definitions, proc: Union[str, ProcessTerm],
 
 
 # ---------------------------------------------------------------------------
-# Symbolic traces and their equivalences
-
-SymbolicTrace = tuple
-
-
-def symbolic_traces(s: Lts, maxlen: int) -> Iterator[SymbolicTrace]:
-    """All label sequences of length <= maxlen forming root paths (paths may
-    revisit states, so the enumeration is by length)."""
-    frontier = [((), s.root)]
-    yield ()
-    for _ in range(maxlen):
-        nxt = []
-        for trace, st in frontier:
-            for lab, tgt, _ in s.edges[st]:
-                t2 = trace + (lab,)
-                nxt.append((t2, tgt))
-                yield t2
-        frontier = nxt
-
-
-def nontau_equiv(sigma: SymbolicTrace, rho: SymbolicTrace) -> bool:
-    """Equality of the projections that erase internal events only."""
-    return _strip_tau(sigma) == _strip_tau(rho)
-
-
-def _strip_tau(sigma):
-    return tuple(sym_label_key(l) for l in sigma if l is not TAU)
-
+# The non-t projection of visible symbolic events
 
 def nont_event_key(e: Construct):
     """The non-t projection of a visible symbolic event: the channel plus the
@@ -185,72 +159,3 @@ def nont_event_key(e: Construct):
         else:
             parts.append(("v",) + value_key(f.payload))
     return (e.channel, tuple(parts))
-
-
-def nont_equiv_events(e1: Construct, e2: Construct) -> bool:
-    """Visible symbolic events agreeing on all the fields not of type t."""
-    return nont_event_key(e1) == nont_event_key(e2)
-
-
-def nont_equiv(sigma: SymbolicTrace, rho: SymbolicTrace) -> bool:
-    """Non-t equivalence: the restrictions to visible symbolic events are
-    pointwise non-t equivalent."""
-    v1 = [nont_event_key(l.event) for l in sigma if isinstance(l, Vis)]
-    v2 = [nont_event_key(l.event) for l in rho if isinstance(l, Vis)]
-    return v1 == v2
-
-
-# ---------------------------------------------------------------------------
-# Structural checks used as construction-time assertions on normal
-# specifications (they hold for every SeqNorm process).
-
-def check_unique_nontau_targets(s: Lts) -> list[str]:
-    """From any state, a given visible or conditional label reachable through
-    τ-prefixes leads to a unique target state."""
-    problems = []
-    for st in range(s.n_states()):
-        closure = tau_closure(s.edges, st)
-        seen: dict = {}
-        for q in sorted(closure):
-            for lab, tgt, _ in s.edges[q]:
-                if lab is TAU:
-                    continue
-                k = sym_label_key(lab)
-                if k in seen and seen[k] != tgt:
-                    problems.append(
-                        f"state {st}: label {fmt_sym_label(lab)} reaches both "
-                        f"states {seen[k]} and {tgt}")
-                seen[k] = tgt
-    return problems
-
-
-def check_lonely_conditionals(s: Lts) -> list[str]:
-    """If a conditional edge is τ-reachable from a state, every non-τ edge
-    τ-reachable from it is that condition or its negation."""
-    problems = []
-    for st in range(s.n_states()):
-        closure = tau_closure(s.edges, st)
-        labels = [lab for q in closure for lab, _, _ in s.edges[q] if lab is not TAU]
-        conds = [lab for lab in labels if isinstance(lab, Cond)]
-        if not conds:
-            continue
-        base = conds[0].condition
-        wanted = {sym_label_key(Cond(base)), sym_label_key(Cond(base.negate()))}
-        for lab in labels:
-            if sym_label_key(lab) not in wanted:
-                problems.append(
-                    f"state {st}: label {fmt_sym_label(lab)} alongside "
-                    f"conditional {fmt_condition(base)}")
-    return problems
-
-
-def check_vis_label_shape(s: Lts) -> list[str]:
-    """Visible symbolic labels never contain non-t selections or inputs."""
-    problems = []
-    for st in range(s.n_states()):
-        for lab, _, _ in s.edges[st]:
-            if isinstance(lab, Vis):
-                sets = classify_fields(lab.event)
-                if sets.dollar_nont or sets.query_nont:
-                    problems.append(f"state {st}: label {lab} has non-t inputs")
-    return problems

@@ -70,7 +70,7 @@ import itertools
 from typing import Optional, Union
 
 from .errors import SemanticsError
-from .lts import Event, Lts, TAU, build, rename_lts, tau_closure, terms_bounded  # noqa: F401 (re-export)
+from .lts import Event, Lts, TAU, build, tau_closure, terms_bounded
 from .syntax import (
     BANG, REPLICATED, AlphaPar, Atom, Condition, Definitions, Equation,
     EventLitItem, EventSet, ExtChoice, Hide, Ident, If, IndexedInterleave,

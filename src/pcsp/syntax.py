@@ -22,7 +22,8 @@ they act on.  Every other field is data: ``t_values``/``permute_t`` find
 and rename the t-values in it, for the side-condition checkers, the
 symmetry reduction and the renaming of events.  ``unfold_walk`` visits
 every node reachable through the equations, unfolding each identifier
-once.
+once; ``initial_spine`` visits only the nodes up to the initial prefixes of
+a sequential process, which give its initial channels.
 """
 
 from __future__ import annotations
@@ -194,9 +195,6 @@ class Construct:
     fields: tuple[Field, ...] = ()
     uid: int = field(default=-1, compare=False, hash=False)
 
-    def arity(self) -> int:
-        return len(self.fields)
-
 
 @dataclass(frozen=True)
 class IndexSets:
@@ -216,10 +214,6 @@ class IndexSets:
     @property
     def query(self) -> frozenset[int]:
         return self.query_t | self.query_nont
-
-    @property
-    def bang(self) -> frozenset[int]:
-        return self.bang_t | self.bang_nont
 
 
 def classify_fields(alpha: Construct) -> IndexSets:
@@ -906,43 +900,33 @@ def free_vars(term: ProcessTerm) -> frozenset[str]:
 
 
 # ---------------------------------------------------------------------------
-# Channels (initial-construct channel names of the sequential fragment)
+# The initial spine of a sequential process, and its initial channels
 
-def channels(term: ProcessTerm, defs: Definitions, *, strict: bool = True,
-             _active: Optional[set] = None) -> frozenset[str]:
-    """Channel names of the initial constructs of a sequential process.
+def initial_spine(term: ProcessTerm, defs: Definitions) -> Iterator[ProcessTerm]:
+    """The nodes of a sequential process up to and including its initial
+    prefixes: both operands of a choice, both branches of a conditional and
+    the body of an identifier, which is unfolded where it is first met and
+    never again.  Iterative, so the depth of a term costs no stack."""
+    seen = set()
+    stack = [term]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, (ExtChoice, IntChoice, Sliding)):
+            stack += (node.right, node.left)
+        elif isinstance(node, If):
+            stack += (node.els, node.then)
+        elif isinstance(node, Ident) and node.name not in seen:
+            eq = defs.equations.get(node.name)
+            if eq is not None:
+                seen.add(node.name)
+                stack.append(eq.body)
 
-    Identifier unfolding carries a visited set; revisiting an identifier on
-    the current unfolding path contributes no new channels, and with
-    strict=True such an unguarded recursive cycle raises a diagnostic.
-    """
-    active = _active if _active is not None else set()
-    if isinstance(term, Stop):
-        return frozenset()
-    if isinstance(term, Prefix):
-        return frozenset((term.construct.channel,))
-    if isinstance(term, (ExtChoice, IntChoice, Sliding)):
-        return (channels(term.left, defs, strict=strict, _active=active)
-                | channels(term.right, defs, strict=strict, _active=active))
-    if isinstance(term, If):
-        return (channels(term.then, defs, strict=strict, _active=active)
-                | channels(term.els, defs, strict=strict, _active=active))
-    if isinstance(term, Ident):
-        if term.name in active:
-            if strict:
-                raise SemanticsError(
-                    f"unguarded recursive cycle through identifier {term.name!r}")
-            return frozenset()
-        eq = defs.equations.get(term.name)
-        if eq is None:
-            raise SemanticsError(f"undefined process {term.name!r}")
-        active.add(term.name)
-        try:
-            return channels(eq.body, defs, strict=strict, _active=active)
-        finally:
-            active.discard(term.name)
-    raise SemanticsError(
-        f"channels() is defined on the sequential fragment only, got {type(term).__name__}")
+
+def channels(term: ProcessTerm, defs: Definitions) -> frozenset[str]:
+    """Channel names of the initial constructs of a sequential process."""
+    return frozenset(node.construct.channel for node in initial_spine(term, defs)
+                     if isinstance(node, Prefix))
 
 
 # ---------------------------------------------------------------------------

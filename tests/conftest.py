@@ -5,12 +5,12 @@ from functools import lru_cache
 
 import pytest
 
-from pcsp.analysis import has_failure, has_trace
 from pcsp.cli import corpus_path
 from pcsp.cose import concretize
 from pcsp.lts import Event
 from pcsp.parser import parse_file
 from pcsp.syntax import TVal
+from reference import has_failure, has_trace
 
 
 @lru_cache(maxsize=None)

@@ -1,0 +1,275 @@
+"""Reference oracles and validators that the tests apply to the package's
+output.  None of them is on a command's path: the extensional trace and
+failure oracles decide membership by bounded search, the symbolic-trace
+relation is the paper's definition read literally, and the validators check
+lemmas that hold for every SeqNorm specification, so a violation is a bug
+in the semantics that built the transition system."""
+
+from __future__ import annotations
+
+from typing import Iterator
+
+from pcsp.cose import eval_condition, insts, match
+from pcsp.lts import Event, Lts, TAU, tau_closure
+from pcsp.pretty import fmt_condition, fmt_term, fmt_type
+from pcsp.ssos import Cond, Vis, fmt_sym_label, sym_label_key
+from pcsp.syntax import Definitions, classify_fields
+
+
+# ---------------------------------------------------------------------------
+# Traces and stable failures of a concrete LTS
+
+def traces_upto(lts: Lts, depth: int) -> set[tuple[Event, ...]]:
+    """All visible traces of length <= depth (finite, by bounded search)."""
+    out = {()}
+    frontier = {(): tau_closure(lts.edges, lts.root)}
+    for _ in range(depth):
+        nxt = {}
+        for tr, closure in frontier.items():
+            for s in closure:
+                for lab, tgt, _ in lts.edges[s]:
+                    if lab is not TAU:
+                        nxt.setdefault(tr + (lab,), set()).add(tgt)
+        frontier = {tr: tau_closure(lts.edges, ss) for tr, ss in nxt.items()}
+        out.update(frontier)
+    return out
+
+
+def states_after(lts: Lts, trace) -> frozenset[int]:
+    """τ-closed set of states reachable by the given visible trace."""
+    current = tau_closure(lts.edges, lts.root)
+    for e in trace:
+        nxt = {tgt for s in current for lab, tgt, _ in lts.edges[s] if lab == e}
+        if not nxt:
+            return frozenset()
+        current = tau_closure(lts.edges, nxt)
+    return current
+
+
+def has_trace(lts: Lts, trace) -> bool:
+    return bool(states_after(lts, trace)) or not trace
+
+
+def initials_after(lts: Lts, trace) -> frozenset[Event]:
+    """Events available immediately after the trace."""
+    return frozenset(e for s in states_after(lts, trace) for e in lts.initials(s))
+
+
+def acceptances_after(lts: Lts, trace) -> frozenset[frozenset[Event]]:
+    """Initial sets of the stable states reachable after the trace."""
+    return frozenset(lts.initials(s) for s in states_after(lts, trace)
+                     if lts.is_stable(s))
+
+
+def has_failure(lts: Lts, trace, refused) -> bool:
+    """(trace, refused) is a stable failure: some stable state after the
+    trace accepts nothing in the refused set."""
+    refused = frozenset(refused)
+    return any(not (acc & refused) for acc in acceptances_after(lts, trace))
+
+
+# ---------------------------------------------------------------------------
+# Symbolic traces and the ternary relation to concrete traces
+
+def symbolic_traces(s: Lts, maxlen: int) -> Iterator[tuple]:
+    """All label sequences of length <= maxlen forming root paths (paths may
+    revisit states, so the enumeration is by length)."""
+    frontier = [((), s.root)]
+    yield ()
+    for _ in range(maxlen):
+        nxt = []
+        for trace, st in frontier:
+            for lab, tgt, _ in s.edges[st]:
+                t2 = trace + (lab,)
+                nxt.append((t2, tgt))
+                yield t2
+        frontier = nxt
+
+
+def generates(sigma, env: dict, trace, tvalues) -> bool:
+    """The least ternary relation between a symbolic trace, an environment
+    and a concrete trace: τ labels are skipped, a conditional label requires
+    its condition to hold, and a visible symbolic label consumes one concrete
+    event it instantiates, extending the environment."""
+    if not sigma:
+        return not trace
+    head, rest = sigma[0], sigma[1:]
+    if head is TAU:
+        return generates(rest, env, trace, tvalues)
+    if isinstance(head, Cond):
+        return (eval_condition(head.condition, env)
+                and generates(rest, env, trace, tvalues))
+    eps = head.event if isinstance(head, Vis) else head
+    if not trace or trace[0] not in insts(eps, env, tvalues):
+        return False
+    return generates(rest, {**env, **match(eps, trace[0])}, trace[1:], tvalues)
+
+
+def generated_traces(sigma, env: dict, tvalues) -> Iterator[tuple]:
+    """All concrete traces the symbolic trace generates under the given
+    initial environment."""
+    if not sigma:
+        yield ()
+        return
+    head, rest = sigma[0], sigma[1:]
+    if head is TAU:
+        yield from generated_traces(rest, env, tvalues)
+        return
+    if isinstance(head, Cond):
+        if eval_condition(head.condition, env):
+            yield from generated_traces(rest, env, tvalues)
+        return
+    eps = head.event if isinstance(head, Vis) else head
+    for event in insts(eps, env, tvalues):
+        for tail in generated_traces(rest, {**env, **match(eps, event)}, tvalues):
+            yield (event,) + tail
+
+
+# ---------------------------------------------------------------------------
+# Regularity of the semi-symbolic LTS of a SeqNorm process
+
+def check_unique_nontau_targets(s: Lts) -> list[str]:
+    """The SSLTS lemma that from any state a given visible or conditional
+    label reachable through τ-prefixes leads to a unique target state."""
+    problems = []
+    for st in range(s.n_states()):
+        seen: dict = {}
+        for q in sorted(tau_closure(s.edges, st)):
+            for lab, tgt, _ in s.edges[q]:
+                if lab is TAU:
+                    continue
+                k = sym_label_key(lab)
+                if k in seen and seen[k] != tgt:
+                    problems.append(
+                        f"state {st}: label {fmt_sym_label(lab)} reaches both "
+                        f"states {seen[k]} and {tgt}")
+                seen[k] = tgt
+    return problems
+
+
+def check_lonely_conditionals(s: Lts) -> list[str]:
+    """The SSLTS lemma that conditional choices are lonely: if a conditional
+    edge is τ-reachable from a state, every non-τ edge τ-reachable from it
+    is that condition or its negation."""
+    problems = []
+    for st in range(s.n_states()):
+        closure = tau_closure(s.edges, st)
+        labels = [lab for q in closure for lab, _, _ in s.edges[q] if lab is not TAU]
+        conds = [lab for lab in labels if isinstance(lab, Cond)]
+        if not conds:
+            continue
+        base = conds[0].condition
+        wanted = {sym_label_key(Cond(base)), sym_label_key(Cond(base.negate()))}
+        for lab in labels:
+            if sym_label_key(lab) not in wanted:
+                problems.append(
+                    f"state {st}: label {fmt_sym_label(lab)} alongside "
+                    f"conditional {fmt_condition(base)}")
+    return problems
+
+
+def check_vis_label_shape(s: Lts) -> list[str]:
+    """The shape of visible symbolic events: non-t selections and inputs are
+    resolved to outputs during construction, so no label carries one."""
+    problems = []
+    for st in range(s.n_states()):
+        for lab, _, _ in s.edges[st]:
+            if isinstance(lab, Vis):
+                sets = classify_fields(lab.event)
+                if sets.dollar_nont or sets.query_nont:
+                    problems.append(f"state {st}: label {lab} has non-t inputs")
+    return problems
+
+
+# ---------------------------------------------------------------------------
+# Regularity of the configuration LTS (COSE) of a SeqNorm process
+
+def _macro_states(lts: Lts):
+    """The determinisation of the LTS: yields each set of states reached by
+    a visible trace (before its τ-closure) with, per visible label leaving
+    its τ-closure, the set of targets and the set of construct uids."""
+    start = frozenset((lts.root,))
+    seen = {start}
+    queue = [start]
+    while queue:
+        macro = queue.pop()
+        succ: dict = {}
+        for s in tau_closure(lts.edges, macro):
+            for lab, tgt, uid in lts.edges[s]:
+                if lab is not TAU:
+                    tgts, uids = succ.setdefault(lab, (set(), set()))
+                    tgts.add(tgt)
+                    uids.add(uid)
+        yield macro, succ
+        for tgts, _ in succ.values():
+            nxt = frozenset(tgts)
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+
+
+def check_environment_uniqueness(lts: Lts) -> list[str]:
+    """The environment-uniqueness lemma: after any visible trace not ending
+    in τ, exactly one configuration is reachable (checked over the
+    determinisation of the configuration LTS, whose macro-states each
+    correspond to at least one trace)."""
+    return [f"configurations {{{', '.join(map(str, sorted(macro)))}}} "
+            "reachable by one trace"
+            for macro, _ in _macro_states(lts) if len(macro) != 1]
+
+
+def check_unique_matching_construct(lts: Lts) -> list[str]:
+    """The unique-matching-construct lemma: each (trace, event) pair is
+    produced by a unique construct, checked by comparing the source
+    identities on same-labelled edges reachable after a common trace."""
+    return [f"event {lab} arises from {len(uids)} constructs after a common trace"
+            for _, succ in _macro_states(lts)
+            for lab, (_, uids) in succ.items() if len(uids) > 1]
+
+
+def check_monotonicity(small: Lts, large: Lts) -> list[str]:
+    """The monotonicity lemma in the size of t: every transition available
+    at a sub-instantiation is available at the larger one, with matching
+    source and target configurations (matched by the configuration keys,
+    which do not depend on the size)."""
+    problems = []
+    for idx, key in enumerate(small.keys):
+        big = large.key_index.get(key)
+        if big is None:
+            problems.append(f"configuration {small.states[idx].describe()} "
+                            "unreachable at the larger instantiation")
+            continue
+        small_edges = {(lab, small.keys[tgt]) for lab, tgt, _ in small.edges[idx]}
+        large_edges = {(lab, large.keys[tgt]) for lab, tgt, _ in large.edges[big]}
+        for lab, _ in sorted(small_edges - large_edges, key=lambda e: str(e[0])):
+            problems.append(f"transition {lab} from "
+                            f"{small.states[idx].describe()} missing at the "
+                            "larger instantiation")
+    return problems
+
+
+# ---------------------------------------------------------------------------
+# Printing a whole file
+
+def fmt_definitions(defs: Definitions) -> str:
+    """The concrete syntax of a parsed file; it re-parses to an identical
+    AST."""
+    lines = []
+    for name, sig in defs.channels.items():
+        if sig:
+            lines.append(f"channel {name} : " + ".".join(fmt_type(t) for t in sig))
+        else:
+            lines.append(f"channel {name}")
+    for name, values in defs.datatypes.items():
+        lines.append(f"datatype {name} = " + " | ".join(a.name for a in values))
+    for name, v in defs.consts.items():
+        lines.append(f"const {name} = {v}")
+    for eq in defs.equations.values():
+        head = eq.name
+        if eq.params:
+            head += "(" + ",".join(eq.params) + ")"
+        lines.append(f"{head} = {fmt_term(eq.body)}")
+    for a in defs.assertions:
+        op = "[T=" if a.model == "traces" else "[F="
+        lines.append(f"assert {a.lhs} {op} {a.rhs}")
+    return "\n".join(lines) + "\n"

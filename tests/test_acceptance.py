@@ -12,23 +12,20 @@ from conftest import (
     proc_body,
 )
 from pcsp import conditions
-from pcsp.analysis import (
-    acceptances_after, has_failure, refines, refines_failures, strong_bisim,
-    traces_upto,
-)
-from pcsp.cose import (
-    check_environment_uniqueness, check_monotonicity,
-    check_unique_matching_construct, concretize,
-)
+from pcsp.analysis import refines, refines_failures, strong_bisim
+from pcsp.cose import concretize
 from pcsp.lts import Event, TAU
 from pcsp.parser import parse_definitions
-from pcsp.pretty import fmt_definitions
 from pcsp.reduction import (
     CollapsingFn, thresh_failures, thresh_traces, verify_pmcp,
 )
 from pcsp.ssos import Cond, Vis, build_sslts
 from pcsp.std_semantics import build_lts, file_alphabet, tvalues_for
 from pcsp.syntax import TVal, substitute
+from reference import (
+    acceptances_after, check_environment_uniqueness, check_monotonicity,
+    check_unique_matching_construct, fmt_definitions, has_failure, traces_upto,
+)
 
 
 def ev(ch, *idx):

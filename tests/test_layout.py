@@ -1,0 +1,68 @@
+"""Layout guard for the shipped package: every function, method and class in
+``src/pcsp`` is named somewhere in the package besides its own definition,
+and every imported name is used by the module that imports it.  Code that
+only tests reach belongs under ``tests/``."""
+
+from __future__ import annotations
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "pcsp"
+
+
+def _modules() -> dict[str, ast.Module]:
+    return {p.name: ast.parse(p.read_text(), str(p))
+            for p in sorted(PACKAGE.glob("*.py"))}
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _used_names(tree: ast.AST) -> Counter:
+    """Identifiers read as a bare name or an attribute, and the strings of
+    an ``__all__`` list."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__"
+                      for t in node.targets)):
+            out.update(elt.value for elt in node.value.elts)
+    return out
+
+
+def test_every_definition_is_named_elsewhere_in_the_package():
+    modules = _modules()
+    used = Counter()
+    for tree in modules.values():
+        used.update(_used_names(tree))
+    # a name that only its own body reads (a recursive call) is dead too
+    dead = [f"{mod}:{node.lineno} {node.name}"
+            for mod, tree in modules.items() for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and not _is_dunder(node.name)
+            and used[node.name] <= _used_names(node)[node.name]]
+    assert not dead, "defined but never named in src/pcsp: " + ", ".join(dead)
+
+
+def test_every_import_is_used_by_its_module():
+    unused = []
+    for mod, tree in _modules().items():
+        used = _used_names(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if not used[name]:
+                    unused.append(f"{mod}:{node.lineno} {name}")
+    assert not unused, "imported but unused: " + ", ".join(unused)

@@ -21,10 +21,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import ALL_CORPUS_FILES, load, proc_body
 from pcsp import reduction
-from pcsp.analysis import (
-    acceptances_after, refines_failures, refines_traces, strong_bisim,
-    traces_upto,
-)
+from pcsp.analysis import refines_failures, refines_traces, strong_bisim
 from pcsp.cli import corpus_path, main
 from pcsp.conditions import check_seq
 from pcsp.cose import (
@@ -51,6 +48,7 @@ from pcsp.syntax import (
     construct_binding, domain_values, free_vars, map_subterms, subst_event_set,
     substitute, subterms,
 )
+from reference import acceptances_after, traces_upto
 
 from test_syntax import _VARS, terms
 
@@ -423,7 +421,7 @@ def _reference_successors_of_config(cfg, defs, tvalues):
     """successors_of_config as it was: the symbolic rules rerun for every
     configuration, and every instance's target walked under its own
     environment."""
-    env = cfg.env_dict()
+    env = dict(cfg.env)
     out = []
     seen_terms = set()
 

@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from conftest import ALL_CORPUS_FILES, load
 from pcsp.errors import ParseError
 from pcsp.parser import parse_definitions
-from pcsp.pretty import fmt_definitions, fmt_term
+from pcsp.pretty import fmt_term
 from pcsp.syntax import ExtChoice, Prefix, TVal
+from reference import fmt_definitions
 
 from test_syntax import terms
 

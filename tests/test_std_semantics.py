@@ -4,16 +4,14 @@ import time
 
 import pytest
 
-from pcsp.analysis import (
-    has_trace, initials_after, refines_failures, refines_traces, strong_bisim,
-    traces_upto,
-)
+from pcsp.analysis import refines_failures, refines_traces, strong_bisim
 from pcsp.dot import lts_to_dot
 from pcsp.errors import BoundExceeded, SemanticsError
 from pcsp.lts import Event, TAU, rename_lts
 from pcsp.parser import parse_definitions
 from pcsp.std_semantics import build_lts
 from pcsp.syntax import Stop, TVal
+from reference import has_trace, initials_after, traces_upto
 
 
 def ev(ch, *idx):

@@ -50,7 +50,7 @@ def test_classify_fields_worked_example():
     assert sets.dollar_t == {1}
     assert sets.query_t == {2}
     assert sets.dollar_nont == {3}
-    assert sets.bang == {4}
+    assert sets.bang_t | sets.bang_nont == {4}
     assert sets.query_nont == frozenset()
 
 
@@ -65,7 +65,7 @@ def test_classify_fields_mutex_spec():
     alpha = Construct("enterCS", (Field(DOLLAR, "i", T_TYPE),))
     sets = classify_fields(alpha)
     assert sets.dollar_t == {1}
-    assert not (sets.dollar_nont | sets.query | sets.bang)
+    assert not (sets.dollar_nont | sets.query | sets.bang_t | sets.bang_nont)
 
 
 def test_replace_selections_t_scope():
@@ -116,10 +116,7 @@ channel a
 P = Q [] a -> STOP
 Q = P
 """)
-    with pytest.raises(SemanticsError):
-        channels(defs.equations["P"].body, defs)
-    got = channels(defs.equations["P"].body, defs, strict=False)
-    assert got == {"a"}
+    assert channels(defs.equations["P"].body, defs) == {"a"}
 
 
 # -- comms ------------------------------------------------------------------
@@ -349,7 +346,7 @@ def test_index_sets_partition(term):
         node = stack.pop()
         if isinstance(node, Prefix):
             sets = classify_fields(node.construct)
-            k = node.construct.arity()
+            k = len(node.construct.fields)
             union = (sets.dollar_t | sets.dollar_nont | sets.query_t
                      | sets.query_nont | sets.bang_t | sets.bang_nont)
             assert union == frozenset(range(1, k + 1))
