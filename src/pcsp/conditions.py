@@ -87,11 +87,14 @@ def _dollar_t_binders(term: ProcessTerm, defs: Definitions,
     return frozenset(out)
 
 
-def check_seq(proc: ProcRef, defs: Definitions) -> ConditionReport:
-    """The sequential-fragment condition on specifications."""
+def check_seq(proc: ProcRef, defs: Definitions,
+              di: Optional[ConditionReport] = None) -> ConditionReport:
+    """The sequential-fragment condition on specifications.  di is the
+    process's data-independence report, when the caller has it already."""
     term, name, seen = _root(proc, defs)
     findings = []
-    di = check_data_independence(proc, defs)
+    if di is None:
+        di = check_data_independence(proc, defs)
     for f in di.findings:
         findings.append(Finding("i", f"not data independent: ({f.clause}) {f.message}",
                                 f.where))
@@ -144,11 +147,14 @@ def check_seq(proc: ProcRef, defs: Definitions) -> ConditionReport:
 # ---------------------------------------------------------------------------
 # SeqNorm
 
-def check_seqnorm(proc: ProcRef, defs: Definitions) -> ConditionReport:
+def check_seqnorm(proc: ProcRef, defs: Definitions,
+                  base: Optional[ConditionReport] = None) -> ConditionReport:
     """Seq plus normality: choice arguments use disjoint channel sets and have
-    no conditional choice on t before a prefix."""
+    no conditional choice on t before a prefix.  base is the process's Seq
+    report, when the caller has it already."""
     term, name, seen = _root(proc, defs)
-    base = check_seq(proc, defs)
+    if base is None:
+        base = check_seq(proc, defs)
     findings = [Finding("Seq", f"({f.clause}) {f.message}", f.where)
                 for f in base.findings]
     if not base.findings:
@@ -338,11 +344,13 @@ def revposconjeqt_evidence(proc: ProcRef, defs: Definitions, model: str,
 
 
 def check_all(proc: ProcRef, defs: Definitions) -> list[ConditionReport]:
-    """The syntactic checker battery for one process."""
+    """The syntactic checker battery for one process; each walk runs once."""
+    di = check_data_independence(proc, defs)
+    seq = check_seq(proc, defs, di)
     return [
-        check_data_independence(proc, defs),
-        check_seq(proc, defs),
-        check_seqnorm(proc, defs),
+        di,
+        seq,
+        check_seqnorm(proc, defs, seq),
         check_typesym_syntactic(proc, defs),
         check_no_mixed_inputs(proc, defs),
     ]

@@ -28,11 +28,9 @@ from typing import Optional, Union
 from .errors import SemanticsError
 from .lts import Event, Lts, TAU, build
 from .pretty import fmt_term
-from .ssos import Cond
+from .ssos import Cond, require_seq
 from .ssos import successors as sym_successors
-from .std_semantics import (
-    check_guarded_recursion, eval_guard, file_alphabet, tvalues_for,
-)
+from .std_semantics import eval_guard, file_alphabet, tvalues_for
 from .syntax import (
     Condition, Construct, Definitions, DOLLAR, ExtChoice, If, MixedGuard,
     Prefix, ProcessTerm, QUERY, Sliding, canonicalise, classify_fields,
@@ -257,9 +255,9 @@ def concretize(defs: Definitions, source: Union[str, ProcessTerm],
     """The LTS of configurations rooted at (root state, initial environment),
     per the translation rules.  The breadth-first build runs over
     configuration ids; the returned keys are the configuration keys, which
-    do not depend on tsize."""
+    do not depend on tsize.  require_seq runs first."""
     root_term = defs.body(source) if isinstance(source, str) else source
-    check_guarded_recursion(root_term, defs)
+    require_seq(root_term, defs)
     tvalues = tvalues_for(tsize)
     table = _Table(defs, tvalues)
     root = table.config(table.state(root_term), dict(init_env or {}))

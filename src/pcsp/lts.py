@@ -73,8 +73,7 @@ class Lts:
     per-build state graph, meaningful within one build only.  The COSE
     semantics builds over int configuration ids and then replaces them by
     the configuration keys (canonical terms with the environment
-    substituted), which are shared across instantiation sizes, so that
-    key_index matches states between sizes.
+    substituted), which are shared across instantiation sizes.
     """
 
     root: int
@@ -83,11 +82,6 @@ class Lts:
     edges: list[list[Edge]]
     alphabet: frozenset[Event]
     tsize: int
-    key_index: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        if not self.key_index:
-            self.key_index = {k: i for i, k in enumerate(self.keys)}
 
     def n_states(self) -> int:
         return len(self.states)
@@ -176,7 +170,7 @@ def build(root_payload, root_key, successors: Callable, *,
                 out.append((k, (label, tgt, uid)))
             edges.append(_edge_row(out))
             frontier += 1
-    return Lts(0, states, keys, edges, alphabet, tsize, index)
+    return Lts(0, states, keys, edges, alphabet, tsize)
 
 
 def rename_lts(lts: Lts, fn: Callable[[Event], Event]) -> Lts:
@@ -201,4 +195,4 @@ def rename_lts(lts: Lts, fn: Callable[[Event], Event]) -> Lts:
         new_edges.append(_edge_row(row))
     alphabet = frozenset(fn(e) for e in lts.alphabet)
     return Lts(lts.root, list(lts.states), list(lts.keys), new_edges,
-               alphabet, lts.tsize, dict(lts.key_index))
+               alphabet, lts.tsize)

@@ -5,9 +5,14 @@ keyword or an equation head to the next one, and each item is parsed by the
 one grammar for its kind.  Declarations (``channel``, ``datatype``,
 ``const``, ``assert``) are parsed in a first pass so that equation bodies
 can be parsed against channel signatures regardless of declaration order.
-Process parameters are untyped in the source; a small inference pass types
-them from their uses (event positions, arithmetic, argument passing) before
-guards are classified into t-conditions and ordinary boolean expressions.
+Process operators are read from the operator table in ``syntax``, the one
+owner of their symbols, binding levels and layout: each level of the table
+is a left-associated loop over the next, and an operator's form says which
+tokens and fields follow its symbol.  Guards, prefixes, if/then/else and
+calls are parsed one by one.  Process parameters are untyped in the source;
+a small inference pass types them from their uses (event positions,
+arithmetic, argument passing) before guards are classified into
+t-conditions and ordinary boolean expressions.
 """
 
 from __future__ import annotations
@@ -19,14 +24,12 @@ from typing import Optional
 
 from .errors import Diagnostic, ParseError
 from .syntax import (
-    Atom, BANG, BoolAnd, BoolLit, BoolNot, BoolOr, ChanPrefixItem, Cmp,
+    ATOM, Atom, BANG, BoolAnd, BoolLit, BoolNot, BoolOr, ChanPrefixItem, Cmp,
     Condition, Construct, Definitions, DiffType, DOLLAR, Equation,
-    EventLitItem, EventSet, ExtChoice, Field, Hide, Ident, If, IntChoice,
-    Interleave, MixedGuard, NamedType, NatLit, NatMin, NatOp, Prefix, QUERY,
-    Rename, ReplAlphaPar, ReplExtChoice, ReplIntChoice, ReplInterleave,
-    AlphaPar, SetType, SharedPar, Sliding, Stop, T_TYPE, TType, TVal,
-    Assertion, VarRef, REPLICATED, free_vars, map_subterms, substitute,
-    subterms, type_is_t,
+    EventLitItem, EventSet, Field, GUARD, HIDE, Ident, If, MixedGuard,
+    NamedType, NatLit, NatMin, NatOp, OPEN, OPERATORS, Operator, Prefix,
+    QUERY, SetType, Stop, T_TYPE, TType, TVal, Assertion, VarRef, REPLICATED,
+    free_vars, map_subterms, substitute, subterms, type_is_t,
 )
 
 KEYWORDS = {
@@ -402,59 +405,45 @@ class _Parser:
 
     # -- processes ---------------------------------------------------------
 
-    # precedence: hide < parallel < |~| < [] < [> < & < ->
+    def parse_proc(self, level: int = HIDE):
+        """A process whose operators outside parentheses bind at level or
+        more tightly: each level of the operator table, from level on, reads
+        its operators left-associated over operands of the next level, and
+        below the tightest come guards, prefixes and atoms (a name, STOP or a
+        parenthesised process takes the postfix operators of ATOM)."""
+        if level >= GUARD:
+            return self.parse_guarded()
+        return self.parse_operators(self.parse_proc(level + 1), level)
 
-    def parse_proc(self):
-        return self.parse_hide()
-
-    def parse_hide(self):
-        p = self.parse_par()
-        while self.at_sym("\\"):
-            self.eat_sym("\\")
-            p = Hide(p, self.parse_evset())
-        return p
-
-    def parse_par(self):
-        p = self.parse_int()
+    def parse_operators(self, p, level: int):
+        """p followed by any number of the table's operators of level, each
+        taking p as its first operand."""
         while True:
-            if self.at_sym("|||"):
-                self.next()
-                p = Interleave(p, self.parse_int())
-            elif self.at_sym("[|"):
-                self.next()
-                shared = self.parse_evset()
-                self.eat_sym("|]")
-                p = SharedPar(p, shared, self.parse_int())
-            elif self.at_sym("[") and not self.at_sym("[[", "[]", "[>", "[|"):
-                self.next()
-                la = self.parse_evset()
-                self.eat_sym("||")
-                ra = self.parse_evset()
-                self.eat_sym("]")
-                p = AlphaPar(p, la, self.parse_int(), ra)
-            else:
+            op = _INFIX.get(self.peek().text)
+            if op is None or op.level != level:
                 return p
+            (_, first), *rest = op.layout
+            p = self.parse_form(op, rest, {first: p})
 
-    def parse_int(self):
-        p = self.parse_ext()
-        while self.at_sym("|~|"):
-            self.next()
-            p = IntChoice(p, self.parse_ext())
-        return p
-
-    def parse_ext(self):
-        p = self.parse_slide()
-        while self.at_sym("[]"):
-            self.next()
-            p = ExtChoice(p, self.parse_slide())
-        return p
-
-    def parse_slide(self):
-        p = self.parse_guarded()
-        while self.at_sym("[>"):
-            self.next()
-            p = Sliding(p, self.parse_guarded())
-        return p
+    def parse_form(self, op: Operator, layout, values: dict):
+        """The term of op whose fields are values and, read from the input,
+        the rest of its form: its symbols, then subterms at the levels the
+        table gives them (a body at OPEN extends over the whole process),
+        and data by kind."""
+        for symbols, name in layout:
+            for sym in symbols:
+                self.eat_sym(sym)
+            if name in op.operands:
+                values[name] = self.parse_proc(max(op.operands[name], HIDE))
+            elif name == "var":
+                values[name] = self.eat_ident("index variable").text
+            elif name == "domain":
+                values[name] = self.parse_type_expr()
+            elif name == "pairs":
+                values[name] = self.parse_pairs()
+            elif name is not None:
+                values[name] = self.parse_evset()
+        return op.cls(**values)
 
     def parse_guarded(self):
         mark = self.pos
@@ -486,11 +475,21 @@ class _Parser:
             return EventLitItem(name, datums)
         return tok.text
 
+    def parse_pairs(self):
+        pairs = []
+        while True:
+            a = self.parse_rename_target()
+            self.eat_sym("<-")
+            pairs.append((a, self.parse_rename_target()))
+            if not self.at_sym(","):
+                return tuple(pairs)
+            self.eat_sym(",")
+
     def parse_atom(self):
         tok = self.peek()
         if self.at_kw("STOP"):
             self.next()
-            return self.parse_postfix(Stop())
+            return self.parse_operators(Stop(), ATOM)
         if self.at_kw("if"):
             self.next()
             b = self.parse_bool()
@@ -503,13 +502,13 @@ class _Parser:
             self.next()
             els = self.parse_proc()
             return If(b, then, els)
-        if self.at_sym("|||", "|~|", "[]", "||"):
-            return self.parse_replicated()
+        if tok.text in _REPLICATED:
+            return self.parse_replicated(_REPLICATED[tok.text])
         if self.at_sym("("):
             self.eat_sym("(")
             p = self.parse_proc()
             self.eat_sym(")")
-            return self.parse_postfix(p)
+            return self.parse_operators(p, ATOM)
         if tok.kind == "ident" and tok.text not in KEYWORDS:
             self.next()
             if tok.text in self.defs.channels:
@@ -528,64 +527,38 @@ class _Parser:
                     self.eat_sym(",")
                 self.eat_sym(")")
                 args = tuple(out)
-            return self.parse_postfix(Ident(tok.text, args))
+            return self.parse_operators(Ident(tok.text, args), ATOM)
         self.fail(f"expected a process, found {tok.text or 'end of input'!r}", tok)
 
-    def parse_postfix(self, p):
-        while self.at_sym("[["):
-            self.eat_sym("[[")
-            pairs = []
-            while True:
-                a = self.parse_rename_target()
-                self.eat_sym("<-")
-                b = self.parse_rename_target()
-                pairs.append((a, b))
-                if not self.at_sym(","):
-                    break
-                self.eat_sym(",")
-            self.eat_sym("]]")
-            p = Rename(p, tuple(pairs))
-        return p
-
-    def parse_replicated(self):
-        op = self.next().text
-        var = self.eat_ident("index variable")
-        self.eat_sym(":")
-        dom_tok = self.peek()
-        domain = self.parse_type_expr()
-        self.eat_sym("@")
-        alpha = None
-        if op == "||":
-            self.eat_sym("[")
-            alpha = self.parse_evset()
-            self.eat_sym("]")
-        body = self.parse_proc()
-        if type_is_t(domain):
-            if op == "|||":
-                return ReplInterleave(var.text, domain, body)
-            if op == "|~|":
-                return ReplIntChoice(var.text, domain, body)
-            if op == "[]":
-                return ReplExtChoice(var.text, domain, body)
-            return ReplAlphaPar(var.text, domain, alpha, body)
-        # finite non-t domain: desugar to the binary operator
-        if isinstance(domain, NamedType):
-            members = list(domain.values)
+    def parse_replicated(self, op: Operator):
+        dom_tok = self.peek(3)  # after the symbol, the index variable and ':'
+        term = self.parse_form(op, op.layout, {})
+        if type_is_t(term.domain):
+            return term
+        # finite non-t domain: desugar to the binary operator of the symbol
+        if isinstance(term.domain, NamedType):
+            members = list(term.domain.values)
         else:
-            members = [i for i in domain.items]
+            members = [i for i in term.domain.items]
             if any(isinstance(i, str) for i in members):
                 self.fail("replicated operator over a set with variables", dom_tok)
         if not members:
             self.fail("replicated operator over an empty set", dom_tok)
-        branches = [substitute(body, {var.text: v}) for v in members]
-        if op == "||":
+        branches = [substitute(term.body, {term.var: v}) for v in members]
+        combine = _INFIX.get(op.symbol)
+        if combine is None:
             self.fail("replicated alphabetised parallel over a non-t set is "
                       "not supported; use the binary operator", dom_tok)
-        combine = {"|||": Interleave, "|~|": IntChoice, "[]": ExtChoice}[op]
         out = branches[0]
         for b in branches[1:]:
-            out = combine(out, b)
+            out = combine.cls(out, b)
         return out
+
+
+# The operator table's binary and postfix operators by symbol, and its
+# replicated operators by symbol.
+_INFIX = {op.symbol: op for op in OPERATORS.values() if op.level > OPEN}
+_REPLICATED = {op.symbol: op for op in OPERATORS.values() if op.level == OPEN}
 
 
 # ---------------------------------------------------------------------------

@@ -1,45 +1,25 @@
 """Concrete-syntax printer.
 
 Prints terms, constructs, guards, event sets and types; the printed form of
-a term re-parses to an identical AST.  Term printing labels states in DOT
-output and diagnostics.
+a term re-parses to an identical AST.  The operator table in ``syntax`` is
+the one owner of operator syntax: every operator in it prints through its
+form, with each subterm in parentheses where the table's levels ask for
+them.  Term printing labels states in DOT output and diagnostics.
 """
 
 from __future__ import annotations
 
 from .syntax import (
     Atom, BANG, BoolAnd, BoolLit, BoolNot, BoolOr, Cmp, Condition, Construct,
-    DOLLAR, EventLitItem, EventSet, ExtChoice, Field, Hide,
-    Ident, If, IntChoice, Interleave, MixedGuard, NatLit, NatMin, NatOp,
-    Prefix, QUERY, Rename, ReplAlphaPar, ReplExtChoice, ReplIntChoice,
-    ReplInterleave, AlphaPar, SharedPar, Sliding, Stop, TVal, VarRef,
+    DOLLAR, EventSet, Field, GUARD, Ident, If, MixedGuard, NatLit, NatMin,
+    NatOp, OPEN, OPERATORS, PREFIX, Prefix, QUERY, Stop, TVal, VarRef,
 )
-
-# Precedence levels, loosest to tightest; a subterm is parenthesised when its
-# level is strictly below the context's.
-_HIDE = 1
-_PAR = 2
-_INT = 3
-_EXT = 4
-_SLIDE = 5
-_GUARD = 6
-_PREFIX = 7
-_ATOM = 9
-_OPEN = 0  # if/then/else and replicated bodies extend greedily rightwards
-
-
-def fmt_datum(d) -> str:
-    return str(d)
-
-
-def fmt_type(ty) -> str:
-    return str(ty)
 
 
 def fmt_field(f: Field, dot_ok: bool) -> str:
     if f.sel in (DOLLAR, QUERY):
-        return f"{f.sel}{f.payload}:{fmt_type(f.ty)}"
-    return ("." if dot_ok else "!") + fmt_datum(f.payload)
+        return f"{f.sel}{f.payload}:{f.ty}"
+    return ("." if dot_ok else "!") + str(f.payload)
 
 
 def fmt_construct(alpha: Construct) -> str:
@@ -80,12 +60,12 @@ def fmt_bool(b, prec: int = 0) -> str:
 
 
 def fmt_condition(c: Condition) -> str:
-    conj = " and ".join(f"{fmt_datum(l)}=={fmt_datum(r)}" for l, r in c.atoms)
+    conj = " and ".join(f"{l}=={r}" for l, r in c.atoms)
     if not c.negated:
         return conj
     if len(c.atoms) == 1:
         l, r = c.atoms[0]
-        return f"{fmt_datum(l)}!={fmt_datum(r)}"
+        return f"{l}!={r}"
     return f"not ({conj})"
 
 
@@ -93,30 +73,41 @@ def fmt_guard(g) -> str:
     if isinstance(g, Condition):
         return fmt_condition(g)
     if isinstance(g, MixedGuard):
-        parts = [f"{fmt_datum(l)}=={fmt_datum(r)}" for l, r in g.t_atoms]
+        parts = [f"{l}=={r}" for l, r in g.t_atoms]
         parts += [fmt_bool(b, 1) for b in g.other]
         conj = " and ".join(parts)
         return f"not ({conj})" if g.negated else conj
     return fmt_bool(g)
 
 
+def _fmt_item(x) -> str:
+    """A channel name, or an event or event-set item: its channel and datums."""
+    if isinstance(x, str):
+        return x
+    return x.channel + "".join(f".{d}" for d in x.datums)
+
+
 def fmt_evset(s: EventSet) -> str:
     if s.closures and not s.literals:
-        items = ", ".join(
-            c.channel + "".join("." + fmt_datum(d) for d in c.datums)
-            for c in s.closures)
-        return "{|" + items + "|}"
-    items = ", ".join(
-        e.channel + "".join("." + fmt_datum(d) for d in e.datums)
-        for e in s.literals)
-    return "{" + items + "}"
+        return "{|" + ", ".join(map(_fmt_item, s.closures)) + "|}"
+    return "{" + ", ".join(map(_fmt_item, s.literals)) + "}"
+
+
+def _fmt_data(value) -> str:
+    """A data field of a table operator: an event set, the pairs of a
+    renaming, an index variable or a domain."""
+    if isinstance(value, EventSet):
+        return fmt_evset(value)
+    if isinstance(value, tuple):
+        return ", ".join(f"{_fmt_item(a)} <- {_fmt_item(b)}" for a, b in value)
+    return str(value)
 
 
 def _paren(s: str, level: int, ctx: int) -> str:
     return f"({s})" if level < ctx else s
 
 
-def fmt_term(term, ctx: int = 0) -> str:
+def fmt_term(term, ctx: int = OPEN) -> str:
     if isinstance(term, Stop):
         return "STOP"
     if isinstance(term, Ident):
@@ -124,60 +115,18 @@ def fmt_term(term, ctx: int = 0) -> str:
             return term.name
         return term.name + "(" + ",".join(fmt_scalar(a) for a in term.args) + ")"
     if isinstance(term, Prefix):
-        s = f"{fmt_construct(term.construct)} -> {fmt_term(term.cont, _PREFIX)}"
-        return _paren(s, _PREFIX, ctx)
+        s = f"{fmt_construct(term.construct)} -> {fmt_term(term.cont, PREFIX)}"
+        return _paren(s, PREFIX, ctx)
     if isinstance(term, If):
         if isinstance(term.els, Stop):
-            s = f"{fmt_guard(term.guard)} & {fmt_term(term.then, _GUARD)}"
-            return _paren(s, _GUARD, ctx)
-        s = (f"if {fmt_guard(term.guard)} then {fmt_term(term.then, _OPEN + 1)}"
-             f" else {fmt_term(term.els, _OPEN)}")
-        return _paren(s, _OPEN, ctx)
-    if isinstance(term, Sliding):
-        s = f"{fmt_term(term.left, _SLIDE + 1)} [> {fmt_term(term.right, _SLIDE + 1)}"
-        return _paren(s, _SLIDE, ctx)
-    if isinstance(term, ExtChoice):
-        s = f"{fmt_term(term.left, _EXT)} [] {fmt_term(term.right, _EXT + 1)}"
-        return _paren(s, _EXT, ctx)
-    if isinstance(term, IntChoice):
-        s = f"{fmt_term(term.left, _INT)} |~| {fmt_term(term.right, _INT + 1)}"
-        return _paren(s, _INT, ctx)
-    if isinstance(term, AlphaPar):
-        s = (f"{fmt_term(term.left, _PAR + 1)} [{fmt_evset(term.left_alpha)} || "
-             f"{fmt_evset(term.right_alpha)}] {fmt_term(term.right, _PAR + 1)}")
-        return _paren(s, _PAR, ctx)
-    if isinstance(term, SharedPar):
-        s = (f"{fmt_term(term.left, _PAR + 1)} [|{fmt_evset(term.shared)}|] "
-             f"{fmt_term(term.right, _PAR + 1)}")
-        return _paren(s, _PAR, ctx)
-    if isinstance(term, Interleave):
-        s = f"{fmt_term(term.left, _PAR)} ||| {fmt_term(term.right, _PAR + 1)}"
-        return _paren(s, _PAR, ctx)
-    if isinstance(term, Hide):
-        s = f"{fmt_term(term.proc, _HIDE)} \\ {fmt_evset(term.hidden)}"
-        return _paren(s, _HIDE, ctx)
-    if isinstance(term, Rename):
-        pairs = ", ".join(
-            f"{_fmt_ren(a)} <- {_fmt_ren(b)}" for a, b in term.pairs)
-        s = f"{fmt_term(term.proc, _PREFIX)} [[{pairs}]]"
-        return _paren(s, _PREFIX, ctx)
-    if isinstance(term, ReplAlphaPar):
-        s = (f"|| {term.var}:{fmt_type(term.domain)} @ "
-             f"[{fmt_evset(term.alpha)}] {fmt_term(term.body, _OPEN)}")
-        return _paren(s, _OPEN, ctx)
-    if isinstance(term, ReplInterleave):
-        s = f"||| {term.var}:{fmt_type(term.domain)} @ {fmt_term(term.body, _OPEN)}"
-        return _paren(s, _OPEN, ctx)
-    if isinstance(term, ReplIntChoice):
-        s = f"|~| {term.var}:{fmt_type(term.domain)} @ {fmt_term(term.body, _OPEN)}"
-        return _paren(s, _OPEN, ctx)
-    if isinstance(term, ReplExtChoice):
-        s = f"[] {term.var}:{fmt_type(term.domain)} @ {fmt_term(term.body, _OPEN)}"
-        return _paren(s, _OPEN, ctx)
-    raise TypeError(f"fmt_term: {term!r}")
-
-
-def _fmt_ren(x) -> str:
-    if isinstance(x, EventLitItem):
-        return x.channel + "".join("." + fmt_datum(d) for d in x.datums)
-    return x
+            s = f"{fmt_guard(term.guard)} & {fmt_term(term.then, GUARD)}"
+            return _paren(s, GUARD, ctx)
+        s = (f"if {fmt_guard(term.guard)} then {fmt_term(term.then, OPEN + 1)}"
+             f" else {fmt_term(term.els, OPEN)}")
+        return _paren(s, OPEN, ctx)
+    op = OPERATORS.get(type(term))
+    if op is None:
+        raise TypeError(f"fmt_term: {term!r}")
+    fields = {name: fmt_term(value, op.operands[name]) if name in op.operands
+              else _fmt_data(value) for name, value in vars(term).items()}
+    return _paren(op.form.format(**fields), op.level, ctx)

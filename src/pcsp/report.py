@@ -50,7 +50,3 @@ class ConditionReport:
         lines += ["  " + f.render() for f in self.findings]
         lines += ["  note: " + n for n in self.notes]
         return "\n".join(lines)
-
-
-def failed(name: str, findings) -> ConditionReport:
-    return ConditionReport(name, "fail", list(findings))

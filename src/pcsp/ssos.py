@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
+from .conditions import check_seq
 from .errors import SemanticsError
 from .lts import TAU, Lts, build
 from .pretty import fmt_condition, fmt_construct, fmt_term
@@ -119,23 +120,26 @@ def successors(term: ProcessTerm, defs: Definitions):
         "the symbolic semantics is defined on Seq processes only")
 
 
-def build_sslts(defs: Definitions, proc: Union[str, ProcessTerm],
-                max_states: int = 100_000) -> Lts:
-    """Breadth-first closure of the symbolic transition rules: an Lts with
-    symbolic labels, an empty alphabet and tsize 0.
-
-    The Seq checker runs first and a violation is a hard error, since the
-    rules are only defined on that fragment.
-    """
-    from .conditions import check_seq
-
-    term = defs.body(proc) if isinstance(proc, str) else proc
+def require_seq(term: ProcessTerm, defs: Definitions) -> None:
+    """The precondition of the symbolic rules, which the SSLTS and the
+    translation semantics both apply: the process is in the Seq fragment,
+    on which alone the rules are defined, and its recursion is guarded.  A
+    violation is a hard error."""
     report = check_seq(term, defs)
     if not report.ok():
         raise SemanticsError(
             "process is not in the Seq fragment: "
             + "; ".join(f.message for f in report.findings))
     check_guarded_recursion(term, defs)
+
+
+def build_sslts(defs: Definitions, proc: Union[str, ProcessTerm],
+                max_states: int = 100_000) -> Lts:
+    """Breadth-first closure of the symbolic transition rules: an Lts with
+    symbolic labels, an empty alphabet and tsize 0.  require_seq runs
+    first."""
+    term = defs.body(proc) if isinstance(proc, str) else proc
+    require_seq(term, defs)
 
     def succ(t):
         return [(lab, uid, nxt, alpha_canonical(nxt))

@@ -15,23 +15,30 @@ free names through an environment and either lets binders shadow it
 meets and the uids of the constructs it passes, so ``free_vars``,
 ``alpha_canonical`` and the state keys of the semantics all come from it
 (the standard semantics canonicalises one node of a term at a time).
-``subterms``/``map_subterms`` read the subterm table, the process-term
-fields of each of the 17 term classes; walkers that only descend into
-subterms take them from there and keep explicit cases for the node kinds
-they act on.  Every other field is data: ``t_values``/``permute_t`` find
-and rename the t-values in it, for the side-condition checkers, the
-symmetry reduction and the renaming of events.  ``unfold_walk`` visits
-every node reachable through the equations, unfolding each identifier
-once; ``initial_spine`` visits only the nodes up to the initial prefixes of
-a sequential process, which give its initial channels.
+The operator table ``OPERATORS`` is the one owner of operator syntax:
+for each operator other than prefix, guard, if/then/else and call it gives
+the symbols and layout, the binding level and the level of each operand,
+and the parser and the printer both read it.  ``subterms``/``map_subterms``
+read the subterm table, the process-term fields of each of the 17 term
+classes, which the operator table gives for its operators; walkers that
+only descend into subterms take them from there and keep explicit cases
+for the node kinds they act on.  Every other field is data:
+``t_values``/``permute_t`` find and rename the t-values in it, for the
+side-condition checkers, the symmetry reduction and the renaming of
+events.  ``unfold_walk`` visits every node reachable through the
+equations, unfolding each identifier once; ``initial_spine`` visits only
+the nodes up to the initial prefixes of a sequential process, which give
+its initial channels.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
+import re
 import sys
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterator, Optional, Union
 
 from .errors import SemanticsError
@@ -550,27 +557,73 @@ ProcessTerm = Union[
 
 REPLICATED = (ReplAlphaPar, ReplInterleave, ReplIntChoice, ReplExtChoice)
 
+# Binding levels of the concrete syntax, loosest to tightest.  A subterm
+# prints in parentheses when its operator binds more loosely than the level
+# of the place it prints in.  At OPEN, the loosest, stand the operators whose
+# body extends as far right as it can: if/then/else and the replicated ones.
+OPEN, HIDE, PAR, INT, EXT, SLIDE, GUARD, PREFIX, ATOM = range(9)
+
+
+@dataclass(frozen=True)
+class Operator:
+    """A process operator of the concrete syntax.  form lays out the fields
+    of cls in source order, as a format string whose literal text is the
+    operator's symbols, spaced as they print.  The operator binds at level;
+    operands maps each subterm field to the level it prints at, and the
+    parser reads a subterm that follows a symbol at that level."""
+
+    cls: type
+    form: str
+    level: int
+    operands: dict[str, int]
+
+    @cached_property
+    def layout(self) -> tuple[tuple[list[str], Optional[str]], ...]:
+        """The form as (symbols, field) pairs: the symbols before each field
+        in source order, and last the symbols after the last field (None)."""
+        parts = re.split(r"\{(\w+)\}", self.form)
+        return tuple(zip((text.split() for text in parts[0::2]), parts[1::2] + [None]))
+
+    @property
+    def symbol(self) -> str:
+        """The first symbol of the form: the token that introduces it."""
+        return next(s for symbols, _ in self.layout for s in symbols)
+
+
+# The operator table: every operator but prefix, guard, if/then/else and
+# call, which the parser and the printer handle one by one.  The operators
+# of a level associate to the left, so a left operand could print at its
+# operator's own level; the synchronising parallels and [> print it one
+# level tighter, so that a mixed chain such as (P ||| Q) [|X|] R reads
+# unambiguously.
+OPERATORS: dict[type, Operator] = {op.cls: op for op in (
+    Operator(Hide, "{proc} \\ {hidden}", HIDE, {"proc": HIDE}),
+    Operator(Interleave, "{left} ||| {right}", PAR, {"left": PAR, "right": PAR + 1}),
+    Operator(SharedPar, "{left} [|{shared}|] {right}", PAR,
+             {"left": PAR + 1, "right": PAR + 1}),
+    Operator(AlphaPar, "{left} [{left_alpha} || {right_alpha}] {right}", PAR,
+             {"left": PAR + 1, "right": PAR + 1}),
+    Operator(IntChoice, "{left} |~| {right}", INT, {"left": INT, "right": INT + 1}),
+    Operator(ExtChoice, "{left} [] {right}", EXT, {"left": EXT, "right": EXT + 1}),
+    Operator(Sliding, "{left} [> {right}", SLIDE, {"left": SLIDE + 1, "right": SLIDE + 1}),
+    Operator(Rename, "{proc} [[{pairs}]]", ATOM, {"proc": ATOM}),
+    Operator(ReplInterleave, "||| {var}:{domain} @ {body}", OPEN, {"body": OPEN}),
+    Operator(ReplIntChoice, "|~| {var}:{domain} @ {body}", OPEN, {"body": OPEN}),
+    Operator(ReplExtChoice, "[] {var}:{domain} @ {body}", OPEN, {"body": OPEN}),
+    Operator(ReplAlphaPar, "|| {var}:{domain} @ [{alpha}] {body}", OPEN, {"body": OPEN}),
+)}
+OPERATORS[IndexedInterleave] = OPERATORS[Interleave]
+
 # The subterm table: the process-term fields of each term class, in source
-# order.  Every other field (constructs, guards, event sets, binders,
-# domains, arguments) is data.
+# order; the operator table gives them for its operators.  Every other
+# field (constructs, guards, event sets, binders, domains, arguments) is
+# data.
 _SUBTERM_FIELDS: dict[type, tuple[str, ...]] = {
     Stop: (),
     Prefix: ("cont",),
-    ExtChoice: ("left", "right"),
-    IntChoice: ("left", "right"),
-    Sliding: ("left", "right"),
     If: ("then", "els"),
-    Hide: ("proc",),
-    Rename: ("proc",),
-    AlphaPar: ("left", "right"),
-    SharedPar: ("left", "right"),
-    Interleave: ("left", "right"),
-    IndexedInterleave: ("left", "right"),
-    ReplAlphaPar: ("body",),
-    ReplInterleave: ("body",),
-    ReplIntChoice: ("body",),
-    ReplExtChoice: ("body",),
     Ident: (),
+    **{cls: tuple(op.operands) for cls, op in OPERATORS.items()},
 }
 
 
@@ -803,13 +856,18 @@ def _type(ty, env):
     return ty
 
 
+def _item(x, env):
+    """An event-set item or a side of a renaming pair with the names in env
+    replaced by their values; a channel name stays."""
+    if isinstance(x, str):
+        return x
+    return type(x)(x.channel, tuple(_datum(d, env) for d in x.datums))
+
+
 def subst_event_set(s: EventSet, env) -> EventSet:
     """An event set with the names in env replaced by their values."""
-    return EventSet(
-        tuple(ChanPrefixItem(c.channel, tuple(_datum(d, env) for d in c.datums))
-              for c in s.closures),
-        tuple(EventLitItem(e.channel, tuple(_datum(d, env) for d in e.datums))
-              for e in s.literals))
+    return EventSet(tuple(_item(c, env) for c in s.closures),
+                    tuple(_item(e, env) for e in s.literals))
 
 
 def _rebind(term: ProcessTerm, env: dict, ren: Optional[_Renamer]) -> ProcessTerm:
@@ -843,7 +901,8 @@ def _rebind(term: ProcessTerm, env: dict, ren: Optional[_Renamer]) -> ProcessTer
     if isinstance(term, Hide):
         return Hide(_rebind(term.proc, env, ren), subst_event_set(term.hidden, env))
     if isinstance(term, Rename):
-        return Rename(_rebind(term.proc, env, ren), term.pairs)
+        return Rename(_rebind(term.proc, env, ren),
+                      tuple((_item(a, env), _item(b, env)) for a, b in term.pairs))
     if isinstance(term, AlphaPar):
         return AlphaPar(_rebind(term.left, env, ren), subst_event_set(term.left_alpha, env),
                         _rebind(term.right, env, ren), subst_event_set(term.right_alpha, env))

@@ -11,7 +11,7 @@ from typing import Iterator
 
 from pcsp.cose import eval_condition, insts, match
 from pcsp.lts import Event, Lts, TAU, tau_closure
-from pcsp.pretty import fmt_condition, fmt_term, fmt_type
+from pcsp.pretty import fmt_condition, fmt_term
 from pcsp.ssos import Cond, Vis, fmt_sym_label, sym_label_key
 from pcsp.syntax import Definitions, classify_fields
 
@@ -233,8 +233,9 @@ def check_monotonicity(small: Lts, large: Lts) -> list[str]:
     source and target configurations (matched by the configuration keys,
     which do not depend on the size)."""
     problems = []
+    large_index = {key: idx for idx, key in enumerate(large.keys)}
     for idx, key in enumerate(small.keys):
-        big = large.key_index.get(key)
+        big = large_index.get(key)
         if big is None:
             problems.append(f"configuration {small.states[idx].describe()} "
                             "unreachable at the larger instantiation")
@@ -257,7 +258,7 @@ def fmt_definitions(defs: Definitions) -> str:
     lines = []
     for name, sig in defs.channels.items():
         if sig:
-            lines.append(f"channel {name} : " + ".".join(fmt_type(t) for t in sig))
+            lines.append(f"channel {name} : " + ".".join(map(str, sig)))
         else:
             lines.append(f"channel {name}")
     for name, values in defs.datatypes.items():

@@ -164,6 +164,19 @@ def test_self_recursion_behind_a_conditional_exits_2_at_once(tmp_path, capsys, c
                    "through an operator context, which is not supported)\n")
 
 
+@pytest.mark.parametrize("command", [("sslts",), ("cose", "--tsize", "2"),
+                                     ("congruence", "--tsize", "2")])
+def test_symbolic_semantics_reject_a_process_outside_seq(capsys, command):
+    # an output repeating an input of one construct: the translation
+    # semantics found no instance of c2?x:t!x, and congruence reported the
+    # two semantics as not bisimilar
+    code, out, err = run(capsys, command[0], "ex33.pcsp", "--proc", "SeqVI",
+                         *command[1:])
+    assert code == 2 and out == ""
+    assert err == ("error: process is not in the Seq fragment: input variable "
+                   "'x' of type t occurs 2 times in one construct\n")
+
+
 @pytest.mark.parametrize("command", [("lts", "--tsize", "1"), ("sslts",),
                                      ("cose", "--tsize", "1")])
 def test_mutual_recursion_behind_a_conditional_exits_2_at_once(tmp_path, capsys, command):

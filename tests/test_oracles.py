@@ -32,7 +32,7 @@ from pcsp.lts import TAU, Event, Lts, build, label_key, terms_bounded
 from pcsp.parser import parse_definitions
 from pcsp.pretty import fmt_term
 from pcsp.reduction import CollapsingFn
-from pcsp.ssos import Cond
+from pcsp.ssos import Cond, require_seq
 from pcsp.ssos import successors as sym_successors
 from pcsp.std_semantics import (
     DEFAULT_MAX_STATES, Engine, StateGraph, build_lts, check_guarded_recursion,
@@ -320,7 +320,9 @@ def _reference_free_vars(term) -> frozenset[str]:
     if isinstance(term, Hide):
         return fv(term.proc) | event_set(term.hidden)
     if isinstance(term, Rename):
-        return fv(term.proc)
+        return fv(term.proc) | datums(
+            d for pair in term.pairs for side in pair if not isinstance(side, str)
+            for d in side.datums)
     if isinstance(term, AlphaPar):
         return (fv(term.left) | fv(term.right)
                 | event_set(term.left_alpha) | event_set(term.right_alpha))
@@ -464,7 +466,8 @@ def _reference_successors_of_config(cfg, defs, tvalues):
 def _reference_concretize(defs, source, tsize, init_env=None,
                           max_states=100_000):
     root_term = defs.body(source) if isinstance(source, str) else source
-    check_guarded_recursion(root_term, defs)
+    # the precondition both share, not the algorithm under test
+    require_seq(root_term, defs)
     tvalues = tvalues_for(tsize)
     root, root_key = _reference_configure(root_term, dict(init_env or {}))
     return build(root, root_key,
@@ -480,7 +483,7 @@ def _concretize_outcome(fn, *args, **kwargs):
     except PcspError as exc:
         return type(exc).__name__, str(exc)
     return ([cfg.describe() for cfg in lts.states], lts.edges, lts.keys,
-            lts.root, lts.alphabet, lts.key_index)
+            lts.root, lts.alphabet)
 
 
 def _check_concretize(*args, **kwargs):

@@ -9,7 +9,12 @@ from conftest import ALL_CORPUS_FILES, load
 from pcsp.errors import ParseError
 from pcsp.parser import parse_definitions
 from pcsp.pretty import fmt_term
-from pcsp.syntax import ExtChoice, Prefix, TVal
+from pcsp.syntax import (
+    AlphaPar, Atom, BANG, BoolLit, ChanPrefixItem, Condition, DiffType,
+    EventLitItem, EventSet, ExtChoice, Hide, Ident, If, IntChoice, Interleave,
+    Prefix, Rename, ReplAlphaPar, ReplExtChoice, ReplIntChoice, ReplInterleave,
+    SharedPar, Sliding, Stop, T_TYPE, TVal, VarRef,
+)
 from reference import fmt_definitions
 
 from test_syntax import terms
@@ -114,6 +119,12 @@ def test_undefined_variable_rejected():
     assert "undefined variable 'y'" in str(exc.value)
 
 
+def test_undefined_variable_in_renaming_rejected():
+    with pytest.raises(ParseError) as exc:
+        parse_definitions("channel c : t\nR = (c?i:t -> STOP) [[ c.k <- c.k ]]\n")
+    assert "undefined variable 'k'" in str(exc.value)
+
+
 def test_trivial_condition_rejected():
     with pytest.raises(ParseError) as exc:
         parse_definitions("""
@@ -174,13 +185,102 @@ datatype AB = a | b
 channel ca : t
 channel cb : AB.t
 channel cc : t.t
+N(x) = ca!x -> STOP
+Q = STOP
 """
+_AB = (Atom("AB", "a", 0), Atom("AB", "b", 1))
+_BINARY = (ExtChoice, IntChoice, Sliding, Interleave, SharedPar, AlphaPar)
+_REPLICATED = (ReplInterleave, ReplIntChoice, ReplExtChoice, ReplAlphaPar)
+
+
+def _scope_after(construct, scope):
+    """The t-variables in scope in the continuation of a prefix."""
+    for f in construct.fields:
+        if f.sel != BANG:
+            scope = tuple(v for v in scope if v != f.payload) \
+                + ((f.payload,) if f.is_t() else ())
+    return scope
+
+
+def _event_sets(scope):
+    datum = st.sampled_from(scope + (TVal(0), TVal(1)))
+    closure = st.one_of(st.just(ChanPrefixItem("ca")),
+                        st.builds(lambda d: ChanPrefixItem("cc", (d,)), datum))
+    return st.one_of(
+        st.lists(closure, min_size=1, max_size=2).map(
+            lambda cs: EventSet(closures=tuple(cs))),
+        st.lists(_events(scope), max_size=2).map(
+            lambda es: EventSet(literals=tuple(es))))
+
+
+def _events(scope):
+    datum = st.sampled_from(scope + (TVal(0), TVal(1)))
+    return st.one_of(
+        st.builds(lambda d: EventLitItem("ca", (d,)), datum),
+        st.builds(lambda x, d: EventLitItem("cb", (x, d)), st.sampled_from(_AB), datum))
+
+
+@st.composite
+def full_terms(draw, scope=(), depth=4):
+    """Random closed terms over every term class the parser builds, with
+    t-variables from prefixes and replicated operators in scope; the
+    prefixes come from test_syntax.terms."""
+    kinds = ["stop", "ident"]
+    if depth > 0:
+        # prefixes bring the variables that conditions need into scope
+        kinds += ["prefix"] * 3 + ["binary", "hide", "rename", "replicated",
+                                   "guard", "if"]
+    kind = draw(st.sampled_from(kinds))
+    sub = full_terms(scope, depth - 1)
+    if kind == "stop":
+        return Stop()
+    if kind == "ident":
+        args = st.sampled_from(tuple(map(VarRef, scope)) + (TVal(0), TVal(1)))
+        return draw(st.one_of(st.just(Ident("Q")),
+                              st.builds(lambda a: Ident("N", (a,)), args)))
+    if kind == "prefix":
+        head = draw(terms(scope=scope, depth=0).filter(
+            lambda t: isinstance(t, Prefix)))
+        cont = draw(full_terms(_scope_after(head.construct, scope), depth - 1))
+        return Prefix(head.construct, cont)
+    if kind == "binary":
+        cls = draw(st.sampled_from(_BINARY))
+        left, right = draw(sub), draw(sub)
+        if cls is SharedPar:
+            return SharedPar(left, draw(_event_sets(scope)), right)
+        if cls is AlphaPar:
+            return AlphaPar(left, draw(_event_sets(scope)), right,
+                            draw(_event_sets(scope)))
+        return cls(left, right)
+    if kind == "hide":
+        return Hide(draw(sub), draw(_event_sets(scope)))
+    if kind == "rename":
+        side = st.one_of(st.sampled_from(("ca", "cc")), _events(scope))
+        return Rename(draw(sub), tuple(draw(st.lists(st.tuples(side, side),
+                                                     min_size=1, max_size=2))))
+    if kind == "replicated":
+        cls = draw(st.sampled_from(_REPLICATED))
+        domain = draw(st.sampled_from((T_TYPE,) + tuple(DiffType((v,)) for v in scope)))
+        inner = tuple(v for v in scope if v != "i") + ("i",)
+        body = draw(full_terms(inner, depth - 1))
+        if cls is ReplAlphaPar:
+            return ReplAlphaPar("i", domain, draw(_event_sets(inner)), body)
+        return cls("i", domain, body)
+    pairs = [(a, b) for a in scope for b in scope if a != b]
+    if pairs and draw(st.booleans()):
+        atoms = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=2))
+        guard = Condition(draw(st.booleans()), tuple(atoms))
+    else:
+        guard = BoolLit(draw(st.booleans()))
+    return If(guard, draw(sub), Stop() if kind == "guard" else draw(sub))
 
 
 @given(st.data())
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_random_terms_roundtrip(data):
-    term = data.draw(terms())
+    # every term class: a renamed prefix printed without parentheses
+    # re-parsed as a prefix of a renamed continuation
+    term = data.draw(full_terms())
     src = _ROUNDTRIP_PRELUDE + f"TestP = {fmt_term(term)}\n"
     defs = parse_definitions(src, "rt")
     assert defs.equations["TestP"].body == term

@@ -194,6 +194,19 @@ P = (a$x:t -> STOP) [[ b <- a ]]
     assert labels == {"b.0", "b.1"}
 
 
+def test_renaming_pairs_take_the_values_of_variables():
+    # each instance renames its own event: i reaches the pair as it
+    # reaches the prefix
+    defs = parse_definitions("""
+channel c, d : t
+R(i) = (c!i -> STOP) [[ d.i <- c.i ]]
+S = |~| i:t @ R(i)
+""")
+    lts = build_lts(defs, "S", 2)
+    labels = {str(l) for es in lts.edges for l, _, _ in es if l is not TAU}
+    assert labels == {"d.0", "d.1"}
+
+
 def test_relational_renaming_duplicates_events():
     defs = parse_definitions("""
 channel a, b, c
