@@ -1,5 +1,6 @@
 """Golden outputs of the README Quick-start commands, of ``conditions`` on
-every corpus file, and of both paths of the semantic symmetry check.
+every corpus file (with and without the sampled equality-test check), and
+of both paths of the semantic symmetry check.
 
 Every command runs through ``cli.main``; its stdout must equal
 ``golden/<name>.out`` byte for byte and its exit code must equal the one
@@ -44,6 +45,12 @@ _COMMANDS = {
     "conditions-ring": (("conditions", "ring.pcsp"), 1),
     "conditions-running": (("conditions", "running.pcsp"), 1),
     "conditions-traces-count": (("conditions", "traces-count.pcsp"), 0),
+    # the sampled equality-test check, which types each free variable of a
+    # conditional by its binder
+    **{f"conditions-eqt-{stem}": (("conditions", f"{stem}.pcsp", "--eqt-model", "failures"),
+                                  int(stem != "copy"))
+       for stem in ("bigprops", "copy", "ex315", "ex33", "ex511", "ex512", "mutex",
+                    "ring", "running", "traces-count")},
     "lts-mutex-impl-2": (("lts", "mutex.pcsp", "--proc", "Impl", "--tsize", "2"), 0),
     "congruence-running-2": (("congruence", "running.pcsp", "--proc", "P",
                               "--tsize", "2"), 0),
