@@ -10,16 +10,15 @@ and reports violations clause by clause.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
 from .errors import SemanticsError
 from .report import ConditionReport, Finding
 from .syntax import (
-    AlphaPar, BANG, Condition, Definitions, DOLLAR, ExtChoice, Hide, Ident,
-    If, IntChoice, Interleave, MixedGuard, NamedType, Prefix, ProcessTerm,
+    AlphaPar, Condition, Definitions, DOLLAR, ExtChoice, Hide, Ident,
+    If, IntChoice, Interleave, MixedGuard, Prefix, ProcessTerm,
     QUERY, Rename, ReplAlphaPar, ReplExtChoice, ReplIntChoice, ReplInterleave,
-    SharedPar, Sliding, TType, TVal, REPLICATED, channels,
+    SharedPar, Sliding, TType, TVal, binder_type, binders, channels,
     classify_fields, free_vars, initial_spine, substitute, subterms, t_values,
     unfold_walk,
 )
@@ -132,10 +131,7 @@ def check_seq(proc: ProcRef, defs: Definitions,
             bound_t = [f.payload for f in alpha.fields
                        if f.sel in (DOLLAR, QUERY) and f.is_t()]
             for var in bound_t:
-                occurrences = sum(
-                    1 for f in alpha.fields
-                    if (f.sel in (DOLLAR, QUERY) and f.payload == var)
-                    or (f.sel == BANG and f.payload == var))
+                occurrences = sum(1 for f in alpha.fields if f.payload == var)
                 if occurrences > 1:
                     findings.append(Finding(
                         "vi", f"input variable {var!r} of type t occurs "
@@ -224,38 +220,26 @@ def check_no_mixed_inputs(proc: ProcRef, defs: Definitions) -> ConditionReport:
 # ---------------------------------------------------------------------------
 # Equality-test condition (sampled)
 
-@dataclass
-class _ScopedConditional:
-    node: If
-    scope: dict
-    where: str
-
-
-def _scoped_conditionals(term: ProcessTerm, defs: Definitions, scope: dict,
-                         where: str, seen: set) -> Iterator[_ScopedConditional]:
-    if isinstance(term, Prefix):
-        scope = dict(scope)
-        for f in term.construct.fields:
-            if f.sel in (DOLLAR, QUERY):
-                if f.is_t():
-                    scope[f.payload] = "t"
-                elif isinstance(f.ty, NamedType):
-                    scope[f.payload] = f.ty.name
-                else:
-                    scope[f.payload] = None
-    elif isinstance(term, If):
-        if isinstance(term.guard, (Condition, MixedGuard)):
-            yield _ScopedConditional(term, dict(scope), where)
-    elif isinstance(term, REPLICATED):
-        scope = {**scope, term.var: "t"}
-    elif isinstance(term, Ident):
-        eq = defs.equations.get(term.name)
-        if eq is not None and term.name not in seen:
-            seen.add(term.name)
-            inner = {p: t for p, t in zip(eq.params, eq.param_types)}
-            yield from _scoped_conditionals(eq.body, defs, inner, term.name, seen)
-    for sub in subterms(term):
-        yield from _scoped_conditionals(sub, defs, scope, where, seen)
+def _scoped_conditionals(term: ProcessTerm, defs: Definitions, where: str
+                         ) -> Iterator[tuple[If, dict, str]]:
+    """(node, scope, where) for each conditional choice on t reached from
+    term, in pre-order, each identifier unfolded where it is first met:
+    scope types the names of its equation's parameters and binders."""
+    seen = set()
+    stack = [(term, where, {})]
+    while stack:
+        node, where, scope = stack.pop()
+        if isinstance(node, If) and isinstance(node.guard, (Condition, MixedGuard)):
+            yield node, scope, where
+        elif isinstance(node, Ident) and node.name not in seen:
+            eq = defs.equations.get(node.name)
+            if eq is not None:
+                seen.add(node.name)
+                stack.append((eq.body, node.name, dict(zip(eq.params, eq.param_types))))
+        bound = binders(node)
+        if bound:
+            scope = {**scope, **{name: binder_type(ty) for name, ty in bound.items()}}
+        stack.extend((sub, where, scope) for sub in reversed(subterms(node)))
 
 
 def revposconjeqt_evidence(proc: ProcRef, defs: Definitions, model: str,
@@ -271,59 +255,48 @@ def revposconjeqt_evidence(proc: ProcRef, defs: Definitions, model: str,
     from .analysis import refines_failures, refines_traces
     from .std_semantics import build_lts
 
-    term, name, seen0 = _root(proc, defs)
+    term, name, _ = _root(proc, defs)
     rep_name = f"RevPosConjEqT-{'T' if model == 'traces' else 'F'}"
     seq = check_seq(proc, defs)
     if not seq.ok():
         return ConditionReport(rep_name, "fail", [Finding(
             "pre", "process is not in the Seq fragment", name)])
     findings = []
-    conditionals = list(_scoped_conditionals(term, defs, {}, name, set(seen0)))
+    # a named process is reached as a call is, so its parameters are typed
+    conditionals = list(_scoped_conditionals(
+        Ident(proc) if isinstance(proc, str) else term, defs, name))
     if not conditionals:
         return ConditionReport(rep_name, "evidence", [],
                                ["no conditional choices on t: holds vacuously"])
     check = refines_traces if model == "traces" else refines_failures
     checked = 0
-    for sc in conditionals:
-        guard = sc.node.guard
+    for node, scope, where in conditionals:
+        guard = node.guard
         if isinstance(guard, MixedGuard):
             findings.append(Finding("syntactic", "guard mixes t with other types",
-                                    sc.where))
+                                    where))
             continue
         if guard.negated:
             findings.append(Finding(
                 "syntactic", "condition is not a positive conjunction of "
-                "equality tests", sc.where))
+                "equality tests", where))
             continue
-        fv = sorted((free_vars(sc.node.then) | free_vars(sc.node.els)
+        fv = sorted((free_vars(node.then) | free_vars(node.els)
                      | {s for a in guard.atoms for s in a if isinstance(s, str)}))
-        domains = []
-        enumerable = True
-        for v in fv:
-            ty = sc.scope.get(v)
-            if ty == "t":
-                domains.append(("t", v))
-            elif ty in defs.datatypes:
-                domains.append(("data", v))
-            else:
-                findings.append(Finding(
-                    "semantic", f"cannot enumerate values of variable {v!r}",
-                    sc.where))
-                enumerable = False
-        if not enumerable:
+        unknown = [v for v in fv if scope.get(v) != "t" and scope.get(v) not in defs.datatypes]
+        for v in unknown:
+            findings.append(Finding(
+                "semantic", f"cannot enumerate values of variable {v!r}", where))
+        if unknown:
             continue
         for n in sizes:
             tvals = [TVal(i) for i in range(n)]
-            spaces = []
-            for kind, v in domains:
-                if kind == "t":
-                    spaces.append([(v, tv) for tv in tvals])
-                else:
-                    spaces.append([(v, a) for a in defs.datatypes[sc.scope[v]]])
+            spaces = [[(v, x) for x in (tvals if scope[v] == "t"
+                                        else defs.datatypes[scope[v]])] for v in fv]
             for assignment in itertools.product(*spaces):
                 binding = dict(assignment)
-                then_p = substitute(sc.node.then, binding)
-                els_p = substitute(sc.node.els, binding)
+                then_p = substitute(node.then, binding)
+                els_p = substitute(node.els, binding)
                 lhs = build_lts(defs, els_p, n, max_states)
                 rhs = build_lts(defs, then_p, n, max_states)
                 verdict = check(lhs, rhs)
@@ -332,7 +305,7 @@ def revposconjeqt_evidence(proc: ProcRef, defs: Definitions, model: str,
                     pretty = ", ".join(f"{k}={v}" for k, v in sorted(binding.items()))
                     findings.append(Finding(
                         "semantic", "negative branch is not refined by the "
-                        f"positive branch at #T={n} under [{pretty}]", sc.where))
+                        f"positive branch at #T={n} under [{pretty}]", where))
                     return ConditionReport(rep_name, "fail", findings)
     if findings:
         return ConditionReport(rep_name, "fail", findings)

@@ -10,9 +10,9 @@ class Diagnostic:
     """A positioned message, printed as ``file:line:col: message``."""
 
     message: str
-    line: int = 0
-    col: int = 0
-    filename: str = "<input>"
+    line: int
+    col: int
+    filename: str
 
     def render(self) -> str:
         return f"{self.filename}:{self.line}:{self.col}: {self.message}"

@@ -20,16 +20,15 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import wraps
-from typing import Optional
 
 from .errors import Diagnostic, ParseError
 from .syntax import (
     ATOM, Atom, BANG, BoolAnd, BoolLit, BoolNot, BoolOr, ChanPrefixItem, Cmp,
-    Condition, Construct, Definitions, DiffType, DOLLAR, Equation,
+    Condition, Construct, Definitions, DiffType, Equation,
     EventLitItem, EventSet, Field, GUARD, HIDE, Ident, If, MixedGuard,
     NamedType, NatLit, NatMin, NatOp, OPEN, OPERATORS, Operator, Prefix,
-    QUERY, SetType, Stop, T_TYPE, TType, TVal, Assertion, VarRef, REPLICATED,
-    free_vars, map_subterms, substitute, subterms, type_is_t,
+    SetType, Stop, T_TYPE, TType, TVal, Assertion, VarRef,
+    binder_type, binders, free_vars, map_subterms, substitute, subterms, type_is_t,
 )
 
 KEYWORDS = {
@@ -590,11 +589,13 @@ def _is_decl(t: Token) -> bool:
     return t.kind == "ident" and t.text in _DECL_KWS
 
 
-def _scan_items(toks: list[Token], filename: str):
+def _scan_items(toks: list[Token], filename: str) -> list[list[Token]]:
     """Split the token stream into declaration and equation items.  Each item
     runs from a declaration keyword or an equation head up to the next one;
     the scan of a datatype or const starts after its ``Name =``, which has
-    the shape of an equation head.  The item's own parser checks the rest."""
+    the shape of an equation head.  The item's own parser checks the rest.
+    Each item ends in a sentinel just past its last token, so that an error
+    at the end of the item points into it."""
     items = []
     i = 0
     while toks[i].kind != "eof":
@@ -609,7 +610,8 @@ def _scan_items(toks: list[Token], filename: str):
         while toks[j].kind != "eof" and not _is_eq_head(toks, j) \
                 and not _is_decl(toks[j]):
             j += 1
-        items.append((i, j))
+        last = toks[j - 1]
+        items.append(toks[i:j] + [Token("eof", "", last.line, last.col + len(last.text))])
         i = j
     return items
 
@@ -678,21 +680,26 @@ _TY_NAT = "nat"
 
 
 @contextmanager
-def _nesting(name: str, filename: str, tok: Optional[Token] = None):
+def _nesting(head: Token, filename: str):
     """Report a definition nested deeper than the recursive passes over its
-    terms reach as a diagnostic on the equation, not as an internal error."""
+    terms reach as a diagnostic at the head of its equation, not as an
+    internal error."""
     try:
         yield
     except RecursionError:
         raise ParseError([Diagnostic(
-            f"the definition of {name!r} nests too deeply",
-            tok.line if tok else 0, tok.col if tok else 0, filename)]) from None
+            f"the definition of {head.text!r} nests too deeply",
+            head.line, head.col, filename)]) from None
 
 
 class _Resolver:
-    def __init__(self, defs: Definitions, filename: str):
+    """A diagnostic points at the head token of its equation (heads) or at
+    the keyword of its assertion (asserts, in the order of defs.assertions)."""
+
+    def __init__(self, defs: Definitions, heads: dict[str, Token], asserts: list[Token]):
         self.defs = defs
-        self.filename = filename
+        self.heads = heads
+        self.asserts = asserts
         self.diags: list[Diagnostic] = []
         self.param_ty = {name: [None] * len(eq.params)
                          for name, eq in defs.equations.items()}
@@ -701,8 +708,9 @@ class _Resolver:
         # type once ordinary inference has settled
         self.default_eq_to_t = False
 
-    def error(self, msg: str):
-        self.diags.append(Diagnostic(msg, 0, 0, self.filename))
+    def error(self, msg: str, eq: str):
+        head = self.heads[eq]
+        self.diags.append(Diagnostic(msg, head.line, head.col, self.defs.filename))
 
     def set_param(self, eq: str, idx: int, ty):
         cur = self.param_ty[eq][idx]
@@ -713,12 +721,9 @@ class _Resolver:
             self.changed = True
         else:
             self.error(f"parameter {self.defs.equations[eq].params[idx]!r} of "
-                       f"{eq!r} used both as {cur} and as {ty}")
+                       f"{eq!r} used both as {cur} and as {ty}", eq)
 
     # scope maps variable name -> 't' | 'nat' | datatype name | None
-
-    def var_ty(self, scope, name):
-        return scope.get(name)
 
     def note_var(self, scope, eq, name, ty):
         if name in scope:
@@ -728,7 +733,7 @@ class _Resolver:
                 if name in self.defs.equations[eq].params:
                     self.set_param(eq, self.defs.equations[eq].params.index(name), ty)
             elif ty is not None and cur != ty:
-                self.error(f"variable {name!r} in {eq!r} used both as {cur} and as {ty}")
+                self.error(f"variable {name!r} in {eq!r} used both as {cur} and as {ty}", eq)
 
     def scalar_ty(self, e, scope, eq, expect=None):
         """Infer the type of a scalar expression, propagating expectations."""
@@ -741,7 +746,7 @@ class _Resolver:
         if isinstance(e, VarRef):
             if expect is not None:
                 self.note_var(scope, eq, e.name, expect)
-            return self.var_ty(scope, e.name)
+            return scope.get(e.name)
         if isinstance(e, (NatOp, NatMin)):
             self.scalar_ty(e.left, scope, eq, _TY_NAT)
             self.scalar_ty(e.right, scope, eq, _TY_NAT)
@@ -769,42 +774,32 @@ class _Resolver:
                     self.scalar_ty(b.left, scope, eq, _TY_T)
                     self.scalar_ty(b.right, scope, eq, _TY_T)
 
-    @staticmethod
-    def _binder_ty(ty):
-        if type_is_t(ty):
-            return _TY_T
-        if isinstance(ty, SetType):
-            return next((i.type_name for i in ty.items if isinstance(i, Atom)), None)
-        if isinstance(ty, NamedType):
-            return ty.name
-        return None
-
     def scope_below(self, term, scope, noting=None):
-        """The scope of the subterms of term: a prefix input or a replicated
-        index binds its variable.  With noting (an equation name), the
+        """The scope of the subterms of term: each name it binds (binders)
+        at the type of its annotation.  With noting (an equation name), the
         variables a prefix outputs are noted too, each seeing the inputs to
         its left."""
-        if isinstance(term, Prefix):
-            scope = dict(scope)
-            for f in term.construct.fields:
-                if f.sel in (DOLLAR, QUERY):
-                    scope[f.payload] = self._binder_ty(f.ty)
-                elif noting is not None and isinstance(f.payload, str):
-                    self.note_var(scope, noting, f.payload,
-                                  _TY_T if f.bang_is_t else None)
-        elif isinstance(term, REPLICATED):
-            scope = {**scope, term.var: _TY_T}
+        bound = {name: binder_type(ty) for name, ty in binders(term).items()}
+        if not isinstance(term, Prefix):
+            return {**scope, **bound} if bound else scope
+        scope, bound = dict(scope), iter(bound.items())
+        for f in term.construct.fields:
+            if f.sel != BANG:  # the field of the next binder
+                name, ty = next(bound)
+                scope[name] = ty
+            elif noting is not None and isinstance(f.payload, str):
+                self.note_var(scope, noting, f.payload, _TY_T if f.bang_is_t else None)
         return scope
 
     def infer_term(self, term, scope, eq):
         if isinstance(term, Ident):
             callee = self.defs.equations.get(term.name)
             if callee is None:
-                self.error(f"undefined process {term.name!r} referenced in {eq!r}")
+                self.error(f"undefined process {term.name!r} referenced in {eq!r}", eq)
                 return
             if len(term.args) != len(callee.params):
                 self.error(f"{term.name!r} expects {len(callee.params)} argument(s), "
-                           f"got {len(term.args)} in {eq!r}")
+                           f"got {len(term.args)} in {eq!r}", eq)
                 return
             for i, a in enumerate(term.args):
                 pty = self.param_ty[term.name][i]
@@ -826,7 +821,7 @@ class _Resolver:
                 for name, eq in self.defs.equations.items():
                     scope = {p: self.param_ty[name][i]
                              for i, p in enumerate(eq.params)}
-                    with _nesting(name, self.filename):
+                    with _nesting(self.heads[name], self.defs.filename):
                         self.infer_term(eq.body, scope, name)
                     for i, p in enumerate(eq.params):
                         if scope[p] is not None:
@@ -863,15 +858,15 @@ class _Resolver:
                 rt = self._side_ty(c.right, scope)
                 if lt == _TY_T or rt == _TY_T:
                     if lt is not None and rt is not None and lt != rt:
-                        self.error(f"comparison between {lt} and {rt} in {eq!r}")
+                        self.error(f"comparison between {lt} and {rt} in {eq!r}", eq)
                         return BoolLit(False)
                     l = c.left.name if isinstance(c.left, VarRef) else c.left
                     r = c.right.name if isinstance(c.right, VarRef) else c.right
                     if not isinstance(l, (str, TVal)) or not isinstance(r, (str, TVal)):
-                        self.error(f"ill-typed t-equality in {eq!r}")
+                        self.error(f"ill-typed t-equality in {eq!r}", eq)
                         return BoolLit(False)
                     if l == r:
-                        self.error(f"trivial condition {l}=={r} in {eq!r}")
+                        self.error(f"trivial condition {l}=={r} in {eq!r}", eq)
                     if c.op == "!=":
                         any_neq = True
                         t_atoms.append(("!=", (l, r)))
@@ -883,7 +878,7 @@ class _Resolver:
             if any_neq:
                 if len(t_atoms) > 1:
                     self.error(f"t-guard in {eq!r} must be a conjunction of "
-                               "equalities or the negation of one")
+                               "equalities or the negation of one", eq)
                 return Condition(not negated, tuple(a for _, a in t_atoms))
             return Condition(negated, tuple(a for _, a in t_atoms))
         if not t_atoms:
@@ -892,7 +887,7 @@ class _Resolver:
                 whole = c if whole is None else BoolAnd(whole, c)
             return BoolNot(whole) if negated else whole
         if any_neq:
-            self.error(f"mixed guard with t-inequality in {eq!r} is not supported")
+            self.error(f"mixed guard with t-inequality in {eq!r} is not supported", eq)
         return MixedGuard(negated, tuple(a for _, a in t_atoms), tuple(other))
 
     def _side_ty(self, e, scope):
@@ -927,19 +922,22 @@ class _Resolver:
         self.run_inference()
         for name, eq in list(self.defs.equations.items()):
             scope = {p: self.param_ty[name][i] for i, p in enumerate(eq.params)}
-            with _nesting(name, self.filename):
+            with _nesting(self.heads[name], self.defs.filename):
                 body = self.rewrite(eq.body, scope, name)
             fv = free_vars(body) - set(eq.params)
             for v in sorted(fv):
-                self.error(f"undefined variable {v!r} in the definition of {name!r}")
+                self.error(f"undefined variable {v!r} in the definition of {name!r}", name)
             self.defs.equations[name] = Equation(
                 name, eq.params, body, tuple(self.param_ty[name]))
-        for a in self.defs.assertions:
+        for a, keyword in zip(self.defs.assertions, self.asserts):
             for side in (a.lhs, a.rhs):
                 if side not in self.defs.equations:
-                    self.error(f"assertion references undefined process {side!r}")
+                    self.diags.append(Diagnostic(
+                        f"assertion references undefined process {side!r}",
+                        keyword.line, keyword.col, self.defs.filename))
         if self.diags:
-            raise ParseError(self.diags)
+            # the inference rounds revisit every equation: report each finding once
+            raise ParseError(list(dict.fromkeys(self.diags)))
 
 
 # ---------------------------------------------------------------------------
@@ -953,18 +951,13 @@ def parse_definitions(text: str, filename: str = "<input>") -> Definitions:
     toks = tokenize(text, filename)
     defs = Definitions(filename=filename)
     items = _scan_items(toks, filename)
-    equation_items = []
-    decl_items = []
-    for start, end in items:
-        if _is_decl(toks[start]):
-            decl_items.append((start, end))
-        else:
-            equation_items.append((start, end))
     # pass 1: declarations; datatypes and constants first so that channel
     # signatures may reference types declared anywhere in the file
     order = {"datatype": 0, "const": 0, "channel": 1, "assert": 2}
-    for start, end in sorted(decl_items, key=lambda it: (order[toks[it[0]].text], it[0])):
-        sub = _Parser(toks[start:end] + [toks[-1]], defs, filename)
+    decls = sorted((item for item in items if _is_decl(item[0])),
+                   key=lambda item: order[item[0].text])
+    for item in decls:
+        sub = _Parser(item, defs, filename)
         _parse_decl(sub, defs)
         rest = sub.peek()
         if rest.kind != "eof":
@@ -973,8 +966,11 @@ def parse_definitions(text: str, filename: str = "<input>") -> Definitions:
                 rest.line, rest.col, filename)])
     # pass 2: equation bodies
     uid_base = 0
-    for start, end in equation_items:
-        sub = _Parser(toks[start:end] + [toks[-1]], defs, filename)
+    heads = {}
+    for item in items:
+        if _is_decl(item[0]):
+            continue
+        sub = _Parser(item, defs, filename)
         sub._uid = uid_base
         name_tok = sub.eat_ident("process name")
         params = []
@@ -991,14 +987,15 @@ def parse_definitions(text: str, filename: str = "<input>") -> Definitions:
             sub.fail(f"duplicate definition of {name_tok.text!r}", name_tok)
         if name_tok.text in defs.channels:
             sub.fail(f"{name_tok.text!r} is already a channel name", name_tok)
-        with _nesting(name_tok.text, filename, name_tok):
+        with _nesting(name_tok, filename):
             body = sub.parse_proc()
         tail = sub.peek()
         if tail.kind != "eof":
             sub.fail(f"unexpected {tail.text!r} after process definition", tail)
         uid_base = sub._uid
         defs.equations[name_tok.text] = Equation(name_tok.text, tuple(params), body)
-    _Resolver(defs, filename).finish()
+        heads[name_tok.text] = name_tok
+    _Resolver(defs, heads, [item[0] for item in decls if item[0].text == "assert"]).finish()
     return defs
 
 

@@ -72,12 +72,12 @@ from typing import Optional, Union
 from .errors import SemanticsError
 from .lts import Event, Lts, TAU, build, tau_closure, terms_bounded
 from .syntax import (
-    BANG, REPLICATED, AlphaPar, Atom, Condition, Definitions, Equation,
+    REPLICATED, AlphaPar, Atom, Condition, Definitions, Equation,
     EventLitItem, EventSet, ExtChoice, Hide, Ident, If, IndexedInterleave,
     IntChoice, Interleave, MixedGuard, Prefix, ProcessTerm, Rename,
     ReplAlphaPar, ReplExtChoice, ReplIntChoice, ReplInterleave, SharedPar,
     Sliding, Stop, TType, TVal, VarRef,
-    canonicalise, classify_fields, comms, construct_binding, domain_values,
+    binders, canonicalise, classify_fields, comms, construct_binding, domain_values,
     eval_bool, eval_condition_closed, eval_scalar, free_vars, map_subterms,
     permute_t, replace_selections, subst_event_set, substitute, subterms,
     t_values, unfold_walk, with_subterms,
@@ -238,7 +238,7 @@ class _Position:
 
     names are its free names, sorted; a leaf here carries their values in
     that order.  blank is the term with its subterms replaced by STOP, and
-    binders the names it binds over them, in binding order.  kids are the
+    binders what it binds over them (syntax.binders).  kids are the
     positions of the subterms as they stand in a state term.  A replicated
     operator other than internal choice is expanded where it stands
     (expand) unless a prefix between it and its entry point binds a name of
@@ -289,10 +289,7 @@ class Engine:
         replicated operator kept whole."""
         cls = term.__class__
         blank = map_subterms(term, lambda _: STOP)
-        if cls is Prefix:
-            binders = tuple(f.payload for f in term.construct.fields if f.sel != BANG)
-        else:
-            binders = (term.var,) if cls in REPLICATED else ()
+        own = binders(term)
         free = free_vars(blank)
         expand, entry = False, None
         if cls in REPLICATED and not raw:
@@ -300,14 +297,14 @@ class Engine:
             kids = [self.number(term.body, bound, not expand)]
             entry = kids[0] if expand else self.number(term.body)
         else:
-            inner = bound.union(binders) if cls is Prefix else bound
+            inner = bound.union(own) if cls is Prefix else bound
             kids = [self.number(sub, inner, raw) for sub in subterms(term)]
         below = set()
         for k in kids:
             below.update(self.positions[k].names)
-        names = tuple(sorted(free | (below - set(binders))))
+        names = tuple(sorted(free | (below - own.keys())))
         plain = not expand and all(self.positions[k].plain for k in kids)
-        return self._add(_Position(term, blank, names, binders, tuple(kids), plain,
+        return self._add(_Position(term, blank, names, own, tuple(kids), plain,
                                    expand, entry))
 
     def _add(self, pos: _Position) -> int:
@@ -351,7 +348,7 @@ class Engine:
         alpha, scope = self.closed(pos.base, env[:n])
         chosen = dict(zip(names, env[n:]))
         alpha = substitute(Prefix(replace_selections(alpha, sel), STOP), chosen).construct
-        remaining = {f.payload for f in alpha.fields if f.sel != BANG}
+        remaining = binders(alpha)
         return alpha, {**{k: v for k, v in chosen.items() if k not in remaining}, **scope}
 
     def closed(self, p: int, env: tuple):
@@ -459,18 +456,18 @@ class Engine:
             uid = None
             if pos.term.__class__ is Prefix:
                 alpha, scope = self.closed(p, env)
-                binders = [f.payload for f in alpha.fields if f.sel != BANG]
-                blank = canonicalise(Prefix(alpha, STOP))[0].construct if binders else alpha
+                bound = binders(alpha)
+                blank = canonicalise(Prefix(alpha, STOP))[0].construct if bound else alpha
                 uid = alpha.uid
             else:
                 scope = dict(zip(pos.names, env))
-                binders = pos.binders
-                blank = (canonicalise(pos.blank, scope)[0] if binders
+                bound = pos.binders
+                blank = (canonicalise(pos.blank, scope)[0] if bound
                          else self.closed(p, env))
-            if binders:
-                m = len(binders)
+            if bound:
+                m = len(bound)
                 scope = {k: _shifted(v, m) for k, v in scope.items()}
-                for i, k in enumerate(binders):
+                for i, k in enumerate(bound):
                     scope[k] = _Bound(m - 1 - i)
             kids = [self.leaf_key(k, self.env_of(k, scope)) for k in pos.kids]
             got = (self._class((blank, *[c for c, _ in kids])),
@@ -914,16 +911,15 @@ def _calls(eq: Equation):
     """(keeps, callee, guarded, passes) for each identifier occurrence of the
     body outside prefixes: keeps when an operator above it keeps its
     context, guarded when a conditional is above it, and passes when its
-    arguments are the equation's parameters in order, with no replicated
-    binder above shadowing one."""
+    arguments are the equation's parameters in order, with no binder above
+    shadowing one."""
     own = tuple(VarRef(p) for p in eq.params)
 
     def walk(term, keeps, guarded, shadowed):
         if isinstance(term, Ident):
             yield keeps, term.name, guarded, not shadowed and term.args == own
         elif not isinstance(term, Prefix):
-            shadowed = shadowed or (isinstance(term, REPLICATED)
-                                    and term.var in eq.params)
+            shadowed = shadowed or any(v in eq.params for v in binders(term))
             for i, sub in enumerate(subterms(term)):
                 yield from walk(sub, keeps or _keeps(term, i),
                                 guarded or isinstance(term, If), shadowed)

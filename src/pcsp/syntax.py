@@ -8,11 +8,12 @@ construct ``c S1 x1:X1 ... Sk xk:Xk`` carries one selector per field:
 and capture-avoiding substitution defined here are the ground layer that
 every semantics consumes.
 
-``_rebind`` is the only code that knows where binders scope.  It rewrites
-free names through an environment and either lets binders shadow it
-(``substitute``) or renames them to ``#0, #1, ...`` in traversal order
-(``canonicalise``).  A canonicalising walk also records the free names it
-meets and the uids of the constructs it passes, so ``free_vars``,
+``binders`` alone says what a node binds, each name with its annotation
+(typed by ``binder_type``); ``_rebind`` alone says where a binder scopes.
+It rewrites free names through an environment and either lets binders
+shadow it (``substitute``) or renames them to ``#0, #1, ...`` in traversal
+order (``canonicalise``).  A canonicalising walk also records the free
+names it meets and the uids of the constructs it passes, so ``free_vars``,
 ``alpha_canonical`` and the state keys of the semantics all come from it
 (the standard semantics canonicalises one node of a term at a time).
 The operator table ``OPERATORS`` is the one owner of operator syntax:
@@ -734,6 +735,35 @@ class Definitions:
         if eq.params:
             raise SemanticsError(f"process {name!r} expects {len(eq.params)} argument(s)")
         return eq.body
+
+
+# ---------------------------------------------------------------------------
+# Binders
+
+def binders(node) -> dict[str, Optional[TypeExpr]]:
+    """The names a node binds over its subterms, in binding order, each with
+    its annotation: the $- and ?-fields of a prefix (or of a construct) in
+    field order, and the index variable of a replicated operator with its
+    domain.  Every other node binds nothing."""
+    if node.__class__ is Prefix:
+        node = node.construct
+    if node.__class__ is Construct:
+        return {f.payload: f.ty for f in node.fields if f.sel != BANG}
+    if node.__class__ in REPLICATED:
+        return {node.var: node.domain}
+    return {}
+
+
+def binder_type(ty: TypeExpr) -> Optional[str]:
+    """The type tag of a binder annotated ty: 't' for a subset of t, else
+    the name of its datatype, or None for a set of non-t variables."""
+    if type_is_t(ty):
+        return "t"
+    if isinstance(ty, SetType):
+        return next((i.type_name for i in ty.items if isinstance(i, Atom)), None)
+    if isinstance(ty, NamedType):
+        return ty.name
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -73,25 +73,48 @@ def test_lts_command_json(capsys):
     assert json.loads(out)["states"] == 16
 
 
+PARSE_ERROR = "channel c : t\nP = c$ -> STOP\n"
+BOUND_TWICE = "channel c : t.t\nP = c$x:t$x:t -> STOP\n"
+
+
 def test_parse_error_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.pcsp"
-    bad.write_text("channel c : t\nP = c$ -> STOP\n")
+    bad.write_text(PARSE_ERROR)
     code, _, err = run(capsys, "conditions", str(bad))
     assert code == 2
     assert "bad.pcsp:2:" in err
 
 
-@pytest.mark.parametrize("text,diagnostic", [
+# An error at the end of an item points just past its last token.
+MALFORMED_DECLARATIONS = [
     ("channel : t\nP = STOP\n", "1:9: expected channel name, found ':'"),
-    ("channel a,\nP = STOP\n", "3:1: expected channel name, found 'end of input'"),
+    ("channel a,\nP = STOP\n", "1:11: expected channel name, found 'end of input'"),
     ("channel a : ->\nP = STOP\n", "1:13: expected type, found '->'"),
-    ("channel a : {0\nP = STOP\n", "3:1: expected '}', found 'end of input'"),
+    ("channel a : {0\nP = STOP\n", "1:15: expected '}', found 'end of input'"),
     ("channel a b\nP = STOP\n", "1:11: unexpected 'b' after declaration"),
     ("const N = x\nP = STOP\n", "1:11: expected a number"),
     ("datatype = a | b\nP = STOP\n", "1:10: expected type name, found '='"),
-    ("datatype AB = a |\nP = STOP\n", "3:1: expected value name, found 'end of input'"),
+    ("datatype AB = a |\nP = STOP\n", "1:18: expected value name, found 'end of input'"),
     ("P = STOP\nassert P P\n", "2:10: expected '[T=' or '[F='"),
-])
+]
+
+# A diagnostic of the resolution phase points at the head of the equation
+# it concerns, or at the keyword of the assertion; each is reported once.
+MALFORMED_EQUATIONS = [
+    ("channel a\nP = a ->\nQ = STOP\n\n\n", ["2:9: expected a process, found 'end of input'"]),
+    ("channel c : t\nR = (c?i:t -> STOP) [[ c.k <- c.k ]]\n",
+     ["2:1: undefined variable 'k' in the definition of 'R'"]),
+    ("channel c : t\nQ = STOP\nP(x) = c!x -> STOP [] (x > 0) & STOP\n",
+     ["3:1: parameter 'x' of 'P' used both as t and as nat",
+      "3:1: variable 'x' in 'P' used both as t and as nat"]),
+    ("channel c : t\nQ = STOP\nP(x) = if x == x then c!x -> STOP else STOP\n",
+     ["3:1: trivial condition x==x in 'P'"]),
+    ("channel c : t\nQ = STOP\n  assert Z [T= Z\n",
+     ["3:3: assertion references undefined process 'Z'"]),
+]
+
+
+@pytest.mark.parametrize("text,diagnostic", MALFORMED_DECLARATIONS)
 def test_malformed_declaration_exits_2(tmp_path, capsys, text, diagnostic):
     src = tmp_path / "decl.pcsp"
     src.write_text(text)
@@ -100,9 +123,30 @@ def test_malformed_declaration_exits_2(tmp_path, capsys, text, diagnostic):
     assert err == f"{src}:{diagnostic}\n"
 
 
+@pytest.mark.parametrize("text,diagnostics", MALFORMED_EQUATIONS)
+def test_malformed_equation_exits_2(tmp_path, capsys, text, diagnostics):
+    src = tmp_path / "eq.pcsp"
+    src.write_text(text)
+    code, out, err = run(capsys, "conditions", str(src))
+    assert code == 2 and out == ""
+    assert err == "".join(f"{src}:{d}\n" for d in diagnostics)
+
+
+@pytest.mark.parametrize("text", [PARSE_ERROR, BOUND_TWICE]
+                         + [text for text, _ in MALFORMED_DECLARATIONS + MALFORMED_EQUATIONS])
+def test_no_diagnostic_of_malformed_input_has_line_0(tmp_path, capsys, text):
+    src = tmp_path / "bad.pcsp"
+    src.write_text(text)
+    code, _, err = run(capsys, "conditions", str(src))
+    assert code == 2 and err
+    for line in err.splitlines():
+        assert line.startswith(f"{src}:")
+        assert int(line[len(f"{src}:"):].split(":")[0]) > 0
+
+
 def test_name_bound_twice_in_one_construct_exits_2(tmp_path, capsys):
     src = tmp_path / "twice.pcsp"
-    src.write_text("channel c : t.t\nP = c$x:t$x:t -> STOP\n")
+    src.write_text(BOUND_TWICE)
     code, out, err = run(capsys, "lts", str(src), "--proc", "P", "--tsize", "2")
     assert code == 2 and out == ""
     assert err == (f"{src}:2:11: input variable 'x' is bound twice in one "
