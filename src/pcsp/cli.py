@@ -216,8 +216,10 @@ def cmd_congruence(args, defs) -> int:
 
 
 def cmd_refine(args, defs) -> int:
-    lhs = std_semantics.build_lts(defs, args.spec, args.tsize, args.max_states)
-    rhs = std_semantics.build_lts(defs, args.impl, args.tsize, args.max_states)
+    lhs = std_semantics.build_lts(defs, args.spec, args.tsize, args.max_states,
+                                  unfold_calls=False)
+    rhs = std_semantics.build_lts(defs, args.impl, args.tsize, args.max_states,
+                                  unfold_calls=False)
     verdict = analysis.refines(lhs, rhs, args.model)
     op = "[T=" if args.model == "traces" else "[F="
     payload = {"spec": args.spec, "impl": args.impl, "model": args.model,

@@ -28,7 +28,8 @@ from .syntax import (
     EventLitItem, EventSet, Field, GUARD, HIDE, Ident, If, MixedGuard,
     NamedType, NatLit, NatMin, NatOp, OPEN, OPERATORS, Operator, Prefix,
     SetType, Stop, T_TYPE, TType, TVal, Assertion, VarRef,
-    binder_type, binders, free_vars, map_subterms, substitute, subterms, type_is_t,
+    binder_type, binders, free_vars, map_subterms, substitute, subterms,
+    t_field_atoms, type_is_t,
 )
 
 KEYWORDS = {
@@ -530,7 +531,8 @@ class _Parser:
         self.fail(f"expected a process, found {tok.text or 'end of input'!r}", tok)
 
     def parse_replicated(self, op: Operator):
-        dom_tok = self.peek(3)  # after the symbol, the index variable and ':'
+        # the index variable, and the domain after it and ':'
+        var_tok, dom_tok = self.peek(1), self.peek(3)
         term = self.parse_form(op, op.layout, {})
         if type_is_t(term.domain):
             return term
@@ -543,7 +545,9 @@ class _Parser:
                 self.fail("replicated operator over a set with variables", dom_tok)
         if not members:
             self.fail("replicated operator over an empty set", dom_tok)
-        branches = [substitute(term.body, {term.var: v}) for v in members]
+        branches = tuple(substitute(term.body, {term.var: v}) for v in members)
+        for v in t_field_atoms(branches, self.defs.channels):
+            self.fail(f"value {v.name!r} of type {v.type_name} in a t field", var_tok)
         combine = _INFIX.get(op.symbol)
         if combine is None:
             self.fail("replicated alphabetised parallel over a non-t set is "
@@ -804,7 +808,8 @@ class _Resolver:
             for i, a in enumerate(term.args):
                 pty = self.param_ty[term.name][i]
                 aty = self.scalar_ty(a, scope, eq, expect=pty)
-                if aty is not None and pty is None:
+                if aty is not None and (pty is None or a.__class__ is Atom):
+                    # a datatype value is checked against the parameter's type
                     self.set_param(term.name, i, aty)
             return
         if isinstance(term, If) and not isinstance(term.guard, (Condition, MixedGuard)):

@@ -426,7 +426,8 @@ def verify_pmcp(defs: Definitions, spec: str, impl: str, model: str,
         got = builds.get((proc, n, sym))
         if got is None:
             try:
-                got = build_lts(defs, proc, n, max_states, symmetric_from=sym)
+                got = build_lts(defs, proc, n, max_states, symmetric_from=sym,
+                                unfold_calls=False)
             except BoundExceeded as exc:
                 raise BoundExceeded(exc.what, exc.bound, exc.frontier,
                                     f"{proc} at #T={n}") from None

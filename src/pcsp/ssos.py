@@ -11,6 +11,7 @@ the key by which the traces threshold groups events.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Union
 
@@ -18,13 +19,12 @@ from .conditions import check_seq
 from .errors import SemanticsError
 from .lts import TAU, Lts, build
 from .pretty import fmt_condition, fmt_construct, fmt_term
-from .std_semantics import (
-    check_guarded_recursion, eval_guard, resolve_selections, unfold_ident,
-)
+from .std_semantics import call_binding, check_guarded_recursion, eval_guard
 from .syntax import (
     BANG, Condition, Construct, Definitions, ExtChoice, Ident, If, IntChoice,
     MixedGuard, Prefix, ProcessTerm, Sliding, Stop, alpha_canonical,
-    classify_fields, comms_nont, construct_binding, substitute, value_key,
+    classify_fields, comms_nont, construct_binding, domain_values,
+    replace_selections, substitute, value_key,
 )
 
 
@@ -81,6 +81,28 @@ def _promote(succ, wrap):
     the choice (wrap puts it around the target), visible labels resolve it."""
     return [(lab, uid, wrap(nxt) if lab is TAU or isinstance(lab, Cond) else nxt)
             for lab, uid, nxt in succ]
+
+
+def resolve_selections(term: Prefix, scope: str, tvalues):
+    """The τ-stage of a prefix that resolves its $-selections in scope ('t'
+    or 'non-t'): one (τ, construct_uid, target) triple per choice of values,
+    the chosen selections becoming outputs.  None when the prefix has no
+    selection in scope."""
+    alpha = term.construct
+    sets = classify_fields(alpha)
+    positions = sorted(sets.dollar_t if scope == "t" else sets.dollar_nont)
+    if not positions:
+        return None
+    names = [alpha.fields[i - 1].payload for i in positions]
+    domains = [domain_values(alpha.fields[i - 1].ty, tvalues) for i in positions]
+    stripped = Prefix(replace_selections(alpha, scope), term.cont)
+    return [(TAU, alpha.uid, substitute(stripped, dict(zip(names, vs))))
+            for vs in itertools.product(*domains)]
+
+
+def unfold_ident(term: Ident, defs: Definitions):
+    eq, mapping = call_binding(term, defs)
+    return substitute(eq.body, mapping)
 
 
 def successors(term: ProcessTerm, defs: Definitions):

@@ -72,15 +72,14 @@ from typing import Optional, Union
 from .errors import SemanticsError
 from .lts import Event, Lts, TAU, build, tau_closure, terms_bounded
 from .syntax import (
-    REPLICATED, AlphaPar, Atom, Condition, Definitions, Equation,
-    EventLitItem, EventSet, ExtChoice, Hide, Ident, If, IndexedInterleave,
-    IntChoice, Interleave, MixedGuard, Prefix, ProcessTerm, Rename,
-    ReplAlphaPar, ReplExtChoice, ReplIntChoice, ReplInterleave, SharedPar,
-    Sliding, Stop, TType, TVal, VarRef,
-    binders, canonicalise, classify_fields, comms, construct_binding, domain_values,
-    eval_bool, eval_condition_closed, eval_scalar, free_vars, map_subterms,
-    permute_t, replace_selections, subst_event_set, substitute, subterms,
-    t_values, unfold_walk, with_subterms,
+    REPLICATED, AlphaPar, Atom, Condition, Definitions, Equation, EventSet,
+    ExtChoice, Hide, Ident, If, IndexedInterleave, IntChoice, Interleave,
+    MixedGuard, Prefix, ProcessTerm, Rename, ReplAlphaPar, ReplExtChoice,
+    ReplIntChoice, ReplInterleave, SharedPar, Sliding, Stop, TType, TVal,
+    VarRef, binders, canonicalise, check_instantiated, classify_fields, comms,
+    construct_binding, domain_values, eval_bool, eval_condition_closed,
+    eval_scalar, free_vars, map_subterms, permute_t, replace_selections,
+    subst_event_set, substitute, subterms, t_values, unfold_walk, with_subterms,
 )
 
 DEFAULT_MAX_STATES = 200_000
@@ -110,21 +109,12 @@ def eval_event_set(evset: EventSet, defs: Definitions, tvalues) -> frozenset[Eve
         sig = defs.channels.get(item.channel)
         if sig is None:
             raise SemanticsError(f"undeclared channel {item.channel!r} in event set")
-        fixed = []
-        for d in item.datums:
-            if isinstance(d, str):
-                raise SemanticsError(f"unbound variable {d!r} in event set")
-            fixed.append(d)
+        fixed = _closed_datums(item, "event set", tvalues)
         rest = [domain_values(ty, tvalues) for ty in sig[len(fixed):]]
         for vs in itertools.product(*rest):
-            out.add(Event(item.channel, tuple(fixed) + tuple(vs)))
+            out.add(Event(item.channel, fixed + vs))
     for item in evset.literals:
-        vals = []
-        for d in item.datums:
-            if isinstance(d, str):
-                raise SemanticsError(f"unbound variable {d!r} in event set")
-            vals.append(d)
-        out.add(Event(item.channel, tuple(vals)))
+        out.add(Event(item.channel, _closed_datums(item, "event set", tvalues)))
     return frozenset(out)
 
 
@@ -142,20 +132,23 @@ def _rename_map(pairs, defs: Definitions, tvalues):
             for vs in itertools.product(*domains):
                 mapping.setdefault(Event(b, tuple(vs)), []).append(Event(a, tuple(vs)))
         else:
-            src = Event(b.channel, tuple(_closed_datums(b)))
-            dst = Event(a.channel, tuple(_closed_datums(a)))
+            src = Event(b.channel, _closed_datums(b, "renaming", tvalues))
+            dst = Event(a.channel, _closed_datums(a, "renaming", tvalues))
             mapping.setdefault(src, []).append(dst)
     return mapping
 
 
-def _closed_datums(item: EventLitItem):
+def _closed_datums(item, where: str, tvalues) -> tuple:
+    """The values of an event item of an event set or a renaming pair: all
+    bound, and every t-value inside the instantiation."""
     for d in item.datums:
         if isinstance(d, str):
-            raise SemanticsError(f"unbound variable {d!r} in renaming")
-    return item.datums
+            raise SemanticsError(f"unbound variable {d!r} in {where}")
+        check_instantiated(d, tvalues)
+    return tuple(item.datums)
 
 
-def _arguments(term: Ident, defs: Definitions) -> tuple[Equation, dict]:
+def call_binding(term: Ident, defs: Definitions) -> tuple[Equation, dict]:
     """The equation a closed identifier names and its parameters' values."""
     eq = defs.equations.get(term.name)
     if eq is None:
@@ -165,11 +158,6 @@ def _arguments(term: Ident, defs: Definitions) -> tuple[Equation, dict]:
             f"{term.name!r} expects {len(eq.params)} argument(s), got {len(term.args)}")
     return eq, {p: a if isinstance(a, (TVal, Atom)) else eval_scalar(a)
                 for p, a in zip(eq.params, term.args)}
-
-
-def unfold_ident(term: Ident, defs: Definitions):
-    eq, mapping = _arguments(term, defs)
-    return substitute(eq.body, mapping)
 
 
 def _union_set(a: EventSet, b: EventSet) -> EventSet:
@@ -186,23 +174,6 @@ def eval_guard(guard) -> bool:
         base = base and all(eval_bool(b) for b in guard.other)
         return (not base) if guard.negated else base
     return eval_bool(guard)
-
-
-def resolve_selections(term: Prefix, scope: str, tvalues):
-    """The τ-stage of a prefix that resolves its $-selections in scope ('t'
-    or 'non-t'): one (τ, construct_uid, target) triple per choice of values,
-    the chosen selections becoming outputs.  None when the prefix has no
-    selection in scope."""
-    alpha = term.construct
-    sets = classify_fields(alpha)
-    positions = sorted(sets.dollar_t if scope == "t" else sets.dollar_nont)
-    if not positions:
-        return None
-    names = [alpha.fields[i - 1].payload for i in positions]
-    domains = [domain_values(alpha.fields[i - 1].ty, tvalues) for i in positions]
-    stripped = Prefix(replace_selections(alpha, scope), term.cont)
-    return [(TAU, alpha.uid, substitute(stripped, dict(zip(names, vs))))
-            for vs in itertools.product(*domains)]
 
 
 _VECTOR = IndexedInterleave(STOP, STOP)
@@ -379,9 +350,7 @@ class Engine:
         if cls is IntChoice:
             return [(TAU, None, k, self.env_of(k, scope)) for k in pos.kids]
         if cls is Ident:
-            eq, mapping = _arguments(self.closed(p, env), self.defs)
-            body = self.body(eq.name)
-            return [(TAU, None, body, self.env_of(body, mapping))]
+            return [(TAU, None, *self.unfold(p, env))]
         if cls is ReplIntChoice:
             members = domain_values(self.closed(p, env).domain, self.tvalues)
             if not members:
@@ -403,6 +372,12 @@ class Engine:
         return [(Event(alpha.channel, values), alpha.uid, cont,
                  self.env_of(cont, {**scope, **construct_binding(alpha, values, sets.query)}))
                 for values in comms(alpha, self.tvalues)]
+
+    def unfold(self, p: int, env: tuple) -> tuple:
+        """The (position, env) of the body the call leaf unfolds to."""
+        eq, mapping = call_binding(self.closed(p, env), self.defs)
+        body = self.body(eq.name)
+        return body, self.env_of(body, mapping)
 
     def branch(self, p: int, env: tuple) -> tuple:
         """The (position, env) of the branch the conditional leaf takes."""
@@ -545,8 +520,12 @@ class StateGraph:
     memos of the t-values of a node and of orbit representatives.
     """
 
-    def __init__(self, engine: Engine, symmetric_from: Optional[int] = None):
+    def __init__(self, engine: Engine, symmetric_from: Optional[int] = None,
+                 unfold_calls: bool = True):
         self.engine = engine
+        # the equations whose calls are being followed to their bodies'
+        # successors; None: calls unfold by τ
+        self._open: Optional[set] = None if unfold_calls else set()
         self.ids: dict = {}
         self._leaves: dict = {}   # (class, uids) -> leaf node
         self._leaf_at: dict = {}  # (position, env) -> leaf node
@@ -765,23 +744,48 @@ class StateGraph:
 
     def successors(self, i: int):
         """(label, construct_uid, target node) triples of node i, in rule
-        order; computed once per node.  A conditional leaf has those of the
-        branch it takes."""
+        order; computed once per node."""
         out = self.succ[i]
         if out is None:
             key = self.kids[i]
             if key is not None:
                 blank = self._blanks[key[0]]
-                out = _RULES[type(blank)](self, key, blank)
+                out = self.succ[i] = _RULES[type(blank)](self, key, blank)
             else:
-                p, env = self.leaves[i]
-                engine = self.engine
-                if engine.positions[p].term.__class__ is If:
-                    out = self.successors(self.intern(*engine.branch(p, env)))
-                else:
-                    out = [(lab, uid, self.intern(q, e))
-                           for lab, uid, q, e in engine.successors(p, env)]
-            self.succ[i] = out
+                out = self._leaf_successors(i)
+        return out
+
+    def _leaf_successors(self, i: int) -> list:
+        """The successors of leaf i, memoised for every leaf on its chain: a
+        conditional has those of the branch it takes, and so has a call
+        those of its body when calls do not unfold by τ.  A call to an
+        equation already followed (on this chain, or on one whose successors
+        are being combined above it) keeps its τ, which cuts each cycle of
+        bare calls and bounds every chain by the number of equations."""
+        engine, follow = self.engine, self._open
+        chain, opened = [], []
+        while True:
+            chain.append(i)
+            p, env = self.leaves[i]
+            term = engine.positions[p].term
+            if term.__class__ is If:
+                i = self.intern(*engine.branch(p, env))
+            elif term.__class__ is Ident and follow is not None \
+                    and term.name not in follow:
+                follow.add(term.name)
+                opened.append(term.name)
+                i = self.intern(*engine.unfold(p, env))
+            else:
+                out = [(lab, uid, self.intern(q, e))
+                       for lab, uid, q, e in engine.successors(p, env)]
+                break
+            if self.kids[i] is not None or self.succ[i] is not None:
+                out = self.successors(i)
+                break
+        if opened:
+            follow.difference_update(opened)
+        for j in chain:
+            self.succ[j] = out
         return out
 
     def evset(self, s: EventSet) -> frozenset[Event]:
@@ -955,7 +959,7 @@ def check_guarded_recursion(term: ProcessTerm, defs: Definitions) -> None:
 def build_lts(defs: Definitions, proc: Union[str, ProcessTerm], tsize: int,
               max_states: int = DEFAULT_MAX_STATES,
               init_subst: Optional[dict] = None, *,
-              symmetric_from: Optional[int] = None) -> Lts:
+              symmetric_from: Optional[int] = None, unfold_calls: bool = True) -> Lts:
     """Breadth-first closure of the transition rules from the given process
     (a defined name or a term, closed once init_subst is applied).  The
     states are terms; the keys are the state classes of this build's state
@@ -974,11 +978,23 @@ def build_lts(defs: Definitions, proc: Union[str, ProcessTerm], tsize: int,
     B-collapsing function phi fixes {0..B-1}, phi(pi(a)) = phi(a): phi of
     the result is strongly bisimilar to phi of the full system, which
     preserves its traces and stable failures.  Only the phi-image of the
-    result is meaningful."""
+    result is meaningful.
+
+    With unfold_calls=False, a call takes the successors of its body
+    instead of a τ to it (StateGraph._leaf_successors) and keeps its term.
+    That τ is the call's only move, so the traces stay; the call, unstable,
+    refuses nothing, and without the τ it has its body's stability and
+    refusals after the same trace, so the stable failures stay; τ-paths
+    map to τ-paths, so divergence stays.  Every operator is a congruence
+    for these models, so this holds in any context.  A cycle of bare calls
+    (P = Q, Q = P) only unfolds: following it would recurse for ever and
+    lose the divergence, so a call to an equation already followed keeps
+    its τ.  Only refinement and divergence checks build this way; lts,
+    congruence and the sampled checks keep the paper's semantics."""
     term = defs.body(proc) if isinstance(proc, str) else proc
     check_guarded_recursion(term, defs)
     engine = Engine(defs, tsize)
-    graph = StateGraph(engine, symmetric_from)
+    graph = StateGraph(engine, symmetric_from, unfold_calls)
     p = engine.body(proc) if isinstance(proc, str) else engine.number(term)
     root = graph.intern(p, engine.env_of(p, init_subst or {}))
     state = graph.state

@@ -697,6 +697,34 @@ def permute_t(obj, pi: tuple[int, ...]):
                  for name, data in _data_fields(cls)])
 
 
+def t_field_atoms(obj, channels: dict) -> Iterator[Atom]:
+    """Each datatype value that stands where a t-value belongs in obj (as
+    for t_values, subterms included): a t output field, an item of a subset
+    of t, or a datum of an event item in a t field of its channel's
+    signature (channels)."""
+    cls = obj.__class__
+    if cls is tuple:
+        for x in obj:
+            yield from t_field_atoms(x, channels)
+        return
+    if cls in _NO_TVALS:
+        return
+    if cls is Field:
+        held = (obj.payload,) if obj.sel == BANG and obj.bang_is_t else ()
+    elif cls is SetType:
+        held = obj.items if obj.is_t else ()
+    elif cls is DiffType:
+        held = obj.excluded
+    elif cls in (ChanPrefixItem, EventLitItem):
+        held = [d for d, ty in zip(obj.datums, channels.get(obj.channel, ()))
+                if type_is_t(ty)]
+    else:
+        held = ()
+    yield from (v for v in held if v.__class__ is Atom)
+    for name, _ in _data_fields(cls):
+        yield from t_field_atoms(getattr(obj, name), channels)
+
+
 # ---------------------------------------------------------------------------
 # Definitions
 
@@ -1021,6 +1049,13 @@ def channels(term: ProcessTerm, defs: Definitions) -> frozenset[str]:
 # ---------------------------------------------------------------------------
 # Comms: concrete and semi-symbolic event enumeration
 
+def check_instantiated(v, tvalues: tuple[TVal, ...]) -> None:
+    """Reject a t-value outside the instantiation."""
+    if isinstance(v, TVal) and v.index >= len(tvalues):
+        raise SemanticsError(
+            f"t-value {v.index} outside the instantiation of size {len(tvalues)}")
+
+
 def domain_values(ty: TypeExpr, tvalues: tuple[TVal, ...]):
     """Concrete members of an annotation, in canonical order."""
     if isinstance(ty, TType):
@@ -1037,9 +1072,7 @@ def domain_values(ty: TypeExpr, tvalues: tuple[TVal, ...]):
         uniq = [v for v in out if not (v in seen or seen.add(v))]
         if ty.is_t:
             for v in uniq:
-                if isinstance(v, TVal) and v.index >= len(tvalues):
-                    raise SemanticsError(
-                        f"t-value {v.index} outside the instantiation of size {len(tvalues)}")
+                check_instantiated(v, tvalues)
         return sorted(uniq, key=value_key)
     if isinstance(ty, DiffType):
         excl = set()
@@ -1082,10 +1115,7 @@ def comms(alpha: Construct, tvalues: tuple[TVal, ...]) -> list[tuple[Value, ...]
                         raise SemanticsError(
                             f"output variable {f.payload!r} bound to a value "
                             "of the wrong type within one construct")
-                if isinstance(v, TVal) and v.index >= len(tvalues):
-                    raise SemanticsError(
-                        f"t-value {v.index} outside the instantiation of "
-                        f"size {len(tvalues)}")
+                check_instantiated(v, tvalues)
                 out.append((vs + (v,), binding))
         return extend(out, idx + 1)
 

@@ -59,6 +59,18 @@ Impl = (||| i:t @ Node(i)) [| {|b|} |] W
 S = a?i:t -> S [] b?i:t -> S [] d?i:t -> S [] go -> S
 """
 
+def symmetric_mutant(tmp_path):
+    """mutex.pcsp with nodes that may enter the critical section without
+    the token, written to tmp_path; still symmetric in t."""
+    text = corpus_path("mutex.pcsp").read_text()
+    node = "Node(i) = getToken.i -> Entering(i)\n"
+    assert node in text
+    src = tmp_path / "mutant.pcsp"
+    src.write_text(text.replace(
+        node, "Node(i) = getToken.i -> Entering(i) [] enterCS.i -> CS(i)\n"))
+    return src
+
+
 ALL_CORPUS_FILES = [
     "running.pcsp", "mutex.pcsp", "copy.pcsp", "ring.pcsp", "ex33.pcsp",
     "ex315.pcsp", "ex511.pcsp", "ex512.pcsp", "bigprops.pcsp",

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from conftest import RENAMED_CONSTANT
+from conftest import RENAMED_CONSTANT, symmetric_mutant
 from pcsp import std_semantics
 from pcsp.cli import main
 
@@ -111,6 +111,17 @@ MALFORMED_EQUATIONS = [
      ["3:1: trivial condition x==x in 'P'"]),
     ("channel c : t\nQ = STOP\n  assert Z [T= Z\n",
      ["3:3: assertion references undefined process 'Z'"]),
+    # a replicated operator over a datatype puts its values where its
+    # index variable stands, which must not be a t field
+    ("datatype Y = y1 | y2\nchannel ca : t\nP = [] j : Y @ ca!j -> STOP\n",
+     ["3:8: value 'y1' of type Y in a t field"]),
+    ("datatype Y = y1 | y2\nchannel ca : t\n"
+     "P = [] j : Y @ ((ca?x:t -> STOP) [[ ca.j <- ca.j ]])\n",
+     ["3:8: value 'y1' of type Y in a t field"]),
+    ("datatype Y = y1 | y2\nchannel ca : t\nP = ||| j : Y @ ((ca?x:t -> STOP) \\ {ca.j})\n",
+     ["3:9: value 'y1' of type Y in a t field"]),
+    ("datatype Y = y1 | y2\nchannel ca : t\nQ(i) = ca!i -> STOP\nP = [] j : Y @ Q(j)\n",
+     ["3:1: parameter 'i' of 'Q' used both as t and as Y"]),
 ]
 
 
@@ -153,6 +164,35 @@ def test_name_bound_twice_in_one_construct_exits_2(tmp_path, capsys):
                    "construct on channel 'c'\n")
 
 
+@pytest.mark.parametrize("body", [
+    "P = b!2 -> STOP",
+    "P = (b?x:t -> STOP) [[ b.2 <- d.2 ]]",
+    "P = (b?x:t -> STOP) \\ {b.2}",
+], ids=["construct", "renaming", "event-set"])
+def test_t_constant_outside_the_instantiation_exits_2(tmp_path, capsys, body):
+    src = tmp_path / "tconst.pcsp"
+    src.write_text(f"channel b, d : t\n{body}\n")
+    code, out, err = run(capsys, "lts", str(src), "--proc", "P", "--tsize", "1")
+    assert code == 2 and out == ""
+    assert err == "error: t-value 2 outside the instantiation of size 1\n"
+    assert run(capsys, "lts", str(src), "--proc", "P", "--tsize", "3")[0] == 0
+
+
+@pytest.mark.parametrize("command", [
+    ("refine", "--tsize", "1"), ("verify", "--sizes", "1..2"),
+])
+def test_a_cycle_of_bare_calls_is_a_divergent_specification(tmp_path, capsys, command):
+    # refine and verify build without the unfolding τ, except where the
+    # calls close a cycle
+    src = tmp_path / "cycle.pcsp"
+    src.write_text("channel a\nP = Q\nQ = P\nS = a -> S\n")
+    code, out, err = run(capsys, command[0], str(src), "--spec", "P", "--impl", "S",
+                         "--model", "failures", *command[1:])
+    assert code == 2 and out == ""
+    assert err == ("error: specification diverges: stable-failures normalisation "
+                   "requires divergence-freedom\n")
+
+
 def test_conditions_report_a_renamed_t_constant(tmp_path, capsys):
     src = tmp_path / "ren.pcsp"
     src.write_text(RENAMED_CONSTANT)
@@ -166,15 +206,16 @@ def test_conditions_report_a_renamed_t_constant(tmp_path, capsys):
 
 def test_verify_checks_each_size_when_impl_names_a_t_constant(tmp_path, capsys):
     # TypeSym-syntactic fails, so no build is explored modulo symmetry: the
-    # verdict is direct per size, and exit 1 reports the failed condition
+    # verdict is direct per size, and exit 1 reports the failed condition.
+    # The sizes start at 3, where the renamed constant 2 is a value of t.
     src = tmp_path / "ren.pcsp"
     src.write_text(RENAMED_CONSTANT)
     code, out, err = run(capsys, "verify", str(src), "--spec", "S", "--impl", "Impl",
-                         "--model", "traces", "--sizes", "1..3")
+                         "--model", "traces", "--sizes", "3..5")
     assert err == "" and code == 1
     assert "mode: direct-per-size\n" in out
     assert "TypeSym-syntactic: fail\n  (i) [W] constant 2 of type t\n" in out
-    for n in (1, 2, 3):
+    for n in (3, 4, 5):
         assert (f"#T={n} [direct] S({{0..{n - 1}}}) vs Impl({{0..{n - 1}}}): "
                 "holds\n") in out
 
@@ -302,15 +343,15 @@ def test_bad_sizes_message(capsys, argv, option):
     assert err == f"error: {option}: expected sizes as N..M or N,M,...\n"
 
 
-def test_verify_names_the_build_that_hits_the_bound(capsys):
-    # the reduced builds of Impl have 34, 56, 78, 100 and 122 states at
-    # #T=2..6, so the sixth size is the first over the bound
-    code, out, err = run(capsys, "verify", "mutex.pcsp", "--spec", "Spec",
-                         "--impl", "Impl", "--model", "failures",
-                         "--sizes", "1..8", "--max-states", "120")
+def test_verify_names_the_build_that_hits_the_bound(tmp_path, capsys):
+    # the mutant's reduced builds of Impl have 79, 159 and 279 states at
+    # #T=3..5, so the fifth size is the first over the bound
+    code, out, err = run(capsys, "verify", str(symmetric_mutant(tmp_path)),
+                         "--spec", "Spec", "--impl", "Impl", "--model", "failures",
+                         "--sizes", "1..8", "--max-states", "200")
     assert code == 2 and out == ""
     assert err.startswith(
-        "error: state bound (120) exceeded building Impl at #T=6: ")
+        "error: state bound (200) exceeded building Impl at #T=5: ")
 
 
 def test_verify_names_the_build_a_semantics_error_stops(capsys):

@@ -17,12 +17,14 @@ import functools
 import itertools
 from dataclasses import replace
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import ALL_CORPUS_FILES, load, proc_body
+from conftest import ALL_CORPUS_FILES, load, proc_body, symmetric_mutant
 from pcsp import reduction
-from pcsp.analysis import refines_failures, refines_traces, strong_bisim
-from pcsp.cli import corpus_path, main
+from pcsp.analysis import (
+    divergence_free, refines, refines_failures, refines_traces, strong_bisim,
+)
+from pcsp.cli import main
 from pcsp.conditions import check_seq
 from pcsp.cose import (
     Configuration, concretize, eval_condition, insts, match, replace_t_initials,
@@ -32,15 +34,15 @@ from pcsp.lts import TAU, Event, Lts, build, label_key, terms_bounded
 from pcsp.parser import parse_definitions
 from pcsp.pretty import fmt_term
 from pcsp.reduction import CollapsingFn
-from pcsp.ssos import Cond, require_seq
+from pcsp.ssos import Cond, require_seq, resolve_selections, unfold_ident
 from pcsp.ssos import successors as sym_successors
 from pcsp.std_semantics import (
     DEFAULT_MAX_STATES, Engine, StateGraph, build_lts, check_guarded_recursion,
-    eval_guard, file_alphabet, resolve_selections, tvalues_for, unfold_ident,
+    eval_guard, file_alphabet, tvalues_for,
 )
 from pcsp.syntax import (
     AlphaPar, Atom, BANG, BoolAnd, BoolNot, BoolOr, ChanPrefixItem, Cmp,
-    Condition, Construct, DiffType, DOLLAR, EventSet, ExtChoice, Field, Hide,
+    Condition, Construct, DiffType, DOLLAR, Equation, EventSet, ExtChoice, Field, Hide,
     Ident, If, IndexedInterleave, IntChoice, Interleave, MixedGuard, NamedType,
     NatMin, NatOp, Prefix, QUERY, Rename, ReplAlphaPar, ReplExtChoice,
     ReplIntChoice, ReplInterleave, SetType, SharedPar, Sliding, Stop, T_TYPE,
@@ -908,26 +910,21 @@ def test_vectors_inside_leaves_are_permuted_soundly():
 
 def test_symmetric_mutant_verifies_as_without_the_reduction(tmp_path, capsys,
                                                             monkeypatch):
-    # nodes may enter the critical section without the token
-    text = corpus_path("mutex.pcsp").read_text()
-    node = "Node(i) = getToken.i -> Entering(i)\n"
-    assert node in text
-    src = tmp_path / "mutant.pcsp"
-    src.write_text(text.replace(
-        node, "Node(i) = getToken.i -> Entering(i) [] enterCS.i -> CS(i)\n"))
+    src = symmetric_mutant(tmp_path)
     builds: dict = {}
     reduced_sizes = set()
 
     def verify(model, reduce):
         # builds are shared between the runs; a build asked for modulo
         # symmetry is made in full when the reduction is patched off
-        def cached_build_lts(defs, proc, n, max_states, symmetric_from=None):
+        def cached_build_lts(defs, proc, n, max_states, symmetric_from=None,
+                             **switches):
             sym = symmetric_from if reduce else None
             if sym is not None:
                 reduced_sizes.add(n)
             if (proc, n, sym) not in builds:
                 builds[proc, n, sym] = build_lts(defs, proc, n, max_states,
-                                                 symmetric_from=sym)
+                                                 symmetric_from=sym, **switches)
             return builds[proc, n, sym]
 
         monkeypatch.setattr(reduction, "build_lts", cached_build_lts)
@@ -951,3 +948,56 @@ def test_reduced_replicated_interleaving_is_phi_bisimilar(body, n, bound):
         assert _phi_bisimilar(_DEFS, farm, n, bound, max_states=3000)
     except BoundExceeded:
         assume(False)
+
+
+# -- calls without the unfolding τ against calls that unfold by τ -----------
+
+@st.composite
+def call_graphs(draw):
+    """Definitions of P0, P1 and P2 over the channels of _DEFS: `terms`
+    bodies some of whose STOP leaves are bare calls of any of the three."""
+    def calls(term):
+        if term.__class__ is Stop:
+            k = draw(st.integers(-1, 2))
+            return term if k < 0 else Ident(f"P{k}")
+        return map_subterms(term, calls)
+
+    return replace(_DEFS, equations={
+        f"P{k}": Equation(f"P{k}", (), calls(draw(terms(depth=2)))) for k in range(3)})
+
+
+def _calls_agree(unfolded: Lts, folded: Lts) -> bool:
+    """Whether the builds with and without the unfolding τ agree on
+    divergence and refine each other in traces and, where they do not
+    diverge, in stable failures."""
+    diverges = not divergence_free(unfolded)
+    if diverges != (not divergence_free(folded)):
+        return False
+    models = ("traces",) if diverges else ("traces", "failures")
+    return all(refines(a, b, model).holds for model in models
+               for a, b in ((unfolded, folded), (folded, unfolded)))
+
+
+_CYCLE = parse_definitions("channel a\nP0 = P1\nP1 = P0\n")
+
+
+@given(call_graphs(), st.integers(1, 3))
+@example(_CYCLE, 1)
+@settings(max_examples=80, deadline=None)
+def test_calls_without_the_unfolding_tau_keep_every_verdict(defs, n):
+    try:
+        unfolded = build_lts(defs, "P0", n, 3000)
+    except (BoundExceeded, SemanticsError):  # too large, or recursion through
+        assume(False)                        # an operator context
+    assert _calls_agree(unfolded, build_lts(defs, "P0", n, 3000, unfold_calls=False))
+
+
+def test_a_call_cycle_without_its_tau_fails_the_agreement(monkeypatch):
+    # with calls followed, the engine moves a call only where it closes a
+    # cycle; the mutant drops that τ, so P0 deadlocks instead of diverging
+    unfolded = build_lts(_CYCLE, "P0", 1)
+    assert _calls_agree(unfolded, build_lts(_CYCLE, "P0", 1, unfold_calls=False))
+    moves = Engine.successors
+    monkeypatch.setattr(Engine, "successors", lambda self, p, env: (
+        [] if self.positions[p].term.__class__ is Ident else moves(self, p, env)))
+    assert not _calls_agree(unfolded, build_lts(_CYCLE, "P0", 1, unfold_calls=False))

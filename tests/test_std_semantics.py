@@ -61,6 +61,30 @@ def test_build_modulo_symmetry_keeps_one_state_per_orbit(mutex):
         assert build_lts(mutex, "Impl", n, symmetric_from=1).n_states() == orbits, n
 
 
+def test_calls_without_the_unfolding_tau_leave_eight_mutex_orbits(mutex):
+    # a node has the four local states Node, Entering, CS and Leaving: the
+    # token is free, or node 0 or one other node holds it in one of three,
+    # and the root still names Nodes unexpanded
+    for n in range(2, 9):
+        lts = build_lts(mutex, "Impl", n, symmetric_from=1, unfold_calls=False)
+        assert lts.n_states() == 8, n
+
+
+def test_chains_of_bare_calls_are_followed_once_per_equation():
+    defs = parse_definitions("""
+channel a
+U(n) = if n > 0 then U(n+1) else STOP
+V = U(1)
+""" + "".join(f"C{k} = C{k + 1}\n" for k in range(3000)) + "C3000 = a -> STOP\n")
+    # a chain of 3 000 calls takes the successors of its end, without recursion
+    lts = build_lts(defs, "C0", 1, unfold_calls=False)
+    assert (lts.n_states(), lts.n_edges()) == (2, 1)
+    # a call to an equation already on the chain keeps its τ, so a chain
+    # that does not end grows by a state per unfolding up to the bound
+    with pytest.raises(BoundExceeded):
+        build_lts(defs, "V", 1, max_states=500, unfold_calls=False)
+
+
 def test_only_replicated_interleavings_are_permuted():
     # a hand-written chain's positions are not index values, so it stays a
     # binary tree that no permutation reorders
