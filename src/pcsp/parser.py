@@ -808,9 +808,12 @@ class _Resolver:
             for i, a in enumerate(term.args):
                 pty = self.param_ty[term.name][i]
                 aty = self.scalar_ty(a, scope, eq, expect=pty)
-                if aty is not None and (pty is None or a.__class__ is Atom):
-                    # a datatype value is checked against the parameter's type
+                if pty is None:
                     self.set_param(term.name, i, aty)
+                elif a.__class__ is Atom and aty != pty:
+                    # a datatype value passed at another type: the call errs
+                    self.error(f"parameter {callee.params[i]!r} of {term.name!r} "
+                               f"used both as {pty} and as {aty}", eq)
             return
         if isinstance(term, If) and not isinstance(term.guard, (Condition, MixedGuard)):
             self.infer_bool(term.guard, scope, eq)

@@ -438,6 +438,10 @@ def verify_pmcp(defs: Definitions, spec: str, impl: str, model: str,
 
     def direct(n: int) -> SizeResult:
         lhs = lts_of(spec, n)
+        if model == "failures" and not divergence_free(lhs):
+            raise SemanticsError(
+                f"specification {spec!r} diverges at #T={n}: stable-failures "
+                "refinement requires a divergence-free specification")
         rhs = lts_of(impl, n)
         return SizeResult(n, f"{spec}({{0..{n - 1}}})", f"{impl}({{0..{n - 1}}})",
                           "direct", refines(lhs, rhs, model))

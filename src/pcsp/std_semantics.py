@@ -40,18 +40,18 @@ leaves with equal (class, uids) share one node: pairs whose terms agree up
 to bound names, uids included, have the same successors wherever they
 come from.
 
-Replicated operators over t are expanded where a term first enters a state:
-the root, the body of an unfolded identifier, and the body of a resolved
-replicated internal choice (which itself stays primitive).  One whose index
-set or alphabet mentions a variable bound by an enclosing prefix waits until
-the prefix has fired and it is a state of its own.  Whether an occurrence
-is expanded is fixed when it is numbered.  An interleaving over the whole of
-t, ``||| i:t @ P(i)`` at size n, becomes a single vector node of the state
-graph holding P(0)..P(n-1) in index order, so a move of one instance interns
-one node; it displays as the left-associated chain ``P(0) ||| ... |||
-P(n-1)`` of IndexedInterleave.  Every other replicated operator, and an
-interleaving over part of t, becomes a left-associated binary tree, as does
-a hand-written ``P ||| Q ||| ...``.
+A replicated operator over t is expanded in one place: StateGraph.intern,
+when it becomes a node, as the root, a transition target or an operand of
+an operator node.  Inside a leaf it stays as written until the transition
+into it interns it, so no expansion happens below a prefix and every index
+set is evaluated once its names are bound; a replicated internal choice
+stays a leaf whose τs resolve its body.  An interleaving over the whole of
+t, ``||| i:t @ P(i)`` at size n, becomes a single vector node holding
+P(0)..P(n-1) in index order, so a move of one instance interns one node; it
+displays as the left-associated chain ``P(0) ||| ... ||| P(n-1)`` of
+IndexedInterleave.  Every other replicated operator, and an interleaving
+over part of t, becomes a left-associated binary tree, as does a
+hand-written ``P ||| Q ||| ...``.
 
 build_lts(..., symmetric_from=B) explores modulo the permutations of
 {B..n-1}: every successor is replaced by a representative of its orbit, in
@@ -72,7 +72,7 @@ from typing import Optional, Union
 from .errors import SemanticsError
 from .lts import Event, Lts, TAU, build, tau_closure, terms_bounded
 from .syntax import (
-    REPLICATED, AlphaPar, Atom, Condition, Definitions, Equation, EventSet,
+    AlphaPar, Atom, Condition, Definitions, Equation, EventSet,
     ExtChoice, Hide, Ident, If, IndexedInterleave, IntChoice, Interleave,
     MixedGuard, Prefix, ProcessTerm, Rename, ReplAlphaPar, ReplExtChoice,
     ReplIntChoice, ReplInterleave, SharedPar, Sliding, Stop, TType, TVal,
@@ -210,26 +210,16 @@ class _Position:
     names are its free names, sorted; a leaf here carries their values in
     that order.  blank is the term with its subterms replaced by STOP, and
     binders what it binds over them (syntax.binders).  kids are the
-    positions of the subterms as they stand in a state term.  A replicated
-    operator other than internal choice is expanded where it stands
-    (expand) unless a prefix between it and its entry point binds a name of
-    its index set or alphabet, or it lies inside a replicated operator kept
-    whole; a kept one's kids are kept whole throughout.  entry is the body
-    a replicated operator expands or resolves from once it is a state of its
-    own.  A prefix with its $-selections in one scope resolved is a position
-    of its own: base is the prefix before that stage and stage the (scope,
-    names) it resolves; the names' values follow base's env in its env.
-    plain: no replicated operator at or below it is expanded, so without
-    free names it stands for itself."""
+    positions of its subterms; a replicated operator's body is kids[0].  A
+    prefix with its $-selections in one scope resolved is a position of its
+    own: base is the prefix before that stage and stage the (scope, names)
+    it resolves; the names' values follow base's env in its env."""
 
-    __slots__ = ("term", "blank", "names", "binders", "kids", "plain",
-                 "expand", "entry", "base", "stage")
+    __slots__ = ("term", "blank", "names", "binders", "kids", "base", "stage")
 
-    def __init__(self, term, blank, names, binders, kids, plain,
-                 expand=False, entry=None, base=None, stage=None):
+    def __init__(self, term, blank, names, binders, kids, base=None, stage=None):
         self.term, self.blank, self.names, self.binders = term, blank, names, binders
-        self.kids, self.plain, self.expand, self.entry = kids, plain, expand, entry
-        self.base, self.stage = base, stage
+        self.kids, self.base, self.stage = kids, base, stage
 
 
 class Engine:
@@ -252,31 +242,16 @@ class Engine:
         self._terms: dict = {}     # (position, env) -> closed term
         self._closed: dict = {}    # (position, env) -> closed data
 
-    def number(self, term: ProcessTerm, bound: frozenset = frozenset(),
-               raw: bool = False) -> int:
-        """The position of term entering a state (bound and raw left out),
-        numbering its subterms.  bound holds the names that prefixes bind
-        between the entry point and term; raw marks the inside of a
-        replicated operator kept whole."""
-        cls = term.__class__
+    def number(self, term: ProcessTerm) -> int:
+        """The position of term, numbering its subterms."""
         blank = map_subterms(term, lambda _: STOP)
         own = binders(term)
-        free = free_vars(blank)
-        expand, entry = False, None
-        if cls in REPLICATED and not raw:
-            expand = cls is not ReplIntChoice and not free & bound
-            kids = [self.number(term.body, bound, not expand)]
-            entry = kids[0] if expand else self.number(term.body)
-        else:
-            inner = bound.union(own) if cls is Prefix else bound
-            kids = [self.number(sub, inner, raw) for sub in subterms(term)]
+        kids = [self.number(sub) for sub in subterms(term)]
         below = set()
         for k in kids:
             below.update(self.positions[k].names)
-        names = tuple(sorted(free | (below - own.keys())))
-        plain = not expand and all(self.positions[k].plain for k in kids)
-        return self._add(_Position(term, blank, names, own, tuple(kids), plain,
-                                   expand, entry))
+        names = tuple(sorted(free_vars(blank) | (below - own.keys())))
+        return self._add(_Position(term, blank, names, own, tuple(kids)))
 
     def _add(self, pos: _Position) -> int:
         self.positions.append(pos)
@@ -297,7 +272,7 @@ class Engine:
             base = self.positions[p]
             q = self._stages[p, scope] = self._add(_Position(
                 base.term, base.blank, base.names, base.binders, base.kids,
-                base.plain, base=p, stage=(scope, names)))
+                base=p, stage=(scope, names)))
         return q
 
     def env_of(self, p: int, scope: dict) -> tuple:
@@ -355,7 +330,8 @@ class Engine:
             members = domain_values(self.closed(p, env).domain, self.tvalues)
             if not members:
                 raise SemanticsError("replicated internal choice over an empty index set")
-            return [(TAU, None, pos.entry, self.env_of(pos.entry, {**scope, pos.term.var: v}))
+            body = pos.kids[0]
+            return [(TAU, None, body, self.env_of(body, {**scope, pos.term.var: v}))
                     for v in members]
         raise SemanticsError(f"successors: unknown term {pos.term!r}")
 
@@ -421,32 +397,25 @@ class Engine:
         if got is not None:
             return got
         pos = self.positions[p]
-        if pos.expand:
-            body = pos.kids[0]
-            for join, inner in self.expansion(pos, dict(zip(pos.names, env))):
-                part = self.leaf_key(body, self.env_of(body, inner))
-                got = part if join is None else (self._class((join, got[0], part[0])),
-                                                 self._class((None, got[1], part[1])))
+        uid = None
+        if pos.term.__class__ is Prefix:
+            alpha, scope = self.closed(p, env)
+            bound = binders(alpha)
+            blank = canonicalise(Prefix(alpha, STOP))[0].construct if bound else alpha
+            uid = alpha.uid
         else:
-            uid = None
-            if pos.term.__class__ is Prefix:
-                alpha, scope = self.closed(p, env)
-                bound = binders(alpha)
-                blank = canonicalise(Prefix(alpha, STOP))[0].construct if bound else alpha
-                uid = alpha.uid
-            else:
-                scope = dict(zip(pos.names, env))
-                bound = pos.binders
-                blank = (canonicalise(pos.blank, scope)[0] if bound
-                         else self.closed(p, env))
-            if bound:
-                m = len(bound)
-                scope = {k: _shifted(v, m) for k, v in scope.items()}
-                for i, k in enumerate(bound):
-                    scope[k] = _Bound(m - 1 - i)
-            kids = [self.leaf_key(k, self.env_of(k, scope)) for k in pos.kids]
-            got = (self._class((blank, *[c for c, _ in kids])),
-                   self._class((uid, *[u for _, u in kids])))
+            scope = dict(zip(pos.names, env))
+            bound = pos.binders
+            blank = (canonicalise(pos.blank, scope)[0] if bound
+                     else self.closed(p, env))
+        if bound:
+            m = len(bound)
+            scope = {k: _shifted(v, m) for k, v in scope.items()}
+            for i, k in enumerate(bound):
+                scope[k] = _Bound(m - 1 - i)
+        kids = [self.leaf_key(k, self.env_of(k, scope)) for k in pos.kids]
+        got = (self._class((blank, *[c for c, _ in kids])),
+               self._class((uid, *[u for _, u in kids])))
         self._class_of[key] = got
         return got
 
@@ -459,17 +428,12 @@ class Engine:
         got = self._terms.get(key)
         if got is None:
             pos = self.positions[p]
-            if pos.plain and not pos.names and pos.base is None:
+            if not pos.names and pos.base is None:
                 got = pos.term
             elif pos.term.__class__ is Prefix:
                 alpha, scope = self.closed(p, env)
                 cont = pos.kids[0]
                 got = Prefix(alpha, self.term(cont, self.env_of(cont, scope)))
-            elif pos.expand:
-                body = pos.kids[0]
-                for join, inner in self.expansion(pos, dict(zip(pos.names, env))):
-                    part = self.term(body, self.env_of(body, inner))
-                    got = part if join is None else with_subterms(join, [got, part])
             else:
                 scope = dict(zip(pos.names, env))
                 inner = {k: v for k, v in scope.items() if k not in pos.binders}
@@ -564,14 +528,15 @@ class StateGraph:
 
     def intern(self, p: int, env: tuple) -> int:
         """The node of position p under env: a replicated operator becomes
-        the operator nodes it expands into, an operator a node over its
-        operands' nodes, any other term a leaf."""
+        the operator nodes it expands into (the only place one is
+        expanded), an operator a node over its operands' nodes, any other
+        term a leaf."""
         engine = self.engine
         pos = engine.positions[p]
         if isinstance(pos.term, _EXPANDED):
             parts = engine.expansion(pos, dict(zip(pos.names, env)))
-            nodes = [self.intern(pos.entry, engine.env_of(pos.entry, inner))
-                     for _, inner in parts]
+            body = pos.kids[0]
+            nodes = [self.intern(body, engine.env_of(body, inner)) for _, inner in parts]
             if len(parts) > 1 and parts[1][0] is _VECTOR:
                 return self._node((self._vector_op, *nodes))
             out = nodes[0]
@@ -627,14 +592,9 @@ class StateGraph:
     # envs and in operator data) and by moving the instance at position j
     # of every vector to position pi[j].  Positions stay equal to the index
     # values of their instances.  A leaf (position, env) goes to (position,
-    # pi(env)), with no walk of its term.  That is its renamed term: a
-    # process symmetric in t mentions no t-constant (TypeSym-syntactic), so
-    # its t-values all come from env, and an interleaving over t expanded
-    # inside the leaf is the same chain with its instances renamed and
-    # moved.  An operator over part of t that env names, such as t\{x},
-    # expands in index order under pi(env), which orders its renamed
-    # operands afresh: a strongly bisimilar term, as the operator is
-    # symmetric and associative, so the argument in build_lts stands.
+    # pi(env)), with no walk of its term: a process symmetric in t mentions
+    # no t-constant (TypeSym-syntactic), so a leaf's t-values all come from
+    # env.
 
     def tvals(self, i: int) -> tuple[int, ...]:
         """The t-values node i depends on, ascending: those of a leaf's env,
@@ -998,21 +958,16 @@ def build_lts(defs: Definitions, proc: Union[str, ProcessTerm], tsize: int,
     p = engine.body(proc) if isinstance(proc, str) else engine.number(term)
     root = graph.intern(p, engine.env_of(p, init_subst or {}))
     state = graph.state
+    rep = graph.representative if symmetric_from is not None else (lambda i: i)
+    with terms_bounded():
+        root = rep(root)
 
     def successors(i):
-        return [(lab, uid, t, state(t)) for lab, uid, t in graph.successors(i)]
-
-    if symmetric_from is not None:
-        rep = graph.representative
-        with terms_bounded():
-            root = rep(root)
-
-        def successors(i):
-            out = []
-            for lab, uid, t in graph.successors(i):
-                t = rep(t)
-                out.append((lab, uid, t, state(t)))
-            return out
+        out = []
+        for lab, uid, t in graph.successors(i):
+            t = rep(t)
+            out.append((lab, uid, t, state(t)))
+        return out
 
     from .pretty import fmt_term
     lts = build(root, state(root), successors,

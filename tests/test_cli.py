@@ -120,8 +120,9 @@ MALFORMED_EQUATIONS = [
      ["3:8: value 'y1' of type Y in a t field"]),
     ("datatype Y = y1 | y2\nchannel ca : t\nP = ||| j : Y @ ((ca?x:t -> STOP) \\ {ca.j})\n",
      ["3:9: value 'y1' of type Y in a t field"]),
+    # the conflict comes from the call, so it is reported at the caller
     ("datatype Y = y1 | y2\nchannel ca : t\nQ(i) = ca!i -> STOP\nP = [] j : Y @ Q(j)\n",
-     ["3:1: parameter 'i' of 'Q' used both as t and as Y"]),
+     ["4:1: parameter 'i' of 'Q' used both as t and as Y"]),
 ]
 
 
@@ -183,14 +184,27 @@ def test_t_constant_outside_the_instantiation_exits_2(tmp_path, capsys, body):
 ])
 def test_a_cycle_of_bare_calls_is_a_divergent_specification(tmp_path, capsys, command):
     # refine and verify build without the unfolding τ, except where the
-    # calls close a cycle
+    # calls close a cycle; verify names the specification and the size
     src = tmp_path / "cycle.pcsp"
     src.write_text("channel a\nP = Q\nQ = P\nS = a -> S\n")
     code, out, err = run(capsys, command[0], str(src), "--spec", "P", "--impl", "S",
                          "--model", "failures", *command[1:])
     assert code == 2 and out == ""
-    assert err == ("error: specification diverges: stable-failures normalisation "
-                   "requires divergence-freedom\n")
+    assert err == {
+        "refine": "error: specification diverges: stable-failures normalisation "
+                  "requires divergence-freedom\n",
+        "verify": "error: specification 'P' diverges at #T=1: stable-failures "
+                  "refinement requires a divergence-free specification\n",
+    }[command[0]]
+
+
+def test_a_divergent_specification_keeps_its_traces_results(tmp_path, capsys):
+    src = tmp_path / "cycle.pcsp"
+    src.write_text("channel a\nP = Q\nQ = P\nS = a -> S\n")
+    code, out, err = run(capsys, "verify", str(src), "--spec", "P", "--impl", "S",
+                         "--model", "traces", "--sizes", "1..2")
+    assert code == 1 and err == ""
+    assert "#T=2 [theorem] P({0..0}) vs phi(S({0..1})): FAILS with counterexample <a>\n" in out
 
 
 def test_conditions_report_a_renamed_t_constant(tmp_path, capsys):

@@ -41,7 +41,7 @@ from pcsp.std_semantics import (
     eval_guard, file_alphabet, tvalues_for,
 )
 from pcsp.syntax import (
-    AlphaPar, Atom, BANG, BoolAnd, BoolNot, BoolOr, ChanPrefixItem, Cmp,
+    AlphaPar, Atom, BoolAnd, BoolNot, BoolOr, ChanPrefixItem, Cmp,
     Condition, Construct, DiffType, DOLLAR, Equation, EventSet, ExtChoice, Field, Hide,
     Ident, If, IndexedInterleave, IntChoice, Interleave, MixedGuard, NamedType,
     NatMin, NatOp, Prefix, QUERY, Rename, ReplAlphaPar, ReplExtChoice,
@@ -546,26 +546,22 @@ def test_concretize_agrees_with_the_reference(term, n, env):
 
 # -- build_lts over (position, env) leaves against term-keyed leaves -------
 
-def _reference_expand(term, tvalues, bound=frozenset()):
-    """expand_replicated as it was applied to every state term that entered
-    a state: replicated operators over t became binary trees, an
-    interleaving over the whole of t a chain of IndexedInterleave; internal
-    choice, and an operator whose index set or alphabet a prefix above
-    binds, stayed whole."""
-    if isinstance(term, ReplIntChoice):
-        return term
-    if isinstance(term, Prefix):
-        names = {f.payload for f in term.construct.fields if f.sel != BANG}
-        return Prefix(term.construct, _reference_expand(term.cont, tvalues, bound | names))
+def _reference_expand(term, tvalues):
+    """A term as it enters a state: replicated operators over t at its top,
+    above every leaf, become binary trees, an interleaving over the whole of
+    t a chain of IndexedInterleave; a leaf (prefix, conditional, internal
+    choice, identifier) stays as written, replicated operators inside it
+    included."""
+    if isinstance(term, (ExtChoice, Sliding, Interleave, SharedPar, AlphaPar,
+                         Hide, Rename)):
+        return map_subterms(term, lambda sub: _reference_expand(sub, tvalues))
     if not isinstance(term, (ReplAlphaPar, ReplInterleave, ReplExtChoice)):
-        return map_subterms(term, lambda sub: _reference_expand(sub, tvalues, bound))
-    if bound and free_vars(map_subterms(term, lambda _: Stop())) & bound:
         return term
     members = domain_values(term.domain, tvalues)
     if isinstance(term, ReplAlphaPar):
         if not members:
             raise SemanticsError("replicated parallel over an empty index set")
-        parts = [(_reference_expand(substitute(term.body, {term.var: v}), tvalues, bound),
+        parts = [(_reference_expand(substitute(term.body, {term.var: v}), tvalues),
                   subst_event_set(term.alpha, {term.var: v})) for v in members]
         out, out_alpha = parts[0]
         for body, alpha in parts[1:]:
@@ -575,7 +571,7 @@ def _reference_expand(term, tvalues, bound=frozenset()):
         return out
     if not members:
         raise SemanticsError("replicated operator over an empty index set")
-    parts = [_reference_expand(substitute(term.body, {term.var: v}), tvalues, bound)
+    parts = [_reference_expand(substitute(term.body, {term.var: v}), tvalues)
              for v in members]
     if isinstance(term, ReplExtChoice):
         combine = ExtChoice
@@ -586,7 +582,8 @@ def _reference_expand(term, tvalues, bound=frozenset()):
 
 def _reference_leaf_successors(term, defs, tvalues):
     """Engine.successors as it was: (label, uid, target term) triples of a
-    closed leaf term, every target substituted and expanded whole."""
+    closed leaf term, every target substituted and expanded down to its
+    leaves."""
     if isinstance(term, Stop):
         return []
     if isinstance(term, Prefix):
@@ -624,33 +621,25 @@ def _reference_instances(chain, n):
 _PLAIN = (str, int, bool, type(None), Atom, NamedType, TType, Stop)
 
 
-def _reference_t_values(obj, n, out):
-    """The t-values of a leaf term, and every index below a chain."""
+def _reference_t_values(obj, out):
+    """The t-values of a leaf term (no chain stands inside a leaf)."""
     if obj.__class__ is TVal:
         out.add(obj.index)
     elif obj.__class__ is tuple:
         for x in obj:
-            _reference_t_values(x, n, out)
-    elif obj.__class__ is IndexedInterleave:
-        out.update(range(n))
+            _reference_t_values(x, out)
     elif obj.__class__ not in _PLAIN:
         for f in dataclasses.fields(obj):
-            _reference_t_values(getattr(obj, f.name), n, out)
+            _reference_t_values(getattr(obj, f.name), out)
 
 
 def _reference_permute_t(obj, pi):
-    """A leaf term with its t-values renamed by pi and the instances of its
-    chains moved with their indices."""
+    """A leaf term with its t-values renamed by pi."""
     cls = obj.__class__
     if cls is TVal:
         return TVal(pi[obj.index])
     if cls is tuple:
         return tuple(_reference_permute_t(x, pi) for x in obj)
-    if cls is IndexedInterleave:
-        moved = [None] * len(pi)
-        for j, part in enumerate(_reference_instances(obj, len(pi))):
-            moved[pi[j]] = _reference_permute_t(part, pi)
-        return functools.reduce(IndexedInterleave, moved)
     if cls in _PLAIN:
         return obj
     return cls(*[_reference_permute_t(getattr(obj, f.name), pi)
@@ -704,7 +693,7 @@ class _ReferenceGraph(StateGraph):
         if self.kids[i] is not None:
             return super().tvals(i)
         vals = set()
-        _reference_t_values(self.leaves[i], len(self.engine.tvalues), vals)
+        _reference_t_values(self.leaves[i], vals)
         return tuple(sorted(vals))
 
     def _rename_leaf(self, i, pi):
@@ -892,7 +881,8 @@ def test_mutant_representatives_fail_the_bisimilarity_check(monkeypatch):
     assert not _phi_bisimilar(_FARM, "Farm", 3, 1)
 
 
-# Vectors inside leaf terms: below a prefix, and one in each instance.
+# Interleavings over t inside leaf terms, each a vector once the transition
+# into it makes it a state: below a prefix, and one in each instance.
 _NESTED = parse_definitions("""
 channel go
 channel a : t

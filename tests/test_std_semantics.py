@@ -10,7 +10,8 @@ from pcsp.errors import BoundExceeded, SemanticsError
 from pcsp.lts import Event, TAU, rename_lts
 from pcsp.parser import parse_definitions
 from pcsp.std_semantics import build_lts
-from pcsp.syntax import Stop, TVal
+from pcsp.pretty import fmt_term
+from pcsp.syntax import Ident, IndexedInterleave, Stop, TVal
 from reference import has_trace, initials_after, traces_upto
 
 
@@ -346,10 +347,11 @@ def test_dot_output_is_stable(mutex):
 
 
 def test_replicated_operators_expanded_where_they_enter():
-    # each replicated operator first appears in a state through a prefix
-    # continuation, an identifier with arguments, or the body of a resolved
-    # replicated internal choice, or has an index set or alphabet that an
-    # enclosing prefix binds; Hand* expand them by hand at #T=2
+    # each replicated operator stands inside a leaf (below a prefix, in an
+    # equation an identifier unfolds to, or in the body of a replicated
+    # internal choice), and is expanded once the transition into it makes it
+    # a state, some with an index set or alphabet that an enclosing prefix
+    # binds; Hand* expand them by hand at #T=2
     defs = parse_definitions("""
 channel go
 channel c : t
@@ -377,3 +379,55 @@ HandBoundAlpha = |~| x:t @ c.x -> ((b!x!0 -> STOP) [{| b.x.0 |} || {| b.x.1 |}] 
         lv, lh = build_lts(defs, via, 2), build_lts(defs, hand, 2)
         assert lv.n_states() == lh.n_states() == states, via
         assert strong_bisim(lv, lh)[0], via
+
+
+_INSIDE_LEAVES = parse_definitions("""
+channel a, b
+channel c, d : t
+Q(i) = c!i -> d!i -> Q(i)
+V = b -> (||| i:t @ Q(i))
+P = (a -> b -> (||| i:t @ Q(i))) [] (a -> b -> Q(0))
+C = a -> (if true then (||| i:t @ Q(i)) else STOP)
+I = (||| i:t @ Q(i)) |~| STOP
+""")
+
+
+def _target(lts, state, label):
+    (target,) = [t for lab, t, _ in lts.edges[state] if lab == label]
+    return lts.states[target]
+
+
+def test_replicated_operator_inside_a_leaf_stays_as_written():
+    # only a state is expanded: a leaf shows its operator as written, and
+    # the transition into the operator makes it the vector node
+    lts = build_lts(_INSIDE_LEAVES, "V", 2)
+    assert fmt_term(lts.states[lts.root]) == "b -> (||| i:t @ Q(i))"
+    assert lts.n_states() == 10
+    vector = _target(lts, lts.root, Event("b"))
+    assert vector == IndexedInterleave(Ident("Q", (TVal(0),)), Ident("Q", (TVal(1),)))
+
+
+def test_leaves_that_expand_alike_stay_apart():
+    # b -> (||| i:t @ Q(i)) and b -> Q(0) are one process at #T=1 but two
+    # leaves, so the choice's a-targets are two states (bisimilar ones)
+    lts = build_lts(_INSIDE_LEAVES, "P", 1)
+    assert lts.n_states() == 6
+    targets = [t for lab, t, _ in lts.edges[lts.root]]
+    assert [fmt_term(lts.states[t]) for t in targets] == [
+        "b -> (||| i:t @ Q(i))", "b -> Q(0)"]
+    assert _target(lts, targets[0], Event("b")) == _target(lts, targets[1], Event("b"))
+
+
+def test_replicated_operator_below_a_conditional_or_an_internal_choice():
+    cond = build_lts(_INSIDE_LEAVES, "C", 2)
+    guarded = _target(cond, cond.root, Event("a"))
+    assert fmt_term(guarded) == "true & (||| i:t @ Q(i))"
+    # the conditional takes the successors of the vector it branches to
+    (moved, *_) = [cond.states[t] for lab, t, _ in cond.edges[cond.states.index(guarded)]]
+    assert isinstance(moved, IndexedInterleave)
+    choice = build_lts(_INSIDE_LEAVES, "I", 2)
+    assert fmt_term(choice.states[choice.root]) == "(||| i:t @ Q(i)) |~| STOP"
+    assert [choice.states[t] for _, t, _ in choice.edges[choice.root]] == [
+        IndexedInterleave(Ident("Q", (TVal(0),)), Ident("Q", (TVal(1),))), Stop()]
+    for lts in (cond, choice):
+        assert lts.n_states() == 11
