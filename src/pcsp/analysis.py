@@ -8,11 +8,11 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import SemanticsError
 from .lts import Event, Lts, TAU, label_key, rename_lts, tau_closure
+from .record import record
 from .report import ConditionReport, Finding
 from .syntax import permute_t
 
@@ -20,7 +20,7 @@ from .syntax import permute_t
 # ---------------------------------------------------------------------------
 # Normalisation (τ-closure subset construction with acceptance sets)
 
-@dataclass
+@record
 class NormalisedSpec:
     """Deterministic automaton over visible events obtained by τ-closure
     subset construction, annotated per node with its minimal acceptance sets
@@ -111,7 +111,7 @@ def normalise(lts: Lts, *, forbid_divergence: bool = False) -> NormalisedSpec:
 # ---------------------------------------------------------------------------
 # Refinement
 
-@dataclass
+@record
 class Verdict:
     holds: bool
     kind: str = ""  # 'trace' | 'refusal' when not holds

@@ -16,7 +16,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import analysis, conditions, cose, dot, reduction, ssos, std_semantics
+from . import analysis, conditions, cose, reduction, ssos, std_semantics
 from .errors import ParseError, PcspError, UsageError
 from .parser import parse_file
 
@@ -166,10 +166,15 @@ def cmd_conditions(args, defs) -> int:
     return 1 if failed else 0
 
 
+def _print_dot(lts, name: str) -> None:
+    from .dot import lts_to_dot  # only on this path: hashlib adds to every start-up
+    print(lts_to_dot(lts, name), end="")
+
+
 def cmd_lts(args, defs) -> int:
     lts = std_semantics.build_lts(defs, args.proc, args.tsize, args.max_states)
     if args.dot:
-        print(dot.lts_to_dot(lts, "lts"), end="")
+        _print_dot(lts, "lts")
         return 0
     _emit(args, {"proc": args.proc, "tsize": args.tsize,
                  "states": lts.n_states(), "edges": lts.n_edges()},
@@ -181,7 +186,7 @@ def cmd_lts(args, defs) -> int:
 def cmd_sslts(args, defs) -> int:
     s = ssos.build_sslts(defs, args.proc, args.max_states)
     if args.dot:
-        print(dot.lts_to_dot(s, "sslts"), end="")
+        _print_dot(s, "sslts")
         return 0
     _emit(args, {"proc": args.proc, "states": s.n_states(), "edges": s.n_edges()},
           f"{args.proc}: {s.n_states()} symbolic states, "
@@ -192,7 +197,7 @@ def cmd_sslts(args, defs) -> int:
 def cmd_cose(args, defs) -> int:
     lts = cose.concretize(defs, args.proc, args.tsize, max_states=args.max_states)
     if args.dot:
-        print(dot.lts_to_dot(lts, "cose"), end="")
+        _print_dot(lts, "cose")
         return 0
     _emit(args, {"proc": args.proc, "tsize": args.tsize,
                  "states": lts.n_states(), "edges": lts.n_edges()},

@@ -22,12 +22,12 @@ pair is new.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import SemanticsError
 from .lts import Event, Lts, TAU, build
 from .pretty import fmt_term
+from .record import record
 from .ssos import Cond, require_seq
 from .ssos import successors as sym_successors
 from .std_semantics import eval_guard, file_alphabet, tvalues_for
@@ -40,7 +40,7 @@ from .syntax import (
 Environment = dict  # variable name -> TVal
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Configuration:
     """(symbolic state, environment) at a fixed instantiation; the
     environment binds only free variables of the term (environment

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .record import record
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Diagnostic:
     """A positioned message, printed as ``file:line:col: message``."""
 

@@ -5,11 +5,11 @@ and the semi-symbolic one."""
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable
 
 from .errors import BoundExceeded, SemanticsError
+from .record import field, record
 from .syntax import Value, value_key
 
 
@@ -28,7 +28,7 @@ class _Tau:
 TAU = _Tau()
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Event:
     """A concrete visible event c.v1...vk.  Its hash is computed once, at
     construction: events are looked up in sets and dicts on every edge."""
@@ -60,7 +60,7 @@ def label_key(label):
 Edge = tuple
 
 
-@dataclass
+@record
 class Lts:
     """A rooted, finite LTS with deduplicated states.
 

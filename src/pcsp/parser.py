@@ -18,10 +18,10 @@ t-conditions and ordinary boolean expressions.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
 from functools import wraps
 
 from .errors import Diagnostic, ParseError
+from .record import record, replace
 from .syntax import (
     ATOM, Atom, BANG, BoolAnd, BoolLit, BoolNot, BoolOr, ChanPrefixItem, Cmp,
     Condition, Construct, Definitions, DiffType, Equation,
@@ -47,7 +47,7 @@ _SYMBOLS = [
 ]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Token:
     kind: str  # 'ident', 'num', 'sym', 'eof'
     text: str
@@ -711,6 +711,8 @@ class _Resolver:
         # untyped variables compared by ==/!= default to the distinguished
         # type once ordinary inference has settled
         self.default_eq_to_t = False
+        # whether a call types the parameters of its callee (see run_inference)
+        self.calls_type_params = True
 
     def error(self, msg: str, eq: str):
         head = self.heads[eq]
@@ -809,7 +811,8 @@ class _Resolver:
                 pty = self.param_ty[term.name][i]
                 aty = self.scalar_ty(a, scope, eq, expect=pty)
                 if pty is None:
-                    self.set_param(term.name, i, aty)
+                    if self.calls_type_params:
+                        self.set_param(term.name, i, aty)
                 elif a.__class__ is Atom and aty != pty:
                     # a datatype value passed at another type: the call errs
                     self.error(f"parameter {callee.params[i]!r} of {term.name!r} "
@@ -821,19 +824,27 @@ class _Resolver:
         for sub in subterms(term):
             self.infer_term(sub, inner, eq)
 
+    def infer_equations(self):
+        for name, eq in self.defs.equations.items():
+            scope = {p: self.param_ty[name][i] for i, p in enumerate(eq.params)}
+            with _nesting(self.heads[name], self.defs.filename):
+                self.infer_term(eq.body, scope, name)
+            for i, p in enumerate(eq.params):
+                if scope[p] is not None:
+                    self.set_param(name, i, scope[p])
+
     def run_inference(self):
+        # The first sweep types parameters by their own equation's body
+        # alone, so that a call passing a value of another type is what is
+        # reported, at the caller, whatever the order of the equations.
+        self.calls_type_params = False
+        self.infer_equations()
+        self.calls_type_params = True
         for phase in (False, True):
             self.default_eq_to_t = phase
             for _ in range(len(self.defs.equations) + 2):
                 self.changed = False
-                for name, eq in self.defs.equations.items():
-                    scope = {p: self.param_ty[name][i]
-                             for i, p in enumerate(eq.params)}
-                    with _nesting(self.heads[name], self.defs.filename):
-                        self.infer_term(eq.body, scope, name)
-                    for i, p in enumerate(eq.params):
-                        if scope[p] is not None:
-                            self.set_param(name, i, scope[p])
+                self.infer_equations()
                 if not self.changed:
                     break
 

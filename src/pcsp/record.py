@@ -1,0 +1,434 @@
+"""Record classes: fields declared by annotation, and the methods that
+``dataclasses`` would give them, with no code generated per class.
+
+Every term, label, report and token of the toolkit is a record.
+``dataclasses`` writes the source of each class's ``__init__``, ``__eq__``,
+``__hash__`` and ``__repr__`` and ``exec``-s it, one method at a time.
+Without cached bytecode every run of ``pcsp`` pays that again: for the
+package's 60 record classes it took 55-65 ms of start-up, while the builds
+most commands make take a few.  ``record`` takes each method from a shared
+template instead.  There is one template for each number of fields, and a
+class's copy of it has the template's placeholder parameters or attributes
+renamed to the class's fields (``code.replace``, no compiling), so that
+construction, equality and hashing run the same bytecode as the generated
+methods did.  Order, ``repr`` and ``replace`` are shared functions over the
+field names.
+
+What is kept from ``dataclasses``:
+
+- equality holds between records of the same class whose compared fields
+  are equal; ``order=True`` orders them by the tuple of those fields;
+- ``hash`` is the hash of the tuple of the hashed fields (by default the
+  compared ones); a mutable record is unhashable, and a ``__hash__`` the
+  class defines is kept;
+- ``repr`` is ``Name(field=value, ...)`` over the fields with ``repr=True``;
+- a field's default may be a value or a ``default_factory``, called for
+  each construction that does not give the field; a ``field(init=False)``
+  is no parameter; ``__post_init__`` runs once the fields are set;
+- assigning or deleting an attribute of a frozen record raises
+  ``FrozenInstanceError``, an ``AttributeError``;
+- a record subclass has its base's fields first; ``slots=True`` gives the
+  class ``__slots__`` instead of an instance dict, and a ``__reduce__``
+  through the constructor, so that pickle and copy work; ``init=False``
+  leaves construction to the class (``TVal`` interns through ``__new__``).
+"""
+
+from __future__ import annotations
+
+from operator import attrgetter, ge, gt, le, lt
+from types import FunctionType
+
+_set = object.__setattr__
+_MISSING = object()  # no default
+_FACTORY = object()  # the parameter default of a field with a default_factory
+
+
+class FrozenInstanceError(AttributeError):
+    """An assignment to, or deletion of, an attribute of a frozen record."""
+
+
+class RecordField:
+    """One declared field of a record class."""
+
+    __slots__ = ("name", "default", "default_factory", "init", "repr", "compare", "hash")
+
+    def __init__(self, default=_MISSING, default_factory=_MISSING, init=True,
+                 repr=True, compare=True, hash=None):
+        self.name = ""
+        self.default = default
+        self.default_factory = default_factory
+        self.init = init
+        self.repr = repr
+        self.compare = compare
+        self.hash = hash  # None: as compare
+
+    def has_default(self) -> bool:
+        return self.default is not _MISSING or self.default_factory is not _MISSING
+
+
+def field(*, default=_MISSING, default_factory=_MISSING, init=True, repr=True,
+          compare=True, hash=None) -> RecordField:
+    """A field with a default, or one left out of construction (init),
+    printing (repr), equality (compare) or hashing (hash, by default as
+    compare)."""
+    return RecordField(default, default_factory, init, repr, compare, hash)
+
+
+def fields(obj) -> tuple[RecordField, ...]:
+    """The fields of a record class or record, in declaration order."""
+    return obj.__record_fields__
+
+
+def replace(obj, /, **changes):
+    """A new record of obj's class, with changes and obj's other fields."""
+    for f in obj.__record_fields__:
+        if f.init and f.name not in changes:
+            changes[f.name] = getattr(obj, f.name)
+    return obj.__class__(**changes)
+
+
+# ---------------------------------------------------------------------------
+# Constructor templates, one per number of parameters: each stores its
+# arguments under names, in order, and then calls post (the default
+# factories and __post_init__), if there is one.  _constructor renames the
+# parameters a0, a1, ... to the field names, so calls by keyword and
+# defaults work as usual.
+
+def _init0(names, post):
+    def __init__(self):
+        if post is not None:
+            post(self)
+    return __init__
+
+
+def _init1(names, post):
+    n0, = names
+
+    def __init__(self, a0):
+        _set(self, n0, a0)
+        if post is not None:
+            post(self)
+    return __init__
+
+
+def _init2(names, post):
+    n0, n1 = names
+
+    def __init__(self, a0, a1):
+        _set(self, n0, a0)
+        _set(self, n1, a1)
+        if post is not None:
+            post(self)
+    return __init__
+
+
+def _init3(names, post):
+    n0, n1, n2 = names
+
+    def __init__(self, a0, a1, a2):
+        _set(self, n0, a0)
+        _set(self, n1, a1)
+        _set(self, n2, a2)
+        if post is not None:
+            post(self)
+    return __init__
+
+
+def _init4(names, post):
+    n0, n1, n2, n3 = names
+
+    def __init__(self, a0, a1, a2, a3):
+        _set(self, n0, a0)
+        _set(self, n1, a1)
+        _set(self, n2, a2)
+        _set(self, n3, a3)
+        if post is not None:
+            post(self)
+    return __init__
+
+
+def _init5(names, post):
+    n0, n1, n2, n3, n4 = names
+
+    def __init__(self, a0, a1, a2, a3, a4):
+        _set(self, n0, a0)
+        _set(self, n1, a1)
+        _set(self, n2, a2)
+        _set(self, n3, a3)
+        _set(self, n4, a4)
+        if post is not None:
+            post(self)
+    return __init__
+
+
+def _init6(names, post):
+    n0, n1, n2, n3, n4, n5 = names
+
+    def __init__(self, a0, a1, a2, a3, a4, a5):
+        _set(self, n0, a0)
+        _set(self, n1, a1)
+        _set(self, n2, a2)
+        _set(self, n3, a3)
+        _set(self, n4, a4)
+        _set(self, n5, a5)
+        if post is not None:
+            post(self)
+    return __init__
+
+
+def _init9(names, post):
+    n0, n1, n2, n3, n4, n5, n6, n7, n8 = names
+
+    def __init__(self, a0, a1, a2, a3, a4, a5, a6, a7, a8):
+        _set(self, n0, a0)
+        _set(self, n1, a1)
+        _set(self, n2, a2)
+        _set(self, n3, a3)
+        _set(self, n4, a4)
+        _set(self, n5, a5)
+        _set(self, n6, a6)
+        _set(self, n7, a7)
+        _set(self, n8, a8)
+        if post is not None:
+            post(self)
+    return __init__
+
+
+_INITS = {0: _init0, 1: _init1, 2: _init2, 3: _init3, 4: _init4, 5: _init5,
+          6: _init6, 9: _init9}
+
+
+def _constructor(init_fields, post_init):
+    names = tuple(f.name for f in init_fields)
+    factories = tuple((f.name, f.default_factory) for f in init_fields
+                      if f.default_factory is not _MISSING)
+    post = post_init
+    if factories:
+        def post(self):
+            for name, make in factories:
+                if getattr(self, name) is _FACTORY:
+                    _set(self, name, make())
+            if post_init is not None:
+                post_init(self)
+    init = _template(_INITS, names)(names, post)
+    init.__code__ = init.__code__.replace(co_varnames=("self",) + names)
+    defaults = []
+    for f in init_fields:
+        if f.has_default():
+            defaults.append(f.default if f.default_factory is _MISSING else _FACTORY)
+        elif defaults:
+            raise TypeError(f"field {f.name!r} without a default follows one with a default")
+    init.__defaults__ = tuple(defaults) or None
+    return init
+
+
+# Equality and hash templates, one per number of fields, over the attributes
+# f0, f1, ...: record renames the attributes to the fields compared or
+# hashed, so that each reads them as directly as a method written for the
+# class would.
+
+def _eq0(self, other):
+    if other.__class__ is self.__class__:
+        return True
+    return NotImplemented
+
+
+def _eq1(self, other):
+    if other.__class__ is self.__class__:
+        return (self.f0,) == (other.f0,)
+    return NotImplemented
+
+
+def _eq2(self, other):
+    if other.__class__ is self.__class__:
+        return (self.f0, self.f1) == (other.f0, other.f1)
+    return NotImplemented
+
+
+def _eq3(self, other):
+    if other.__class__ is self.__class__:
+        return (self.f0, self.f1, self.f2) == (other.f0, other.f1, other.f2)
+    return NotImplemented
+
+
+def _eq4(self, other):
+    if other.__class__ is self.__class__:
+        return ((self.f0, self.f1, self.f2, self.f3)
+                == (other.f0, other.f1, other.f2, other.f3))
+    return NotImplemented
+
+
+def _eq5(self, other):
+    if other.__class__ is self.__class__:
+        return ((self.f0, self.f1, self.f2, self.f3, self.f4)
+                == (other.f0, other.f1, other.f2, other.f3, other.f4))
+    return NotImplemented
+
+
+def _eq6(self, other):
+    if other.__class__ is self.__class__:
+        return ((self.f0, self.f1, self.f2, self.f3, self.f4, self.f5)
+                == (other.f0, other.f1, other.f2, other.f3, other.f4, other.f5))
+    return NotImplemented
+
+
+def _eq9(self, other):
+    if other.__class__ is self.__class__:
+        return ((self.f0, self.f1, self.f2, self.f3, self.f4, self.f5, self.f6,
+                 self.f7, self.f8)
+                == (other.f0, other.f1, other.f2, other.f3, other.f4, other.f5,
+                    other.f6, other.f7, other.f8))
+    return NotImplemented
+
+
+_EQS = {0: _eq0, 1: _eq1, 2: _eq2, 3: _eq3, 4: _eq4, 5: _eq5, 6: _eq6, 9: _eq9}
+
+
+def _hash0(self):
+    return hash(())
+
+
+def _hash1(self):
+    return hash((self.f0,))
+
+
+def _hash2(self):
+    return hash((self.f0, self.f1))
+
+
+def _hash3(self):
+    return hash((self.f0, self.f1, self.f2))
+
+
+def _hash4(self):
+    return hash((self.f0, self.f1, self.f2, self.f3))
+
+
+def _hash5(self):
+    return hash((self.f0, self.f1, self.f2, self.f3, self.f4))
+
+
+def _hash6(self):
+    return hash((self.f0, self.f1, self.f2, self.f3, self.f4, self.f5))
+
+
+def _hash9(self):
+    return hash((self.f0, self.f1, self.f2, self.f3, self.f4, self.f5, self.f6,
+                 self.f7, self.f8))
+
+
+_HASHES = {0: _hash0, 1: _hash1, 2: _hash2, 3: _hash3, 4: _hash4, 5: _hash5,
+           6: _hash6, 9: _hash9}
+
+
+def _template(templates, names):
+    template = templates.get(len(names))
+    if template is None:
+        raise TypeError(f"no record template for {len(names)} fields")
+    return template
+
+
+def _over(templates, names):
+    """The template for len(names) fields, reading names for f0, f1, ..."""
+    template = _template(templates, names)
+    placeholder = {f"f{i}": name for i, name in enumerate(names)}
+    code = template.__code__
+    code = code.replace(co_names=tuple(placeholder.get(n, n) for n in code.co_names))
+    return FunctionType(code, template.__globals__, template.__name__)
+
+
+# ---------------------------------------------------------------------------
+# The methods shared as they are
+
+def _values(names):
+    """A function giving the tuple of a record's values of names."""
+    if len(names) > 1:
+        return attrgetter(*names)
+    if names:
+        get = attrgetter(names[0])
+        return lambda self: (get(self),)
+    return lambda self: ()
+
+
+def _order(op, values):
+    def compare(self, other):
+        if other.__class__ is self.__class__:
+            return op(values(self), values(other))
+        return NotImplemented
+    return compare
+
+
+def _representation(names):
+    def __repr__(self):
+        return (self.__class__.__qualname__ + "("
+                + ", ".join([f"{n}={getattr(self, n)!r}" for n in names]) + ")")
+    return __repr__
+
+
+def _reduction(values):
+    def __reduce__(self):
+        return self.__class__, values(self)
+    return __reduce__
+
+
+def _frozen_setattr(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def record(cls=None, /, *, frozen=False, order=False, init=True, slots=False):
+    """Make cls a record class over its annotated fields (see the module
+    docstring); usable bare or with arguments, as ``@record(frozen=True)``."""
+    if cls is None:
+        return lambda cls: _make_record(cls, frozen, order, init, slots)
+    return _make_record(cls, frozen, order, init, slots)
+
+
+def _make_record(cls, frozen, order, init, slots):
+    own = cls.__dict__
+    annotated = own.get("__annotations__", {})
+    found = {f.name: f for f in getattr(cls, "__record_fields__", ())}
+    for name in annotated:
+        spec = own.get(name, _MISSING)
+        f = spec if isinstance(spec, RecordField) else RecordField(default=spec)
+        f.name = name
+        found[name] = f
+        if spec is f and f.default is _MISSING:
+            delattr(cls, name)
+        elif spec is f:
+            setattr(cls, name, f.default)
+    all_fields = tuple(found.values())
+    compared = [f.name for f in all_fields if f.compare]
+    methods = {"__record_fields__": all_fields, "__eq__": _over(_EQS, compared),
+               "__repr__": _representation([f.name for f in all_fields if f.repr])}
+    if init:
+        methods["__init__"] = _constructor([f for f in all_fields if f.init],
+                                           getattr(cls, "__post_init__", None))
+    if order:
+        values = _values(compared)
+        methods.update(__lt__=_order(lt, values), __le__=_order(le, values),
+                       __gt__=_order(gt, values), __ge__=_order(ge, values))
+    if frozen:
+        methods.update(__setattr__=_frozen_setattr, __delattr__=_frozen_delattr)
+    if "__hash__" not in own:
+        hashed = [f.name for f in all_fields
+                  if (f.compare if f.hash is None else f.hash)]
+        methods["__hash__"] = _over(_HASHES, hashed) if frozen else None
+    for name in ("__init__", "__repr__", "__eq__"):
+        if name in own:
+            methods.pop(name, None)
+    if not slots:
+        for name, value in methods.items():
+            setattr(cls, name, value)
+        return cls
+    # a frozen record with slots cannot be rebuilt attribute by attribute,
+    # as pickle and copy do by default
+    if "__reduce__" not in own:
+        methods["__reduce__"] = _reduction(_values([f.name for f in all_fields if f.init]))
+    ns = {k: v for k, v in own.items()
+          if k not in found and k not in ("__dict__", "__weakref__")}
+    ns.update(methods, __slots__=tuple(annotated), __qualname__=cls.__qualname__)
+    return type(cls)(cls.__name__, cls.__bases__, ns)

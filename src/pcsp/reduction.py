@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .analysis import Verdict, divergence_free, refines
@@ -23,6 +22,7 @@ from .conditions import (
 )
 from .errors import BoundExceeded, SemanticsError, UsageError
 from .lts import Event, Lts, TAU, rename_lts, tau_closure
+from .record import field, record
 from .report import ConditionReport
 from .ssos import Cond, Vis, build_sslts, fmt_sym_label, nont_event_key
 from .std_semantics import build_lts
@@ -34,7 +34,7 @@ from .syntax import (
 # ---------------------------------------------------------------------------
 # Collapsing functions
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CollapsingFn:
     """phi(v) = v for v < B, phi(v) = B otherwise; fixes non-t values."""
 
@@ -55,7 +55,7 @@ class CollapsingFn:
 # ---------------------------------------------------------------------------
 # Traces threshold
 
-@dataclass
+@record
 class TraceWitness:
     trace_labels: tuple          # representative non-t class (visible labels)
     events: tuple                # contributing visible symbolic events
@@ -69,7 +69,7 @@ class TraceWitness:
         return f"after <{tr}>: events {evs} with output positions {{{pos}}}"
 
 
-@dataclass
+@record
 class ThresholdReport:
     traces: int
     failures: Optional[int] = None
@@ -303,7 +303,7 @@ def compute_thresholds(defs: Definitions, spec: str, model: str,
 # ---------------------------------------------------------------------------
 # End-to-end verification
 
-@dataclass
+@record
 class SizeResult:
     n: int
     lhs: str
@@ -320,7 +320,7 @@ class SizeResult:
         return out
 
 
-@dataclass
+@record
 class PmcpVerdict:
     mode: str                 # 'via-abstraction' | 'direct-per-size'
     model: str
@@ -488,6 +488,11 @@ def verify_pmcp(defs: Definitions, spec: str, impl: str, model: str,
             f"the premise {abst}({{0..{bound}}}) {op} phi({impl}(T)) for "
             f"#T >= {valid_from} is taken on assertion from the abstraction "
             "method")
+        if premise_sizes and model == "failures" and not divergence_free(abst_hat):
+            # each sampled premise takes the abstraction as its specification
+            raise SemanticsError(
+                f"abstraction {abst!r} diverges at #T={hat}: stable-failures "
+                "refinement requires a divergence-free specification")
         for n in premise_sizes:
             phi_impl = CollapsingFn(bound).lts(lts_of(impl, n, collapsed=True))
             premises.append(SizeResult(

@@ -3,10 +3,10 @@ the verification pipeline."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .record import field, record
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Finding:
     clause: str
     message: str
@@ -17,7 +17,7 @@ class Finding:
         return f"({self.clause}){loc} {self.message}"
 
 
-@dataclass
+@record
 class ConditionReport:
     """Outcome of one condition check.
 

@@ -12,13 +12,13 @@ the key by which the traces threshold groups events.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Union
 
 from .conditions import check_seq
 from .errors import SemanticsError
 from .lts import TAU, Lts, build
 from .pretty import fmt_condition, fmt_construct, fmt_term
+from .record import record
 from .std_semantics import call_binding, check_guarded_recursion, eval_guard
 from .syntax import (
     BANG, Condition, Construct, Definitions, ExtChoice, Ident, If, IntChoice,
@@ -28,7 +28,7 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Vis:
     """A visible symbolic event label."""
 
@@ -38,7 +38,7 @@ class Vis:
         return fmt_construct(self.event)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Cond:
     """A conditional symbolic event label: a t-condition or its negation."""
 

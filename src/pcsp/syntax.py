@@ -34,15 +34,14 @@ its initial channels.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import re
 import sys
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterator, Optional, Union
 
 from .errors import SemanticsError
+from .record import field, fields, record, replace
 
 # structural equality/canonicalisation recurse over whole terms
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 20_000))
@@ -58,7 +57,7 @@ BANG = "!"
 _TVALS: dict[int, "TVal"] = {}  # index -> its one TVal
 
 
-@dataclass(frozen=True, order=True, init=False)
+@record(frozen=True, order=True, init=False)
 class TVal:
     """A value of the distinguished type: an index into T = {0..#T-1}.
 
@@ -84,7 +83,7 @@ class TVal:
         return str(self.index)
 
 
-@dataclass(frozen=True, order=True)
+@record(frozen=True, order=True)
 class Atom:
     """A member of a declared finite non-t type; ordinal is its declaration rank."""
 
@@ -106,7 +105,7 @@ def value_key(v: Value):
     return (1, v.ordinal, v.type_name)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TType:
     """The distinguished type parameter t."""
 
@@ -114,7 +113,7 @@ class TType:
         return "t"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class NamedType:
     """A declared finite enumeration, e.g. ``datatype X = a | b``."""
 
@@ -125,7 +124,7 @@ class NamedType:
         return self.name
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SetType:
     """A literal set annotation ``{d1, d2}``; members are values or variables,
     homogeneous in t-ness."""
@@ -137,7 +136,7 @@ class SetType:
         return "{" + ",".join(str(i) for i in self.items) + "}"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DiffType:
     """The annotation ``t \\ {d1, ...}``: the whole of t minus listed members."""
 
@@ -164,7 +163,7 @@ def type_is_t(ty: TypeExpr) -> bool:
 # ---------------------------------------------------------------------------
 # Constructs
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Field:
     """One field of a prefix construct.
 
@@ -190,7 +189,7 @@ class Field:
         return type_is_t(self.ty)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Construct:
     """A prefix communication c S1 x1:X1 ... Sk xk:Xk.
 
@@ -204,7 +203,7 @@ class Construct:
     uid: int = field(default=-1, compare=False, hash=False)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class IndexSets:
     """The six index-set functions of a construct, 1-based positions."""
 
@@ -266,7 +265,7 @@ def replace_selections(alpha: Construct, scope: str) -> Construct:
 TTerm = Union[str, TVal]  # a side of a t-equality atom
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Condition:
     """A conjunction of equality atoms over t-typed terms, or its negation."""
 
@@ -285,24 +284,24 @@ class Condition:
 
 # Non-t boolean expressions: naturals with +, -, min, and non-t value equality.
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class NatLit:
     value: int
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class VarRef:
     name: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class NatOp:
     op: str  # '+' or '-'
     left: "ScalarExpr"
     right: "ScalarExpr"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class NatMin:
     left: "ScalarExpr"
     right: "ScalarExpr"
@@ -311,31 +310,31 @@ class NatMin:
 ScalarExpr = Union[NatLit, VarRef, NatOp, NatMin, Atom, TVal]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Cmp:
     op: str  # '==', '!=', '<', '<=', '>', '>='
     left: ScalarExpr
     right: ScalarExpr
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BoolNot:
     arg: "BoolExpr"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BoolAnd:
     left: "BoolExpr"
     right: "BoolExpr"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BoolOr:
     left: "BoolExpr"
     right: "BoolExpr"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BoolLit:
     value: bool
 
@@ -343,7 +342,7 @@ class BoolLit:
 BoolExpr = Union[Cmp, BoolNot, BoolAnd, BoolOr, BoolLit]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MixedGuard:
     """A conjunction mixing t-equality atoms and non-t atoms.  Not usable by
     the symbolic semantics; flagged by the Seq checker."""
@@ -408,36 +407,36 @@ def eval_condition_closed(cond: Condition) -> bool:
 Arg = Union[Value, ScalarExpr]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Stop:
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Prefix:
     construct: Construct
     cont: "ProcessTerm"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ExtChoice:
     left: "ProcessTerm"
     right: "ProcessTerm"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class IntChoice:
     left: "ProcessTerm"
     right: "ProcessTerm"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Sliding:
     left: "ProcessTerm"
     right: "ProcessTerm"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class If:
     guard: Guard
     then: "ProcessTerm"
@@ -446,7 +445,7 @@ class If:
 
 # --- event-set descriptors (hiding, parallel alphabets) --------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ChanPrefixItem:
     """``{| c.d1...dm |}`` item: all events of channel c extending the datums."""
 
@@ -454,7 +453,7 @@ class ChanPrefixItem:
     datums: tuple[Union[str, Value], ...] = ()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EventLitItem:
     """A complete event literal ``c.d1...dk`` inside an explicit set."""
 
@@ -462,25 +461,25 @@ class EventLitItem:
     datums: tuple[Union[str, Value], ...]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EventSet:
     closures: tuple[ChanPrefixItem, ...] = ()
     literals: tuple[EventLitItem, ...] = ()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Hide:
     proc: "ProcessTerm"
     hidden: EventSet
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Rename:
     proc: "ProcessTerm"
     pairs: tuple[tuple[Union[str, EventLitItem], Union[str, EventLitItem]], ...]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AlphaPar:
     left: "ProcessTerm"
     left_alpha: EventSet
@@ -488,20 +487,20 @@ class AlphaPar:
     right_alpha: EventSet
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SharedPar:
     left: "ProcessTerm"
     shared: EventSet
     right: "ProcessTerm"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Interleave:
     left: "ProcessTerm"
     right: "ProcessTerm"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class IndexedInterleave(Interleave):
     """``||| i:t @ P(i)`` expanded at a size n: a left-associated chain of
     n-1 of these holds P(0)..P(n-1) in index order.  It prints,
@@ -515,7 +514,7 @@ class IndexedInterleave(Interleave):
 # expanded when the instantiation is known; non-t index sets are desugared
 # to binary operators at parse time.
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ReplAlphaPar:
     var: str
     domain: TypeExpr
@@ -523,28 +522,28 @@ class ReplAlphaPar:
     body: "ProcessTerm"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ReplInterleave:
     var: str
     domain: TypeExpr
     body: "ProcessTerm"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ReplIntChoice:
     var: str
     domain: TypeExpr
     body: "ProcessTerm"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ReplExtChoice:
     var: str
     domain: TypeExpr
     body: "ProcessTerm"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Ident:
     name: str
     args: tuple[Arg, ...] = ()
@@ -565,7 +564,7 @@ REPLICATED = (ReplAlphaPar, ReplInterleave, ReplIntChoice, ReplExtChoice)
 OPEN, HIDE, PAR, INT, EXT, SLIDE, GUARD, PREFIX, ATOM = range(9)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Operator:
     """A process operator of the concrete syntax.  form lays out the fields
     of cls in source order, as a format string whose literal text is the
@@ -649,7 +648,7 @@ def map_subterms(term: ProcessTerm, fn) -> ProcessTerm:
 
 
 # ---------------------------------------------------------------------------
-# The t-values of data: one walk over dataclass fields
+# The t-values of data: one walk over record fields
 
 # Classes that hold no t-value; the walks do not look into them.
 _NO_TVALS = (str, int, bool, type(None), Atom, NamedType, TType)
@@ -657,13 +656,13 @@ _DATA_FIELDS: dict[type, tuple[tuple[str, bool], ...]] = {}
 
 
 def _data_fields(cls) -> tuple[tuple[str, bool], ...]:
-    """(name, is data) for each constructor field of a dataclass, in order;
+    """(name, is data) for each constructor field of a record class, in order;
     a process term's subterms (the subterm table) are not its data."""
     got = _DATA_FIELDS.get(cls)
     if got is None:
         subs = _SUBTERM_FIELDS.get(cls, ())
         got = _DATA_FIELDS[cls] = tuple(
-            (f.name, f.name not in subs) for f in dataclasses.fields(cls) if f.init)
+            (f.name, f.name not in subs) for f in fields(cls) if f.init)
     return got
 
 
@@ -728,7 +727,7 @@ def t_field_atoms(obj, channels: dict) -> Iterator[Atom]:
 # ---------------------------------------------------------------------------
 # Definitions
 
-@dataclass
+@record
 class Equation:
     name: str
     params: tuple[str, ...]
@@ -737,14 +736,14 @@ class Equation:
     param_types: tuple[Optional[str], ...] = ()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Assertion:
     lhs: str
     model: str  # 'traces' | 'failures'
     rhs: str
 
 
-@dataclass
+@record
 class Definitions:
     """The global environment: channel signatures, non-t types, constants and
     process equations."""

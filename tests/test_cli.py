@@ -120,9 +120,12 @@ MALFORMED_EQUATIONS = [
      ["3:8: value 'y1' of type Y in a t field"]),
     ("datatype Y = y1 | y2\nchannel ca : t\nP = ||| j : Y @ ((ca?x:t -> STOP) \\ {ca.j})\n",
      ["3:9: value 'y1' of type Y in a t field"]),
-    # the conflict comes from the call, so it is reported at the caller
+    # the conflict comes from the call, so it is reported at the caller,
+    # whichever of the two equations comes first
     ("datatype Y = y1 | y2\nchannel ca : t\nQ(i) = ca!i -> STOP\nP = [] j : Y @ Q(j)\n",
      ["4:1: parameter 'i' of 'Q' used both as t and as Y"]),
+    ("datatype Y = y1 | y2\nchannel ca : t\nP = [] j : Y @ Q(j)\nQ(i) = ca!i -> STOP\n",
+     ["3:1: parameter 'i' of 'Q' used both as t and as Y"]),
 ]
 
 
@@ -196,6 +199,17 @@ def test_a_cycle_of_bare_calls_is_a_divergent_specification(tmp_path, capsys, co
         "verify": "error: specification 'P' diverges at #T=1: stable-failures "
                   "refinement requires a divergence-free specification\n",
     }[command[0]]
+
+
+def test_a_divergent_abstraction_is_named_before_the_premise_samples(tmp_path, capsys):
+    src = tmp_path / "cycle.pcsp"
+    src.write_text("channel a\nP = Q\nQ = P\nS = a -> S\n")
+    code, out, err = run(capsys, "verify", str(src), "--spec", "S", "--impl", "S",
+                         "--abst", "P", "--valid-from", "1", "--model", "failures",
+                         "--sizes", "1..2", "--sample-premise", "2")
+    assert code == 2 and out == ""
+    assert err == ("error: abstraction 'P' diverges at #T=1: stable-failures "
+                   "refinement requires a divergence-free specification\n")
 
 
 def test_a_divergent_specification_keeps_its_traces_results(tmp_path, capsys):

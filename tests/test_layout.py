@@ -1,11 +1,15 @@
 """Layout guard for the shipped package: every function, method and class in
 ``src/pcsp`` is named somewhere in the package besides its own definition,
 and every imported name is used by the module that imports it.  Code that
-only tests reach belongs under ``tests/``."""
+only tests reach belongs under ``tests/``.  Start-up loads no module that
+only code generation or DOT output needs."""
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -66,3 +70,25 @@ def test_every_import_is_used_by_its_module():
                 if not used[name]:
                     unused.append(f"{mod}:{node.lineno} {name}")
     assert not unused, "imported but unused: " + ", ".join(unused)
+
+
+def test_start_up_loads_no_code_generation_or_hashing():
+    """Record classes come from ``pcsp.record``, not ``dataclasses`` (whose
+    per-class ``exec`` and its import of ``inspect`` dominated start-up), and
+    ``hashlib`` is loaded only by ``--dot``."""
+    users = [f"{mod}:{node.lineno}" for mod, tree in _modules().items()
+             for node in ast.walk(tree)
+             if (isinstance(node, ast.Import)
+                 and any(a.name.split(".")[0] == "dataclasses" for a in node.names))
+             or (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")]
+    assert not users, "imports dataclasses: " + ", ".join(users)
+    probe = ("import sys; before = set(sys.modules); import pcsp.cli; "
+             "print(' '.join(sorted(set(sys.modules) - before)))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PACKAGE.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
+    loaded = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                            capture_output=True, text=True).stdout.split()
+    assert "pcsp.cli" in loaded
+    unwanted = {"dataclasses", "inspect", "hashlib"} & set(loaded)
+    assert not unwanted, f"import pcsp.cli loads {sorted(unwanted)}"

@@ -12,10 +12,8 @@ against the full build, after phi."""
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
-from dataclasses import replace
 
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -33,6 +31,7 @@ from pcsp.errors import BoundExceeded, PcspError, SemanticsError
 from pcsp.lts import TAU, Event, Lts, build, label_key, terms_bounded
 from pcsp.parser import parse_definitions
 from pcsp.pretty import fmt_term
+from pcsp.record import fields, replace
 from pcsp.reduction import CollapsingFn
 from pcsp.ssos import Cond, require_seq, resolve_selections, unfold_ident
 from pcsp.ssos import successors as sym_successors
@@ -629,7 +628,7 @@ def _reference_t_values(obj, out):
         for x in obj:
             _reference_t_values(x, out)
     elif obj.__class__ not in _PLAIN:
-        for f in dataclasses.fields(obj):
+        for f in fields(obj):
             _reference_t_values(getattr(obj, f.name), out)
 
 
@@ -643,7 +642,7 @@ def _reference_permute_t(obj, pi):
     if cls in _PLAIN:
         return obj
     return cls(*[_reference_permute_t(getattr(obj, f.name), pi)
-                 for f in dataclasses.fields(cls) if f.init])
+                 for f in fields(cls) if f.init])
 
 
 class _ReferenceGraph(StateGraph):

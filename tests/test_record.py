@@ -1,0 +1,168 @@
+"""The record classes keep the semantics they had as dataclasses: equality
+by class and compared fields, the hash of the tuple of hashed fields,
+``Name(field=value, ...)`` as repr, order by the field tuple, ``replace``,
+and ``FrozenInstanceError`` on assignment to a frozen record.  Checked on
+every record class of the package with stand-in field values, and on every
+record inside random Seq terms."""
+
+from __future__ import annotations
+
+import copy
+import importlib
+import pickle
+from functools import cached_property
+
+import pytest
+from hypothesis import given, settings
+
+from pcsp.record import FrozenInstanceError, fields, replace
+from pcsp.syntax import BANG, QUERY, T_TYPE, TVal
+
+from test_syntax import terms
+
+MODULES = ["syntax", "errors", "lts", "parser", "analysis", "reduction",
+           "report", "ssos", "cose"]
+RECORDS = {cls.__qualname__: cls
+           for mod in (importlib.import_module(f"pcsp.{m}") for m in MODULES)
+           for cls in vars(mod).values()
+           if isinstance(cls, type) and cls.__module__ == mod.__name__
+           and "__record_fields__" in vars(cls)}
+MUTABLE = {"Equation", "Definitions", "Lts", "NormalisedSpec", "Verdict",
+           "TraceWitness", "ThresholdReport", "SizeResult", "PmcpVerdict",
+           "ConditionReport"}
+ORDERED = {"TVal", "Atom"}
+# classes whose hash is their own: TVal hashes by identity
+OWN_HASH = {"TVal"}
+
+# Two stand-in values per field (a, b): strings, except where a class
+# checks its fields on construction.
+STAND_INS = {
+    "TVal": {"index": (1, 2)},
+    "Field": {"sel": (BANG, BANG), "payload": (TVal(0), TVal(1)),
+              "ty": (None, None), "bang_is_t": (True, False)},
+    "Condition": {"atoms": ((("x", "y"),), (("x", "z"),))},
+}
+
+
+def _values(cls, which: int) -> dict:
+    given_ = STAND_INS.get(cls.__qualname__, {})
+    return {f.name: given_.get(f.name, (f"a{i}", f"b{i}"))[which]
+            for i, f in enumerate(fields(cls)) if f.init}
+
+
+def _field_tuple(x, keep) -> tuple:
+    return tuple(getattr(x, f.name) for f in fields(x) if keep(f))
+
+
+def _hashed(f) -> bool:
+    return f.compare if f.hash is None else f.hash
+
+
+def _check_record(x):
+    """The properties of one record that do not depend on stand-in values."""
+    cls = type(x)
+    assert repr(x) == cls.__qualname__ + "(" + ", ".join(
+        f"{f.name}={getattr(x, f.name)!r}" for f in fields(x) if f.repr) + ")"
+    assert replace(x) == x and copy.copy(x) == x and copy.deepcopy(x) == x
+    assert x.__eq__(object()) is NotImplemented
+    if cls.__qualname__ in MUTABLE:
+        with pytest.raises(TypeError):
+            hash(x)
+        return
+    assert pickle.loads(pickle.dumps(x)) == x
+    if cls.__qualname__ not in OWN_HASH:
+        assert hash(x) == hash(_field_tuple(x, _hashed))
+    for f in fields(x):
+        with pytest.raises(FrozenInstanceError):
+            setattr(x, f.name, getattr(x, f.name))
+        with pytest.raises(FrozenInstanceError):
+            delattr(x, f.name)
+
+
+def test_the_package_has_sixty_record_classes():
+    assert len(RECORDS) == 60
+    assert MUTABLE | ORDERED <= RECORDS.keys()
+    assert issubclass(FrozenInstanceError, AttributeError)
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_record_semantics(name):
+    cls = RECORDS[name]
+    a, b = _values(cls, 0), _values(cls, 1)
+    x = cls(**a)
+    _check_record(x)
+    assert x == cls(**a)
+    assert x != cls(**b) or a == b
+    for f in fields(cls):
+        if not f.init or a[f.name] == b[f.name]:
+            continue
+        y = replace(x, **{f.name: b[f.name]})
+        assert y == cls(**{**a, f.name: b[f.name]})
+        assert getattr(y, f.name) == b[f.name] and getattr(x, f.name) == a[f.name]
+        assert (x == y) is not f.compare
+        if name not in MUTABLE | OWN_HASH and not _hashed(f):
+            assert hash(x) == hash(y)
+        if name in MUTABLE:
+            setattr(y, f.name, a[f.name])
+            assert y == x
+    if name in ORDERED:
+        y = cls(**b)
+        key_x = _field_tuple(x, lambda f: f.compare)
+        key_y = _field_tuple(y, lambda f: f.compare)
+        assert ((x < y, x <= y, x > y, x >= y)
+                == (key_x < key_y, key_x <= key_y, key_x > key_y, key_x >= key_y))
+        with pytest.raises(TypeError):
+            x < object()
+    else:
+        with pytest.raises(TypeError):
+            x < x
+
+
+def _records_in(obj):
+    if isinstance(obj, tuple):
+        for item in obj:
+            yield from _records_in(item)
+    elif hasattr(obj, "__record_fields__"):
+        yield obj
+        for f in fields(obj):
+            yield from _records_in(getattr(obj, f.name))
+
+
+@given(terms())
+@settings(max_examples=60, deadline=None)
+def test_every_record_in_a_term_keeps_its_semantics(term):
+    found = list(_records_in(term))
+    assert found[0] is term
+    for x in found:
+        _check_record(x)
+        assert replace(x) is x if type(x) is TVal else replace(x) is not x
+
+
+def test_what_single_classes_keep():
+    syntax, lts = importlib.import_module("pcsp.syntax"), importlib.import_module("pcsp.lts")
+    # fields that take no part in equality
+    alpha = syntax.Construct("c", (), uid=1)
+    assert alpha == syntax.Construct("c", (), uid=2) and hash(alpha) == hash(("c", ()))
+    ty = syntax.NamedType("X", (syntax.Atom("X", "u", 0),))
+    assert ty == syntax.NamedType("X", ()) and hash(ty) == hash(("X",))
+    # Event keeps its slots and the hash it computes once
+    event = lts.Event("c", (TVal(0),))
+    assert not hasattr(event, "__dict__") and event._hash == hash(("c", (TVal(0),)))
+    assert repr(event) == "Event(channel='c', values=(TVal(index=0),))"
+    # __post_init__ checks run, default factories give fresh values
+    with pytest.raises(AssertionError):
+        syntax.Field(QUERY, "x", None)
+    with pytest.raises(AssertionError):
+        syntax.Condition(False, ())
+    assert syntax.Field(QUERY, "x", T_TYPE).bang_is_t is False
+    d1, d2 = syntax.Definitions(), syntax.Definitions()
+    assert d1 == d2 and d1.equations is not d2.equations and d1.filename == "<input>"
+    # a subclass has its base's fields and is unequal to it
+    left, right = syntax.Stop(), syntax.Stop()
+    chain = syntax.IndexedInterleave(left, right)
+    assert [f.name for f in fields(chain)] == ["left", "right"]
+    assert chain != syntax.Interleave(left, right)
+    assert repr(chain) == "IndexedInterleave(left=Stop(), right=Stop())"
+    # the operator table keeps its cached layout
+    assert isinstance(vars(syntax.Operator)["layout"], cached_property)
+    assert syntax.OPERATORS[syntax.Hide].symbol == "\\"
