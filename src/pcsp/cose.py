@@ -8,10 +8,11 @@ selections of the originating construct into outputs; symbolic τs carry
 over; conditional edges dissolve, contributing the transitions of their
 target when the condition holds in the environment.
 
-Each call works over a table of the symbolic states it meets, keyed by
-canonical form and construct uids as the standard semantics keys its
-leaves.  A symbolic state is canonicalised once and expanded through the
-symbolic rules once; an event instance then only restricts its environment
+Each call works over a table of the symbolic states it meets (ssos.Table,
+which build_sslts explores too), keyed by canonical form and construct
+uids as the standard semantics keys its leaves.  A symbolic state is
+canonicalised once, and its symbolic moves are computed and translated
+into edges once; an event instance then only restricts its environment
 to the target's free names and looks the pair (symbolic state, environment)
 up.  A configuration's key is the canonical form of its term with the
 environment substituted, so alpha-equivalent configurations are one; it is
@@ -28,13 +29,12 @@ from .errors import SemanticsError
 from .lts import Event, Lts, TAU, build
 from .pretty import fmt_term
 from .record import record
-from .ssos import Cond, require_seq
-from .ssos import successors as sym_successors
+from .ssos import Cond, State, Table, require_seq
 from .std_semantics import eval_guard, file_alphabet, tvalues_for
 from .syntax import (
-    Condition, Construct, Definitions, DOLLAR, ExtChoice, If, MixedGuard,
-    Prefix, ProcessTerm, QUERY, Sliding, canonicalise, classify_fields,
-    domain_values, replace_selections, substitute,
+    KEEPING, Condition, Construct, Definitions, DOLLAR, If, MixedGuard, Prefix,
+    ProcessTerm, QUERY, domain_values, eval_condition, replace_selections,
+    selections, substitute, subterms, with_subterms,
 )
 
 Environment = dict  # variable name -> TVal
@@ -57,44 +57,30 @@ class Configuration:
         return f"({fmt_term(self.term)}, {{{items}}})"
 
 
-def eval_condition(cond: Condition, env: Environment) -> bool:
-    vals = []
-    for l, r in cond.atoms:
-        lv = env.get(l, l) if isinstance(l, str) else l
-        rv = env.get(r, r) if isinstance(r, str) else r
-        if isinstance(lv, str) or isinstance(rv, str):
-            raise SemanticsError(
-                f"condition variable {lv if isinstance(lv, str) else rv!r} "
-                "is not bound by the environment")
-        vals.append(lv == rv)
-    result = all(vals)
-    return (not result) if cond.negated else result
-
-
 # ---------------------------------------------------------------------------
 # The per-construct selection-to-output state transformation
 
 def replace_t_initials(term: ProcessTerm, uid: int) -> ProcessTerm:
     """Rewrite the t-selections of the construct with the given source
     identity into outputs, wherever that construct occurs as an initial
-    (pre-τ) communication of the state."""
-    if isinstance(term, Prefix):
-        if term.construct.uid == uid:
-            return Prefix(replace_selections(term.construct, "t"), term.cont)
-        return term
-    if isinstance(term, ExtChoice):
-        return ExtChoice(replace_t_initials(term.left, uid),
-                         replace_t_initials(term.right, uid))
-    if isinstance(term, Sliding):
-        return Sliding(replace_t_initials(term.left, uid), term.right)
-    if isinstance(term, If):
+    (pre-τ) communication of the state: below the operands a choice keeps
+    (syntax.KEEPING) and the branch a non-t conditional takes."""
+    cls = term.__class__
+    if cls is Prefix:
+        return (Prefix(replace_selections(term.construct, "t"), term.cont)
+                if term.construct.uid == uid else term)
+    if cls is If:
         if isinstance(term.guard, (Condition, MixedGuard)):
             return term
-        branch_then = eval_guard(term.guard)
-        if branch_then:
-            return If(term.guard, replace_t_initials(term.then, uid), term.els)
-        return If(term.guard, term.then, replace_t_initials(term.els, uid))
-    return term
+        kept = (0,) if eval_guard(term.guard) else (1,)
+    else:
+        kept = KEEPING.get(cls)
+        if kept is None:
+            return term
+    subs = list(subterms(term))
+    for i in kept:
+        subs[i] = replace_t_initials(subs[i], uid)
+    return with_subterms(term, subs)
 
 
 # ---------------------------------------------------------------------------
@@ -134,70 +120,44 @@ def match(eps: Construct, event: Event) -> Environment:
 # ---------------------------------------------------------------------------
 # Translation rules
 
-class _State:
-    """A symbolic state of one concretize call: its term, canonical form,
-    sorted free names, the id of its canonical form (uids aside), and its
-    symbolic edges once expanded.  It hashes by identity."""
-
-    __slots__ = ("term", "canon", "free", "cls", "edges")
-
-
-class _Table:
-    """The symbolic states and configurations of one concretize call.
+class _Configurations(Table):
+    """The symbolic states of one concretize call and its configurations.
 
     A configuration is named by an int id: (state, restricted environment)
     pairs map to it, and so does its key, which is computed only for a new
     pair."""
 
     def __init__(self, defs: Definitions, tvalues):
-        self.defs = defs
+        super().__init__(defs)
         self.tvalues = tvalues
-        self.states: dict = {}   # (canonical form, uids) -> _State
-        self.classes: dict = {}  # canonical form -> id
         self.ids: dict = {}      # (state, restricted env) -> configuration id
         self.key_ids: dict = {}  # configuration key -> configuration id
         self.keys: list = []     # configuration id -> key
 
-    def state(self, term: ProcessTerm) -> _State:
-        canon, free, uids = canonicalise(term)
-        st = self.states.get((canon, uids))
-        if st is None:
-            st = self.states[canon, uids] = _State()
-            st.term, st.canon, st.free = term, canon, tuple(sorted(free))
-            st.cls = self.classes.setdefault(canon, len(self.classes))
-            st.edges = None
-        return st
-
-    def edges(self, st: _State) -> list:
-        """The symbolic edges of a state as (label, uid, target state,
-        extra): a τ carries the list of environment extensions it
-        instantiates to (one empty one for a symbolic τ, one per choice of
-        values for a visible event's t-selections, whose target is the
-        state with those selections rewritten to outputs); a visible event
-        carries its construct; a conditional edge nothing."""
+    def edges(self, st: State) -> list:
+        """The edges of a state as (label, uid, target state, extra),
+        derived from its moves once: a τ carries the environment extensions
+        it instantiates to (one empty one for a symbolic τ, one per choice
+        of values for a visible event's t-selections, whose target has them
+        rewritten to outputs), a visible event its construct."""
         if st.edges is None:
             st.edges = []
-            for lab, uid, target in sym_successors(st.term, self.defs):
+            for lab, uid, target in self.moves(st):
                 if lab is TAU:
-                    st.edges.append((TAU, uid, self.state(target), ({},)))
+                    st.edges.append((TAU, uid, target, ({},)))
                 elif isinstance(lab, Cond):
-                    st.edges.append((lab, uid, self.state(target), None))
+                    st.edges.append((lab, uid, target, None))
                 else:
-                    eps = lab.event
-                    positions = sorted(classify_fields(eps).dollar_t)
-                    if positions:
-                        names = [eps.fields[i - 1].payload for i in positions]
-                        domains = [domain_values(eps.fields[i - 1].ty, self.tvalues)
-                                   for i in positions]
+                    names, values = selections(lab.event, "t", self.tvalues)
+                    if names:
                         st.edges.append((
-                            TAU, eps.uid,
-                            self.state(replace_t_initials(st.term, eps.uid)),
-                            [dict(zip(names, vs)) for vs in itertools.product(*domains)]))
+                            TAU, uid, self.state(replace_t_initials(st.term, uid)),
+                            [dict(zip(names, vs)) for vs in values]))
                     else:
-                        st.edges.append((lab, eps.uid, self.state(target), eps))
+                        st.edges.append((lab, uid, target, lab.event))
         return st.edges
 
-    def config(self, st: _State, env: Environment) -> tuple[tuple, int]:
+    def config(self, st: State, env: Environment) -> tuple[tuple, int]:
         """The configuration of st under env, as the pair (st, env
         restricted to the free names of st) and its id."""
         pair = (st, tuple((k, env[k]) for k in st.free if k in env))
@@ -212,7 +172,7 @@ class _Table:
         return pair, cid
 
 
-def successors_of_config(cfg: tuple, table: _Table) -> list:
+def successors_of_config(cfg: tuple, table: _Configurations) -> list:
     """COSE transitions of a configuration, given as the pair (symbolic
     state, restricted environment), as (label, uid, target pair,
     configuration id).  Conditional symbolic edges whose condition holds
@@ -224,7 +184,7 @@ def successors_of_config(cfg: tuple, table: _Table) -> list:
     out = []
     seen = set()
 
-    def expand(st: _State):
+    def expand(st: State):
         if st.cls in seen:
             return
         seen.add(st.cls)
@@ -244,11 +204,6 @@ def successors_of_config(cfg: tuple, table: _Table) -> list:
     return out
 
 
-def _configuration(cfg: tuple) -> Configuration:
-    st, env = cfg
-    return Configuration(st.term, env)
-
-
 def concretize(defs: Definitions, source: Union[str, ProcessTerm],
                tsize: int, init_env: Optional[Environment] = None,
                max_states: int = 100_000) -> Lts:
@@ -259,12 +214,12 @@ def concretize(defs: Definitions, source: Union[str, ProcessTerm],
     root_term = defs.body(source) if isinstance(source, str) else source
     require_seq(root_term, defs)
     tvalues = tvalues_for(tsize)
-    table = _Table(defs, tvalues)
+    table = _Configurations(defs, tvalues)
     root = table.config(table.state(root_term), dict(init_env or {}))
     lts = build(*root, lambda cfg: successors_of_config(cfg, table),
                 alphabet=file_alphabet(defs, tvalues), tsize=tsize,
                 max_states=max_states,
-                describe=lambda cfg: _configuration(cfg).describe())
-    return Lts(lts.root, [_configuration(cfg) for cfg in lts.states],
+                describe=lambda cfg: Configuration(cfg[0].term, cfg[1]).describe())
+    return Lts(lts.root, [Configuration(st.term, env) for st, env in lts.states],
                [table.keys[cid] for cid in lts.keys], lts.edges,
                lts.alphabet, tsize)

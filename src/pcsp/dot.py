@@ -1,8 +1,8 @@
 """DOT export of transition systems.
 
-Node identifiers are short hashes of the canonical state keys, so identical
-invocations produce byte-identical files; edge labels use the same notation
-as the pretty printer ($, ?, !, conditions, τ).
+Node identifiers are short hashes of each state's index and label, so
+identical invocations produce byte-identical files; edge labels use the
+same notation as the pretty printer ($, ?, !, conditions, τ).
 """
 
 from __future__ import annotations

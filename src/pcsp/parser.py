@@ -683,6 +683,21 @@ _TY_T = "t"
 _TY_NAT = "nat"
 
 
+# The deepest equation body accepted, a term without subterms having depth
+# 1.  The passes over terms recurse; on Pythons before 3.12 the parser
+# itself overflows just beyond this depth, and the bound rejects the same
+# bodies, as nested too deeply, on every version.
+MAX_DEPTH = 4_998
+
+
+def _depth(term) -> int:
+    """The nesting depth of a term, measured level by level."""
+    level, depth = [term], 0
+    while level:
+        level, depth = [sub for node in level for sub in subterms(node)], depth + 1
+    return depth
+
+
 @contextmanager
 def _nesting(head: Token, filename: str):
     """Report a definition nested deeper than the recursive passes over its
@@ -1008,6 +1023,8 @@ def parse_definitions(text: str, filename: str = "<input>") -> Definitions:
             sub.fail(f"{name_tok.text!r} is already a channel name", name_tok)
         with _nesting(name_tok, filename):
             body = sub.parse_proc()
+            if _depth(body) > MAX_DEPTH:
+                raise RecursionError("the body is deeper than MAX_DEPTH")
         tail = sub.peek()
         if tail.kind != "eof":
             sub.fail(f"unexpected {tail.text!r} after process definition", tail)

@@ -94,7 +94,10 @@ def _tau_or_cond(lab) -> bool:
     return lab is TAU or isinstance(lab, Cond)
 
 
-def thresh_traces(s: Lts, max_macro_states: int = 100_000) -> tuple[int, Optional[TraceWitness]]:
+MAX_MACRO_STATES = 100_000  # explored by the traces threshold's subset construction
+
+
+def thresh_traces(s: Lts) -> tuple[int, Optional[TraceWitness]]:
     """Maximum cardinality of the union of t-output index sets over classes
     of non-t-equivalent symbolic traces, computed by determinising the
     transition system over the non-t projection of its visible labels
@@ -105,8 +108,8 @@ def thresh_traces(s: Lts, max_macro_states: int = 100_000) -> tuple[int, Optiona
     seen = {root}
     queue = deque([(root, ())])
     while queue:
-        if len(seen) > max_macro_states:
-            raise BoundExceeded("subset-construction state", max_macro_states,
+        if len(seen) > MAX_MACRO_STATES:
+            raise BoundExceeded("subset-construction state", MAX_MACRO_STATES,
                                 f"{len(queue)} macro-states pending")
         macro, rep = queue.popleft()
         groups: dict = {}
@@ -207,16 +210,15 @@ def _cond_value(cond: Condition, atom_truth: dict) -> bool:
     return (not v) if cond.negated else v
 
 
-def thresh_failures(defs: Definitions, s: Lts) -> tuple[int, Optional[str], list[str]]:
-    """The stable-failures threshold: the traces threshold joined with, per
-    state reachable at the start or right after a visible label and per
-    consistent valuation of the guarding conditions, the count of distinct
-    t-output variables plus t-input positions (with multiplicity) over the
-    enabled frontier events.
+def thresh_failures(s: Lts, t_best: int) -> tuple[int, Optional[str], list[str]]:
+    """The stable-failures threshold: the traces threshold t_best (from
+    thresh_traces) joined with, per state reachable at the start or right
+    after a visible label and per consistent valuation of the guarding
+    conditions, the count of distinct t-output variables plus t-input
+    positions (with multiplicity) over the enabled frontier events.
 
     Returns (value, witness description, notes)."""
     notes = []
-    t_best, _ = thresh_traces(s)
     best = t_best
     witness = None
     max_classes = 0
@@ -290,7 +292,7 @@ def compute_thresholds(defs: Definitions, spec: str, model: str,
             raise SemanticsError(
                 "failures threshold undefined: a construct combines a "
                 "nondeterministic t-selection with a deterministic input")
-        f_val, f_wit, notes = thresh_failures(defs, s)
+        f_val, f_wit, notes = thresh_failures(s, t_val)
         report.failures = f_val
         report.failures_witness = f_wit
         report.notes += notes

@@ -76,10 +76,11 @@ from .syntax import (
     ExtChoice, Hide, Ident, If, IndexedInterleave, IntChoice, Interleave,
     MixedGuard, Prefix, ProcessTerm, Rename, ReplAlphaPar, ReplExtChoice,
     ReplIntChoice, ReplInterleave, SharedPar, Sliding, Stop, TType, TVal,
-    VarRef, binders, canonicalise, check_instantiated, classify_fields, comms,
-    construct_binding, domain_values, eval_bool, eval_condition_closed,
+    KEEPING, VarRef, binders, canonicalise, check_instantiated, classify_fields,
+    comms, construct_binding, domain_values, eval_bool, eval_condition,
     eval_scalar, free_vars, map_subterms, permute_t, replace_selections,
-    subst_event_set, substitute, subterms, t_values, unfold_walk, with_subterms,
+    selections, subst_event_set, substitute, subterms, t_values, unfold_walk,
+    with_subterms,
 )
 
 DEFAULT_MAX_STATES = 200_000
@@ -166,7 +167,7 @@ def _union_set(a: EventSet, b: EventSet) -> EventSet:
 
 def eval_guard(guard) -> bool:
     if isinstance(guard, Condition):
-        return eval_condition_closed(guard)
+        return eval_condition(guard, {})
     if isinstance(guard, MixedGuard):
         if any(isinstance(l, str) or isinstance(r, str) for l, r in guard.t_atoms):
             raise SemanticsError("guard with unbound t-variables reached evaluation")
@@ -337,16 +338,14 @@ class Engine:
 
     def _fire(self, p: int, pos: _Position, env: tuple) -> list:
         alpha, scope = self.closed(p, env)
-        sets = classify_fields(alpha)
-        for sel, dollar in (("non-t", sets.dollar_nont), ("t", sets.dollar_t)):
-            if dollar:
-                fields = [alpha.fields[i - 1] for i in sorted(dollar)]
-                q = self._stage(p, sel, tuple(f.payload for f in fields))
-                domains = [domain_values(f.ty, self.tvalues) for f in fields]
-                return [(TAU, alpha.uid, q, env + vs) for vs in itertools.product(*domains)]
-        cont = pos.kids[0]
+        for sel in ("non-t", "t"):
+            names, values = selections(alpha, sel, self.tvalues)
+            if names:
+                q = self._stage(p, sel, names)
+                return [(TAU, alpha.uid, q, env + vs) for vs in values]
+        cont, query = pos.kids[0], classify_fields(alpha).query
         return [(Event(alpha.channel, values), alpha.uid, cont,
-                 self.env_of(cont, {**scope, **construct_binding(alpha, values, sets.query)}))
+                 self.env_of(cont, {**scope, **construct_binding(alpha, values, query)}))
                 for values in comms(alpha, self.tvalues)]
 
     def unfold(self, p: int, env: tuple) -> tuple:
@@ -758,19 +757,13 @@ class StateGraph:
     # The operator rules: each takes the node's key and its blanked
     # operator, and lists the successors in the order of the CSP rules.
 
-    def _ext_choice(self, key, blank):
-        op, l, r = key
-        out = [(lab, uid, self._node((op, t, r)) if lab is TAU else t)
-               for lab, uid, t in self.successors(l)]
-        out += [(lab, uid, self._node((op, l, t)) if lab is TAU else t)
-                for lab, uid, t in self.successors(r)]
-        return out
-
-    def _sliding(self, key, blank):
-        op, l, r = key
-        out = [(TAU, None, r)]
-        out += [(lab, uid, self._node((op, t, r)) if lab is TAU else t)
-                for lab, uid, t in self.successors(l)]
+    def _choice(self, key, blank):
+        # τs of the operands the choice keeps (syntax.KEEPING) keep it
+        # around their targets, visible moves resolve it; [> also slides
+        out = [(TAU, None, key[2])] if blank.__class__ is Sliding else []
+        for i in KEEPING[blank.__class__]:
+            out += [(lab, uid, self._node(key[:i + 1] + (t,) + key[i + 2:])
+                     if lab is TAU else t) for lab, uid, t in self.successors(key[i + 1])]
         return out
 
     def _hide(self, key, blank: Hide):
@@ -848,8 +841,8 @@ def _by_label(succ) -> dict:
 
 
 _RULES = {
-    ExtChoice: StateGraph._ext_choice,
-    Sliding: StateGraph._sliding,
+    ExtChoice: StateGraph._choice,
+    Sliding: StateGraph._choice,
     Interleave: StateGraph._indexed_interleave,
     IndexedInterleave: StateGraph._indexed_interleave,
     Hide: StateGraph._hide,
@@ -859,24 +852,13 @@ _RULES = {
 }
 
 
-# The operators that stay around an operand after it moves: an identifier
-# reached again below one of them nests every state one level deeper.  Of
-# sliding choice only the left operand keeps its context.
-_KEEPERS = (ExtChoice, Interleave, SharedPar, AlphaPar, Hide, Rename,
-            ReplInterleave, ReplExtChoice, ReplAlphaPar)
-
-
-def _keeps(term: ProcessTerm, i: int) -> bool:
-    """Whether the term keeps its context around its i-th subterm."""
-    return isinstance(term, _KEEPERS) or (isinstance(term, Sliding) and i == 0)
-
-
 def _calls(eq: Equation):
     """(keeps, callee, guarded, passes) for each identifier occurrence of the
-    body outside prefixes: keeps when an operator above it keeps its
-    context, guarded when a conditional is above it, and passes when its
-    arguments are the equation's parameters in order, with no binder above
-    shadowing one."""
+    body outside prefixes: keeps when an operator above it stays around it
+    after it moves (syntax.KEEPING), so that an identifier reached again
+    there nests every state one level deeper; guarded when a conditional
+    is above it; and passes when its arguments are the equation's
+    parameters in order, with no binder above shadowing one."""
     own = tuple(VarRef(p) for p in eq.params)
 
     def walk(term, keeps, guarded, shadowed):
@@ -885,7 +867,7 @@ def _calls(eq: Equation):
         elif not isinstance(term, Prefix):
             shadowed = shadowed or any(v in eq.params for v in binders(term))
             for i, sub in enumerate(subterms(term)):
-                yield from walk(sub, keeps or _keeps(term, i),
+                yield from walk(sub, keeps or i in KEEPING.get(term.__class__, ()),
                                 guarded or isinstance(term, If), shadowed)
 
     return walk(eq.body, False, False, False)
@@ -917,13 +899,12 @@ def check_guarded_recursion(term: ProcessTerm, defs: Definitions) -> None:
 
 
 def build_lts(defs: Definitions, proc: Union[str, ProcessTerm], tsize: int,
-              max_states: int = DEFAULT_MAX_STATES,
-              init_subst: Optional[dict] = None, *,
+              max_states: int = DEFAULT_MAX_STATES, *,
               symmetric_from: Optional[int] = None, unfold_calls: bool = True) -> Lts:
     """Breadth-first closure of the transition rules from the given process
-    (a defined name or a term, closed once init_subst is applied).  The
-    states are terms; the keys are the state classes of this build's state
-    graph, so they identify states within one build only.
+    (a defined name or a closed term).  The states are terms; the keys are
+    the state classes of this build's state graph, so they identify states
+    within one build only.
 
     With symmetric_from = B, the root and every successor target are
     replaced by their orbit representatives under the permutations of
@@ -956,7 +937,7 @@ def build_lts(defs: Definitions, proc: Union[str, ProcessTerm], tsize: int,
     engine = Engine(defs, tsize)
     graph = StateGraph(engine, symmetric_from, unfold_calls)
     p = engine.body(proc) if isinstance(proc, str) else engine.number(term)
-    root = graph.intern(p, engine.env_of(p, init_subst or {}))
+    root = graph.intern(p, engine.env_of(p, {}))
     state = graph.state
     rep = graph.representative if symmetric_from is not None else (lambda i: i)
     with terms_bounded():

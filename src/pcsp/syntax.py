@@ -13,9 +13,10 @@ every semantics consumes.
 It rewrites free names through an environment and either lets binders
 shadow it (``substitute``) or renames them to ``#0, #1, ...`` in traversal
 order (``canonicalise``).  A canonicalising walk also records the free
-names it meets and the uids of the constructs it passes, so ``free_vars``,
-``alpha_canonical`` and the state keys of the semantics all come from it
-(the standard semantics canonicalises one node of a term at a time).
+names it meets and the uids of the constructs it passes, so ``free_vars``
+and the state keys of the semantics all come from it (the standard
+semantics canonicalises one node of a term at a time, the symbolic
+semantics a whole state).
 The operator table ``OPERATORS`` is the one owner of operator syntax:
 for each operator other than prefix, guard, if/then/else and call it gives
 the symbols and layout, the binding level and the level of each operand,
@@ -23,7 +24,9 @@ and the parser and the printer both read it.  ``subterms``/``map_subterms``
 read the subterm table, the process-term fields of each of the 17 term
 classes, which the operator table gives for its operators; walkers that
 only descend into subterms take them from there and keep explicit cases
-for the node kinds they act on.  Every other field is data:
+for the node kinds they act on.  ``KEEPING`` gives the operands each
+operator stays around when they move, ``selections`` the $-selections of
+a construct in one scope, for every semantics.  Every other field is data:
 ``t_values``/``permute_t`` find and rename the t-values in it, for the
 side-condition checkers, the symmetry reduction and the renaming of
 events.  ``unfold_walk`` visits every node reachable through the
@@ -215,10 +218,6 @@ class IndexSets:
     bang_nont: frozenset[int]
 
     @property
-    def dollar(self) -> frozenset[int]:
-        return self.dollar_t | self.dollar_nont
-
-    @property
     def query(self) -> frozenset[int]:
         return self.query_t | self.query_nont
 
@@ -242,21 +241,21 @@ def classify_fields(alpha: Construct) -> IndexSets:
 
 
 def replace_selections(alpha: Construct, scope: str) -> Construct:
-    """Turn $-fields in scope ('t', 'non-t' or 'both') into !-fields with null
+    """Turn $-fields in scope ('t' or 'non-t') into !-fields with null
     annotation; all other fields are unchanged."""
-    if scope not in ("t", "non-t", "both"):
-        raise ValueError(f"bad scope {scope!r}")
-    out = []
-    for f in alpha.fields:
-        if f.sel == DOLLAR and (
-            scope == "both"
-            or (scope == "t" and f.is_t())
-            or (scope == "non-t" and not f.is_t())
-        ):
-            out.append(Field(BANG, f.payload, None, bang_is_t=f.is_t()))
-        else:
-            out.append(f)
-    return Construct(alpha.channel, tuple(out), uid=alpha.uid)
+    return Construct(alpha.channel, tuple(
+        Field(BANG, f.payload, None, bang_is_t=f.is_t())
+        if f.sel == DOLLAR and f.is_t() == (scope == "t") else f
+        for f in alpha.fields), uid=alpha.uid)
+
+
+def selections(alpha: Construct, scope: str, tvalues: tuple[TVal, ...]):
+    """The $-selections of a construct in scope ('t' or 'non-t'): their
+    names in field order, and every tuple of their values, the last field
+    varying fastest.  No names and one empty tuple when none is in scope."""
+    chosen = [f for f in alpha.fields if f.sel == DOLLAR and f.is_t() == (scope == "t")]
+    return (tuple(f.payload for f in chosen),
+            itertools.product(*[domain_values(f.ty, tvalues) for f in chosen]))
 
 
 # ---------------------------------------------------------------------------
@@ -277,9 +276,6 @@ class Condition:
 
     def negate(self) -> "Condition":
         return Condition(not self.negated, self.atoms)
-
-    def closed(self) -> bool:
-        return all(isinstance(s, TVal) for a in self.atoms for s in a)
 
 
 # Non-t boolean expressions: naturals with +, -, min, and non-t value equality.
@@ -393,12 +389,18 @@ def eval_bool(b: BoolExpr) -> bool:
     raise SemanticsError(f"cannot evaluate {b!r}")
 
 
-def eval_condition_closed(cond: Condition) -> bool:
-    """Evaluate a t-condition all of whose atom sides are values."""
-    if not cond.closed():
-        raise SemanticsError("t-condition with unbound variables reached evaluation")
-    result = all(l == r for l, r in cond.atoms)
-    return (not result) if cond.negated else result
+def eval_condition(cond: Condition, env: dict) -> bool:
+    """Evaluate a t-condition, its variables taking their values in env."""
+    vals = []
+    for l, r in cond.atoms:
+        lv = env.get(l, l) if isinstance(l, str) else l
+        rv = env.get(r, r) if isinstance(r, str) else r
+        if isinstance(lv, str) or isinstance(rv, str):
+            raise SemanticsError(
+                f"condition variable {lv if isinstance(lv, str) else rv!r} "
+                "is not bound by the environment")
+        vals.append(lv == rv)
+    return all(vals) != cond.negated
 
 
 # ---------------------------------------------------------------------------
@@ -624,6 +626,18 @@ _SUBTERM_FIELDS: dict[type, tuple[str, ...]] = {
     If: ("then", "els"),
     Ident: (),
     **{cls: tuple(op.operands) for cls, op in OPERATORS.items()},
+}
+
+
+# The keeping table: the operands, by subterm position, that an operator
+# stays around when they move by τ (or, symbolically, by a condition).
+# Both of [] and the left of [> keep their choice, which a visible move
+# resolves; the parallels, hiding, renaming and the replicated operators
+# other than internal choice stay around every move of their operands.
+KEEPING: dict[type, tuple[int, ...]] = {
+    ExtChoice: (0, 1), Sliding: (0,),
+    **{cls: (0, 1) for cls in (Interleave, IndexedInterleave, SharedPar, AlphaPar)},
+    **{cls: (0,) for cls in (Hide, Rename, ReplInterleave, ReplExtChoice, ReplAlphaPar)},
 }
 
 
@@ -1004,12 +1018,6 @@ def canonicalise(term: ProcessTerm, env: Optional[dict[str, SubstValue]] = None
     return canon, frozenset(scope.free), tuple(ren.uids)
 
 
-def alpha_canonical(term: ProcessTerm,
-                    env: Optional[dict[str, SubstValue]] = None) -> ProcessTerm:
-    """The alpha-canonical form of a term under env (see canonicalise)."""
-    return canonicalise(term, env)[0]
-
-
 def free_vars(term: ProcessTerm) -> frozenset[str]:
     """Free variables of a process term."""
     return canonicalise(term)[1]
@@ -1020,23 +1028,22 @@ def free_vars(term: ProcessTerm) -> frozenset[str]:
 
 def initial_spine(term: ProcessTerm, defs: Definitions) -> Iterator[ProcessTerm]:
     """The nodes of a sequential process up to and including its initial
-    prefixes: both operands of a choice, both branches of a conditional and
-    the body of an identifier, which is unfolded where it is first met and
-    never again.  Iterative, so the depth of a term costs no stack."""
+    prefixes: the subterms of every other node (both operands of a choice,
+    both branches of a conditional) and the body of an identifier, which is
+    unfolded where it is first met and never again.  Iterative, so the
+    depth of a term costs no stack."""
     seen = set()
     stack = [term]
     while stack:
         node = stack.pop()
         yield node
-        if isinstance(node, (ExtChoice, IntChoice, Sliding)):
-            stack += (node.right, node.left)
-        elif isinstance(node, If):
-            stack += (node.els, node.then)
-        elif isinstance(node, Ident) and node.name not in seen:
+        if isinstance(node, Ident) and node.name not in seen:
             eq = defs.equations.get(node.name)
             if eq is not None:
                 seen.add(node.name)
                 stack.append(eq.body)
+        elif not isinstance(node, Prefix):
+            stack += reversed(subterms(node))
 
 
 def channels(term: ProcessTerm, defs: Definitions) -> frozenset[str]:
@@ -1083,42 +1090,43 @@ def domain_values(ty: TypeExpr, tvalues: tuple[TVal, ...]):
     raise SemanticsError(f"bad annotation {ty!r}")
 
 
+def _enumerate(alpha: Construct, step) -> list[tuple]:
+    """The tuples a construct describes, enumerated field by field from
+    the left: step(field, binding) lists the (item, binding) options of a
+    field under the bindings of the inputs to its left."""
+    rows = [((), {})]
+    for f in alpha.fields:
+        rows = [(items + (item,), inner) for items, binding in rows
+                for item, inner in step(f, binding)]
+    return [items for items, _ in rows]
+
+
 def comms(alpha: Construct, tvalues: tuple[TVal, ...]) -> list[tuple[Value, ...]]:
     """Value tuples of the concrete events a $-free construct describes.
 
     Fields enumerate left-to-right with values ascending; input bindings are
     visible to the fields to their right, so an output field may repeat an
     earlier input of the same communication."""
-    sets = classify_fields(alpha)
-    if sets.dollar:
+    if any(f.sel == DOLLAR for f in alpha.fields):
         raise SemanticsError("comms applied to a construct with nondeterministic selections")
 
-    def extend(prefixes, idx):
-        if idx == len(alpha.fields):
-            return [vs for vs, _ in prefixes]
-        f = alpha.fields[idx]
-        out = []
-        for vs, binding in prefixes:
-            if f.sel == QUERY:
-                ty = _type(f.ty, binding)
-                for v in domain_values(ty, tvalues):
-                    out.append((vs + (v,), {**binding, f.payload: v}))
-            else:
-                v = f.payload
-                if isinstance(v, str):
-                    v = binding.get(v)
-                    if v is None:
-                        raise SemanticsError(
-                            f"unbound output variable {f.payload!r}")
-                    if isinstance(v, TVal) != f.bang_is_t:
-                        raise SemanticsError(
-                            f"output variable {f.payload!r} bound to a value "
-                            "of the wrong type within one construct")
-                check_instantiated(v, tvalues)
-                out.append((vs + (v,), binding))
-        return extend(out, idx + 1)
+    def step(f, binding):
+        if f.sel == QUERY:
+            return [(v, {**binding, f.payload: v})
+                    for v in domain_values(_type(f.ty, binding), tvalues)]
+        v = f.payload
+        if isinstance(v, str):
+            v = binding.get(v)
+            if v is None:
+                raise SemanticsError(f"unbound output variable {f.payload!r}")
+            if isinstance(v, TVal) != f.bang_is_t:
+                raise SemanticsError(
+                    f"output variable {f.payload!r} bound to a value "
+                    "of the wrong type within one construct")
+        check_instantiated(v, tvalues)
+        return [(v, binding)]
 
-    return extend([((), {})], 0)
+    return _enumerate(alpha, step)
 
 
 def comms_nont(alpha: Construct) -> list[Construct]:
@@ -1126,31 +1134,20 @@ def comms_nont(alpha: Construct) -> list[Construct]:
     selections: non-t deterministic inputs are resolved to outputs (visible
     to the non-t fields to their right), the parts involving t stay
     symbolic."""
-    sets = classify_fields(alpha)
-    if sets.dollar_nont:
+    if classify_fields(alpha).dollar_nont:
         raise SemanticsError(
             "comms_nont applied to a construct with non-t nondeterministic selections")
 
-    def extend(prefixes, idx):
-        if idx == len(alpha.fields):
-            return [fs for fs, _ in prefixes]
-        f = alpha.fields[idx]
-        out = []
-        for fs, binding in prefixes:
-            if f.sel == QUERY and not f.is_t():
-                for v in domain_values(_type(f.ty, binding), ()):
-                    out.append((fs + (Field(BANG, v, None, bang_is_t=False),),
-                                {**binding, f.payload: v}))
-            elif (f.sel == BANG and not f.bang_is_t
-                  and isinstance(f.payload, str) and f.payload in binding):
-                out.append((fs + (Field(BANG, binding[f.payload], None, False),),
-                            binding))
-            else:
-                out.append((fs + (f,), binding))
-        return extend(out, idx + 1)
+    def step(f, binding):
+        if f.sel == QUERY and not f.is_t():
+            return [(Field(BANG, v, None, bang_is_t=False), {**binding, f.payload: v})
+                    for v in domain_values(_type(f.ty, binding), ())]
+        if (f.sel == BANG and not f.bang_is_t
+                and isinstance(f.payload, str) and f.payload in binding):
+            return [(Field(BANG, binding[f.payload], None, False), binding)]
+        return [(f, binding)]
 
-    return [Construct(alpha.channel, tuple(fs), uid=alpha.uid)
-            for fs in extend([((), {})], 0)]
+    return [Construct(alpha.channel, fs, uid=alpha.uid) for fs in _enumerate(alpha, step)]
 
 
 def construct_binding(alpha: Construct, values: tuple[Value, ...],

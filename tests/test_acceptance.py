@@ -71,10 +71,11 @@ def test_criterion_2_symbolic_structure():
 def test_criterion_3_thresholds():
     mutex = load("mutex.pcsp")
     tc = load("traces-count.pcsp")
+    spec = build_sslts(mutex, "Spec")
     got = {
-        "mutex/traces": thresh_traces(build_sslts(mutex, "Spec"))[0],
+        "mutex/traces": thresh_traces(spec)[0],
         "P/traces": thresh_traces(build_sslts(tc, "P"))[0],
-        "mutex/failures": thresh_failures(mutex, build_sslts(mutex, "Spec"))[0],
+        "mutex/failures": thresh_failures(spec, thresh_traces(spec)[0])[0],
         "Q/traces": thresh_traces(build_sslts(tc, "Q"))[0],
     }
     want = {"mutex/traces": 1, "P/traces": 2, "mutex/failures": 1, "Q/traces": 1}

@@ -1,13 +1,19 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import pcsp
 from conftest import RENAMED_CONSTANT, symmetric_mutant
 from pcsp import std_semantics
 from pcsp.cli import main
+from pcsp.parser import MAX_DEPTH
 
 
 def run(capsys, *argv):
@@ -319,6 +325,36 @@ def test_too_deeply_nested_definition_exits_2(tmp_path, capsys, body):
     assert code == 2 and out == ""
     assert err.endswith("the definition of 'P' nests too deeply\n")
     assert "Traceback" not in err
+
+
+def _deep_body(shape: str, n: int) -> str:
+    """An equation body n + 1 terms deep: a chain of n prefixes, or an n-way
+    choice (which associates to the left)."""
+    return "a -> " * n + "STOP" if shape == "prefixes" else " [] ".join(["a -> STOP"] * n)
+
+
+@pytest.mark.parametrize("shape", ["prefixes", "choices"])
+def test_a_body_at_the_nesting_bound_parses(tmp_path, shape):
+    # in a fresh interpreter: below pytest's own frames, the parser of a
+    # Python whose frames take C stack overflows near the bound
+    src = tmp_path / "deep.pcsp"
+    src.write_text(f"channel a\nP = {_deep_body(shape, MAX_DEPTH - 1)}\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(pcsp.__file__).parent.parent)]
+        + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    probe = "import sys; from pcsp.parser import parse_file; parse_file(sys.argv[1])"
+    done = subprocess.run([sys.executable, "-c", probe, str(src)], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("shape", ["prefixes", "choices"])
+def test_a_body_beyond_the_nesting_bound_exits_2(tmp_path, capsys, shape):
+    src = tmp_path / "deep.pcsp"
+    src.write_text(f"channel a\nP = {_deep_body(shape, MAX_DEPTH)}\n")
+    code, out, err = run(capsys, "lts", str(src), "--proc", "P", "--tsize", "1")
+    assert code == 2 and out == ""
+    assert err == f"{src}:2:1: the definition of 'P' nests too deeply\n"
 
 
 def test_missing_file_exits_2(capsys):

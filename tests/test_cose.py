@@ -6,7 +6,7 @@ import pytest
 
 from conftest import CORPUS_SEQ, SEQNORM_SPECS, load, proc_body
 from pcsp.analysis import strong_bisim
-from pcsp import cose
+from pcsp import ssos
 from pcsp.cose import Configuration, concretize, insts, match
 from pcsp.errors import SemanticsError
 from pcsp.lts import Event, TAU
@@ -210,8 +210,8 @@ def test_symbolic_rules_run_once_per_symbolic_state():
     defs = load("traces-count.pcsp")
     counts = []
     for n in (3, 8):
-        with mock.patch("pcsp.cose.sym_successors",
-                        wraps=cose.sym_successors) as calls:
+        with mock.patch("pcsp.ssos.successors",
+                        wraps=ssos.successors) as calls:
             lts = concretize(defs, "P", n)
         counts.append(calls.call_count)
     assert counts[0] == counts[1] < lts.n_states()

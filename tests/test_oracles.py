@@ -4,9 +4,9 @@ congruence of the two concrete semantics on randomly generated sequential
 terms, strong bisimulation over interned labels against the
 label_key-signature partition refinement it replaced, the free names
 and construct uids of the canonicalising walk against the separate
-free-variable and construct walks it replaced, concretize over its
-table of symbolic states against the walk per event instance it
-replaced, build_lts over (position, env) leaves against the term-keyed
+free-variable and construct walks it replaced, build_sslts and concretize
+over a table of symbolic states against the walk per successor and per
+event instance they replaced, build_lts over (position, env) leaves against the term-keyed
 leaves it replaced, and the build modulo the symmetry that phi leaves
 against the full build, after phi."""
 
@@ -17,7 +17,7 @@ import itertools
 
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import ALL_CORPUS_FILES, load, proc_body, symmetric_mutant
+from conftest import ALL_CORPUS_FILES, CORPUS_SEQ, load, proc_body, symmetric_mutant
 from pcsp import reduction
 from pcsp.analysis import (
     divergence_free, refines, refines_failures, refines_traces, strong_bisim,
@@ -33,7 +33,7 @@ from pcsp.parser import parse_definitions
 from pcsp.pretty import fmt_term
 from pcsp.record import fields, replace
 from pcsp.reduction import CollapsingFn
-from pcsp.ssos import Cond, require_seq, resolve_selections, unfold_ident
+from pcsp.ssos import Cond, build_sslts, require_seq, sym_label_key, unfold_ident
 from pcsp.ssos import successors as sym_successors
 from pcsp.std_semantics import (
     DEFAULT_MAX_STATES, Engine, StateGraph, build_lts, check_guarded_recursion,
@@ -45,9 +45,9 @@ from pcsp.syntax import (
     Ident, If, IndexedInterleave, IntChoice, Interleave, MixedGuard, NamedType,
     NatMin, NatOp, Prefix, QUERY, Rename, ReplAlphaPar, ReplExtChoice,
     ReplIntChoice, ReplInterleave, SetType, SharedPar, Sliding, Stop, T_TYPE,
-    TType, TVal, VarRef, alpha_canonical, canonicalise, classify_fields, comms,
-    construct_binding, domain_values, free_vars, map_subterms, subst_event_set,
-    substitute, subterms,
+    TType, TVal, VarRef, canonicalise, classify_fields, comms,
+    construct_binding, domain_values, free_vars, map_subterms, replace_selections,
+    subst_event_set, substitute, subterms,
 )
 from reference import acceptances_after, traces_upto
 
@@ -429,7 +429,7 @@ def _reference_successors_of_config(cfg, defs, tvalues):
     seen_terms = set()
 
     def expand(term):
-        key = alpha_canonical(term)
+        key = canonicalise(term)[0]
         if key in seen_terms:
             return
         seen_terms.add(key)
@@ -543,6 +543,54 @@ def test_concretize_agrees_with_the_reference(term, n, env):
     _check_concretize(_DEFS, term, n, init_env=env)
 
 
+# -- build_sslts over its table against the walk per successor it replaced -
+
+def _reference_build_sslts(defs, proc, max_states=100_000):
+    """build_sslts as it was: every successor term keyed by its own whole
+    canonical form."""
+    term = defs.body(proc) if isinstance(proc, str) else proc
+    require_seq(term, defs)
+    return build(term, canonicalise(term)[0],
+                 lambda t: [(lab, uid, nxt, canonicalise(nxt)[0])
+                            for lab, uid, nxt in sym_successors(t, defs)],
+                 alphabet=frozenset(), tsize=0, max_states=max_states,
+                 describe=fmt_term, order=sym_label_key)
+
+
+def _sslts_outcome(fn, *args):
+    """The printed states (construct uids included), the edges and the
+    root, or the error the build stops with."""
+    try:
+        s = fn(*args)
+    except PcspError as exc:
+        return type(exc).__name__, str(exc)
+    return [repr(t) for t in s.states], s.edges, s.root
+
+
+def _check_sslts(*args):
+    got = _sslts_outcome(build_sslts, *args)
+    assert got == _sslts_outcome(_reference_build_sslts, *args)
+    return got
+
+
+def test_build_sslts_agrees_with_the_reference_on_the_corpus():
+    bounded = 0
+    for fname, proc, _init in CORPUS_SEQ:
+        # a free name of the root stays symbolic
+        defs = load(fname)
+        term = proc_body(defs, proc)
+        assert not isinstance(_check_sslts(defs, term)[0], str), (fname, proc)
+        # the frontier state named when the state bound is hit
+        bounded += _check_sslts(defs, term, 2)[0] == "BoundExceeded"
+    assert bounded > 5
+
+
+@given(st.one_of(terms(), terms(scope=("xfree", "yfree"))))
+@settings(max_examples=150, deadline=None)
+def test_build_sslts_agrees_with_the_reference(term):
+    _check_sslts(_DEFS, term)
+
+
 # -- build_lts over (position, env) leaves against term-keyed leaves -------
 
 def _reference_expand(term, tvalues):
@@ -586,12 +634,19 @@ def _reference_leaf_successors(term, defs, tvalues):
     if isinstance(term, Stop):
         return []
     if isinstance(term, Prefix):
-        for scope in ("non-t", "t"):
-            out = resolve_selections(term, scope, tvalues)
-            if out is not None:
-                return out
+        # the τ-stages: all non-t selections, then all t selections, resolved
+        # to outputs by one τ per choice of values
         alpha = term.construct
-        query = classify_fields(alpha).query
+        sets = classify_fields(alpha)
+        for scope, dollar in (("non-t", sets.dollar_nont), ("t", sets.dollar_t)):
+            if dollar:
+                names = [alpha.fields[i - 1].payload for i in sorted(dollar)]
+                domains = [domain_values(alpha.fields[i - 1].ty, tvalues)
+                           for i in sorted(dollar)]
+                stripped = Prefix(replace_selections(alpha, scope), term.cont)
+                return [(TAU, alpha.uid, substitute(stripped, dict(zip(names, vs))))
+                        for vs in itertools.product(*domains)]
+        query = sets.query
         return [(Event(alpha.channel, values), alpha.uid,
                  substitute(term.cont, construct_binding(alpha, values, query)))
                 for values in comms(alpha, tvalues)]
@@ -699,12 +754,10 @@ class _ReferenceGraph(StateGraph):
         return self.intern(_reference_permute_t(self.leaves[i], pi))
 
 
-def _reference_build_lts(defs, proc, tsize, max_states=DEFAULT_MAX_STATES,
-                         init_subst=None, *, symmetric_from=None):
+def _reference_build_lts(defs, proc, tsize, max_states=DEFAULT_MAX_STATES, *,
+                         symmetric_from=None):
     """build_lts over _ReferenceGraph."""
     term = defs.body(proc) if isinstance(proc, str) else proc
-    if init_subst:
-        term = substitute(term, init_subst)
     check_guarded_recursion(term, defs)
     graph = _ReferenceGraph(Engine(defs, tsize), symmetric_from)
     state = graph.state
@@ -764,8 +817,8 @@ def test_build_lts_agrees_with_the_reference_on_mutex_and_bigprops():
     bigprops = load("bigprops.pcsp")
     for n in range(1, 4):
         for x in range(n):
-            _check_build(bigprops, proc_body(bigprops, "Proc"), n,
-                         init_subst={"x": TVal(x)})
+            _check_build(bigprops, substitute(proc_body(bigprops, "Proc"),
+                                              {"x": TVal(x)}), n)
 
 
 def test_leaves_of_different_positions_merge():
@@ -779,8 +832,8 @@ channel d : t
 P(x, y) = a -> c!x -> d!y -> STOP [] b -> c!x -> d!x -> STOP
   [] e -> c?u:t -> d!u -> STOP [] f -> c?w:t -> d!w -> STOP
 """)
-    states = _check_build(defs, proc_body(defs, "P"), 2,
-                          init_subst={"x": TVal(0), "y": TVal(0)})[0]
+    states = _check_build(defs, substitute(proc_body(defs, "P"),
+                                           {"x": TVal(0), "y": TVal(0)}), 2)[0]
     assert len(states) == 6
 
 
@@ -827,7 +880,7 @@ def leaf_terms(draw):
     replicated operator below a prefix that binds its index set or
     alphabet, or with the whole of t as index set at the top."""
     t1 = draw(terms(scope=("x", "y"), depth=2))
-    t2 = _fresh_uids(alpha_canonical(substitute(t1, {"y": "x"})))
+    t2 = _fresh_uids(canonicalise(substitute(t1, {"y": "x"}))[0])
     repl = draw(st.one_of(_bound_replicated(()), _replicated(())))
     return draw(st.sampled_from((IntChoice(IntChoice(t1, t2), repl),
                                  ExtChoice(t1, Sliding(repl, t2)),
@@ -837,8 +890,7 @@ def leaf_terms(draw):
 @given(leaf_terms(), st.integers(1, 3), st.integers(0, 2), st.integers(0, 2))
 @settings(max_examples=150, deadline=None)
 def test_build_lts_agrees_with_the_reference(term, n, x, y):
-    _check_build(_DEFS, term, n, 400,
-                 init_subst={"x": TVal(x % n), "y": TVal(y % n)})
+    _check_build(_DEFS, substitute(term, {"x": TVal(x % n), "y": TVal(y % n)}), n, 400)
 
 
 # -- the build modulo symmetry against the full build, after phi ----------

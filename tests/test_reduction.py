@@ -60,7 +60,7 @@ def oracle_traces_threshold(s, depth: int) -> int:
 def test_mutex_spec_thresholds(mutex):
     s = build_sslts(mutex, "Spec")
     assert thresh_traces(s)[0] == 1
-    assert thresh_failures(mutex, s)[0] == 1
+    assert thresh_failures(s, thresh_traces(s)[0])[0] == 1
     assert oracle_traces_threshold(s, 4) == 1
 
 
@@ -86,7 +86,7 @@ def test_stop_threshold():
     from pcsp.syntax import Stop
     s = build_sslts(defs, Stop())
     assert thresh_traces(s)[0] == 0
-    assert thresh_failures(defs, s)[0] == 0
+    assert thresh_failures(s, thresh_traces(s)[0])[0] == 0
 
 
 def test_failures_threshold_at_least_traces():
@@ -94,7 +94,10 @@ def test_failures_threshold_at_least_traces():
                         ("bigprops.pcsp", "Proc"), ("ex512.pcsp", "Spec")):
         defs = load(fname)
         s = build_sslts(defs, proc_body(defs, proc))
-        assert thresh_failures(defs, s)[0] >= thresh_traces(s)[0], (fname, proc)
+        traces = thresh_traces(s)[0]
+        # the failures threshold joins the traces threshold it is given
+        assert thresh_failures(s, traces)[0] \
+            == max(traces, thresh_failures(s, 0)[0]), (fname, proc)
 
 
 def test_mixed_inputs_rejected_before_failures_threshold():
@@ -132,14 +135,14 @@ P = d?x:t -> (c!x?y:t -> P [] d?z:t -> P)
 """)
     s = build_sslts(defs, "P")
     assert thresh_traces(s)[0] == 1
-    assert thresh_failures(defs, s)[0] == 3
+    assert thresh_failures(s, thresh_traces(s)[0])[0] == 3
 
 
 def test_bigprops_failures_threshold():
     defs = load("bigprops.pcsp")
     s = build_sslts(defs, proc_body(defs, "Proc"))
     assert thresh_traces(s)[0] == 1
-    value, witness, _notes = thresh_failures(defs, s)
+    value, witness, _notes = thresh_failures(s, thresh_traces(s)[0])
     assert value >= 1
 
 

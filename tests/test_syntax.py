@@ -9,9 +9,9 @@ from pcsp.parser import parse_definitions
 from pcsp.record import FrozenInstanceError, replace
 from pcsp.syntax import (
     Atom, BANG, Condition, Construct, DOLLAR, Field, NamedType, Prefix,
-    QUERY, Stop, T_TYPE, TVal, alpha_canonical, channels, classify_fields,
-    comms, comms_nont, free_vars, permute_t, replace_selections, substitute,
-    t_values,
+    QUERY, Stop, T_TYPE, TVal, canonicalise, channels, classify_fields,
+    comms, comms_nont, free_vars, permute_t, replace_selections, selections,
+    substitute, t_values,
 )
 
 X_TYPE = NamedType("X", (Atom("X", "u", 0), Atom("X", "v", 1)))
@@ -75,20 +75,30 @@ def test_replace_selections_t_scope():
     assert out.fields[0].ty is None and out.fields[0].bang_is_t
 
 
-def test_replace_selections_both():
-    out = replace_selections(eps_construct(), "both")
+def test_replace_selections_in_both_scopes():
+    out = replace_selections(replace_selections(eps_construct(), "t"), "non-t")
     assert [f.sel for f in out.fields] == [BANG, QUERY, BANG, BANG]
 
 
 def test_replace_selections_identity_without_dollars():
     alpha = Construct("c", (Field(QUERY, "x", T_TYPE), Field(BANG, "x", None, True)))
-    assert replace_selections(alpha, "both") == alpha
+    assert replace_selections(alpha, "t") == alpha == replace_selections(alpha, "non-t")
 
 
-def test_replace_composition_matches_both():
+def test_replace_compositions_agree():
     alpha = eps_construct()
     assert replace_selections(replace_selections(alpha, "t"), "non-t") \
-        == replace_selections(alpha, "both")
+        == replace_selections(replace_selections(alpha, "non-t"), "t")
+
+
+def test_selections_in_each_scope():
+    tvalues = (TVal(0), TVal(1))
+    names, values = selections(eps_construct(), "t", tvalues)
+    assert names == ("x1",) and list(values) == [(TVal(0),), (TVal(1),)]
+    names, values = selections(eps_construct(), "non-t", tvalues)
+    assert names == ("x3",) and list(values) == [(a,) for a in X_TYPE.values]
+    names, values = selections(Construct("c", (Field(QUERY, "x", T_TYPE),)), "t", tvalues)
+    assert names == () and list(values) == [()]
 
 
 # -- channels ---------------------------------------------------------------
@@ -212,23 +222,23 @@ Q(x, y, z) = if y==z then d!x -> STOP else STOP
     assert free_vars(defs.equations["Q"].body) == {"x", "y", "z"}
 
 
-def test_alpha_canonical_identifies_renamings():
+def test_canonical_form_identifies_renamings():
     defs = parse_definitions("""
 channel c, d : t
 P = c?a:t -> d!a -> STOP
 Q = c?b:t -> d!b -> STOP
 """)
-    pa = alpha_canonical(defs.equations["P"].body)
-    qb = alpha_canonical(defs.equations["Q"].body)
+    pa = canonicalise(defs.equations["P"].body)[0]
+    qb = canonicalise(defs.equations["Q"].body)[0]
     assert pa == qb
 
 
-def test_alpha_canonical_keeps_free_variables():
+def test_canonical_form_keeps_free_variables():
     defs = parse_definitions("""
 channel c, d : t
 P(v) = c?a:t -> d!v -> STOP
 """)
-    canon = alpha_canonical(defs.equations["P"].body)
+    canon = canonicalise(defs.equations["P"].body)[0]
     assert "v" in free_vars(canon)
 
 
@@ -326,9 +336,9 @@ def terms(draw, scope=(), depth=3):
 
 @given(terms())
 @settings(max_examples=120, deadline=None)
-def test_alpha_canonical_idempotent(term):
-    once = alpha_canonical(term)
-    assert alpha_canonical(once) == once
+def test_canonical_form_idempotent(term):
+    once = canonicalise(term)[0]
+    assert canonicalise(once)[0] == once
 
 
 @given(terms(scope=("xfree",)))
@@ -369,8 +379,9 @@ def test_replace_scopes_compose(term):
         node = stack.pop()
         if isinstance(node, Prefix):
             alpha = node.construct
-            assert replace_selections(replace_selections(alpha, "t"), "non-t") \
-                == replace_selections(alpha, "both")
+            both = replace_selections(replace_selections(alpha, "t"), "non-t")
+            assert both == replace_selections(replace_selections(alpha, "non-t"), "t")
+            assert all(f.sel != DOLLAR for f in both.fields)
             stack.append(node.cont)
         elif hasattr(node, "left"):
             stack.extend([node.left, node.right])
@@ -382,6 +393,6 @@ def test_replace_scopes_compose(term):
        st.fixed_dictionaries({}, optional={
            v: st.builds(TVal, st.integers(0, 2)) for v in ("v1", "v2")}))
 @settings(max_examples=120, deadline=None)
-def test_alpha_canonical_under_env_is_canonical_substitution(term, env):
+def test_canonical_form_under_env_is_canonical_substitution(term, env):
     # binders named v1/v2 shadow the environment in both passes
-    assert alpha_canonical(term, env) == alpha_canonical(substitute(term, env))
+    assert canonicalise(term, env)[0] == canonicalise(substitute(term, env))[0]
