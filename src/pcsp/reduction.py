@@ -17,9 +17,7 @@ from collections import deque
 from typing import Optional
 
 from .analysis import Verdict, divergence_free, refines
-from .conditions import (
-    check_no_mixed_inputs, check_seqnorm, revposconjeqt_evidence,
-)
+from .conditions import check_all, check_typesym_syntactic, revposconjeqt_evidence
 from .errors import BoundExceeded, SemanticsError, UsageError
 from .lts import Event, Lts, TAU, rename_lts, tau_closure
 from .record import field, record
@@ -283,8 +281,7 @@ def compute_thresholds(defs: Definitions, spec: str, model: str,
     t_val, t_wit = thresh_traces(s)
     report = ThresholdReport(traces=t_val, traces_witness=t_wit)
     if model == "failures":
-        norm = check_seqnorm(spec, defs)
-        mixed = check_no_mixed_inputs(spec, defs)
+        _, _, norm, _, mixed = check_all(spec, defs)
         if not norm.ok():
             raise SemanticsError(
                 "failures threshold requires a SeqNorm specification")
@@ -365,16 +362,11 @@ def verify_pmcp(defs: Definitions, spec: str, impl: str, model: str,
 
     Any failed hypothesis downgrades the verdict to direct per-size checks.
     """
-    conditions = []
     caveats = []
-    hypotheses_ok = True
-
-    seqnorm = check_seqnorm(spec, defs)
-    conditions.append(seqnorm)
-    if not seqnorm.ok():
-        hypotheses_ok = False
-
-    if seqnorm.ok():
+    _, _, seqnorm, _, mixed = check_all(spec, defs)
+    conditions = [seqnorm]
+    hypotheses_ok = seqnorm.ok()
+    if hypotheses_ok:
         eqt = revposconjeqt_evidence(spec, defs, model, eqt_sizes, max_states)
         conditions.append(eqt)
         if eqt.verdict == "fail":
@@ -385,12 +377,10 @@ def verify_pmcp(defs: Definitions, spec: str, impl: str, model: str,
                 f"(sampled at sizes {{{','.join(map(str, eqt_sizes))}}})")
 
     if model == "failures":
-        mixed = check_no_mixed_inputs(spec, defs)
         conditions.append(mixed)
         if not mixed.ok():
             hypotheses_ok = False
 
-    from .conditions import check_typesym_syntactic
     typesym = check_typesym_syntactic(impl, defs)
     conditions.append(typesym)
     if not typesym.ok():

@@ -29,7 +29,7 @@ from .std_semantics import call_binding, check_guarded_recursion, eval_guard
 from .syntax import (
     BANG, KEEPING, Condition, Construct, Definitions, ExtChoice, Ident, If,
     IntChoice, MixedGuard, Prefix, ProcessTerm, Sliding, Stop, canonicalise,
-    classify_fields, comms_nont, construct_binding, replace_selections,
+    classify_fields, comms_nont, construct_binding, free_vars, replace_selections,
     selections, substitute, subterms, value_key, with_subterms,
 )
 
@@ -80,6 +80,9 @@ def fmt_sym_label(label) -> str:
 
 
 def unfold_ident(term: Ident, defs: Definitions):
+    if free_vars(term):  # every variable left in a symbolic state is of type t
+        raise SemanticsError(f"cannot unfold {fmt_term(term)}: the symbolic semantics "
+                             "cannot yet pass a symbolic t-variable as an argument")
     eq, mapping = call_binding(term, defs)
     return substitute(eq.body, mapping)
 

@@ -30,9 +30,7 @@ a construct in one scope, for every semantics.  Every other field is data:
 ``t_values``/``permute_t`` find and rename the t-values in it, for the
 side-condition checkers, the symmetry reduction and the renaming of
 events.  ``unfold_walk`` visits every node reachable through the
-equations, unfolding each identifier once; ``initial_spine`` visits only
-the nodes up to the initial prefixes of a sequential process, which give
-its initial channels.
+equations, unfolding each identifier once.
 """
 
 from __future__ import annotations
@@ -1021,35 +1019,6 @@ def canonicalise(term: ProcessTerm, env: Optional[dict[str, SubstValue]] = None
 def free_vars(term: ProcessTerm) -> frozenset[str]:
     """Free variables of a process term."""
     return canonicalise(term)[1]
-
-
-# ---------------------------------------------------------------------------
-# The initial spine of a sequential process, and its initial channels
-
-def initial_spine(term: ProcessTerm, defs: Definitions) -> Iterator[ProcessTerm]:
-    """The nodes of a sequential process up to and including its initial
-    prefixes: the subterms of every other node (both operands of a choice,
-    both branches of a conditional) and the body of an identifier, which is
-    unfolded where it is first met and never again.  Iterative, so the
-    depth of a term costs no stack."""
-    seen = set()
-    stack = [term]
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, Ident) and node.name not in seen:
-            eq = defs.equations.get(node.name)
-            if eq is not None:
-                seen.add(node.name)
-                stack.append(eq.body)
-        elif not isinstance(node, Prefix):
-            stack += reversed(subterms(node))
-
-
-def channels(term: ProcessTerm, defs: Definitions) -> frozenset[str]:
-    """Channel names of the initial constructs of a sequential process."""
-    return frozenset(node.construct.channel for node in initial_spine(term, defs)
-                     if isinstance(node, Prefix))
 
 
 # ---------------------------------------------------------------------------

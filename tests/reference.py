@@ -3,7 +3,9 @@ output.  None of them is on a command's path: the extensional trace and
 failure oracles decide membership by bounded search, the symbolic-trace
 relation is the paper's definition read literally, and the validators check
 lemmas that hold for every SeqNorm specification, so a violation is a bug
-in the semantics that built the transition system."""
+in the semantics that built the transition system.  The syntactic
+checkers at the end are the five walks that ``conditions.check_all``
+replaced, each re-walking both operands of every binary choice."""
 
 from __future__ import annotations
 
@@ -12,8 +14,14 @@ from typing import Iterator
 from pcsp.cose import eval_condition, insts, match
 from pcsp.lts import Event, Lts, TAU, tau_closure
 from pcsp.pretty import fmt_condition, fmt_term
+from pcsp.report import ConditionReport, Finding
 from pcsp.ssos import Cond, Vis, fmt_sym_label, sym_label_key
-from pcsp.syntax import Definitions, classify_fields
+from pcsp.syntax import (
+    AlphaPar, Condition, Definitions, DOLLAR, ExtChoice, Hide, Ident, If,
+    IntChoice, Interleave, MixedGuard, Prefix, ProcessTerm, QUERY, Rename,
+    ReplAlphaPar, ReplExtChoice, ReplIntChoice, ReplInterleave, SharedPar,
+    Sliding, TType, classify_fields, free_vars, subterms, t_values, unfold_walk,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -274,3 +282,174 @@ def fmt_definitions(defs: Definitions) -> str:
         op = "[T=" if a.model == "traces" else "[F="
         lines.append(f"assert {a.lhs} {op} {a.rhs}")
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# The syntactic side conditions, one walk per report
+
+def initial_spine(term: ProcessTerm, defs: Definitions) -> Iterator[ProcessTerm]:
+    """The nodes of a sequential process up to and including its initial
+    prefixes: the subterms of every other node and the body of an
+    identifier, unfolded where it is first met and never again."""
+    seen = set()
+    stack = [term]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, Ident) and node.name not in seen:
+            eq = defs.equations.get(node.name)
+            if eq is not None:
+                seen.add(node.name)
+                stack.append(eq.body)
+        elif not isinstance(node, Prefix):
+            stack += reversed(subterms(node))
+
+
+def channels(term: ProcessTerm, defs: Definitions) -> frozenset[str]:
+    """Channel names of the initial constructs of a sequential process."""
+    return frozenset(node.construct.channel for node in initial_spine(term, defs)
+                     if isinstance(node, Prefix))
+
+
+def _dollar_t_binders(term: ProcessTerm, defs: Definitions) -> frozenset[str]:
+    """The $-selection variables of type t of every prefix term reaches."""
+    return frozenset(f.payload for node, _ in unfold_walk(term, defs)
+                     if isinstance(node, Prefix)
+                     for f in node.construct.fields if f.sel == DOLLAR and f.is_t())
+
+
+def _walk(proc, defs: Definitions):
+    if isinstance(proc, str):
+        return unfold_walk(defs.equations[proc].body, defs, proc, {proc})
+    return unfold_walk(proc, defs, "<term>", set())
+
+
+def _report(name: str, findings: list) -> ConditionReport:
+    return ConditionReport(name, "fail" if findings else "pass", findings)
+
+
+def _nonwhole_t_selections(node):
+    if isinstance(node, Prefix):
+        for f in node.construct.fields:
+            if f.sel in (DOLLAR, QUERY) and f.is_t() and not isinstance(f.ty, TType):
+                yield f"{f.sel}{f.payload}:{f.ty}"
+    elif isinstance(node, ReplIntChoice) and not isinstance(node.domain, TType):
+        yield f"|~| {node.var}:{node.domain}"
+
+
+def check_data_independence(proc, defs: Definitions) -> ConditionReport:
+    findings = []
+    for node, where in _walk(proc, defs):
+        if isinstance(node, (ReplInterleave, ReplAlphaPar, ReplExtChoice)):
+            findings.append(Finding(
+                "i", "replicated construct indexed over a set depending on t", where))
+        elif isinstance(node, ReplIntChoice) and not isinstance(node.domain, TType):
+            findings.append(Finding(
+                "i", "replicated internal choice not over the whole of t", where))
+        for v in t_values(node):
+            findings.append(Finding("iii", f"constant {v} of type t", where))
+        if isinstance(node, Prefix):
+            for desc in _nonwhole_t_selections(node):
+                findings.append(Finding(
+                    "vi", f"selection {desc} from a set involving t", where))
+    return _report("data-independence", findings)
+
+
+def check_seq(proc, defs: Definitions) -> ConditionReport:
+    findings = [Finding("i", f"not data independent: ({f.clause}) {f.message}", f.where)
+                for f in check_data_independence(proc, defs).findings]
+    for node, where in _walk(proc, defs):
+        if isinstance(node, (Hide, Rename)):
+            what = "hiding" if isinstance(node, Hide) else "renaming"
+            findings.append(Finding("ii", f"contains {what}", where))
+        elif isinstance(node, (AlphaPar, SharedPar, Interleave,
+                               ReplAlphaPar, ReplInterleave)):
+            findings.append(Finding("ii", "not sequential: "
+                                    f"{type(node).__name__} operator", where))
+        elif isinstance(node, (ReplIntChoice, ReplExtChoice)):
+            kind = ("internal" if isinstance(node, ReplIntChoice) else "external")
+            findings.append(Finding("iii", f"replicated {kind} choice", where))
+        elif isinstance(node, If) and isinstance(node.guard, MixedGuard):
+            findings.append(Finding(
+                "iv", "guard mixes variables of type t with other types", where))
+        elif isinstance(node, (ExtChoice, Sliding)):
+            lb = _dollar_t_binders(node.left, defs)
+            rb = _dollar_t_binders(node.right, defs)
+            lf = free_vars(node.left)
+            rf = free_vars(node.right)
+            for clash in sorted((lb & rf) | (rb & lf)):
+                findings.append(Finding(
+                    "v", f"nondeterministic-selection variable {clash!r} of one "
+                    "choice argument is free in the other", where))
+            for clash in sorted((lb & rb) - (lf | rf)):
+                findings.append(Finding(
+                    "v", f"nondeterministic-selection variable {clash!r} is "
+                    "bound in both choice arguments", where))
+        if isinstance(node, Prefix):
+            alpha = node.construct
+            bound_t = [f.payload for f in alpha.fields
+                       if f.sel in (DOLLAR, QUERY) and f.is_t()]
+            for var in bound_t:
+                occurrences = sum(1 for f in alpha.fields if f.payload == var)
+                if occurrences > 1:
+                    findings.append(Finding(
+                        "vi", f"input variable {var!r} of type t occurs "
+                        f"{occurrences} times in one construct", where))
+    return _report("Seq", findings)
+
+
+def check_seqnorm(proc, defs: Definitions) -> ConditionReport:
+    base = check_seq(proc, defs)
+    findings = [Finding("Seq", f"({f.clause}) {f.message}", f.where)
+                for f in base.findings]
+    if not base.findings:
+        for node, where in _walk(proc, defs):
+            if isinstance(node, (ExtChoice, IntChoice, Sliding)):
+                shared = channels(node.left, defs) & channels(node.right, defs)
+                if shared:
+                    findings.append(Finding(
+                        "channels", "choice arguments share channel(s) "
+                        + ", ".join(sorted(shared)), where))
+                for side, sub in (("left", node.left), ("right", node.right)):
+                    if any(isinstance(n, If) and isinstance(n.guard, (Condition, MixedGuard))
+                           for n in initial_spine(sub, defs)):
+                        findings.append(Finding(
+                            "cond-before-prefix",
+                            f"conditional choice on t before a prefix in the "
+                            f"{side} argument of a choice", where))
+    return _report("SeqNorm", findings)
+
+
+def check_typesym_syntactic(proc, defs: Definitions) -> ConditionReport:
+    findings = []
+    for node, where in _walk(proc, defs):
+        for v in t_values(node):
+            findings.append(Finding("i", f"constant {v} of type t", where))
+        for desc in _nonwhole_t_selections(node):
+            findings.append(Finding(
+                "iv", f"selection {desc} from a set involving t", where))
+        if isinstance(node, (ReplInterleave, ReplExtChoice, ReplAlphaPar)) \
+                and not isinstance(node.domain, TType):
+            findings.append(Finding(
+                "iv", "replicated operator indexed over a proper subset of t", where))
+    return _report("TypeSym-syntactic", findings)
+
+
+def check_no_mixed_inputs(proc, defs: Definitions) -> ConditionReport:
+    findings = []
+    for node, where in _walk(proc, defs):
+        if isinstance(node, Prefix):
+            sets = classify_fields(node.construct)
+            if sets.dollar_t and sets.query:
+                findings.append(Finding(
+                    "mixed", "construct on channel "
+                    f"{node.construct.channel!r} combines a nondeterministic "
+                    "selection over t with a deterministic input", where))
+    return _report("no-mixed-inputs", findings)
+
+
+def check_all(proc, defs: Definitions) -> list[ConditionReport]:
+    """The five syntactic reports, one walk each."""
+    return [check(proc, defs) for check in (
+        check_data_independence, check_seq, check_seqnorm,
+        check_typesym_syntactic, check_no_mixed_inputs)]

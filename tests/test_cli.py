@@ -296,6 +296,26 @@ def test_symbolic_semantics_reject_a_process_outside_seq(capsys, command):
                    "'x' of type t occurs 2 times in one construct\n")
 
 
+_T_VARIABLE_ARGUMENT = ("channel enterCS, leaveCS : t\n"
+                        "Spec = enterCS$i:t -> Inside(i)\n"
+                        "Inside(i) = leaveCS!i -> Spec\n")
+_CANNOT_UNFOLD = ("cannot unfold Inside(i): the symbolic semantics cannot yet "
+                  "pass a symbolic t-variable as an argument")
+
+
+def test_a_symbolic_t_variable_as_an_argument_is_named(tmp_path, capsys):
+    src = tmp_path / "arg.pcsp"
+    src.write_text(_T_VARIABLE_ARGUMENT)
+    code, out, err = run(capsys, "sslts", str(src), "--proc", "Spec")
+    assert code == 2 and out == ""
+    assert err == f"error: {_CANNOT_UNFOLD}\n"
+    code, out, _ = run(capsys, "verify", str(src), "--spec", "Spec",
+                       "--impl", "Spec", "--sizes", "1..2")
+    assert code == 0
+    assert f"caveat: threshold computation failed: {_CANNOT_UNFOLD}\n" in out
+    assert "#T=2 [direct] Spec({0..1}) vs Spec({0..1}): holds" in out
+
+
 @pytest.mark.parametrize("command", [("lts", "--tsize", "1"), ("sslts",),
                                      ("cose", "--tsize", "1")])
 def test_mutual_recursion_behind_a_conditional_exits_2_at_once(tmp_path, capsys, command):

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings
 
+import reference
 from conftest import ALL_CORPUS_FILES, RENAMED_CONSTANT, load
 from pcsp import conditions
 from pcsp.parser import parse_definitions
 from pcsp.syntax import Stop
+from test_oracles import _DEFS, call_graphs
+from test_syntax import terms
 
 
 # -- data independence -------------------------------------------------------
@@ -68,6 +72,41 @@ def test_shared_channel_choice_fails_seqnorm():
 
 def test_mutex_spec_satisfies_seqnorm(mutex):
     assert conditions.check_seqnorm("Spec", mutex).verdict == "pass"
+
+
+def test_disjoint_initial_channels_pass_seqnorm():
+    defs = parse_definitions("""
+channel enterCS, leaveCS : t
+Spec = enterCS$i:t -> leaveCS!i -> Spec
+P = Spec [] leaveCS$j:t -> STOP
+""")
+    assert conditions.check_seqnorm(Stop(), defs).verdict == "pass"
+    assert conditions.check_seqnorm("Spec", defs).verdict == "pass"
+    # a call's initial channels are those of its equation's body
+    assert conditions.check_seqnorm("P", defs).verdict == "pass"
+
+
+def test_initial_channels_of_an_internal_choice_are_the_union():
+    defs = parse_definitions("""
+channel a, b : t
+P = a$x:t -> STOP |~| b$x:t -> STOP
+Q = P [] b$y:t -> STOP
+""")
+    assert conditions.check_seqnorm("P", defs).verdict == "pass"
+    r = conditions.check_seqnorm("Q", defs)
+    assert [(f.clause, f.message, f.where) for f in r.findings] == [
+        ("channels", "choice arguments share channel(s) b", "Q")]
+
+
+def test_initial_channels_terminate_on_an_unguarded_cycle():
+    defs = parse_definitions("""
+channel a
+P = Q [] a -> STOP
+Q = P
+""")
+    r = conditions.check_seqnorm("P", defs)
+    assert [(f.clause, f.message) for f in r.findings] == [
+        ("channels", "choice arguments share channel(s) a")]
 
 
 def test_conditional_before_prefix_fails_seqnorm():
@@ -207,3 +246,36 @@ Q = a$y:t -> P
                     conditions.check_no_mixed_inputs):
         r = checker("P", defs)
         assert r.verdict in ("pass", "fail")
+
+
+# -- one walk against a walk per report -------------------------------------------
+
+def _agrees(proc, defs):
+    got = [r.to_dict() for r in conditions.check_all(proc, defs)]
+    assert got == [r.to_dict() for r in reference.check_all(proc, defs)], proc
+
+
+def test_check_all_agrees_with_a_walk_per_report_on_the_corpus():
+    for _, proc, defs in _all_processes():
+        _agrees(proc, defs)
+
+
+# a prefix's binders scope over its continuation only: the output v2 in
+# cc!v2$v2:t is the outer prefix's, and free in the right argument
+_OUTPUT_BEFORE_ITS_NAMESAKE = parse_definitions(
+    "channel ca : t\nchannel cc : t.t\n"
+    "P = ca$v2:t -> (ca$v2:t -> STOP [] cc!v2$v2:t -> STOP)\n").equations["P"].body
+
+
+@given(terms())
+@example(_OUTPUT_BEFORE_ITS_NAMESAKE)
+@settings(max_examples=300, deadline=None)
+def test_check_all_agrees_with_a_walk_per_report_on_terms(term):
+    _agrees(term, _DEFS)
+
+
+@given(call_graphs())
+@settings(max_examples=300, deadline=None)
+def test_check_all_agrees_with_a_walk_per_report_through_calls(defs):
+    for proc in sorted(defs.equations):
+        _agrees(proc, defs)

@@ -9,7 +9,7 @@ from pcsp.parser import parse_definitions
 from pcsp.record import FrozenInstanceError, replace
 from pcsp.syntax import (
     Atom, BANG, Condition, Construct, DOLLAR, Field, NamedType, Prefix,
-    QUERY, Stop, T_TYPE, TVal, canonicalise, channels, classify_fields,
+    QUERY, Stop, T_TYPE, TVal, canonicalise, classify_fields,
     comms, comms_nont, free_vars, permute_t, replace_selections, selections,
     substitute, t_values,
 )
@@ -99,34 +99,6 @@ def test_selections_in_each_scope():
     assert names == ("x3",) and list(values) == [(a,) for a in X_TYPE.values]
     names, values = selections(Construct("c", (Field(QUERY, "x", T_TYPE),)), "t", tvalues)
     assert names == () and list(values) == [()]
-
-
-# -- channels ---------------------------------------------------------------
-
-def test_channels_stop_and_mutex_spec():
-    defs = parse_definitions("""
-channel enterCS, leaveCS : t
-Spec = enterCS$i:t -> leaveCS!i -> Spec
-""")
-    assert channels(Stop(), defs) == frozenset()
-    assert channels(defs.equations["Spec"].body, defs) == {"enterCS"}
-
-
-def test_channels_choice_unions():
-    defs = parse_definitions("""
-channel a, b : t
-P = a$x:t -> STOP |~| b$x:t -> STOP
-""")
-    assert channels(defs.equations["P"].body, defs) == {"a", "b"}
-
-
-def test_channels_unguarded_cycle_diagnostic():
-    defs = parse_definitions("""
-channel a
-P = Q [] a -> STOP
-Q = P
-""")
-    assert channels(defs.equations["P"].body, defs) == {"a"}
 
 
 # -- comms ------------------------------------------------------------------
