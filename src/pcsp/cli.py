@@ -38,14 +38,18 @@ def _resolve(path: str) -> Path:
 
 
 def _sizes(spec: str, option: str) -> list[int]:
+    """The sizes an option lists: at least one, each at least 1."""
     try:
         if ".." in spec:
             lo, hi = spec.split("..", 1)
-            return list(range(int(lo), int(hi) + 1))
-        return [int(part) for part in spec.split(",") if part]
+            sizes = list(range(int(lo), int(hi) + 1))
+        else:
+            sizes = [int(part) for part in spec.split(",") if part]
     except ValueError:
-        raise UsageError(f"{option} {spec!r}: expected sizes as N..M or "
-                         "N,M,...") from None
+        sizes = []
+    if min(sizes, default=0) < 1:
+        raise UsageError(f"{option} {spec!r}: expected sizes as N..M or N,M,...")
+    return sizes
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -254,7 +258,8 @@ def cmd_verify(args, defs) -> int:
     verdict = reduction.verify_pmcp(
         defs, args.spec, args.impl, args.model, _sizes(args.sizes, "--sizes"),
         abst=args.abst, valid_from=args.valid_from,
-        premise_sizes=_sizes(args.sample_premise, "--sample-premise"),
+        premise_sizes=(_sizes(args.sample_premise, "--sample-premise")
+                       if args.sample_premise else []),
         eqt_sizes=tuple(_sizes(args.eqt_sizes, "--eqt-sizes")),
         assume_typesym=args.assume_typesym, max_states=args.max_states)
     lines = [f"mode: {verdict.mode}", f"model: {verdict.model}"]

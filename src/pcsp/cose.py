@@ -8,16 +8,15 @@ selections of the originating construct into outputs; symbolic τs carry
 over; conditional edges dissolve, contributing the transitions of their
 target when the condition holds in the environment.
 
-Each call works over a table of the symbolic states it meets (ssos.Table,
-which build_sslts explores too), keyed by canonical form and construct
-uids as the standard semantics keys its leaves.  A symbolic state is
-canonicalised once, and its symbolic moves are computed and translated
-into edges once; an event instance then only restricts its environment
-to the target's free names and looks the pair (symbolic state, environment)
-up.  A configuration's key is the canonical form of its term with the
-environment substituted, so alpha-equivalent configurations are one; it is
-computed by substitution into the stored canonical form, only when that
-pair is new.
+Each call works over a graph of the symbolic states it meets
+(ssos.state_graph, the nodes build_sslts explores).  A symbolic state's
+moves are computed and translated into edges once, the selection-to-output
+rewrite node by node; an event instance then only restricts its
+environment to the target's free names and looks the pair (symbolic node,
+environment) up.  A configuration's id is the state class of its node with
+the environment's values put in, the way StateGraph.rename puts in
+permuted values, so configurations whose instantiated terms are
+alpha-equivalent are one; it is computed only when that pair is new.
 """
 
 from __future__ import annotations
@@ -29,12 +28,12 @@ from .errors import SemanticsError
 from .lts import Event, Lts, TAU, build
 from .pretty import fmt_term
 from .record import record
-from .ssos import Cond, State, Table, require_seq
+from .ssos import Cond, SymbolicGraph, state_graph
 from .std_semantics import eval_guard, file_alphabet, tvalues_for
 from .syntax import (
-    KEEPING, Condition, Construct, Definitions, DOLLAR, If, MixedGuard, Prefix,
-    ProcessTerm, QUERY, domain_values, eval_condition, replace_selections,
-    selections, substitute, subterms, with_subterms,
+    Condition, Construct, Definitions, DOLLAR, If, MixedGuard, Prefix,
+    ProcessTerm, QUERY, domain_values, eval_condition, free_vars, selections,
+    substitute,
 )
 
 Environment = dict  # variable name -> TVal
@@ -55,32 +54,6 @@ class Configuration:
     def describe(self) -> str:
         items = ", ".join(f"{k}->{v}" for k, v in self.env)
         return f"({fmt_term(self.term)}, {{{items}}})"
-
-
-# ---------------------------------------------------------------------------
-# The per-construct selection-to-output state transformation
-
-def replace_t_initials(term: ProcessTerm, uid: int) -> ProcessTerm:
-    """Rewrite the t-selections of the construct with the given source
-    identity into outputs, wherever that construct occurs as an initial
-    (pre-τ) communication of the state: below the operands a choice keeps
-    (syntax.KEEPING) and the branch a non-t conditional takes."""
-    cls = term.__class__
-    if cls is Prefix:
-        return (Prefix(replace_selections(term.construct, "t"), term.cont)
-                if term.construct.uid == uid else term)
-    if cls is If:
-        if isinstance(term.guard, (Condition, MixedGuard)):
-            return term
-        kept = (0,) if eval_guard(term.guard) else (1,)
-    else:
-        kept = KEEPING.get(cls)
-        if kept is None:
-            return term
-    subs = list(subterms(term))
-    for i in kept:
-        subs[i] = replace_t_initials(subs[i], uid)
-    return with_subterms(term, subs)
 
 
 # ---------------------------------------------------------------------------
@@ -120,75 +93,119 @@ def match(eps: Construct, event: Event) -> Environment:
 # ---------------------------------------------------------------------------
 # Translation rules
 
-class _Configurations(Table):
-    """The symbolic states of one concretize call and its configurations.
+class _Configurations:
+    """The symbolic nodes of one concretize call and its configurations."""
 
-    A configuration is named by an int id: (state, restricted environment)
-    pairs map to it, and so does its key, which is computed only for a new
-    pair."""
-
-    def __init__(self, defs: Definitions, tvalues):
-        super().__init__(defs)
+    def __init__(self, graph: SymbolicGraph, tvalues):
+        self.graph = graph
         self.tvalues = tvalues
-        self.ids: dict = {}      # (state, restricted env) -> configuration id
-        self.key_ids: dict = {}  # configuration key -> configuration id
-        self.keys: list = []     # configuration id -> key
+        self.ids: dict = {}    # (node, restricted env) -> configuration id
+        self.free: dict = {}   # node -> its free names, sorted
+        self.edges: dict = {}  # node -> its edges
 
-    def edges(self, st: State) -> list:
-        """The edges of a state as (label, uid, target state, extra),
-        derived from its moves once: a τ carries the environment extensions
-        it instantiates to (one empty one for a symbolic τ, one per choice
-        of values for a visible event's t-selections, whose target has them
+    def names(self, i: int) -> tuple:
+        """The free names of node i, sorted: those standing for themselves
+        in a leaf's env, or in an operator's data and operands."""
+        got = self.free.get(i)
+        if got is None:
+            graph = self.graph
+            key = graph.kids[i]
+            if key is None:
+                got = {v for v in graph.leaves[i][1] if v.__class__ is str}
+            else:
+                got = free_vars(graph.blanks[key[0]]).union(*map(self.names, key[1:]))
+            got = self.free[i] = tuple(sorted(got))
+        return got
+
+    def put(self, i: int, env: Environment) -> int:
+        """The node of node i with env's values put in for its free names: a
+        leaf is interned with its env so valued, an operator node rebuilt
+        from its operands'."""
+        if not any(k in env for k in self.names(i)):
+            return i
+        graph = self.graph
+        key = graph.kids[i]
+        if key is None:
+            p, values = graph.leaves[i]
+            return graph.intern(p, tuple([env.get(v, v) for v in values]))
+        return graph.node((graph.op_id(substitute(graph.blanks[key[0]], env)),
+                           *[self.put(k, env) for k in key[1:]]))
+
+    def outputs(self, i: int, uid: int, names: tuple) -> int:
+        """Node i with the t-selections (names) of the construct uid
+        rewritten into outputs wherever that construct is an initial
+        (pre-τ) communication: below the operands a choice keeps and the
+        branch a non-t conditional takes, which stays around it."""
+        graph = self.graph
+        key = graph.kids[i]
+        if key is None:
+            p, env = graph.leaves[i]
+            engine = graph.engine
+            if (engine.positions[p].term.__class__ is not Prefix
+                    or engine.closed(p, env)[0].uid != uid):
+                return i
+            return graph.intern(engine.stage(p, "t", names), env + names)
+        blank = graph.blanks[key[0]]
+        if blank.__class__ is not If:
+            kept = graph.kept(key)
+        elif isinstance(blank.guard, (Condition, MixedGuard)):
+            return i
+        else:
+            kept = (0,) if eval_guard(blank.guard) else (1,)
+        kids = list(key[1:])
+        for j in kept:
+            kids[j] = self.outputs(kids[j], uid, names)
+        return graph.node((key[0], *kids))
+
+    def edges_of(self, i: int) -> list:
+        """The edges of node i as (label, uid, target node, extra), derived
+        from its moves once: a τ carries the environment extensions it
+        instantiates to (one empty one for a symbolic τ, one per choice of
+        values for a visible event's t-selections, whose target has them
         rewritten to outputs), a visible event its construct."""
-        if st.edges is None:
-            st.edges = []
-            for lab, uid, target in self.moves(st):
-                if lab is TAU:
-                    st.edges.append((TAU, uid, target, ({},)))
-                elif isinstance(lab, Cond):
-                    st.edges.append((lab, uid, target, None))
+        got = self.edges.get(i)
+        if got is None:
+            got = self.edges[i] = []
+            for lab, uid, target in self.graph.successors(i):
+                if lab is TAU or isinstance(lab, Cond):
+                    got.append((lab, uid, target, ({},) if lab is TAU else None))
                 else:
                     names, values = selections(lab.event, "t", self.tvalues)
                     if names:
-                        st.edges.append((
-                            TAU, uid, self.state(replace_t_initials(st.term, uid)),
-                            [dict(zip(names, vs)) for vs in values]))
+                        got.append((TAU, uid, self.outputs(i, uid, names),
+                                    [dict(zip(names, vs)) for vs in values]))
                     else:
-                        st.edges.append((lab, uid, target, lab.event))
-        return st.edges
+                        got.append((lab, uid, target, lab.event))
+        return got
 
-    def config(self, st: State, env: Environment) -> tuple[tuple, int]:
-        """The configuration of st under env, as the pair (st, env
-        restricted to the free names of st) and its id."""
-        pair = (st, tuple((k, env[k]) for k in st.free if k in env))
+    def config(self, i: int, env: Environment) -> tuple[tuple, int]:
+        """The configuration of node i under env, as the pair (i, env
+        restricted to the free names of i) and its id."""
+        pair = (i, tuple((k, env[k]) for k in self.names(i) if k in env))
         cid = self.ids.get(pair)
         if cid is None:
-            key = substitute(st.canon, dict(pair[1]))
-            cid = self.key_ids.get(key)
-            if cid is None:
-                cid = self.key_ids[key] = len(self.keys)
-                self.keys.append(key)
-            self.ids[pair] = cid
+            cid = self.ids[pair] = self.graph.state(self.put(i, dict(pair[1])))
         return pair, cid
 
 
 def successors_of_config(cfg: tuple, table: _Configurations) -> list:
     """COSE transitions of a configuration, given as the pair (symbolic
-    state, restricted environment), as (label, uid, target pair,
+    node, restricted environment), as (label, uid, target pair,
     configuration id).  Conditional symbolic edges whose condition holds
     contribute the transitions of their target (so a false condition
     contributes nothing); chains of conditionals are followed with a cycle
-    guard on the canonical form."""
-    st, env = cfg
+    guard on the state class."""
+    i, env = cfg
     env = dict(env)
     out = []
     seen = set()
 
-    def expand(st: State):
-        if st.cls in seen:
+    def expand(i: int):
+        cls = table.graph.state(i)
+        if cls in seen:
             return
-        seen.add(st.cls)
-        for lab, uid, target, extra in table.edges(st):
+        seen.add(cls)
+        for lab, uid, target, extra in table.edges_of(i):
             if lab is TAU:
                 for binding in extra:
                     out.append((TAU, uid, *table.config(target, {**env, **binding})))
@@ -200,7 +217,7 @@ def successors_of_config(cfg: tuple, table: _Configurations) -> list:
                     out.append((event, uid, *table.config(
                         target, {**env, **match(extra, event)})))
 
-    expand(st)
+    expand(i)
     return out
 
 
@@ -209,17 +226,14 @@ def concretize(defs: Definitions, source: Union[str, ProcessTerm],
                max_states: int = 100_000) -> Lts:
     """The LTS of configurations rooted at (root state, initial environment),
     per the translation rules.  The breadth-first build runs over
-    configuration ids; the returned keys are the configuration keys, which
-    do not depend on tsize.  require_seq runs first."""
-    root_term = defs.body(source) if isinstance(source, str) else source
-    require_seq(root_term, defs)
-    tvalues = tvalues_for(tsize)
-    table = _Configurations(defs, tvalues)
-    root = table.config(table.state(root_term), dict(init_env or {}))
+    configuration ids, which are the returned keys: they identify
+    configurations within one call only."""
+    graph, root = state_graph(defs, source)
+    table = _Configurations(graph, tvalues_for(tsize))
+    root = table.config(root, dict(init_env or {}))
     lts = build(*root, lambda cfg: successors_of_config(cfg, table),
-                alphabet=file_alphabet(defs, tvalues), tsize=tsize,
+                alphabet=file_alphabet(defs, table.tvalues), tsize=tsize,
                 max_states=max_states,
-                describe=lambda cfg: Configuration(cfg[0].term, cfg[1]).describe())
-    return Lts(lts.root, [Configuration(st.term, env) for st, env in lts.states],
-               [table.keys[cid] for cid in lts.keys], lts.edges,
-               lts.alphabet, tsize)
+                describe=lambda cfg: Configuration(graph.term(cfg[0]), cfg[1]).describe())
+    lts.states = [Configuration(graph.term(i), env) for i, env in lts.states]
+    return lts

@@ -65,17 +65,12 @@ class Lts:
     """A rooted, finite LTS with deduplicated states.
 
     It also carries the semi-symbolic LTS of a sequential process: its
-    labels are then symbolic (ssos.Vis, ssos.Cond or τ), its keys the
-    classes of its build's table of symbolic states (ids of canonical
-    forms, meaningful within one build only), its alphabet is empty and its
-    tsize 0.
+    labels are then symbolic (ssos.Vis, ssos.Cond or τ), its alphabet is
+    empty and its tsize 0.
 
     states hold display payloads; keys hold the identity used for
-    deduplication.  The standard semantics keys states by ids of its
-    per-build state graph, meaningful within one build only.  The COSE
-    semantics builds over int configuration ids and then replaces them by
-    the configuration keys (canonical terms with the environment
-    substituted), which are shared across instantiation sizes.
+    deduplication: every semantics keys states by the state classes of its
+    per-build state graph, meaningful within one build only.
     """
 
     root: int

@@ -74,9 +74,9 @@ def tokenize(text: str, filename: str) -> list[Token]:
             while i < n and text[i] != "\n":
                 i += 1
             continue
-        if c.isdigit():
+        if "0" <= c <= "9":  # str.isdigit also takes digits int() rejects, such as ¹
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             toks.append(Token("num", text[i:j], line, col))
             col += j - i

@@ -3,17 +3,19 @@
 Builds the SSLTS of a sequential process with the distinguished type t left
 uninstantiated.  Labels are τ, visible symbolic events (constructs whose
 non-t inputs have been resolved to concrete outputs), or conditional events
-(a t-condition or its negation).  There is one rule per term class
-(_RULES).  External and sliding choice alike promote τ and conditional
-labels through the operands they keep (syntax.KEEPING); non-t conditionals
+(a t-condition or its negation).  External and sliding choice alike promote
+τ and conditional labels through the operands they keep; non-t conditionals
 are evaluated during construction.  The non-t projection of a visible
 symbolic event is the key by which the traces threshold groups events.
 
-The symbolic states of one build live in a Table, keyed by canonical form
-and construct uids: a state is canonicalised once and its moves computed
-once.  build_sslts explores its table keying states by class, the id of
-the canonical form; the translation semantics (cose) instantiates the
-states of its own table.
+The symbolic states of one build are the nodes of a state graph of the
+standard semantics (std_semantics.StateGraph) numbered by an Engine with no
+t-values: a leaf is (position, env), keyed as the standard semantics keys
+its leaves, with a symbolic t-variable standing in env as its own name, and
+[], [> and if are operator nodes (SymbolicGraph).  The rules stay the
+symbolic ones, one per node class (_RULES), memoised per node.
+build_sslts keys states by state class; the translation semantics (cose)
+instantiates the nodes of its own graph.
 """
 
 from __future__ import annotations
@@ -25,12 +27,11 @@ from .errors import SemanticsError
 from .lts import TAU, Lts, build
 from .pretty import fmt_condition, fmt_construct, fmt_term
 from .record import record
-from .std_semantics import call_binding, check_guarded_recursion, eval_guard
+from .std_semantics import Engine, StateGraph, check_guarded_recursion, eval_guard
 from .syntax import (
-    BANG, KEEPING, Condition, Construct, Definitions, ExtChoice, Ident, If,
-    IntChoice, MixedGuard, Prefix, ProcessTerm, Sliding, Stop, canonicalise,
-    classify_fields, comms_nont, construct_binding, free_vars, replace_selections,
-    selections, substitute, subterms, value_key, with_subterms,
+    BANG, Condition, Construct, Definitions, ExtChoice, Ident, If, IntChoice,
+    MixedGuard, Prefix, ProcessTerm, Sliding, Stop, classify_fields, comms_nont,
+    construct_binding, selections, value_key,
 )
 
 
@@ -79,143 +80,114 @@ def fmt_sym_label(label) -> str:
     return "τ" if label is TAU else str(label)
 
 
-def unfold_ident(term: Ident, defs: Definitions):
-    if free_vars(term):  # every variable left in a symbolic state is of type t
-        raise SemanticsError(f"cannot unfold {fmt_term(term)}: the symbolic semantics "
-                             "cannot yet pass a symbolic t-variable as an argument")
-    eq, mapping = call_binding(term, defs)
-    return substitute(eq.body, mapping)
+# The symbolic rules, one per node class: each gives the (label,
+# construct_uid, target node) triples of a node of the state graph.
+
+def _leaf(graph: SymbolicGraph, i: int, term) -> list:
+    """STOP, internal choice and a call move as in the standard semantics;
+    a call unfolds only when its arguments are closed."""
+    engine = graph.engine
+    p, env = graph.leaves[i]
+    if term.__class__ is Ident and any(v.__class__ is str for v in env):
+        # every name left in a symbolic state is a t-variable
+        raise SemanticsError(f"cannot unfold {fmt_term(engine.closed(p, env))}: the symbolic "
+                             "semantics cannot yet pass a symbolic t-variable as an argument")
+    return [(lab, uid, graph.intern(q, e)) for lab, uid, q, e in engine.successors(p, env)]
 
 
-# The symbolic rules, one per term class of the sequential fragment: each
-# gives the (label, construct_uid, target term) triples of a term.
-
-def _prefix(term: Prefix, defs: Definitions) -> list:
+def _prefix(graph: SymbolicGraph, i: int, term) -> list:
     """Resolve the non-t selections by one τ per choice of values, the
-    chosen selections becoming outputs; then the visible symbolic events."""
-    alpha = term.construct
+    chosen selections becoming outputs; then the visible symbolic events,
+    whose t-inputs and t-selections stand for themselves in the target."""
+    engine = graph.engine
+    p, env = graph.leaves[i]
+    alpha, scope = engine.closed(p, env)
     names, values = selections(alpha, "non-t", ())
     if names:
-        stripped = Prefix(replace_selections(alpha, "non-t"), term.cont)
-        return [(TAU, alpha.uid, substitute(stripped, dict(zip(names, vs))))
-                for vs in values]
-    query = classify_fields(alpha).query_nont
-    return [(Vis(eps), alpha.uid, substitute(term.cont, construct_binding(
-                alpha, [f.payload for f in eps.fields], query)))
+        q = engine.stage(p, "non-t", names)
+        return [(TAU, alpha.uid, graph.intern(q, env + vs)) for vs in values]
+    cont, query = engine.positions[p].kids[0], classify_fields(alpha).query_nont
+    return [(Vis(eps), alpha.uid, graph.intern(cont, engine.env_of(cont, {
+                **scope, **construct_binding(alpha, [f.payload for f in eps.fields], query)})))
             for eps in comms_nont(alpha)]
 
 
-def _choice(term, defs: Definitions) -> list:
-    """τ and conditional moves of the operands a choice keeps (KEEPING)
-    keep it around their targets, visible moves resolve it; [> also slides."""
-    out = [(TAU, None, term.right)] if term.__class__ is Sliding else []
-    subs = subterms(term)
-    for i in KEEPING[term.__class__]:
-        for lab, uid, nxt in successors(subs[i], defs):
+def _choice(graph: SymbolicGraph, i: int, term) -> list:
+    """τ and conditional moves of the operands a choice keeps keep it
+    around their targets, visible moves resolve it; [> also slides."""
+    key = graph.kids[i]
+    out = [(TAU, None, key[2])] if term.__class__ is Sliding else []
+    for j in graph.kept(key):
+        for lab, uid, t in graph.successors(key[j + 1]):
             if lab is TAU or lab.__class__ is Cond:
-                nxt = with_subterms(term, subs[:i] + (nxt,) + subs[i + 1:])
-            out.append((lab, uid, nxt))
+                t = graph.node(key[:j + 1] + (t,) + key[j + 2:])
+            out.append((lab, uid, t))
     return out
 
 
-def _if(term: If, defs: Definitions) -> list:
+def _if(graph: SymbolicGraph, i: int, term: If) -> list:
     """A t-condition moves by it, or by its negation, to the branch it
     selects; any other guard is evaluated, and the branch it takes moves."""
-    g = term.guard
+    g, key = term.guard, graph.kids[i]
     if isinstance(g, Condition):
-        return [(Cond(g), None, term.then), (Cond(g.negate()), None, term.els)]
+        return [(Cond(g), None, key[1]), (Cond(g.negate()), None, key[2])]
     if isinstance(g, MixedGuard):
         raise SemanticsError(
             "mixed t/non-t guard reached the symbolic semantics (Seq violation)")
-    return successors(term.then if eval_guard(g) else term.els, defs)
+    return graph.successors(key[1] if eval_guard(g) else key[2])
 
 
-_RULES = {
-    Stop: lambda term, defs: [],
-    Prefix: _prefix,
-    ExtChoice: _choice,
-    Sliding: _choice,
-    IntChoice: lambda term, defs: [(TAU, None, term.left), (TAU, None, term.right)],
-    If: _if,
-    Ident: lambda term, defs: [(TAU, None, unfold_ident(term, defs))],
-}
+_RULES = {Stop: _leaf, IntChoice: _leaf, Ident: _leaf, Prefix: _prefix,
+          ExtChoice: _choice, Sliding: _choice, If: _if}
 
 
-def successors(term: ProcessTerm, defs: Definitions) -> list:
-    """Symbolic successor triples (label, construct_uid, target term)."""
-    rule = _RULES.get(term.__class__)
-    if rule is None:
-        raise SemanticsError(
-            f"{type(term).__name__} is outside the sequential fragment; "
-            "the symbolic semantics is defined on Seq processes only")
-    return rule(term, defs)
+class SymbolicGraph(StateGraph):
+    """The symbolic states of one build: a state graph numbered by an engine
+    with no t-values, whose operator nodes are the choices and the
+    conditionals, and whose successors come from the symbolic rules."""
+
+    operators = (ExtChoice, Sliding, If)
+
+    def successors(self, i: int) -> list:
+        """(label, construct_uid, target node) triples of node i, computed once
+        by the rule of its class, a leaf's term or an operator's (in Seq,
+        which state_graph checked, every class has one)."""
+        out = self.succ[i]
+        if out is None:
+            key = self.kids[i]
+            term = (self.engine.positions[self.leaves[i][0]].term if key is None
+                    else self.blanks[key[0]])
+            out = self.succ[i] = _RULES[term.__class__](self, i, term)
+        return out
 
 
-class State:
-    """A symbolic state: its term, canonical form, sorted free names, class
-    (the id of its canonical form, uids aside), moves and the edges the
-    translation semantics derives from them (cose), once computed."""
-
-    __slots__ = ("term", "canon", "free", "cls", "moves", "edges")
-
-
-class Table:
-    """The symbolic states of one build, keyed by canonical form and
-    construct uids as the standard semantics keys its leaves: terms equal up
-    to the names of bound variables, uids included, share a state and so its
-    moves, which the symbolic rules compute once."""
-
-    def __init__(self, defs: Definitions):
-        self.defs = defs
-        self.states: dict = {}   # (canonical form, uids) -> State
-        self.classes: dict = {}  # canonical form -> class
-
-    def state(self, term: ProcessTerm) -> State:
-        canon, free, uids = canonicalise(term)
-        st = self.states.get((canon, uids))
-        if st is None:
-            st = self.states[canon, uids] = State()
-            st.term, st.canon, st.free = term, canon, tuple(sorted(free))
-            st.cls = self.classes.setdefault(canon, len(self.classes))
-            st.moves = st.edges = None
-        return st
-
-    def moves(self, st: State) -> list:
-        """The (label, construct_uid, target state) triples of a state."""
-        if st.moves is None:
-            st.moves = [(lab, uid, self.state(nxt))
-                        for lab, uid, nxt in successors(st.term, self.defs)]
-        return st.moves
-
-
-def require_seq(term: ProcessTerm, defs: Definitions) -> None:
-    """The precondition of the symbolic rules, which the SSLTS and the
-    translation semantics both apply: the process is in the Seq fragment,
-    on which alone the rules are defined, and its recursion is guarded.  A
-    violation is a hard error."""
+def state_graph(defs: Definitions, proc: Union[str, ProcessTerm]) -> tuple:
+    """The symbolic graph of one build and the node of proc in it, which the
+    SSLTS and the translation semantics both explore.  First the
+    precondition of the symbolic rules: the process is in the Seq fragment,
+    on which alone they are defined, and its recursion is guarded."""
+    term = defs.body(proc) if isinstance(proc, str) else proc
     report = check_seq(term, defs)
     if not report.ok():
         raise SemanticsError(
             "process is not in the Seq fragment: "
             + "; ".join(f.message for f in report.findings))
     check_guarded_recursion(term, defs)
+    graph = SymbolicGraph(Engine(defs, ()))
+    return graph, graph.intern_root(proc)
 
 
 def build_sslts(defs: Definitions, proc: Union[str, ProcessTerm],
                 max_states: int = 100_000) -> Lts:
-    """Breadth-first closure of the symbolic transition rules over a table
-    of symbolic states: an Lts whose states are terms, keyed by class, with
-    symbolic labels, an empty alphabet and tsize 0.  require_seq runs
-    first."""
-    term = defs.body(proc) if isinstance(proc, str) else proc
-    require_seq(term, defs)
-    table = Table(defs)
-    root = table.state(term)
-    lts = build(root, root.cls,
-                lambda st: [(lab, uid, nxt, nxt.cls) for lab, uid, nxt in table.moves(st)],
+    """Breadth-first closure of the symbolic transition rules over a graph
+    of symbolic states: an Lts whose states are terms, keyed by state
+    class, with symbolic labels, an empty alphabet and tsize 0."""
+    graph, root = state_graph(defs, proc)
+    lts = build(root, graph.state(root),
+                lambda i: [(lab, uid, t, graph.state(t)) for lab, uid, t in graph.successors(i)],
                 alphabet=frozenset(), tsize=0, max_states=max_states,
-                describe=lambda st: fmt_term(st.term), order=sym_label_key)
-    lts.states = [st.term for st in lts.states]
+                describe=lambda i: fmt_term(graph.term(i)), order=sym_label_key)
+    lts.states = [graph.term(i) for i in lts.states]
     return lts
 
 

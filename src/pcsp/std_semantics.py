@@ -18,12 +18,14 @@ with the size of the leaf.  The closed term a leaf stands for is built, from
 the memoised terms of its subterms, only where text is needed: Lts.states,
 DOT and BoundExceeded frontiers.
 
-Exploration runs over a per-build hash-consed state graph (StateGraph).
+Exploration runs over a per-build hash-consed state graph (StateGraph),
+over which the symbolic semantics (ssos, cose) build their states too.
 The non-binding operators (external and sliding choice, interleaving, the
 two parallels, hiding, renaming) are nodes keyed by their operator and
-their operands' nodes; every other term is a leaf.  Each node's successors
-are computed once: an operator rule combines its operands' memoised
-successor lists, so an operand that does not move is never explored again.
+their operands' nodes; every other term is a leaf.  A left-nested chain of
+[] is one node of n operands.  Each node's successors are computed once:
+an operator rule combines its operands' memoised successor lists, so an
+operand that does not move is never explored again.
 The operator tree is not fixed in advance, as it would be in a compiled
 synchronisation tree: an identifier may unfold into a parallel composition
 after a τ, and the composition becomes new nodes.
@@ -31,14 +33,10 @@ after a τ, and the composition becomes new nodes.
 State classes.  States are told apart as closed terms up to the names of
 bound variables, construct uids aside.  The class of a leaf is a hash-consed
 id of its position's blank (the term with its subterms cut off) under env,
-canonicalised, and the classes of its subterms; a name bound inside the
-leaf enters a subterm's env as the de Bruijn index of its binder, so a
-subterm's class does not depend on where it stands.  Classes are memoised
+canonicalised, and the classes of its subterms (Engine.leaf_key), memoised
 per (position, env), so a new leaf costs time in proportion to its new
-parts.  The uids of a leaf's constructs are hash-consed alongside, and
-leaves with equal (class, uids) share one node: pairs whose terms agree up
-to bound names, uids included, have the same successors wherever they
-come from.
+parts.  Leaves whose terms agree up to bound names, uids included, share
+one node, having the same successors wherever they come from.
 
 A replicated operator over t is expanded in one place: StateGraph.intern,
 when it becomes a node, as the root, a transition target or an operand of
@@ -51,7 +49,7 @@ P(0)..P(n-1) in index order, so a move of one instance interns one node; it
 displays as the left-associated chain ``P(0) ||| ... ||| P(n-1)`` of
 IndexedInterleave.  Every other replicated operator, and an interleaving
 over part of t, becomes a left-associated binary tree, as does a
-hand-written ``P ||| Q ||| ...``.
+hand-written ``P ||| Q ||| ...``; a chain of [] is one choice node.
 
 build_lts(..., symmetric_from=B) explores modulo the permutations of
 {B..n-1}: every successor is replaced by a representative of its orbit, in
@@ -149,18 +147,6 @@ def _closed_datums(item, where: str, tvalues) -> tuple:
     return tuple(item.datums)
 
 
-def call_binding(term: Ident, defs: Definitions) -> tuple[Equation, dict]:
-    """The equation a closed identifier names and its parameters' values."""
-    eq = defs.equations.get(term.name)
-    if eq is None:
-        raise SemanticsError(f"undefined process {term.name!r}")
-    if len(term.args) != len(eq.params):
-        raise SemanticsError(
-            f"{term.name!r} expects {len(eq.params)} argument(s), got {len(term.args)}")
-    return eq, {p: a if isinstance(a, (TVal, Atom)) else eval_scalar(a)
-                for p, a in zip(eq.params, term.args)}
-
-
 def _union_set(a: EventSet, b: EventSet) -> EventSet:
     return EventSet(a.closures + b.closures, a.literals + b.literals)
 
@@ -231,9 +217,9 @@ class Engine:
     operator, and the class and the term of a leaf.  The operator rules,
     which combine the successors of subterms, live in StateGraph."""
 
-    def __init__(self, defs: Definitions, tsize: int):
+    def __init__(self, defs: Definitions, tvalues: tuple[TVal, ...]):
         self.defs = defs
-        self.tvalues = tvalues_for(tsize)
+        self.tvalues = tvalues
         self.positions: list[_Position] = []
         self._bodies: dict = {}    # equation name -> position of its body
         self._stages: dict = {}    # (prefix position, scope) -> position
@@ -265,7 +251,7 @@ class Engine:
             p = self._bodies[name] = self.number(self.defs.equations[name].body)
         return p
 
-    def _stage(self, p: int, scope: str, names: tuple) -> int:
+    def stage(self, p: int, scope: str, names: tuple) -> int:
         """The position of prefix p with its $-selections in scope resolved
         to the values of names."""
         q = self._stages.get((p, scope))
@@ -341,7 +327,7 @@ class Engine:
         for sel in ("non-t", "t"):
             names, values = selections(alpha, sel, self.tvalues)
             if names:
-                q = self._stage(p, sel, names)
+                q = self.stage(p, sel, names)
                 return [(TAU, alpha.uid, q, env + vs) for vs in values]
         cont, query = pos.kids[0], classify_fields(alpha).query
         return [(Event(alpha.channel, values), alpha.uid, cont,
@@ -349,10 +335,18 @@ class Engine:
                 for values in comms(alpha, self.tvalues)]
 
     def unfold(self, p: int, env: tuple) -> tuple:
-        """The (position, env) of the body the call leaf unfolds to."""
-        eq, mapping = call_binding(self.closed(p, env), self.defs)
+        """The (position, env) of the body the call leaf unfolds to, its
+        parameters bound to the values of the arguments."""
+        term = self.closed(p, env)
+        eq = self.defs.equations.get(term.name)
+        if eq is None:
+            raise SemanticsError(f"undefined process {term.name!r}")
+        if len(term.args) != len(eq.params):
+            raise SemanticsError(
+                f"{term.name!r} expects {len(eq.params)} argument(s), got {len(term.args)}")
         body = self.body(eq.name)
-        return body, self.env_of(body, mapping)
+        return body, self.env_of(body, {k: a if isinstance(a, (TVal, Atom)) else eval_scalar(a)
+                                         for k, a in zip(eq.params, term.args)})
 
     def branch(self, p: int, env: tuple) -> tuple:
         """The (position, env) of the branch the conditional leaf takes."""
@@ -442,10 +436,8 @@ class Engine:
         return got
 
 
-# Operators whose nodes in the state graph are keyed by their operands'
-# nodes; every other term is a leaf, and a replicated operator other than
-# internal choice becomes the operator nodes it expands into.
-_OPERATORS = (ExtChoice, Sliding, Interleave, SharedPar, AlphaPar, Hide, Rename)
+# A replicated operator other than internal choice becomes the operator
+# nodes it expands into.
 _EXPANDED = (ReplAlphaPar, ReplInterleave, ReplExtChoice)
 
 
@@ -458,11 +450,14 @@ class StateGraph:
     share one node, as they have the same successors.  An operator node is
     keyed by (operator id, operand nodes...), where the operator id numbers
     the operator with its operands blanked out (its class and data: event
-    sets, renaming pairs).
-    An interleaving over t expanded at size n is one vector node, keyed by
-    (vector operator id, the n instance nodes in index order): a move of one
-    instance interns one node, and term() rebuilds the left-associated
-    chain of IndexedInterleave.
+    sets, renaming pairs, the guard of a conditional, which only the
+    symbolic semantics makes an operator node).
+    Two kinds of node hold n operands, so that one move of an operand
+    interns one node, and term() rebuilds the left-associated chain they
+    stand for: an interleaving over t expanded at size n is one vector node
+    (vector operator id, the instance nodes in index order), a left-nested
+    [] chain one choice node (choice operator id, the operands), whose first
+    operand is never a choice node.
     Successors are memoised per node: an operator node combines its
     operands' memoised lists and finds each target by its key, so an
     operand that does not move is never explored again and no state term
@@ -483,6 +478,10 @@ class StateGraph:
     memos of the t-values of a node and of orbit representatives.
     """
 
+    # the terms whose nodes are keyed by their operands' nodes; every other
+    # term is a leaf, and a replicated one expands (_EXPANDED)
+    operators = (ExtChoice, Sliding, Interleave, SharedPar, AlphaPar, Hide, Rename)
+
     def __init__(self, engine: Engine, symmetric_from: Optional[int] = None,
                  unfold_calls: bool = True):
         self.engine = engine
@@ -499,9 +498,10 @@ class StateGraph:
         self.cls: list = []
         self._classes: dict = {}
         self._ops: dict = {}     # blanked operator -> operator id
-        self._blanks: list = []  # operator id -> blanked operator
+        self.blanks: list = []  # operator id -> blanked operator
         self._sets: dict = {}
-        self._vector_op = self._op(_VECTOR)
+        self._vector_op = self.op_id(_VECTOR)
+        self._choice_op = self.op_id(ExtChoice(STOP, STOP))
         self.lo = symmetric_from         # representatives permute {lo..n-1}
         self._tvals: dict = {}        # node -> the t-value indices it mentions
         self._tval_sets: dict = {}    # one copy of each such tuple
@@ -518,11 +518,11 @@ class StateGraph:
         self.cls.append(cls)
         return i
 
-    def _op(self, blank) -> int:
+    def op_id(self, blank) -> int:
         op = self._ops.get(blank)
         if op is None:
-            op = self._ops[blank] = len(self._blanks)
-            self._blanks.append(blank)
+            op = self._ops[blank] = len(self.blanks)
+            self.blanks.append(blank)
         return op
 
     def intern(self, p: int, env: tuple) -> int:
@@ -537,15 +537,18 @@ class StateGraph:
             body = pos.kids[0]
             nodes = [self.intern(body, engine.env_of(body, inner)) for _, inner in parts]
             if len(parts) > 1 and parts[1][0] is _VECTOR:
-                return self._node((self._vector_op, *nodes))
+                return self.node((self._vector_op, *nodes))
             out = nodes[0]
             for (join, _), node in zip(parts[1:], nodes[1:]):
-                out = self._node((self._op(join), out, node))
+                out = self.node((self.op_id(join), out, node))
             return out
-        if isinstance(pos.term, _OPERATORS):
+        if isinstance(pos.term, self.operators):
+            kids, chain = pos.kids, pos.term.__class__ is ExtChoice
+            while chain and engine.positions[kids[0]].term.__class__ is ExtChoice:
+                kids = engine.positions[kids[0]].kids + kids[1:]  # a left-nested chain
             scope = dict(zip(pos.names, env))
-            return self._node((self._op(engine.closed(p, env)),
-                               *[self.intern(k, engine.env_of(k, scope)) for k in pos.kids]))
+            return self.node((self.op_id(engine.closed(p, env)),
+                              *[self.intern(k, engine.env_of(k, scope)) for k in kids]))
         i = self._leaf_at.get((p, env))
         if i is None:
             key = engine.leaf_key(p, env)
@@ -556,7 +559,19 @@ class StateGraph:
             self._leaf_at[p, env] = i
         return i
 
-    def _node(self, key) -> int:
+    def intern_root(self, proc: Union[str, ProcessTerm]) -> int:
+        """The node of a defined name or of a term; a free name stands for itself."""
+        engine = self.engine
+        p = engine.body(proc) if isinstance(proc, str) else engine.number(proc)
+        return self.intern(p, engine.env_of(p, {}))
+
+    def node(self, key) -> int:
+        """The operator node of key, a first operand that is a choice node
+        flattened into a choice node."""
+        if key[0] == self._choice_op:
+            first = self.kids[key[1]]
+            if first is not None and first[0] == key[0]:
+                key = first + key[2:]
         i = self.ids.get(key)
         if i is None:
             i = self.ids[key] = self._add(key, None, None)
@@ -570,10 +585,9 @@ class StateGraph:
                 t = self.engine.term(*self.leaves[i])
             else:
                 parts = [self.term(k) for k in key[1:]]
-                if key[0] == self._vector_op:
-                    t = functools.reduce(IndexedInterleave, parts)
-                else:
-                    t = with_subterms(self._blanks[key[0]], parts)
+                blank = self.blanks[key[0]]
+                t = (with_subterms(blank, parts) if len(parts) == 1 else
+                     functools.reduce(lambda l, r: with_subterms(blank, (l, r)), parts))
             self.terms[i] = t
         return t
 
@@ -631,17 +645,17 @@ class StateGraph:
             moved = [0] * len(kids)
             for j, k in enumerate(kids):
                 moved[pi[j]] = k
-            return self._node((key[0], *moved))
+            return self.node((key[0], *moved))
         op = key[0]
         if self._op_tvals(op):
-            op = self._op(permute_t(self._blanks[op], pi))
-        return self._node((op, *kids))
+            op = self.op_id(permute_t(self.blanks[op], pi))
+        return self.node((op, *kids))
 
     def _op_tvals(self, op: int) -> set:
         """The t-values of an operator's data (event sets, renamings)."""
         got = self._blank_tvals.get(op)
         if got is None:
-            got = self._blank_tvals[op] = {v.index for v in t_values(self._blanks[op])}
+            got = self._blank_tvals[op] = {v.index for v in t_values(self.blanks[op])}
         return got
 
     def _rename_leaf(self, i: int, pi: tuple[int, ...]) -> int:
@@ -708,7 +722,7 @@ class StateGraph:
         if out is None:
             key = self.kids[i]
             if key is not None:
-                blank = self._blanks[key[0]]
+                blank = self.blanks[key[0]]
                 out = self.succ[i] = _RULES[type(blank)](self, key, blank)
             else:
                 out = self._leaf_successors(i)
@@ -754,15 +768,22 @@ class StateGraph:
             self._sets[s] = got
         return got
 
+    def kept(self, key):
+        """The operands, by index, that the operator node key stays around
+        when they move: every operand of a choice node, else syntax.KEEPING."""
+        if key[0] == self._choice_op:
+            return range(len(key) - 1)
+        return KEEPING[self.blanks[key[0]].__class__]
+
     # The operator rules: each takes the node's key and its blanked
     # operator, and lists the successors in the order of the CSP rules.
 
     def _choice(self, key, blank):
-        # τs of the operands the choice keeps (syntax.KEEPING) keep it
-        # around their targets, visible moves resolve it; [> also slides
+        # τs of the operands the choice keeps keep it around their targets,
+        # visible moves resolve it; [> also slides
         out = [(TAU, None, key[2])] if blank.__class__ is Sliding else []
-        for i in KEEPING[blank.__class__]:
-            out += [(lab, uid, self._node(key[:i + 1] + (t,) + key[i + 2:])
+        for i in self.kept(key):
+            out += [(lab, uid, self.node(key[:i + 1] + (t,) + key[i + 2:])
                      if lab is TAU else t) for lab, uid, t in self.successors(key[i + 1])]
         return out
 
@@ -770,14 +791,14 @@ class StateGraph:
         op, p = key
         hidden = self.evset(blank.hidden)
         return [(TAU if lab is not TAU and lab in hidden else lab, uid,
-                 self._node((op, t))) for lab, uid, t in self.successors(p)]
+                 self.node((op, t))) for lab, uid, t in self.successors(p)]
 
     def _rename(self, key, blank: Rename):
         op, p = key
         mapping = _rename_map(blank.pairs, self.engine.defs, self.engine.tvalues)
         out = []
         for lab, uid, t in self.successors(p):
-            nxt = self._node((op, t))
+            nxt = self.node((op, t))
             if lab is TAU or lab not in mapping:
                 out.append((lab, uid, nxt))
             else:
@@ -792,16 +813,16 @@ class StateGraph:
         out = []
         for lab, uid, t in self.successors(l):
             if lab is TAU:
-                out.append((TAU, uid, self._node((op, t, r))))
+                out.append((TAU, uid, self.node((op, t, r))))
             elif lab in la:
                 if lab in ra:
-                    out.extend((lab, None, self._node((op, t, t2)))
+                    out.extend((lab, None, self.node((op, t, t2)))
                                for t2 in partners.get(lab, ()))
                 else:
-                    out.append((lab, uid, self._node((op, t, r))))
+                    out.append((lab, uid, self.node((op, t, r))))
         for lab, uid, t in right:
             if lab is TAU or (lab in ra and lab not in la):
-                out.append((lab, uid, self._node((op, l, t))))
+                out.append((lab, uid, self.node((op, l, t))))
         return out
 
     def _indexed_interleave(self, key, blank):
@@ -809,7 +830,7 @@ class StateGraph:
         # (op, P(0), ..., P(n-1)) alike
         out = []
         for j, c in enumerate(key[1:], 1):
-            out.extend((lab, uid, self._node(key[:j] + (t,) + key[j + 1:]))
+            out.extend((lab, uid, self.node(key[:j] + (t,) + key[j + 1:]))
                        for lab, uid, t in self.successors(c))
         return out
 
@@ -821,13 +842,13 @@ class StateGraph:
         out = []
         for lab, uid, t in self.successors(l):
             if lab is not TAU and lab in shared:
-                out.extend((lab, None, self._node((op, t, t2)))
+                out.extend((lab, None, self.node((op, t, t2)))
                            for t2 in partners.get(lab, ()))
             else:
-                out.append((lab, uid, self._node((op, t, r))))
+                out.append((lab, uid, self.node((op, t, r))))
         for lab, uid, t in right:
             if lab is TAU or lab not in shared:
-                out.append((lab, uid, self._node((op, l, t))))
+                out.append((lab, uid, self.node((op, l, t))))
         return out
 
 
@@ -934,10 +955,8 @@ def build_lts(defs: Definitions, proc: Union[str, ProcessTerm], tsize: int,
     congruence and the sampled checks keep the paper's semantics."""
     term = defs.body(proc) if isinstance(proc, str) else proc
     check_guarded_recursion(term, defs)
-    engine = Engine(defs, tsize)
-    graph = StateGraph(engine, symmetric_from, unfold_calls)
-    p = engine.body(proc) if isinstance(proc, str) else engine.number(term)
-    root = graph.intern(p, engine.env_of(p, {}))
+    graph = StateGraph(Engine(defs, tvalues_for(tsize)), symmetric_from, unfold_calls)
+    root = graph.intern_root(proc)
     state = graph.state
     rep = graph.representative if symmetric_from is not None else (lambda i: i)
     with terms_bounded():

@@ -13,10 +13,8 @@ every semantics consumes.
 It rewrites free names through an environment and either lets binders
 shadow it (``substitute``) or renames them to ``#0, #1, ...`` in traversal
 order (``canonicalise``).  A canonicalising walk also records the free
-names it meets and the uids of the constructs it passes, so ``free_vars``
-and the state keys of the semantics all come from it (the standard
-semantics canonicalises one node of a term at a time, the symbolic
-semantics a whole state).
+names it meets, so ``free_vars`` comes from it; the semantics canonicalise
+one node of a state at a time, for its leaf class.
 The operator table ``OPERATORS`` is the one owner of operator syntax:
 for each operator other than prefix, guard, if/then/else and call it gives
 the symbols and layout, the binding level and the level of each operand,
@@ -815,14 +813,12 @@ class _Renamer:
     """Sequential bound-variable renamer; traversal order is deterministic, so
     alpha-equivalent terms canonicalise to equal terms.  The fresh names are
     no identifier the tokenizer accepts, so a free variable of the source
-    never meets a canonical binder.  It also records the uid of each
-    construct the walk passes, in traversal order."""
+    never meets a canonical binder."""
 
-    __slots__ = ("counter", "uids")
+    __slots__ = ("counter",)
 
     def __init__(self):
         self.counter = itertools.count()
-        self.uids: list[int] = []
 
     def fresh(self) -> str:
         return f"#{next(self.counter)}"
@@ -943,15 +939,13 @@ def _rebind(term: ProcessTerm, env: dict, ren: Optional[_Renamer]) -> ProcessTer
     """Rewrite the free names of a term through env and its binders through
     _bind.  Input binders scope over the fields to their right and over the
     continuation; replicated binders scope over the alphabet and the body,
-    not over the domain.  Canonicalising, the renamer records the construct
-    uids and the _Scope env the free names."""
+    not over the domain.  Canonicalising, the _Scope env records the free
+    names."""
     if ren is None and not env:
         return term
     if isinstance(term, Stop):
         return term
     if isinstance(term, Prefix):
-        if ren is not None:
-            ren.uids.append(term.construct.uid)
         fields = []
         for f in term.construct.fields:
             if f.sel == BANG:
@@ -1001,19 +995,18 @@ def substitute(term: ProcessTerm, mapping: dict[str, SubstValue]) -> ProcessTerm
 
 
 def canonicalise(term: ProcessTerm, env: Optional[dict[str, SubstValue]] = None
-                 ) -> tuple[ProcessTerm, frozenset[str], tuple[int, ...]]:
+                 ) -> tuple[ProcessTerm, frozenset[str]]:
     """Rename bound variables by a deterministic scheme, so that two terms are
     alpha-equivalent iff their canonical forms are equal.  Free variables in
     env are replaced by their values, so the canonical form under env equals
     that of ``substitute(t, env)``; other free variables are kept by name.
-    Idempotent.  Returns (canonical form, free names, uids): the same walk
-    records the free names, whether or not env replaced them, and the uids
-    of the constructs in traversal (pre-)order."""
+    Idempotent.  Returns (canonical form, free names): the same walk
+    records the free names, whether or not env replaced them."""
     ren = _Renamer()
     scope = _Scope(env or ())
     scope.free = set()
     canon = _rebind(term, scope, ren)
-    return canon, frozenset(scope.free), tuple(ren.uids)
+    return canon, frozenset(scope.free)
 
 
 def free_vars(term: ProcessTerm) -> frozenset[str]:

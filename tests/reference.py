@@ -3,24 +3,30 @@ output.  None of them is on a command's path: the extensional trace and
 failure oracles decide membership by bounded search, the symbolic-trace
 relation is the paper's definition read literally, and the validators check
 lemmas that hold for every SeqNorm specification, so a violation is a bug
-in the semantics that built the transition system.  The syntactic
-checkers at the end are the five walks that ``conditions.check_all``
-replaced, each re-walking both operands of every binary choice."""
+in the semantics that built the transition system.  The symbolic rules
+and the selection-to-output rewrite on whole terms are those that ssos and
+cose apply node by node to their state graphs.  The syntactic checkers at
+the end are the five walks that ``conditions.check_all`` replaced, each
+re-walking both operands of every binary choice."""
 
 from __future__ import annotations
 
 from typing import Iterator
 
 from pcsp.cose import eval_condition, insts, match
+from pcsp.errors import SemanticsError
 from pcsp.lts import Event, Lts, TAU, tau_closure
 from pcsp.pretty import fmt_condition, fmt_term
 from pcsp.report import ConditionReport, Finding
 from pcsp.ssos import Cond, Vis, fmt_sym_label, sym_label_key
+from pcsp.std_semantics import eval_guard
 from pcsp.syntax import (
-    AlphaPar, Condition, Definitions, DOLLAR, ExtChoice, Hide, Ident, If,
-    IntChoice, Interleave, MixedGuard, Prefix, ProcessTerm, QUERY, Rename,
+    AlphaPar, Atom, Condition, Definitions, DOLLAR, ExtChoice, Hide, Ident, If,
+    IntChoice, Interleave, KEEPING, MixedGuard, Prefix, ProcessTerm, QUERY, Rename,
     ReplAlphaPar, ReplExtChoice, ReplIntChoice, ReplInterleave, SharedPar,
-    Sliding, TType, classify_fields, free_vars, subterms, t_values, unfold_walk,
+    Sliding, Stop, TType, TVal, canonicalise, classify_fields, comms_nont,
+    construct_binding, eval_scalar, free_vars, replace_selections, selections, substitute,
+    subterms, t_values, unfold_walk, with_subterms,
 )
 
 
@@ -235,26 +241,135 @@ def check_unique_matching_construct(lts: Lts) -> list[str]:
             for lab, (_, uids) in succ.items() if len(uids) > 1]
 
 
+def _config_key(cfg) -> ProcessTerm:
+    """A configuration's canonical form, which does not depend on the size:
+    its term with its environment substituted, bound names canonical."""
+    return canonicalise(cfg.term, dict(cfg.env))[0]
+
+
 def check_monotonicity(small: Lts, large: Lts) -> list[str]:
     """The monotonicity lemma in the size of t: every transition available
     at a sub-instantiation is available at the larger one, with matching
-    source and target configurations (matched by the configuration keys,
-    which do not depend on the size)."""
+    source and target configurations (matched by their canonical forms)."""
     problems = []
-    large_index = {key: idx for idx, key in enumerate(large.keys)}
-    for idx, key in enumerate(small.keys):
+    small_keys = [_config_key(cfg) for cfg in small.states]
+    large_keys = [_config_key(cfg) for cfg in large.states]
+    large_index = {key: idx for idx, key in enumerate(large_keys)}
+    for idx, key in enumerate(small_keys):
         big = large_index.get(key)
         if big is None:
             problems.append(f"configuration {small.states[idx].describe()} "
                             "unreachable at the larger instantiation")
             continue
-        small_edges = {(lab, small.keys[tgt]) for lab, tgt, _ in small.edges[idx]}
-        large_edges = {(lab, large.keys[tgt]) for lab, tgt, _ in large.edges[big]}
+        small_edges = {(lab, small_keys[tgt]) for lab, tgt, _ in small.edges[idx]}
+        large_edges = {(lab, large_keys[tgt]) for lab, tgt, _ in large.edges[big]}
         for lab, _ in sorted(small_edges - large_edges, key=lambda e: str(e[0])):
             problems.append(f"transition {lab} from "
                             f"{small.states[idx].describe()} missing at the "
                             "larger instantiation")
     return problems
+
+
+# ---------------------------------------------------------------------------
+# The symbolic rules and the selection-to-output rewrite on whole terms
+
+def unfold_ident(term: Ident, defs: Definitions):
+    """The body a closed call unfolds to."""
+    if free_vars(term):  # every variable left in a symbolic state is of type t
+        raise SemanticsError(f"cannot unfold {fmt_term(term)}: the symbolic semantics "
+                             "cannot yet pass a symbolic t-variable as an argument")
+    eq = defs.equations.get(term.name)
+    if eq is None:
+        raise SemanticsError(f"undefined process {term.name!r}")
+    if len(term.args) != len(eq.params):
+        raise SemanticsError(
+            f"{term.name!r} expects {len(eq.params)} argument(s), got {len(term.args)}")
+    return substitute(eq.body, {p: a if isinstance(a, (TVal, Atom)) else eval_scalar(a)
+                                for p, a in zip(eq.params, term.args)})
+
+
+def _sym_prefix(term: Prefix, defs: Definitions) -> list:
+    """Resolve the non-t selections by one τ per choice of values, the
+    chosen selections becoming outputs; then the visible symbolic events."""
+    alpha = term.construct
+    names, values = selections(alpha, "non-t", ())
+    if names:
+        stripped = Prefix(replace_selections(alpha, "non-t"), term.cont)
+        return [(TAU, alpha.uid, substitute(stripped, dict(zip(names, vs))))
+                for vs in values]
+    query = classify_fields(alpha).query_nont
+    return [(Vis(eps), alpha.uid, substitute(term.cont, construct_binding(
+                alpha, [f.payload for f in eps.fields], query)))
+            for eps in comms_nont(alpha)]
+
+
+def _sym_choice(term, defs: Definitions) -> list:
+    """τ and conditional moves of the operands a choice keeps (KEEPING)
+    keep it around their targets, visible moves resolve it; [> also slides."""
+    out = [(TAU, None, term.right)] if term.__class__ is Sliding else []
+    subs = subterms(term)
+    for i in KEEPING[term.__class__]:
+        for lab, uid, nxt in sym_successors(subs[i], defs):
+            if lab is TAU or lab.__class__ is Cond:
+                nxt = with_subterms(term, subs[:i] + (nxt,) + subs[i + 1:])
+            out.append((lab, uid, nxt))
+    return out
+
+
+def _sym_if(term: If, defs: Definitions) -> list:
+    """A t-condition moves by it, or by its negation, to the branch it
+    selects; any other guard is evaluated, and the branch it takes moves."""
+    g = term.guard
+    if isinstance(g, Condition):
+        return [(Cond(g), None, term.then), (Cond(g.negate()), None, term.els)]
+    if isinstance(g, MixedGuard):
+        raise SemanticsError(
+            "mixed t/non-t guard reached the symbolic semantics (Seq violation)")
+    return sym_successors(term.then if eval_guard(g) else term.els, defs)
+
+
+_SYM_RULES = {
+    Stop: lambda term, defs: [],
+    Prefix: _sym_prefix,
+    ExtChoice: _sym_choice,
+    Sliding: _sym_choice,
+    IntChoice: lambda term, defs: [(TAU, None, term.left), (TAU, None, term.right)],
+    If: _sym_if,
+    Ident: lambda term, defs: [(TAU, None, unfold_ident(term, defs))],
+}
+
+
+def sym_successors(term: ProcessTerm, defs: Definitions) -> list:
+    """Symbolic successor triples (label, construct_uid, target term)."""
+    rule = _SYM_RULES.get(term.__class__)
+    if rule is None:
+        raise SemanticsError(
+            f"{type(term).__name__} is outside the sequential fragment; "
+            "the symbolic semantics is defined on Seq processes only")
+    return rule(term, defs)
+
+
+def replace_t_initials(term: ProcessTerm, uid: int) -> ProcessTerm:
+    """Rewrite the t-selections of the construct with the given source
+    identity into outputs, wherever that construct occurs as an initial
+    (pre-τ) communication of the state: below the operands a choice keeps
+    (syntax.KEEPING) and the branch a non-t conditional takes."""
+    cls = term.__class__
+    if cls is Prefix:
+        return (Prefix(replace_selections(term.construct, "t"), term.cont)
+                if term.construct.uid == uid else term)
+    if cls is If:
+        if isinstance(term.guard, (Condition, MixedGuard)):
+            return term
+        kept = (0,) if eval_guard(term.guard) else (1,)
+    else:
+        kept = KEEPING.get(cls)
+        if kept is None:
+            return term
+    subs = list(subterms(term))
+    for i in kept:
+        subs[i] = replace_t_initials(subs[i], uid)
+    return with_subterms(term, subs)
 
 
 # ---------------------------------------------------------------------------

@@ -420,6 +420,21 @@ def test_undefined_process_message(capsys, argv):
     (("verify", "mutex.pcsp", "--spec", "Spec", "--impl", "Impl",
       "--sizes", "1..x"), "--sizes '1..x'"),
     (("conditions", "copy.pcsp", "--typesym-sizes", "2,a"), "--typesym-sizes '2,a'"),
+    # an empty list, or a size below 1, would check nothing or fail later
+    (("verify", "mutex.pcsp", "--spec", "Spec", "--impl", "Impl",
+      "--sizes", "3..1"), "--sizes '3..1'"),
+    (("verify", "mutex.pcsp", "--spec", "Spec", "--impl", "Impl",
+      "--sizes", ","), "--sizes ','"),
+    (("verify", "mutex.pcsp", "--spec", "Spec", "--impl", "Impl",
+      "--sizes", "0..2"), "--sizes '0..2'"),
+    (("verify", "mutex.pcsp", "--spec", "Spec", "--impl", "Impl",
+      "--sizes", "1..2", "--eqt-sizes", "0"), "--eqt-sizes '0'"),
+    (("verify", "mutex.pcsp", "--spec", "Spec", "--impl", "Impl",
+      "--sizes", "1..2", "--abst", "Abst", "--valid-from", "3",
+      "--sample-premise", "0"), "--sample-premise '0'"),
+    (("conditions", "copy.pcsp", "--typesym-sizes", "0"), "--typesym-sizes '0'"),
+    (("conditions", "copy.pcsp", "--eqt-model", "traces", "--eqt-sizes", ""),
+     "--eqt-sizes ''"),
 ])
 def test_bad_sizes_message(capsys, argv, option):
     code, out, err = run(capsys, *argv)

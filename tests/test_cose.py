@@ -204,14 +204,14 @@ V = cm!m1 -> a1 -> STOP |~| cm!m1 -> b1 -> STOP
 
 
 def test_symbolic_rules_run_once_per_symbolic_state():
-    # the symbolic rules run once per distinct symbolic state of a call,
-    # however many configurations instantiate it: the count does not grow
-    # with the instantiation
+    # the symbolic rules (ssos._RULES, one per node class) run once per node
+    # of a call's symbolic state graph, however many configurations
+    # instantiate it: the count does not grow with the instantiation
     defs = load("traces-count.pcsp")
     counts = []
     for n in (3, 8):
-        with mock.patch("pcsp.ssos.successors",
-                        wraps=ssos.successors) as calls:
+        rules = {cls: mock.Mock(wraps=rule) for cls, rule in ssos._RULES.items()}
+        with mock.patch.dict(ssos._RULES, rules):
             lts = concretize(defs, "P", n)
-        counts.append(calls.call_count)
-    assert counts[0] == counts[1] < lts.n_states()
+        counts.append(sum(rule.call_count for rule in rules.values()))
+    assert 0 < counts[0] == counts[1] < lts.n_states()

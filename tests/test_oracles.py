@@ -2,12 +2,12 @@
 extensional oracle built from bounded trace/acceptance enumeration, the
 congruence of the two concrete semantics on randomly generated sequential
 terms, strong bisimulation over interned labels against the
-label_key-signature partition refinement it replaced, the free names
-and construct uids of the canonicalising walk against the separate
-free-variable and construct walks it replaced, build_sslts and concretize
-over a table of symbolic states against the walk per successor and per
-event instance they replaced, build_lts over (position, env) leaves against the term-keyed
-leaves it replaced, and the build modulo the symmetry that phi leaves
+label_key-signature partition refinement it replaced, the free names of
+the canonicalising walk against a separate free-variable walk,
+build_sslts and concretize over the nodes of a state graph against the
+whole-term symbolic rules (tests/reference.py) with every state keyed by
+its canonical term, build_lts over (position, env) leaves against
+term-keyed leaves, and the build modulo the symmetry that phi leaves
 against the full build, after phi."""
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import ALL_CORPUS_FILES, CORPUS_SEQ, load, proc_body, symmetric_mutant
@@ -24,17 +25,14 @@ from pcsp.analysis import (
 )
 from pcsp.cli import main
 from pcsp.conditions import check_seq
-from pcsp.cose import (
-    Configuration, concretize, eval_condition, insts, match, replace_t_initials,
-)
+from pcsp.cose import Configuration, concretize, eval_condition, insts, match
 from pcsp.errors import BoundExceeded, PcspError, SemanticsError
 from pcsp.lts import TAU, Event, Lts, build, label_key, terms_bounded
 from pcsp.parser import parse_definitions
 from pcsp.pretty import fmt_term
 from pcsp.record import fields, replace
 from pcsp.reduction import CollapsingFn
-from pcsp.ssos import Cond, build_sslts, require_seq, sym_label_key, unfold_ident
-from pcsp.ssos import successors as sym_successors
+from pcsp.ssos import Cond, build_sslts, state_graph, sym_label_key
 from pcsp.std_semantics import (
     DEFAULT_MAX_STATES, Engine, StateGraph, build_lts, check_guarded_recursion,
     eval_guard, file_alphabet, tvalues_for,
@@ -49,7 +47,9 @@ from pcsp.syntax import (
     construct_binding, domain_values, free_vars, map_subterms, replace_selections,
     subst_event_set, substitute, subterms,
 )
-from reference import acceptances_after, traces_upto
+from reference import (
+    acceptances_after, replace_t_initials, sym_successors, traces_upto, unfold_ident,
+)
 
 from test_syntax import _VARS, terms
 
@@ -249,7 +249,7 @@ def test_strong_bisim_agrees_with_the_reference(pair):
     assert strong_bisim(*pair) == _reference_strong_bisim(*pair)
 
 
-# -- the canonicalising walk against the walks it replaced -------------------
+# -- the canonicalising walk against a free-variable walk -------------------
 
 def _reference_free_vars(term) -> frozenset[str]:
     """free_vars as it was before the canonicalising walk recorded free
@@ -344,8 +344,7 @@ def _reference_free_vars(term) -> frozenset[str]:
 
 
 def _reference_uids(term) -> tuple[int, ...]:
-    """The uids of iter_constructs(term), the recursive construct walk the
-    state graph keyed leaves by before: pre-order, identifiers not
+    """The uids of the constructs of a term in pre-order, identifiers not
     unfolded."""
     out = (term.construct.uid,) if isinstance(term, Prefix) else ()
     for sub in subterms(term):
@@ -354,12 +353,11 @@ def _reference_uids(term) -> tuple[int, ...]:
 
 
 def _check_canonicalise(term, env):
-    canon, free, uids = canonicalise(term, env)
+    canon, free = canonicalise(term, env)
     assert free == _reference_free_vars(term) == free_vars(term)
-    assert uids == _reference_uids(term)
     # the canonical form keeps every uid, and exactly the free names that
     # env does not replace
-    assert _reference_uids(canon) == uids
+    assert _reference_uids(canon) == _reference_uids(term)
     assert _reference_free_vars(canon) == free - set(env)
     assert canonicalise(canon)[0] == canon
 
@@ -409,20 +407,20 @@ def test_canonicalise_agrees_with_the_reference(term, env):
     _check_canonicalise(term, env)
 
 
-# -- concretize against the walk per event instance it replaced ------------
+# -- concretize against the whole-term rules -------------------------------
 
 def _reference_configure(term, env):
-    """configure as it was: the configuration of term under env and its key,
-    from one canonicalising walk per event instance."""
-    canon, free, _ = canonicalise(term, env)
+    """The configuration of term under env and its key, its canonical form
+    under env, from one canonicalising walk per event instance."""
+    canon, free = canonicalise(term, env)
     cfg = Configuration(term, tuple(sorted(
         (k, v) for k, v in env.items() if k in free)))
     return cfg, canon
 
 
 def _reference_successors_of_config(cfg, defs, tvalues):
-    """successors_of_config as it was: the symbolic rules rerun for every
-    configuration, and every instance's target walked under its own
+    """The translation rules on whole terms: the symbolic rules rerun for
+    every configuration, and every instance's target walked under its own
     environment."""
     env = dict(cfg.env)
     out = []
@@ -468,7 +466,7 @@ def _reference_concretize(defs, source, tsize, init_env=None,
                           max_states=100_000):
     root_term = defs.body(source) if isinstance(source, str) else source
     # the precondition both share, not the algorithm under test
-    require_seq(root_term, defs)
+    state_graph(defs, root_term)
     tvalues = tvalues_for(tsize)
     root, root_key = _reference_configure(root_term, dict(init_env or {}))
     return build(root, root_key,
@@ -483,7 +481,9 @@ def _concretize_outcome(fn, *args, **kwargs):
         lts = fn(*args, **kwargs)
     except PcspError as exc:
         return type(exc).__name__, str(exc)
-    return ([cfg.describe() for cfg in lts.states], lts.edges, lts.keys,
+    blocks: dict = {}
+    return ([cfg.describe() for cfg in lts.states], lts.edges,
+            [blocks.setdefault(k, len(blocks)) for k in lts.keys],
             lts.root, lts.alphabet)
 
 
@@ -543,13 +543,13 @@ def test_concretize_agrees_with_the_reference(term, n, env):
     _check_concretize(_DEFS, term, n, init_env=env)
 
 
-# -- build_sslts over its table against the walk per successor it replaced -
+# -- build_sslts against the whole-term rules ------------------------------
 
 def _reference_build_sslts(defs, proc, max_states=100_000):
-    """build_sslts as it was: every successor term keyed by its own whole
-    canonical form."""
+    """The SSLTS by the whole-term symbolic rules, every successor term
+    keyed by its own whole canonical form."""
     term = defs.body(proc) if isinstance(proc, str) else proc
-    require_seq(term, defs)
+    state_graph(defs, term)  # the precondition both share
     return build(term, canonicalise(term)[0],
                  lambda t: [(lab, uid, nxt, canonicalise(nxt)[0])
                             for lab, uid, nxt in sym_successors(t, defs)],
@@ -715,13 +715,13 @@ class _ReferenceGraph(StateGraph):
         if isinstance(term, (ReplAlphaPar, ReplInterleave, ReplExtChoice)):
             term = _reference_expand(term, self.engine.tvalues)
         if term.__class__ is IndexedInterleave:
-            return self._node((self._vector_op,
-                               *map(self.intern, _reference_instances(term, n))))
+            return self.node((self._vector_op,
+                              *map(self.intern, _reference_instances(term, n))))
         if isinstance(term, (ExtChoice, Sliding, Interleave, SharedPar, AlphaPar,
                              Hide, Rename)):
-            return self._node((self._op(map_subterms(term, lambda _: Stop())),
-                               *map(self.intern, subterms(term))))
-        canon, _, uids = canonicalise(term)
+            return self.node((self.op_id(map_subterms(term, lambda _: Stop())),
+                              *map(self.intern, subterms(term))))
+        canon, uids = canonicalise(term)[0], _reference_uids(term)
         i = self._term_ids.get((canon, uids))
         if i is None:
             i = self._term_ids[canon, uids] = self._add(
@@ -759,7 +759,7 @@ def _reference_build_lts(defs, proc, tsize, max_states=DEFAULT_MAX_STATES, *,
     """build_lts over _ReferenceGraph."""
     term = defs.body(proc) if isinstance(proc, str) else proc
     check_guarded_recursion(term, defs)
-    graph = _ReferenceGraph(Engine(defs, tsize), symmetric_from)
+    graph = _ReferenceGraph(Engine(defs, tvalues_for(tsize)), symmetric_from)
     state = graph.state
     root = graph.intern(_reference_expand(term, graph.engine.tvalues))
     rep = graph.representative if symmetric_from is not None else (lambda i: i)
@@ -891,6 +891,36 @@ def leaf_terms(draw):
 @settings(max_examples=150, deadline=None)
 def test_build_lts_agrees_with_the_reference(term, n, x, y):
     _check_build(_DEFS, substitute(term, {"x": TVal(x % n), "y": TVal(y % n)}), n, 400)
+
+
+# The terms strategy draws only t-conditions and binary choices.  P has a
+# non-t conditional holding a t-selection inside a choice: the rewrite of
+# that selection into an output keeps the conditional (a node of the
+# symbolic state graph) around the branch it takes.  L and R are 4-way
+# choices, nested to the left (one node of four operands) and to the right,
+# whose operands move by τ.  L's first operand unfolds to a choice, which
+# joins the chain: M reaches that state both ways.
+_CHOICES = parse_definitions("""
+datatype AB = a | b
+channel ca : t
+channel cb : AB.t
+channel e
+P = cb?x:AB$y:t -> ((if x == a then ca$z:t -> STOP else e -> STOP) [] e -> STOP)
+Q1 = ca$u:t -> STOP
+Q2 = e -> Q2
+Q3 = e -> STOP [] ca$v:t -> STOP
+L = Q3 [] Q1 [] (ca$w:t -> STOP |~| e -> STOP) [] Q2
+M = L |~| (e -> STOP [] ca$v:t -> STOP [] Q1 [] (ca$w:t -> STOP |~| e -> STOP) [] Q2)
+R = (e -> STOP |~| STOP) [] (Q1 [] ((ca$w:t -> STOP |~| e -> STOP) [] Q2))
+""")
+
+
+@pytest.mark.parametrize("proc", ["P", "L", "M", "R"])
+def test_conditionals_and_choice_chains_agree_with_the_references(proc):
+    assert not isinstance(_check_sslts(_CHOICES, proc)[0], str)
+    for n in (1, 2, 3):
+        assert not isinstance(_check_concretize(_CHOICES, proc, n)[0], str)
+        assert not isinstance(_check_build(_CHOICES, proc, n)[0], str)
 
 
 # -- the build modulo symmetry against the full build, after phi ----------

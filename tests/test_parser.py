@@ -3,7 +3,7 @@ from __future__ import annotations
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import ALL_CORPUS_FILES, load
 from pcsp.errors import ParseError
@@ -172,6 +172,7 @@ def test_assertions_parsed(mutex):
 
 
 @given(st.text(max_size=200))
+@example("µ=¹")  # a digit to str.isdigit, not to int()
 @settings(max_examples=200, deadline=None)
 def test_parser_never_crashes_on_arbitrary_text(text):
     try:
