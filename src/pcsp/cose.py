@@ -140,11 +140,10 @@ class _Configurations:
         key = graph.kids[i]
         if key is None:
             p, env = graph.leaves[i]
-            engine = graph.engine
-            if (engine.positions[p].term.__class__ is not Prefix
-                    or engine.closed(p, env)[0].uid != uid):
+            if (graph.engine.positions[p].term.__class__ is not Prefix
+                    or graph.engine.closed(p, env)[0].uid != uid):
                 return i
-            return graph.intern(engine.stage(p, "t", names), env + names)
+            return graph.intern(graph.engine.stage(p, "t", names), env + names)
         blank = graph.blanks[key[0]]
         if blank.__class__ is not If:
             kept = graph.kept(key)

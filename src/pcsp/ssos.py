@@ -149,15 +149,18 @@ class SymbolicGraph(StateGraph):
     operators = (ExtChoice, Sliding, If)
 
     def successors(self, i: int) -> list:
-        """(label, construct_uid, target node) triples of node i, computed once
-        by the rule of its class, a leaf's term or an operator's (in Seq,
-        which state_graph checked, every class has one)."""
+        """(label, construct_uid, target node) triples of node i by the rule
+        of its class (in Seq, which state_graph checked, each has one); kept
+        but for a choice node, whose parents here are choices and conditionals
+        only: a right-nested chain of n choices would keep lists of 1..n moves."""
         out = self.succ[i]
         if out is None:
             key = self.kids[i]
             term = (self.engine.positions[self.leaves[i][0]].term if key is None
                     else self.blanks[key[0]])
-            out = self.succ[i] = _RULES[term.__class__](self, i, term)
+            out = _RULES[term.__class__](self, i, term)
+            if term.__class__ is not ExtChoice:
+                self.succ[i] = out
         return out
 
 

@@ -566,8 +566,7 @@ class StateGraph:
         return self.intern(p, engine.env_of(p, {}))
 
     def node(self, key) -> int:
-        """The operator node of key, a first operand that is a choice node
-        flattened into a choice node."""
+        """The operator node of key; a choice node first in a choice node is flattened."""
         if key[0] == self._choice_op:
             first = self.kids[key[1]]
             if first is not None and first[0] == key[0]:

@@ -204,9 +204,9 @@ V = cm!m1 -> a1 -> STOP |~| cm!m1 -> b1 -> STOP
 
 
 def test_symbolic_rules_run_once_per_symbolic_state():
-    # the symbolic rules (ssos._RULES, one per node class) run once per node
-    # of a call's symbolic state graph, however many configurations
-    # instantiate it: the count does not grow with the instantiation
+    # the symbolic rules (ssos._RULES, one per node class) run per node of a
+    # call's symbolic state graph, not per configuration that instantiates
+    # it: the count does not grow with the instantiation
     defs = load("traces-count.pcsp")
     counts = []
     for n in (3, 8):
