@@ -8,6 +8,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
+from operator import add
 from typing import Callable, Optional
 
 from .errors import SemanticsError
@@ -150,7 +151,6 @@ def _product_bfs(norm: NormalisedSpec, impl: Lts, on_node: Callable) -> Optional
     queue = deque([start])
     while queue:
         nnode, istate = queue.popleft()
-        trace = None  # computed lazily
 
         def get_trace():
             path = []
@@ -222,9 +222,13 @@ def strong_bisim(l1: Lts, l2: Lts) -> tuple[bool, Optional[str]]:
     ordinary label.  On failure, returns a distinguishing
     Hennessy-Milner-style observation built from the refinement history.
 
-    Labels are interned once per call, numbered in label_key order, so a
-    signature is a set of (label id, block) int pairs and sorting by id
-    sorts by label_key."""
+    Labels are interned once per call, numbered in label_key order.  A state
+    keeps two tuples: the offsets id * n of its labels, n the states of the
+    union, and its targets within its own LTS, which index block for l1 and
+    block[n1:] for l2.  Every block id is below n, so id * n + block encodes
+    the pair (id, block) injectively, and a signature, a frozenset of such
+    ints, splits exactly as a set of pairs would.  The pairs themselves are
+    built only to explain a failure."""
     n1 = l1.n_states()
     n = n1 + l2.n_states()
 
@@ -235,20 +239,18 @@ def strong_bisim(l1: Lts, l2: Lts) -> tuple[bool, Optional[str]]:
                 key_of[lab] = label_key(lab)
     key_id = {key: i for i, key in enumerate(sorted(set(key_of.values())))}
     lab_id = {lab: key_id[key] for lab, key in key_of.items()}
-    labels = {}  # id -> the first label with that id
-    for lab, i in lab_id.items():
-        labels.setdefault(i, lab)
-
-    edges = [[(lab_id[lab], tgt) for lab, tgt, _ in row] for row in l1.edges]
-    edges += [[(lab_id[lab], tgt + n1) for lab, tgt, _ in row] for row in l2.edges]
+    offset = {lab: i * n for lab, i in lab_id.items()}
+    rows = [(tuple([offset[lab] for lab, _, _ in row]), tuple([t for _, t, _ in row]))
+            for row in itertools.chain(l1.edges, l2.edges)]
 
     block = [0] * n
     history = [block]
     while True:
         renumber = {}
+        get1, get2 = block.__getitem__, block[n1:].__getitem__
         new_block = [renumber.setdefault(
-            (block[s], frozenset([(i, block[t]) for i, t in edges[s]])), len(renumber))
-            for s in range(n)]
+            (b, frozenset(map(add, offs, map(get1 if s < n1 else get2, tgts)))),
+            len(renumber)) for s, (b, (offs, tgts)) in enumerate(zip(block, rows))]
         if new_block == block:
             break
         block = new_block
@@ -258,35 +260,30 @@ def strong_bisim(l1: Lts, l2: Lts) -> tuple[bool, Optional[str]]:
     if block[r1] == block[r2]:
         return True, None
 
-    def first_diff_level(a, b):
-        for lvl, blocks in enumerate(history):
-            if blocks[a] != blocks[b]:
-                return lvl
-        return None
+    labels = {}  # id -> the first label with that id
+    for lab, i in lab_id.items():
+        labels.setdefault(i, lab)
+    edges = [[(lab_id[lab], tgt) for lab, tgt, _ in row] for row in l1.edges]
+    edges += [[(lab_id[lab], tgt + n1) for lab, tgt, _ in row] for row in l2.edges]
 
     def succs(s, i):
         return [t for j, t in edges[s] if j == i]
 
     def dist(a, b, depth=0):
+        # a and b are apart: take the first level at which they are, and a
+        # (label, block) pair of the level before that only one of them has
         if depth > len(history) + 4:
             return "..."
-        lvl = first_diff_level(a, b)
-        prev = history[lvl - 1]
+        prev = history[next(lvl for lvl, blocks in enumerate(history)
+                            if blocks[a] != blocks[b]) - 1]
         siga = frozenset((i, prev[t]) for i, t in edges[a])
         sigb = frozenset((i, prev[t]) for i, t in edges[b])
-        only_a = sorted(siga - sigb)
-        only_b = sorted(sigb - siga)
-        if only_a:
-            i, blk = only_a[0]
-            a2 = min(t for t in succs(a, i) if prev[t] == blk)
-            parts = sorted({dist(a2, t2, depth + 1) for t2 in succs(b, i)})
-            inner = " and ".join(parts) if parts else "true"
-            return f"<{'tau' if labels[i] is TAU else labels[i]}>({inner})"
-        i, blk = only_b[0]
-        b2 = min(t for t in succs(b, i) if prev[t] == blk)
-        parts = sorted({dist(b2, t2, depth + 1) for t2 in succs(a, i)})
+        neg, (x, y), (i, blk) = (("", (a, b), min(siga - sigb)) if siga - sigb
+                                 else ("not ", (b, a), min(sigb - siga)))
+        x2 = min(t for t in succs(x, i) if prev[t] == blk)
+        parts = sorted({dist(x2, t2, depth + 1) for t2 in succs(y, i)})
         inner = " and ".join(parts) if parts else "true"
-        return f"not <{'tau' if labels[i] is TAU else labels[i]}>({inner})"
+        return f"{neg}<{'tau' if labels[i] is TAU else labels[i]}>({inner})"
 
     return False, dist(r1, r2)
 

@@ -143,6 +143,10 @@ def _fmt_verdict(v) -> str:
     return f"FAILS with counterexample {v.counterexample_str()}"
 
 
+def _fmt_row(r) -> str:
+    return f"error: {r.error}" if r.error else _fmt_verdict(r.verdict)
+
+
 def cmd_conditions(args, defs) -> int:
     names = [args.proc] if args.proc else sorted(defs.equations)
     reports = {}
@@ -268,15 +272,15 @@ def cmd_verify(args, defs) -> int:
     for c in verdict.conditions:
         lines.append(c.render())
     for r in verdict.premises:
-        lines.append(f"premise {r.lhs} vs {r.rhs} [{r.method}]: "
-                     + _fmt_verdict(r.verdict))
+        lines.append(f"premise {r.lhs} vs {r.rhs} [{r.method}]: " + _fmt_row(r))
     for r in verdict.sizes:
-        lines.append(f"#T={r.n} [{r.method}] {r.lhs} vs {r.rhs}: "
-                     + _fmt_verdict(r.verdict))
+        lines.append(f"#T={r.n} [{r.method}] {r.lhs} vs {r.rhs}: " + _fmt_row(r))
     lines.append("conclusion: " + verdict.conclusion)
     for c in verdict.caveats:
         lines.append("caveat: " + c)
     _emit(args, verdict.to_dict(), "\n".join(lines))
+    if any(r.error for r in verdict.premises + verdict.sizes):
+        return 2
     return 0 if verdict.holds() else 1
 
 

@@ -304,15 +304,25 @@ def compute_thresholds(defs: Definitions, spec: str, model: str,
 
 @record
 class SizeResult:
+    """One size's check; error, in place of a verdict, names the build that
+    stopped it."""
+
     n: int
     lhs: str
     rhs: str
     method: str  # 'theorem' | 'direct'
-    verdict: Verdict
+    verdict: Optional[Verdict] = None
+    error: Optional[str] = None
+
+    def holds(self) -> bool:
+        return self.error is None and self.verdict.holds
 
     def to_dict(self) -> dict:
         out = {"n": self.n, "lhs": self.lhs, "rhs": self.rhs,
                "method": self.method}
+        if self.error is not None:
+            out["error"] = self.error
+            return out
         out.update(self.verdict.to_dict())
         if not self.verdict.holds:
             out["counterexample"] = self.verdict.counterexample_str()
@@ -332,8 +342,8 @@ class PmcpVerdict:
     caveats: list[str]
 
     def holds(self) -> bool:
-        return (all(r.verdict.holds for r in self.sizes)
-                and all(r.verdict.holds for r in self.premises)
+        return (all(r.holds() for r in self.sizes)
+                and all(r.holds() for r in self.premises)
                 and all(c.ok() for c in self.conditions))
 
     def to_dict(self) -> dict:
@@ -428,15 +438,29 @@ def verify_pmcp(defs: Definitions, spec: str, impl: str, model: str,
             builds[(proc, n, sym)] = got
         return got
 
+    def built(row: SizeResult, proc: str, collapsed: bool = False) -> Optional[Lts]:
+        # a build that fails fails its size's row only: the other sizes are
+        # still decided
+        try:
+            return lts_of(proc, row.n, collapsed)
+        except SemanticsError as exc:
+            row.error = str(exc)
+            return None
+
     def direct(n: int) -> SizeResult:
-        lhs = lts_of(spec, n)
+        row = SizeResult(n, f"{spec}({{0..{n - 1}}})", f"{impl}({{0..{n - 1}}})",
+                         "direct")
+        lhs = built(row, spec)
+        if lhs is None:
+            return row
         if model == "failures" and not divergence_free(lhs):
             raise SemanticsError(
                 f"specification {spec!r} diverges at #T={n}: stable-failures "
                 "refinement requires a divergence-free specification")
-        rhs = lts_of(impl, n)
-        return SizeResult(n, f"{spec}({{0..{n - 1}}})", f"{impl}({{0..{n - 1}}})",
-                          "direct", refines(lhs, rhs, model))
+        rhs = built(row, impl)
+        if rhs is not None:
+            row.verdict = refines(lhs, rhs, model)
+        return row
 
     if not hypotheses_ok:
         for n in size_list:
@@ -486,13 +510,15 @@ def verify_pmcp(defs: Definitions, spec: str, impl: str, model: str,
                 f"abstraction {abst!r} diverges at #T={hat}: stable-failures "
                 "refinement requires a divergence-free specification")
         for n in premise_sizes:
-            phi_impl = CollapsingFn(bound).lts(lts_of(impl, n, collapsed=True))
-            premises.append(SizeResult(
-                n, f"{abst}({{0..{bound}}})", f"phi({impl}({{0..{n - 1}}}))",
-                "premise-sample", refines(abst_hat, phi_impl, model)))
+            row = SizeResult(n, f"{abst}({{0..{bound}}})",
+                             f"phi({impl}({{0..{n - 1}}}))", "premise-sample")
+            premises.append(row)
+            impl_n = built(row, impl, collapsed=True)
+            if impl_n is not None:
+                row.verdict = refines(abst_hat, CollapsingFn(bound).lts(impl_n), model)
         for n in [n for n in size_list if n < results_bound]:
             results.append(direct(n))
-        if v.holds and all(p.verdict.holds for p in premises):
+        if v.holds and all(p.holds() for p in premises):
             conclusion = (f"{spec}(T) {op} {impl}(T) for all instantiations "
                           f"with #T >= {results_bound}")
         else:
@@ -503,13 +529,14 @@ def verify_pmcp(defs: Definitions, spec: str, impl: str, model: str,
     derived = []
     for n in size_list:
         if n >= bound + 1:
-            phi_impl = CollapsingFn(bound).lts(lts_of(impl, n, collapsed=True))
-            v = refines(spec_hat, phi_impl, model)
-            results.append(SizeResult(
-                n, f"{spec}({{0..{bound}}})", f"phi({impl}({{0..{n - 1}}}))",
-                "theorem", v))
-            if v.holds:
-                derived.append(n)
+            row = SizeResult(n, f"{spec}({{0..{bound}}})",
+                             f"phi({impl}({{0..{n - 1}}}))", "theorem")
+            results.append(row)
+            impl_n = built(row, impl, collapsed=True)
+            if impl_n is not None:
+                row.verdict = refines(spec_hat, CollapsingFn(bound).lts(impl_n), model)
+                if row.verdict.holds:
+                    derived.append(n)
         else:
             results.append(direct(n))
     if derived:

@@ -453,13 +453,26 @@ def test_verify_names_the_build_that_hits_the_bound(tmp_path, capsys):
         "error: state bound (200) exceeded building Impl at #T=5: ")
 
 
-def test_verify_names_the_build_a_semantics_error_stops(capsys):
-    # Impl's |~| v:(t\{u}) ranges over nothing at #T=1, the first direct size
-    code, out, err = run(capsys, "verify", "ex512.pcsp", "--spec", "Spec",
-                         "--impl", "Impl", "--sizes", "1..4")
-    assert code == 2 and out == ""
-    assert err == ("error: replicated internal choice over an empty index set, "
-                   "building Impl at #T=1\n")
+def test_verify_reports_a_failed_build_as_its_own_row(capsys):
+    # Impl's |~| v:(t\{u}) ranges over nothing at #T=1, the first direct
+    # size: that size's row names the build, the other sizes are decided,
+    # and the exit code is 2
+    argv = ("verify", "ex512.pcsp", "--spec", "Spec", "--impl", "Impl",
+            "--sizes", "1..4")
+    error = ("replicated internal choice over an empty index set, "
+             "building Impl at #T=1")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and err == ""
+    rows = [line for line in out.splitlines() if line.startswith("#T=")]
+    assert rows == [f"#T=1 [direct] Spec({{0..0}}) vs Impl({{0..0}}): error: {error}"] + [
+        f"#T={n} [direct] Spec({{0..{n - 1}}}) vs Impl({{0..{n - 1}}}): holds"
+        for n in (2, 3, 4)]
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 2 and err == ""
+    sizes = json.loads(out)["sizes"]
+    assert sizes[0] == {"n": 1, "lhs": "Spec({0..0})", "rhs": "Impl({0..0})",
+                        "method": "direct", "error": error}
+    assert [(r["n"], r["holds"]) for r in sizes[1:]] == [(2, True), (3, True), (4, True)]
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):

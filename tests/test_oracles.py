@@ -27,7 +27,7 @@ from pcsp.cli import main
 from pcsp.conditions import check_seq
 from pcsp.cose import Configuration, concretize, eval_condition, insts, match
 from pcsp.errors import BoundExceeded, PcspError, SemanticsError
-from pcsp.lts import TAU, Event, Lts, build, label_key, terms_bounded
+from pcsp.lts import TAU, Event, Lts, build, label_key, rename_lts, terms_bounded
 from pcsp.parser import parse_definitions
 from pcsp.pretty import fmt_term
 from pcsp.record import fields, replace
@@ -206,11 +206,13 @@ _LABELS = (Event("a"), Event("b"), Event("c", (TVal(0),)), Event("c", (TVal(1),)
 
 @st.composite
 def lts_pairs(draw):
-    """Two LTSs of 1..6 states each over τ and a shared pool of up to four
-    visible labels.  The second is drawn on its own, or is the first with its
-    states numbered in another order and, half of those times, one edge
-    redrawn, so that bisimilar pairs and pairs that differ only deep down
-    both come up."""
+    """Two LTSs of 1..10 states each over τ and a shared pool of up to four
+    visible labels, so that label id * n + block spans several label
+    ranges.  The second is drawn on its own; or is the first relabelled by a
+    bijection of the visible pool, as permutation_bisim_check renames an
+    LTS by a bijection of t; or is the first with its states numbered in
+    another order and, half of those times, one edge redrawn, so that
+    bisimilar pairs and pairs that differ only deep down all come up."""
     pool = (TAU,) + tuple(draw(st.lists(st.sampled_from(_LABELS), min_size=1,
                                         max_size=4, unique=True)))
 
@@ -219,15 +221,18 @@ def lts_pairs(draw):
                          st.none())
 
     def lts():
-        n = draw(st.integers(1, 6))
+        n = draw(st.integers(1, 10))
         edges = [draw(st.lists(edge(n), max_size=3)) for _ in range(n)]
         return Lts(draw(st.integers(0, n - 1)), list(range(n)), list(range(n)),
                    edges, frozenset(), 2)
 
     l1 = lts()
-    mode = draw(st.sampled_from(("drawn", "renumbered", "edited")))
+    mode = draw(st.sampled_from(("drawn", "relabelled", "renumbered", "edited")))
     if mode == "drawn":
         return l1, lts()
+    if mode == "relabelled":
+        bijection = dict(zip(pool[1:], draw(st.permutations(pool[1:]))))
+        return l1, rename_lts(l1, bijection.__getitem__)
     n = l1.n_states()
     edges = [list(es) for es in l1.edges]
     if mode == "edited":
@@ -243,7 +248,16 @@ def lts_pairs(draw):
     return l1, Lts(order[l1.root], l1.states, l1.keys, renumbered, frozenset(), 2)
 
 
+_C0 = Event("c", (TVal(0),))
+
+
 @given(lts_pairs())
+# the second root also has a τ into a deadlock: with offsets id * n1 rather
+# than id * n (here n1 = 1), the pairs (τ, block 1) and (c.0, block 0) would
+# encode to the same int and the two roots would never be split
+@example((Lts(0, [0], [0], [[(_C0, 0, None), (TAU, 0, None)]], frozenset(), 2),
+          Lts(1, [0, 1], [0, 1], [[], [(TAU, 1, None), (TAU, 0, None), (_C0, 1, None)]],
+              frozenset(), 2)))
 @settings(max_examples=300, deadline=None)
 def test_strong_bisim_agrees_with_the_reference(pair):
     assert strong_bisim(*pair) == _reference_strong_bisim(*pair)
