@@ -217,40 +217,59 @@ def refines(spec: Lts, impl: Lts, model: str) -> Verdict:
 # ---------------------------------------------------------------------------
 # Strong bisimulation (partition refinement, with distinguishing formulas)
 
+def _distinct_rows(edges: list) -> tuple:
+    """The distinct row objects of edges and each state's index among
+    them, None when no row is shared (then no per-state index is built)."""
+    if len(set(map(id, edges))) == len(edges):
+        return edges, None
+    index: dict = {}
+    which = [index.setdefault(id(row), len(index)) for row in edges]
+    return list({id(row): row for row in edges}.values()), which
+
+
+def _signatures(rows, which, get):
+    """Each state's signature, its offsets plus the blocks get reads for
+    its targets, computed once per distinct row."""
+    sigs = (frozenset(map(add, offs, map(get, tgts))) for offs, tgts in rows)
+    return sigs if which is None else map(list(sigs).__getitem__, which)
+
+
 def strong_bisim(l1: Lts, l2: Lts) -> tuple[bool, Optional[str]]:
     """Partition refinement over the disjoint union, treating τ as an
     ordinary label.  On failure, returns a distinguishing
     Hennessy-Milner-style observation built from the refinement history.
 
-    Labels are interned once per call, numbered in label_key order.  A state
+    Labels are interned once per call, numbered in label_key order.  A row
     keeps two tuples: the offsets id * n of its labels, n the states of the
     union, and its targets within its own LTS, which index block for l1 and
     block[n1:] for l2.  Every block id is below n, so id * n + block encodes
     the pair (id, block) injectively, and a signature, a frozenset of such
-    ints, splits exactly as a set of pairs would.  The pairs themselves are
-    built only to explain a failure."""
+    ints, splits exactly as a set of pairs would.  States that share a row
+    object (lts.build) share its tuples and, each round, its signature.
+    The pairs themselves are built only to explain a failure."""
     n1 = l1.n_states()
     n = n1 + l2.n_states()
+    (rows1, which1), (rows2, which2) = _distinct_rows(l1.edges), _distinct_rows(l2.edges)
 
     key_of = {}  # label -> label_key, in order of first occurrence
-    for row in itertools.chain(l1.edges, l2.edges):
+    for row in itertools.chain(rows1, rows2):
         for lab, _, _ in row:
             if lab not in key_of:
                 key_of[lab] = label_key(lab)
     key_id = {key: i for i, key in enumerate(sorted(set(key_of.values())))}
     lab_id = {lab: key_id[key] for lab, key in key_of.items()}
     offset = {lab: i * n for lab, i in lab_id.items()}
-    rows = [(tuple([offset[lab] for lab, _, _ in row]), tuple([t for _, t, _ in row]))
-            for row in itertools.chain(l1.edges, l2.edges)]
+    rows1, rows2 = [[(tuple([offset[lab] for lab, _, _ in row]), tuple([t for _, t, _ in row]))
+                     for row in rows] for rows in (rows1, rows2)]
 
     block = [0] * n
     history = [block]
     while True:
         renumber = {}
-        get1, get2 = block.__getitem__, block[n1:].__getitem__
-        new_block = [renumber.setdefault(
-            (b, frozenset(map(add, offs, map(get1 if s < n1 else get2, tgts)))),
-            len(renumber)) for s, (b, (offs, tgts)) in enumerate(zip(block, rows))]
+        sigs = itertools.chain(_signatures(rows1, which1, block.__getitem__),
+                               _signatures(rows2, which2, block[n1:].__getitem__))
+        new_block = [renumber.setdefault((b, sig), len(renumber))
+                     for b, sig in zip(block, sigs)]
         if new_block == block:
             break
         block = new_block

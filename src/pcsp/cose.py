@@ -17,6 +17,11 @@ environment) up.  A configuration's id is the state class of its node with
 the environment's values put in, the way StateGraph.rename puts in
 permuted values, so configurations whose instantiated terms are
 alpha-equivalent are one; it is computed only when that pair is new.
+
+A configuration reached through true conditions takes its mover's row:
+every configuration whose true conditions lead to the same runs of edges
+under the same restricted environments shares one row object
+(_Configurations.mover).
 """
 
 from __future__ import annotations
@@ -102,6 +107,8 @@ class _Configurations:
         self.ids: dict = {}    # (node, restricted env) -> configuration id
         self.free: dict = {}   # node -> its free names, sorted
         self.edges: dict = {}  # node -> its edges
+        self.conditional: set = set()  # the nodes with a conditional edge
+        self.runs: dict = {}   # run (see mover) -> its transitions
 
     def names(self, i: int) -> tuple:
         """The free names of node i, sorted: those standing for themselves
@@ -168,6 +175,8 @@ class _Configurations:
             for lab, uid, target in self.graph.successors(i):
                 if lab is TAU or isinstance(lab, Cond):
                     got.append((lab, uid, target, ({},) if lab is TAU else None))
+                    if lab is not TAU:
+                        self.conditional.add(i)
                 else:
                     names, values = selections(lab.event, "t", self.tvalues)
                     if names:
@@ -177,47 +186,84 @@ class _Configurations:
                         got.append((lab, uid, target, lab.event))
         return got
 
+    def restrict(self, i: int, env: Environment) -> tuple:
+        """env restricted to the free names of node i, as sorted pairs."""
+        return tuple((k, env[k]) for k in self.names(i) if k in env)
+
     def config(self, i: int, env: Environment) -> tuple[tuple, int]:
         """The configuration of node i under env, as the pair (i, env
         restricted to the free names of i) and its id."""
-        pair = (i, tuple((k, env[k]) for k in self.names(i) if k in env))
+        pair = (i, self.restrict(i, env))
         cid = self.ids.get(pair)
         if cid is None:
             cid = self.ids[pair] = self.graph.state(self.put(i, dict(pair[1])))
         return pair, cid
 
+    def mover(self, cfg: tuple) -> Optional[tuple]:
+        """None for a configuration (node, restricted env) whose node has no
+        conditional edge, else the runs of edges it takes its transitions
+        from: a conditional edge whose condition holds contributes those of
+        its target, so the runs (j, env restricted to j's free names,
+        start, stop) slice the other edges of the nodes so reached, in the
+        order the rules collect them, with a cycle guard on state class."""
+        i, env = cfg
+        self.edges_of(i)  # which fills self.conditional
+        if i not in self.conditional:
+            return None
+        env = dict(env)
+        state = self.graph.state
+        runs, seen = [], set()
 
-def successors_of_config(cfg: tuple, table: _Configurations) -> list:
-    """COSE transitions of a configuration, given as the pair (symbolic
-    node, restricted environment), as (label, uid, target pair,
-    configuration id).  Conditional symbolic edges whose condition holds
-    contribute the transitions of their target (so a false condition
-    contributes nothing); chains of conditionals are followed with a cycle
-    guard on the state class."""
-    i, env = cfg
-    env = dict(env)
-    out = []
-    seen = set()
+        def expand(j: int):
+            cls = state(j)
+            if cls in seen:
+                return
+            seen.add(cls)
+            edges, renv, start = self.edges_of(j), self.restrict(j, env), 0
+            for k, (lab, _, target, _) in enumerate(edges):
+                if lab.__class__ is Cond:
+                    if start < k:
+                        runs.append((j, renv, start, k))
+                    start = k + 1
+                    if eval_condition(lab.condition, env):
+                        expand(target)
+            if start < len(edges):
+                runs.append((j, renv, start, len(edges)))
 
-    def expand(i: int):
-        cls = table.graph.state(i)
-        if cls in seen:
-            return
-        seen.add(cls)
-        for lab, uid, target, extra in table.edges_of(i):
+        expand(i)
+        return tuple(runs)
+
+    def successors(self, moves: tuple) -> list:
+        """COSE transitions, as (label, uid, target pair, configuration id),
+        of a configuration (node, restricted env) or of the runs one moves
+        as, each run's computed once."""
+        if moves and moves[0].__class__ is int:  # a configuration, not runs
+            runs = self.mover(moves)
+            if runs is None:
+                i, env = moves
+                return self._instances(self.edges_of(i), dict(env))
+            moves = runs
+        out = []
+        for run in moves:
+            got = self.runs.get(run)
+            if got is None:
+                j, env, start, stop = run
+                got = self.runs[run] = self._instances(self.edges_of(j)[start:stop], dict(env))
+            out += got
+        return out
+
+    def _instances(self, edges: list, env: Environment) -> list:
+        """The event instances of non-conditional edges under env."""
+        out = []
+        for lab, uid, target, extra in edges:
             if lab is TAU:
                 for binding in extra:
-                    out.append((TAU, uid, *table.config(target, {**env, **binding})))
-            elif isinstance(lab, Cond):
-                if eval_condition(lab.condition, env):
-                    expand(target)
+                    out.append((TAU, uid, *self.config(target, {**env, **binding})))
             else:
-                for event in insts(extra, env, table.tvalues):
-                    out.append((event, uid, *table.config(
+                for event in insts(extra, env, self.tvalues):
+                    out.append((event, uid, *self.config(
                         target, {**env, **match(extra, event)})))
-
-    expand(i)
-    return out
+        return out
 
 
 def concretize(defs: Definitions, source: Union[str, ProcessTerm],
@@ -230,9 +276,9 @@ def concretize(defs: Definitions, source: Union[str, ProcessTerm],
     graph, root = state_graph(defs, source)
     table = _Configurations(graph, tvalues_for(tsize))
     root = table.config(root, dict(init_env or {}))
-    lts = build(*root, lambda cfg: successors_of_config(cfg, table),
+    lts = build(*root, table.successors,
                 alphabet=file_alphabet(defs, table.tvalues), tsize=tsize,
-                max_states=max_states,
+                max_states=max_states, mover=table.mover,
                 describe=lambda cfg: Configuration(graph.term(cfg[0]), cfg[1]).describe())
     lts.states = [Configuration(graph.term(i), env) for i, env in lts.states]
     return lts

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from operator import itemgetter
-from typing import Callable
+from typing import Callable, Optional
 
 from .errors import BoundExceeded, SemanticsError
 from .record import field, record
@@ -71,6 +71,9 @@ class Lts:
     states hold display payloads; keys hold the identity used for
     deduplication: every semantics keys states by the state classes of its
     per-build state graph, meaningful within one build only.
+
+    edges[i] is state i's row.  States that move alike (build's movers) may
+    hold one shared row object, so a row is read-only: copy it to change it.
     """
 
     root: int
@@ -137,24 +140,45 @@ def _edge_row(keyed) -> list[Edge]:
 def build(root_payload, root_key, successors: Callable, *,
           alphabet: frozenset[Event], tsize: int,
           max_states: int, describe: Callable[[object], str],
-          order: Callable = label_key) -> Lts:
+          order: Callable = label_key, mover: Optional[Callable] = None) -> Lts:
     """Deterministic BFS closure of a successor function.
 
     successors(payload) yields (label, uid, payload, key) quadruples;
     exploration order and edge order are fixed by label, sorted by order,
     and insertion order, so two runs produce identical structures.  Each
-    label's order key is computed once, for the sort and the edge row.
+    distinct label's order key is computed once per build.
+
+    mover(payload), if given, is None for a state that moves as itself,
+    else the hashable value it moves as (a conditional as its branch),
+    which successors accepts in place of the payload.  States with one
+    mover share one read-only edge row: the first numbered every target,
+    so the later ones add no state.
     """
     states = [root_payload]
     keys = [root_key]
     index = {root_key: 0}
     edges: list[list[Edge]] = []
+    order_keys: dict = {}  # label -> order(label)
+    rows: dict = {}        # mover -> its edge row
     frontier = 0
     with terms_bounded():
         while frontier < len(states):
+            payload = states[frontier]
+            frontier += 1
+            moves_as = None if mover is None else mover(payload)
+            if moves_as is not None:
+                row = rows.get(moves_as)
+                if row is not None:
+                    edges.append(row)
+                    continue
+            succ = []
+            for s in successors(payload if moves_as is None else moves_as):
+                k = order_keys.get(s[0])
+                if k is None:
+                    k = order_keys[s[0]] = order(s[0])
+                succ.append((k, s))
+            succ.sort(key=itemgetter(0))
             out = []
-            succ = sorted([(order(s[0]), s) for s in successors(states[frontier])],
-                          key=itemgetter(0))
             for k, (label, uid, next_payload, next_key) in succ:
                 tgt = index.get(next_key)
                 if tgt is None:
@@ -165,8 +189,10 @@ def build(root_payload, root_key, successors: Callable, *,
                     states.append(next_payload)
                     keys.append(next_key)
                 out.append((k, (label, tgt, uid)))
-            edges.append(_edge_row(out))
-            frontier += 1
+            row = _edge_row(out)
+            if moves_as is not None:
+                rows[moves_as] = row
+            edges.append(row)
     return Lts(0, states, keys, edges, alphabet, tsize)
 
 

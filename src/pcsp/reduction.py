@@ -439,11 +439,11 @@ def verify_pmcp(defs: Definitions, spec: str, impl: str, model: str,
         return got
 
     def built(row: SizeResult, proc: str, collapsed: bool = False) -> Optional[Lts]:
-        # a build that fails fails its size's row only: the other sizes are
-        # still decided
+        # a build that fails or hits the state bound fails its size's row
+        # only: the other sizes are still decided
         try:
             return lts_of(proc, row.n, collapsed)
-        except SemanticsError as exc:
+        except (SemanticsError, BoundExceeded) as exc:
             row.error = str(exc)
             return None
 

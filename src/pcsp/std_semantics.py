@@ -473,9 +473,11 @@ class StateGraph:
     Tables: ids (operator key -> node), kids (node -> its key for an
     operator node, None for a leaf), leaves (node -> the first (position,
     env) of a leaf), terms (node -> its term, built on demand), succ (node
-    -> memoised [(label, construct_uid, target node)]) and cls (node ->
-    state class, on demand for operator nodes).  The symmetry reduction adds
-    memos of the t-values of a node and of orbit representatives.
+    -> memoised [(label, construct_uid, target node)], one list for a
+    chain of conditionals and followed calls and the node it leads to, its
+    mover) and cls (node -> state class, on demand for operator nodes).
+    The symmetry reduction adds memos of the t-values of a node and of
+    orbit representatives.
     """
 
     # the terms whose nodes are keyed by their operands' nodes; every other
@@ -508,6 +510,7 @@ class StateGraph:
         self._blank_tvals: dict = {}  # operator id -> t-values of its data
         self._at_lo: dict = {}        # (instance node, index) -> sort class
         self._reps: dict = {}         # node -> orbit representative
+        self._movers: dict = {}       # chain node -> the node it moves as
 
     def _add(self, kids, leaf, cls) -> int:
         i = len(self.kids)
@@ -733,7 +736,9 @@ class StateGraph:
         those of its body when calls do not unfold by τ.  A call to an
         equation already followed (on this chain, or on one whose successors
         are being combined above it) keeps its τ, which cuts each cycle of
-        bare calls and bounds every chain by the number of equations."""
+        bare calls and bounds every chain by the number of equations.  The
+        chain's other nodes record the node at its end, whose list they
+        share, as their mover."""
         engine, follow = self.engine, self._open
         chain, opened = [], []
         while True:
@@ -753,12 +758,22 @@ class StateGraph:
                 break
             if self.kids[i] is not None or self.succ[i] is not None:
                 out = self.successors(i)
+                i = self._movers.get(i, i)
                 break
         if opened:
             follow.difference_update(opened)
         for j in chain:
             self.succ[j] = out
+            if j != i:
+                self._movers[j] = i
         return out
+
+    def mover(self, i: int) -> Optional[int]:
+        """The node whose successor list node i shares, the end of its
+        chain of conditionals and followed calls (_leaf_successors), or None
+        when node i moves itself."""
+        self.successors(i)
+        return self._movers.get(i)
 
     def evset(self, s: EventSet) -> frozenset[Event]:
         got = self._sets.get(s)
@@ -971,7 +986,8 @@ def build_lts(defs: Definitions, proc: Union[str, ProcessTerm], tsize: int,
     from .pretty import fmt_term
     lts = build(root, state(root), successors,
                 alphabet=file_alphabet(defs, graph.engine.tvalues), tsize=tsize,
-                max_states=max_states, describe=lambda i: fmt_term(graph.term(i)))
+                max_states=max_states, describe=lambda i: fmt_term(graph.term(i)),
+                mover=graph.mover)
     with terms_bounded():
         lts.states = [graph.term(i) for i in lts.states]
     return lts

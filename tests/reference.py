@@ -5,17 +5,20 @@ relation is the paper's definition read literally, and the validators check
 lemmas that hold for every SeqNorm specification, so a violation is a bug
 in the semantics that built the transition system.  The symbolic rules
 and the selection-to-output rewrite on whole terms are those that ssos and
-cose apply node by node to their state graphs.  The syntactic checkers at
+cose apply node by node to their state graphs.  build_unshared is the
+breadth-first loop of lts.build before states that move alike shared one
+edge row: it computes every state's row.  The syntactic checkers at
 the end are the five walks that ``conditions.check_all`` replaced, each
 re-walking both operands of every binary choice."""
 
 from __future__ import annotations
 
-from typing import Iterator
+from operator import itemgetter
+from typing import Callable, Iterator
 
 from pcsp.cose import eval_condition, insts, match
-from pcsp.errors import SemanticsError
-from pcsp.lts import Event, Lts, TAU, tau_closure
+from pcsp.errors import BoundExceeded, SemanticsError
+from pcsp.lts import Event, Lts, TAU, _edge_row, label_key, tau_closure, terms_bounded
 from pcsp.pretty import fmt_condition, fmt_term
 from pcsp.report import ConditionReport, Finding
 from pcsp.ssos import Cond, Vis, fmt_sym_label, sym_label_key
@@ -80,6 +83,40 @@ def has_failure(lts: Lts, trace, refused) -> bool:
     trace accepts nothing in the refused set."""
     refused = frozenset(refused)
     return any(not (acc & refused) for acc in acceptances_after(lts, trace))
+
+
+# ---------------------------------------------------------------------------
+# The breadth-first build, every state's row computed
+
+def build_unshared(root_payload, root_key, successors: Callable, *,
+                   alphabet: frozenset[Event], tsize: int,
+                   max_states: int, describe: Callable[[object], str],
+                   order: Callable = label_key, mover=None) -> Lts:
+    """lts.build without its movers (mover is accepted and ignored):
+    successors runs on every state, and every row is its own object."""
+    states = [root_payload]
+    keys = [root_key]
+    index = {root_key: 0}
+    edges = []
+    frontier = 0
+    with terms_bounded():
+        while frontier < len(states):
+            out = []
+            succ = sorted([(order(s[0]), s) for s in successors(states[frontier])],
+                          key=itemgetter(0))
+            for k, (label, uid, next_payload, next_key) in succ:
+                tgt = index.get(next_key)
+                if tgt is None:
+                    if len(states) >= max_states:
+                        raise BoundExceeded("state", max_states, describe(next_payload))
+                    tgt = len(states)
+                    index[next_key] = tgt
+                    states.append(next_payload)
+                    keys.append(next_key)
+                out.append((k, (label, tgt, uid)))
+            edges.append(_edge_row(out))
+            frontier += 1
+    return Lts(0, states, keys, edges, alphabet, tsize)
 
 
 # ---------------------------------------------------------------------------

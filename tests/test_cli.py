@@ -444,13 +444,20 @@ def test_bad_sizes_message(capsys, argv, option):
 
 def test_verify_names_the_build_that_hits_the_bound(tmp_path, capsys):
     # the mutant's reduced builds of Impl have 79, 159 and 279 states at
-    # #T=3..5, so the fifth size is the first over the bound
+    # #T=3..5, so the fifth size is the first over the bound: sizes 1..4 are
+    # decided, each of 5..8 is an error row naming the bound and the build,
+    # and the exit code is 2
     code, out, err = run(capsys, "verify", str(symmetric_mutant(tmp_path)),
                          "--spec", "Spec", "--impl", "Impl", "--model", "failures",
                          "--sizes", "1..8", "--max-states", "200")
-    assert code == 2 and out == ""
-    assert err.startswith(
-        "error: state bound (200) exceeded building Impl at #T=5: ")
+    assert code == 2 and err == ""
+    rows = [line for line in out.splitlines() if line.startswith("#T=")]
+    assert len(rows) == 8
+    assert all(": FAILS with counterexample " in row for row in rows[:4])
+    for n, row in zip((5, 6, 7, 8), rows[4:]):
+        assert row.startswith(
+            f"#T={n} [theorem] Spec({{0..1}}) vs phi(Impl({{0..{n - 1}}})): "
+            f"error: state bound (200) exceeded building Impl at #T={n}: ")
 
 
 def test_verify_reports_a_failed_build_as_its_own_row(capsys):

@@ -7,19 +7,22 @@ the canonicalising walk against a separate free-variable walk,
 build_sslts and concretize over the nodes of a state graph against the
 whole-term symbolic rules (tests/reference.py) with every state keyed by
 its canonical term, build_lts over (position, env) leaves against
-term-keyed leaves, and the build modulo the symmetry that phi leaves
-against the full build, after phi."""
+term-keyed leaves, the build modulo the symmetry that phi leaves
+against the full build, after phi, and the builds whose states share edge
+rows against the reference loop that computes every row."""
 
 from __future__ import annotations
 
 import functools
 import itertools
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import ALL_CORPUS_FILES, CORPUS_SEQ, load, proc_body, symmetric_mutant
-from pcsp import reduction
+from pcsp import cose, reduction, std_semantics
 from pcsp.analysis import (
     divergence_free, refines, refines_failures, refines_traces, strong_bisim,
 )
@@ -48,7 +51,8 @@ from pcsp.syntax import (
     subst_event_set, substitute, subterms,
 )
 from reference import (
-    acceptances_after, replace_t_initials, sym_successors, traces_upto, unfold_ident,
+    acceptances_after, build_unshared, replace_t_initials, sym_successors, traces_upto,
+    unfold_ident,
 )
 
 from test_syntax import _VARS, terms
@@ -212,7 +216,9 @@ def lts_pairs(draw):
     bijection of the visible pool, as permutation_bisim_check renames an
     LTS by a bijection of t; or is the first with its states numbered in
     another order and, half of those times, one edge redrawn, so that
-    bisimilar pairs and pairs that differ only deep down all come up."""
+    bisimilar pairs and pairs that differ only deep down all come up.  Some
+    states of a drawn LTS hold another state's row object, as states that
+    move alike do in lts.build."""
     pool = (TAU,) + tuple(draw(st.lists(st.sampled_from(_LABELS), min_size=1,
                                         max_size=4, unique=True)))
 
@@ -223,6 +229,8 @@ def lts_pairs(draw):
     def lts():
         n = draw(st.integers(1, 10))
         edges = [draw(st.lists(edge(n), max_size=3)) for _ in range(n)]
+        for s in draw(st.lists(st.integers(0, n - 1), max_size=n)):
+            edges[s] = edges[draw(st.integers(0, n - 1))]
         return Lts(draw(st.integers(0, n - 1)), list(range(n)), list(range(n)),
                    edges, frozenset(), 2)
 
@@ -913,7 +921,10 @@ def test_build_lts_agrees_with_the_reference(term, n, x, y):
 # symbolic state graph) around the branch it takes.  L and R are 4-way
 # choices, nested to the left (one node of four operands) and to the right,
 # whose operands move by τ.  L's first operand unfolds to a choice, which
-# joins the chain: M reaches that state both ways.
+# joins the chain: M reaches that state both ways.  In C, when x == y, the
+# true condition and the prefix after it both offer ca.x, each to a new
+# configuration: those are numbered in the order the rules collect the
+# two, the branch's first.
 _CHOICES = parse_definitions("""
 datatype AB = a | b
 channel ca : t
@@ -926,10 +937,11 @@ Q3 = e -> STOP [] ca$v:t -> STOP
 L = Q3 [] Q1 [] (ca$w:t -> STOP |~| e -> STOP) [] Q2
 M = L |~| (e -> STOP [] ca$v:t -> STOP [] Q1 [] (ca$w:t -> STOP |~| e -> STOP) [] Q2)
 R = (e -> STOP |~| STOP) [] (Q1 [] ((ca$w:t -> STOP |~| e -> STOP) [] Q2))
+C = ca?x:t -> ca?y:t -> ((if x == y then ca!x -> ca!x -> STOP else STOP) [] ca!y -> STOP)
 """)
 
 
-@pytest.mark.parametrize("proc", ["P", "L", "M", "R"])
+@pytest.mark.parametrize("proc", ["P", "L", "M", "R", "C"])
 def test_conditionals_and_choice_chains_agree_with_the_references(proc):
     assert not isinstance(_check_sslts(_CHOICES, proc)[0], str)
     for n in (1, 2, 3):
@@ -1086,3 +1098,64 @@ def test_a_call_cycle_without_its_tau_fails_the_agreement(monkeypatch):
     monkeypatch.setattr(Engine, "successors", lambda self, p, env: (
         [] if self.positions[p].term.__class__ is Ident else moves(self, p, env)))
     assert not _calls_agree(unfolded, build_lts(_CYCLE, "P0", 1, unfold_calls=False))
+
+
+# -- states that move alike share one edge row -----------------------------
+
+def _rows_outcome(fn, *args, **kwargs):
+    try:
+        lts = fn(*args, **kwargs)
+    except PcspError as exc:
+        return type(exc).__name__, str(exc)
+    return lts.root, lts.keys, lts.states, lts.edges
+
+
+def _check_shared(fn, *args, **kwargs):
+    """fn (build_lts or concretize) gives the same root, keys, states and
+    edge rows, compared by value, as with every row computed.  The runs
+    that cose's movers name are checked against the whole-term rules
+    above."""
+    got = _rows_outcome(fn, *args, **kwargs)
+    with mock.patch.object(std_semantics, "build", build_unshared), \
+            mock.patch.object(cose, "build", build_unshared):
+        assert got == _rows_outcome(fn, *args, **kwargs)
+
+
+_COUNTS = Path(__file__).parent / "golden" / "lts-counts.txt"
+
+
+@pytest.mark.parametrize("fname, proc, n", [
+    (fname, proc, int(n)) for fname, proc, n, *_ in map(str.split, _COUNTS.read_text().splitlines())])
+def test_shared_rows_change_no_corpus_build(fname, proc, n):
+    defs = load(fname)
+    for unfold in (True, False):
+        _check_shared(build_lts, defs, proc, n, unfold_calls=unfold)
+    if fname == "mutex.pcsp":
+        _check_shared(build_lts, defs, proc, n, symmetric_from=1, unfold_calls=False)
+    _check_shared(concretize, defs, proc, n)
+
+
+@given(terms(scope=("xfree",)), st.integers(1, 3),
+       st.sampled_from(({}, {"xfree": TVal(0)}, {"xfree": TVal(1)})))
+@settings(max_examples=100, deadline=None)
+def test_shared_rows_change_no_build(term, n, env):
+    _check_shared(concretize, _DEFS, term, n, init_env=env)
+    closed = substitute(term, {"xfree": TVal(0)})
+    for unfold in (True, False):
+        _check_shared(build_lts, _DEFS, closed, n, unfold_calls=unfold)
+
+
+@given(call_graphs(), st.integers(1, 3))
+@settings(max_examples=50, deadline=None)
+def test_shared_rows_change_no_build_through_bare_calls(defs, n):
+    _check_shared(build_lts, defs, "P0", n, 3000, unfold_calls=False)
+
+
+def test_states_that_move_alike_share_one_row():
+    # P inputs x, y, z and then only tests them: 512 of its states are
+    # conditionals, which move as the branch their values select
+    defs = load("traces-count.pcsp")
+    for lts in (build_lts(defs, "P", 8), build_lts(defs, "P", 8, unfold_calls=False),
+                concretize(defs, "P", 8)):
+        assert (lts.n_states(), lts.n_edges()) == (578, 26560)
+        assert len({id(row) for row in lts.edges}) <= 100
