@@ -11,7 +11,7 @@ from collections import deque
 from operator import add
 from typing import Callable, Optional
 
-from .errors import SemanticsError
+from .errors import BoundExceeded, SemanticsError
 from .lts import Event, Lts, TAU, label_key, rename_lts, tau_closure
 from .record import record
 from .report import ConditionReport, Finding
@@ -227,11 +227,106 @@ def _distinct_rows(edges: list) -> tuple:
     return list({id(row): row for row in edges}.values()), which
 
 
-def _signatures(rows, which, get):
-    """Each state's signature, its offsets plus the blocks get reads for
-    its targets, computed once per distinct row."""
-    sigs = (frozenset(map(add, offs, map(get, tgts))) for offs, tgts in rows)
-    return sigs if which is None else map(list(sigs).__getitem__, which)
+def _label_ids(labels) -> dict:
+    """Each of the distinct labels to its id, the ids numbered in label_key
+    order (labels with equal keys share one), in the order of labels."""
+    key_of = {lab: label_key(lab) for lab in labels}
+    key_id = {key: i for i, key in enumerate(sorted(set(key_of.values())))}
+    return {lab: key_id[key] for lab, key in key_of.items()}
+
+
+def _union(parts, n: int) -> tuple[list, list]:
+    """The disjoint union of parts, each a _distinct_rows pair plus an
+    offset per label, as its rows and, for each row, the union's states
+    that hold it.  A row is two tuples: the offsets of its labels and its
+    targets in the union."""
+    rows: list = []
+    users: list = []
+    base = 0
+    for distinct, which, offset in parts:
+        first = len(rows)
+        rows += [(tuple([offset[lab] for lab, _, _ in row]),
+                  tuple([base + t for _, t, _ in row])) for row in distinct]
+        if which is None:
+            users += [[s] for s in range(base, base + len(distinct))]
+            base += len(distinct)
+        else:
+            users += [[] for _ in distinct]
+            for s, r in enumerate(which, base):
+                users[first + r].append(s)
+            base += len(which)
+    return rows, users
+
+
+def _refine(rows, users, n: int) -> list[list[int]]:
+    """The partitions of the union's n states, as lists of block ids, from
+    one block to the coarsest stable one.  Each round splits every block
+    by its states' signatures, the sets of offset + block over their
+    rows' edges: every block id is below n and each offset is a label's
+    id times n, so an int encodes the pair (label id, block) injectively.
+
+    A round re-signs only the dirty rows, those with a target that changed
+    block in the round before.  A block that splits keeps its id for its
+    largest part, its clean states (those of no dirty row) when they are
+    as many, and gives each other part a new id.  So a clean row's
+    signature is the set it was, the clean states of a block still share
+    one, and a dirty state's new one holds a new id that theirs lacks: a
+    block splits into its clean states and its dirty ones grouped by
+    signature, and no signature is stored.  The partitions are those of
+    re-signing every row each round; only their ids differ."""
+    preds: list[list[int]] = [[] for _ in range(n)]
+    for r, (_, tgts) in enumerate(rows):
+        for t in set(tgts):
+            preds[t].append(r)
+    block = [0] * n
+    members = [set(range(n))]
+    history = [block[:]]
+    dirty = set(range(len(rows)))
+    while True:
+        get = block.__getitem__
+        by_sig: dict = {}  # (block, signature) -> its dirty states
+        for r in dirty:
+            offs, tgts = rows[r]
+            us = users[r]  # one row's states are never apart
+            key = block[us[0]], frozenset(map(add, offs, map(get, tgts)))
+            got = by_sig.get(key)
+            if got is None:
+                by_sig[key] = us[:]
+            else:
+                got += us
+        split: dict = {}  # block -> its dirty states, grouped by signature
+        for (b, _), part in by_sig.items():
+            split.setdefault(b, []).append(part)
+        moved = []
+        for b, parts in split.items():
+            clean = len(members[b]) - sum(map(len, parts))
+            if not clean and len(parts) == 1:
+                continue
+            largest = max(parts, key=len)
+            if clean >= len(largest):
+                for part in parts:
+                    members[b].difference_update(part)
+            else:
+                if clean:
+                    parts.append(list(members[b].difference(*parts)))
+                parts.remove(largest)
+                members[b] = set(largest)
+            for part in parts:
+                new = len(members)
+                members.append(set(part))
+                for s in part:
+                    block[s] = new
+                moved += part
+        if not moved:
+            return history
+        history.append(block[:])
+        dirty = {r for s in moved for r in preds[s]}
+
+
+def _first_occurrence(blocks: list[int]) -> list[int]:
+    """blocks renumbered in order of first occurrence."""
+    ids: dict = {}
+    return [ids.setdefault(b, len(ids)) for b in blocks]
 
 
 def strong_bisim(l1: Lts, l2: Lts) -> tuple[bool, Optional[str]]:
@@ -239,46 +334,27 @@ def strong_bisim(l1: Lts, l2: Lts) -> tuple[bool, Optional[str]]:
     ordinary label.  On failure, returns a distinguishing
     Hennessy-Milner-style observation built from the refinement history.
 
-    Labels are interned once per call, numbered in label_key order.  A row
-    keeps two tuples: the offsets id * n of its labels, n the states of the
-    union, and its targets within its own LTS, which index block for l1 and
-    block[n1:] for l2.  Every block id is below n, so id * n + block encodes
-    the pair (id, block) injectively, and a signature, a frozenset of such
-    ints, splits exactly as a set of pairs would.  States that share a row
-    object (lts.build) share its tuples and, each round, its signature.
+    Labels are interned once per call, numbered in label_key order, and
+    the union is refined by _refine: each round re-signs only the distinct
+    rows (states that share a row object in lts.build share its tuples and
+    its signature) with a target whose block changed, and a block that
+    splits keeps its id for its largest part.  Its history is the plain
+    refinement's up to the block ids, so only on failure is each round
+    renumbered in order of first occurrence, the plain refinement's
+    numbering, which the formula's choice of a (label, block) pair reads.
     The pairs themselves are built only to explain a failure."""
     n1 = l1.n_states()
     n = n1 + l2.n_states()
-    (rows1, which1), (rows2, which2) = _distinct_rows(l1.edges), _distinct_rows(l2.edges)
-
-    key_of = {}  # label -> label_key, in order of first occurrence
-    for row in itertools.chain(rows1, rows2):
-        for lab, _, _ in row:
-            if lab not in key_of:
-                key_of[lab] = label_key(lab)
-    key_id = {key: i for i, key in enumerate(sorted(set(key_of.values())))}
-    lab_id = {lab: key_id[key] for lab, key in key_of.items()}
+    parts = _distinct_rows(l1.edges), _distinct_rows(l2.edges)
+    lab_id = _label_ids({lab: None for rows, _ in parts for row in rows for lab, _, _ in row})
     offset = {lab: i * n for lab, i in lab_id.items()}
-    rows1, rows2 = [[(tuple([offset[lab] for lab, _, _ in row]), tuple([t for _, t, _ in row]))
-                     for row in rows] for rows in (rows1, rows2)]
-
-    block = [0] * n
-    history = [block]
-    while True:
-        renumber = {}
-        sigs = itertools.chain(_signatures(rows1, which1, block.__getitem__),
-                               _signatures(rows2, which2, block[n1:].__getitem__))
-        new_block = [renumber.setdefault((b, sig), len(renumber))
-                     for b, sig in zip(block, sigs)]
-        if new_block == block:
-            break
-        block = new_block
-        history.append(block)
+    history = _refine(*_union([(*part, offset) for part in parts], n), n)
 
     r1, r2 = l1.root, l2.root + n1
-    if block[r1] == block[r2]:
+    if history[-1][r1] == history[-1][r2]:
         return True, None
 
+    history = [_first_occurrence(blocks) for blocks in history]
     labels = {}  # id -> the first label with that id
     for lab, i in lab_id.items():
         labels.setdefault(i, lab)
@@ -315,6 +391,24 @@ def perm_event_fn(perm) -> Callable[[Event], Event]:
     return lambda e: permute_t(e, perm)
 
 
+def _invariant_under(lts: Lts, fns) -> bool:
+    """Whether lts is strongly bisimilar to its renaming by each of fns,
+    decided by one refinement of the disjoint union of lts and one view of
+    it per renaming: lts's rows with each label's id replaced by its
+    image's.  A signature is a set, so a view's rows need no sorting, and
+    no renamed copy is built."""
+    distinct, which = _distinct_rows(lts.edges)
+    labels = list({lab: None for row in distinct for lab, _, _ in row})
+    images = [labels] + [[lab if lab is TAU else fn(lab) for lab in labels] for fn in fns]
+    n1 = lts.n_states()
+    n = n1 * len(images)
+    lab_id = _label_ids(dict.fromkeys(itertools.chain.from_iterable(images)))
+    views = [(distinct, which, {lab: lab_id[img] * n for lab, img in zip(labels, imgs)})
+             for imgs in images]
+    block = _refine(*_union(views, n), n)[-1]
+    return all(block[lts.root] == block[k * n1 + lts.root] for k in range(1, len(views)))
+
+
 def permutation_bisim_check(defs, proc, sizes, max_states: int = 50_000) -> ConditionReport:
     """Check of full symmetry in t: at each requested size, the process must
     be strongly bisimilar to its renaming under every bijection of the
@@ -324,19 +418,31 @@ def permutation_bisim_check(defs, proc, sizes, max_states: int = 50_000) -> Cond
     transitive, so if l ~ π(l) and l ~ σ(l) then l ~ σ(π(l)): the passing
     bijections form a subgroup of S_n.  The transposition (1,0,2,…,n−1) and
     the n-cycle (1,2,…,n−1,0) generate S_n, so when both pass every bijection
-    does.  Otherwise all n! bijections are checked, so that each failing one
-    is reported with a distinguishing formula."""
-    from .std_semantics import build_lts
+    does.  Both are decided at once, by one refinement over the process's
+    LTS and a view of it per generator (_invariant_under), on an LTS whose
+    states are never made terms (explore_lts); a round of it re-signs only
+    the rows with a target that changed block, and block ids are never
+    renumbered, since no formula is built from them.  Otherwise all n!
+    bijections are checked by strong_bisim on renamed copies, so that each
+    failing one is reported with a distinguishing formula."""
+    from .std_semantics import explore_lts
 
+    name = proc if isinstance(proc, str) else "<term>"
     findings = []
     total = 0
     for n in sizes:
-        lts = build_lts(defs, proc, n, max_states)
+        try:
+            lts = explore_lts(defs, proc, n, max_states)
+        except BoundExceeded as exc:
+            raise BoundExceeded(exc.what, exc.bound, exc.frontier,
+                                f"{name} at #T={n}") from None
+        except SemanticsError as exc:
+            raise SemanticsError(f"{exc}, building {name} at #T={n}") from None
         total += math.factorial(n)
         generators = ((1, 0, *range(2, n)), (*range(1, n), 0)) if n > 1 else ()
         # at n = 2 the two generators are the same bijection
-        if all(strong_bisim(lts, rename_lts(lts, perm_event_fn(g)))[0]
-               for g in dict.fromkeys(generators)):
+        if not generators or _invariant_under(
+                lts, [perm_event_fn(g) for g in dict.fromkeys(generators)]):
             continue
         for perm in itertools.permutations(range(n)):
             renamed = rename_lts(lts, perm_event_fn(perm))
@@ -345,8 +451,7 @@ def permutation_bisim_check(defs, proc, sizes, max_states: int = 50_000) -> Cond
                 pi = ", ".join(f"{i}->{perm[i]}" for i in range(n))
                 findings.append(Finding(
                     "bisim", f"not bisimilar to its renaming under {{{pi}}} at "
-                    f"#T={n}; distinguished by {formula}",
-                    proc if isinstance(proc, str) else "<term>"))
+                    f"#T={n}; distinguished by {formula}", name))
     if findings:
         return ConditionReport("TypeSym-semantic", "fail", findings)
     sizes_str = ",".join(str(n) for n in sizes)

@@ -199,7 +199,8 @@ def build(root_payload, root_key, successors: Callable, *,
 def rename_lts(lts: Lts, fn: Callable[[Event], Event]) -> Lts:
     """Relabel every visible edge through fn (total on the LTS's visible
     labels); τ and the state graph are unchanged.  fn and label_key run
-    once per distinct label."""
+    once per distinct label, and each distinct row object is renamed once,
+    so rows that states share stay shared."""
     images = {TAU: (label_key(TAU), TAU)}
 
     def image(lab):
@@ -209,13 +210,17 @@ def rename_lts(lts: Lts, fn: Callable[[Event], Event]) -> Lts:
             got = images[lab] = (label_key(new), new)
         return got
 
+    renamed: dict = {}  # id(row) -> its renaming
     new_edges = []
     for es in lts.edges:
-        row = []
-        for lab, tgt, uid in es:
-            k, new = image(lab)
-            row.append((k, (new, tgt, uid)))
-        new_edges.append(_edge_row(row))
+        row = renamed.get(id(es))
+        if row is None:
+            keyed = []
+            for lab, tgt, uid in es:
+                k, new = image(lab)
+                keyed.append((k, (new, tgt, uid)))
+            row = renamed[id(es)] = _edge_row(keyed)
+        new_edges.append(row)
     alphabet = frozenset(fn(e) for e in lts.alphabet)
     return Lts(lts.root, list(lts.states), list(lts.keys), new_edges,
                alphabet, lts.tsize)

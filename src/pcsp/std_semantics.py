@@ -967,6 +967,22 @@ def build_lts(defs: Definitions, proc: Union[str, ProcessTerm], tsize: int,
     lose the divergence, so a call to an equation already followed keeps
     its τ.  Only refinement and divergence checks build this way; lts,
     congruence and the sampled checks keep the paper's semantics."""
+    graph, lts = _explore(defs, proc, tsize, max_states, symmetric_from, unfold_calls)
+    with terms_bounded():
+        lts.states = [graph.term(i) for i in lts.states]
+    return lts
+
+
+def explore_lts(defs: Definitions, proc: Union[str, ProcessTerm], tsize: int,
+                max_states: int = DEFAULT_MAX_STATES) -> Lts:
+    """build_lts without its last step, for a check that reads only the
+    transitions: the states stay the state graph's node ids, and no term
+    is built."""
+    return _explore(defs, proc, tsize, max_states, None, True)[1]
+
+
+def _explore(defs, proc, tsize, max_states, symmetric_from, unfold_calls) -> tuple:
+    """The state graph of a build and its LTS, whose states are node ids."""
     term = defs.body(proc) if isinstance(proc, str) else proc
     check_guarded_recursion(term, defs)
     graph = StateGraph(Engine(defs, tvalues_for(tsize)), symmetric_from, unfold_calls)
@@ -988,6 +1004,4 @@ def build_lts(defs: Definitions, proc: Union[str, ProcessTerm], tsize: int,
                 alphabet=file_alphabet(defs, graph.engine.tvalues), tsize=tsize,
                 max_states=max_states, describe=lambda i: fmt_term(graph.term(i)),
                 mover=graph.mover)
-    with terms_bounded():
-        lts.states = [graph.term(i) for i in lts.states]
-    return lts
+    return graph, lts

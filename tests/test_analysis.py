@@ -10,13 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import load
 from pcsp.analysis import (
-    _divergent_states, divergence_free, normalise, perm_event_fn,
+    _divergent_states, _invariant_under, divergence_free, normalise, perm_event_fn,
     permutation_bisim_check, refines_failures, refines_traces, strong_bisim,
 )
 from pcsp.errors import SemanticsError
 from pcsp.lts import TAU, Event, Lts, rename_lts
 from pcsp.parser import parse_definitions
-from pcsp.std_semantics import build_lts
+from pcsp.std_semantics import StateGraph, build_lts
 from pcsp.syntax import Stop, TVal
 from reference import (
     acceptances_after, has_failure, has_trace, initials_after, traces_upto,
@@ -257,6 +257,19 @@ def test_ring_breaks_symmetry_at_the_papers_permutation():
     assert not has_trace(lts, (ev("send", 1, 3),))
 
 
+def test_a_passing_check_renames_nothing_and_builds_no_term(mutex):
+    # both generators pass at #T=4 and 5, each size decided by one
+    # refinement over label views of a build whose states stay node ids
+    def forbidden(*args):
+        raise AssertionError("called on a passing check")
+
+    with mock.patch("pcsp.analysis.rename_lts", forbidden), \
+            mock.patch.object(StateGraph, "term", forbidden):
+        r = permutation_bisim_check(mutex, "Impl", (4, 5))
+    assert (r.verdict, r.notes) == (
+        "evidence", ["bisimilar to all 144 bijective renamings at sizes {4,5}"])
+
+
 def test_everything_symmetric_at_size_one(mutex):
     r = permutation_bisim_check(mutex, "Impl", (1,))
     assert r.verdict == "evidence"
@@ -310,6 +323,23 @@ def tval_ltss(draw, n):
                frozenset(), n)
 
 
+@given(st.integers(2, 4).flatmap(tval_ltss), st.data())
+@settings(max_examples=200, deadline=None)
+def test_one_refinement_decides_each_generator(lts, data):
+    # some states hold another state's row object, as states that move
+    # alike do in lts.build
+    edges = list(lts.edges)
+    k = len(edges)
+    for s in data.draw(st.lists(st.integers(0, k - 1), max_size=k)):
+        edges[s] = edges[data.draw(st.integers(0, k - 1))]
+    lts = Lts(lts.root, lts.states, lts.keys, edges, lts.alphabet, lts.tsize)
+    n = lts.tsize
+    fns = [perm_event_fn(g) for g in ((1, 0, *range(2, n)), (*range(1, n), 0))]
+    each = [strong_bisim(lts, rename_lts(lts, fn))[0] for fn in fns]
+    assert [_invariant_under(lts, [fn]) for fn in fns] == each
+    assert _invariant_under(lts, fns) == all(each)
+
+
 @st.composite
 def sized_tval_ltss(draw):
     sizes = sorted(draw(st.sets(st.integers(1, 4), min_size=1, max_size=2)))
@@ -319,7 +349,7 @@ def sized_tval_ltss(draw):
 @given(sized_tval_ltss())
 @settings(max_examples=100, deadline=None)
 def test_generator_check_equals_the_exhaustive_check(ltss):
-    with mock.patch("pcsp.std_semantics.build_lts",
+    with mock.patch("pcsp.std_semantics.explore_lts",
                     lambda defs, proc, n, max_states: ltss[n]):
         got = permutation_bisim_check(None, "P", tuple(ltss))
     findings = []

@@ -460,6 +460,23 @@ def test_verify_names_the_build_that_hits_the_bound(tmp_path, capsys):
             f"error: state bound (200) exceeded building Impl at #T={n}: ")
 
 
+@pytest.mark.parametrize("argv, error", [
+    # mutex's Impl has 12 states at #T=1, 34 at #T=2 and 90 at #T=3: the
+    # third size is the first over the bound
+    (("mutex.pcsp", "--proc", "Impl", "--typesym-sizes", "1..3", "--max-states", "40"),
+     "state bound (40) exceeded building Impl at #T=3: (Node(0) ||| CS(1) ||| "
+     "Node(2)) [|{|getToken, returnToken|}|] returnToken?j:t -> Controller "
+     "\\ {|getToken, returnToken|}"),
+    # ex512's Impl ranges |~| v:(t\{u}) over nothing at #T=1
+    (("ex512.pcsp", "--proc", "Impl", "--typesym-sizes", "1"),
+     "replicated internal choice over an empty index set, building Impl at #T=1"),
+])
+def test_typesym_sizes_names_the_build_that_stops(capsys, argv, error):
+    code, out, err = run(capsys, "conditions", *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {error}\n"
+
+
 def test_verify_reports_a_failed_build_as_its_own_row(capsys):
     # Impl's |~| v:(t\{u}) ranges over nothing at #T=1, the first direct
     # size: that size's row names the build, the other sizes are decided,

@@ -1159,3 +1159,15 @@ def test_states_that_move_alike_share_one_row():
                 concretize(defs, "P", 8)):
         assert (lts.n_states(), lts.n_edges()) == (578, 26560)
         assert len({id(row) for row in lts.edges}) <= 100
+
+
+def test_renaming_keeps_shared_rows_shared():
+    # phi renames each of the build's 84 row objects once, so its image
+    # shares them as the build does, and each state's row is the one that
+    # renaming it on its own gives
+    lts = build_lts(load("traces-count.pcsp"), "P", 8, unfold_calls=False)
+    collapsed = CollapsingFn(2).lts(lts)
+    assert len({id(row) for row in lts.edges}) == 84
+    assert len({id(row) for row in collapsed.edges}) == 84
+    unshared = replace(lts, edges=[list(row) for row in lts.edges])
+    assert CollapsingFn(2).lts(unshared).edges == collapsed.edges

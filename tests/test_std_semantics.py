@@ -9,7 +9,7 @@ from pcsp.dot import lts_to_dot
 from pcsp.errors import BoundExceeded, SemanticsError
 from pcsp.lts import Event, TAU, rename_lts
 from pcsp.parser import parse_definitions
-from pcsp.std_semantics import build_lts
+from pcsp.std_semantics import build_lts, explore_lts
 from pcsp.pretty import fmt_term
 from pcsp.syntax import Ident, IndexedInterleave, Stop, TVal
 from reference import has_trace, initials_after, traces_upto
@@ -183,6 +183,15 @@ def test_mutex_impl_alphabet_and_exclusion(mutex):
         enters = {l for l, _, _ in lts.edges[s]
                   if l is not TAU and l.channel == "enterCS"}
         assert len(enters) <= 1
+
+
+@pytest.mark.parametrize("proc, n", [("Impl", 3), ("Impl", 5), ("Spec", 4)])
+def test_exploring_is_building_without_the_terms(mutex, proc, n):
+    built, explored = build_lts(mutex, proc, n), explore_lts(mutex, proc, n)
+    assert ((explored.root, explored.keys, explored.edges, explored.alphabet, explored.tsize)
+            == (built.root, built.keys, built.edges, built.alphabet, built.tsize))
+    assert all(isinstance(s, int) for s in explored.states)
+    assert len(explored.states) == len(built.states)
 
 
 def test_rename_identity(mutex):
