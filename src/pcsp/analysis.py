@@ -227,12 +227,14 @@ def _distinct_rows(edges: list) -> tuple:
     return list({id(row): row for row in edges}.values()), which
 
 
-def _label_ids(labels) -> dict:
-    """Each of the distinct labels to its id, the ids numbered in label_key
-    order (labels with equal keys share one), in the order of labels."""
-    key_of = {lab: label_key(lab) for lab in labels}
-    key_id = {key: i for i, key in enumerate(sorted(set(key_of.values())))}
-    return {lab: key_id[key] for lab, key in key_of.items()}
+def _label_ids(keyed: list[dict]) -> list[dict]:
+    """For each map of labels to their label_key in keyed, its labels to
+    their ids, numbered in label_key order over all the maps (labels with
+    equal keys share one).  The maps stay apart, so the labels of one are
+    never compared with those of another."""
+    key_id = {key: i for i, key in enumerate(sorted({k for keys in keyed
+                                                     for k in keys.values()}))}
+    return [{lab: key_id[key] for lab, key in keys.items()} for keys in keyed]
 
 
 def _union(parts, n: int) -> tuple[list, list]:
@@ -334,11 +336,12 @@ def strong_bisim(l1: Lts, l2: Lts) -> tuple[bool, Optional[str]]:
     ordinary label.  On failure, returns a distinguishing
     Hennessy-Milner-style observation built from the refinement history.
 
-    Labels are interned once per call, numbered in label_key order, and
-    the union is refined by _refine: each round re-signs only the distinct
-    rows (states that share a row object in lts.build share its tuples and
-    its signature) with a target whose block changed, and a block that
-    splits keeps its id for its largest part.  Its history is the plain
+    Labels are numbered in label_key order, by the keys the LTSs' builders
+    computed (Lts.label_keys) where they did, and the union is refined by
+    _refine: each round re-signs only the distinct rows (states that share
+    a row object in lts.build share its tuples and its signature) with a
+    target whose block changed, and a block that splits keeps its id for
+    its largest part.  Its history is the plain
     refinement's up to the block ids, so only on failure is each round
     renumbered in order of first occurrence, the plain refinement's
     numbering, which the formula's choice of a (label, block) pair reads.
@@ -346,9 +349,10 @@ def strong_bisim(l1: Lts, l2: Lts) -> tuple[bool, Optional[str]]:
     n1 = l1.n_states()
     n = n1 + l2.n_states()
     parts = _distinct_rows(l1.edges), _distinct_rows(l2.edges)
-    lab_id = _label_ids({lab: None for rows, _ in parts for row in rows for lab, _, _ in row})
-    offset = {lab: i * n for lab, i in lab_id.items()}
-    history = _refine(*_union([(*part, offset) for part in parts], n), n)
+    ids = _label_ids([lts.label_keys or {lab: label_key(lab) for row in rows for lab, _, _ in row}
+                      for lts, (rows, _) in zip((l1, l2), parts)])
+    history = _refine(*_union([(*part, {lab: i * n for lab, i in lab_id.items()})
+                               for part, lab_id in zip(parts, ids)], n), n)
 
     r1, r2 = l1.root, l2.root + n1
     if history[-1][r1] == history[-1][r2]:
@@ -356,10 +360,11 @@ def strong_bisim(l1: Lts, l2: Lts) -> tuple[bool, Optional[str]]:
 
     history = [_first_occurrence(blocks) for blocks in history]
     labels = {}  # id -> the first label with that id
-    for lab, i in lab_id.items():
-        labels.setdefault(i, lab)
-    edges = [[(lab_id[lab], tgt) for lab, tgt, _ in row] for row in l1.edges]
-    edges += [[(lab_id[lab], tgt + n1) for lab, tgt, _ in row] for row in l2.edges]
+    for lab_id in ids:
+        for lab, i in lab_id.items():
+            labels.setdefault(i, lab)
+    edges = [[(ids[0][lab], tgt) for lab, tgt, _ in row] for row in l1.edges]
+    edges += [[(ids[1][lab], tgt + n1) for lab, tgt, _ in row] for row in l2.edges]
 
     def succs(s, i):
         return [t for j, t in edges[s] if j == i]
@@ -402,7 +407,8 @@ def _invariant_under(lts: Lts, fns) -> bool:
     images = [labels] + [[lab if lab is TAU else fn(lab) for lab in labels] for fn in fns]
     n1 = lts.n_states()
     n = n1 * len(images)
-    lab_id = _label_ids(dict.fromkeys(itertools.chain.from_iterable(images)))
+    (lab_id,) = _label_ids([{lab: label_key(lab) for lab in
+                             dict.fromkeys(itertools.chain.from_iterable(images))}])
     views = [(distinct, which, {lab: lab_id[img] * n for lab, img in zip(labels, imgs)})
              for imgs in images]
     block = _refine(*_union(views, n), n)[-1]
@@ -420,19 +426,19 @@ def permutation_bisim_check(defs, proc, sizes, max_states: int = 50_000) -> Cond
     the n-cycle (1,2,…,n−1,0) generate S_n, so when both pass every bijection
     does.  Both are decided at once, by one refinement over the process's
     LTS and a view of it per generator (_invariant_under), on an LTS whose
-    states are never made terms (explore_lts); a round of it re-signs only
+    states are never made terms (build_lts); a round of it re-signs only
     the rows with a target that changed block, and block ids are never
     renumbered, since no formula is built from them.  Otherwise all n!
     bijections are checked by strong_bisim on renamed copies, so that each
     failing one is reported with a distinguishing formula."""
-    from .std_semantics import explore_lts
+    from .std_semantics import build_lts
 
     name = proc if isinstance(proc, str) else "<term>"
     findings = []
     total = 0
     for n in sizes:
         try:
-            lts = explore_lts(defs, proc, n, max_states)
+            lts = build_lts(defs, proc, n, max_states)
         except BoundExceeded as exc:
             raise BoundExceeded(exc.what, exc.bound, exc.frontier,
                                 f"{name} at #T={n}") from None

@@ -12,7 +12,6 @@ exist are resolved against the bundled corpus, so ``pcsp refine mutex.pcsp
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -54,86 +53,79 @@ def _sizes(spec: str, option: str) -> list[int]:
 
 def _emit(args, payload: dict, text: str) -> None:
     if args.format == "json":
+        import json  # only on this path: it adds to every start-up
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(text)
 
 
-def _add_common(p, with_format=True):
-    p.add_argument("file", help="definition file (.pcsp); bundled corpus "
-                   "names are resolved automatically")
-    if with_format:
-        p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--max-states", type=int, default=200_000)
+_MODEL = {"choices": ("traces", "failures"), "default": "traces"}
+_REQUIRED = {"required": True}
+_TSIZE = {"type": int, "required": True}
+_DOT = {"action": "store_true"}
+
+# sub-command -> (its help, its options after the file, --format and
+# --max-states that every one takes), in the order --help lists them
+_SUBCOMMANDS = {
+    "conditions": ("run the syntactic condition checkers", (
+        ("--proc", {"help": "check one process (default: all)"}),
+        ("--eqt-model", {"choices": ("traces", "failures"),
+                         "help": "also sample the equality-test condition in this model"}),
+        ("--eqt-sizes", {"default": "2,3"}),
+        ("--typesym-sizes", {"help": "also sample semantic symmetry in t at these sizes"}),
+    )),
+    "lts": ("build the concrete transition system", (
+        ("--proc", _REQUIRED), ("--tsize", _TSIZE), ("--dot", _DOT))),
+    "sslts": ("build the semi-symbolic transition system", (
+        ("--proc", _REQUIRED), ("--dot", _DOT))),
+    "cose": ("instantiate the symbolic system at a size", (
+        ("--proc", _REQUIRED), ("--tsize", _TSIZE), ("--dot", _DOT))),
+    "congruence": ("check the two concrete semantics are strongly bisimilar", (
+        ("--proc", _REQUIRED), ("--tsize", _TSIZE))),
+    "refine": ("check a refinement at one size", (
+        ("--spec", _REQUIRED), ("--impl", _REQUIRED), ("--model", _MODEL),
+        ("--tsize", _TSIZE))),
+    "threshold": ("compute the specification threshold", (
+        ("--spec", _REQUIRED), ("--model", _MODEL))),
+    "verify": ("run the full reduction pipeline", (
+        ("--spec", _REQUIRED), ("--impl", _REQUIRED), ("--model", _MODEL),
+        ("--sizes", {"required": True, "help": "e.g. 1..4 or 2,3"}),
+        ("--abst", {"help": "abstraction process for the universal conclusion"}),
+        ("--valid-from", {"type": int,
+                          "help": "size from which the abstraction premise holds"}),
+        ("--sample-premise", {"default": "",
+                              "help": "sizes at which to sample the abstraction premise"}),
+        ("--eqt-sizes", {"default": "2,3"}),
+        ("--assume-typesym", {"action": "store_true",
+                              "help": "accept symmetry in t of the implementation on "
+                              "assertion when the syntactic check fails"}),
+    )),
+}
 
 
-def make_parser() -> argparse.ArgumentParser:
+def make_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser of the sub-command that argv[0] names, or of every
+    sub-command when it names none, so that --help and a wrong command
+    list them all.  Building one sub-parser is most of the start-up of
+    argparse; the usage line still names every command."""
     ap = argparse.ArgumentParser(
         prog="pcsp",
         description="Parameterised verification for a CSP subset: operational "
         "semantics, refinement checking, and type-reduction thresholds.")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("conditions", help="run the syntactic condition checkers")
-    _add_common(p)
-    p.add_argument("--proc", help="check one process (default: all)")
-    p.add_argument("--eqt-model", choices=("traces", "failures"),
-                   help="also sample the equality-test condition in this model")
-    p.add_argument("--eqt-sizes", default="2,3")
-    p.add_argument("--typesym-sizes",
-                   help="also sample semantic symmetry in t at these sizes")
-
-    p = sub.add_parser("lts", help="build the concrete transition system")
-    _add_common(p)
-    p.add_argument("--proc", required=True)
-    p.add_argument("--tsize", type=int, required=True)
-    p.add_argument("--dot", action="store_true")
-
-    p = sub.add_parser("sslts", help="build the semi-symbolic transition system")
-    _add_common(p)
-    p.add_argument("--proc", required=True)
-    p.add_argument("--dot", action="store_true")
-
-    p = sub.add_parser("cose", help="instantiate the symbolic system at a size")
-    _add_common(p)
-    p.add_argument("--proc", required=True)
-    p.add_argument("--tsize", type=int, required=True)
-    p.add_argument("--dot", action="store_true")
-
-    p = sub.add_parser("congruence", help="check the two concrete semantics "
-                       "are strongly bisimilar")
-    _add_common(p)
-    p.add_argument("--proc", required=True)
-    p.add_argument("--tsize", type=int, required=True)
-
-    p = sub.add_parser("refine", help="check a refinement at one size")
-    _add_common(p)
-    p.add_argument("--spec", required=True)
-    p.add_argument("--impl", required=True)
-    p.add_argument("--model", choices=("traces", "failures"), default="traces")
-    p.add_argument("--tsize", type=int, required=True)
-
-    p = sub.add_parser("threshold", help="compute the specification threshold")
-    _add_common(p)
-    p.add_argument("--spec", required=True)
-    p.add_argument("--model", choices=("traces", "failures"), default="traces")
-
-    p = sub.add_parser("verify", help="run the full reduction pipeline")
-    _add_common(p)
-    p.add_argument("--spec", required=True)
-    p.add_argument("--impl", required=True)
-    p.add_argument("--model", choices=("traces", "failures"), default="traces")
-    p.add_argument("--sizes", required=True, help="e.g. 1..4 or 2,3")
-    p.add_argument("--abst", help="abstraction process for the universal "
-                   "conclusion")
-    p.add_argument("--valid-from", type=int,
-                   help="size from which the abstraction premise holds")
-    p.add_argument("--sample-premise", default="",
-                   help="sizes at which to sample the abstraction premise")
-    p.add_argument("--eqt-sizes", default="2,3")
-    p.add_argument("--assume-typesym", action="store_true",
-                   help="accept symmetry in t of the implementation on "
-                   "assertion when the syntactic check fails")
+    if argv and argv[0] in _SUBCOMMANDS:
+        names, metavar = argv[:1], "{" + ",".join(_SUBCOMMANDS) + "}"
+    else:
+        names, metavar = list(_SUBCOMMANDS), None
+    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, options = _SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("file", help="definition file (.pcsp); bundled corpus "
+                       "names are resolved automatically")
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        p.add_argument("--max-states", type=int, default=200_000)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
     return ap
 
 
@@ -180,7 +172,8 @@ def _print_dot(lts, name: str) -> None:
 
 
 def cmd_lts(args, defs) -> int:
-    lts = std_semantics.build_lts(defs, args.proc, args.tsize, args.max_states)
+    lts = std_semantics.build_lts(defs, args.proc, args.tsize, args.max_states,
+                                  terms=args.dot)
     if args.dot:
         _print_dot(lts, "lts")
         return 0
@@ -192,7 +185,7 @@ def cmd_lts(args, defs) -> int:
 
 
 def cmd_sslts(args, defs) -> int:
-    s = ssos.build_sslts(defs, args.proc, args.max_states)
+    s = ssos.build_sslts(defs, args.proc, args.max_states, terms=args.dot)
     if args.dot:
         _print_dot(s, "sslts")
         return 0
@@ -203,7 +196,8 @@ def cmd_sslts(args, defs) -> int:
 
 
 def cmd_cose(args, defs) -> int:
-    lts = cose.concretize(defs, args.proc, args.tsize, max_states=args.max_states)
+    lts = cose.concretize(defs, args.proc, args.tsize, max_states=args.max_states,
+                          terms=args.dot)
     if args.dot:
         _print_dot(lts, "cose")
         return 0
@@ -229,10 +223,11 @@ def cmd_congruence(args, defs) -> int:
 
 
 def cmd_refine(args, defs) -> int:
+    engine = std_semantics.Engine(defs)
     lhs = std_semantics.build_lts(defs, args.spec, args.tsize, args.max_states,
-                                  unfold_calls=False)
+                                  unfold_calls=False, engine=engine)
     rhs = std_semantics.build_lts(defs, args.impl, args.tsize, args.max_states,
-                                  unfold_calls=False)
+                                  unfold_calls=False, engine=engine)
     verdict = analysis.refines(lhs, rhs, args.model)
     op = "[T=" if args.model == "traces" else "[F="
     payload = {"spec": args.spec, "impl": args.impl, "model": args.model,
@@ -297,7 +292,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    ap = make_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    ap = make_parser(argv)
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:

@@ -268,11 +268,12 @@ class _Configurations:
 
 def concretize(defs: Definitions, source: Union[str, ProcessTerm],
                tsize: int, init_env: Optional[Environment] = None,
-               max_states: int = 100_000) -> Lts:
+               max_states: int = 100_000, terms: bool = False) -> Lts:
     """The LTS of configurations rooted at (root state, initial environment),
     per the translation rules.  The breadth-first build runs over
     configuration ids, which are the returned keys: they identify
-    configurations within one call only."""
+    configurations within one call only.  The states are (node, env) pairs,
+    and with terms=True Configurations, which only a printed LTS reads."""
     graph, root = state_graph(defs, source)
     table = _Configurations(graph, tvalues_for(tsize))
     root = table.config(root, dict(init_env or {}))
@@ -280,5 +281,6 @@ def concretize(defs: Definitions, source: Union[str, ProcessTerm],
                 alphabet=file_alphabet(defs, table.tvalues), tsize=tsize,
                 max_states=max_states, mover=table.mover,
                 describe=lambda cfg: Configuration(graph.term(cfg[0]), cfg[1]).describe())
-    lts.states = [Configuration(graph.term(i), env) for i, env in lts.states]
+    if terms:
+        lts.states = [Configuration(graph.term(i), env) for i, env in lts.states]
     return lts

@@ -26,8 +26,12 @@ class ParseError(PcspError):
     """Lexical, syntactic or resolution failure; carries positioned diagnostics."""
 
     def __init__(self, diagnostics):
+        super().__init__()
         self.diagnostics = list(diagnostics)
-        super().__init__("\n".join(d.render() for d in self.diagnostics))
+
+    def __str__(self) -> str:
+        # rendered on demand: the parser raises and catches many as it backtracks
+        return "\n".join(d.render() for d in self.diagnostics)
 
 
 class SemanticsError(PcspError):

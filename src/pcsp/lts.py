@@ -50,10 +50,21 @@ class Event:
 Label = object  # TAU or Event
 
 
+# value -> value_key(value), one per value met: the keys of all labels
+# share their parts, as an LTS keeps a key for each of its labels
+_VALUE_KEYS: dict = {}
+
+
 def label_key(label):
     if label is TAU:
         return (0, "", ())
-    return (1, label.channel, tuple(value_key(v) for v in label.values))
+    keys = []
+    for v in label.values:
+        k = _VALUE_KEYS.get(v)
+        if k is None:
+            k = _VALUE_KEYS[v] = value_key(v)
+        keys.append(k)
+    return (1, label.channel, tuple(keys))
 
 
 # An edge is (label, target_index, construct_uid_or_None).
@@ -74,6 +85,9 @@ class Lts:
 
     edges[i] is state i's row.  States that move alike (build's movers) may
     hold one shared row object, so a row is read-only: copy it to change it.
+
+    label_keys maps labels of the rows to their label_key, as build and
+    rename_lts computed them, so that strong_bisim need not again.
     """
 
     root: int
@@ -82,6 +96,10 @@ class Lts:
     edges: list[list[Edge]]
     alphabet: frozenset[Event]
     tsize: int
+    label_keys: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.label_keys = {}
 
     def n_states(self) -> int:
         return len(self.states)
@@ -193,7 +211,10 @@ def build(root_payload, root_key, successors: Callable, *,
             if moves_as is not None:
                 rows[moves_as] = row
             edges.append(row)
-    return Lts(0, states, keys, edges, alphabet, tsize)
+    lts = Lts(0, states, keys, edges, alphabet, tsize)
+    if order is label_key:
+        lts.label_keys = order_keys
+    return lts
 
 
 def rename_lts(lts: Lts, fn: Callable[[Event], Event]) -> Lts:
@@ -222,5 +243,6 @@ def rename_lts(lts: Lts, fn: Callable[[Event], Event]) -> Lts:
             row = renamed[id(es)] = _edge_row(keyed)
         new_edges.append(row)
     alphabet = frozenset(fn(e) for e in lts.alphabet)
-    return Lts(lts.root, list(lts.states), list(lts.keys), new_edges,
-               alphabet, lts.tsize)
+    out = Lts(lts.root, list(lts.states), list(lts.keys), new_edges, alphabet, lts.tsize)
+    out.label_keys = {new: k for k, new in images.values()}
+    return out

@@ -17,6 +17,7 @@ t-conditions and ordinary boolean expressions.
 
 from __future__ import annotations
 
+import re
 from contextlib import contextmanager
 from functools import wraps
 
@@ -55,50 +56,36 @@ class Token:
     col: int
 
 
+# One alternative per token class, tried in this order at each position.
+# A name starts with a letter or _ and goes on over letters, digits and _
+# (str.isalnum, which is what \w matches); a number is ASCII digits only,
+# which int() takes; a symbol is the first of _SYMBOLS that matches.
+_TOKEN = re.compile("|".join([
+    r"(?P<nl>\n)", r"(?P<space>[ \t\r]+)", r"(?P<comment>--[^\n]*)",
+    r"(?P<num>[0-9]+)", r"(?P<ident>\w+)",
+    "(?P<sym>" + "|".join(map(re.escape, _SYMBOLS)) + ")", r"(?P<bad>.)"]))
+
+
 def tokenize(text: str, filename: str) -> list[Token]:
     toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("--", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if "0" <= c <= "9":  # str.isdigit also takes digits int() rejects, such as ¹
-            j = i
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
-            toks.append(Token("num", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                toks.append(Token("sym", sym, line, col))
-                col += len(sym)
-                i += len(sym)
-                break
+    line, start = 1, 0  # start: the index of the line's first character
+    end = len(text)     # where the eof token stands
+    for m in _TOKEN.finditer(text):
+        kind, i = m.lastgroup, m.start()
+        if kind == "nl":
+            line, start = line + 1, i + 1
+        elif kind == "space":
+            pass
+        elif kind == "comment":
+            if m.end() == len(text):
+                end = i  # a comment takes no columns
+        elif kind == "bad" or (kind == "ident" and not (text[i].isalpha() or text[i] == "_")):
+            # \w also matches digits int() rejects, such as ¹, which start no name
+            raise ParseError([Diagnostic(f"unexpected character {text[i]!r}",
+                                         line, i - start + 1, filename)])
         else:
-            raise ParseError([Diagnostic(f"unexpected character {c!r}", line, col, filename)])
-    toks.append(Token("eof", "", line, col))
+            toks.append(Token(kind, m.group(), line, i - start + 1))
+    toks.append(Token("eof", "", line, end - start + 1))
     return toks
 
 
@@ -138,8 +125,8 @@ class _Parser:
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+    def peek(self) -> Token:
+        return self.toks[self.pos]
 
     def next(self) -> Token:
         t = self.toks[self.pos]
@@ -531,9 +518,10 @@ class _Parser:
         self.fail(f"expected a process, found {tok.text or 'end of input'!r}", tok)
 
     def parse_replicated(self, op: Operator):
-        # the index variable, and the domain after it and ':'
-        var_tok, dom_tok = self.peek(1), self.peek(3)
+        start = self.pos
         term = self.parse_form(op, op.layout, {})
+        # the index variable, and the domain after it and ':'
+        var_tok, dom_tok = self.toks[start + 1], self.toks[start + 3]
         if type_is_t(term.domain):
             return term
         # finite non-t domain: desugar to the binary operator of the symbol
@@ -728,6 +716,8 @@ class _Resolver:
         self.default_eq_to_t = False
         # whether a call types the parameters of its callee (see run_inference)
         self.calls_type_params = True
+        # whether the last sweep met ==/!= between two untyped sides
+        self.untyped_eq = False
 
     def error(self, msg: str, eq: str):
         head = self.heads[eq]
@@ -791,9 +781,11 @@ class _Resolver:
                     self.scalar_ty(b.left, scope, eq, rt)
                 elif rt is None and lt is not None:
                     self.scalar_ty(b.right, scope, eq, lt)
-                elif lt is None and rt is None and self.default_eq_to_t:
-                    self.scalar_ty(b.left, scope, eq, _TY_T)
-                    self.scalar_ty(b.right, scope, eq, _TY_T)
+                elif lt is None and rt is None:
+                    self.untyped_eq = True
+                    if self.default_eq_to_t:
+                        self.scalar_ty(b.left, scope, eq, _TY_T)
+                        self.scalar_ty(b.right, scope, eq, _TY_T)
 
     def scope_below(self, term, scope, noting=None):
         """The scope of the subterms of term: each name it binds (binders)
@@ -858,10 +850,12 @@ class _Resolver:
         for phase in (False, True):
             self.default_eq_to_t = phase
             for _ in range(len(self.defs.equations) + 2):
-                self.changed = False
+                self.changed = self.untyped_eq = False
                 self.infer_equations()
                 if not self.changed:
                     break
+            if not (self.changed or self.untyped_eq):
+                break  # no ==/!= between untyped sides: defaulting would repeat the sweep
 
     # -- guard classification ------------------------------------------------
 

@@ -23,7 +23,7 @@ from .lts import Event, Lts, TAU, rename_lts, tau_closure
 from .record import field, record
 from .report import ConditionReport
 from .ssos import Cond, Vis, build_sslts, fmt_sym_label, nont_event_key
-from .std_semantics import build_lts
+from .std_semantics import Engine, build_lts
 from .syntax import (
     Condition, Construct, Definitions, TVal, Value, classify_fields,
 )
@@ -417,19 +417,21 @@ def verify_pmcp(defs: Definitions, spec: str, impl: str, model: str,
     premises: list[SizeResult] = []
     conclusion = ""
     builds: dict[tuple[str, int, Optional[int]], Lts] = {}
+    engine = Engine(defs)
 
     def lts_of(proc: str, n: int, collapsed: bool = False) -> Lts:
         # The specification is needed at one size by several steps.  A
         # build that phi collapses is explored modulo the permutations of
         # {B..n-1}, which phi cannot tell apart, when Impl is syntactically
-        # symmetric in t; it is keyed apart from the full build.  An error
-        # names the build it stopped.
+        # symmetric in t; it is keyed apart from the full build.  Every
+        # build shares one engine, whose positions and leaf classes do not
+        # depend on the size.  An error names the build it stopped.
         sym = bound if collapsed and typesym.ok() else None
         got = builds.get((proc, n, sym))
         if got is None:
             try:
                 got = build_lts(defs, proc, n, max_states, symmetric_from=sym,
-                                unfold_calls=False)
+                                unfold_calls=False, engine=engine)
             except BoundExceeded as exc:
                 raise BoundExceeded(exc.what, exc.bound, exc.frontier,
                                     f"{proc} at #T={n}") from None

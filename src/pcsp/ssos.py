@@ -92,7 +92,8 @@ def _leaf(graph: SymbolicGraph, i: int, term) -> list:
         # every name left in a symbolic state is a t-variable
         raise SemanticsError(f"cannot unfold {fmt_term(engine.closed(p, env))}: the symbolic "
                              "semantics cannot yet pass a symbolic t-variable as an argument")
-    return [(lab, uid, graph.intern(q, e)) for lab, uid, q, e in engine.successors(p, env)]
+    return [(lab, uid, graph.intern(q, e))
+            for lab, uid, q, e in engine.successors(p, env, graph.tvalues)]
 
 
 def _prefix(graph: SymbolicGraph, i: int, term) -> list:
@@ -176,21 +177,23 @@ def state_graph(defs: Definitions, proc: Union[str, ProcessTerm]) -> tuple:
             "process is not in the Seq fragment: "
             + "; ".join(f.message for f in report.findings))
     check_guarded_recursion(term, defs)
-    graph = SymbolicGraph(Engine(defs, ()))
+    graph = SymbolicGraph(Engine(defs), ())
     return graph, graph.intern_root(proc)
 
 
 def build_sslts(defs: Definitions, proc: Union[str, ProcessTerm],
-                max_states: int = 100_000) -> Lts:
+                max_states: int = 100_000, terms: bool = False) -> Lts:
     """Breadth-first closure of the symbolic transition rules over a graph
-    of symbolic states: an Lts whose states are terms, keyed by state
-    class, with symbolic labels, an empty alphabet and tsize 0."""
+    of symbolic states: an Lts whose states are node ids, and with
+    terms=True terms, which only a printed LTS reads, keyed by state class,
+    with symbolic labels, an empty alphabet and tsize 0."""
     graph, root = state_graph(defs, proc)
     lts = build(root, graph.state(root),
                 lambda i: [(lab, uid, t, graph.state(t)) for lab, uid, t in graph.successors(i)],
                 alphabet=frozenset(), tsize=0, max_states=max_states,
                 describe=lambda i: fmt_term(graph.term(i)), order=sym_label_key)
-    lts.states = [graph.term(i) for i in lts.states]
+    if terms:
+        lts.states = [graph.term(i) for i in lts.states]
     return lts
 
 

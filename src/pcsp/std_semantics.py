@@ -7,16 +7,17 @@ conditional rules are the usual ones, and the operators outside the
 sequential fragment (hiding, renaming, the parallels and their replicated
 forms) follow the standard CSP rules.
 
-Positions.  Once per build the engine numbers the process subterms it
-reaches: the root term, and an equation's body when an identifier first
-unfolds to it.  A position is one occurrence of a subterm, with its free
-names in sorted order.  A leaf state is the pair (position, env), env
-holding the values of those names, so no state is substituted into whole:
-the leaf rules (Engine) evaluate a construct, guard, index set or argument
-list under env and extend env for the target, at a cost that does not grow
-with the size of the leaf.  The closed term a leaf stands for is built, from
-the memoised terms of its subterms, only where text is needed: Lts.states,
-DOT and BoundExceeded frontiers.
+Positions.  The engine numbers the process subterms it reaches, once for
+all the builds that share it, whatever their sizes: the root term, and an
+equation's body when an identifier first unfolds to it.  A position is one
+occurrence of a subterm, with its free names in sorted order.  A leaf state
+is the pair (position, env), env holding the values of those names, so no
+state is substituted into whole: the leaf rules (Engine) evaluate a
+construct, guard, index set or argument list under env and extend env for
+the target, at a cost that does not grow with the size of the leaf.  The
+closed term a leaf stands for is built, from the memoised terms of its
+subterms, only where text is needed: a printed LTS (build_lts(terms=True))
+and BoundExceeded frontiers.
 
 Exploration runs over a per-build hash-consed state graph (StateGraph),
 over which the symbolic semantics (ssos, cose) build their states too.
@@ -210,16 +211,20 @@ class _Position:
 
 
 class Engine:
-    """The positions of one build and the leaf rules over them at a fixed
-    instantiation: the successors of a prefix (with its two selection
-    stages), internal choice, identifier, replicated internal choice or
-    STOP, the branch a conditional takes, the operands of a replicated
-    operator, and the class and the term of a leaf.  The operator rules,
-    which combine the successors of subterms, live in StateGraph."""
+    """The positions of one Definitions and the leaf rules over them: the
+    successors of a prefix (with its two selection stages), internal
+    choice, identifier, replicated internal choice or STOP, the branch a
+    conditional takes, the operands of a replicated operator, and the class
+    and the term of a leaf.  The operator rules, which combine the
+    successors of subterms, live in StateGraph.
 
-    def __init__(self, defs: Definitions, tvalues: tuple[TVal, ...]):
+    Nothing here depends on the size of t but the rules that enumerate it
+    (successors, _fire, expansion), which take the instantiation as an
+    argument; so the builds of one run, at every size, share one engine
+    and its memos."""
+
+    def __init__(self, defs: Definitions):
         self.defs = defs
-        self.tvalues = tvalues
         self.positions: list[_Position] = []
         self._bodies: dict = {}    # equation name -> position of its body
         self._stages: dict = {}    # (prefix position, scope) -> position
@@ -228,6 +233,14 @@ class Engine:
         self._class_of: dict = {}  # (position, env) -> (class, uids)
         self._terms: dict = {}     # (position, env) -> closed term
         self._closed: dict = {}    # (position, env) -> closed data
+        self._guarded: set = set()  # processes check_guarded_recursion passed
+
+    def check_guarded(self, proc: Union[str, ProcessTerm]) -> None:
+        """check_guarded_recursion for a defined name or a term, once."""
+        if proc not in self._guarded:
+            check_guarded_recursion(self.defs.body(proc) if isinstance(proc, str) else proc,
+                                    self.defs)
+            self._guarded.add(proc)
 
     def number(self, term: ProcessTerm) -> int:
         """The position of term, numbering its subterms."""
@@ -299,22 +312,23 @@ class Engine:
             self._closed[key] = got
         return got
 
-    def successors(self, p: int, env: tuple) -> list:
+    def successors(self, p: int, env: tuple, tvalues: tuple[TVal, ...]) -> list:
         """(label, construct_uid, target position, target env) quadruples of
-        the leaf (p, env), unsorted; a conditional has none of its own."""
+        the leaf (p, env) at the instantiation tvalues, unsorted; a
+        conditional has none of its own."""
         pos = self.positions[p]
         cls = pos.term.__class__
         if cls is Stop:
             return []
         if cls is Prefix:
-            return self._fire(p, pos, env)
+            return self._fire(p, pos, env, tvalues)
         scope = dict(zip(pos.names, env))
         if cls is IntChoice:
             return [(TAU, None, k, self.env_of(k, scope)) for k in pos.kids]
         if cls is Ident:
             return [(TAU, None, *self.unfold(p, env))]
         if cls is ReplIntChoice:
-            members = domain_values(self.closed(p, env).domain, self.tvalues)
+            members = domain_values(self.closed(p, env).domain, tvalues)
             if not members:
                 raise SemanticsError("replicated internal choice over an empty index set")
             body = pos.kids[0]
@@ -322,17 +336,17 @@ class Engine:
                     for v in members]
         raise SemanticsError(f"successors: unknown term {pos.term!r}")
 
-    def _fire(self, p: int, pos: _Position, env: tuple) -> list:
+    def _fire(self, p: int, pos: _Position, env: tuple, tvalues) -> list:
         alpha, scope = self.closed(p, env)
         for sel in ("non-t", "t"):
-            names, values = selections(alpha, sel, self.tvalues)
+            names, values = selections(alpha, sel, tvalues)
             if names:
                 q = self.stage(p, sel, names)
                 return [(TAU, alpha.uid, q, env + vs) for vs in values]
         cont, query = pos.kids[0], classify_fields(alpha).query
         return [(Event(alpha.channel, values), alpha.uid, cont,
                  self.env_of(cont, {**scope, **construct_binding(alpha, values, query)}))
-                for values in comms(alpha, self.tvalues)]
+                for values in comms(alpha, tvalues)]
 
     def unfold(self, p: int, env: tuple) -> tuple:
         """The (position, env) of the body the call leaf unfolds to, its
@@ -355,13 +369,14 @@ class Engine:
         taken = pos.kids[0] if eval_guard(self.closed(p, env).guard) else pos.kids[1]
         return taken, self.env_of(taken, scope)
 
-    def expansion(self, pos: _Position, scope: dict) -> list:
-        """The operands of the replicated operator at pos under scope, in
-        index order, as (join, scope of the body) pairs: join is the blank of
-        the binary operator joining the operand to those before it (None for
-        the first), so the operands fold into a left-associated tree."""
+    def expansion(self, pos: _Position, scope: dict, tvalues) -> list:
+        """The operands of the replicated operator at pos under scope at the
+        instantiation tvalues, in index order, as (join, scope of the body)
+        pairs: join is the blank of the binary operator joining the operand
+        to those before it (None for the first), so the operands fold into a
+        left-associated tree."""
         term = pos.term
-        members = domain_values(substitute(pos.blank, scope).domain, self.tvalues)
+        members = domain_values(substitute(pos.blank, scope).domain, tvalues)
         if not members:
             what = "parallel" if isinstance(term, ReplAlphaPar) else "operator"
             raise SemanticsError(f"replicated {what} over an empty index set")
@@ -442,7 +457,9 @@ _EXPANDED = (ReplAlphaPar, ReplInterleave, ReplExtChoice)
 
 
 class StateGraph:
-    """A hash-consed graph of the states of one build and their subterms.
+    """A hash-consed graph of the states of one build and their subterms,
+    at the instantiation tvalues, over the positions of an engine that
+    the builds of other sizes may share.
 
     A node is a leaf or an operator node.  A leaf is found by (position,
     env) and keyed by Engine.leaf_key, (class, uids): pairs whose terms are
@@ -484,9 +501,10 @@ class StateGraph:
     # term is a leaf, and a replicated one expands (_EXPANDED)
     operators = (ExtChoice, Sliding, Interleave, SharedPar, AlphaPar, Hide, Rename)
 
-    def __init__(self, engine: Engine, symmetric_from: Optional[int] = None,
-                 unfold_calls: bool = True):
+    def __init__(self, engine: Engine, tvalues: tuple[TVal, ...],
+                 symmetric_from: Optional[int] = None, unfold_calls: bool = True):
         self.engine = engine
+        self.tvalues = tvalues
         # the equations whose calls are being followed to their bodies'
         # successors; None: calls unfold by τ
         self._open: Optional[set] = None if unfold_calls else set()
@@ -536,7 +554,7 @@ class StateGraph:
         engine = self.engine
         pos = engine.positions[p]
         if isinstance(pos.term, _EXPANDED):
-            parts = engine.expansion(pos, dict(zip(pos.names, env)))
+            parts = engine.expansion(pos, dict(zip(pos.names, env)), self.tvalues)
             body = pos.kids[0]
             nodes = [self.intern(body, engine.env_of(body, inner)) for _, inner in parts]
             if len(parts) > 1 and parts[1][0] is _VECTOR:
@@ -622,7 +640,7 @@ class StateGraph:
             if key is None:
                 vals.update(v.index for v in self.leaves[i][1] if v.__class__ is TVal)
             elif key[0] == self._vector_op:
-                vals.update(range(len(self.engine.tvalues)))
+                vals.update(range(len(self.tvalues)))
             else:
                 vals.update(self._op_tvals(key[0]))
                 for k in key[1:]:
@@ -663,7 +681,7 @@ class StateGraph:
     def _rename_leaf(self, i: int, pi: tuple[int, ...]) -> int:
         """The node of leaf i under pi."""
         p, env = self.leaves[i]
-        tvalues = self.engine.tvalues
+        tvalues = self.tvalues
         return self.intern(p, tuple([tvalues[pi[v.index]] if v.__class__ is TVal else v
                                      for v in env]))
 
@@ -685,7 +703,7 @@ class StateGraph:
         renamed by the transposition of j and lo."""
         got = self._at_lo.get((i, j))
         if got is None:
-            swap = list(range(len(self.engine.tvalues)))
+            swap = list(range(len(self.tvalues)))
             swap[self.lo], swap[j] = j, self.lo
             got = self._at_lo[(i, j)] = self.state(self.rename(i, tuple(swap)))
         return got
@@ -754,7 +772,7 @@ class StateGraph:
                 i = self.intern(*engine.unfold(p, env))
             else:
                 out = [(lab, uid, self.intern(q, e))
-                       for lab, uid, q, e in engine.successors(p, env)]
+                       for lab, uid, q, e in engine.successors(p, env, self.tvalues)]
                 break
             if self.kids[i] is not None or self.succ[i] is not None:
                 out = self.successors(i)
@@ -778,7 +796,7 @@ class StateGraph:
     def evset(self, s: EventSet) -> frozenset[Event]:
         got = self._sets.get(s)
         if got is None:
-            got = eval_event_set(s, self.engine.defs, self.engine.tvalues)
+            got = eval_event_set(s, self.engine.defs, self.tvalues)
             self._sets[s] = got
         return got
 
@@ -809,7 +827,7 @@ class StateGraph:
 
     def _rename(self, key, blank: Rename):
         op, p = key
-        mapping = _rename_map(blank.pairs, self.engine.defs, self.engine.tvalues)
+        mapping = _rename_map(blank.pairs, self.engine.defs, self.tvalues)
         out = []
         for lab, uid, t in self.successors(p):
             nxt = self.node((op, t))
@@ -935,11 +953,14 @@ def check_guarded_recursion(term: ProcessTerm, defs: Definitions) -> None:
 
 def build_lts(defs: Definitions, proc: Union[str, ProcessTerm], tsize: int,
               max_states: int = DEFAULT_MAX_STATES, *,
-              symmetric_from: Optional[int] = None, unfold_calls: bool = True) -> Lts:
+              symmetric_from: Optional[int] = None, unfold_calls: bool = True,
+              engine: Optional[Engine] = None, terms: bool = False) -> Lts:
     """Breadth-first closure of the transition rules from the given process
-    (a defined name or a closed term).  The states are terms; the keys are
-    the state classes of this build's state graph, so they identify states
-    within one build only.
+    (a defined name or a closed term).  The states are the node ids of this
+    build's state graph, and with terms=True their terms, which only a
+    printed LTS reads; the keys are the graph's state classes, so they
+    identify states within one build only.  The builds of one run may share
+    an engine of defs, whatever their sizes.
 
     With symmetric_from = B, the root and every successor target are
     replaced by their orbit representatives under the permutations of
@@ -967,25 +988,9 @@ def build_lts(defs: Definitions, proc: Union[str, ProcessTerm], tsize: int,
     lose the divergence, so a call to an equation already followed keeps
     its τ.  Only refinement and divergence checks build this way; lts,
     congruence and the sampled checks keep the paper's semantics."""
-    graph, lts = _explore(defs, proc, tsize, max_states, symmetric_from, unfold_calls)
-    with terms_bounded():
-        lts.states = [graph.term(i) for i in lts.states]
-    return lts
-
-
-def explore_lts(defs: Definitions, proc: Union[str, ProcessTerm], tsize: int,
-                max_states: int = DEFAULT_MAX_STATES) -> Lts:
-    """build_lts without its last step, for a check that reads only the
-    transitions: the states stay the state graph's node ids, and no term
-    is built."""
-    return _explore(defs, proc, tsize, max_states, None, True)[1]
-
-
-def _explore(defs, proc, tsize, max_states, symmetric_from, unfold_calls) -> tuple:
-    """The state graph of a build and its LTS, whose states are node ids."""
-    term = defs.body(proc) if isinstance(proc, str) else proc
-    check_guarded_recursion(term, defs)
-    graph = StateGraph(Engine(defs, tvalues_for(tsize)), symmetric_from, unfold_calls)
+    engine = engine or Engine(defs)
+    engine.check_guarded(proc)
+    graph = StateGraph(engine, tvalues_for(tsize), symmetric_from, unfold_calls)
     root = graph.intern_root(proc)
     state = graph.state
     rep = graph.representative if symmetric_from is not None else (lambda i: i)
@@ -1001,7 +1006,10 @@ def _explore(defs, proc, tsize, max_states, symmetric_from, unfold_calls) -> tup
 
     from .pretty import fmt_term
     lts = build(root, state(root), successors,
-                alphabet=file_alphabet(defs, graph.engine.tvalues), tsize=tsize,
+                alphabet=file_alphabet(defs, graph.tvalues), tsize=tsize,
                 max_states=max_states, describe=lambda i: fmt_term(graph.term(i)),
                 mover=graph.mover)
-    return graph, lts
+    if terms:
+        with terms_bounded():
+            lts.states = [graph.term(i) for i in lts.states]
+    return lts

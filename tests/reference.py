@@ -9,7 +9,9 @@ cose apply node by node to their state graphs.  build_unshared is the
 breadth-first loop of lts.build before states that move alike shared one
 edge row: it computes every state's row.  The syntactic checkers at
 the end are the five walks that ``conditions.check_all`` replaced, each
-re-walking both operands of every binary choice."""
+re-walking both operands of every binary choice.  tokenize is the
+tokenizer that tried every symbol with ``startswith`` at each position,
+before the parser's one compiled pattern."""
 
 from __future__ import annotations
 
@@ -17,8 +19,9 @@ from operator import itemgetter
 from typing import Callable, Iterator
 
 from pcsp.cose import eval_condition, insts, match
-from pcsp.errors import BoundExceeded, SemanticsError
+from pcsp.errors import BoundExceeded, Diagnostic, ParseError, SemanticsError
 from pcsp.lts import Event, Lts, TAU, _edge_row, label_key, tau_closure, terms_bounded
+from pcsp.parser import _SYMBOLS, Token
 from pcsp.pretty import fmt_condition, fmt_term
 from pcsp.report import ConditionReport, Finding
 from pcsp.ssos import Cond, Vis, fmt_sym_label, sym_label_key
@@ -605,3 +608,53 @@ def check_all(proc, defs: Definitions) -> list[ConditionReport]:
     return [check(proc, defs) for check in (
         check_data_independence, check_seq, check_seqnorm,
         check_typesym_syntactic, check_no_mixed_inputs)]
+
+
+# ---------------------------------------------------------------------------
+# The tokenizer, one character class and one symbol at a time
+
+def tokenize(text: str, filename: str) -> list[Token]:
+    toks: list[Token] = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if c in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if text.startswith("--", i):
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if "0" <= c <= "9":  # str.isdigit also takes digits int() rejects, such as ¹
+            j = i
+            while j < n and "0" <= text[j] <= "9":
+                j += 1
+            toks.append(Token("num", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            toks.append(Token("ident", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        for sym in _SYMBOLS:
+            if text.startswith(sym, i):
+                toks.append(Token("sym", sym, line, col))
+                col += len(sym)
+                i += len(sym)
+                break
+        else:
+            raise ParseError([Diagnostic(f"unexpected character {c!r}", line, col, filename)])
+    toks.append(Token("eof", "", line, col))
+    return toks

@@ -140,7 +140,7 @@ def test_criterion_7_regularity():
         body = proc_body(defs, proc)
         ltss = {}
         for n in (2, 3):
-            lts = concretize(defs, body, n, init_env=init)
+            lts = concretize(defs, body, n, init_env=init, terms=True)
             ltss[n] = lts
             for problem in check_environment_uniqueness(lts):
                 failures.append((fname, proc, n, problem))

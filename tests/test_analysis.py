@@ -349,7 +349,7 @@ def sized_tval_ltss(draw):
 @given(sized_tval_ltss())
 @settings(max_examples=100, deadline=None)
 def test_generator_check_equals_the_exhaustive_check(ltss):
-    with mock.patch("pcsp.std_semantics.explore_lts",
+    with mock.patch("pcsp.std_semantics.build_lts",
                     lambda defs, proc, n, max_states: ltss[n]):
         got = permutation_bisim_check(None, "P", tuple(ltss))
     findings = []

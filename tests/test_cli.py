@@ -12,7 +12,7 @@ import pytest
 import pcsp
 from conftest import RENAMED_CONSTANT, symmetric_mutant
 from pcsp import std_semantics
-from pcsp.cli import main
+from pcsp.cli import _SUBCOMMANDS, main, make_parser
 from pcsp.parser import MAX_DEPTH
 
 
@@ -511,3 +511,50 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     assert "KeyError: 'missing table entry'" in err
     assert err.endswith("internal error: KeyError (a bug in pcsp; "
                         "the traceback is above)\n")
+
+
+def _parsed(parser, argv, capsys):
+    """What parsing argv prints and exits with (None: it parsed)."""
+    code = None
+    try:
+        parser.parse_args(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], [], ["nosuch"], ["--format", "json", "lts"],
+    ["conditions", "mutex.pcsp", "--bogus"],  # the top-level usage names every command
+    *([name, "--help"] for name in _SUBCOMMANDS),
+    *([name] for name in _SUBCOMMANDS),  # a missing argument
+])
+def test_one_sub_parser_prints_what_all_of_them_do(argv, capsys):
+    one = make_parser(argv)
+    (sub,) = one._subparsers._group_actions
+    assert len(sub.choices) == (1 if argv and argv[0] in _SUBCOMMANDS else len(_SUBCOMMANDS))
+    assert _parsed(one, argv, capsys) == _parsed(make_parser(), argv, capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "mutex.pcsp", "--spec", "Spec", "--impl", "Impl", "--model", "failures",
+     "--sizes", "1..7"),
+    ("verify", "mutex.pcsp", "--spec", "Spec", "--impl", "Impl", "--abst", "Abst",
+     "--valid-from", "3", "--model", "failures", "--sizes", "1..4",
+     "--sample-premise", "3,4,5"),
+    ("refine", "ex511.pcsp", "--spec", "Spec", "--impl", "Impl", "--model", "failures",
+     "--tsize", "3"),
+    ("congruence", "traces-count.pcsp", "--proc", "P", "--tsize", "4"),
+    ("threshold", "mutex.pcsp", "--spec", "Spec", "--model", "failures"),
+    ("lts", "mutex.pcsp", "--proc", "Impl", "--tsize", "3"),
+])
+def test_checks_build_no_state_term(argv, capsys, monkeypatch):
+    # only a printed LTS (--dot) reads the states as terms; the symbolic
+    # graph's term is StateGraph.term too
+    def forbidden(*args):
+        raise AssertionError("a check built a state term")
+
+    monkeypatch.setattr(std_semantics.StateGraph, "term", forbidden)
+    code, _, err = run(capsys, *argv)
+    assert code in (0, 1) and err == ""

@@ -104,7 +104,7 @@ def test_stop_concretizes_to_single_state():
 
 
 def test_fig5_environments_and_conditional(running):
-    lts = concretize(running, "P", 2)
+    lts = concretize(running, "P", 2, terms=True)
     # the c events bind z; d.a fires exactly from environments with y = z
     d_sources = set()
     for s in range(lts.n_states()):
@@ -122,7 +122,7 @@ def test_fig5_environments_and_conditional(running):
 
 
 def test_environment_minimality(running):
-    lts = concretize(running, "P", 2)
+    lts = concretize(running, "P", 2, terms=True)
     from pcsp.syntax import free_vars
     for cfg in lts.states:
         fv = free_vars(cfg.term)
@@ -184,8 +184,8 @@ def test_unique_matching_construct_on_seqnorm_corpus(fname, proc, init):
                          ids=[f"{f}:{p}" for f, p, _ in SEQNORM_SPECS])
 def test_monotonicity_on_seqnorm_corpus(fname, proc, init):
     defs = load(fname)
-    small = concretize(defs, proc_body(defs, proc), 2, init_env=init)
-    large = concretize(defs, proc_body(defs, proc), 3, init_env=init)
+    small = concretize(defs, proc_body(defs, proc), 2, init_env=init, terms=True)
+    large = concretize(defs, proc_body(defs, proc), 3, init_env=init, terms=True)
     assert check_monotonicity(small, large) == []
 
 

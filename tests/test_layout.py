@@ -2,7 +2,7 @@
 ``src/pcsp`` is named somewhere in the package besides its own definition,
 and every imported name is used by the module that imports it.  Code that
 only tests reach belongs under ``tests/``.  Start-up loads no module that
-only code generation or DOT output needs."""
+only code generation, DOT or JSON output needs."""
 
 from __future__ import annotations
 
@@ -74,8 +74,9 @@ def test_every_import_is_used_by_its_module():
 
 def test_start_up_loads_no_code_generation_or_hashing():
     """Record classes come from ``pcsp.record``, not ``dataclasses`` (whose
-    per-class ``exec`` and its import of ``inspect`` dominated start-up), and
-    ``hashlib`` is loaded only by ``--dot``."""
+    per-class ``exec`` and its import of ``inspect`` dominated start-up),
+    ``hashlib`` is loaded only by ``--dot`` and ``json`` only by ``--format
+    json``."""
     users = [f"{mod}:{node.lineno}" for mod, tree in _modules().items()
              for node in ast.walk(tree)
              if (isinstance(node, ast.Import)
@@ -90,5 +91,5 @@ def test_start_up_loads_no_code_generation_or_hashing():
     loaded = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                             capture_output=True, text=True).stdout.split()
     assert "pcsp.cli" in loaded
-    unwanted = {"dataclasses", "inspect", "hashlib"} & set(loaded)
+    unwanted = {"dataclasses", "inspect", "hashlib", "json"} & set(loaded)
     assert not unwanted, f"import pcsp.cli loads {sorted(unwanted)}"

@@ -510,7 +510,7 @@ def _concretize_outcome(fn, *args, **kwargs):
 
 
 def _check_concretize(*args, **kwargs):
-    got = _concretize_outcome(concretize, *args, **kwargs)
+    got = _concretize_outcome(concretize, *args, terms=True, **kwargs)
     assert got == _concretize_outcome(_reference_concretize, *args, **kwargs)
     return got
 
@@ -579,18 +579,18 @@ def _reference_build_sslts(defs, proc, max_states=100_000):
                  describe=fmt_term, order=sym_label_key)
 
 
-def _sslts_outcome(fn, *args):
+def _sslts_outcome(fn, *args, **kwargs):
     """The printed states (construct uids included), the edges and the
     root, or the error the build stops with."""
     try:
-        s = fn(*args)
+        s = fn(*args, **kwargs)
     except PcspError as exc:
         return type(exc).__name__, str(exc)
     return [repr(t) for t in s.states], s.edges, s.root
 
 
 def _check_sslts(*args):
-    got = _sslts_outcome(build_sslts, *args)
+    got = _sslts_outcome(build_sslts, *args, terms=True)
     assert got == _sslts_outcome(_reference_build_sslts, *args)
     return got
 
@@ -728,14 +728,14 @@ class _ReferenceGraph(StateGraph):
     from the term rules, renamed by renaming the term.  The operator
     rules, the vectors and the representatives are StateGraph's."""
 
-    def __init__(self, engine, symmetric_from):
-        super().__init__(engine, symmetric_from)
+    def __init__(self, engine, tvalues, symmetric_from):
+        super().__init__(engine, tvalues, symmetric_from)
         self._term_ids = {}
 
     def intern(self, term):
-        n = len(self.engine.tvalues)
+        n = len(self.tvalues)
         if isinstance(term, (ReplAlphaPar, ReplInterleave, ReplExtChoice)):
-            term = _reference_expand(term, self.engine.tvalues)
+            term = _reference_expand(term, self.tvalues)
         if term.__class__ is IndexedInterleave:
             return self.node((self._vector_op,
                               *map(self.intern, _reference_instances(term, n))))
@@ -762,7 +762,7 @@ class _ReferenceGraph(StateGraph):
             else:
                 self.succ[i] = [
                     (lab, uid, self.intern(nxt)) for lab, uid, nxt in
-                    _reference_leaf_successors(term, self.engine.defs, self.engine.tvalues)]
+                    _reference_leaf_successors(term, self.engine.defs, self.tvalues)]
         return super().successors(i)
 
     def tvals(self, i):
@@ -781,9 +781,9 @@ def _reference_build_lts(defs, proc, tsize, max_states=DEFAULT_MAX_STATES, *,
     """build_lts over _ReferenceGraph."""
     term = defs.body(proc) if isinstance(proc, str) else proc
     check_guarded_recursion(term, defs)
-    graph = _ReferenceGraph(Engine(defs, tvalues_for(tsize)), symmetric_from)
+    graph = _ReferenceGraph(Engine(defs), tvalues_for(tsize), symmetric_from)
     state = graph.state
-    root = graph.intern(_reference_expand(term, graph.engine.tvalues))
+    root = graph.intern(_reference_expand(term, graph.tvalues))
     rep = graph.representative if symmetric_from is not None else (lambda i: i)
     with terms_bounded():
         root = rep(root)
@@ -792,7 +792,7 @@ def _reference_build_lts(defs, proc, tsize, max_states=DEFAULT_MAX_STATES, *,
         return [(lab, uid, rep(t), state(rep(t))) for lab, uid, t in graph.successors(i)]
 
     lts = build(root, state(root), successors,
-                alphabet=file_alphabet(defs, graph.engine.tvalues), tsize=tsize,
+                alphabet=file_alphabet(defs, graph.tvalues), tsize=tsize,
                 max_states=max_states, describe=lambda i: fmt_term(graph.term(i)))
     with terms_bounded():
         lts.states = [graph.term(i) for i in lts.states]
@@ -814,7 +814,7 @@ def _build_outcome(fn, *args, **kwargs):
 
 
 def _check_build(*args, **kwargs):
-    got = _build_outcome(build_lts, *args, **kwargs)
+    got = _build_outcome(build_lts, *args, terms=True, **kwargs)
     assert got == _build_outcome(_reference_build_lts, *args, **kwargs)
     return got
 
@@ -1095,8 +1095,8 @@ def test_a_call_cycle_without_its_tau_fails_the_agreement(monkeypatch):
     unfolded = build_lts(_CYCLE, "P0", 1)
     assert _calls_agree(unfolded, build_lts(_CYCLE, "P0", 1, unfold_calls=False))
     moves = Engine.successors
-    monkeypatch.setattr(Engine, "successors", lambda self, p, env: (
-        [] if self.positions[p].term.__class__ is Ident else moves(self, p, env)))
+    monkeypatch.setattr(Engine, "successors", lambda self, p, env, tvalues: (
+        [] if self.positions[p].term.__class__ is Ident else moves(self, p, env, tvalues)))
     assert not _calls_agree(unfolded, build_lts(_CYCLE, "P0", 1, unfold_calls=False))
 
 

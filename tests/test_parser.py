@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import ALL_CORPUS_FILES, load
 from pcsp.errors import ParseError
-from pcsp.parser import parse_definitions
+from pcsp.parser import _SYMBOLS, parse_definitions, tokenize
 from pcsp.pretty import fmt_term
 from pcsp.syntax import (
     AlphaPar, Atom, BANG, BoolLit, ChanPrefixItem, Condition, DiffType,
@@ -15,6 +15,7 @@ from pcsp.syntax import (
     Prefix, Rename, ReplAlphaPar, ReplExtChoice, ReplIntChoice, ReplInterleave,
     SharedPar, Sliding, Stop, T_TYPE, TVal, VarRef,
 )
+import reference
 from reference import fmt_definitions
 
 from test_syntax import terms
@@ -294,3 +295,25 @@ def test_parser_never_crashes_on_arbitrary_bytes(raw):
         parse_definitions(raw.decode("utf-8", errors="replace"))
     except ParseError:
         pass
+
+
+def _lexed(tokenizer, text):
+    """The tokens as (kind, text, line, col), or the diagnostic that stops them."""
+    try:
+        return [(t.kind, t.text, t.line, t.col) for t in tokenizer(text, "f.pcsp")]
+    except ParseError as exc:
+        return [d.render() for d in exc.diagnostics]
+
+
+_LEXEMES = st.sampled_from(
+    _SYMBOLS + ["0", "7", "42", "--", "-- a note", " ", "\t", "\r", "\n",
+                "a", "x1", "_", "STOP", "é", "ß", "Σ", "¹", "٣"])
+
+
+@given(st.one_of(st.lists(_LEXEMES, max_size=30).map("".join), st.text(max_size=60)))
+@example("P = a -> STOP -- trailing")  # eof stands where the comment starts
+@example("P = STOP\n¹")                # ¹ is \w to a regex, but no letter
+@example("x٣ = 1٣")                     # ٣ goes on a name, starts none
+@settings(max_examples=400, deadline=None)
+def test_tokenize_agrees_with_the_reference(text):
+    assert _lexed(tokenize, text) == _lexed(reference.tokenize, text)

@@ -13,7 +13,7 @@ from pcsp.reduction import (
     verify_pmcp,
 )
 from pcsp.ssos import Vis, build_sslts, nont_event_key
-from pcsp.std_semantics import build_lts
+from pcsp.std_semantics import Engine, StateGraph, build_lts
 from pcsp.syntax import TVal, classify_fields
 from reference import symbolic_traces
 
@@ -185,6 +185,39 @@ def test_pipeline_builds_each_process_once_per_size(mutex, monkeypatch, abst):
     assert verdict.holds()
     assert len(calls) == len(set(calls))
     assert ("Spec", 2) in calls
+
+
+@pytest.mark.parametrize("abst", [None, "Abst"])
+def test_pipeline_builds_every_size_over_one_engine(mutex, monkeypatch, abst):
+    # the two verify invocations of the benchmark: every build of a run
+    # shares one standard-semantics engine, which numbers each equation
+    # body once (the symbolic semantics keeps engines of its own)
+    graphs, numbered = [], []
+    init, number = StateGraph.__init__, Engine.number
+
+    def recording_init(self, engine, *args, **kwargs):
+        graphs.append((type(self), engine))
+        init(self, engine, *args, **kwargs)
+
+    def recording_number(self, term):
+        numbered.append((self, term))
+        return number(self, term)
+
+    monkeypatch.setattr(StateGraph, "__init__", recording_init)
+    monkeypatch.setattr(Engine, "number", recording_number)
+    if abst is None:
+        verdict = verify_pmcp(mutex, "Spec", "Impl", "failures", sizes=range(1, 8))
+    else:
+        verdict = verify_pmcp(mutex, "Spec", "Impl", "failures", sizes=[1, 2, 3, 4],
+                              abst=abst, valid_from=3, premise_sizes=(3, 4, 5))
+    assert verdict.holds()
+    engines = {id(engine): engine for cls, engine in graphs if cls is StateGraph}
+    assert len(engines) == 1
+    (engine,) = engines.values()
+    assert sum(cls is StateGraph for cls, _ in graphs) >= 10
+    bodies = [term for owner, term in numbered if owner is engine
+              and any(term is eq.body for eq in mutex.equations.values())]
+    assert bodies and len(bodies) == len({id(term) for term in bodies})
 
 
 def test_abstraction_mode_needs_valid_from(mutex):

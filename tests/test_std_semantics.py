@@ -9,7 +9,7 @@ from pcsp.dot import lts_to_dot
 from pcsp.errors import BoundExceeded, SemanticsError
 from pcsp.lts import Event, TAU, rename_lts
 from pcsp.parser import parse_definitions
-from pcsp.std_semantics import build_lts, explore_lts
+from pcsp.std_semantics import build_lts
 from pcsp.pretty import fmt_term
 from pcsp.syntax import Ident, IndexedInterleave, Stop, TVal
 from reference import has_trace, initials_after, traces_upto
@@ -187,7 +187,7 @@ def test_mutex_impl_alphabet_and_exclusion(mutex):
 
 @pytest.mark.parametrize("proc, n", [("Impl", 3), ("Impl", 5), ("Spec", 4)])
 def test_exploring_is_building_without_the_terms(mutex, proc, n):
-    built, explored = build_lts(mutex, proc, n), explore_lts(mutex, proc, n)
+    built, explored = build_lts(mutex, proc, n, terms=True), build_lts(mutex, proc, n)
     assert ((explored.root, explored.keys, explored.edges, explored.alphabet, explored.tsize)
             == (built.root, built.keys, built.edges, built.alphabet, built.tsize))
     assert all(isinstance(s, int) for s in explored.states)
@@ -334,7 +334,7 @@ P = || i:t @ [{|c.i, g|}] (c.i -> g -> STOP)
 
 def test_visible_edges_conform_to_their_construct(running):
     from pcsp.syntax import Prefix, comms
-    lts = build_lts(running, "P", 2)
+    lts = build_lts(running, "P", 2, terms=True)
     tvals = (TVal(0), TVal(1))
     for idx, term in enumerate(lts.states):
         if not isinstance(term, Prefix):
@@ -349,8 +349,8 @@ def test_visible_edges_conform_to_their_construct(running):
 
 
 def test_dot_output_is_stable(mutex):
-    a = lts_to_dot(build_lts(mutex, "Spec", 2))
-    b = lts_to_dot(build_lts(mutex, "Spec", 2))
+    a = lts_to_dot(build_lts(mutex, "Spec", 2, terms=True))
+    b = lts_to_dot(build_lts(mutex, "Spec", 2, terms=True))
     assert a == b
     assert a.startswith("digraph") and "enterCS.0" in a
 
@@ -409,7 +409,7 @@ def _target(lts, state, label):
 def test_replicated_operator_inside_a_leaf_stays_as_written():
     # only a state is expanded: a leaf shows its operator as written, and
     # the transition into the operator makes it the vector node
-    lts = build_lts(_INSIDE_LEAVES, "V", 2)
+    lts = build_lts(_INSIDE_LEAVES, "V", 2, terms=True)
     assert fmt_term(lts.states[lts.root]) == "b -> (||| i:t @ Q(i))"
     assert lts.n_states() == 10
     vector = _target(lts, lts.root, Event("b"))
@@ -419,7 +419,7 @@ def test_replicated_operator_inside_a_leaf_stays_as_written():
 def test_leaves_that_expand_alike_stay_apart():
     # b -> (||| i:t @ Q(i)) and b -> Q(0) are one process at #T=1 but two
     # leaves, so the choice's a-targets are two states (bisimilar ones)
-    lts = build_lts(_INSIDE_LEAVES, "P", 1)
+    lts = build_lts(_INSIDE_LEAVES, "P", 1, terms=True)
     assert lts.n_states() == 6
     targets = [t for lab, t, _ in lts.edges[lts.root]]
     assert [fmt_term(lts.states[t]) for t in targets] == [
@@ -428,13 +428,13 @@ def test_leaves_that_expand_alike_stay_apart():
 
 
 def test_replicated_operator_below_a_conditional_or_an_internal_choice():
-    cond = build_lts(_INSIDE_LEAVES, "C", 2)
+    cond = build_lts(_INSIDE_LEAVES, "C", 2, terms=True)
     guarded = _target(cond, cond.root, Event("a"))
     assert fmt_term(guarded) == "true & (||| i:t @ Q(i))"
     # the conditional takes the successors of the vector it branches to
     (moved, *_) = [cond.states[t] for lab, t, _ in cond.edges[cond.states.index(guarded)]]
     assert isinstance(moved, IndexedInterleave)
-    choice = build_lts(_INSIDE_LEAVES, "I", 2)
+    choice = build_lts(_INSIDE_LEAVES, "I", 2, terms=True)
     assert fmt_term(choice.states[choice.root]) == "(||| i:t @ Q(i)) |~| STOP"
     assert [choice.states[t] for _, t, _ in choice.edges[choice.root]] == [
         IndexedInterleave(Ident("Q", (TVal(0),)), Ident("Q", (TVal(1),))), Stop()]
