@@ -15,6 +15,7 @@ from .errors import BoundExceeded, SemanticsError
 from .lts import Event, Lts, TAU, label_key, rename_lts, tau_closure
 from .record import record
 from .report import ConditionReport, Finding
+from .std_semantics import DEFAULT_MAX_STATES
 from .syntax import permute_t
 
 
@@ -415,7 +416,8 @@ def _invariant_under(lts: Lts, fns) -> bool:
     return all(block[lts.root] == block[k * n1 + lts.root] for k in range(1, len(views)))
 
 
-def permutation_bisim_check(defs, proc, sizes, max_states: int = 50_000) -> ConditionReport:
+def permutation_bisim_check(defs, proc, sizes,
+                            max_states: int = DEFAULT_MAX_STATES) -> ConditionReport:
     """Check of full symmetry in t: at each requested size, the process must
     be strongly bisimilar to its renaming under every bijection of the
     instantiation.
@@ -430,15 +432,17 @@ def permutation_bisim_check(defs, proc, sizes, max_states: int = 50_000) -> Cond
     the rows with a target that changed block, and block ids are never
     renumbered, since no formula is built from them.  Otherwise all n!
     bijections are checked by strong_bisim on renamed copies, so that each
-    failing one is reported with a distinguishing formula."""
-    from .std_semantics import build_lts
+    failing one is reported with a distinguishing formula.  Every size is
+    built over one engine."""
+    from .std_semantics import Engine, build_lts
 
     name = proc if isinstance(proc, str) else "<term>"
+    engine = Engine(defs)
     findings = []
     total = 0
     for n in sizes:
         try:
-            lts = build_lts(defs, proc, n, max_states)
+            lts = build_lts(defs, proc, n, max_states, engine=engine)
         except BoundExceeded as exc:
             raise BoundExceeded(exc.what, exc.bound, exc.frontier,
                                 f"{name} at #T={n}") from None

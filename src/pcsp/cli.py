@@ -59,50 +59,6 @@ def _emit(args, payload: dict, text: str) -> None:
         print(text)
 
 
-_MODEL = {"choices": ("traces", "failures"), "default": "traces"}
-_REQUIRED = {"required": True}
-_TSIZE = {"type": int, "required": True}
-_DOT = {"action": "store_true"}
-
-# sub-command -> (its help, its options after the file, --format and
-# --max-states that every one takes), in the order --help lists them
-_SUBCOMMANDS = {
-    "conditions": ("run the syntactic condition checkers", (
-        ("--proc", {"help": "check one process (default: all)"}),
-        ("--eqt-model", {"choices": ("traces", "failures"),
-                         "help": "also sample the equality-test condition in this model"}),
-        ("--eqt-sizes", {"default": "2,3"}),
-        ("--typesym-sizes", {"help": "also sample semantic symmetry in t at these sizes"}),
-    )),
-    "lts": ("build the concrete transition system", (
-        ("--proc", _REQUIRED), ("--tsize", _TSIZE), ("--dot", _DOT))),
-    "sslts": ("build the semi-symbolic transition system", (
-        ("--proc", _REQUIRED), ("--dot", _DOT))),
-    "cose": ("instantiate the symbolic system at a size", (
-        ("--proc", _REQUIRED), ("--tsize", _TSIZE), ("--dot", _DOT))),
-    "congruence": ("check the two concrete semantics are strongly bisimilar", (
-        ("--proc", _REQUIRED), ("--tsize", _TSIZE))),
-    "refine": ("check a refinement at one size", (
-        ("--spec", _REQUIRED), ("--impl", _REQUIRED), ("--model", _MODEL),
-        ("--tsize", _TSIZE))),
-    "threshold": ("compute the specification threshold", (
-        ("--spec", _REQUIRED), ("--model", _MODEL))),
-    "verify": ("run the full reduction pipeline", (
-        ("--spec", _REQUIRED), ("--impl", _REQUIRED), ("--model", _MODEL),
-        ("--sizes", {"required": True, "help": "e.g. 1..4 or 2,3"}),
-        ("--abst", {"help": "abstraction process for the universal conclusion"}),
-        ("--valid-from", {"type": int,
-                          "help": "size from which the abstraction premise holds"}),
-        ("--sample-premise", {"default": "",
-                              "help": "sizes at which to sample the abstraction premise"}),
-        ("--eqt-sizes", {"default": "2,3"}),
-        ("--assume-typesym", {"action": "store_true",
-                              "help": "accept symmetry in t of the implementation on "
-                              "assertion when the syntactic check fails"}),
-    )),
-}
-
-
 def make_parser(argv=()) -> argparse.ArgumentParser:
     """The parser of the sub-command that argv[0] names, or of every
     sub-command when it names none, so that --help and a wrong command
@@ -118,12 +74,13 @@ def make_parser(argv=()) -> argparse.ArgumentParser:
         names, metavar = list(_SUBCOMMANDS), None
     sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in names:
-        help_text, options = _SUBCOMMANDS[name]
+        _, help_text, options = _SUBCOMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         p.add_argument("file", help="definition file (.pcsp); bundled corpus "
                        "names are resolved automatically")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--max-states", type=int, default=200_000)
+        p.add_argument("--max-states", type=int,
+                       default=std_semantics.DEFAULT_MAX_STATES)
         for flag, kwargs in options:
             p.add_argument(flag, **kwargs)
     return ap
@@ -279,15 +236,49 @@ def cmd_verify(args, defs) -> int:
     return 0 if verdict.holds() else 1
 
 
-_COMMANDS = {
-    "conditions": cmd_conditions,
-    "lts": cmd_lts,
-    "sslts": cmd_sslts,
-    "cose": cmd_cose,
-    "congruence": cmd_congruence,
-    "refine": cmd_refine,
-    "threshold": cmd_threshold,
-    "verify": cmd_verify,
+_MODEL = {"choices": ("traces", "failures"), "default": "traces"}
+_REQUIRED = {"required": True}
+_TSIZE = {"type": int, "required": True}
+_DOT = {"action": "store_true"}
+
+# sub-command -> (its handler, its help, its options after the file,
+# --format and --max-states that every one takes), in the order --help
+# lists them
+_SUBCOMMANDS = {
+    "conditions": (cmd_conditions, "run the syntactic condition checkers", (
+        ("--proc", {"help": "check one process (default: all)"}),
+        ("--eqt-model", {"choices": ("traces", "failures"),
+                         "help": "also sample the equality-test condition in this model"}),
+        ("--eqt-sizes", {"default": "2,3"}),
+        ("--typesym-sizes", {"help": "also sample semantic symmetry in t at these sizes"}),
+    )),
+    "lts": (cmd_lts, "build the concrete transition system", (
+        ("--proc", _REQUIRED), ("--tsize", _TSIZE), ("--dot", _DOT))),
+    "sslts": (cmd_sslts, "build the semi-symbolic transition system", (
+        ("--proc", _REQUIRED), ("--dot", _DOT))),
+    "cose": (cmd_cose, "instantiate the symbolic system at a size", (
+        ("--proc", _REQUIRED), ("--tsize", _TSIZE), ("--dot", _DOT))),
+    "congruence": (cmd_congruence,
+                   "check the two concrete semantics are strongly bisimilar", (
+                       ("--proc", _REQUIRED), ("--tsize", _TSIZE))),
+    "refine": (cmd_refine, "check a refinement at one size", (
+        ("--spec", _REQUIRED), ("--impl", _REQUIRED), ("--model", _MODEL),
+        ("--tsize", _TSIZE))),
+    "threshold": (cmd_threshold, "compute the specification threshold", (
+        ("--spec", _REQUIRED), ("--model", _MODEL))),
+    "verify": (cmd_verify, "run the full reduction pipeline", (
+        ("--spec", _REQUIRED), ("--impl", _REQUIRED), ("--model", _MODEL),
+        ("--sizes", {"required": True, "help": "e.g. 1..4 or 2,3"}),
+        ("--abst", {"help": "abstraction process for the universal conclusion"}),
+        ("--valid-from", {"type": int,
+                          "help": "size from which the abstraction premise holds"}),
+        ("--sample-premise", {"default": "",
+                              "help": "sizes at which to sample the abstraction premise"}),
+        ("--eqt-sizes", {"default": "2,3"}),
+        ("--assume-typesym", {"action": "store_true",
+                              "help": "accept symmetry in t of the implementation on "
+                              "assertion when the syntactic check fails"}),
+    )),
 }
 
 
@@ -300,7 +291,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         defs = parse_file(_resolve(args.file))
-        return _COMMANDS[args.command](args, defs)
+        return _SUBCOMMANDS[args.command][0](args, defs)
     except ParseError as exc:
         for d in exc.diagnostics:
             print(d.render(), file=sys.stderr)

@@ -25,6 +25,7 @@ from typing import Iterator, Union
 from .errors import SemanticsError
 from .lts import tau_closure
 from .report import ConditionReport, Finding
+from .std_semantics import DEFAULT_MAX_STATES
 from .syntax import (
     AlphaPar, BANG, Condition, Definitions, DOLLAR, ExtChoice, Hide, Ident, If,
     IndexedInterleave, IntChoice, Interleave, MixedGuard, Prefix, ProcessTerm,
@@ -299,17 +300,19 @@ def _scoped_conditionals(term: ProcessTerm, defs: Definitions, where: str
 
 
 def revposconjeqt_evidence(proc: ProcRef, defs: Definitions, model: str,
-                           sizes=(2, 3), max_states: int = 50_000) -> ConditionReport:
+                           sizes=(2, 3),
+                           max_states: int = DEFAULT_MAX_STATES) -> ConditionReport:
     """Reversed positive-conjunction-of-equality-tests condition.
 
     The syntactic half requires every conditional choice on t to test a
     positive conjunction of equalities.  The semantic half (the negative
     branch is refined by the positive branch, for all values of the free
     variables) is undecidable in general, so it is sampled at the requested
-    instantiation sizes; the verdict is therefore at most 'evidence'.
+    instantiation sizes, every build over one engine; the verdict is
+    therefore at most 'evidence'.
     """
     from .analysis import refines_failures, refines_traces
-    from .std_semantics import build_lts
+    from .std_semantics import Engine, build_lts
 
     term, name, _ = _root(proc, defs)
     rep_name = f"RevPosConjEqT-{'T' if model == 'traces' else 'F'}"
@@ -325,6 +328,7 @@ def revposconjeqt_evidence(proc: ProcRef, defs: Definitions, model: str,
         return ConditionReport(rep_name, "evidence", [],
                                ["no conditional choices on t: holds vacuously"])
     check = refines_traces if model == "traces" else refines_failures
+    engine = Engine(defs)
     checked = 0
     for node, scope, where in conditionals:
         guard = node.guard
@@ -349,8 +353,8 @@ def revposconjeqt_evidence(proc: ProcRef, defs: Definitions, model: str,
                                         else defs.datatypes[scope[v]])] for v in fv]
             for assignment in itertools.product(*spaces):
                 binding = dict(assignment)
-                lhs = build_lts(defs, substitute(node.els, binding), n, max_states)
-                rhs = build_lts(defs, substitute(node.then, binding), n, max_states)
+                lhs, rhs = (build_lts(defs, substitute(branch, binding), n, max_states,
+                                      engine=engine) for branch in (node.els, node.then))
                 checked += 1
                 if not check(lhs, rhs).holds:
                     pretty = ", ".join(f"{k}={v}" for k, v in sorted(binding.items()))

@@ -34,7 +34,7 @@ from .lts import Event, Lts, TAU, build
 from .pretty import fmt_term
 from .record import record
 from .ssos import Cond, SymbolicGraph, state_graph
-from .std_semantics import eval_guard, file_alphabet, tvalues_for
+from .std_semantics import DEFAULT_MAX_STATES, eval_guard, file_alphabet, tvalues_for
 from .syntax import (
     Condition, Construct, Definitions, DOLLAR, If, MixedGuard, Prefix,
     ProcessTerm, QUERY, domain_values, eval_condition, free_vars, selections,
@@ -268,17 +268,17 @@ class _Configurations:
 
 def concretize(defs: Definitions, source: Union[str, ProcessTerm],
                tsize: int, init_env: Optional[Environment] = None,
-               max_states: int = 100_000, terms: bool = False) -> Lts:
+               max_states: int = DEFAULT_MAX_STATES, terms: bool = False) -> Lts:
     """The LTS of configurations rooted at (root state, initial environment),
     per the translation rules.  The breadth-first build runs over
-    configuration ids, which are the returned keys: they identify
-    configurations within one call only.  The states are (node, env) pairs,
-    and with terms=True Configurations, which only a printed LTS reads."""
+    configuration ids, which identify configurations within one call only.
+    The states are (node, env) pairs, and with terms=True Configurations,
+    which only a printed LTS reads."""
     graph, root = state_graph(defs, source)
     table = _Configurations(graph, tvalues_for(tsize))
     root = table.config(root, dict(init_env or {}))
     lts = build(*root, table.successors,
-                alphabet=file_alphabet(defs, table.tvalues), tsize=tsize,
+                alphabet=file_alphabet(defs, table.tvalues),
                 max_states=max_states, mover=table.mover,
                 describe=lambda cfg: Configuration(graph.term(cfg[0]), cfg[1]).describe())
     if terms:

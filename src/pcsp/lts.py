@@ -76,12 +76,10 @@ class Lts:
     """A rooted, finite LTS with deduplicated states.
 
     It also carries the semi-symbolic LTS of a sequential process: its
-    labels are then symbolic (ssos.Vis, ssos.Cond or τ), its alphabet is
-    empty and its tsize 0.
+    labels are then symbolic (ssos.Vis, ssos.Cond or τ) and its alphabet is
+    empty.
 
-    states hold display payloads; keys hold the identity used for
-    deduplication: every semantics keys states by the state classes of its
-    per-build state graph, meaningful within one build only.
+    states hold display payloads.
 
     edges[i] is state i's row.  States that move alike (build's movers) may
     hold one shared row object, so a row is read-only: copy it to change it.
@@ -92,10 +90,8 @@ class Lts:
 
     root: int
     states: list
-    keys: list
     edges: list[list[Edge]]
     alphabet: frozenset[Event]
-    tsize: int
     label_keys: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -156,8 +152,8 @@ def _edge_row(keyed) -> list[Edge]:
 
 
 def build(root_payload, root_key, successors: Callable, *,
-          alphabet: frozenset[Event], tsize: int,
-          max_states: int, describe: Callable[[object], str],
+          alphabet: frozenset[Event], max_states: int,
+          describe: Callable[[object], str],
           order: Callable = label_key, mover: Optional[Callable] = None) -> Lts:
     """Deterministic BFS closure of a successor function.
 
@@ -173,7 +169,6 @@ def build(root_payload, root_key, successors: Callable, *,
     so the later ones add no state.
     """
     states = [root_payload]
-    keys = [root_key]
     index = {root_key: 0}
     edges: list[list[Edge]] = []
     order_keys: dict = {}  # label -> order(label)
@@ -205,13 +200,12 @@ def build(root_payload, root_key, successors: Callable, *,
                     tgt = len(states)
                     index[next_key] = tgt
                     states.append(next_payload)
-                    keys.append(next_key)
                 out.append((k, (label, tgt, uid)))
             row = _edge_row(out)
             if moves_as is not None:
                 rows[moves_as] = row
             edges.append(row)
-    lts = Lts(0, states, keys, edges, alphabet, tsize)
+    lts = Lts(0, states, edges, alphabet)
     if order is label_key:
         lts.label_keys = order_keys
     return lts
@@ -243,6 +237,6 @@ def rename_lts(lts: Lts, fn: Callable[[Event], Event]) -> Lts:
             row = renamed[id(es)] = _edge_row(keyed)
         new_edges.append(row)
     alphabet = frozenset(fn(e) for e in lts.alphabet)
-    out = Lts(lts.root, list(lts.states), list(lts.keys), new_edges, alphabet, lts.tsize)
+    out = Lts(lts.root, list(lts.states), new_edges, alphabet)
     out.label_keys = {new: k for k, new in images.values()}
     return out

@@ -23,9 +23,9 @@ from .lts import Event, Lts, TAU, rename_lts, tau_closure
 from .record import field, record
 from .report import ConditionReport
 from .ssos import Cond, Vis, build_sslts, fmt_sym_label, nont_event_key
-from .std_semantics import Engine, build_lts
+from .std_semantics import DEFAULT_MAX_STATES, Engine, build_lts
 from .syntax import (
-    Condition, Construct, Definitions, TVal, Value, classify_fields,
+    Condition, Definitions, TVal, Value, classify_fields,
 )
 
 
@@ -183,24 +183,26 @@ def _consistent(atoms, assignment) -> tuple[bool, int]:
     return True, len(classes)
 
 
-def _frontiers(s: Lts, start: int):
-    """All (conditions-on-path, visible symbolic event) pairs reachable from
-    the state through internal and conditional labels only."""
-    results = []
-
-    def dfs(state, conds, on_path):
+def _frontiers(s: Lts, start: int) -> set:
+    """The (set of conditions met, visible symbolic event) pairs reachable
+    from the state through internal and conditional labels only.  Each
+    (state, conditions met) pair is expanded once; on a cycle that adds a
+    pair with more conditions than a path's, which enables no event the
+    path's pair does not."""
+    found = set()
+    seen = {(start, frozenset())}
+    stack = list(seen)
+    while stack:
+        state, conds = stack.pop()
         for lab, tgt, _ in s.edges[state]:
-            if lab is TAU:
-                if tgt not in on_path:
-                    dfs(tgt, conds, on_path | {tgt})
-            elif isinstance(lab, Cond):
-                if tgt not in on_path:
-                    dfs(tgt, conds + (lab.condition,), on_path | {tgt})
+            if lab is TAU or isinstance(lab, Cond):
+                nxt = (tgt, conds if lab is TAU else conds | {lab.condition})
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
             else:
-                results.append((conds, lab.event))
-
-    dfs(start, (), frozenset((start,)))
-    return results
+                found.add((conds, lab.event))
+    return found
 
 
 def _cond_value(cond: Condition, atom_truth: dict) -> bool:
@@ -220,16 +222,12 @@ def thresh_failures(s: Lts, t_best: int) -> tuple[int, Optional[str], list[str]]
     best = t_best
     witness = None
     max_classes = 0
-    candidates = {s.root}
-    for st in range(s.n_states()):
-        for lab, tgt, _ in s.edges[st]:
-            if isinstance(lab, Vis):
-                candidates.add(tgt)
+    candidates = {s.root} | {tgt for row in s.edges for lab, tgt, _ in row
+                             if isinstance(lab, Vis)}
     for st in sorted(candidates):
         frontier = _frontiers(s, st)
-        atom_keys = sorted({_atom_key(a) for conds, _ in frontier
-                            for c in conds for a in c.atoms})
-        atoms = list(atom_keys)
+        atoms = sorted({_atom_key(a) for conds, _ in frontier
+                        for c in conds for a in c.atoms})
         if len(atoms) > 20:
             raise BoundExceeded("condition-valuation", 2 ** 20,
                                 f"{len(atoms)} distinct equality atoms")
@@ -238,13 +236,11 @@ def thresh_failures(s: Lts, t_best: int) -> tuple[int, Optional[str], list[str]]
             if not ok:
                 continue
             truth = dict(zip(atoms, assignment))
-            enabled: dict = {}
-            for conds, eps in frontier:
-                if all(_cond_value(c, truth) for c in conds):
-                    enabled[(eps.channel,) + _event_struct(eps)] = eps
+            enabled = {eps for conds, eps in frontier
+                       if all(_cond_value(c, truth) for c in conds)}
             out_vars = set()
             q_count = 0
-            for eps in enabled.values():
+            for eps in enabled:
                 sets = classify_fields(eps)
                 for i in sets.bang_t:
                     payload = eps.fields[i - 1].payload
@@ -265,15 +261,8 @@ def thresh_failures(s: Lts, t_best: int) -> tuple[int, Optional[str], list[str]]
     return best, witness, notes
 
 
-def _event_struct(e: Construct):
-    parts = []
-    for f in e.fields:
-        parts.append((f.sel, str(f.payload), str(f.ty) if f.ty else ""))
-    return tuple(parts)
-
-
 def compute_thresholds(defs: Definitions, spec: str, model: str,
-                       max_states: int = 100_000) -> ThresholdReport:
+                       max_states: int = DEFAULT_MAX_STATES) -> ThresholdReport:
     """Threshold(s) of a specification for the requested model.  The failures
     threshold requires the specification to be SeqNorm with no construct
     mixing t-selections and inputs."""
@@ -365,7 +354,7 @@ def verify_pmcp(defs: Definitions, spec: str, impl: str, model: str,
                 valid_from: Optional[int] = None,
                 premise_sizes=(), eqt_sizes=(2, 3),
                 assume_typesym: bool = False,
-                max_states: int = 200_000) -> PmcpVerdict:
+                max_states: int = DEFAULT_MAX_STATES) -> PmcpVerdict:
     """Run the reduction pipeline: check the theorem hypotheses, compute the
     threshold, and either derive a universally quantified conclusion through
     a user-supplied abstraction or discharge the requested sizes one by one.
@@ -375,47 +364,39 @@ def verify_pmcp(defs: Definitions, spec: str, impl: str, model: str,
     caveats = []
     _, _, seqnorm, _, mixed = check_all(spec, defs)
     conditions = [seqnorm]
-    hypotheses_ok = seqnorm.ok()
-    if hypotheses_ok:
+    ok = seqnorm.ok()
+    if ok:
         eqt = revposconjeqt_evidence(spec, defs, model, eqt_sizes, max_states)
         conditions.append(eqt)
-        if eqt.verdict == "fail":
-            hypotheses_ok = False
-        else:
+        ok = eqt.verdict != "fail"
+        if ok:
             caveats.append(
                 "the equality-test hypothesis is evidence-only "
                 f"(sampled at sizes {{{','.join(map(str, eqt_sizes))}}})")
 
     if model == "failures":
         conditions.append(mixed)
-        if not mixed.ok():
-            hypotheses_ok = False
+        ok = ok and mixed.ok()
 
     typesym = check_typesym_syntactic(impl, defs)
     conditions.append(typesym)
-    if not typesym.ok():
-        if assume_typesym:
-            caveats.append(
-                "implementation symmetry in t is user-asserted (the "
-                "syntactic sufficient condition fails)")
-        else:
-            hypotheses_ok = False
+    if not typesym.ok() and assume_typesym:
+        caveats.append(
+            "implementation symmetry in t is user-asserted (the "
+            "syntactic sufficient condition fails)")
+    ok = ok and (typesym.ok() or assume_typesym)
 
-    thresholds = None
-    bound = None
-    if hypotheses_ok:
+    thresholds = bound = None
+    if ok:
         try:
             thresholds = compute_thresholds(defs, spec, model, max_states)
             bound = (thresholds.traces if model == "traces"
                      else thresholds.failures)
         except SemanticsError as exc:
             caveats.append(f"threshold computation failed: {exc}")
-            hypotheses_ok = False
+            ok = False
 
     size_list = sorted(set(sizes))
-    results: list[SizeResult] = []
-    premises: list[SizeResult] = []
-    conclusion = ""
     builds: dict[tuple[str, int, Optional[int]], Lts] = {}
     engine = Engine(defs)
 
@@ -423,9 +404,10 @@ def verify_pmcp(defs: Definitions, spec: str, impl: str, model: str,
         # The specification is needed at one size by several steps.  A
         # build that phi collapses is explored modulo the permutations of
         # {B..n-1}, which phi cannot tell apart, when Impl is syntactically
-        # symmetric in t; it is keyed apart from the full build.  Every
-        # build shares one engine, whose positions and leaf classes do not
-        # depend on the size.  An error names the build it stopped.
+        # symmetric in t; it is keyed apart from the full build, and its
+        # phi-image is returned.  Every build shares one engine, whose
+        # positions and leaf classes do not depend on the size.  An error
+        # names the build it stopped.
         sym = bound if collapsed and typesym.ok() else None
         got = builds.get((proc, n, sym))
         if got is None:
@@ -438,7 +420,7 @@ def verify_pmcp(defs: Definitions, spec: str, impl: str, model: str,
             except SemanticsError as exc:
                 raise SemanticsError(f"{exc}, building {proc} at #T={n}") from None
             builds[(proc, n, sym)] = got
-        return got
+        return CollapsingFn(bound).lts(got) if collapsed else got
 
     def built(row: SizeResult, proc: str, collapsed: bool = False) -> Optional[Lts]:
         # a build that fails or hits the state bound fails its size's row
@@ -447,61 +429,55 @@ def verify_pmcp(defs: Definitions, spec: str, impl: str, model: str,
             return lts_of(proc, row.n, collapsed)
         except (SemanticsError, BoundExceeded) as exc:
             row.error = str(exc)
-            return None
+
+    def decide(row: SizeResult, lhs: Lts, collapsed: bool = False) -> SizeResult:
+        # refine Impl at the row's size, collapsed by phi or not, against lhs
+        rhs = built(row, impl, collapsed)
+        if rhs is not None:
+            row.verdict = refines(lhs, rhs, model)
+        return row
 
     def direct(n: int) -> SizeResult:
         row = SizeResult(n, f"{spec}({{0..{n - 1}}})", f"{impl}({{0..{n - 1}}})",
                          "direct")
         lhs = built(row, spec)
-        if lhs is None:
-            return row
-        if model == "failures" and not divergence_free(lhs):
+        if lhs is not None and model == "failures" and not divergence_free(lhs):
             raise SemanticsError(
                 f"specification {spec!r} diverges at #T={n}: stable-failures "
                 "refinement requires a divergence-free specification")
-        rhs = built(row, impl)
-        if rhs is not None:
-            row.verdict = refines(lhs, rhs, model)
-        return row
+        return row if lhs is None else decide(row, lhs)
 
-    if not hypotheses_ok:
-        for n in size_list:
-            results.append(direct(n))
-        conclusion = "hypothesis failure: per-size direct results only"
-        return PmcpVerdict("direct-per-size", model, bound, thresholds,
-                           conditions, results, premises, conclusion, caveats)
+    def reduced(n: int, proc: str, lhs: Lts, method: str) -> SizeResult:
+        # phi(Impl(T_n)) against proc's LTS lhs at the reduced type {0..B}
+        return decide(SizeResult(n, f"{proc}({{0..{bound}}})",
+                                 f"phi({impl}({{0..{n - 1}}}))", method), lhs, True)
 
-    hat = bound + 1  # size of the reduced type {0..B}
-    spec_hat = lts_of(spec, hat)
-
-    if model == "failures":
-        for n in sorted(set(size_list + [hat])):
-            if not divergence_free(lts_of(spec, n)):
-                caveats.append(f"specification diverges at #T={n}")
-                hypotheses_ok = False
-        caveats.append(
-            "divergence-freedom of the specification checked at the "
-            "requested sizes only")
-        if not hypotheses_ok:
-            for n in size_list:
-                results.append(direct(n))
-            return PmcpVerdict("direct-per-size", model, bound, thresholds,
-                               conditions, results, premises,
-                               "hypothesis failure: per-size direct results only",
-                               caveats)
+    if ok:
+        hat = bound + 1  # size of the reduced type {0..B}
+        spec_hat = lts_of(spec, hat)
+        if model == "failures":
+            for n in sorted(set(size_list + [hat])):
+                if not divergence_free(lts_of(spec, n)):
+                    caveats.append(f"specification diverges at #T={n}")
+                    ok = False
+            caveats.append(
+                "divergence-freedom of the specification checked at the "
+                "requested sizes only")
+    if not ok:
+        return PmcpVerdict("direct-per-size", model, bound, thresholds, conditions,
+                           [direct(n) for n in size_list], [],
+                           "hypothesis failure: per-size direct results only",
+                           caveats)
 
     op = "[T=" if model == "traces" else "[F="
-
     if abst is not None:
         if valid_from is None:
             raise UsageError("via-abstraction mode needs the bound from which "
                              "the abstraction premise holds (valid_from)")
         abst_hat = lts_of(abst, hat)
-        v = refines(spec_hat, abst_hat, model)
-        results_bound = max(valid_from, bound + 1)
-        premises.append(SizeResult(
-            hat, f"{spec}({{0..{bound}}})", f"{abst}({{0..{bound}}})",
-            "abstraction", v))
+        premises = [SizeResult(hat, f"{spec}({{0..{bound}}})", f"{abst}({{0..{bound}}})",
+                               "abstraction", refines(spec_hat, abst_hat, model))]
+        results_bound = max(valid_from, hat)
         caveats.append(
             f"the premise {abst}({{0..{bound}}}) {op} phi({impl}(T)) for "
             f"#T >= {valid_from} is taken on assertion from the abstraction "
@@ -511,40 +487,19 @@ def verify_pmcp(defs: Definitions, spec: str, impl: str, model: str,
             raise SemanticsError(
                 f"abstraction {abst!r} diverges at #T={hat}: stable-failures "
                 "refinement requires a divergence-free specification")
-        for n in premise_sizes:
-            row = SizeResult(n, f"{abst}({{0..{bound}}})",
-                             f"phi({impl}({{0..{n - 1}}}))", "premise-sample")
-            premises.append(row)
-            impl_n = built(row, impl, collapsed=True)
-            if impl_n is not None:
-                row.verdict = refines(abst_hat, CollapsingFn(bound).lts(impl_n), model)
-        for n in [n for n in size_list if n < results_bound]:
-            results.append(direct(n))
-        if v.holds and all(p.holds() for p in premises):
-            conclusion = (f"{spec}(T) {op} {impl}(T) for all instantiations "
-                          f"with #T >= {results_bound}")
-        else:
-            conclusion = "abstraction check failed: no universal conclusion"
+        premises += [reduced(n, abst, abst_hat, "premise-sample") for n in premise_sizes]
+        results = [direct(n) for n in size_list if n < results_bound]
+        conclusion = (f"{spec}(T) {op} {impl}(T) for all instantiations with "
+                      f"#T >= {results_bound}" if all(p.holds() for p in premises)
+                      else "abstraction check failed: no universal conclusion")
         return PmcpVerdict("via-abstraction", model, bound, thresholds,
                            conditions, results, premises, conclusion, caveats)
 
-    derived = []
-    for n in size_list:
-        if n >= bound + 1:
-            row = SizeResult(n, f"{spec}({{0..{bound}}})",
-                             f"phi({impl}({{0..{n - 1}}}))", "theorem")
-            results.append(row)
-            impl_n = built(row, impl, collapsed=True)
-            if impl_n is not None:
-                row.verdict = refines(spec_hat, CollapsingFn(bound).lts(impl_n), model)
-                if row.verdict.holds:
-                    derived.append(n)
-        else:
-            results.append(direct(n))
-    if derived:
-        conclusion = (f"{spec}(T_n) {op} {impl}(T_n) derived via the reduced "
-                      f"type for n in {{{','.join(map(str, derived))}}}")
-    else:
-        conclusion = "per-size results"
+    results = [reduced(n, spec, spec_hat, "theorem") if n >= hat else direct(n)
+               for n in size_list]
+    derived = [r.n for r in results if r.method == "theorem" and r.holds()]
+    conclusion = (f"{spec}(T_n) {op} {impl}(T_n) derived via the reduced type "
+                  f"for n in {{{','.join(map(str, derived))}}}" if derived
+                  else "per-size results")
     return PmcpVerdict("direct-per-size", model, bound, thresholds,
-                       conditions, results, premises, conclusion, caveats)
+                       conditions, results, [], conclusion, caveats)

@@ -27,7 +27,9 @@ from .errors import SemanticsError
 from .lts import TAU, Lts, build
 from .pretty import fmt_condition, fmt_construct, fmt_term
 from .record import record
-from .std_semantics import Engine, StateGraph, check_guarded_recursion, eval_guard
+from .std_semantics import (
+    DEFAULT_MAX_STATES, Engine, StateGraph, check_guarded_recursion, eval_guard,
+)
 from .syntax import (
     BANG, Condition, Construct, Definitions, ExtChoice, Ident, If, IntChoice,
     MixedGuard, Prefix, ProcessTerm, Sliding, Stop, classify_fields, comms_nont,
@@ -182,15 +184,15 @@ def state_graph(defs: Definitions, proc: Union[str, ProcessTerm]) -> tuple:
 
 
 def build_sslts(defs: Definitions, proc: Union[str, ProcessTerm],
-                max_states: int = 100_000, terms: bool = False) -> Lts:
+                max_states: int = DEFAULT_MAX_STATES, terms: bool = False) -> Lts:
     """Breadth-first closure of the symbolic transition rules over a graph
     of symbolic states: an Lts whose states are node ids, and with
-    terms=True terms, which only a printed LTS reads, keyed by state class,
-    with symbolic labels, an empty alphabet and tsize 0."""
+    terms=True terms, which only a printed LTS reads, deduplicated by state
+    class, with symbolic labels and an empty alphabet."""
     graph, root = state_graph(defs, proc)
     lts = build(root, graph.state(root),
                 lambda i: [(lab, uid, t, graph.state(t)) for lab, uid, t in graph.successors(i)],
-                alphabet=frozenset(), tsize=0, max_states=max_states,
+                alphabet=frozenset(), max_states=max_states,
                 describe=lambda i: fmt_term(graph.term(i)), order=sym_label_key)
     if terms:
         lts.states = [graph.term(i) for i in lts.states]

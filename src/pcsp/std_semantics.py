@@ -958,9 +958,9 @@ def build_lts(defs: Definitions, proc: Union[str, ProcessTerm], tsize: int,
     """Breadth-first closure of the transition rules from the given process
     (a defined name or a closed term).  The states are the node ids of this
     build's state graph, and with terms=True their terms, which only a
-    printed LTS reads; the keys are the graph's state classes, so they
-    identify states within one build only.  The builds of one run may share
-    an engine of defs, whatever their sizes.
+    printed LTS reads; they are told apart by the graph's state classes.
+    The builds of one run may share an engine of defs, whatever their
+    sizes.
 
     With symmetric_from = B, the root and every successor target are
     replaced by their orbit representatives under the permutations of
@@ -1006,7 +1006,7 @@ def build_lts(defs: Definitions, proc: Union[str, ProcessTerm], tsize: int,
 
     from .pretty import fmt_term
     lts = build(root, state(root), successors,
-                alphabet=file_alphabet(defs, graph.tvalues), tsize=tsize,
+                alphabet=file_alphabet(defs, graph.tvalues),
                 max_states=max_states, describe=lambda i: fmt_term(graph.term(i)),
                 mover=graph.mover)
     if terms:

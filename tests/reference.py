@@ -11,7 +11,9 @@ edge row: it computes every state's row.  The syntactic checkers at
 the end are the five walks that ``conditions.check_all`` replaced, each
 re-walking both operands of every binary choice.  tokenize is the
 tokenizer that tried every symbol with ``startswith`` at each position,
-before the parser's one compiled pattern."""
+before the parser's one compiled pattern.  frontiers_by_paths is the
+failures threshold's frontier walk before it expanded each (state,
+conditions met) pair once."""
 
 from __future__ import annotations
 
@@ -92,13 +94,11 @@ def has_failure(lts: Lts, trace, refused) -> bool:
 # The breadth-first build, every state's row computed
 
 def build_unshared(root_payload, root_key, successors: Callable, *,
-                   alphabet: frozenset[Event], tsize: int,
-                   max_states: int, describe: Callable[[object], str],
+                   alphabet: frozenset[Event], max_states: int, describe: Callable[[object], str],
                    order: Callable = label_key, mover=None) -> Lts:
     """lts.build without its movers (mover is accepted and ignored):
     successors runs on every state, and every row is its own object."""
     states = [root_payload]
-    keys = [root_key]
     index = {root_key: 0}
     edges = []
     frontier = 0
@@ -115,11 +115,10 @@ def build_unshared(root_payload, root_key, successors: Callable, *,
                     tgt = len(states)
                     index[next_key] = tgt
                     states.append(next_payload)
-                    keys.append(next_key)
                 out.append((k, (label, tgt, uid)))
             edges.append(_edge_row(out))
             frontier += 1
-    return Lts(0, states, keys, edges, alphabet, tsize)
+    return Lts(0, states, edges, alphabet)
 
 
 # ---------------------------------------------------------------------------
@@ -658,3 +657,27 @@ def tokenize(text: str, filename: str) -> list[Token]:
             raise ParseError([Diagnostic(f"unexpected character {c!r}", line, col, filename)])
     toks.append(Token("eof", "", line, col))
     return toks
+
+
+# ---------------------------------------------------------------------------
+# The failures threshold's frontier, one simple path at a time
+
+def frontiers_by_paths(s: Lts, start: int) -> list:
+    """All (conditions-on-path, visible symbolic event) pairs reachable from
+    the state through internal and conditional labels only, one per simple
+    path, repeats included: exponential in the number of τ-diamonds."""
+    results = []
+
+    def dfs(state, conds, on_path):
+        for lab, tgt, _ in s.edges[state]:
+            if lab is TAU:
+                if tgt not in on_path:
+                    dfs(tgt, conds, on_path | {tgt})
+            elif isinstance(lab, Cond):
+                if tgt not in on_path:
+                    dfs(tgt, conds + (lab.condition,), on_path | {tgt})
+            else:
+                results.append((conds, lab.event))
+
+    dfs(start, (), frozenset((start,)))
+    return results

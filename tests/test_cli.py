@@ -312,6 +312,8 @@ def test_a_symbolic_t_variable_as_an_argument_is_named(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", str(src), "--spec", "Spec",
                        "--impl", "Spec", "--sizes", "1..2")
     assert code == 0
+    assert out.startswith("mode: direct-per-size\n")
+    assert "conclusion: hypothesis failure: per-size direct results only\n" in out
     assert f"caveat: threshold computation failed: {_CANNOT_UNFOLD}\n" in out
     assert "#T=2 [direct] Spec({0..1}) vs Spec({0..1}): holds" in out
 
@@ -458,6 +460,28 @@ def test_verify_names_the_build_that_hits_the_bound(tmp_path, capsys):
         assert row.startswith(
             f"#T={n} [theorem] Spec({{0..1}}) vs phi(Impl({{0..{n - 1}}})): "
             f"error: state bound (200) exceeded building Impl at #T={n}: ")
+
+
+def test_verify_names_the_premise_sample_build_that_hits_the_bound(tmp_path, capsys):
+    # the reduced builds of the mutant's Impl have 79 states at #T=3 and
+    # more at #T=4 and 5: the first premise sample fails, the other two are
+    # error rows naming the bound and the build, and the exit code is 2
+    code, out, err = run(capsys, "verify", str(symmetric_mutant(tmp_path)),
+                         "--spec", "Spec", "--impl", "Impl", "--abst", "Spec",
+                         "--valid-from", "2", "--model", "traces", "--sizes", "1",
+                         "--sample-premise", "3,4,5", "--max-states", "100")
+    assert code == 2 and err == ""
+    rows = [line for line in out.splitlines()
+            if line.startswith("premise ") and "[premise-sample]" in line]
+    assert rows[0] == ("premise Spec({0..1}) vs phi(Impl({0..2})) [premise-sample]: "
+                       "FAILS with counterexample <enterCS.0, enterCS.1>")
+    for n, row in zip((4, 5), rows[1:]):
+        assert row.startswith(
+            f"premise Spec({{0..1}}) vs phi(Impl({{0..{n - 1}}})) [premise-sample]: "
+            f"error: state bound (100) exceeded building Impl at #T={n}: ")
+    assert len(rows) == 3
+    assert "#T=1 [direct] Spec({0..0}) vs Impl({0..0}): holds\n" in out
+    assert "conclusion: abstraction check failed: no universal conclusion\n" in out
 
 
 @pytest.mark.parametrize("argv, error", [

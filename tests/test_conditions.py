@@ -5,8 +5,9 @@ from hypothesis import example, given, settings
 
 import reference
 from conftest import ALL_CORPUS_FILES, RENAMED_CONSTANT, load
-from pcsp import conditions
+from pcsp import analysis, conditions
 from pcsp.parser import parse_definitions
+from pcsp.std_semantics import StateGraph
 from pcsp.syntax import Stop
 from test_oracles import _DEFS, call_graphs
 from test_syntax import terms
@@ -209,6 +210,26 @@ P = c?x:t?y:t -> if x!=y then d!x -> STOP else d!x -> STOP
     r = conditions.revposconjeqt_evidence("P", defs, "traces", (2,))
     assert r.verdict == "fail"
     assert any(f.clause == "syntactic" for f in r.findings)
+
+
+@pytest.mark.parametrize("check", [
+    lambda: analysis.permutation_bisim_check(load("mutex.pcsp"), "Impl", (4, 5)),
+    lambda: conditions.revposconjeqt_evidence("R1", load("ex315.pcsp"), "failures", (4, 5)),
+], ids=["TypeSym-semantic", "RevPosConjEqT"])
+def test_sampled_checks_build_every_size_over_one_engine(monkeypatch, check):
+    # every build of one call shares one standard-semantics engine
+    graphs = []
+    init = StateGraph.__init__
+
+    def recording_init(self, engine, tvalues, *args, **kwargs):
+        graphs.append((type(self), engine, len(tvalues)))
+        init(self, engine, tvalues, *args, **kwargs)
+
+    monkeypatch.setattr(StateGraph, "__init__", recording_init)
+    assert check().verdict == "evidence"
+    standard = [(engine, n) for cls, engine, n in graphs if cls is StateGraph]
+    assert {n for _, n in standard} == {4, 5}
+    assert len({id(engine) for engine, _ in standard}) == 1
 
 
 # -- whole-corpus structural implications ----------------------------------------

@@ -231,8 +231,7 @@ def lts_pairs(draw):
         edges = [draw(st.lists(edge(n), max_size=3)) for _ in range(n)]
         for s in draw(st.lists(st.integers(0, n - 1), max_size=n)):
             edges[s] = edges[draw(st.integers(0, n - 1))]
-        return Lts(draw(st.integers(0, n - 1)), list(range(n)), list(range(n)),
-                   edges, frozenset(), 2)
+        return Lts(draw(st.integers(0, n - 1)), list(range(n)), edges, frozenset())
 
     l1 = lts()
     mode = draw(st.sampled_from(("drawn", "relabelled", "renumbered", "edited")))
@@ -253,7 +252,7 @@ def lts_pairs(draw):
     renumbered = [None] * n
     for s, es in enumerate(edges):
         renumbered[order[s]] = [(lab, order[t], uid) for lab, t, uid in es]
-    return l1, Lts(order[l1.root], l1.states, l1.keys, renumbered, frozenset(), 2)
+    return l1, Lts(order[l1.root], l1.states, renumbered, frozenset())
 
 
 _C0 = Event("c", (TVal(0),))
@@ -263,9 +262,9 @@ _C0 = Event("c", (TVal(0),))
 # the second root also has a τ into a deadlock: with offsets id * n1 rather
 # than id * n (here n1 = 1), the pairs (τ, block 1) and (c.0, block 0) would
 # encode to the same int and the two roots would never be split
-@example((Lts(0, [0], [0], [[(_C0, 0, None), (TAU, 0, None)]], frozenset(), 2),
-          Lts(1, [0, 1], [0, 1], [[], [(TAU, 1, None), (TAU, 0, None), (_C0, 1, None)]],
-              frozenset(), 2)))
+@example((Lts(0, [0], [[(_C0, 0, None), (TAU, 0, None)]], frozenset()),
+          Lts(1, [0, 1], [[], [(TAU, 1, None), (TAU, 0, None), (_C0, 1, None)]],
+              frozenset())))
 @settings(max_examples=300, deadline=None)
 def test_strong_bisim_agrees_with_the_reference(pair):
     assert strong_bisim(*pair) == _reference_strong_bisim(*pair)
@@ -493,7 +492,7 @@ def _reference_concretize(defs, source, tsize, init_env=None,
     root, root_key = _reference_configure(root_term, dict(init_env or {}))
     return build(root, root_key,
                  lambda cfg: _reference_successors_of_config(cfg, defs, tvalues),
-                 alphabet=file_alphabet(defs, tvalues), tsize=tsize,
+                 alphabet=file_alphabet(defs, tvalues),
                  max_states=max_states, describe=Configuration.describe)
 
 
@@ -503,10 +502,7 @@ def _concretize_outcome(fn, *args, **kwargs):
         lts = fn(*args, **kwargs)
     except PcspError as exc:
         return type(exc).__name__, str(exc)
-    blocks: dict = {}
-    return ([cfg.describe() for cfg in lts.states], lts.edges,
-            [blocks.setdefault(k, len(blocks)) for k in lts.keys],
-            lts.root, lts.alphabet)
+    return [cfg.describe() for cfg in lts.states], lts.edges, lts.root, lts.alphabet
 
 
 def _check_concretize(*args, **kwargs):
@@ -575,7 +571,7 @@ def _reference_build_sslts(defs, proc, max_states=100_000):
     return build(term, canonicalise(term)[0],
                  lambda t: [(lab, uid, nxt, canonicalise(nxt)[0])
                             for lab, uid, nxt in sym_successors(t, defs)],
-                 alphabet=frozenset(), tsize=0, max_states=max_states,
+                 alphabet=frozenset(), max_states=max_states,
                  describe=fmt_term, order=sym_label_key)
 
 
@@ -792,7 +788,7 @@ def _reference_build_lts(defs, proc, tsize, max_states=DEFAULT_MAX_STATES, *,
         return [(lab, uid, rep(t), state(rep(t))) for lab, uid, t in graph.successors(i)]
 
     lts = build(root, state(root), successors,
-                alphabet=file_alphabet(defs, graph.tvalues), tsize=tsize,
+                alphabet=file_alphabet(defs, graph.tvalues),
                 max_states=max_states, describe=lambda i: fmt_term(graph.term(i)))
     with terms_bounded():
         lts.states = [graph.term(i) for i in lts.states]
@@ -801,16 +797,13 @@ def _reference_build_lts(defs, proc, tsize, max_states=DEFAULT_MAX_STATES, *,
 
 def _build_outcome(fn, *args, **kwargs):
     """Everything build_lts shows: the state terms (construct uids
-    included), the edges with their uids, the partition of the states by
-    key, the root and the alphabet, or the error the build stops with."""
+    included), the edges with their uids, the root and the alphabet, or the
+    error the build stops with."""
     try:
         lts = fn(*args, **kwargs)
     except PcspError as exc:
         return type(exc).__name__, str(exc)
-    blocks: dict = {}
-    return ([repr(t) for t in lts.states], lts.edges,
-            [blocks.setdefault(k, len(blocks)) for k in lts.keys],
-            lts.root, lts.alphabet)
+    return [repr(t) for t in lts.states], lts.edges, lts.root, lts.alphabet
 
 
 def _check_build(*args, **kwargs):
@@ -1107,11 +1100,11 @@ def _rows_outcome(fn, *args, **kwargs):
         lts = fn(*args, **kwargs)
     except PcspError as exc:
         return type(exc).__name__, str(exc)
-    return lts.root, lts.keys, lts.states, lts.edges
+    return lts.root, lts.states, lts.edges
 
 
 def _check_shared(fn, *args, **kwargs):
-    """fn (build_lts or concretize) gives the same root, keys, states and
+    """fn (build_lts or concretize) gives the same root, states and
     edge rows, compared by value, as with every row computed.  The runs
     that cose's movers name are checked against the whole-term rules
     above."""

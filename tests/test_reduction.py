@@ -2,10 +2,10 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import bigprop_testcases, load, proc_body
+from conftest import ALL_CORPUS_FILES, bigprop_testcases, load, proc_body
 from pcsp import reduction
 from pcsp.analysis import refines
-from pcsp.errors import UsageError
+from pcsp.errors import PcspError, UsageError
 from pcsp.lts import Event
 from pcsp.parser import parse_definitions
 from pcsp.reduction import (
@@ -15,7 +15,7 @@ from pcsp.reduction import (
 from pcsp.ssos import Vis, build_sslts, nont_event_key
 from pcsp.std_semantics import Engine, StateGraph, build_lts
 from pcsp.syntax import TVal, classify_fields
-from reference import symbolic_traces
+from reference import frontiers_by_paths, symbolic_traces
 
 
 def ev(ch, *idx):
@@ -144,6 +144,65 @@ def test_bigprops_failures_threshold():
     assert thresh_traces(s)[0] == 1
     value, witness, _notes = thresh_failures(s, thresh_traces(s)[0])
     assert value >= 1
+
+
+def tau_diamonds(k: int, bottom: str = "STOP") -> str:
+    """A SeqNorm spec whose failures frontier after a$x:t runs through k
+    internal choices in a row, each rejoining at the next: 2^k paths over
+    3k + 1 states."""
+    lines = ["channel a : t", "channel b", f"P0 = {bottom}"]
+    for i in range(1, k + 1):
+        lines += [f"P{i} = A{i} |~| B{i}", f"A{i} = P{i - 1}", f"B{i} = P{i - 1}"]
+    return "\n".join(lines + [f"Spec = a$x:t -> P{k}"]) + "\n"
+
+
+def _frontier_cases():
+    cases = [(load(f), name) for f in ALL_CORPUS_FILES
+             for name, eq in sorted(load(f).equations.items()) if not eq.params]
+    cases += [(parse_definitions(tau_diamonds(k, bottom)), "Spec")
+              for k in (1, 4, 12) for bottom in ("STOP", "b -> STOP")]
+    return cases
+
+
+def _thresholds(defs, proc):
+    out = []
+    for model in ("traces", "failures"):
+        try:
+            out.append(compute_thresholds(defs, proc, model).to_dict())
+        except PcspError as exc:
+            out.append(f"{type(exc).__name__}: {exc}")
+    return out
+
+
+def test_frontier_walk_agrees_with_the_walk_over_paths(monkeypatch):
+    # every pair of a simple path is found; a pair found only through a
+    # cycle holds more conditions than a path's pair with its event
+    walked = 0
+    for defs, proc in _frontier_cases():
+        try:
+            s = build_sslts(defs, proc)
+        except PcspError:
+            continue
+        for st in range(s.n_states()):
+            got = reduction._frontiers(s, st)
+            want = {(frozenset(c), e) for c, e in frontiers_by_paths(s, st)}
+            assert want <= got, (proc, st)
+            assert all(any(e == e2 and c2 <= c for c2, e2 in want)
+                       for c, e in got - want), (proc, st)
+            walked += 1
+    assert walked > 100
+    # so both walks give the same thresholds, witnesses and notes
+    by_walk = [_thresholds(defs, proc) for defs, proc in _frontier_cases()]
+    monkeypatch.setattr(reduction, "_frontiers", lambda s, st: {
+        (frozenset(c), e) for c, e in frontiers_by_paths(s, st)})
+    assert [_thresholds(defs, proc) for defs, proc in _frontier_cases()] == by_walk
+    assert sum(isinstance(t, dict) for ts in by_walk for t in ts) >= 19
+
+
+def test_failures_threshold_is_linear_in_tau_diamonds():
+    # 2^40 paths: a walk over paths would not finish
+    defs = parse_definitions(tau_diamonds(40))
+    assert compute_thresholds(defs, "Spec", "failures").failures == 0
 
 
 # -- the eight proposition instances ----------------------------------------------
