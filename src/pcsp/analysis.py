@@ -11,7 +11,7 @@ from collections import deque
 from operator import add
 from typing import Callable, Optional
 
-from .errors import BoundExceeded, SemanticsError
+from .errors import SemanticsError, building
 from .lts import Event, Lts, TAU, label_key, rename_lts, tau_closure
 from .record import record
 from .report import ConditionReport, Finding
@@ -441,13 +441,8 @@ def permutation_bisim_check(defs, proc, sizes,
     findings = []
     total = 0
     for n in sizes:
-        try:
+        with building(f"{name} at #T={n}"):
             lts = build_lts(defs, proc, n, max_states, engine=engine)
-        except BoundExceeded as exc:
-            raise BoundExceeded(exc.what, exc.bound, exc.frontier,
-                                f"{name} at #T={n}") from None
-        except SemanticsError as exc:
-            raise SemanticsError(f"{exc}, building {name} at #T={n}") from None
         total += math.factorial(n)
         generators = ((1, 0, *range(2, n)), (*range(1, n), 0)) if n > 1 else ()
         # at n = 2 the two generators are the same bijection

@@ -22,7 +22,7 @@ from operator import itemgetter
 from types import SimpleNamespace
 from typing import Iterator, Union
 
-from .errors import SemanticsError
+from .errors import SemanticsError, building
 from .lts import tau_closure
 from .report import ConditionReport, Finding
 from .std_semantics import DEFAULT_MAX_STATES
@@ -329,6 +329,11 @@ def revposconjeqt_evidence(proc: ProcRef, defs: Definitions, model: str,
                                ["no conditional choices on t: holds vacuously"])
     check = refines_traces if model == "traces" else refines_failures
     engine = Engine(defs)
+
+    def branch_lts(side, branch, binding, n):
+        with building(f"the {side} equality-test branch of {name} at #T={n}"):
+            return build_lts(defs, substitute(branch, binding), n, max_states, engine=engine)
+
     checked = 0
     for node, scope, where in conditionals:
         guard = node.guard
@@ -353,8 +358,8 @@ def revposconjeqt_evidence(proc: ProcRef, defs: Definitions, model: str,
                                         else defs.datatypes[scope[v]])] for v in fv]
             for assignment in itertools.product(*spaces):
                 binding = dict(assignment)
-                lhs, rhs = (build_lts(defs, substitute(branch, binding), n, max_states,
-                                      engine=engine) for branch in (node.els, node.then))
+                lhs, rhs = (branch_lts(side, branch, binding, n) for side, branch
+                            in (("negative", node.els), ("positive", node.then)))
                 checked += 1
                 if not check(lhs, rhs).holds:
                     pretty = ", ".join(f"{k}={v}" for k, v in sorted(binding.items()))

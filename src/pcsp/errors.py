@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 from .record import record
 
 
@@ -53,3 +55,16 @@ class BoundExceeded(PcspError):
         self.frontier = frontier
         where = f"building {building}" if building else "at"
         super().__init__(f"{what} bound ({bound}) exceeded {where}: {frontier}")
+
+
+@contextmanager
+def building(what: str):
+    """Name the build that a bound or a semantics error stops: what is the
+    process and the phase, and #T=n where there is one (``Impl at #T=6``,
+    ``the symbolic LTS of Spec``)."""
+    try:
+        yield
+    except BoundExceeded as exc:
+        raise BoundExceeded(exc.what, exc.bound, exc.frontier, what) from None
+    except SemanticsError as exc:
+        raise SemanticsError(f"{exc}, building {what}") from None

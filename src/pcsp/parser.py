@@ -154,6 +154,14 @@ class _Parser:
             self.fail(f"expected {what}, found {t.text or 'end of input'!r}", t)
         return self.next()
 
+    def separated(self, item, sep: str = ","):
+        """The list of what item reads, once and then again after each sep."""
+        items = [item()]
+        while self.at_sym(sep):
+            self.next()
+            items.append(item())
+        return items
+
     def fail(self, message: str, tok: Token | None = None):
         t = tok or self.peek()
         raise ParseError([Diagnostic(message, t.line, t.col, self.filename)])
@@ -198,14 +206,9 @@ class _Parser:
             return ty
         if self.at_sym("{"):
             open_tok = self.eat_sym("{")
-            items = []
-            if not self.at_sym("}"):
-                while True:
-                    items.append(self.parse_datum(sig_ty if sig_ty is not None else T_TYPE,
-                                                  self.next()))
-                    if not self.at_sym(","):
-                        break
-                    self.eat_sym(",")
+            item_ty = sig_ty if sig_ty is not None else T_TYPE
+            items = [] if self.at_sym("}") else self.separated(
+                lambda: self.parse_datum(item_ty, self.next()))
             self.eat_sym("}")
             if not items:
                 self.fail("empty set annotation", open_tok)
@@ -216,12 +219,7 @@ class _Parser:
             if self.at_sym("\\"):
                 self.eat_sym("\\")
                 self.eat_sym("{")
-                items = []
-                while True:
-                    items.append(self.parse_datum(T_TYPE, self.next()))
-                    if not self.at_sym(","):
-                        break
-                    self.eat_sym(",")
+                items = self.separated(lambda: self.parse_datum(T_TYPE, self.next()))
                 self.eat_sym("}")
                 return DiffType(tuple(items))
             return T_TYPE
@@ -367,26 +365,14 @@ class _Parser:
     def parse_evset(self) -> EventSet:
         if self.at_sym("{|"):
             self.eat_sym("{|")
-            closures = []
-            while True:
-                chan_tok = self.eat_ident("channel name")
-                name, datums = self.parse_event_fields(chan_tok, complete=False)
-                closures.append(ChanPrefixItem(name, datums))
-                if not self.at_sym(","):
-                    break
-                self.eat_sym(",")
+            closures = self.separated(lambda: ChanPrefixItem(*self.parse_event_fields(
+                self.eat_ident("channel name"), complete=False)))
             self.eat_sym("|}")
             return EventSet(closures=tuple(closures))
         self.eat_sym("{")
-        literals = []
-        if not self.at_sym("}"):
-            while True:
-                chan_tok = self.eat_ident("channel name")
-                name, datums = self.parse_event_fields(chan_tok, complete=True)
-                literals.append(EventLitItem(name, datums))
-                if not self.at_sym(","):
-                    break
-                self.eat_sym(",")
+        literals = [] if self.at_sym("}") else self.separated(
+            lambda: EventLitItem(*self.parse_event_fields(
+                self.eat_ident("channel name"), complete=True)))
         self.eat_sym("}")
         return EventSet(literals=tuple(literals))
 
@@ -463,14 +449,11 @@ class _Parser:
         return tok.text
 
     def parse_pairs(self):
-        pairs = []
-        while True:
+        def pair():
             a = self.parse_rename_target()
             self.eat_sym("<-")
-            pairs.append((a, self.parse_rename_target()))
-            if not self.at_sym(","):
-                return tuple(pairs)
-            self.eat_sym(",")
+            return a, self.parse_rename_target()
+        return tuple(self.separated(pair))
 
     def parse_atom(self):
         tok = self.peek()
@@ -506,14 +489,8 @@ class _Parser:
             args = ()
             if self.at_sym("("):
                 self.eat_sym("(")
-                out = []
-                while True:
-                    out.append(self.parse_scalar())
-                    if not self.at_sym(","):
-                        break
-                    self.eat_sym(",")
+                args = tuple(self.separated(self.parse_scalar))
                 self.eat_sym(")")
-                args = tuple(out)
             return self.parse_operators(Ident(tok.text, args), ATOM)
         self.fail(f"expected a process, found {tok.text or 'end of input'!r}", tok)
 
@@ -558,23 +535,26 @@ _REPLICATED = {op.symbol: op for op in OPERATORS.values() if op.level == OPEN}
 _DECL_KWS = ("channel", "datatype", "const", "assert")
 
 
-def _is_eq_head(toks: list[Token], j: int) -> bool:
-    t = toks[j]
-    if t.kind != "ident" or t.text in KEYWORDS:
-        return False
-    k = j + 1
-    if toks[k].kind == "sym" and toks[k].text == "(":
-        depth = 1
-        k += 1
-        while toks[k].kind != "eof" and depth:
-            if toks[k].kind == "sym" and toks[k].text == "(":
-                depth += 1
-            elif toks[k].kind == "sym" and toks[k].text == ")":
-                depth -= 1
-            k += 1
-        if depth:
-            return False
-    return toks[k].kind == "sym" and toks[k].text == "="
+def _eq_heads(toks: list[Token]) -> set[int]:
+    """The positions of the equation heads: each name that an ``=``
+    follows, directly or after one parenthesised group.  One pass, matching
+    parentheses with a stack."""
+    heads = set()
+    opens = []     # the positions of the '(' not yet closed
+    closing = {}   # the position of each ')' that closes a '(' -> the '('
+    for k, t in enumerate(toks):
+        if t.kind != "sym":
+            continue
+        if t.text == "(":
+            opens.append(k)
+        elif t.text == ")" and opens:
+            closing[k] = opens.pop()
+        elif t.text == "=":
+            # the token before the group that '=' follows, or before '='
+            j = closing.get(k - 1, k) - 1
+            if j >= 0 and toks[j].kind == "ident" and toks[j].text not in KEYWORDS:
+                heads.add(j)
+    return heads
 
 
 def _is_decl(t: Token) -> bool:
@@ -588,19 +568,20 @@ def _scan_items(toks: list[Token], filename: str) -> list[list[Token]]:
     the shape of an equation head.  The item's own parser checks the rest.
     Each item ends in a sentinel just past its last token, so that an error
     at the end of the item points into it."""
+    heads = _eq_heads(toks)
+    starts = heads.union(k for k, t in enumerate(toks) if _is_decl(t))
     items = []
     i = 0
     while toks[i].kind != "eof":
         t = toks[i]
-        if not (_is_decl(t) or _is_eq_head(toks, i)):
+        if i not in starts:
             raise ParseError([Diagnostic(
                 f"expected a declaration or equation, found {t.text!r}",
                 t.line, t.col, filename)])
         j = i + 1
-        if t.text in ("datatype", "const") and _is_eq_head(toks, j):
+        if t.text in ("datatype", "const") and j in heads:
             j += 2
-        while toks[j].kind != "eof" and not _is_eq_head(toks, j) \
-                and not _is_decl(toks[j]):
+        while toks[j].kind != "eof" and j not in starts:
             j += 1
         last = toks[j - 1]
         items.append(toks[i:j] + [Token("eof", "", last.line, last.col + len(last.text))])
@@ -611,17 +592,11 @@ def _scan_items(toks: list[Token], filename: str) -> list[list[Token]]:
 def _parse_decl(p: _Parser, defs: Definitions):
     tok = p.next()
     if tok.text == "channel":
-        names = [p.eat_ident("channel name")]
-        while p.at_sym(","):
-            p.eat_sym(",")
-            names.append(p.eat_ident("channel name"))
+        names = p.separated(lambda: p.eat_ident("channel name"))
         sig: tuple = ()
         if p.at_sym(":"):
             p.eat_sym(":")
-            tys = [p.parse_type_expr()]
-            while p.at_sym("."):
-                p.eat_sym(".")
-                tys.append(p.parse_type_expr())
+            tys = p.separated(p.parse_type_expr, ".")
             for ty in tys:
                 if not isinstance(ty, (TType, NamedType)):
                     p.fail(f"channel field type must be t or a declared type, got {ty}", tok)
@@ -635,10 +610,7 @@ def _parse_decl(p: _Parser, defs: Definitions):
         if name.text in defs.datatypes or name.text == "t":
             p.fail(f"duplicate type {name.text!r}", name)
         p.eat_sym("=")
-        members = [p.eat_ident("value name")]
-        while p.at_sym("|"):
-            p.eat_sym("|")
-            members.append(p.eat_ident("value name"))
+        members = p.separated(lambda: p.eat_ident("value name"), "|")
         seen = set()
         atoms = []
         for i, m in enumerate(members):
@@ -1004,11 +976,7 @@ def parse_definitions(text: str, filename: str = "<input>") -> Definitions:
         params = []
         if sub.at_sym("("):
             sub.eat_sym("(")
-            while True:
-                params.append(sub.eat_ident("parameter").text)
-                if not sub.at_sym(","):
-                    break
-                sub.eat_sym(",")
+            params = [t.text for t in sub.separated(lambda: sub.eat_ident("parameter"))]
             sub.eat_sym(")")
         sub.eat_sym("=")
         if name_tok.text in defs.equations:

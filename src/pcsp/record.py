@@ -7,9 +7,11 @@ Every term, label, report and token of the toolkit is a record.
 Without cached bytecode every run of ``pcsp`` pays that again: for the
 package's 60 record classes it took 55-65 ms of start-up, while the builds
 most commands make take a few.  ``record`` takes each method from a shared
-template instead.  There is one template for each number of fields, and a
-class's copy of it has the template's placeholder parameters or attributes
-renamed to the class's fields (``code.replace``, no compiling), so that
+template instead.  There is one template per kind (``__init__``,
+``__eq__``, ``__hash__``) and number of fields, written once as source over
+that number and compiled the first time a class needs it, never per class.
+A class's copy of it has the template's placeholder parameters or
+attributes renamed to the class's fields (``code.replace``), so that
 construction, equality and hashing run the same bytecode as the generated
 methods did.  Order, ``repr`` and ``replace`` are shared functions over the
 field names.
@@ -88,114 +90,50 @@ def replace(obj, /, **changes):
 
 
 # ---------------------------------------------------------------------------
-# Constructor templates, one per number of parameters: each stores its
-# arguments under names, in order, and then calls post (the default
-# factories and __post_init__), if there is one.  _constructor renames the
-# parameters a0, a1, ... to the field names, so calls by keyword and
-# defaults work as usual.
+# Method templates, one per kind and number of fields, written once as
+# source over that number.  The constructor template stores its arguments
+# a0, a1, ... under the names n0, n1, ..., in order, and then calls post
+# (the default factories and __post_init__), if there is one; _constructor
+# renames the parameters to the field names, so calls by keyword and
+# defaults work as usual.  The equality and hash templates read the
+# attributes f0, f1, ...: _over renames them to the fields compared or
+# hashed, so that each reads them as directly as a method written for the
+# class would.
 
-def _init0(names, post):
-    def __init__(self):
-        if post is not None:
-            post(self)
-    return __init__
-
-
-def _init1(names, post):
-    n0, = names
-
-    def __init__(self, a0):
-        _set(self, n0, a0)
-        if post is not None:
-            post(self)
-    return __init__
+def _each(form, n):
+    """form filled in with 0, 1, ..., n - 1, joined."""
+    return "".join(form.format(i) for i in range(n))
 
 
-def _init2(names, post):
-    n0, n1 = names
-
-    def __init__(self, a0, a1):
-        _set(self, n0, a0)
-        _set(self, n1, a1)
-        if post is not None:
-            post(self)
-    return __init__
-
-
-def _init3(names, post):
-    n0, n1, n2 = names
-
-    def __init__(self, a0, a1, a2):
-        _set(self, n0, a0)
-        _set(self, n1, a1)
-        _set(self, n2, a2)
-        if post is not None:
-            post(self)
-    return __init__
+_SOURCES = {
+    "init": lambda n: (
+        f"def _init{n}(post{_each(', n{}', n)}):\n"
+        f"    def __init__(self{_each(', a{}', n)}):\n"
+        + _each("        _set(self, n{0}, a{0})\n", n)
+        + "        if post is not None:\n"
+        "            post(self)\n"
+        "    return __init__\n"),
+    "eq": lambda n: (
+        f"def _eq{n}(self, other):\n"
+        "    if other.__class__ is self.__class__:\n"
+        + (f"        return ({_each('self.f{}, ', n)}) == ({_each('other.f{}, ', n)})\n"
+           if n else "        return True\n")
+        + "    return NotImplemented\n"),
+    "hash": lambda n: f"def _hash{n}(self):\n    return hash(({_each('self.f{}, ', n)}))\n",
+}
+_TEMPLATES = {}  # (kind, number of fields) -> template
 
 
-def _init4(names, post):
-    n0, n1, n2, n3 = names
-
-    def __init__(self, a0, a1, a2, a3):
-        _set(self, n0, a0)
-        _set(self, n1, a1)
-        _set(self, n2, a2)
-        _set(self, n3, a3)
-        if post is not None:
-            post(self)
-    return __init__
-
-
-def _init5(names, post):
-    n0, n1, n2, n3, n4 = names
-
-    def __init__(self, a0, a1, a2, a3, a4):
-        _set(self, n0, a0)
-        _set(self, n1, a1)
-        _set(self, n2, a2)
-        _set(self, n3, a3)
-        _set(self, n4, a4)
-        if post is not None:
-            post(self)
-    return __init__
-
-
-def _init6(names, post):
-    n0, n1, n2, n3, n4, n5 = names
-
-    def __init__(self, a0, a1, a2, a3, a4, a5):
-        _set(self, n0, a0)
-        _set(self, n1, a1)
-        _set(self, n2, a2)
-        _set(self, n3, a3)
-        _set(self, n4, a4)
-        _set(self, n5, a5)
-        if post is not None:
-            post(self)
-    return __init__
-
-
-def _init9(names, post):
-    n0, n1, n2, n3, n4, n5, n6, n7, n8 = names
-
-    def __init__(self, a0, a1, a2, a3, a4, a5, a6, a7, a8):
-        _set(self, n0, a0)
-        _set(self, n1, a1)
-        _set(self, n2, a2)
-        _set(self, n3, a3)
-        _set(self, n4, a4)
-        _set(self, n5, a5)
-        _set(self, n6, a6)
-        _set(self, n7, a7)
-        _set(self, n8, a8)
-        if post is not None:
-            post(self)
-    return __init__
-
-
-_INITS = {0: _init0, 1: _init1, 2: _init2, 3: _init3, 4: _init4, 5: _init5,
-          6: _init6, 9: _init9}
+def _template(kind, n):
+    """The template of kind for n fields, compiled the first time a record
+    class needs it."""
+    template = _TEMPLATES.get((kind, n))
+    if template is None:
+        code = compile(_SOURCES[kind](n), f"<record {kind} template>", "exec")
+        made = {}
+        exec(code, globals(), made)
+        template = _TEMPLATES[kind, n] = made.popitem()[1]
+    return template
 
 
 def _constructor(init_fields, post_init):
@@ -210,7 +148,7 @@ def _constructor(init_fields, post_init):
                     _set(self, name, make())
             if post_init is not None:
                 post_init(self)
-    init = _template(_INITS, names)(names, post)
+    init = _template("init", len(names))(post, *names)
     init.__code__ = init.__code__.replace(co_varnames=("self",) + names)
     defaults = []
     for f in init_fields:
@@ -222,115 +160,9 @@ def _constructor(init_fields, post_init):
     return init
 
 
-# Equality and hash templates, one per number of fields, over the attributes
-# f0, f1, ...: record renames the attributes to the fields compared or
-# hashed, so that each reads them as directly as a method written for the
-# class would.
-
-def _eq0(self, other):
-    if other.__class__ is self.__class__:
-        return True
-    return NotImplemented
-
-
-def _eq1(self, other):
-    if other.__class__ is self.__class__:
-        return (self.f0,) == (other.f0,)
-    return NotImplemented
-
-
-def _eq2(self, other):
-    if other.__class__ is self.__class__:
-        return (self.f0, self.f1) == (other.f0, other.f1)
-    return NotImplemented
-
-
-def _eq3(self, other):
-    if other.__class__ is self.__class__:
-        return (self.f0, self.f1, self.f2) == (other.f0, other.f1, other.f2)
-    return NotImplemented
-
-
-def _eq4(self, other):
-    if other.__class__ is self.__class__:
-        return ((self.f0, self.f1, self.f2, self.f3)
-                == (other.f0, other.f1, other.f2, other.f3))
-    return NotImplemented
-
-
-def _eq5(self, other):
-    if other.__class__ is self.__class__:
-        return ((self.f0, self.f1, self.f2, self.f3, self.f4)
-                == (other.f0, other.f1, other.f2, other.f3, other.f4))
-    return NotImplemented
-
-
-def _eq6(self, other):
-    if other.__class__ is self.__class__:
-        return ((self.f0, self.f1, self.f2, self.f3, self.f4, self.f5)
-                == (other.f0, other.f1, other.f2, other.f3, other.f4, other.f5))
-    return NotImplemented
-
-
-def _eq9(self, other):
-    if other.__class__ is self.__class__:
-        return ((self.f0, self.f1, self.f2, self.f3, self.f4, self.f5, self.f6,
-                 self.f7, self.f8)
-                == (other.f0, other.f1, other.f2, other.f3, other.f4, other.f5,
-                    other.f6, other.f7, other.f8))
-    return NotImplemented
-
-
-_EQS = {0: _eq0, 1: _eq1, 2: _eq2, 3: _eq3, 4: _eq4, 5: _eq5, 6: _eq6, 9: _eq9}
-
-
-def _hash0(self):
-    return hash(())
-
-
-def _hash1(self):
-    return hash((self.f0,))
-
-
-def _hash2(self):
-    return hash((self.f0, self.f1))
-
-
-def _hash3(self):
-    return hash((self.f0, self.f1, self.f2))
-
-
-def _hash4(self):
-    return hash((self.f0, self.f1, self.f2, self.f3))
-
-
-def _hash5(self):
-    return hash((self.f0, self.f1, self.f2, self.f3, self.f4))
-
-
-def _hash6(self):
-    return hash((self.f0, self.f1, self.f2, self.f3, self.f4, self.f5))
-
-
-def _hash9(self):
-    return hash((self.f0, self.f1, self.f2, self.f3, self.f4, self.f5, self.f6,
-                 self.f7, self.f8))
-
-
-_HASHES = {0: _hash0, 1: _hash1, 2: _hash2, 3: _hash3, 4: _hash4, 5: _hash5,
-           6: _hash6, 9: _hash9}
-
-
-def _template(templates, names):
-    template = templates.get(len(names))
-    if template is None:
-        raise TypeError(f"no record template for {len(names)} fields")
-    return template
-
-
-def _over(templates, names):
-    """The template for len(names) fields, reading names for f0, f1, ..."""
-    template = _template(templates, names)
+def _over(kind, names):
+    """The template of kind for len(names) fields, reading names for f0, f1, ..."""
+    template = _template(kind, len(names))
     placeholder = {f"f{i}": name for i, name in enumerate(names)}
     code = template.__code__
     code = code.replace(co_names=tuple(placeholder.get(n, n) for n in code.co_names))
@@ -402,7 +234,7 @@ def _make_record(cls, frozen, order, init, slots):
             setattr(cls, name, f.default)
     all_fields = tuple(found.values())
     compared = [f.name for f in all_fields if f.compare]
-    methods = {"__record_fields__": all_fields, "__eq__": _over(_EQS, compared),
+    methods = {"__record_fields__": all_fields, "__eq__": _over("eq", compared),
                "__repr__": _representation([f.name for f in all_fields if f.repr])}
     if init:
         methods["__init__"] = _constructor([f for f in all_fields if f.init],
@@ -416,7 +248,7 @@ def _make_record(cls, frozen, order, init, slots):
     if "__hash__" not in own:
         hashed = [f.name for f in all_fields
                   if (f.compare if f.hash is None else f.hash)]
-        methods["__hash__"] = _over(_HASHES, hashed) if frozen else None
+        methods["__hash__"] = _over("hash", hashed) if frozen else None
     for name in ("__init__", "__repr__", "__eq__"):
         if name in own:
             methods.pop(name, None)

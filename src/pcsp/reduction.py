@@ -18,7 +18,7 @@ from typing import Optional
 
 from .analysis import Verdict, divergence_free, refines
 from .conditions import check_all, check_typesym_syntactic, revposconjeqt_evidence
-from .errors import BoundExceeded, SemanticsError, UsageError
+from .errors import BoundExceeded, SemanticsError, UsageError, building
 from .lts import Event, Lts, TAU, rename_lts, tau_closure
 from .record import field, record
 from .report import ConditionReport
@@ -266,7 +266,8 @@ def compute_thresholds(defs: Definitions, spec: str, model: str,
     """Threshold(s) of a specification for the requested model.  The failures
     threshold requires the specification to be SeqNorm with no construct
     mixing t-selections and inputs."""
-    s = build_sslts(defs, spec, max_states)
+    with building(f"the symbolic LTS of {spec}"):
+        s = build_sslts(defs, spec, max_states)
     t_val, t_wit = thresh_traces(s)
     report = ThresholdReport(traces=t_val, traces_witness=t_wit)
     if model == "failures":
@@ -411,14 +412,9 @@ def verify_pmcp(defs: Definitions, spec: str, impl: str, model: str,
         sym = bound if collapsed and typesym.ok() else None
         got = builds.get((proc, n, sym))
         if got is None:
-            try:
+            with building(f"{proc} at #T={n}"):
                 got = build_lts(defs, proc, n, max_states, symmetric_from=sym,
                                 unfold_calls=False, engine=engine)
-            except BoundExceeded as exc:
-                raise BoundExceeded(exc.what, exc.bound, exc.frontier,
-                                    f"{proc} at #T={n}") from None
-            except SemanticsError as exc:
-                raise SemanticsError(f"{exc}, building {proc} at #T={n}") from None
             builds[(proc, n, sym)] = got
         return CollapsingFn(bound).lts(got) if collapsed else got
 

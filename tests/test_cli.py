@@ -314,7 +314,8 @@ def test_a_symbolic_t_variable_as_an_argument_is_named(tmp_path, capsys):
     assert code == 0
     assert out.startswith("mode: direct-per-size\n")
     assert "conclusion: hypothesis failure: per-size direct results only\n" in out
-    assert f"caveat: threshold computation failed: {_CANNOT_UNFOLD}\n" in out
+    assert (f"caveat: threshold computation failed: {_CANNOT_UNFOLD}, "
+            "building the symbolic LTS of Spec\n") in out
     assert "#T=2 [direct] Spec({0..1}) vs Spec({0..1}): holds" in out
 
 
@@ -497,6 +498,23 @@ def test_verify_names_the_premise_sample_build_that_hits_the_bound(tmp_path, cap
 ])
 def test_typesym_sizes_names_the_build_that_stops(capsys, argv, error):
     code, out, err = run(capsys, "conditions", *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize("argv, error", [
+    # the threshold's symbolic build of mutex's Spec has 3 states
+    (("threshold", "mutex.pcsp", "--spec", "Spec", "--max-states", "2"),
+     "state bound (2) exceeded building the symbolic LTS of Spec: Spec"),
+    # verify samples the equality-test hypothesis first; its first build,
+    # a negative branch of P's conditionals at #T=2, has more than 5 states
+    (("verify", "traces-count.pcsp", "--spec", "P", "--impl", "P", "--model", "traces",
+      "--sizes", "2", "--max-states", "5"),
+     "state bound (5) exceeded building the negative equality-test branch of P "
+     "at #T=2: STOP"),
+])
+def test_threshold_and_sampler_name_the_build_that_hits_the_bound(capsys, argv, error):
+    code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err == f"error: {error}\n"
 

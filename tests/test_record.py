@@ -15,7 +15,8 @@ from functools import cached_property
 import pytest
 from hypothesis import given, settings
 
-from pcsp.record import FrozenInstanceError, fields, replace
+from pcsp import record as record_module
+from pcsp.record import FrozenInstanceError, fields, record, replace
 from pcsp.syntax import BANG, QUERY, T_TYPE, TVal
 
 from test_syntax import terms
@@ -27,10 +28,26 @@ RECORDS = {cls.__qualname__: cls
            for cls in vars(mod).values()
            if isinstance(cls, type) and cls.__module__ == mod.__name__
            and "__record_fields__" in vars(cls)}
+
+
+def _wide(n, **options):
+    """A module-level record class (so that pickle finds it) of n fields,
+    more than any class of the package has."""
+    name = f"Wide{n}"
+    cls = record(**options)(type(name, (), {
+        "__module__": __name__, "__qualname__": name,
+        "__annotations__": {f"w{i}": "str" for i in range(n)}}))
+    globals()[name] = cls
+    return cls
+
+
+WIDE = {cls.__qualname__: cls for cls in (
+    _wide(7, frozen=True, slots=True), _wide(8, frozen=True, order=True),
+    _wide(10, frozen=True), _wide(12))}
 MUTABLE = {"Equation", "Definitions", "Lts", "NormalisedSpec", "Verdict",
            "TraceWitness", "ThresholdReport", "SizeResult", "PmcpVerdict",
-           "ConditionReport"}
-ORDERED = {"TVal", "Atom"}
+           "ConditionReport", "Wide12"}
+ORDERED = {"TVal", "Atom", "Wide8"}
 # classes whose hash is their own: TVal hashes by identity
 OWN_HASH = {"TVal"}
 
@@ -81,13 +98,13 @@ def _check_record(x):
 
 def test_the_package_has_sixty_record_classes():
     assert len(RECORDS) == 60
-    assert MUTABLE | ORDERED <= RECORDS.keys()
+    assert MUTABLE | ORDERED <= RECORDS.keys() | WIDE.keys()
     assert issubclass(FrozenInstanceError, AttributeError)
 
 
-@pytest.mark.parametrize("name", sorted(RECORDS))
+@pytest.mark.parametrize("name", sorted(RECORDS) + sorted(WIDE))
 def test_record_semantics(name):
-    cls = RECORDS[name]
+    cls = RECORDS.get(name) or WIDE[name]
     a, b = _values(cls, 0), _values(cls, 1)
     x = cls(**a)
     _check_record(x)
@@ -116,6 +133,27 @@ def test_record_semantics(name):
     else:
         with pytest.raises(TypeError):
             x < x
+
+
+def test_classes_with_as_many_fields_share_one_template():
+    @record(frozen=True)
+    class Other:
+        x0: int
+        x1: int
+        x2: int
+        x3: int
+        x4: int
+        x5: int
+        x6: int
+
+    wide = WIDE["Wide7"]
+    for method in ("__init__", "__eq__", "__hash__"):
+        mine, theirs = getattr(Other, method).__code__, getattr(wide, method).__code__
+        assert mine.co_code == theirs.co_code
+        assert (mine.co_varnames + mine.co_names) != (theirs.co_varnames + theirs.co_names)
+    for kind in ("init", "eq", "hash"):
+        assert record_module._template(kind, 7) is record_module._template(kind, 7)
+        assert record_module._template(kind, 7).__code__.co_filename == f"<record {kind} template>"
 
 
 def _records_in(obj):
