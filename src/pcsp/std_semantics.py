@@ -26,7 +26,12 @@ two parallels, hiding, renaming) are nodes keyed by their operator and
 their operands' nodes; every other term is a leaf.  A left-nested chain of
 [] is one node of n operands.  Each node's successors are computed once:
 an operator rule combines its operands' memoised successor lists, so an
-operand that does not move is never explored again.
+operand that does not move is never explored again.  A parallel pulls an
+interleaving operand's moves from the lists of the interleaving's own
+operands and makes a target node only for a move it keeps, so a move it
+blocks costs no node.  An operator's data (event sets, renaming map) is
+evaluated once per build, and a synchronising operand's moves are
+indexed by label once per node.
 The operator tree is not fixed in advance, as it would be in a compiled
 synchronisation tree: an identifier may unfold into a parallel composition
 after a τ, and the composition becomes new nodes.
@@ -46,11 +51,12 @@ into it interns it, so no expansion happens below a prefix and every index
 set is evaluated once its names are bound; a replicated internal choice
 stays a leaf whose τs resolve its body.  An interleaving over the whole of
 t, ``||| i:t @ P(i)`` at size n, becomes a single vector node holding
-P(0)..P(n-1) in index order, so a move of one instance interns one node; it
-displays as the left-associated chain ``P(0) ||| ... ||| P(n-1)`` of
-IndexedInterleave.  Every other replicated operator, and an interleaving
-over part of t, becomes a left-associated binary tree, as does a
-hand-written ``P ||| Q ||| ...``; a chain of [] is one choice node.
+P(0)..P(n-1) in index order, so a move of one instance makes one node,
+and none when a parallel above blocks it; it displays as the
+left-associated chain ``P(0) ||| ... ||| P(n-1)`` of IndexedInterleave.
+Every other replicated operator, and an interleaving over part of t,
+becomes a left-associated binary tree, as does a hand-written
+``P ||| Q ||| ...``; a chain of [] is one choice node.
 
 build_lts(..., symmetric_from=B) explores modulo the permutations of
 {B..n-1}: every successor is replaced by a representative of its orbit, in
@@ -454,6 +460,7 @@ class Engine:
 # A replicated operator other than internal choice becomes the operator
 # nodes it expands into.
 _EXPANDED = (ReplAlphaPar, ReplInterleave, ReplExtChoice)
+_INTERLEAVINGS = (Interleave, IndexedInterleave)
 
 
 class StateGraph:
@@ -478,7 +485,9 @@ class StateGraph:
     Successors are memoised per node: an operator node combines its
     operands' memoised lists and finds each target by its key, so an
     operand that does not move is never explored again and no state term
-    is walked or hashed whole.
+    is walked or hashed whole.  A parallel reads an interleaving operand's
+    moves from the lists of its parts (parts), the interleaving's operands,
+    and makes a target (at) only for a move it keeps.
 
     State identity ignores construct uids, as term equality does: state(i)
     is the state class of node i, a number given in the order classes are
@@ -493,6 +502,9 @@ class StateGraph:
     -> memoised [(label, construct_uid, target node)], one list for a
     chain of conditionals and followed calls and the node it leads to, its
     mover) and cls (node -> state class, on demand for operator nodes).
+    Memos per build: the events of each event set, each operator's
+    evaluated data (data, by operator id) and the visible moves of a
+    synchronising operand by label (partners, by node).
     The symmetry reduction adds memos of the t-values of a node and of
     orbit representatives.
     """
@@ -519,7 +531,9 @@ class StateGraph:
         self._classes: dict = {}
         self._ops: dict = {}     # blanked operator -> operator id
         self.blanks: list = []  # operator id -> blanked operator
-        self._sets: dict = {}
+        self._sets: dict = {}     # event set -> its events
+        self._data: dict = {}     # operator id -> its evaluated data
+        self._partners: dict = {}  # node -> its visible moves by label
         self._vector_op = self.op_id(_VECTOR)
         self._choice_op = self.op_id(ExtChoice(STOP, STOP))
         self.lo = symmetric_from         # representatives permute {lo..n-1}
@@ -800,12 +814,60 @@ class StateGraph:
             self._sets[s] = got
         return got
 
+    def data(self, op: int):
+        """The data of operator op at this build's size, evaluated once per
+        operator id: the map of a renaming, the hidden events of a hiding,
+        and for a parallel the events its operands synchronise on and those
+        each may do alone (None: any other), as _parallel reads them."""
+        got = self._data.get(op)
+        if got is None:
+            blank = self.blanks[op]
+            cls = blank.__class__
+            if cls is Rename:
+                got = _rename_map(blank.pairs, self.engine.defs, self.tvalues)
+            elif cls is Hide:
+                got = self.evset(blank.hidden)
+            elif cls is SharedPar:
+                got = (self.evset(blank.shared), None, None)
+            else:
+                a, b = self.evset(blank.left_alpha), self.evset(blank.right_alpha)
+                got = (a & b, a, b)
+            self._data[op] = got
+        return got
+
     def kept(self, key):
         """The operands, by index, that the operator node key stays around
         when they move: every operand of a choice node, else syntax.KEEPING."""
         if key[0] == self._choice_op:
             return range(len(key) - 1)
         return KEEPING[self.blanks[key[0]].__class__]
+
+    def parts(self, i: int):
+        """The (j, c) pairs whose moves are node i's: each operand c, in
+        place j of its key, of an interleaving node, else (0, i) itself."""
+        key = self.kids[i]
+        if key is not None and self.blanks[key[0]].__class__ in _INTERLEAVINGS:
+            return enumerate(key[1:], 1)
+        return ((0, i),)
+
+    def at(self, i: int, j: int, t: int) -> int:
+        """The node i moves to when its part j moves to node t."""
+        if not j:
+            return t
+        key = self.kids[i]
+        return self.node(key[:j] + (t,) + key[j + 1:])
+
+    def partners(self, i: int) -> dict:
+        """The visible moves of node i by label, in order, as (j, t) pairs
+        of its parts' moves; once per node."""
+        got = self._partners.get(i)
+        if got is None:
+            got = self._partners[i] = {}
+            for j, c in self.parts(i):
+                for lab, _, t in self.successors(c):
+                    if lab is not TAU:
+                        got.setdefault(lab, []).append((j, t))
+        return got
 
     # The operator rules: each takes the node's key and its blanked
     # operator, and lists the successors in the order of the CSP rules.
@@ -821,13 +883,13 @@ class StateGraph:
 
     def _hide(self, key, blank: Hide):
         op, p = key
-        hidden = self.evset(blank.hidden)
+        hidden = self.data(op)
         return [(TAU if lab is not TAU and lab in hidden else lab, uid,
                  self.node((op, t))) for lab, uid, t in self.successors(p)]
 
     def _rename(self, key, blank: Rename):
         op, p = key
-        mapping = _rename_map(blank.pairs, self.engine.defs, self.tvalues)
+        mapping = self.data(op)
         out = []
         for lab, uid, t in self.successors(p):
             nxt = self.node((op, t))
@@ -835,26 +897,6 @@ class StateGraph:
                 out.append((lab, uid, nxt))
             else:
                 out.extend((lab2, uid, nxt) for lab2 in mapping[lab])
-        return out
-
-    def _alpha_par(self, key, blank: AlphaPar):
-        op, l, r = key
-        la, ra = self.evset(blank.left_alpha), self.evset(blank.right_alpha)
-        right = self.successors(r)
-        partners = _by_label(right)
-        out = []
-        for lab, uid, t in self.successors(l):
-            if lab is TAU:
-                out.append((TAU, uid, self.node((op, t, r))))
-            elif lab in la:
-                if lab in ra:
-                    out.extend((lab, None, self.node((op, t, t2)))
-                               for t2 in partners.get(lab, ()))
-                else:
-                    out.append((lab, uid, self.node((op, t, r))))
-        for lab, uid, t in right:
-            if lab is TAU or (lab in ra and lab not in la):
-                out.append((lab, uid, self.node((op, l, t))))
         return out
 
     def _indexed_interleave(self, key, blank):
@@ -866,31 +908,29 @@ class StateGraph:
                        for lab, uid, t in self.successors(c))
         return out
 
-    def _shared_par(self, key, blank: SharedPar):
+    def _parallel(self, key, blank):
+        # [|X|] and [A||B]: a visible move in sync (X, or A and B both)
+        # happens with each partner the right operand has for it; any other
+        # move of an operand happens alone where its set allows it (None:
+        # all of them), τ always
         op, l, r = key
-        shared = self.evset(blank.shared)
-        right = self.successors(r)
-        partners = _by_label(right)
+        sync, left, right = self.data(op)
+        partners, node, at = self.partners(r), self.node, self.at
         out = []
-        for lab, uid, t in self.successors(l):
-            if lab is not TAU and lab in shared:
-                out.extend((lab, None, self.node((op, t, t2)))
-                           for t2 in partners.get(lab, ()))
-            else:
-                out.append((lab, uid, self.node((op, t, r))))
-        for lab, uid, t in right:
-            if lab is TAU or lab not in shared:
-                out.append((lab, uid, self.node((op, l, t))))
+        for j, c in self.parts(l):
+            for lab, uid, t in self.successors(c):
+                if lab in sync:
+                    if lab in partners:
+                        t = at(l, j, t)
+                        out.extend((lab, None, node((op, t, at(r, j2, t2))))
+                                   for j2, t2 in partners[lab])
+                elif lab is TAU or left is None or lab in left:
+                    out.append((lab, uid, node((op, at(l, j, t), r))))
+        for j, c in self.parts(r):
+            for lab, uid, t in self.successors(c):
+                if lab is TAU or (lab not in sync and (right is None or lab in right)):
+                    out.append((lab, uid, node((op, l, at(r, j, t)))))
         return out
-
-
-def _by_label(succ) -> dict:
-    """The targets of a successor list grouped by visible label, in order."""
-    out: dict = {}
-    for lab, _, t in succ:
-        if lab is not TAU:
-            out.setdefault(lab, []).append(t)
-    return out
 
 
 _RULES = {
@@ -900,8 +940,8 @@ _RULES = {
     IndexedInterleave: StateGraph._indexed_interleave,
     Hide: StateGraph._hide,
     Rename: StateGraph._rename,
-    AlphaPar: StateGraph._alpha_par,
-    SharedPar: StateGraph._shared_par,
+    AlphaPar: StateGraph._parallel,
+    SharedPar: StateGraph._parallel,
 }
 
 
@@ -993,16 +1033,20 @@ def build_lts(defs: Definitions, proc: Union[str, ProcessTerm], tsize: int,
     graph = StateGraph(engine, tvalues_for(tsize), symmetric_from, unfold_calls)
     root = graph.intern_root(proc)
     state = graph.state
-    rep = graph.representative if symmetric_from is not None else (lambda i: i)
-    with terms_bounded():
-        root = rep(root)
+    if symmetric_from is None:
+        def successors(i):
+            return [(lab, uid, t, state(t)) for lab, uid, t in graph.successors(i)]
+    else:
+        rep = graph.representative
+        with terms_bounded():
+            root = rep(root)
 
-    def successors(i):
-        out = []
-        for lab, uid, t in graph.successors(i):
-            t = rep(t)
-            out.append((lab, uid, t, state(t)))
-        return out
+        def successors(i):
+            out = []
+            for lab, uid, t in graph.successors(i):
+                t = rep(t)
+                out.append((lab, uid, t, state(t)))
+            return out
 
     from .pretty import fmt_term
     lts = build(root, state(root), successors,

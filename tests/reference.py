@@ -27,11 +27,11 @@ from pcsp.parser import _SYMBOLS, Token
 from pcsp.pretty import fmt_condition, fmt_term
 from pcsp.report import ConditionReport, Finding
 from pcsp.ssos import Cond, Vis, fmt_sym_label, sym_label_key
-from pcsp.std_semantics import eval_guard
+from pcsp.std_semantics import _rename_map, eval_event_set, eval_guard
 from pcsp.syntax import (
     AlphaPar, Atom, Condition, Definitions, DOLLAR, ExtChoice, Hide, Ident, If,
-    IntChoice, Interleave, KEEPING, MixedGuard, Prefix, ProcessTerm, QUERY, Rename,
-    ReplAlphaPar, ReplExtChoice, ReplIntChoice, ReplInterleave, SharedPar,
+    IndexedInterleave, IntChoice, Interleave, KEEPING, MixedGuard, Prefix, ProcessTerm,
+    QUERY, Rename, ReplAlphaPar, ReplExtChoice, ReplIntChoice, ReplInterleave, SharedPar,
     Sliding, Stop, TType, TVal, canonicalise, classify_fields, comms_nont,
     construct_binding, eval_scalar, free_vars, replace_selections, selections, substitute,
     subterms, t_values, unfold_walk, with_subterms,
@@ -409,6 +409,102 @@ def replace_t_initials(term: ProcessTerm, uid: int) -> ProcessTerm:
     for i in kept:
         subs[i] = replace_t_initials(subs[i], uid)
     return with_subterms(term, subs)
+
+
+# ---------------------------------------------------------------------------
+# The eager operator rules of the standard state graph
+
+def _eager_interleave(graph, key, blank) -> list:
+    # each operand moves alone: a binary node (op, l, r) and a vector
+    # (op, P(0), ..., P(n-1)) alike
+    out = []
+    for j, c in enumerate(key[1:], 1):
+        out.extend((lab, uid, graph.node(key[:j] + (t,) + key[j + 1:]))
+                   for lab, uid, t in graph.successors(c))
+    return out
+
+
+def _eager_evset(graph, evset):
+    return eval_event_set(evset, graph.engine.defs, graph.tvalues)
+
+
+def _eager_hide(graph, key, blank: Hide) -> list:
+    op, p = key
+    hidden = _eager_evset(graph, blank.hidden)
+    return [(TAU if lab is not TAU and lab in hidden else lab, uid,
+             graph.node((op, t))) for lab, uid, t in graph.successors(p)]
+
+
+def _eager_rename(graph, key, blank: Rename) -> list:
+    op, p = key
+    mapping = _rename_map(blank.pairs, graph.engine.defs, graph.tvalues)
+    out = []
+    for lab, uid, t in graph.successors(p):
+        nxt = graph.node((op, t))
+        if lab is TAU or lab not in mapping:
+            out.append((lab, uid, nxt))
+        else:
+            out.extend((lab2, uid, nxt) for lab2 in mapping[lab])
+    return out
+
+
+def _by_label(succ) -> dict:
+    """The targets of a successor list grouped by visible label, in order."""
+    out: dict = {}
+    for lab, _, t in succ:
+        if lab is not TAU:
+            out.setdefault(lab, []).append(t)
+    return out
+
+
+def _eager_alpha_par(graph, key, blank: AlphaPar) -> list:
+    op, l, r = key
+    la, ra = _eager_evset(graph, blank.left_alpha), _eager_evset(graph, blank.right_alpha)
+    right = graph.successors(r)
+    partners = _by_label(right)
+    out = []
+    for lab, uid, t in graph.successors(l):
+        if lab is TAU:
+            out.append((TAU, uid, graph.node((op, t, r))))
+        elif lab in la:
+            if lab in ra:
+                out.extend((lab, None, graph.node((op, t, t2)))
+                           for t2 in partners.get(lab, ()))
+            else:
+                out.append((lab, uid, graph.node((op, t, r))))
+    for lab, uid, t in right:
+        if lab is TAU or (lab in ra and lab not in la):
+            out.append((lab, uid, graph.node((op, l, t))))
+    return out
+
+
+def _eager_shared_par(graph, key, blank: SharedPar) -> list:
+    op, l, r = key
+    shared = _eager_evset(graph, blank.shared)
+    right = graph.successors(r)
+    partners = _by_label(right)
+    out = []
+    for lab, uid, t in graph.successors(l):
+        if lab is not TAU and lab in shared:
+            out.extend((lab, None, graph.node((op, t, t2)))
+                       for t2 in partners.get(lab, ()))
+        else:
+            out.append((lab, uid, graph.node((op, t, r))))
+    for lab, uid, t in right:
+        if lab is TAU or lab not in shared:
+            out.append((lab, uid, graph.node((op, l, t))))
+    return out
+
+
+# blanked operator class -> rule(graph, node key, blank) -> successor triples
+EAGER_RULES = {
+    Interleave: _eager_interleave,
+    IndexedInterleave: _eager_interleave,
+    Hide: _eager_hide,
+    Rename: _eager_rename,
+    AlphaPar: _eager_alpha_par,
+    SharedPar: _eager_shared_par,
+}
 
 
 # ---------------------------------------------------------------------------

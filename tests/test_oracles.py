@@ -6,8 +6,9 @@ label_key-signature partition refinement it replaced, the free names of
 the canonicalising walk against a separate free-variable walk,
 build_sslts and concretize over the nodes of a state graph against the
 whole-term symbolic rules (tests/reference.py) with every state keyed by
-its canonical term, build_lts over (position, env) leaves against
-term-keyed leaves, the build modulo the symmetry that phi leaves
+its canonical term, build_lts over (position, env) leaves and parallels
+that make only the interleaving moves they keep against term-keyed leaves
+and the eager operator rules, the build modulo the symmetry that phi leaves
 against the full build, after phi, and the builds whose states share edge
 rows against the reference loop that computes every row."""
 
@@ -19,7 +20,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import Phase, assume, example, given, settings, strategies as st
 
 from conftest import ALL_CORPUS_FILES, CORPUS_SEQ, load, proc_body, symmetric_mutant
 from pcsp import cose, reduction, std_semantics
@@ -42,17 +43,17 @@ from pcsp.std_semantics import (
 )
 from pcsp.syntax import (
     AlphaPar, Atom, BoolAnd, BoolNot, BoolOr, ChanPrefixItem, Cmp,
-    Condition, Construct, DiffType, DOLLAR, Equation, EventSet, ExtChoice, Field, Hide,
-    Ident, If, IndexedInterleave, IntChoice, Interleave, MixedGuard, NamedType,
-    NatMin, NatOp, Prefix, QUERY, Rename, ReplAlphaPar, ReplExtChoice,
+    Condition, Construct, DiffType, DOLLAR, Equation, EventLitItem, EventSet,
+    ExtChoice, Field, Hide, Ident, If, IndexedInterleave, IntChoice, Interleave,
+    MixedGuard, NamedType, NatMin, NatOp, Prefix, QUERY, Rename, ReplAlphaPar, ReplExtChoice,
     ReplIntChoice, ReplInterleave, SetType, SharedPar, Sliding, Stop, T_TYPE,
     TType, TVal, VarRef, canonicalise, classify_fields, comms,
     construct_binding, domain_values, free_vars, map_subterms, replace_selections,
     subst_event_set, substitute, subterms,
 )
 from reference import (
-    acceptances_after, build_unshared, replace_t_initials, sym_successors, traces_upto,
-    unfold_ident,
+    EAGER_RULES, acceptances_after, build_unshared, replace_t_initials, sym_successors,
+    traces_upto, unfold_ident,
 )
 
 from test_syntax import _VARS, terms
@@ -721,8 +722,10 @@ def _reference_permute_t(obj, pi):
 class _ReferenceGraph(StateGraph):
     """The state graph with its leaves as they were: a closed term, keyed
     by its alpha-canonical form and the uids of its constructs, successors
-    from the term rules, renamed by renaming the term.  The operator
-    rules, the vectors and the representatives are StateGraph's."""
+    from the term rules, renamed by renaming the term.  The interleavings,
+    the parallels, hiding and renaming take the eager rules of
+    reference.py (EAGER_RULES), which make every move's target; the
+    choices, the vectors and the representatives are StateGraph's."""
 
     def __init__(self, engine, tvalues, symmetric_from):
         super().__init__(engine, tvalues, symmetric_from)
@@ -750,7 +753,13 @@ class _ReferenceGraph(StateGraph):
         return self.leaves[i] if self.kids[i] is None else super().term(i)
 
     def successors(self, i):
-        if self.kids[i] is None and self.succ[i] is None:
+        key = self.kids[i]
+        if key is not None and self.succ[i] is None:
+            blank = self.blanks[key[0]]
+            rule = EAGER_RULES.get(blank.__class__)
+            if rule is not None:
+                self.succ[i] = rule(self, key, blank)
+        elif key is None and self.succ[i] is None:
             term = self.leaves[i]
             if isinstance(term, If):
                 branch = term.then if eval_guard(term.guard) else term.els
@@ -906,6 +915,75 @@ def leaf_terms(draw):
 @settings(max_examples=150, deadline=None)
 def test_build_lts_agrees_with_the_reference(term, n, x, y):
     _check_build(_DEFS, substitute(term, {"x": TVal(x % n), "y": TVal(y % n)}), n, 400)
+
+
+# Compositions of terms under the operators whose rules are StateGraph's
+# own: a parallel pulls the moves of an interleaving operand and makes only
+# the targets it keeps, which the eager rules of reference.py decide apart.
+# The terms use ca alone, so that the operands of a parallel often share
+# events, and an instance of a vector often offers the same event as the
+# others: the partners of a synchronised move.
+_PAR_DEFS = parse_definitions("""
+channel ca, cd : t
+""")
+_PAR_SETS = (
+    EventSet(), EventSet((ChanPrefixItem("ca"),)),
+    EventSet((ChanPrefixItem("ca"), ChanPrefixItem("cd"))),
+    EventSet((ChanPrefixItem("cd"),)), EventSet((), (EventLitItem("ca", (TVal(0),)),)),
+)
+_PAR_RENAMINGS = (
+    (("cd", "ca"),), (("ca", "ca"), ("cd", "ca")), (("ca", "cd"), ("cd", "ca")),
+    ((EventLitItem("cd", (TVal(0),)), EventLitItem("ca", (TVal(0),))),),
+)
+
+
+@st.composite
+def _compositions(draw, depth=2):
+    """A term of the terms strategy or ``||| i:t @`` over one, under up to
+    depth levels of [|X|], [A||B], |||, hiding and renaming.  The
+    operators come first, as Hypothesis draws the first choice most often."""
+    kinds = ["term", "vector"]
+    if depth:
+        kinds = ["shared", "alpha", "interleave", "hide", "rename"] + kinds
+    kind = draw(st.sampled_from(kinds))
+    if kind == "term":
+        return draw(terms(depth=2, channels=("ca",)))
+    if kind == "vector":
+        return ReplInterleave("i", T_TYPE, draw(terms(scope=("i",), depth=2,
+                                                      channels=("ca",))))
+    sub, evsets = _compositions(depth - 1), st.sampled_from(_PAR_SETS)
+    if kind == "hide":
+        return Hide(draw(sub), draw(evsets))
+    if kind == "rename":
+        return Rename(draw(sub), draw(st.sampled_from(_PAR_RENAMINGS)))
+    left, right = draw(sub), draw(sub)
+    if kind == "interleave":
+        return Interleave(left, right)
+    if kind == "shared":
+        return SharedPar(left, draw(evsets), right)
+    return AlphaPar(left, draw(evsets), right, draw(evsets))
+
+
+def _check_composition(term, n):
+    _check_build(_PAR_DEFS, term, n, 400)
+
+
+@given(_compositions(), st.integers(2, 3))
+@settings(max_examples=150, deadline=None)
+def test_compositions_agree_with_the_eager_rules(term, n):
+    _check_composition(term, n)
+
+
+def test_a_dropped_partner_fails_the_composition_property(monkeypatch):
+    # a synchronised move made with the first of its partners only
+    partners = StateGraph.partners
+    monkeypatch.setattr(StateGraph, "partners", lambda self, i: {
+        lab: moves[:1] for lab, moves in partners(self, i).items()})
+    prop = settings(max_examples=300, deadline=None, derandomize=True, database=None,
+                    phases=(Phase.generate,))(
+        given(_compositions(), st.integers(2, 3))(_check_composition))
+    with pytest.raises(AssertionError):
+        prop()
 
 
 # The terms strategy draws only t-conditions and binary choices.  P has a

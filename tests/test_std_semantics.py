@@ -9,7 +9,8 @@ from pcsp.dot import lts_to_dot
 from pcsp.errors import BoundExceeded, SemanticsError
 from pcsp.lts import Event, TAU, rename_lts
 from pcsp.parser import parse_definitions
-from pcsp.std_semantics import build_lts
+from pcsp import std_semantics
+from pcsp.std_semantics import StateGraph, _rename_map, build_lts, eval_event_set
 from pcsp.pretty import fmt_term
 from pcsp.syntax import Ident, IndexedInterleave, Stop, TVal
 from reference import has_trace, initials_after, traces_upto
@@ -277,6 +278,60 @@ P = (m$x:t -> a -> STOP) [|{|m|}|] (m?y:t -> b -> STOP)
     assert (ev("m", 0), Event("a", ()), Event("b", ())) in tr
     assert (ev("m", 0), Event("b", ()), Event("a", ())) in tr
     assert not any(t and t[0].channel in "ab" for t in tr if t)
+
+
+def _recorded_graphs(monkeypatch) -> list:
+    """The state graphs of the builds that follow, in order."""
+    graphs, init = [], StateGraph.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        graphs.append(self)
+
+    monkeypatch.setattr(StateGraph, "__init__", recording_init)
+    return graphs
+
+
+def test_a_parallel_makes_only_the_vector_moves_it_keeps(mutex, monkeypatch):
+    # [|X|] pulls the moves of the node farm from its instances and makes a
+    # vector only for a move the controller takes part in or lets happen:
+    # when the farm made every instance move's vector, the build made
+    # 16 160 nodes, 10 208 of them vectors of which 2 816 were explored
+    graphs = _recorded_graphs(monkeypatch)
+    lts = build_lts(mutex, "Impl", 7)
+    assert (lts.n_states(), lts.n_edges()) == (2946, 12227)
+    (graph,) = graphs
+    assert len(graph.kids) <= 8768
+    vectors = {i for i, key in enumerate(graph.kids)
+               if key is not None and key[0] == graph._vector_op}
+    assert vectors <= {graph._first_vector(s) for s in lts.states}
+
+
+def test_operator_data_is_evaluated_once_per_build(mutex, monkeypatch):
+    evaluated = []
+
+    def counted(fn):
+        def wrapper(data, defs, tvalues):
+            evaluated.append((fn.__name__, data, tvalues))
+            return fn(data, defs, tvalues)
+        return wrapper
+
+    monkeypatch.setattr(std_semantics, "eval_event_set", counted(eval_event_set))
+    monkeypatch.setattr(std_semantics, "_rename_map", counted(_rename_map))
+    # Impl hides the set it synchronises on: one evaluation per build
+    for n in (4, 5):
+        build_lts(mutex, "Impl", n)
+    assert len(evaluated) == len(set(evaluated)) == 2
+    evaluated.clear()
+    farm = parse_definitions("""
+channel c, d : t.t
+channel e : t
+Node(i) = c?j:t!i -> e.i -> Node(i)
+P = (||| i:t @ Node(i)) [[c <- d]]
+""")
+    lts = build_lts(farm, "P", 6)
+    assert (lts.n_states(), lts.n_edges()) == (729, 11664)
+    assert [name for name, _, _ in evaluated] == ["_rename_map"]
 
 
 def test_alphabetised_parallel_blocks_outside_alphabet():

@@ -243,9 +243,10 @@ _uid_counter = __import__("itertools").count(1000)
 
 
 @st.composite
-def terms(draw, scope=(), depth=3):
-    """Random closed Seq terms over a small fixed channel universe; scope
-    lists the t-variables bound so far."""
+def terms(draw, scope=(), depth=3, channels=("ca", "cb", "cc")):
+    """Random closed Seq terms over a small fixed channel universe, or the
+    part of it that channels names; scope lists the t-variables bound so
+    far."""
     opts = ["stop", "prefix"]
     if depth > 0:
         opts += ["ext", "int", "slide"]
@@ -255,7 +256,7 @@ def terms(draw, scope=(), depth=3):
     if kind == "stop" or depth <= 0 and kind != "prefix":
         return Stop()
     if kind == "prefix":
-        chan = draw(st.sampled_from(["ca", "cb", "cc"]))
+        chan = draw(st.sampled_from(channels))
         fields = []
         scope2 = list(scope)
         bound_here: set = set()
@@ -291,19 +292,19 @@ def terms(draw, scope=(), depth=3):
                                         var, T_TYPE))
                     bound_here.add(var)
                     scope2 = [v for v in scope2 if v != var] + [var]
-        cont = draw(terms(scope=tuple(scope2), depth=depth - 1))
+        cont = draw(terms(scope=tuple(scope2), depth=depth - 1, channels=channels))
         return Prefix(Construct(chan, tuple(fields), uid=next(_uid_counter)), cont)
     if kind == "if":
         l, r = draw(st.sampled_from(
             [(a, b) for a in scope for b in scope if a != b]))
         cond = Condition(draw(st.booleans()), ((l, r),))
         from pcsp.syntax import If
-        return If(cond, draw(terms(scope=scope, depth=depth - 1)),
-                  draw(terms(scope=scope, depth=depth - 1)))
+        return If(cond, draw(terms(scope=scope, depth=depth - 1, channels=channels)),
+                  draw(terms(scope=scope, depth=depth - 1, channels=channels)))
     from pcsp.syntax import ExtChoice, IntChoice, Sliding
     combine = {"ext": ExtChoice, "int": IntChoice, "slide": Sliding}[kind]
-    return combine(draw(terms(scope=scope, depth=depth - 1)),
-                   draw(terms(scope=scope, depth=depth - 1)))
+    return combine(draw(terms(scope=scope, depth=depth - 1, channels=channels)),
+                   draw(terms(scope=scope, depth=depth - 1, channels=channels)))
 
 
 @given(terms())
