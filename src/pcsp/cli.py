@@ -51,6 +51,17 @@ def _sizes(spec: str, option: str) -> list[int]:
     return sizes
 
 
+def _bound(text: str) -> int:
+    """The value of --max-states or --valid-from: an integer, at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return value
+
+
 def _emit(args, payload: dict, text: str) -> None:
     if args.format == "json":
         import json  # only on this path: it adds to every start-up
@@ -79,7 +90,7 @@ def make_parser(argv=()) -> argparse.ArgumentParser:
         p.add_argument("file", help="definition file (.pcsp); bundled corpus "
                        "names are resolved automatically")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--max-states", type=int,
+        p.add_argument("--max-states", type=_bound,
                        default=std_semantics.DEFAULT_MAX_STATES)
         for flag, kwargs in options:
             p.add_argument(flag, **kwargs)
@@ -270,7 +281,7 @@ _SUBCOMMANDS = {
         ("--spec", _REQUIRED), ("--impl", _REQUIRED), ("--model", _MODEL),
         ("--sizes", {"required": True, "help": "e.g. 1..4 or 2,3"}),
         ("--abst", {"help": "abstraction process for the universal conclusion"}),
-        ("--valid-from", {"type": int,
+        ("--valid-from", {"type": _bound,
                           "help": "size from which the abstraction premise holds"}),
         ("--sample-premise", {"default": "",
                               "help": "sizes at which to sample the abstraction premise"}),

@@ -12,10 +12,12 @@ The symbolic states of one build are the nodes of a state graph of the
 standard semantics (std_semantics.StateGraph) numbered by an Engine with no
 t-values: a leaf is (position, env), keyed as the standard semantics keys
 its leaves, with a symbolic t-variable standing in env as its own name, and
-[], [> and if are operator nodes (SymbolicGraph).  The rules stay the
-symbolic ones, one per node class (_RULES), memoised per node.
-build_sslts keys states by state class; the translation semantics (cose)
-instantiates the nodes of its own graph.
+[], [> and if are operator nodes (SymbolicGraph), a left-nested [] chain
+one n-ary choice node.  The rules stay the symbolic ones, one per node
+class (_RULES), kept as the standard graph keeps its lists: per node, but
+for a choice node read by a choice (StateGraph.operand_moves).  build_sslts
+keys states by state class; the translation semantics (cose) instantiates
+the nodes of its own graph.
 """
 
 from __future__ import annotations
@@ -121,7 +123,7 @@ def _choice(graph: SymbolicGraph, i: int, term) -> list:
     key = graph.kids[i]
     out = [(TAU, None, key[2])] if term.__class__ is Sliding else []
     for j in graph.kept(key):
-        for lab, uid, t in graph.successors(key[j + 1]):
+        for lab, uid, t in graph.operand_moves(key[j + 1]):
             if lab is TAU or lab.__class__ is Cond:
                 t = graph.node(key[:j + 1] + (t,) + key[j + 2:])
             out.append((lab, uid, t))
@@ -151,20 +153,13 @@ class SymbolicGraph(StateGraph):
 
     operators = (ExtChoice, Sliding, If)
 
-    def successors(self, i: int) -> list:
-        """(label, construct_uid, target node) triples of node i by the rule
-        of its class (in Seq, which state_graph checked, each has one); kept
-        but for a choice node, whose parents here are choices and conditionals
-        only: a right-nested chain of n choices would keep lists of 1..n moves."""
-        out = self.succ[i]
-        if out is None:
-            key = self.kids[i]
-            term = (self.engine.positions[self.leaves[i][0]].term if key is None
-                    else self.blanks[key[0]])
-            out = _RULES[term.__class__](self, i, term)
-            if term.__class__ is not ExtChoice:
-                self.succ[i] = out
-        return out
+    def moves(self, i: int) -> list:
+        """The successors of node i by the symbolic rule of its class (in Seq,
+        which state_graph checked, each has one)."""
+        key = self.kids[i]
+        term = (self.engine.positions[self.leaves[i][0]].term if key is None
+                else self.blanks[key[0]])
+        return _RULES[term.__class__](self, i, term)
 
 
 def state_graph(defs: Definitions, proc: Union[str, ProcessTerm]) -> tuple:

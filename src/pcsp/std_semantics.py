@@ -24,14 +24,14 @@ over which the symbolic semantics (ssos, cose) build their states too.
 The non-binding operators (external and sliding choice, interleaving, the
 two parallels, hiding, renaming) are nodes keyed by their operator and
 their operands' nodes; every other term is a leaf.  A left-nested chain of
-[] is one node of n operands.  Each node's successors are computed once:
-an operator rule combines its operands' memoised successor lists, so an
-operand that does not move is never explored again.  A parallel pulls an
-interleaving operand's moves from the lists of the interleaving's own
-operands and makes a target node only for a move it keeps, so a move it
-blocks costs no node.  An operator's data (event sets, renaming map) is
-evaluated once per build, and a synchronising operand's moves are
-indexed by label once per node.
+[] or ||| is one node of n operands.  Each node's successors are computed
+once: an operator rule combines its operands' memoised successor lists,
+so an operand that does not move is never explored again.  A parallel
+pulls an interleaving operand's moves from the lists of the
+interleaving's own operands and makes a target node only for a move it
+keeps, so a move it blocks costs no node.  An operator's data (event
+sets, renaming map) is evaluated once per build, and a synchronising
+operand's moves are indexed by label once per node.
 The operator tree is not fixed in advance, as it would be in a compiled
 synchronisation tree: an identifier may unfold into a parallel composition
 after a τ, and the composition becomes new nodes.
@@ -49,14 +49,14 @@ when it becomes a node, as the root, a transition target or an operand of
 an operator node.  Inside a leaf it stays as written until the transition
 into it interns it, so no expansion happens below a prefix and every index
 set is evaluated once its names are bound; a replicated internal choice
-stays a leaf whose τs resolve its body.  An interleaving over the whole of
-t, ``||| i:t @ P(i)`` at size n, becomes a single vector node holding
-P(0)..P(n-1) in index order, so a move of one instance makes one node,
-and none when a parallel above blocks it; it displays as the
-left-associated chain ``P(0) ||| ... ||| P(n-1)`` of IndexedInterleave.
-Every other replicated operator, and an interleaving over part of t,
-becomes a left-associated binary tree, as does a hand-written
-``P ||| Q ||| ...``; a chain of [] is one choice node.
+stays a leaf whose τs resolve its body.  ``[] i:X @ P(i)`` and
+``||| i:X @ P(i)`` become one n-ary node, as their left-nested chains
+do: a choice node, a vector node for an interleaving over the whole of
+t (its operands' places are the index values, which the symmetry
+reduction permutes), a plain interleaving node otherwise.  A move of one
+operand makes one node, and none when a parallel above blocks it; a
+vector displays as the chain ``P(0) ||| ... ||| P(n-1)``.  Only
+``|| i:X @ [A(i)] P(i)`` becomes a left-associated tree of [A||B].
 
 build_lts(..., symmetric_from=B) explores modulo the permutations of
 {B..n-1}: every successor is replaced by a representative of its orbit, in
@@ -154,10 +154,6 @@ def _closed_datums(item, where: str, tvalues) -> tuple:
     return tuple(item.datums)
 
 
-def _union_set(a: EventSet, b: EventSet) -> EventSet:
-    return EventSet(a.closures + b.closures, a.literals + b.literals)
-
-
 def eval_guard(guard) -> bool:
     if isinstance(guard, Condition):
         return eval_condition(guard, {})
@@ -168,17 +164,6 @@ def eval_guard(guard) -> bool:
         base = base and all(eval_bool(b) for b in guard.other)
         return (not base) if guard.negated else base
     return eval_bool(guard)
-
-
-_VECTOR = IndexedInterleave(STOP, STOP)
-
-
-def _join(term: ProcessTerm) -> ProcessTerm:
-    """The blank of the binary operator a replicated operator (other than
-    internal choice or parallel) expands into."""
-    if isinstance(term, ReplExtChoice):
-        return ExtChoice(STOP, STOP)
-    return _VECTOR if isinstance(term.domain, TType) else Interleave(STOP, STOP)
 
 
 class _Bound(str):
@@ -376,27 +361,14 @@ class Engine:
         return taken, self.env_of(taken, scope)
 
     def expansion(self, pos: _Position, scope: dict, tvalues) -> list:
-        """The operands of the replicated operator at pos under scope at the
-        instantiation tvalues, in index order, as (join, scope of the body)
-        pairs: join is the blank of the binary operator joining the operand
-        to those before it (None for the first), so the operands fold into a
-        left-associated tree."""
+        """The scopes of the body of the replicated operator at pos under scope,
+        one per member of its index set at the instantiation tvalues, in order."""
         term = pos.term
         members = domain_values(substitute(pos.blank, scope).domain, tvalues)
         if not members:
             what = "parallel" if isinstance(term, ReplAlphaPar) else "operator"
             raise SemanticsError(f"replicated {what} over an empty index set")
-        out, union = [], None
-        for v in members:
-            inner = {**scope, term.var: v}
-            if isinstance(term, ReplAlphaPar):
-                alpha = subst_event_set(term.alpha, inner)
-                out.append((None if union is None else AlphaPar(STOP, union, STOP, alpha),
-                            inner))
-                union = alpha if union is None else _union_set(union, alpha)
-            else:
-                out.append((None if not out else _join(term), inner))
-        return out
+        return [{**scope, term.var: v} for v in members]
 
     def _class(self, key) -> int:
         return self._classes.setdefault(key, len(self._classes))
@@ -460,7 +432,8 @@ class Engine:
 # A replicated operator other than internal choice becomes the operator
 # nodes it expands into.
 _EXPANDED = (ReplAlphaPar, ReplInterleave, ReplExtChoice)
-_INTERLEAVINGS = (Interleave, IndexedInterleave)
+# the operators whose left-nested chains are one node
+_CHAINS = (ExtChoice, Interleave)
 
 
 class StateGraph:
@@ -476,18 +449,20 @@ class StateGraph:
     the operator with its operands blanked out (its class and data: event
     sets, renaming pairs, the guard of a conditional, which only the
     symbolic semantics makes an operator node).
-    Two kinds of node hold n operands, so that one move of an operand
+    Three kinds of node hold n operands, so that one move of an operand
     interns one node, and term() rebuilds the left-associated chain they
-    stand for: an interleaving over t expanded at size n is one vector node
-    (vector operator id, the instance nodes in index order), a left-nested
-    [] chain one choice node (choice operator id, the operands), whose first
-    operand is never a choice node.
-    Successors are memoised per node: an operator node combines its
-    operands' memoised lists and finds each target by its key, so an
-    operand that does not move is never explored again and no state term
-    is walked or hashed whole.  A parallel reads an interleaving operand's
-    moves from the lists of its parts (parts), the interleaving's operands,
-    and makes a target (at) only for a move it keeps.
+    stand for: a choice node ([] chains, ``[] i:X @``), a plain
+    interleaving node (||| chains, ``||| i:X @`` over part of t) and a
+    vector node (``||| i:t @``, the instances in index order); node()
+    splices a first operand of the same choice or plain interleaving.
+    Successors are memoised per node, but for a choice node read as an
+    operand of a choice (operand_moves): a right-nested chain of n choices
+    would keep lists of 1..n moves.  An operator node combines its
+    operands' lists and finds each target by its key, so an operand that
+    does not move is never explored again and no state term is walked or
+    hashed whole.  A parallel reads an interleaving operand's moves from
+    the lists of its parts (parts), the interleaving's operands, and makes
+    a target (at) only for a move it keeps.
 
     State identity ignores construct uids, as term equality does: state(i)
     is the state class of node i, a number given in the order classes are
@@ -534,8 +509,9 @@ class StateGraph:
         self._sets: dict = {}     # event set -> its events
         self._data: dict = {}     # operator id -> its evaluated data
         self._partners: dict = {}  # node -> its visible moves by label
-        self._vector_op = self.op_id(_VECTOR)
-        self._choice_op = self.op_id(ExtChoice(STOP, STOP))
+        self._vector_op = self.op_id(IndexedInterleave(STOP, STOP))
+        self._chains = tuple(self.op_id(cls(STOP, STOP)) for cls in _CHAINS)
+        self._choice_op, self._interleave_op = self._chains
         self.lo = symmetric_from         # representatives permute {lo..n-1}
         self._tvals: dict = {}        # node -> the t-value indices it mentions
         self._tval_sets: dict = {}    # one copy of each such tuple
@@ -567,19 +543,27 @@ class StateGraph:
         term a leaf."""
         engine = self.engine
         pos = engine.positions[p]
-        if isinstance(pos.term, _EXPANDED):
-            parts = engine.expansion(pos, dict(zip(pos.names, env)), self.tvalues)
+        term = pos.term
+        if isinstance(term, _EXPANDED):
+            scopes = engine.expansion(pos, dict(zip(pos.names, env)), self.tvalues)
             body = pos.kids[0]
-            nodes = [self.intern(body, engine.env_of(body, inner)) for _, inner in parts]
-            if len(parts) > 1 and parts[1][0] is _VECTOR:
-                return self.node((self._vector_op, *nodes))
-            out = nodes[0]
-            for (join, _), node in zip(parts[1:], nodes[1:]):
-                out = self.node((self.op_id(join), out, node))
+            nodes = [self.intern(body, engine.env_of(body, inner)) for inner in scopes]
+            if len(nodes) == 1:
+                return nodes[0]
+            if term.__class__ is not ReplAlphaPar:
+                return self.node((self._choice_op if term.__class__ is ReplExtChoice else
+                                  self._vector_op if isinstance(term.domain, TType) else
+                                  self._interleave_op, *nodes))
+            # each operand joins those before it under their alphabets' union
+            alphas = [subst_event_set(term.alpha, inner) for inner in scopes]
+            out, union = nodes[0], alphas[0]
+            for alpha, node in zip(alphas[1:], nodes[1:]):
+                out = self.node((self.op_id(AlphaPar(STOP, union, STOP, alpha)), out, node))
+                union = EventSet(union.closures + alpha.closures, union.literals + alpha.literals)
             return out
-        if isinstance(pos.term, self.operators):
-            kids, chain = pos.kids, pos.term.__class__ is ExtChoice
-            while chain and engine.positions[kids[0]].term.__class__ is ExtChoice:
+        if isinstance(term, self.operators):
+            kids, cls = pos.kids, term.__class__
+            while cls in _CHAINS and engine.positions[kids[0]].term.__class__ is cls:
                 kids = engine.positions[kids[0]].kids + kids[1:]  # a left-nested chain
             scope = dict(zip(pos.names, env))
             return self.node((self.op_id(engine.closed(p, env)),
@@ -601,8 +585,8 @@ class StateGraph:
         return self.intern(p, engine.env_of(p, {}))
 
     def node(self, key) -> int:
-        """The operator node of key; a choice node first in a choice node is flattened."""
-        if key[0] == self._choice_op:
+        """The operator node of key; a first operand of its own chain operator is spliced in."""
+        if key[0] in self._chains:
             first = self.kids[key[1]]
             if first is not None and first[0] == key[0]:
                 key = first + key[2:]
@@ -751,16 +735,26 @@ class StateGraph:
 
     def successors(self, i: int):
         """(label, construct_uid, target node) triples of node i, in rule
-        order; computed once per node."""
+        order; computed once (moves) and kept."""
         out = self.succ[i]
         if out is None:
-            key = self.kids[i]
-            if key is not None:
-                blank = self.blanks[key[0]]
-                out = self.succ[i] = _RULES[type(blank)](self, key, blank)
-            else:
-                out = self._leaf_successors(i)
+            out = self.succ[i] = self.moves(i)
         return out
+
+    def moves(self, i: int) -> list:
+        """The successors of node i by the rule of its class."""
+        key = self.kids[i]
+        if key is None:
+            return self._leaf_successors(i)
+        blank = self.blanks[key[0]]
+        return _RULES[blank.__class__](self, key, blank)
+
+    def operand_moves(self, i: int) -> list:
+        """Node i's successors, read by a choice: a choice node's are not kept."""
+        key = self.kids[i]
+        if key is not None and key[0] == self._choice_op and self.succ[i] is None:
+            return self.moves(i)
+        return self.successors(i)
 
     def _leaf_successors(self, i: int) -> list:
         """The successors of leaf i, memoised for every leaf on its chain: a
@@ -844,9 +838,10 @@ class StateGraph:
 
     def parts(self, i: int):
         """The (j, c) pairs whose moves are node i's: each operand c, in
-        place j of its key, of an interleaving node, else (0, i) itself."""
+        place j of its key, of an interleaving node (plain or vector), else
+        (0, i) itself."""
         key = self.kids[i]
-        if key is not None and self.blanks[key[0]].__class__ in _INTERLEAVINGS:
+        if key is not None and key[0] in (self._vector_op, self._interleave_op):
             return enumerate(key[1:], 1)
         return ((0, i),)
 
@@ -878,7 +873,7 @@ class StateGraph:
         out = [(TAU, None, key[2])] if blank.__class__ is Sliding else []
         for i in self.kept(key):
             out += [(lab, uid, self.node(key[:i + 1] + (t,) + key[i + 2:])
-                     if lab is TAU else t) for lab, uid, t in self.successors(key[i + 1])]
+                     if lab is TAU else t) for lab, uid, t in self.operand_moves(key[i + 1])]
         return out
 
     def _hide(self, key, blank: Hide):
@@ -899,14 +894,10 @@ class StateGraph:
                 out.extend((lab2, uid, nxt) for lab2 in mapping[lab])
         return out
 
-    def _indexed_interleave(self, key, blank):
-        # each operand moves alone: a binary node (op, l, r) and a vector
-        # (op, P(0), ..., P(n-1)) alike
-        out = []
-        for j, c in enumerate(key[1:], 1):
-            out.extend((lab, uid, self.node(key[:j] + (t,) + key[j + 1:]))
-                       for lab, uid, t in self.successors(c))
-        return out
+    def _interleave(self, key, blank):
+        # each operand moves alone, in a plain interleaving node and a vector
+        return [(lab, uid, self.node(key[:j] + (t,) + key[j + 1:]))
+                for j, c in enumerate(key[1:], 1) for lab, uid, t in self.successors(c)]
 
     def _parallel(self, key, blank):
         # [|X|] and [A||B]: a visible move in sync (X, or A and B both)
@@ -936,8 +927,8 @@ class StateGraph:
 _RULES = {
     ExtChoice: StateGraph._choice,
     Sliding: StateGraph._choice,
-    Interleave: StateGraph._indexed_interleave,
-    IndexedInterleave: StateGraph._indexed_interleave,
+    Interleave: StateGraph._interleave,
+    IndexedInterleave: StateGraph._interleave,
     Hide: StateGraph._hide,
     Rename: StateGraph._rename,
     AlphaPar: StateGraph._parallel,

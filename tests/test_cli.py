@@ -445,6 +445,26 @@ def test_bad_sizes_message(capsys, argv, option):
     assert err == f"error: {option}: expected sizes as N..M or N,M,...\n"
 
 
+@pytest.mark.parametrize("argv, option, value", [
+    # a state bound below 1 used to be hit at the root, a premise bound below
+    # 1 to be taken on assertion from that size
+    (("lts", "mutex.pcsp", "--proc", "Impl", "--tsize", "2", "--max-states", "-5"),
+     "--max-states", "-5"),
+    (("lts", "mutex.pcsp", "--proc", "Impl", "--tsize", "2", "--max-states", "0"),
+     "--max-states", "0"),
+    (("verify", "mutex.pcsp", "--spec", "Spec", "--impl", "Impl", "--abst", "Abst",
+      "--valid-from", "-3", "--model", "failures", "--sizes", "1..2"), "--valid-from", "-3"),
+    (("verify", "mutex.pcsp", "--spec", "Spec", "--impl", "Impl", "--abst", "Abst",
+      "--valid-from", "x", "--model", "failures", "--sizes", "1..2"), "--valid-from", "x"),
+])
+def test_a_bound_not_a_positive_integer_is_a_usage_error(capsys, argv, option, value):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("usage: pcsp ")
+    assert err.endswith(f": error: argument {option}: expected an integer of at least 1, "
+                        f"got '{value}'\n")
+
+
 def test_verify_names_the_build_that_hits_the_bound(tmp_path, capsys):
     # the mutant's reduced builds of Impl have 79, 159 and 279 states at
     # #T=3..5, so the fifth size is the first over the bound: sizes 1..4 are

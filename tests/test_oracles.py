@@ -937,21 +937,35 @@ _PAR_RENAMINGS = (
 )
 
 
+# Every replicated operator that becomes operator nodes, over a body in i:
+# an interleaving over t (a vector) and over part of t (a plain
+# interleaving node), a choice node, and the tree of a parallel.
+_REPLICATED = {
+    "vector": lambda body: ReplInterleave("i", T_TYPE, body),
+    "part": lambda body: ReplInterleave("i", DiffType((TVal(0),)), body),
+    "choice": lambda body: ReplExtChoice("i", T_TYPE, body),
+    "parallel": lambda body: ReplAlphaPar(
+        "i", T_TYPE, EventSet((ChanPrefixItem("ca", ("i",)),)), body),
+}
+
+
 @st.composite
 def _compositions(draw, depth=2):
-    """A term of the terms strategy or ``||| i:t @`` over one, under up to
-    depth levels of [|X|], [A||B], |||, hiding and renaming.  The
-    operators come first, as Hypothesis draws the first choice most often."""
-    kinds = ["term", "vector"]
+    """A term of the terms strategy or a replicated operator over one
+    (_REPLICATED), under up to depth levels of [|X|], [A||B], |||, a
+    left-nested chain of three |||, hiding and renaming.  The operators
+    come first, as Hypothesis draws the first choice most often."""
+    kinds = ["term", *_REPLICATED]
     if depth:
-        kinds = ["shared", "alpha", "interleave", "hide", "rename"] + kinds
+        kinds = ["shared", "alpha", "interleave", "chain", "hide", "rename"] + kinds
     kind = draw(st.sampled_from(kinds))
     if kind == "term":
         return draw(terms(depth=2, channels=("ca",)))
-    if kind == "vector":
-        return ReplInterleave("i", T_TYPE, draw(terms(scope=("i",), depth=2,
-                                                      channels=("ca",))))
+    if kind in _REPLICATED:
+        return _REPLICATED[kind](draw(terms(scope=("i",), depth=2, channels=("ca",))))
     sub, evsets = _compositions(depth - 1), st.sampled_from(_PAR_SETS)
+    if kind == "chain":
+        return Interleave(Interleave(draw(sub), draw(sub)), draw(sub))
     if kind == "hide":
         return Hide(draw(sub), draw(evsets))
     if kind == "rename":

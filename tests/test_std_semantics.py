@@ -11,6 +11,7 @@ from pcsp.lts import Event, TAU, rename_lts
 from pcsp.parser import parse_definitions
 from pcsp import std_semantics
 from pcsp.std_semantics import StateGraph, _rename_map, build_lts, eval_event_set
+from pcsp.ssos import build_sslts
 from pcsp.pretty import fmt_term
 from pcsp.syntax import Ident, IndexedInterleave, Stop, TVal
 from reference import has_trace, initials_after, traces_upto
@@ -305,6 +306,46 @@ def test_a_parallel_makes_only_the_vector_moves_it_keeps(mutex, monkeypatch):
     vectors = {i for i, key in enumerate(graph.kids)
                if key is not None and key[0] == graph._vector_op}
     assert vectors <= {graph._first_vector(s) for s in lts.states}
+
+
+_FARM = parse_definitions("""
+channel get, work, put : t
+N(i) = get.i -> work.i -> put.i -> N(i)
+C = get?i:t -> put?j:t -> C
+Chain = (N(0) ||| N(1) ||| N(2) ||| N(3) ||| N(4)) [|{|get, put|}|] C
+Farm = (||| i:t @ N(i)) [|{|get, put|}|] C
+""")
+
+
+@pytest.mark.parametrize("proc", ["Chain", "Farm"])
+def test_an_interleaving_chain_is_one_node_however_written(proc, monkeypatch):
+    # a left-nested ||| chain is one node, as the vector of ||| i:t @ is, so
+    # the parallel pulls the moves of every instance and makes only those it
+    # keeps: with a binary node per |||, Chain made 633 operator nodes, 93 of
+    # them for moves the controller blocks
+    graphs = _recorded_graphs(monkeypatch)
+    lts = build_lts(_FARM, proc, 5)
+    assert (lts.n_states(), lts.n_edges()) == (224, 752)
+    (graph,) = graphs
+    assert len(graph.ids) == 416
+
+
+@pytest.mark.parametrize("build", [lambda defs: build_lts(defs, "P", 1),
+                                   lambda defs: build_sslts(defs, "P")],
+                         ids=["lts", "sslts"])
+def test_a_right_nested_choice_keeps_lists_linear_in_its_depth(build, monkeypatch):
+    # a right-nested chain of 300 choices is 300 choice nodes, each an
+    # operand of the one above: when each kept its list, a copy of its right
+    # operand's and one more move, build_lts kept 45 449 entries
+    depth = 300
+    defs = parse_definitions("channel a\nP = " + "a -> STOP [] (" * (depth - 1)
+                             + "a -> STOP" + ")" * (depth - 1))
+    graphs = _recorded_graphs(monkeypatch)
+    lts = build(defs)
+    assert (lts.n_states(), lts.n_edges()) == (2, depth)
+    (graph,) = graphs
+    kept = {id(out): len(out) for out in graph.succ if out is not None}
+    assert sum(kept.values()) <= 2 * depth
 
 
 def test_operator_data_is_evaluated_once_per_build(mutex, monkeypatch):
