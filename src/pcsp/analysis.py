@@ -192,7 +192,6 @@ def refines_failures(spec: Lts, impl: Lts) -> Verdict:
     """spec ⊑ impl in the stable failures model: trace containment plus
     domination of every stable implementation state's refusal."""
     norm = normalise(spec, forbid_divergence=True)
-    sigma = spec.alphabet | impl.alphabet
 
     def on_node(nnode, istate, get_trace):
         if not impl.is_stable(istate):
@@ -201,6 +200,7 @@ def refines_failures(spec: Lts, impl: Lts) -> Verdict:
         for acc in norm.acceptances[nnode]:
             if acc <= initials:
                 return None
+        sigma = frozenset(spec.alphabet).union(impl.alphabet)
         return Verdict(False, "refusal", get_trace(), frozenset(sigma - initials))
 
     bad = _product_bfs(norm, impl, on_node)

@@ -32,7 +32,8 @@ class ParseError(PcspError):
         self.diagnostics = list(diagnostics)
 
     def __str__(self) -> str:
-        # rendered on demand: the parser raises and catches many as it backtracks
+        # rendered on demand: on a malformed file the parser raises and
+        # catches some as it reads a failed guard or comparison again
         return "\n".join(d.render() for d in self.diagnostics)
 
 

@@ -50,6 +50,40 @@ class Event:
 Label = object  # TAU or Event
 
 
+class Alphabet:
+    """A set of events made when it is first read: in, iteration, len and
+    equality read the made set.  An LTS carries the events of its file's
+    channels, and only a refusal counterexample and a renaming read them."""
+
+    __slots__ = ("_make", "_events")
+    __hash__ = None
+
+    def __init__(self, make: Callable[[], frozenset[Event]]):
+        self._make = make
+        self._events = None
+
+    @property
+    def events(self) -> frozenset[Event]:
+        if self._events is None:
+            self._events, self._make = self._make(), None
+        return self._events
+
+    def __contains__(self, event) -> bool:
+        return event in self.events
+
+    def __iter__(self):
+        return iter(self.events)
+
+    def __len__(self) -> int:
+        return len(self.events)
+
+    def __eq__(self, other) -> bool:
+        return self.events == (other.events if isinstance(other, Alphabet) else other)
+
+    def __repr__(self) -> str:
+        return repr(self.events)
+
+
 # value -> value_key(value), one per value met: the keys of all labels
 # share their parts, as an LTS keeps a key for each of its labels
 _VALUE_KEYS: dict = {}
@@ -91,7 +125,7 @@ class Lts:
     root: int
     states: list
     edges: list[list[Edge]]
-    alphabet: frozenset[Event]
+    alphabet: frozenset[Event] | Alphabet
     label_keys: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -152,7 +186,7 @@ def _edge_row(keyed) -> list[Edge]:
 
 
 def build(root_payload, root_key, successors: Callable, *,
-          alphabet: frozenset[Event], max_states: int,
+          alphabet: frozenset[Event] | Alphabet, max_states: int,
           describe: Callable[[object], str],
           order: Callable = label_key, mover: Optional[Callable] = None) -> Lts:
     """Deterministic BFS closure of a successor function.
@@ -236,7 +270,8 @@ def rename_lts(lts: Lts, fn: Callable[[Event], Event]) -> Lts:
                 keyed.append((k, (new, tgt, uid)))
             row = renamed[id(es)] = _edge_row(keyed)
         new_edges.append(row)
-    alphabet = frozenset(fn(e) for e in lts.alphabet)
+    events = lts.alphabet
+    alphabet = Alphabet(lambda: frozenset(map(fn, events)))
     out = Lts(lts.root, list(lts.states), new_edges, alphabet)
     out.label_keys = {new: k for k, new in images.values()}
     return out

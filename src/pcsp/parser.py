@@ -6,31 +6,29 @@ one grammar for its kind.  Declarations (``channel``, ``datatype``,
 ``const``, ``assert``) are parsed in a first pass so that equation bodies
 can be parsed against channel signatures regardless of declaration order.
 Process operators are read from the operator table in ``syntax``, the one
-owner of their symbols, binding levels and layout: each level of the table
-is a left-associated loop over the next, and an operator's form says which
-tokens and fields follow its symbol.  Guards, prefixes, if/then/else and
-calls are parsed one by one.  Process parameters are untyped in the source;
-a small inference pass types them from their uses (event positions,
-arithmetic, argument passing) before guards are classified into
-t-conditions and ordinary boolean expressions.
+owner of their symbols, binding levels and layout, by precedence climbing:
+one loop per operand takes the operators that follow it, and an operator's
+form says which tokens and fields follow its symbol.  Guards, prefixes,
+if/then/else and calls are parsed one by one; a guard ``b & P`` and a
+comparison are told from a process and from a parenthesised boolean by
+lookahead, so a well-formed file is read without backtracking.  ``resolve``
+then types the parameters and classifies the guards.  Each step does a
+fixed amount of work per token and per term node.
 """
 
 from __future__ import annotations
 
 import re
-from contextlib import contextmanager
 from functools import wraps
 
 from .errors import Diagnostic, ParseError
-from .record import record, replace
+from .resolve import Resolver, nests_too_deeply
 from .syntax import (
-    ATOM, Atom, BANG, BoolAnd, BoolLit, BoolNot, BoolOr, ChanPrefixItem, Cmp,
-    Condition, Construct, Definitions, DiffType, Equation,
-    EventLitItem, EventSet, Field, GUARD, HIDE, Ident, If, MixedGuard,
-    NamedType, NatLit, NatMin, NatOp, OPEN, OPERATORS, Operator, Prefix,
-    SetType, Stop, T_TYPE, TType, TVal, Assertion, VarRef,
-    binder_type, binders, free_vars, map_subterms, substitute, subterms,
-    t_field_atoms, type_is_t,
+    ATOM, Atom, BANG, BoolLit, BoolNot, BoolOr, BoolAnd, ChanPrefixItem, Cmp,
+    Construct, Definitions, DiffType, Equation, EventLitItem, EventSet, Field,
+    GUARD, HIDE, Ident, If, NamedType, NatLit, NatMin, NatOp, OPEN, OPERATORS,
+    Operator, Prefix, SetType, Stop, T_TYPE, TType, TVal, Assertion, VarRef,
+    substitute, t_field_atoms, type_is_t,
 )
 
 KEYWORDS = {
@@ -47,56 +45,72 @@ _SYMBOLS = [
     "!", "?", "$", "&", "\\", "@", "<", ">", "=", "+", "-",
 ]
 
+# A token is a (kind, text, line, col) tuple, kind one of 'ident', 'num',
+# 'sym' and 'eof'.  Only an identifier has a letter or _ for its text's
+# first character, only a number a digit, only a symbol anything else and
+# only eof no text, so the parser tells most kinds from the text alone.
+KIND, TEXT, LINE, COL = range(4)
 
-@record(frozen=True)
-class Token:
-    kind: str  # 'ident', 'num', 'sym', 'eof'
-    text: str
-    line: int
-    col: int
-
-
-# One alternative per token class, tried in this order at each position.
-# A name starts with a letter or _ and goes on over letters, digits and _
-# (str.isalnum, which is what \w matches); a number is ASCII digits only,
-# which int() takes; a symbol is the first of _SYMBOLS that matches.
-_TOKEN = re.compile("|".join([
-    r"(?P<nl>\n)", r"(?P<space>[ \t\r]+)", r"(?P<comment>--[^\n]*)",
-    r"(?P<num>[0-9]+)", r"(?P<ident>\w+)",
-    "(?P<sym>" + "|".join(map(re.escape, _SYMBOLS)) + ")", r"(?P<bad>.)"]))
+# The next token of a line and the blanks before it: a comment runs to the
+# end of the line, and trailing blanks match with no token.  A name starts
+# with a letter or _ and goes on over letters, digits and _ (str.isalnum,
+# which is what \w matches); a number is ASCII digits only, which int()
+# takes; a symbol is the first of _SYMBOLS that matches.
+_TOKEN = re.compile(r"([ \t\r]*)(?:(--.*)|([0-9]+)|(\w+)|("
+                    + "|".join(map(re.escape, _SYMBOLS)) + r")|(.)|$)")
 
 
-def tokenize(text: str, filename: str) -> list[Token]:
-    toks: list[Token] = []
-    line, start = 1, 0  # start: the index of the line's first character
-    end = len(text)     # where the eof token stands
-    for m in _TOKEN.finditer(text):
-        kind, i = m.lastgroup, m.start()
-        if kind == "nl":
-            line, start = line + 1, i + 1
-        elif kind == "space":
-            pass
-        elif kind == "comment":
-            if m.end() == len(text):
-                end = i  # a comment takes no columns
-        elif kind == "bad" or (kind == "ident" and not (text[i].isalpha() or text[i] == "_")):
-            # \w also matches digits int() rejects, such as ¹, which start no name
-            raise ParseError([Diagnostic(f"unexpected character {text[i]!r}",
-                                         line, i - start + 1, filename)])
-        else:
-            toks.append(Token(kind, m.group(), line, i - start + 1))
-    toks.append(Token("eof", "", line, end - start + 1))
+def tokenize(text: str, filename: str) -> list[tuple]:
+    """The tokens of text, line by line, ending in an eof token that stands
+    just past the last character (or where a comment on the last line
+    starts, since a comment takes no columns)."""
+    toks = []
+    append = toks.append
+    for line, chars in enumerate(text.split("\n"), 1):
+        col = 1
+        for blank, comment, num, ident, sym, bad in _TOKEN.findall(chars):
+            col += len(blank)
+            if sym:
+                append(("sym", sym, line, col))
+                col += len(sym)
+            elif ident:
+                # an ASCII \w that starts no number is a letter or _, but
+                # \w also matches digits int() rejects, such as ¹, which
+                # start no name
+                if ident[0] > "\x7f" and not ident[0].isalpha():
+                    bad = ident[0]
+                    break
+                append(("ident", ident, line, col))
+                col += len(ident)
+            elif num:
+                append(("num", num, line, col))
+                col += len(num)
+            elif comment or bad:
+                break
+        if bad:
+            raise ParseError([Diagnostic(f"unexpected character {bad!r}", line, col, filename)])
+    append(("eof", "", line, col))
     return toks
+
+
+# What may follow a parenthesised group, or a name, that starts the scalar
+# of a comparison; what may follow a group that starts a guard's boolean;
+# and the tokens that start a guard's boolean and no process.
+_CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
+_AFTER_SCALAR = frozenset(("+", "-", *_CMP_OPS))
+_AFTER_BOOL = _AFTER_SCALAR | {"and", "or", "&"}
+_BOOL_ONLY = frozenset(("not", "true", "false", "min"))
 
 
 def _failures_memoised(parse):
     """Remember where an expression parser fails: it reads nothing but the
     tokens from the current position, so it fails there again, with the
-    same diagnostic, however it is reached.  parse_guarded tries a boolean
-    at every nesting level of a process, and a failing boolean tries a
-    scalar and a parenthesised boolean in turn; without the memo, the time
-    to parse ``((…(STOP)…))`` grows about as the cube of its depth
-    (packrat parsing, for failures only)."""
+    same diagnostic, however it is reached.  Only a malformed item fails,
+    and then a guard or a comparison that fails is read again as a process
+    or a parenthesised boolean, which reaches the expressions inside it
+    again; without the memo, the time to report a malformed ``((…(x y)…)
+    + 1) < 2`` grows as the square of its depth (packrat parsing, for
+    failures only)."""
 
     @wraps(parse)
     def attempt(self):
@@ -115,97 +129,107 @@ def _failures_memoised(parse):
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], defs: Definitions, filename: str):
+    """The parser of one item: tokens are the item's, ending in a sentinel,
+    and the file's from base on.  atoms holds the datatype values by name,
+    and closes the position in the file of the ')' that closes each '('."""
+
+    def __init__(self, tokens: list[tuple], defs: Definitions, filename: str,
+                 atoms: dict[str, Atom], closes: dict[int, int], base: int = 0):
         self.toks = tokens
         self.pos = 0
         self.defs = defs
         self.filename = filename
+        self.atoms = atoms
+        self.closes = closes
+        self.base = base
         self._uid = 0
+        self.nesting = 0    # the processes being read, one inside the next
+        self.calls = set()  # the process names called
+        self.scalars = {}   # number or name -> the scalar it reads as
         self._failed: dict = {}  # (parse method, position) -> its diagnostics
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self) -> Token:
+    def peek(self) -> tuple:
         return self.toks[self.pos]
 
-    def next(self) -> Token:
+    def next(self) -> tuple:
         t = self.toks[self.pos]
-        if t.kind != "eof":
+        if t[KIND] != "eof":
             self.pos += 1
         return t
 
     def at_sym(self, *texts: str) -> bool:
-        t = self.peek()
-        return t.kind == "sym" and t.text in texts
+        return self.toks[self.pos][TEXT] in texts
 
-    def at_kw(self, *words: str) -> bool:
-        t = self.peek()
-        return t.kind == "ident" and t.text in words
+    at_kw = at_sym  # a keyword's text is no symbol's
 
-    def eat_sym(self, text: str) -> Token:
-        t = self.peek()
-        if t.kind != "sym" or t.text != text:
-            self.fail(f"expected {text!r}, found {t.text or 'end of input'!r}", t)
-        return self.next()
+    def eat_sym(self, text: str) -> tuple:
+        t = self.toks[self.pos]
+        if t[TEXT] != text:
+            self.fail(f"expected {text!r}, found {t[TEXT] or 'end of input'!r}", t)
+        self.pos += 1
+        return t
 
-    def eat_ident(self, what: str = "identifier") -> Token:
-        t = self.peek()
-        if t.kind != "ident" or t.text in KEYWORDS:
-            self.fail(f"expected {what}, found {t.text or 'end of input'!r}", t)
-        return self.next()
+    def eat_ident(self, what: str = "identifier") -> tuple:
+        t = self.toks[self.pos]
+        if t[KIND] != "ident" or t[TEXT] in KEYWORDS:
+            self.fail(f"expected {what}, found {t[TEXT] or 'end of input'!r}", t)
+        self.pos += 1
+        return t
 
     def separated(self, item, sep: str = ","):
         """The list of what item reads, once and then again after each sep."""
         items = [item()]
-        while self.at_sym(sep):
-            self.next()
+        while self.toks[self.pos][TEXT] == sep:
+            self.pos += 1
             items.append(item())
         return items
 
-    def fail(self, message: str, tok: Token | None = None):
+    def fail(self, message: str, tok: tuple | None = None):
         t = tok or self.peek()
-        raise ParseError([Diagnostic(message, t.line, t.col, self.filename)])
+        raise ParseError([Diagnostic(message, t[LINE], t[COL], self.filename)])
 
     def fresh_uid(self) -> int:
         self._uid += 1
         return self._uid
 
+    def after_group(self) -> str | None:
+        """The text of the token after the group that the '(' here opens,
+        or None if nothing closes it."""
+        k = self.closes.get(self.base + self.pos, -1) - self.base + 1
+        return self.toks[k][TEXT] if 0 < k < len(self.toks) else None
+
     # -- datums and types ----------------------------------------------------
 
-    def lookup_atom(self, name: str) -> Atom | None:
-        for values in self.defs.datatypes.values():
-            for a in values:
-                if a.name == name:
-                    return a
-        return None
-
-    def parse_datum(self, expected_ty, tok: Token):
+    def parse_datum(self, expected_ty, tok: tuple):
         """A value or variable occupying a field of the given signature type."""
-        if tok.kind == "num":
+        kind, text = tok[KIND], tok[TEXT]
+        if kind == "num":
             if isinstance(expected_ty, TType):
-                return TVal(int(tok.text))
-            self.fail(f"numeric literal {tok.text} in a non-t field", tok)
-        if tok.kind != "ident":
-            self.fail(f"expected a value or variable, found {tok.text!r}", tok)
-        atom = self.lookup_atom(tok.text)
+                return TVal(int(text))
+            self.fail(f"numeric literal {text} in a non-t field", tok)
+        if kind != "ident":
+            self.fail(f"expected a value or variable, found {text!r}", tok)
+        atom = self.atoms.get(text)
         if atom is not None:
             if isinstance(expected_ty, NamedType) and atom.type_name != expected_ty.name:
-                self.fail(f"value {tok.text!r} is of type {atom.type_name}, "
+                self.fail(f"value {text!r} is of type {atom.type_name}, "
                           f"not {expected_ty.name}", tok)
             if isinstance(expected_ty, TType):
-                self.fail(f"value {tok.text!r} of type {atom.type_name} in a t field", tok)
+                self.fail(f"value {text!r} of type {atom.type_name} in a t field", tok)
             return atom
-        return tok.text  # a variable
+        return text  # a variable
 
     def parse_type_expr(self, sig_ty=None):
         """A field annotation: t, a datatype name, {items} or (t\\{items})."""
         if self.at_sym("("):
-            self.eat_sym("(")
+            self.pos += 1
             ty = self.parse_type_expr(sig_ty)
             self.eat_sym(")")
             return ty
         if self.at_sym("{"):
-            open_tok = self.eat_sym("{")
+            open_tok = self.next()
             item_ty = sig_ty if sig_ty is not None else T_TYPE
             items = [] if self.at_sym("}") else self.separated(
                 lambda: self.parse_datum(item_ty, self.next()))
@@ -215,22 +239,22 @@ class _Parser:
             is_t = sig_ty is None or isinstance(sig_ty, TType)
             return SetType(tuple(items), is_t)
         tok = self.eat_ident("type")
-        if tok.text == "t":
+        if tok[TEXT] == "t":
             if self.at_sym("\\"):
-                self.eat_sym("\\")
+                self.pos += 1
                 self.eat_sym("{")
                 items = self.separated(lambda: self.parse_datum(T_TYPE, self.next()))
                 self.eat_sym("}")
                 return DiffType(tuple(items))
             return T_TYPE
-        if tok.text in self.defs.datatypes:
-            return NamedType(tok.text, self.defs.datatypes[tok.text])
-        self.fail(f"unknown type {tok.text!r}", tok)
+        if tok[TEXT] in self.defs.datatypes:
+            return NamedType(tok[TEXT], self.defs.datatypes[tok[TEXT]])
+        self.fail(f"unknown type {tok[TEXT]!r}", tok)
 
     # -- constructs ----------------------------------------------------------
 
-    def parse_construct(self, chan_tok: Token) -> Construct:
-        name = chan_tok.text
+    def parse_construct(self, chan_tok: tuple) -> Construct:
+        name = chan_tok[TEXT]
         sig = self.defs.channels[name]
         fields = []
         while self.at_sym("$", "?", "!", "."):
@@ -239,22 +263,22 @@ class _Parser:
                 self.fail(f"channel {name!r} takes {len(sig)} field(s)", self.peek())
             sig_ty = sig[pos]
             sel_tok = self.next()
-            if sel_tok.text in ("$", "?"):
+            if sel_tok[TEXT] in ("$", "?"):
                 var = self.eat_ident("input variable")
-                if any(f.sel != BANG and f.payload == var.text for f in fields):
+                if any(f.sel != BANG and f.payload == var[TEXT] for f in fields):
                     # a name holds one value, so one of the two selections
                     # would be lost
-                    self.fail(f"input variable {var.text!r} is bound twice in one "
+                    self.fail(f"input variable {var[TEXT]!r} is bound twice in one "
                               f"construct on channel {name!r}", var)
                 if self.at_sym(":"):
-                    self.eat_sym(":")
+                    self.pos += 1
                     ty = self.parse_type_expr(sig_ty)
                 else:
                     ty = sig_ty
                 if type_is_t(ty) != type_is_t(sig_ty):
                     self.fail(f"annotation {ty} does not match field type {sig_ty} "
                               f"of channel {name!r}", sel_tok)
-                fields.append(Field(sel_tok.text, var.text, ty))
+                fields.append(Field(sel_tok[TEXT], var[TEXT], ty))
             else:
                 d = self.parse_datum(sig_ty, self.next())
                 fields.append(Field(BANG, d, None, bang_is_t=isinstance(sig_ty, TType)))
@@ -269,76 +293,83 @@ class _Parser:
     def parse_scalar(self):
         left = self.parse_scalar_term()
         while self.at_sym("+", "-"):
-            op = self.next().text
+            op = self.next()[TEXT]
             right = self.parse_scalar_term()
             left = NatOp(op, left, right)
         return left
 
     def parse_scalar_term(self):
         tok = self.peek()
-        if tok.kind == "num":
-            self.next()
-            return NatLit(int(tok.text))
-        if self.at_kw("min"):
-            self.next()
+        kind, text = tok[KIND], tok[TEXT]
+        scalar = self.scalars.get(text)
+        if scalar is not None:  # read before in this item: terms share it
+            self.pos += 1
+            return scalar
+        if kind == "num":
+            self.pos += 1
+            scalar = self.scalars[text] = NatLit(int(text))
+            return scalar
+        if text == "min":
+            self.pos += 1
             self.eat_sym("(")
             a = self.parse_scalar()
             self.eat_sym(",")
             b = self.parse_scalar()
             self.eat_sym(")")
             return NatMin(a, b)
-        if self.at_sym("("):
-            self.eat_sym("(")
+        if text == "(":
+            self.pos += 1
             e = self.parse_scalar()
             self.eat_sym(")")
             return e
-        if tok.kind == "ident" and tok.text not in KEYWORDS:
-            self.next()
-            atom = self.lookup_atom(tok.text)
-            if atom is not None:
-                return atom
-            if tok.text in self.defs.consts:
-                return NatLit(self.defs.consts[tok.text])
-            return VarRef(tok.text)
-        self.fail(f"expected a value, variable or number, found {tok.text!r}", tok)
-
-    CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
+        if kind == "ident" and text not in KEYWORDS:
+            self.pos += 1
+            scalar = self.atoms.get(text)
+            if scalar is None:
+                consts = self.defs.consts
+                scalar = NatLit(consts[text]) if text in consts else VarRef(text)
+            self.scalars[text] = scalar
+            return scalar
+        self.fail(f"expected a value, variable or number, found {text!r}", tok)
 
     @_failures_memoised
     def parse_bool(self):
         left = self.parse_bool_and()
         while self.at_kw("or"):
-            self.next()
+            self.pos += 1
             left = BoolOr(left, self.parse_bool_and())
         return left
 
     def parse_bool_and(self):
         left = self.parse_bool_atom()
         while self.at_kw("and"):
-            self.next()
+            self.pos += 1
             left = BoolAnd(left, self.parse_bool_atom())
         return left
 
     def parse_bool_atom(self):
-        if self.at_kw("not"):
-            self.next()
+        """not, true, false, a comparison or a parenthesised boolean.  A
+        group whose next token cannot follow a boolean is the comparison's
+        scalar; were the comparison to fail there, the group is read as a
+        boolean as well, so that the error is reported where that reading
+        fails."""
+        text = self.toks[self.pos][TEXT]
+        if text == "not":
+            self.pos += 1
             return BoolNot(self.parse_bool_atom())
-        if self.at_kw("true"):
-            self.next()
-            return BoolLit(True)
-        if self.at_kw("false"):
-            self.next()
-            return BoolLit(False)
-        mark = self.pos
-        try:
-            left = self.parse_scalar()
-            if not self.at_sym(*self.CMP_OPS):
-                self.fail("expected comparison operator")
-            op = self.next().text
-            right = self.parse_scalar()
-            return Cmp(op, left, right)
-        except ParseError:
-            self.pos = mark
+        if text == "true" or text == "false":
+            self.pos += 1
+            return BoolLit(text == "true")
+        if text != "(" or self.after_group() in _AFTER_SCALAR:
+            mark = self.pos
+            try:
+                left = self.parse_scalar()
+                if not self.at_sym(*_CMP_OPS):
+                    self.fail("expected comparison operator")
+                op = self.next()[TEXT]
+                return Cmp(op, left, self.parse_scalar())
+            except ParseError:
+                self.pos = mark
         self.eat_sym("(")
         b = self.parse_bool()
         self.eat_sym(")")
@@ -346,8 +377,8 @@ class _Parser:
 
     # -- event sets ------------------------------------------------------------
 
-    def parse_event_fields(self, chan_tok: Token, complete: bool):
-        name = chan_tok.text
+    def parse_event_fields(self, chan_tok: tuple, complete: bool):
+        name = chan_tok[TEXT]
         if name not in self.defs.channels:
             self.fail(f"undeclared channel {name!r}", chan_tok)
         sig = self.defs.channels[name]
@@ -355,7 +386,7 @@ class _Parser:
         while self.at_sym("."):
             if len(datums) >= len(sig):
                 self.fail(f"channel {name!r} takes {len(sig)} field(s)", self.peek())
-            self.eat_sym(".")
+            self.pos += 1
             datums.append(self.parse_datum(sig[len(datums)], self.next()))
         if complete and len(datums) != len(sig):
             self.fail(f"event on channel {name!r} needs {len(sig)} field(s), "
@@ -364,7 +395,7 @@ class _Parser:
 
     def parse_evset(self) -> EventSet:
         if self.at_sym("{|"):
-            self.eat_sym("{|")
+            self.pos += 1
             closures = self.separated(lambda: ChanPrefixItem(*self.parse_event_fields(
                 self.eat_ident("channel name"), complete=False)))
             self.eat_sym("|}")
@@ -377,76 +408,120 @@ class _Parser:
         return EventSet(literals=tuple(literals))
 
     # -- processes ---------------------------------------------------------
+    #
+    # Each process parser returns (term, depth): the nesting depth of the
+    # term, a term without subterms having depth 1, as the MAX_DEPTH bound
+    # measures it.
 
     def parse_proc(self, level: int = HIDE):
         """A process whose operators outside parentheses bind at level or
-        more tightly: each level of the operator table, from level on, reads
-        its operators left-associated over operands of the next level, and
-        below the tightest come guards, prefixes and atoms (a name, STOP or a
-        parenthesised process takes the postfix operators of ATOM)."""
-        if level >= GUARD:
-            return self.parse_guarded()
-        return self.parse_operators(self.parse_proc(level + 1), level)
+        more tightly, by precedence climbing.  A process nests in the one
+        that reads it (in parentheses, as an operand to the right of an
+        operator, as a branch or as a replicated body); more than MAX_DEPTH
+        nested are refused before the stack runs out."""
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise RecursionError("processes nested deeper than MAX_DEPTH")
+        p, depth = self.parse_operators(*self.parse_operand(), level, GUARD - 1)
+        self.nesting -= 1
+        return p, depth
 
-    def parse_operators(self, p, level: int):
-        """p followed by any number of the table's operators of level, each
-        taking p as its first operand."""
+    def parse_operators(self, p, depth: int, level: int, top: int):
+        """p followed by any number of the table's operators, each taking
+        what has been read as its first operand, at levels from top down to
+        level: after an operator only those binding as loosely or more
+        loosely may follow, so the operators of one level associate to the
+        left and a tighter one after a looser one ends the process."""
         while True:
-            op = _INFIX.get(self.peek().text)
-            if op is None or op.level != level:
-                return p
+            op = _INFIX.get(self.toks[self.pos][TEXT])
+            if op is None or not level <= op.level <= top:
+                return p, depth
+            top = op.level
             (_, first), *rest = op.layout
-            p = self.parse_form(op, rest, {first: p})
+            p, depth = self.parse_form(op, rest, {first: p}, depth)
 
-    def parse_form(self, op: Operator, layout, values: dict):
+    def parse_form(self, op: Operator, layout, values: dict, depth: int = 0):
         """The term of op whose fields are values and, read from the input,
         the rest of its form: its symbols, then subterms at the levels the
         table gives them (a body at OPEN extends over the whole process),
-        and data by kind."""
+        and data by kind.  depth is that of the subterms in values."""
         for symbols, name in layout:
             for sym in symbols:
                 self.eat_sym(sym)
             if name in op.operands:
-                values[name] = self.parse_proc(max(op.operands[name], HIDE))
+                values[name], sub = self.parse_proc(max(op.operands[name], HIDE))
+                depth = max(depth, sub)
             elif name == "var":
-                values[name] = self.eat_ident("index variable").text
+                values[name] = self.eat_ident("index variable")[TEXT]
             elif name == "domain":
                 values[name] = self.parse_type_expr()
             elif name == "pairs":
                 values[name] = self.parse_pairs()
             elif name is not None:
                 values[name] = self.parse_evset()
-        return op.cls(**values)
+        return op.cls(**values), depth + 1
 
-    def parse_guarded(self):
-        mark = self.pos
-        try:
-            b = self.parse_bool()
-            if self.at_sym("&"):
-                self.eat_sym("&")
-                return If(b, self.parse_guarded(), Stop())
-        except ParseError:
-            pass
-        self.pos = mark
-        return self.parse_prefix()
+    def at_guard(self) -> bool:
+        """Whether a guard's boolean may start here: a token that starts a
+        boolean and no process, a name that a scalar operator or comparison
+        follows, or a group that one of those or a boolean operator or &
+        follows.  Anywhere else a boolean followed by & cannot be read."""
+        kind, text = self.toks[self.pos][:2]
+        if text == "(":
+            return self.after_group() in _AFTER_BOOL
+        if kind == "num" or text in _BOOL_ONLY:
+            return True
+        return (kind == "ident" and text not in KEYWORDS
+                and self.toks[self.pos + 1][TEXT] in _AFTER_SCALAR)
 
-    def parse_prefix(self):
-        tok = self.peek()
-        if tok.kind == "ident" and tok.text in self.defs.channels:
-            chan_tok = self.next()
-            alpha = self.parse_construct(chan_tok)
-            self.eat_sym("->")
-            return Prefix(alpha, self.parse_prefix())
-        return self.parse_atom()
+    def parse_operand(self):
+        """Guards b & …, then prefixes c… ->, then an atom.  Should a guard's
+        boolean, its & or the process it guards fail to parse, the guards
+        are read again from the innermost out, each as prefixes and an atom,
+        and the first that parses so ends the operand; a malformed file is
+        reported where the outermost one fails to."""
+        nesting, marks, guards = self.nesting, [], []
+        while self.at_guard():
+            mark = self.pos
+            try:
+                b = self.parse_bool()
+            except ParseError:
+                self.pos = mark
+                break
+            if not self.at_sym("&"):
+                self.pos = mark
+                break
+            self.pos += 1
+            marks.append(mark)
+            guards.append(b)
+        channels = self.defs.channels
+        while True:
+            alphas = []
+            try:
+                while self.toks[self.pos][TEXT] in channels:
+                    alphas.append(self.parse_construct(self.next()))
+                    self.eat_sym("->")
+                p, depth = self.parse_atom()
+                break
+            except ParseError:
+                if not marks:
+                    raise
+                self.pos, self.nesting = marks.pop(), nesting
+                guards.pop()
+        for alpha in reversed(alphas):
+            p = Prefix(alpha, p)
+        for b in reversed(guards):
+            p = If(b, p, Stop())
+        return p, depth + len(alphas) + len(guards)
 
     def parse_rename_target(self):
         tok = self.eat_ident("channel name")
-        if tok.text not in self.defs.channels:
-            self.fail(f"undeclared channel {tok.text!r}", tok)
+        if tok[TEXT] not in self.defs.channels:
+            self.fail(f"undeclared channel {tok[TEXT]!r}", tok)
         if self.at_sym("."):
             name, datums = self.parse_event_fields(tok, complete=True)
             return EventLitItem(name, datums)
-        return tok.text
+        return tok[TEXT]
 
     def parse_pairs(self):
         def pair():
@@ -456,51 +531,54 @@ class _Parser:
         return tuple(self.separated(pair))
 
     def parse_atom(self):
+        """STOP, if/then/else, a replicated operator, a parenthesised
+        process or a call; all but if and the replicated operators take the
+        postfix operators of ATOM."""
         tok = self.peek()
-        if self.at_kw("STOP"):
-            self.next()
-            return self.parse_operators(Stop(), ATOM)
-        if self.at_kw("if"):
-            self.next()
+        text = tok[TEXT]
+        if text == "STOP":
+            self.pos += 1
+            return self.parse_operators(Stop(), 1, ATOM, ATOM)
+        if text == "if":
+            self.pos += 1
             b = self.parse_bool()
             if not self.at_kw("then"):
                 self.fail("expected 'then'")
-            self.next()
-            then = self.parse_proc()
+            self.pos += 1
+            then, then_depth = self.parse_proc()
             if not self.at_kw("else"):
                 self.fail("expected 'else'")
-            self.next()
-            els = self.parse_proc()
-            return If(b, then, els)
-        if tok.text in _REPLICATED:
-            return self.parse_replicated(_REPLICATED[tok.text])
-        if self.at_sym("("):
-            self.eat_sym("(")
-            p = self.parse_proc()
+            self.pos += 1
+            els, els_depth = self.parse_proc()
+            return If(b, then, els), max(then_depth, els_depth) + 1
+        if text in _REPLICATED:
+            return self.parse_replicated(_REPLICATED[text])
+        if text == "(":
+            self.pos += 1
+            p, depth = self.parse_proc()
             self.eat_sym(")")
-            return self.parse_operators(p, ATOM)
-        if tok.kind == "ident" and tok.text not in KEYWORDS:
-            self.next()
-            if tok.text in self.defs.channels:
-                self.fail(f"channel {tok.text!r} used as a process "
-                          "(missing '->'?)", tok)
+            return self.parse_operators(p, depth, ATOM, ATOM)
+        if tok[KIND] == "ident" and text not in KEYWORDS:
+            # parse_operand has read every channel name
+            self.pos += 1
             if self.at_sym("$", "?", "!", "."):
-                self.fail(f"undeclared channel {tok.text!r}", tok)
+                self.fail(f"undeclared channel {text!r}", tok)
             args = ()
             if self.at_sym("("):
-                self.eat_sym("(")
+                self.pos += 1
                 args = tuple(self.separated(self.parse_scalar))
                 self.eat_sym(")")
-            return self.parse_operators(Ident(tok.text, args), ATOM)
-        self.fail(f"expected a process, found {tok.text or 'end of input'!r}", tok)
+            self.calls.add(text)
+            return self.parse_operators(Ident(text, args), 1, ATOM, ATOM)
+        self.fail(f"expected a process, found {text or 'end of input'!r}", tok)
 
     def parse_replicated(self, op: Operator):
         start = self.pos
-        term = self.parse_form(op, op.layout, {})
+        term, depth = self.parse_form(op, op.layout, {})
         # the index variable, and the domain after it and ':'
         var_tok, dom_tok = self.toks[start + 1], self.toks[start + 3]
         if type_is_t(term.domain):
-            return term
+            return term, depth
         # finite non-t domain: desugar to the binary operator of the symbol
         if isinstance(term.domain, NamedType):
             members = list(term.domain.values)
@@ -520,7 +598,8 @@ class _Parser:
         out = branches[0]
         for b in branches[1:]:
             out = combine.cls(out, b)
-        return out
+        # a left-nested chain over copies of the body, one level each
+        return out, depth - 2 + len(branches)
 
 
 # The operator table's binary and postfix operators by symbol, and its
@@ -533,411 +612,118 @@ _REPLICATED = {op.symbol: op for op in OPERATORS.values() if op.level == OPEN}
 # Item scanning (two-pass): declarations first, equation bodies second.
 
 _DECL_KWS = ("channel", "datatype", "const", "assert")
+_SCANNED = frozenset(("(", ")", "=", *_DECL_KWS))
 
 
-def _eq_heads(toks: list[Token]) -> set[int]:
-    """The positions of the equation heads: each name that an ``=``
-    follows, directly or after one parenthesised group.  One pass, matching
-    parentheses with a stack."""
-    heads = set()
+def _scan(toks: list[tuple]) -> tuple[set[int], set[int], dict[int, int]]:
+    """One pass over the tokens, matching parentheses with a stack: the
+    positions of the equation heads (each name that an ``=`` follows,
+    directly or after one parenthesised group) and of the declaration
+    keywords, and the position of the ')' that closes each '('."""
+    heads, decls = set(), set()
     opens = []     # the positions of the '(' not yet closed
-    closing = {}   # the position of each ')' that closes a '(' -> the '('
-    for k, t in enumerate(toks):
-        if t.kind != "sym":
+    closes = {}    # '(' -> the ')' that closes it
+    opening = {}   # ')' -> the '(' it closes
+    for k, (_, text, _, _) in enumerate(toks):
+        if text not in _SCANNED:
             continue
-        if t.text == "(":
+        if text == "(":
             opens.append(k)
-        elif t.text == ")" and opens:
-            closing[k] = opens.pop()
-        elif t.text == "=":
+        elif text == ")":
+            if opens:
+                opening[k] = opens.pop()
+                closes[opening[k]] = k
+        elif text in _DECL_KWS:
+            decls.add(k)
+        else:
             # the token before the group that '=' follows, or before '='
-            j = closing.get(k - 1, k) - 1
-            if j >= 0 and toks[j].kind == "ident" and toks[j].text not in KEYWORDS:
+            j = opening.get(k - 1, k) - 1
+            if j >= 0 and toks[j][KIND] == "ident" and toks[j][TEXT] not in KEYWORDS:
                 heads.add(j)
-    return heads
+    return heads, decls, closes
 
 
-def _is_decl(t: Token) -> bool:
-    return t.kind == "ident" and t.text in _DECL_KWS
+def _is_decl(t: tuple) -> bool:
+    return t[TEXT] in _DECL_KWS
 
 
-def _scan_items(toks: list[Token], filename: str) -> list[list[Token]]:
-    """Split the token stream into declaration and equation items.  Each item
-    runs from a declaration keyword or an equation head up to the next one;
-    the scan of a datatype or const starts after its ``Name =``, which has
-    the shape of an equation head.  The item's own parser checks the rest.
-    Each item ends in a sentinel just past its last token, so that an error
-    at the end of the item points into it."""
-    heads = _eq_heads(toks)
-    starts = heads.union(k for k, t in enumerate(toks) if _is_decl(t))
+def _scan_items(toks: list[tuple], heads: set[int], decls: set[int],
+                filename: str) -> list[tuple[int, list[tuple]]]:
+    """Split the token stream into declaration and equation items, each
+    with its position in the stream.  Each item runs from a declaration
+    keyword or an equation head up to the next one; the scan of a datatype
+    or const starts after its ``Name =``, which has the shape of an
+    equation head.  The item's own parser checks the rest.  Each item ends
+    in a sentinel just past its last token, so that an error at the end of
+    the item points into it."""
+    starts = sorted(decls.union(k for k in heads  # a datatype's or const's Name = is none
+                                if toks[k - 1][TEXT] not in ("datatype", "const")))
+    t = toks[0]
+    if t[KIND] != "eof" and starts[:1] != [0]:
+        raise ParseError([Diagnostic(
+            f"expected a declaration or equation, found {t[TEXT]!r}",
+            t[LINE], t[COL], filename)])
     items = []
-    i = 0
-    while toks[i].kind != "eof":
-        t = toks[i]
-        if i not in starts:
-            raise ParseError([Diagnostic(
-                f"expected a declaration or equation, found {t.text!r}",
-                t.line, t.col, filename)])
-        j = i + 1
-        if t.text in ("datatype", "const") and j in heads:
-            j += 2
-        while toks[j].kind != "eof" and j not in starts:
-            j += 1
-        last = toks[j - 1]
-        items.append(toks[i:j] + [Token("eof", "", last.line, last.col + len(last.text))])
-        i = j
+    for i, j in zip(starts, starts[1:] + [len(toks) - 1]):
+        _, text, line, col = toks[j - 1]
+        items.append((i, toks[i:j] + [("eof", "", line, col + len(text))]))
     return items
 
 
 def _parse_decl(p: _Parser, defs: Definitions):
     tok = p.next()
-    if tok.text == "channel":
+    if tok[TEXT] == "channel":
         names = p.separated(lambda: p.eat_ident("channel name"))
         sig: tuple = ()
         if p.at_sym(":"):
-            p.eat_sym(":")
+            p.pos += 1
             tys = p.separated(p.parse_type_expr, ".")
             for ty in tys:
                 if not isinstance(ty, (TType, NamedType)):
                     p.fail(f"channel field type must be t or a declared type, got {ty}", tok)
             sig = tuple(tys)
         for nt in names:
-            if nt.text in defs.channels:
-                p.fail(f"duplicate channel {nt.text!r}", nt)
-            defs.channels[nt.text] = sig
-    elif tok.text == "datatype":
-        name = p.eat_ident("type name")
-        if name.text in defs.datatypes or name.text == "t":
-            p.fail(f"duplicate type {name.text!r}", name)
+            if nt[TEXT] in defs.channels:
+                p.fail(f"duplicate channel {nt[TEXT]!r}", nt)
+            defs.channels[nt[TEXT]] = sig
+    elif tok[TEXT] == "datatype":
+        name_tok = p.eat_ident("type name")
+        name = name_tok[TEXT]
+        if name in defs.datatypes or name == "t":
+            p.fail(f"duplicate type {name!r}", name_tok)
         p.eat_sym("=")
         members = p.separated(lambda: p.eat_ident("value name"), "|")
         seen = set()
         atoms = []
         for i, m in enumerate(members):
-            if m.text in seen or p.lookup_atom(m.text) is not None:
-                p.fail(f"duplicate value {m.text!r}", m)
-            seen.add(m.text)
-            atoms.append(Atom(name.text, m.text, i))
-        defs.datatypes[name.text] = tuple(atoms)
-    elif tok.text == "const":
-        name = p.eat_ident("constant name")
+            if m[TEXT] in seen or m[TEXT] in p.atoms:
+                p.fail(f"duplicate value {m[TEXT]!r}", m)
+            seen.add(m[TEXT])
+            atoms.append(Atom(name, m[TEXT], i))
+        defs.datatypes[name] = tuple(atoms)
+        p.atoms.update((a.name, a) for a in atoms)
+    elif tok[TEXT] == "const":
+        name = p.eat_ident("constant name")[TEXT]
         p.eat_sym("=")
         num = p.peek()
-        if num.kind != "num":
+        if num[KIND] != "num":
             p.fail("expected a number", num)
-        p.next()
-        defs.consts[name.text] = int(num.text)
+        p.pos += 1
+        defs.consts[name] = int(num[TEXT])
     else:  # assert
-        lhs = p.eat_ident("process name")
+        lhs = p.eat_ident("process name")[TEXT]
         if not p.at_sym("[T=", "[F="):
             p.fail("expected '[T=' or '[F='")
-        model = "traces" if p.next().text == "[T=" else "failures"
-        rhs = p.eat_ident("process name")
-        defs.assertions.append(Assertion(lhs.text, model, rhs.text))
-
-
-# ---------------------------------------------------------------------------
-# Resolution: parameter typing, guard classification, closure checks.
-
-_TY_T = "t"
-_TY_NAT = "nat"
+        model = "traces" if p.next()[TEXT] == "[T=" else "failures"
+        rhs = p.eat_ident("process name")[TEXT]
+        defs.assertions.append(Assertion(lhs, model, rhs))
 
 
 # The deepest equation body accepted, a term without subterms having depth
-# 1.  The passes over terms recurse; on Pythons before 3.12 the parser
-# itself overflows just beyond this depth, and the bound rejects the same
-# bodies, as nested too deeply, on every version.
+# 1, and the most processes the parser reads one inside the next.  The
+# passes over terms recurse, so the bound keeps them within the recursion
+# limit that ``syntax`` sets, on every Python version.
 MAX_DEPTH = 4_998
-
-
-def _depth(term) -> int:
-    """The nesting depth of a term, measured level by level."""
-    level, depth = [term], 0
-    while level:
-        level, depth = [sub for node in level for sub in subterms(node)], depth + 1
-    return depth
-
-
-@contextmanager
-def _nesting(head: Token, filename: str):
-    """Report a definition nested deeper than the recursive passes over its
-    terms reach as a diagnostic at the head of its equation, not as an
-    internal error."""
-    try:
-        yield
-    except RecursionError:
-        raise ParseError([Diagnostic(
-            f"the definition of {head.text!r} nests too deeply",
-            head.line, head.col, filename)]) from None
-
-
-class _Resolver:
-    """A diagnostic points at the head token of its equation (heads) or at
-    the keyword of its assertion (asserts, in the order of defs.assertions)."""
-
-    def __init__(self, defs: Definitions, heads: dict[str, Token], asserts: list[Token]):
-        self.defs = defs
-        self.heads = heads
-        self.asserts = asserts
-        self.diags: list[Diagnostic] = []
-        self.param_ty = {name: [None] * len(eq.params)
-                         for name, eq in defs.equations.items()}
-        self.changed = False
-        # untyped variables compared by ==/!= default to the distinguished
-        # type once ordinary inference has settled
-        self.default_eq_to_t = False
-        # whether a call types the parameters of its callee (see run_inference)
-        self.calls_type_params = True
-        # whether the last sweep met ==/!= between two untyped sides
-        self.untyped_eq = False
-
-    def error(self, msg: str, eq: str):
-        head = self.heads[eq]
-        self.diags.append(Diagnostic(msg, head.line, head.col, self.defs.filename))
-
-    def set_param(self, eq: str, idx: int, ty):
-        cur = self.param_ty[eq][idx]
-        if ty is None or cur == ty:
-            return
-        if cur is None:
-            self.param_ty[eq][idx] = ty
-            self.changed = True
-        else:
-            self.error(f"parameter {self.defs.equations[eq].params[idx]!r} of "
-                       f"{eq!r} used both as {cur} and as {ty}", eq)
-
-    # scope maps variable name -> 't' | 'nat' | datatype name | None
-
-    def note_var(self, scope, eq, name, ty):
-        if name in scope:
-            cur = scope[name]
-            if cur is None:
-                scope[name] = ty
-                if name in self.defs.equations[eq].params:
-                    self.set_param(eq, self.defs.equations[eq].params.index(name), ty)
-            elif ty is not None and cur != ty:
-                self.error(f"variable {name!r} in {eq!r} used both as {cur} and as {ty}", eq)
-
-    def scalar_ty(self, e, scope, eq, expect=None):
-        """Infer the type of a scalar expression, propagating expectations."""
-        if isinstance(e, NatLit):
-            return _TY_NAT
-        if isinstance(e, TVal):
-            return _TY_T
-        if isinstance(e, Atom):
-            return e.type_name
-        if isinstance(e, VarRef):
-            if expect is not None:
-                self.note_var(scope, eq, e.name, expect)
-            return scope.get(e.name)
-        if isinstance(e, (NatOp, NatMin)):
-            self.scalar_ty(e.left, scope, eq, _TY_NAT)
-            self.scalar_ty(e.right, scope, eq, _TY_NAT)
-            return _TY_NAT
-        return None
-
-    def infer_bool(self, b, scope, eq):
-        if isinstance(b, (BoolAnd, BoolOr)):
-            self.infer_bool(b.left, scope, eq)
-            self.infer_bool(b.right, scope, eq)
-        elif isinstance(b, BoolNot):
-            self.infer_bool(b.arg, scope, eq)
-        elif isinstance(b, Cmp):
-            if b.op in ("<", "<=", ">", ">="):
-                self.scalar_ty(b.left, scope, eq, _TY_NAT)
-                self.scalar_ty(b.right, scope, eq, _TY_NAT)
-            else:
-                lt = self.scalar_ty(b.left, scope, eq)
-                rt = self.scalar_ty(b.right, scope, eq)
-                if lt is None and rt is not None:
-                    self.scalar_ty(b.left, scope, eq, rt)
-                elif rt is None and lt is not None:
-                    self.scalar_ty(b.right, scope, eq, lt)
-                elif lt is None and rt is None:
-                    self.untyped_eq = True
-                    if self.default_eq_to_t:
-                        self.scalar_ty(b.left, scope, eq, _TY_T)
-                        self.scalar_ty(b.right, scope, eq, _TY_T)
-
-    def scope_below(self, term, scope, noting=None):
-        """The scope of the subterms of term: each name it binds (binders)
-        at the type of its annotation.  With noting (an equation name), the
-        variables a prefix outputs are noted too, each seeing the inputs to
-        its left."""
-        bound = {name: binder_type(ty) for name, ty in binders(term).items()}
-        if not isinstance(term, Prefix):
-            return {**scope, **bound} if bound else scope
-        scope, bound = dict(scope), iter(bound.items())
-        for f in term.construct.fields:
-            if f.sel != BANG:  # the field of the next binder
-                name, ty = next(bound)
-                scope[name] = ty
-            elif noting is not None and isinstance(f.payload, str):
-                self.note_var(scope, noting, f.payload, _TY_T if f.bang_is_t else None)
-        return scope
-
-    def infer_term(self, term, scope, eq):
-        if isinstance(term, Ident):
-            callee = self.defs.equations.get(term.name)
-            if callee is None:
-                self.error(f"undefined process {term.name!r} referenced in {eq!r}", eq)
-                return
-            if len(term.args) != len(callee.params):
-                self.error(f"{term.name!r} expects {len(callee.params)} argument(s), "
-                           f"got {len(term.args)} in {eq!r}", eq)
-                return
-            for i, a in enumerate(term.args):
-                pty = self.param_ty[term.name][i]
-                aty = self.scalar_ty(a, scope, eq, expect=pty)
-                if pty is None:
-                    if self.calls_type_params:
-                        self.set_param(term.name, i, aty)
-                elif a.__class__ is Atom and aty != pty:
-                    # a datatype value passed at another type: the call errs
-                    self.error(f"parameter {callee.params[i]!r} of {term.name!r} "
-                               f"used both as {pty} and as {aty}", eq)
-            return
-        if isinstance(term, If) and not isinstance(term.guard, (Condition, MixedGuard)):
-            self.infer_bool(term.guard, scope, eq)
-        inner = self.scope_below(term, scope, eq)
-        for sub in subterms(term):
-            self.infer_term(sub, inner, eq)
-
-    def infer_equations(self):
-        for name, eq in self.defs.equations.items():
-            scope = {p: self.param_ty[name][i] for i, p in enumerate(eq.params)}
-            with _nesting(self.heads[name], self.defs.filename):
-                self.infer_term(eq.body, scope, name)
-            for i, p in enumerate(eq.params):
-                if scope[p] is not None:
-                    self.set_param(name, i, scope[p])
-
-    def run_inference(self):
-        # The first sweep types parameters by their own equation's body
-        # alone, so that a call passing a value of another type is what is
-        # reported, at the caller, whatever the order of the equations.
-        self.calls_type_params = False
-        self.infer_equations()
-        self.calls_type_params = True
-        for phase in (False, True):
-            self.default_eq_to_t = phase
-            for _ in range(len(self.defs.equations) + 2):
-                self.changed = self.untyped_eq = False
-                self.infer_equations()
-                if not self.changed:
-                    break
-            if not (self.changed or self.untyped_eq):
-                break  # no ==/!= between untyped sides: defaulting would repeat the sweep
-
-    # -- guard classification ------------------------------------------------
-
-    def classify_guard(self, b, scope, eq):
-        """Turn a raw boolean expression into a Condition, a non-t boolean, or
-        a MixedGuard, based on the inferred side types."""
-        if isinstance(b, (Condition, MixedGuard)):
-            return b
-        negated = False
-        while isinstance(b, BoolNot):
-            negated = not negated
-            b = b.arg
-        conj = []
-        stack = [b]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, BoolAnd):
-                stack.append(node.right)
-                stack.append(node.left)
-            else:
-                conj.append(node)
-        t_atoms = []
-        other = []
-        any_neq = False
-        for c in conj:
-            if isinstance(c, Cmp) and c.op in ("==", "!="):
-                lt = self._side_ty(c.left, scope)
-                rt = self._side_ty(c.right, scope)
-                if lt == _TY_T or rt == _TY_T:
-                    if lt is not None and rt is not None and lt != rt:
-                        self.error(f"comparison between {lt} and {rt} in {eq!r}", eq)
-                        return BoolLit(False)
-                    l = c.left.name if isinstance(c.left, VarRef) else c.left
-                    r = c.right.name if isinstance(c.right, VarRef) else c.right
-                    if not isinstance(l, (str, TVal)) or not isinstance(r, (str, TVal)):
-                        self.error(f"ill-typed t-equality in {eq!r}", eq)
-                        return BoolLit(False)
-                    if l == r:
-                        self.error(f"trivial condition {l}=={r} in {eq!r}", eq)
-                    if c.op == "!=":
-                        any_neq = True
-                        t_atoms.append(("!=", (l, r)))
-                    else:
-                        t_atoms.append(("==", (l, r)))
-                    continue
-            other.append(c)
-        if t_atoms and not other:
-            if any_neq:
-                if len(t_atoms) > 1:
-                    self.error(f"t-guard in {eq!r} must be a conjunction of "
-                               "equalities or the negation of one", eq)
-                return Condition(not negated, tuple(a for _, a in t_atoms))
-            return Condition(negated, tuple(a for _, a in t_atoms))
-        if not t_atoms:
-            whole = None
-            for c in conj:
-                whole = c if whole is None else BoolAnd(whole, c)
-            return BoolNot(whole) if negated else whole
-        if any_neq:
-            self.error(f"mixed guard with t-inequality in {eq!r} is not supported", eq)
-        return MixedGuard(negated, tuple(a for _, a in t_atoms), tuple(other))
-
-    def _side_ty(self, e, scope):
-        if isinstance(e, VarRef):
-            return scope.get(e.name)
-        if isinstance(e, TVal):
-            return _TY_T
-        if isinstance(e, Atom):
-            return e.type_name
-        return _TY_NAT
-
-    def rewrite(self, term, scope, eq):
-        if isinstance(term, Ident):
-            callee = self.defs.equations.get(term.name)
-            if callee is None:
-                return term
-            args = []
-            for i, a in enumerate(term.args):
-                if (isinstance(a, NatLit)
-                        and i < len(self.param_ty[term.name])
-                        and self.param_ty[term.name][i] == _TY_T):
-                    args.append(TVal(a.value))
-                else:
-                    args.append(a)
-            return Ident(term.name, tuple(args))
-        if isinstance(term, If):
-            term = replace(term, guard=self.classify_guard(term.guard, scope, eq))
-        inner = self.scope_below(term, scope)
-        return map_subterms(term, lambda sub: self.rewrite(sub, inner, eq))
-
-    def finish(self):
-        self.run_inference()
-        for name, eq in list(self.defs.equations.items()):
-            scope = {p: self.param_ty[name][i] for i, p in enumerate(eq.params)}
-            with _nesting(self.heads[name], self.defs.filename):
-                body = self.rewrite(eq.body, scope, name)
-            fv = free_vars(body) - set(eq.params)
-            for v in sorted(fv):
-                self.error(f"undefined variable {v!r} in the definition of {name!r}", name)
-            self.defs.equations[name] = Equation(
-                name, eq.params, body, tuple(self.param_ty[name]))
-        for a, keyword in zip(self.defs.assertions, self.asserts):
-            for side in (a.lhs, a.rhs):
-                if side not in self.defs.equations:
-                    self.diags.append(Diagnostic(
-                        f"assertion references undefined process {side!r}",
-                        keyword.line, keyword.col, self.defs.filename))
-        if self.diags:
-            # the inference rounds revisit every equation: report each finding once
-            raise ParseError(list(dict.fromkeys(self.diags)))
 
 
 # ---------------------------------------------------------------------------
@@ -950,50 +736,57 @@ def parse_definitions(text: str, filename: str = "<input>") -> Definitions:
     """
     toks = tokenize(text, filename)
     defs = Definitions(filename=filename)
-    items = _scan_items(toks, filename)
+    head_pos, decl_pos, closes = _scan(toks)
+    items = _scan_items(toks, head_pos, decl_pos, filename)
+    atoms: dict[str, Atom] = {}
     # pass 1: declarations; datatypes and constants first so that channel
     # signatures may reference types declared anywhere in the file
     order = {"datatype": 0, "const": 0, "channel": 1, "assert": 2}
-    decls = sorted((item for item in items if _is_decl(item[0])),
-                   key=lambda item: order[item[0].text])
+    decls = sorted((item for _, item in items if _is_decl(item[0])),
+                   key=lambda item: order[item[0][TEXT]])
     for item in decls:
-        sub = _Parser(item, defs, filename)
+        sub = _Parser(item, defs, filename, atoms, closes)
         _parse_decl(sub, defs)
         rest = sub.peek()
-        if rest.kind != "eof":
+        if rest[KIND] != "eof":
             raise ParseError([Diagnostic(
-                f"unexpected {rest.text!r} after declaration",
-                rest.line, rest.col, filename)])
+                f"unexpected {rest[TEXT]!r} after declaration",
+                rest[LINE], rest[COL], filename)])
     # pass 2: equation bodies
     uid_base = 0
-    heads = {}
-    for item in items:
+    heads, calls = {}, {}
+    for base, item in items:
         if _is_decl(item[0]):
             continue
-        sub = _Parser(item, defs, filename)
+        sub = _Parser(item, defs, filename, atoms, closes, base)
         sub._uid = uid_base
         name_tok = sub.eat_ident("process name")
+        name = name_tok[TEXT]
         params = []
         if sub.at_sym("("):
-            sub.eat_sym("(")
-            params = [t.text for t in sub.separated(lambda: sub.eat_ident("parameter"))]
+            sub.pos += 1
+            params = [t[TEXT] for t in sub.separated(lambda: sub.eat_ident("parameter"))]
             sub.eat_sym(")")
         sub.eat_sym("=")
-        if name_tok.text in defs.equations:
-            sub.fail(f"duplicate definition of {name_tok.text!r}", name_tok)
-        if name_tok.text in defs.channels:
-            sub.fail(f"{name_tok.text!r} is already a channel name", name_tok)
-        with _nesting(name_tok, filename):
-            body = sub.parse_proc()
-            if _depth(body) > MAX_DEPTH:
+        if name in defs.equations:
+            sub.fail(f"duplicate definition of {name!r}", name_tok)
+        if name in defs.channels:
+            sub.fail(f"{name!r} is already a channel name", name_tok)
+        try:
+            body, depth = sub.parse_proc()
+            if depth > MAX_DEPTH:
                 raise RecursionError("the body is deeper than MAX_DEPTH")
+        except RecursionError:
+            raise nests_too_deeply(name, name_tok[LINE:], filename) from None
         tail = sub.peek()
-        if tail.kind != "eof":
-            sub.fail(f"unexpected {tail.text!r} after process definition", tail)
+        if tail[KIND] != "eof":
+            sub.fail(f"unexpected {tail[TEXT]!r} after process definition", tail)
         uid_base = sub._uid
-        defs.equations[name_tok.text] = Equation(name_tok.text, tuple(params), body)
-        heads[name_tok.text] = name_tok
-    _Resolver(defs, heads, [item[0] for item in decls if item[0].text == "assert"]).finish()
+        defs.equations[name] = Equation(name, tuple(params), body)
+        heads[name] = name_tok[LINE:]
+        calls[name] = sub.calls
+    Resolver(defs, heads, [item[0][LINE:] for item in decls if item[0][TEXT] == "assert"],
+             calls).finish()
     return defs
 
 

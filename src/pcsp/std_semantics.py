@@ -75,7 +75,7 @@ import itertools
 from typing import Optional, Union
 
 from .errors import SemanticsError
-from .lts import Event, Lts, TAU, build, tau_closure, terms_bounded
+from .lts import Alphabet, Event, Lts, TAU, build, tau_closure, terms_bounded
 from .syntax import (
     AlphaPar, Atom, Condition, Definitions, Equation, EventSet,
     ExtChoice, Hide, Ident, If, IndexedInterleave, IntChoice, Interleave,
@@ -99,14 +99,17 @@ def tvalues_for(n: int) -> tuple[TVal, ...]:
     return tuple(TVal(i) for i in range(n))
 
 
-def file_alphabet(defs: Definitions, tvalues) -> frozenset[Event]:
-    """All events of the declared channels over the instantiation."""
-    out = set()
-    for name, sig in defs.channels.items():
-        domains = [domain_values(ty, tvalues) for ty in sig]
-        for vs in itertools.product(*domains):
-            out.add(Event(name, tuple(vs)))
-    return frozenset(out)
+def file_alphabet(defs: Definitions, tvalues) -> Alphabet:
+    """All events of the declared channels over the instantiation, made
+    when first read."""
+    def events():
+        out = set()
+        for name, sig in defs.channels.items():
+            domains = [domain_values(ty, tvalues) for ty in sig]
+            for vs in itertools.product(*domains):
+                out.add(Event(name, tuple(vs)))
+        return frozenset(out)
+    return Alphabet(events)
 
 
 def eval_event_set(evset: EventSet, defs: Definitions, tvalues) -> frozenset[Event]:

@@ -37,6 +37,7 @@ import itertools
 import re
 import sys
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterator, Optional, Union
 
 from .errors import SemanticsError
@@ -637,9 +638,17 @@ KEEPING: dict[type, tuple[int, ...]] = {
 }
 
 
+# Each class's subterm tuple as one call: an attrgetter of two or more
+# fields makes the tuple itself.
+_SUBTERMS = {cls: (attrgetter(*names) if len(names) > 1
+                   else (lambda term, get=attrgetter(*names): (get(term),)) if names
+                   else (lambda term: ()))
+             for cls, names in _SUBTERM_FIELDS.items()}
+
+
 def subterms(term: ProcessTerm) -> tuple[ProcessTerm, ...]:
     """The immediate process subterms of a term, in source order."""
-    return tuple(getattr(term, name) for name in _SUBTERM_FIELDS[type(term)])
+    return _SUBTERMS[type(term)](term)
 
 
 def with_subterms(term: ProcessTerm, new) -> ProcessTerm:

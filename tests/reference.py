@@ -23,7 +23,7 @@ from typing import Callable, Iterator
 from pcsp.cose import eval_condition, insts, match
 from pcsp.errors import BoundExceeded, Diagnostic, ParseError, SemanticsError
 from pcsp.lts import Event, Lts, TAU, _edge_row, label_key, tau_closure, terms_bounded
-from pcsp.parser import _SYMBOLS, Token
+from pcsp.parser import _SYMBOLS
 from pcsp.pretty import fmt_condition, fmt_term
 from pcsp.report import ConditionReport, Finding
 from pcsp.ssos import Cond, Vis, fmt_sym_label, sym_label_key
@@ -708,8 +708,8 @@ def check_all(proc, defs: Definitions) -> list[ConditionReport]:
 # ---------------------------------------------------------------------------
 # The tokenizer, one character class and one symbol at a time
 
-def tokenize(text: str, filename: str) -> list[Token]:
-    toks: list[Token] = []
+def tokenize(text: str, filename: str) -> list[tuple]:
+    toks: list[tuple] = []
     i, line, col = 0, 1, 1
     n = len(text)
     while i < n:
@@ -731,7 +731,7 @@ def tokenize(text: str, filename: str) -> list[Token]:
             j = i
             while j < n and "0" <= text[j] <= "9":
                 j += 1
-            toks.append(Token("num", text[i:j], line, col))
+            toks.append(("num", text[i:j], line, col))
             col += j - i
             i = j
             continue
@@ -739,19 +739,19 @@ def tokenize(text: str, filename: str) -> list[Token]:
             j = i
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            toks.append(Token("ident", text[i:j], line, col))
+            toks.append(("ident", text[i:j], line, col))
             col += j - i
             i = j
             continue
         for sym in _SYMBOLS:
             if text.startswith(sym, i):
-                toks.append(Token("sym", sym, line, col))
+                toks.append(("sym", sym, line, col))
                 col += len(sym)
                 i += len(sym)
                 break
         else:
             raise ParseError([Diagnostic(f"unexpected character {c!r}", line, col, filename)])
-    toks.append(Token("eof", "", line, col))
+    toks.append(("eof", "", line, col))
     return toks
 
 

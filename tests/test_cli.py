@@ -352,11 +352,14 @@ def test_too_deeply_nested_definition_exits_2(tmp_path, capsys, body):
 
 def _deep_body(shape: str, n: int) -> str:
     """An equation body n + 1 terms deep: a chain of n prefixes, or an n-way
-    choice (which associates to the left)."""
+    choice (which associates to the left); or n + 1 processes one inside
+    the next: STOP in n parentheses."""
+    if shape == "parentheses":
+        return "(" * n + "STOP" + ")" * n
     return "a -> " * n + "STOP" if shape == "prefixes" else " [] ".join(["a -> STOP"] * n)
 
 
-@pytest.mark.parametrize("shape", ["prefixes", "choices"])
+@pytest.mark.parametrize("shape", ["prefixes", "choices", "parentheses"])
 def test_a_body_at_the_nesting_bound_parses(tmp_path, shape):
     # in a fresh interpreter: below pytest's own frames, the parser of a
     # Python whose frames take C stack overflows near the bound
@@ -371,7 +374,7 @@ def test_a_body_at_the_nesting_bound_parses(tmp_path, shape):
     assert done.returncode == 0, done.stderr
 
 
-@pytest.mark.parametrize("shape", ["prefixes", "choices"])
+@pytest.mark.parametrize("shape", ["prefixes", "choices", "parentheses"])
 def test_a_body_beyond_the_nesting_bound_exits_2(tmp_path, capsys, shape):
     src = tmp_path / "deep.pcsp"
     src.write_text(f"channel a\nP = {_deep_body(shape, MAX_DEPTH)}\n")

@@ -1,19 +1,21 @@
 from __future__ import annotations
 
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import ALL_CORPUS_FILES, load
 from pcsp.errors import ParseError
-from pcsp.parser import _SYMBOLS, parse_definitions, tokenize
+import pcsp
+from pcsp.parser import _SYMBOLS, parse_definitions, parse_file, tokenize
 from pcsp.pretty import fmt_term
 from pcsp.syntax import (
     AlphaPar, Atom, BANG, BoolLit, ChanPrefixItem, Condition, DiffType,
     EventLitItem, EventSet, ExtChoice, Hide, Ident, If, IntChoice, Interleave,
     Prefix, Rename, ReplAlphaPar, ReplExtChoice, ReplIntChoice, ReplInterleave,
-    SharedPar, Sliding, Stop, T_TYPE, TVal, VarRef,
+    SharedPar, Sliding, Stop, T_TYPE, TVal, VarRef, free_vars,
 )
 import reference
 from reference import fmt_definitions
@@ -48,6 +50,45 @@ def test_parenthesised_process_parses_in_linear_time():
     defs = parse_definitions(src)
     assert time.perf_counter() - start < 0.5
     assert defs == parse_definitions("P = STOP\n")
+
+
+def _call_chain(n: int) -> str:
+    """n equations, each passing its parameter on to the next, and the last
+    outputting it on a t channel: the parameter's type reaches the first
+    equation only through the n calls."""
+    return "".join(["channel c : t\n"]
+                   + [f"P{i}(x) = c?y:t -> P{i + 1}(x)\n" for i in range(n)]
+                   + [f"P{n}(x) = c!x -> STOP\n"])
+
+
+def test_a_long_call_chain_resolves_in_linear_time():
+    # a sweep over every equation typed one more parameter of the chain, so
+    # the chain took n sweeps: 5.3 s at n = 1 000
+    src = _call_chain(1000)
+    start = time.perf_counter()
+    defs = parse_definitions(src)
+    assert time.perf_counter() - start < 1.0
+    assert {eq.param_types for eq in defs.equations.values()} == {("t",)}
+
+
+def test_a_call_types_the_parameter_its_callee_leaves_untyped():
+    # the second sweep, in which calls type parameters, visits Q although
+    # nothing Q reads changed in the first
+    defs = parse_definitions("channel a\nP(n) = a -> STOP\nQ = P(1)\n")
+    assert defs.equations["P"].param_types == ("nat",)
+
+
+@pytest.mark.parametrize("path", sorted((Path(pcsp.__file__).parent / "corpus").glob("*.pcsp")),
+                         ids=lambda path: path.name)
+def test_a_well_formed_file_raises_no_parse_error(monkeypatch, path):
+    # guards and comparisons are recognised by lookahead, not by trying a
+    # boolean and backtracking when it fails
+    made = []
+    init = ParseError.__init__
+    monkeypatch.setattr(ParseError, "__init__",
+                        lambda self, diagnostics: made.append(diagnostics) or init(self, diagnostics))
+    parse_file(path)
+    assert made == []
 
 
 def test_empty_file():
@@ -124,6 +165,17 @@ def test_undefined_variable_in_renaming_rejected():
     with pytest.raises(ParseError) as exc:
         parse_definitions("channel c : t\nR = (c?i:t -> STOP) [[ c.k <- c.k ]]\n")
     assert "undefined variable 'k'" in str(exc.value)
+
+
+@pytest.mark.parametrize("body", ["c?x:(t\\{x})!0 -> STOP", "c!x?x:t -> STOP",
+                                  "||| x:(t\\{x}) @ STOP"],
+                         ids=["own annotation", "output before the input",
+                              "replicated domain"])
+def test_a_binder_does_not_scope_over_its_own_annotation_or_domain(body):
+    with pytest.raises(ParseError) as exc:
+        parse_definitions(f"channel c : t.t\nP = {body}\n")
+    assert [d.message for d in exc.value.diagnostics] == [
+        "undefined variable 'x' in the definition of 'P'"]
 
 
 def test_trivial_condition_rejected():
@@ -288,6 +340,22 @@ def test_random_terms_roundtrip(data):
     assert defs.equations["TestP"].body == term
 
 
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_unbound_variables_are_the_free_variables(data):
+    # the resolver checks binding within its one walk over each body; the
+    # free names of the canonicalising walk are the reference
+    term = data.draw(full_terms(scope=("x", "y")))
+    src = _ROUNDTRIP_PRELUDE + f"TestP = {fmt_term(term)}\n"
+    try:
+        parse_definitions(src, "rt")
+        got = []
+    except ParseError as exc:
+        got = [d.message for d in exc.diagnostics]
+    assert got == [f"undefined variable {v!r} in the definition of 'TestP'"
+                   for v in sorted(free_vars(term))]
+
+
 @given(st.binary(max_size=120))
 @settings(max_examples=120, deadline=None)
 def test_parser_never_crashes_on_arbitrary_bytes(raw):
@@ -300,7 +368,7 @@ def test_parser_never_crashes_on_arbitrary_bytes(raw):
 def _lexed(tokenizer, text):
     """The tokens as (kind, text, line, col), or the diagnostic that stops them."""
     try:
-        return [(t.kind, t.text, t.line, t.col) for t in tokenizer(text, "f.pcsp")]
+        return tokenizer(text, "f.pcsp")
     except ParseError as exc:
         return [d.render() for d in exc.diagnostics]
 

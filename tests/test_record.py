@@ -96,8 +96,8 @@ def _check_record(x):
             delattr(x, f.name)
 
 
-def test_the_package_has_sixty_record_classes():
-    assert len(RECORDS) == 60
+def test_the_package_has_fifty_nine_record_classes():
+    assert len(RECORDS) == 59
     assert MUTABLE | ORDERED <= RECORDS.keys() | WIDE.keys()
     assert issubclass(FrozenInstanceError, AttributeError)
 
