@@ -345,8 +345,7 @@ def revposconjeqt_evidence(proc: ProcRef, defs: Definitions, model: str,
                 "syntactic", "condition is not a positive conjunction of "
                 "equality tests", where))
             continue
-        fv = sorted((free_vars(node.then) | free_vars(node.els)
-                     | {s for a in guard.atoms for s in a if isinstance(s, str)}))
+        fv = sorted(free_vars(node))
         unknown = [v for v in fv if scope.get(v) != "t" and scope.get(v) not in defs.datatypes]
         findings += [Finding("semantic", f"cannot enumerate values of variable {v!r}", where)
                      for v in unknown]

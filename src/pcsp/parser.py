@@ -11,15 +11,15 @@ one loop per operand takes the operators that follow it, and an operator's
 form says which tokens and fields follow its symbol.  Guards, prefixes,
 if/then/else and calls are parsed one by one; a guard ``b & P`` and a
 comparison are told from a process and from a parenthesised boolean by
-lookahead, so a well-formed file is read without backtracking.  ``resolve``
-then types the parameters and classifies the guards.  Each step does a
-fixed amount of work per token and per term node.
+lookahead, so no part of a file, well-formed or not, is read twice, and a
+malformed file is reported where that one reading fails.  ``resolve`` then
+types the parameters and classifies the guards.  Each step does a fixed
+amount of work per token and per term node.
 """
 
 from __future__ import annotations
 
 import re
-from functools import wraps
 
 from .errors import Diagnostic, ParseError
 from .resolve import Resolver, nests_too_deeply
@@ -102,32 +102,6 @@ _AFTER_BOOL = _AFTER_SCALAR | {"and", "or", "&"}
 _BOOL_ONLY = frozenset(("not", "true", "false", "min"))
 
 
-def _failures_memoised(parse):
-    """Remember where an expression parser fails: it reads nothing but the
-    tokens from the current position, so it fails there again, with the
-    same diagnostic, however it is reached.  Only a malformed item fails,
-    and then a guard or a comparison that fails is read again as a process
-    or a parenthesised boolean, which reaches the expressions inside it
-    again; without the memo, the time to report a malformed ``((…(x y)…)
-    + 1) < 2`` grows as the square of its depth (packrat parsing, for
-    failures only)."""
-
-    @wraps(parse)
-    def attempt(self):
-        key = (parse, self.pos)
-        failure = self._failed.get(key)
-        if failure is not None:
-            raise ParseError(failure)
-        try:
-            return parse(self)
-        except ParseError as exc:
-            # the diagnostics only: a kept exception keeps its frames alive
-            self._failed[key] = exc.diagnostics
-            raise
-
-    return attempt
-
-
 class _Parser:
     """The parser of one item: tokens are the item's, ending in a sentinel,
     and the file's from base on.  atoms holds the datatype values by name,
@@ -146,7 +120,6 @@ class _Parser:
         self.nesting = 0    # the processes being read, one inside the next
         self.calls = set()  # the process names called
         self.scalars = {}   # number or name -> the scalar it reads as
-        self._failed: dict = {}  # (parse method, position) -> its diagnostics
 
     # -- token plumbing ----------------------------------------------------
 
@@ -289,7 +262,6 @@ class _Parser:
 
     # -- scalar and boolean expressions ---------------------------------------
 
-    @_failures_memoised
     def parse_scalar(self):
         left = self.parse_scalar_term()
         while self.at_sym("+", "-"):
@@ -332,7 +304,6 @@ class _Parser:
             return scalar
         self.fail(f"expected a value, variable or number, found {text!r}", tok)
 
-    @_failures_memoised
     def parse_bool(self):
         left = self.parse_bool_and()
         while self.at_kw("or"):
@@ -348,11 +319,9 @@ class _Parser:
         return left
 
     def parse_bool_atom(self):
-        """not, true, false, a comparison or a parenthesised boolean.  A
-        group whose next token cannot follow a boolean is the comparison's
-        scalar; were the comparison to fail there, the group is read as a
-        boolean as well, so that the error is reported where that reading
-        fails."""
+        """not, true, false, a comparison or a parenthesised boolean: a
+        group that a scalar operator or a comparison follows is the
+        comparison's scalar, any other group a boolean."""
         text = self.toks[self.pos][TEXT]
         if text == "not":
             self.pos += 1
@@ -360,20 +329,16 @@ class _Parser:
         if text == "true" or text == "false":
             self.pos += 1
             return BoolLit(text == "true")
-        if text != "(" or self.after_group() in _AFTER_SCALAR:
-            mark = self.pos
-            try:
-                left = self.parse_scalar()
-                if not self.at_sym(*_CMP_OPS):
-                    self.fail("expected comparison operator")
-                op = self.next()[TEXT]
-                return Cmp(op, left, self.parse_scalar())
-            except ParseError:
-                self.pos = mark
-        self.eat_sym("(")
-        b = self.parse_bool()
-        self.eat_sym(")")
-        return b
+        if text == "(" and self.after_group() not in _AFTER_SCALAR:
+            self.pos += 1
+            b = self.parse_bool()
+            self.eat_sym(")")
+            return b
+        left = self.parse_scalar()
+        if not self.at_sym(*_CMP_OPS):
+            self.fail("expected comparison operator")
+        op = self.next()[TEXT]
+        return Cmp(op, left, self.parse_scalar())
 
     # -- event sets ------------------------------------------------------------
 
@@ -475,39 +440,18 @@ class _Parser:
                 and self.toks[self.pos + 1][TEXT] in _AFTER_SCALAR)
 
     def parse_operand(self):
-        """Guards b & …, then prefixes c… ->, then an atom.  Should a guard's
-        boolean, its & or the process it guards fail to parse, the guards
-        are read again from the innermost out, each as prefixes and an atom,
-        and the first that parses so ends the operand; a malformed file is
-        reported where the outermost one fails to."""
-        nesting, marks, guards = self.nesting, [], []
+        """Guards b & …, then prefixes c… ->, then an atom.  at_guard tells
+        a guard's boolean from a process, so each is read once, and a
+        malformed operand is reported where that reading fails."""
+        guards, alphas = [], []
         while self.at_guard():
-            mark = self.pos
-            try:
-                b = self.parse_bool()
-            except ParseError:
-                self.pos = mark
-                break
-            if not self.at_sym("&"):
-                self.pos = mark
-                break
-            self.pos += 1
-            marks.append(mark)
-            guards.append(b)
+            guards.append(self.parse_bool())
+            self.eat_sym("&")
         channels = self.defs.channels
-        while True:
-            alphas = []
-            try:
-                while self.toks[self.pos][TEXT] in channels:
-                    alphas.append(self.parse_construct(self.next()))
-                    self.eat_sym("->")
-                p, depth = self.parse_atom()
-                break
-            except ParseError:
-                if not marks:
-                    raise
-                self.pos, self.nesting = marks.pop(), nesting
-                guards.pop()
+        while self.toks[self.pos][TEXT] in channels:
+            alphas.append(self.parse_construct(self.next()))
+            self.eat_sym("->")
+        p, depth = self.parse_atom()
         for alpha in reversed(alphas):
             p = Prefix(alpha, p)
         for b in reversed(guards):

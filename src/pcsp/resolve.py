@@ -11,8 +11,10 @@ met a call or a comparison that the next phase reads differently.  Any
 other equation would repeat its last visit, findings and all, so each
 parameter typed costs a visit of its equation and its callers, not a sweep
 over the file.  Then one walk per body classifies guards into t-conditions
-and ordinary boolean expressions, turns the numbers passed to t-parameters
-into t-values and checks that every variable is bound.
+and ordinary boolean expressions and turns the numbers passed to
+t-parameters into t-values; the variables that no binder or parameter
+holds, reported as undefined, are the free names of ``syntax.free_vars``,
+the one owner of binder scope.
 """
 
 from __future__ import annotations
@@ -22,11 +24,9 @@ from operator import neg
 
 from .errors import Diagnostic, ParseError
 from .syntax import (
-    AlphaPar, Atom, BANG, BoolAnd, BoolLit, BoolNot, BoolOr, ChanPrefixItem, Cmp,
-    Condition, Definitions, DiffType, Equation, EventLitItem, EventSet, Hide,
-    Ident, If, MixedGuard, NatLit, NatMin, NatOp, Prefix, REPLICATED, Rename,
-    ReplAlphaPar, SetType, SharedPar, TVal, VarRef, binder_type, binders,
-    subterms, with_subterms,
+    Atom, BANG, BoolAnd, BoolLit, BoolNot, BoolOr, Cmp, Condition, Definitions,
+    Equation, Ident, If, MixedGuard, NatLit, NatMin, NatOp, Prefix, REPLICATED,
+    TVal, VarRef, binder_type, binders, free_vars, subterms, with_subterms,
 )
 
 _TY_T = "t"
@@ -39,60 +39,6 @@ def nests_too_deeply(name: str, at: tuple[int, int], filename: str) -> ParseErro
     reach."""
     return ParseError([Diagnostic(f"the definition of {name!r} nests too deeply",
                                   *at, filename)])
-
-
-def _names(data) -> list[str]:
-    """The variable names that data use: data is a datum, a scalar or
-    boolean expression, a guard, a type annotation, an event set or item,
-    or a tuple of these."""
-    out, stack = [], [data]
-    while stack:
-        x = stack.pop()
-        cls = x.__class__
-        if cls is str:
-            out.append(x)
-        elif cls is VarRef:
-            out.append(x.name)
-        elif cls is tuple:
-            stack.extend(x)
-        elif cls in (NatOp, NatMin, Cmp, BoolAnd, BoolOr):
-            stack += (x.left, x.right)
-        elif cls is BoolNot:
-            stack.append(x.arg)
-        elif cls is Condition:
-            stack.append(x.atoms)
-        elif cls is MixedGuard:
-            stack += (x.t_atoms, x.other)
-        elif cls is SetType:
-            stack.append(x.items)
-        elif cls is DiffType:
-            stack.append(x.excluded)
-        elif cls is ChanPrefixItem or cls is EventLitItem:
-            stack.append(x.datums)
-        elif cls is EventSet:
-            stack += (x.closures, x.literals)
-    return out
-
-
-def _data(term) -> tuple:
-    """The data of a term other than a prefix that may name variables: its
-    guard, arguments, domain, event sets or renamed events."""
-    cls = term.__class__
-    if cls is If:
-        return (term.guard,)
-    if cls is Ident:
-        return term.args
-    if cls in REPLICATED:
-        return (term.domain,)
-    if cls is Hide:
-        return (term.hidden,)
-    if cls is SharedPar:
-        return (term.shared,)
-    if cls is AlphaPar:
-        return (term.left_alpha, term.right_alpha)
-    if cls is Rename:
-        return tuple(x for pair in term.pairs for x in pair if x.__class__ is EventLitItem)
-    return ()
 
 
 class Resolver:
@@ -201,37 +147,23 @@ class Resolver:
                         self.scalar_ty(b.left, scope, eq, _TY_T)
                         self.scalar_ty(b.right, scope, eq, _TY_T)
 
-    def scope_below(self, term, scope, noting=None, unbound=None):
+    def scope_below(self, term, scope, noting=None):
         """The scope of the subterms of term: each name it binds (binders)
         at the type of its annotation.  With noting (an equation name), the
         variables a prefix outputs are noted too, each seeing the inputs to
-        its left.  With unbound (a set), each name the term's data use where
-        no binder in scope holds it is added to unbound: an output and an
-        annotation see the inputs to their left, a replicated operator's
-        domain only the scope around it and its alphabet its index too."""
+        its left."""
         cls = term.__class__
         if cls is not Prefix:
-            data = _data(term) if unbound is not None else ()
-            if data:
-                unbound.update(n for n in _names(data) if n not in scope)
             if cls not in REPLICATED:
                 return scope
-            inner = {**scope, **{name: binder_type(ty) for name, ty in binders(term).items()}}
-            if unbound is not None and cls is ReplAlphaPar:
-                unbound.update(n for n in _names(term.alpha) if n not in inner)
-            return inner
+            return {**scope, **{name: binder_type(ty) for name, ty in binders(term).items()}}
         scope, bound = dict(scope), iter(binders(term).items())
         for f in term.construct.fields:
             if f.sel != BANG:  # the field of the next binder
-                if unbound is not None:
-                    unbound.update(n for n in _names(f.ty) if n not in scope)
                 name, ty = next(bound)
                 scope[name] = binder_type(ty)
-            elif isinstance(f.payload, str):
-                if noting is not None:
-                    self.note_var(scope, noting, f.payload, _TY_T if f.bang_is_t else None)
-                if unbound is not None and f.payload not in scope:
-                    unbound.add(f.payload)
+            elif noting is not None and isinstance(f.payload, str):
+                self.note_var(scope, noting, f.payload, _TY_T if f.bang_is_t else None)
         return scope
 
     def infer_term(self, term, scope, eq):
@@ -396,14 +328,12 @@ class Resolver:
             return e.type_name
         return _TY_NAT
 
-    def rewrite(self, term, scope, eq, unbound: set):
+    def rewrite(self, term, scope, eq):
         """term with its guards classified and the numbers passed to
-        t-parameters made t-values; each variable its data use out of
-        scope is added to unbound."""
+        t-parameters made t-values."""
         if term.__class__ is Ident:
             if not term.args:
                 return term
-            unbound.update(n for n in _names(term.args) if n not in scope)
             types = self.param_ty.get(term.name, ())
             args = tuple(TVal(a.value) if a.__class__ is NatLit and i < len(types)
                          and types[i] == _TY_T else a for i, a in enumerate(term.args))
@@ -412,9 +342,9 @@ class Resolver:
             guard = self.classify_guard(term.guard, scope, eq)
             if guard is not term.guard:
                 term = If(guard, term.then, term.els)
-        inner = self.scope_below(term, scope, unbound=unbound)
+        inner = self.scope_below(term, scope)
         subs = subterms(term)
-        new = [self.rewrite(sub, inner, eq, unbound) for sub in subs]
+        new = [self.rewrite(sub, inner, eq) for sub in subs]
         for a, b in zip(new, subs):
             if a is not b:
                 return with_subterms(term, new)
@@ -424,12 +354,12 @@ class Resolver:
         self.run_inference()
         for name, eq in list(self.defs.equations.items()):
             scope = {p: self.param_ty[name][i] for i, p in enumerate(eq.params)}
-            unbound = set()
             try:
-                body = self.rewrite(eq.body, scope, name, unbound)
+                body = self.rewrite(eq.body, scope, name)
+                unbound = sorted(free_vars(body) - scope.keys())
             except RecursionError:
                 raise nests_too_deeply(name, self.heads[name], self.defs.filename) from None
-            for v in sorted(unbound):
+            for v in unbound:
                 self.error(f"undefined variable {v!r} in the definition of {name!r}", name)
             self.defs.equations[name] = Equation(
                 name, eq.params, body, tuple(self.param_ty[name]))

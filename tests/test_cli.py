@@ -132,6 +132,11 @@ MALFORMED_EQUATIONS = [
      ["4:1: parameter 'i' of 'Q' used both as t and as Y"]),
     ("datatype Y = y1 | y2\nchannel ca : t\nP = [] j : Y @ Q(j)\nQ(i) = ca!i -> STOP\n",
      ["3:1: parameter 'i' of 'Q' used both as t and as Y"]),
+    # a guard or a comparison is read once, as the lookahead decides, and
+    # reported where that reading fails
+    ("channel a\nP = if x then STOP else STOP\n", ["2:10: expected comparison operator"]),
+    ("channel a\nP = (x > 0) & \n", ["2:14: expected a process, found 'end of input'"]),
+    ("channel a\nP = x + & STOP\n", ["2:9: expected a value, variable or number, found '&'"]),
 ]
 
 

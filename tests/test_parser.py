@@ -12,10 +12,11 @@ import pcsp
 from pcsp.parser import _SYMBOLS, parse_definitions, parse_file, tokenize
 from pcsp.pretty import fmt_term
 from pcsp.syntax import (
-    AlphaPar, Atom, BANG, BoolLit, ChanPrefixItem, Condition, DiffType,
-    EventLitItem, EventSet, ExtChoice, Hide, Ident, If, IntChoice, Interleave,
-    Prefix, Rename, ReplAlphaPar, ReplExtChoice, ReplIntChoice, ReplInterleave,
-    SharedPar, Sliding, Stop, T_TYPE, TVal, VarRef, free_vars,
+    AlphaPar, Atom, BANG, BoolAnd, BoolLit, BoolNot, BoolOr, ChanPrefixItem,
+    Cmp, Condition, DiffType, EventLitItem, EventSet, ExtChoice, Hide, Ident,
+    If, IntChoice, Interleave, NatLit, NatMin, NatOp, Prefix, Rename,
+    ReplAlphaPar, ReplExtChoice, ReplIntChoice, ReplInterleave, SharedPar,
+    Sliding, Stop, T_TYPE, TVal, VarRef, free_vars,
 )
 import reference
 from reference import fmt_definitions
@@ -44,12 +45,25 @@ def test_mutex_core_transcription():
 
 
 def test_parenthesised_process_parses_in_linear_time():
-    # a boolean guard is tried, and fails, at every level of the nesting
+    # every level of the nesting is a group that no guard's boolean is, so
+    # at_guard looks past it once and the group is read as a process
     src = "P = " + "(" * 200 + "STOP" + ")" * 200 + "\n"
     start = time.perf_counter()
     defs = parse_definitions(src)
     assert time.perf_counter() - start < 0.5
     assert defs == parse_definitions("P = STOP\n")
+
+
+def test_a_malformed_deep_comparison_is_reported_in_linear_time():
+    # the group is read once, as the comparison's scalar, and fails where
+    # that reading does; when a failed comparison was read again as a
+    # boolean, each level was reached twice
+    src = "channel a\nP = if " + "(" * 3000 + "x y" + ")" * 3000 + " < 2 then STOP else STOP\n"
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as exc:
+        parse_definitions(src, "f.pcsp")
+    assert time.perf_counter() - start < 0.5
+    assert [d.render() for d in exc.value.diagnostics] == ["f.pcsp:2:3010: expected ')', found 'y'"]
 
 
 def _call_chain(n: int) -> str:
@@ -276,9 +290,10 @@ def _events(scope):
 
 @st.composite
 def full_terms(draw, scope=(), depth=4):
-    """Random closed terms over every term class the parser builds, with
+    """Random terms over every term class the parser builds, with
     t-variables from prefixes and replicated operators in scope; the
-    prefixes come from test_syntax.terms."""
+    prefixes come from test_syntax.terms.  A term is closed but for n, the
+    natural that the guards over naturals compare."""
     kinds = ["stop", "ident"]
     if depth > 0:
         # prefixes bring the variables that conditions need into scope
@@ -321,21 +336,49 @@ def full_terms(draw, scope=(), depth=4):
             return ReplAlphaPar("i", domain, draw(_event_sets(inner)), body)
         return cls("i", domain, body)
     pairs = [(a, b) for a in scope for b in scope if a != b]
-    if pairs and draw(st.booleans()):
-        atoms = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=2))
-        guard = Condition(draw(st.booleans()), tuple(atoms))
-    else:
-        guard = BoolLit(draw(st.booleans()))
+    guards = [st.builds(BoolLit, st.booleans()), _nat_bools()]
+    if pairs:
+        guards.append(st.builds(
+            lambda negated, atoms: Condition(negated, tuple(atoms)), st.booleans(),
+            st.lists(st.sampled_from(pairs), min_size=1, max_size=2)))
+    guard = draw(st.one_of(guards))
     return If(guard, draw(sub), Stop() if kind == "guard" else draw(sub))
+
+
+# Scalars over naturals: literals, the natural parameter n of TestP, +, -
+# and min, each of which prints in parentheses where the grammar asks.
+_NAT_SCALARS = st.recursive(
+    st.sampled_from((NatLit(0), NatLit(1), NatLit(2), VarRef("n"))),
+    lambda s: st.one_of(st.builds(NatOp, st.sampled_from("+-"), s, s),
+                        st.builds(NatMin, s, s)),
+    max_leaves=3)
+
+
+def _nat_bools():
+    """Boolean guards over naturals, in the form that the resolver keeps:
+    no 'not' directly inside a 'not' and no 'and' as the right operand of
+    an 'and', which it would flatten, and no comparison of n with itself,
+    which would default n to t."""
+    cmp = st.builds(Cmp, st.sampled_from(("==", "!=", "<", "<=", ">", ">=")),
+                    _NAT_SCALARS, _NAT_SCALARS).filter(
+        lambda c: not c.left == c.right == VarRef("n"))
+    return st.recursive(
+        st.one_of(cmp, st.builds(BoolLit, st.booleans())),
+        lambda b: st.one_of(
+            st.builds(BoolNot, b.filter(lambda x: not isinstance(x, BoolNot))),
+            st.builds(BoolAnd, b, b.filter(lambda x: not isinstance(x, BoolAnd))),
+            st.builds(BoolOr, b, b)),
+        max_leaves=3)
 
 
 @given(st.data())
 @settings(max_examples=300, deadline=None)
 def test_random_terms_roundtrip(data):
     # every term class: a renamed prefix printed without parentheses
-    # re-parsed as a prefix of a renamed continuation
+    # re-parsed as a prefix of a renamed continuation; the guards over
+    # naturals reach every case of at_guard and of parse_bool_atom
     term = data.draw(full_terms())
-    src = _ROUNDTRIP_PRELUDE + f"TestP = {fmt_term(term)}\n"
+    src = _ROUNDTRIP_PRELUDE + f"TestP(n) = {fmt_term(term)}\n"
     defs = parse_definitions(src, "rt")
     assert defs.equations["TestP"].body == term
 
@@ -343,8 +386,10 @@ def test_random_terms_roundtrip(data):
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_unbound_variables_are_the_free_variables(data):
-    # the resolver checks binding within its one walk over each body; the
-    # free names of the canonicalising walk are the reference
+    # the resolver takes its undefined variables from free_vars of the
+    # rewritten body; the free names of the original term are the reference,
+    # so classifying guards and typing arguments must keep every name (n, the
+    # natural of the guards, is free here)
     term = data.draw(full_terms(scope=("x", "y")))
     src = _ROUNDTRIP_PRELUDE + f"TestP = {fmt_term(term)}\n"
     try:
