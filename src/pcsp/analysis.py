@@ -397,12 +397,12 @@ def perm_event_fn(perm) -> Callable[[Event], Event]:
     return lambda e: permute_t(e, perm)
 
 
-def _invariant_under(lts: Lts, fns) -> bool:
-    """Whether lts is strongly bisimilar to its renaming by each of fns,
-    decided by one refinement of the disjoint union of lts and one view of
-    it per renaming: lts's rows with each label's id replaced by its
-    image's.  A signature is a set, so a view's rows need no sorting, and
-    no renamed copy is built."""
+def _invariant_under(lts: Lts, fns) -> list[bool]:
+    """For each of fns, whether lts is strongly bisimilar to its renaming
+    by it, decided by one refinement of the disjoint union of lts and one
+    view of it per renaming: lts's rows with each label's id replaced by
+    its image's.  A signature is a set, so a view's rows need no sorting,
+    and no renamed copy is built."""
     distinct, which = _distinct_rows(lts.edges)
     labels = list({lab: None for row in distinct for lab, _, _ in row})
     images = [labels] + [[lab if lab is TAU else fn(lab) for lab in labels] for fn in fns]
@@ -413,7 +413,7 @@ def _invariant_under(lts: Lts, fns) -> bool:
     views = [(distinct, which, {lab: lab_id[img] * n for lab, img in zip(labels, imgs)})
              for imgs in images]
     block = _refine(*_union(views, n), n)[-1]
-    return all(block[lts.root] == block[k * n1 + lts.root] for k in range(1, len(views)))
+    return [block[lts.root] == block[k * n1 + lts.root] for k in range(1, len(views))]
 
 
 def permutation_bisim_check(defs, proc, sizes,
@@ -425,15 +425,15 @@ def permutation_bisim_check(defs, proc, sizes,
     Renaming by a bijection preserves bisimilarity and bisimilarity is
     transitive, so if l ~ π(l) and l ~ σ(l) then l ~ σ(π(l)): the passing
     bijections form a subgroup of S_n.  The transposition (1,0,2,…,n−1) and
-    the n-cycle (1,2,…,n−1,0) generate S_n, so when both pass every bijection
-    does.  Both are decided at once, by one refinement over the process's
+    the n-cycle (1,2,…,n−1,0) generate S_n, so every bijection passes iff
+    both generators do (at n = 2 they are one bijection, at n = 1 there is
+    none).  Both are decided at once, by one refinement over the process's
     LTS and a view of it per generator (_invariant_under), on an LTS whose
     states are never made terms (build_lts); a round of it re-signs only
     the rows with a target that changed block, and block ids are never
-    renumbered, since no formula is built from them.  Otherwise all n!
-    bijections are checked by strong_bisim on renamed copies, so that each
-    failing one is reported with a distinguishing formula.  Every size is
-    built over one engine."""
+    renumbered, since no formula is built from them.  Each failing
+    generator is reported with the formula by which strong_bisim tells the
+    LTS from its renamed copy.  Every size is built over one engine."""
     from .std_semantics import Engine, build_lts
 
     name = proc if isinstance(proc, str) else "<term>"
@@ -444,16 +444,14 @@ def permutation_bisim_check(defs, proc, sizes,
         with building(f"{name} at #T={n}"):
             lts = build_lts(defs, proc, n, max_states, engine=engine)
         total += math.factorial(n)
-        generators = ((1, 0, *range(2, n)), (*range(1, n), 0)) if n > 1 else ()
-        # at n = 2 the two generators are the same bijection
-        if not generators or _invariant_under(
-                lts, [perm_event_fn(g) for g in dict.fromkeys(generators)]):
+        if n < 2:
             continue
-        for perm in itertools.permutations(range(n)):
-            renamed = rename_lts(lts, perm_event_fn(perm))
-            ok, formula = strong_bisim(lts, renamed)
+        generators = list(dict.fromkeys(((1, 0, *range(2, n)), (*range(1, n), 0))))
+        fns = [perm_event_fn(g) for g in generators]
+        for g, fn, ok in zip(generators, fns, _invariant_under(lts, fns)):
             if not ok:
-                pi = ", ".join(f"{i}->{perm[i]}" for i in range(n))
+                _, formula = strong_bisim(lts, rename_lts(lts, fn))
+                pi = ", ".join(f"{i}->{g[i]}" for i in range(n))
                 findings.append(Finding(
                     "bisim", f"not bisimilar to its renaming under {{{pi}}} at "
                     f"#T={n}; distinguished by {formula}", name))

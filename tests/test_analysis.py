@@ -335,8 +335,8 @@ def test_one_refinement_decides_each_generator(n, data):
     lts = Lts(lts.root, lts.states, edges, lts.alphabet)
     fns = [perm_event_fn(g) for g in ((1, 0, *range(2, n)), (*range(1, n), 0))]
     each = [strong_bisim(lts, rename_lts(lts, fn))[0] for fn in fns]
-    assert [_invariant_under(lts, [fn]) for fn in fns] == each
-    assert _invariant_under(lts, fns) == all(each)
+    assert [_invariant_under(lts, [fn]) for fn in fns] == [[ok] for ok in each]
+    assert _invariant_under(lts, fns) == each
 
 
 @st.composite
@@ -351,17 +351,23 @@ def test_generator_check_equals_the_exhaustive_check(ltss):
     with mock.patch("pcsp.std_semantics.build_lts",
                     lambda defs, proc, n, max_states, **_: ltss[n]):
         got = permutation_bisim_check(None, "P", tuple(ltss))
+    # the exhaustive check's verdict, and its findings restricted to the
+    # transposition and the n-cycle, which generate S_n
+    failing = []
     findings = []
     for n, lts in ltss.items():
+        generators = {(1, 0, *range(2, n)), (*range(1, n), 0)} if n > 1 else set()
         for perm in itertools.permutations(range(n)):
             ok, formula = strong_bisim(lts, rename_lts(lts, perm_event_fn(perm)))
             if not ok:
-                pi = ", ".join(f"{i}->{perm[i]}" for i in range(n))
-                findings.append(f"(bisim) [P] not bisimilar to its renaming under "
-                                f"{{{pi}}} at #T={n}; distinguished by {formula}")
+                failing.append(perm)
+                if perm in generators:
+                    pi = ", ".join(f"{i}->{perm[i]}" for i in range(n))
+                    findings.append(f"(bisim) [P] not bisimilar to its renaming under "
+                                    f"{{{pi}}} at #T={n}; distinguished by {formula}")
     total = sum(math.factorial(n) for n in ltss)
     sizes = ",".join(map(str, ltss))
-    want = (("fail", findings, []) if findings else
+    want = (("fail", findings, []) if failing else
             ("evidence", [], [f"bisimilar to all {total} bijective renamings "
                               f"at sizes {{{sizes}}}"]))
     assert (got.verdict, [f.render() for f in got.findings], got.notes) == want

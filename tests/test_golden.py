@@ -54,8 +54,9 @@ _COMMANDS = {
     "lts-mutex-impl-2": (("lts", "mutex.pcsp", "--proc", "Impl", "--tsize", "2"), 0),
     "congruence-running-2": (("congruence", "running.pcsp", "--proc", "P",
                               "--tsize", "2"), 0),
-    # the semantic symmetry check: its fail path (every failing bijection with
-    # its formula) and its pass path
+    # the semantic symmetry check: its fail path (each failing generator of
+    # S_n, the transposition and the n-cycle, with its formula) and its pass
+    # path
     "typesym-ring-n1-3": (("conditions", "ring.pcsp", "--proc", "N1",
                            "--typesym-sizes", "3"), 1),
     "typesym-mutex-abst-2-3": (("conditions", "mutex.pcsp", "--proc", "Abst",
