@@ -425,15 +425,15 @@ def permutation_bisim_check(defs, proc, sizes,
     Renaming by a bijection preserves bisimilarity and bisimilarity is
     transitive, so if l ~ π(l) and l ~ σ(l) then l ~ σ(π(l)): the passing
     bijections form a subgroup of S_n.  The transposition (1,0,2,…,n−1) and
-    the n-cycle (1,2,…,n−1,0) generate S_n, so every bijection passes iff
-    both generators do (at n = 2 they are one bijection, at n = 1 there is
-    none).  Both are decided at once, by one refinement over the process's
-    LTS and a view of it per generator (_invariant_under), on an LTS whose
-    states are never made terms (build_lts); a round of it re-signs only
-    the rows with a target that changed block, and block ids are never
-    renumbered, since no formula is built from them.  Each failing
-    generator is reported with the formula by which strong_bisim tells the
-    LTS from its renamed copy.  Every size is built over one engine."""
+    the n-cycle (1,2,…,n−1,0) generate S_n (one bijection at n = 2), so
+    every bijection passes iff both do.  Both are decided at once, by one
+    refinement over the process's LTS and a view of it per generator
+    (_invariant_under), on an LTS whose states are never made terms
+    (build_lts); a round of it re-signs only the rows with a target that
+    changed block, and block ids are never renumbered, since no formula is
+    built from them.  Each failing generator is reported with the formula
+    by which strong_bisim tells the LTS from its renamed copy.  Every size
+    is built over one engine."""
     from .std_semantics import Engine, build_lts
 
     name = proc if isinstance(proc, str) else "<term>"
@@ -446,11 +446,11 @@ def permutation_bisim_check(defs, proc, sizes,
         total += math.factorial(n)
         if n < 2:
             continue
-        generators = list(dict.fromkeys(((1, 0, *range(2, n)), (*range(1, n), 0))))
-        fns = [perm_event_fn(g) for g in generators]
-        for g, fn, ok in zip(generators, fns, _invariant_under(lts, fns)):
+        generators = dict.fromkeys(((1, 0, *range(2, n)), (*range(1, n), 0)))
+        invariant = _invariant_under(lts, [perm_event_fn(g) for g in generators])
+        for g, ok in zip(generators, invariant):
             if not ok:
-                _, formula = strong_bisim(lts, rename_lts(lts, fn))
+                _, formula = strong_bisim(lts, rename_lts(lts, perm_event_fn(g)))
                 pi = ", ".join(f"{i}->{g[i]}" for i in range(n))
                 findings.append(Finding(
                     "bisim", f"not bisimilar to its renaming under {{{pi}}} at "

@@ -37,7 +37,7 @@ def _resolve(path: str) -> Path:
 
 
 def _sizes(spec: str, option: str) -> list[int]:
-    """The sizes an option lists: at least one, each at least 1."""
+    """The sizes an option lists, each once, in order: at least one, each at least 1."""
     try:
         if ".." in spec:
             lo, hi = spec.split("..", 1)
@@ -48,7 +48,7 @@ def _sizes(spec: str, option: str) -> list[int]:
         sizes = []
     if min(sizes, default=0) < 1:
         raise UsageError(f"{option} {spec!r}: expected sizes as N..M or N,M,...")
-    return sizes
+    return list(dict.fromkeys(sizes))
 
 
 def _bound(text: str) -> int:

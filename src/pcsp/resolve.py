@@ -13,8 +13,9 @@ parameter typed costs a visit of its equation and its callers, not a sweep
 over the file.  Then one walk per body classifies guards into t-conditions
 and ordinary boolean expressions and turns the numbers passed to
 t-parameters into t-values; the variables that no binder or parameter
-holds, reported as undefined, are the free names of ``syntax.free_vars``,
-the one owner of binder scope.
+holds, reported as undefined, are the free names of the body as parsed
+(an ill-typed comparison is dropped from the rewritten one), found by
+``syntax.free_vars``, the one owner of binder scope.
 """
 
 from __future__ import annotations
@@ -356,7 +357,7 @@ class Resolver:
             scope = {p: self.param_ty[name][i] for i, p in enumerate(eq.params)}
             try:
                 body = self.rewrite(eq.body, scope, name)
-                unbound = sorted(free_vars(body) - scope.keys())
+                unbound = sorted(free_vars(eq.body) - scope.keys())
             except RecursionError:
                 raise nests_too_deeply(name, self.heads[name], self.defs.filename) from None
             for v in unbound:

@@ -13,7 +13,8 @@ re-walking both operands of every binary choice.  tokenize is the
 tokenizer that tried every symbol with ``startswith`` at each position,
 before the parser's one compiled pattern.  frontiers_by_paths is the
 failures threshold's frontier walk before it expanded each (state,
-conditions met) pair once."""
+conditions met) pair once.  observation_holds evaluates the formula by
+which strong_bisim tells two states apart."""
 
 from __future__ import annotations
 
@@ -88,6 +89,59 @@ def has_failure(lts: Lts, trace, refused) -> bool:
     trace accepts nothing in the refused set."""
     refused = frozenset(refused)
     return any(not (acc & refused) for acc in acceptances_after(lts, trace))
+
+
+# ---------------------------------------------------------------------------
+# The observations strong_bisim prints to tell two states apart
+
+def observation_holds(formula: str, lts: Lts, state: int) -> bool:
+    """Whether the Hennessy-Milner observation formula, as strong_bisim
+    prints it, holds at state of lts.  ``<l>(φ)`` holds where some l-step
+    leads to a state at which φ holds, ``not``, ``and`` and ``true`` are as
+    usual, and ``tau`` is an ordinary label."""
+    pos = 0
+
+    def take(text):
+        nonlocal pos
+        assert formula.startswith(text, pos), (formula, pos, text)
+        pos += len(text)
+
+    def conjunction():
+        parts = [literal()]
+        while formula.startswith(" and ", pos):
+            take(" and ")
+            parts.append(literal())
+        return ("and", parts)
+
+    def literal():
+        nonlocal pos
+        if formula.startswith("true", pos):
+            take("true")
+            return ("true",)
+        if formula.startswith("not ", pos):
+            take("not ")
+            return ("not", literal())
+        take("<")
+        end = formula.index(">", pos)
+        label, pos = formula[pos:end], end + 1
+        take("(")
+        inner = conjunction()
+        take(")")
+        return ("can", label, inner)
+
+    def holds(f, s):
+        if f[0] == "true":
+            return True
+        if f[0] == "not":
+            return not holds(f[1], s)
+        if f[0] == "and":
+            return all(holds(g, s) for g in f[1])
+        return any(("tau" if lab is TAU else str(lab)) == f[1] and holds(f[2], t)
+                   for lab, t, _ in lts.edges[s])
+
+    tree = literal()
+    assert pos == len(formula), (formula, pos)
+    return holds(tree, state)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 import time
 from unittest import mock
 
@@ -19,7 +20,8 @@ from pcsp.parser import parse_definitions
 from pcsp.std_semantics import StateGraph, build_lts
 from pcsp.syntax import Stop, TVal
 from reference import (
-    acceptances_after, has_failure, has_trace, initials_after, traces_upto,
+    acceptances_after, has_failure, has_trace, initials_after, observation_holds,
+    traces_upto,
 )
 
 
@@ -371,6 +373,22 @@ def test_generator_check_equals_the_exhaustive_check(ltss):
             ("evidence", [], [f"bisimilar to all {total} bijective renamings "
                               f"at sizes {{{sizes}}}"]))
     assert (got.verdict, [f.render() for f in got.findings], got.notes) == want
+
+
+@given(sized_tval_ltss())
+@settings(max_examples=100, deadline=None)
+def test_each_finding_tells_the_lts_from_its_generator_renaming(ltss):
+    with mock.patch("pcsp.std_semantics.build_lts",
+                    lambda defs, proc, n, max_states, **_: ltss[n]):
+        got = permutation_bisim_check(None, "P", tuple(ltss))
+    for finding in got.findings:
+        m = re.fullmatch(r"not bisimilar to its renaming under \{(.*)\} at #T=(\d+); "
+                         r"distinguished by (.*)", finding.message)
+        perm = tuple(int(pair.split("->")[1]) for pair in m[1].split(", "))
+        lts = ltss[int(m[2])]
+        renamed = rename_lts(lts, perm_event_fn(perm))
+        assert observation_holds(m[3], lts, lts.root)
+        assert not observation_holds(m[3], renamed, renamed.root)
 
 
 @st.composite

@@ -137,6 +137,11 @@ MALFORMED_EQUATIONS = [
     ("channel a\nP = if x then STOP else STOP\n", ["2:10: expected comparison operator"]),
     ("channel a\nP = (x > 0) & \n", ["2:14: expected a process, found 'end of input'"]),
     ("channel a\nP = x + & STOP\n", ["2:9: expected a value, variable or number, found '&'"]),
+    # an ill-typed comparison is dropped from the resolved body, but its
+    # names are still read from the body as parsed
+    ("channel c : t\nP = c?x:t -> if x == y + 1 then STOP else STOP\n",
+     ["2:1: comparison between t and nat in 'P'",
+      "2:1: undefined variable 'y' in the definition of 'P'"]),
 ]
 
 
@@ -400,6 +405,22 @@ def test_conditions_with_sampled_checks(capsys):
     assert code == 0
     assert "RevPosConjEqT-T: evidence" in out
     assert "TypeSym-semantic: evidence" in out
+
+
+def test_a_repeated_typesym_size_is_checked_once(capsys):
+    code, out, _ = run(capsys, "conditions", "copy.pcsp", "--proc", "COPY",
+                       "--typesym-sizes", "3,2,3")
+    assert code == 0
+    assert "bisimilar to all 8 bijective renamings at sizes {3,2}" in out
+
+
+def test_a_repeated_premise_size_is_sampled_once(capsys):
+    code, out, _ = run(capsys, "verify", "mutex.pcsp", "--spec", "Spec",
+                       "--impl", "Impl", "--abst", "Abst", "--valid-from", "3",
+                       "--model", "failures", "--sizes", "1..2",
+                       "--sample-premise", "3,3")
+    assert code == 0
+    assert out.count("[premise-sample]") == 1
 
 
 def test_verify_json_schema(capsys):

@@ -52,8 +52,8 @@ from pcsp.syntax import (
     subst_event_set, substitute, subterms,
 )
 from reference import (
-    EAGER_RULES, acceptances_after, build_unshared, replace_t_initials, sym_successors,
-    traces_upto, unfold_ident,
+    EAGER_RULES, acceptances_after, build_unshared, observation_holds, replace_t_initials,
+    sym_successors, traces_upto, unfold_ident,
 )
 
 from test_syntax import _VARS, terms
@@ -269,6 +269,16 @@ _C0 = Event("c", (TVal(0),))
 @settings(max_examples=300, deadline=None)
 def test_strong_bisim_agrees_with_the_reference(pair):
     assert strong_bisim(*pair) == _reference_strong_bisim(*pair)
+
+
+@given(lts_pairs())
+@settings(max_examples=300, deadline=None)
+def test_a_distinguishing_formula_holds_at_the_first_root_only(pair):
+    l1, l2 = pair
+    ok, formula = strong_bisim(l1, l2)
+    if not ok:
+        assert observation_holds(formula, l1, l1.root)
+        assert not observation_holds(formula, l2, l2.root)
 
 
 # -- the canonicalising walk against a free-variable walk -------------------

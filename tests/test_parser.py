@@ -386,10 +386,10 @@ def test_random_terms_roundtrip(data):
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_unbound_variables_are_the_free_variables(data):
-    # the resolver takes its undefined variables from free_vars of the
-    # rewritten body; the free names of the original term are the reference,
-    # so classifying guards and typing arguments must keep every name (n, the
-    # natural of the guards, is free here)
+    # the resolver takes its undefined variables from free_vars of the body
+    # as parsed, before guards are classified and arguments typed; the free
+    # names of the original term are the reference (n, the natural of the
+    # guards, is free here)
     term = data.draw(full_terms(scope=("x", "y")))
     src = _ROUNDTRIP_PRELUDE + f"TestP = {fmt_term(term)}\n"
     try:
