@@ -3,10 +3,10 @@
 Subcommands: ``conditions``, ``lts``, ``sslts``, ``cose``, ``congruence``,
 ``refine``, ``threshold``, ``verify``.  Exit code 0 means every requested
 check passed, 1 means a check failed (with a counterexample where one
-exists), 2 means a usage error or diagnostic, and 3 means an internal error
-(a bug in pcsp), reported with its traceback on stderr.  Paths that do not
-exist are resolved against the bundled corpus, so ``pcsp refine mutex.pcsp
-...`` works out of the box.
+exists), 2 means a usage error, a diagnostic or running out of memory, and
+3 means an internal error (a bug in pcsp), reported with its traceback on
+stderr.  Paths that do not exist are resolved against the bundled corpus,
+so ``pcsp refine mutex.pcsp ...`` works out of the box.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ def _sizes(spec: str, option: str) -> list[int]:
 
 
 def _bound(text: str) -> int:
-    """The value of --max-states or --valid-from: an integer, at least 1."""
+    """The value of --tsize, --max-states or --valid-from: an integer, at least 1."""
     try:
         value = int(text)
     except ValueError:
@@ -249,7 +249,7 @@ def cmd_verify(args, defs) -> int:
 
 _MODEL = {"choices": ("traces", "failures"), "default": "traces"}
 _REQUIRED = {"required": True}
-_TSIZE = {"type": int, "required": True}
+_TSIZE = {"type": _bound, "required": True}
 _DOT = {"action": "store_true"}
 
 # sub-command -> (its handler, its help, its options after the file,
@@ -309,6 +309,9 @@ def main(argv=None) -> int:
         return 2
     except (PcspError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
     except Exception as exc:
         import traceback  # only on this path: it adds to every start-up

@@ -28,11 +28,10 @@ from .report import ConditionReport, Finding
 from .std_semantics import DEFAULT_MAX_STATES
 from .syntax import (
     AlphaPar, BANG, Condition, Definitions, DOLLAR, ExtChoice, Hide, Ident, If,
-    IndexedInterleave, IntChoice, Interleave, MixedGuard, Prefix, ProcessTerm,
-    Rename, ReplAlphaPar, ReplExtChoice, ReplIntChoice, ReplInterleave,
-    SharedPar, Sliding, Stop, TType, TVal, binder_type, binders,
-    classify_fields, free_vars, map_subterms, substitute, subterms, t_values,
-    unfold_walk,
+    IntChoice, Interleave, MixedGuard, Prefix, ProcessTerm, Rename, ReplAlphaPar,
+    ReplExtChoice, ReplIntChoice, ReplInterleave, SharedPar, Sliding, Stop, TType,
+    TVal, binder_type, binders, classify_fields, free_vars, map_subterms,
+    substitute, subterms, t_values, unfold_walk,
 )
 
 __all__ = [
@@ -65,8 +64,7 @@ _NOT_SEQUENTIAL = {
     Hide: ("ii", "contains hiding"),
     Rename: ("ii", "contains renaming"),
     **{cls: ("ii", f"not sequential: {cls.__name__} operator")
-       for cls in (AlphaPar, SharedPar, Interleave, IndexedInterleave,
-                   ReplAlphaPar, ReplInterleave)},
+       for cls in (AlphaPar, SharedPar, Interleave, ReplAlphaPar, ReplInterleave)},
     ReplIntChoice: ("iii", "replicated internal choice"),
     ReplExtChoice: ("iii", "replicated external choice"),
 }

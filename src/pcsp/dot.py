@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 
 from .cose import Configuration
-from .lts import Lts, TAU
+from .lts import Lts
 from .pretty import fmt_term
 
 
@@ -43,9 +43,7 @@ def lts_to_dot(lts: Lts, name: str = "lts") -> str:
         else:
             labels.append(fmt_term(payload))
     ids = [_node_id(f"{i}:{lab}") for i, lab in enumerate(labels)]
-    rows = []
-    for src in range(lts.n_states()):
-        for lab, tgt, _ in lts.edges[src]:
-            rows.append((src, "τ" if lab is TAU else str(lab), tgt))
+    rows = [(src, str(lab), tgt)
+            for src in range(lts.n_states()) for lab, tgt, _ in lts.edges[src]]
     return _render(name, ids, labels, lts.root, rows)
 

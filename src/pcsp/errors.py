@@ -32,8 +32,7 @@ class ParseError(PcspError):
         self.diagnostics = list(diagnostics)
 
     def __str__(self) -> str:
-        # rendered on demand: on a malformed file the parser raises and
-        # catches some as it reads a failed guard or comparison again
+        # rendered on demand: the command line prints each diagnostic itself
         return "\n".join(d.render() for d in self.diagnostics)
 
 

@@ -1,11 +1,11 @@
 """Record classes: fields declared by annotation, and the methods that
 ``dataclasses`` would give them, with no code generated per class.
 
-Every term, label, report and token of the toolkit is a record.
+Every term, label and report of the toolkit is a record.
 ``dataclasses`` writes the source of each class's ``__init__``, ``__eq__``,
 ``__hash__`` and ``__repr__`` and ``exec``-s it, one method at a time.
 Without cached bytecode every run of ``pcsp`` pays that again: for the
-package's 60 record classes it took 55-65 ms of start-up, while the builds
+package's record classes it took 55-65 ms of start-up, while the builds
 most commands make take a few.  ``record`` takes each method from a shared
 template instead.  There is one template per kind (``__init__``,
 ``__eq__``, ``__hash__``) and number of fields, written once as source over
@@ -13,31 +13,30 @@ that number and compiled the first time a class needs it, never per class.
 A class's copy of it has the template's placeholder parameters or
 attributes renamed to the class's fields (``code.replace``), so that
 construction, equality and hashing run the same bytecode as the generated
-methods did.  Order, ``repr`` and ``replace`` are shared functions over the
-field names.
+methods did.  ``repr`` and ``replace`` are shared functions over the field
+names.
 
 What is kept from ``dataclasses``:
 
 - equality holds between records of the same class whose compared fields
-  are equal; ``order=True`` orders them by the tuple of those fields;
-- ``hash`` is the hash of the tuple of the hashed fields (by default the
-  compared ones); a mutable record is unhashable, and a ``__hash__`` the
-  class defines is kept;
+  are equal;
+- ``hash`` is the hash of the tuple of the compared fields; a mutable
+  record is unhashable, and a ``__hash__`` the class defines is kept;
 - ``repr`` is ``Name(field=value, ...)`` over the fields with ``repr=True``;
 - a field's default may be a value or a ``default_factory``, called for
   each construction that does not give the field; a ``field(init=False)``
   is no parameter; ``__post_init__`` runs once the fields are set;
 - assigning or deleting an attribute of a frozen record raises
   ``FrozenInstanceError``, an ``AttributeError``;
-- a record subclass has its base's fields first; ``slots=True`` gives the
-  class ``__slots__`` instead of an instance dict, and a ``__reduce__``
-  through the constructor, so that pickle and copy work; ``init=False``
-  leaves construction to the class (``TVal`` interns through ``__new__``).
+- ``slots=True`` gives the class ``__slots__`` instead of an instance dict,
+  and a ``__reduce__`` through the constructor, so that pickle and copy
+  work; ``init=False`` leaves construction to the class (``TVal`` interns
+  through ``__new__``).
 """
 
 from __future__ import annotations
 
-from operator import attrgetter, ge, gt, le, lt
+from operator import attrgetter
 from types import FunctionType
 
 _set = object.__setattr__
@@ -52,28 +51,26 @@ class FrozenInstanceError(AttributeError):
 class RecordField:
     """One declared field of a record class."""
 
-    __slots__ = ("name", "default", "default_factory", "init", "repr", "compare", "hash")
+    __slots__ = ("name", "default", "default_factory", "init", "repr", "compare")
 
     def __init__(self, default=_MISSING, default_factory=_MISSING, init=True,
-                 repr=True, compare=True, hash=None):
+                 repr=True, compare=True):
         self.name = ""
         self.default = default
         self.default_factory = default_factory
         self.init = init
         self.repr = repr
         self.compare = compare
-        self.hash = hash  # None: as compare
 
     def has_default(self) -> bool:
         return self.default is not _MISSING or self.default_factory is not _MISSING
 
 
 def field(*, default=_MISSING, default_factory=_MISSING, init=True, repr=True,
-          compare=True, hash=None) -> RecordField:
+          compare=True) -> RecordField:
     """A field with a default, or one left out of construction (init),
-    printing (repr), equality (compare) or hashing (hash, by default as
-    compare)."""
-    return RecordField(default, default_factory, init, repr, compare, hash)
+    printing (repr), or equality and hashing (compare)."""
+    return RecordField(default, default_factory, init, repr, compare)
 
 
 def fields(obj) -> tuple[RecordField, ...]:
@@ -96,9 +93,9 @@ def replace(obj, /, **changes):
 # (the default factories and __post_init__), if there is one; _constructor
 # renames the parameters to the field names, so calls by keyword and
 # defaults work as usual.  The equality and hash templates read the
-# attributes f0, f1, ...: _over renames them to the fields compared or
-# hashed, so that each reads them as directly as a method written for the
-# class would.
+# attributes f0, f1, ...: _over renames them to the compared fields, so
+# that each reads them as directly as a method written for the class
+# would.
 
 def _each(form, n):
     """form filled in with 0, 1, ..., n - 1, joined."""
@@ -182,14 +179,6 @@ def _values(names):
     return lambda self: ()
 
 
-def _order(op, values):
-    def compare(self, other):
-        if other.__class__ is self.__class__:
-            return op(values(self), values(other))
-        return NotImplemented
-    return compare
-
-
 def _representation(names):
     def __repr__(self):
         return (self.__class__.__qualname__ + "("
@@ -211,44 +200,38 @@ def _frozen_delattr(self, name):
     raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-def record(cls=None, /, *, frozen=False, order=False, init=True, slots=False):
+def record(cls=None, /, *, frozen=False, init=True, slots=False):
     """Make cls a record class over its annotated fields (see the module
     docstring); usable bare or with arguments, as ``@record(frozen=True)``."""
     if cls is None:
-        return lambda cls: _make_record(cls, frozen, order, init, slots)
-    return _make_record(cls, frozen, order, init, slots)
+        return lambda cls: _make_record(cls, frozen, init, slots)
+    return _make_record(cls, frozen, init, slots)
 
 
-def _make_record(cls, frozen, order, init, slots):
+def _make_record(cls, frozen, init, slots):
     own = cls.__dict__
     annotated = own.get("__annotations__", {})
-    found = {f.name: f for f in getattr(cls, "__record_fields__", ())}
+    all_fields = []
     for name in annotated:
         spec = own.get(name, _MISSING)
         f = spec if isinstance(spec, RecordField) else RecordField(default=spec)
         f.name = name
-        found[name] = f
+        all_fields.append(f)
         if spec is f and f.default is _MISSING:
             delattr(cls, name)
         elif spec is f:
             setattr(cls, name, f.default)
-    all_fields = tuple(found.values())
+    all_fields = tuple(all_fields)
     compared = [f.name for f in all_fields if f.compare]
     methods = {"__record_fields__": all_fields, "__eq__": _over("eq", compared),
                "__repr__": _representation([f.name for f in all_fields if f.repr])}
     if init:
         methods["__init__"] = _constructor([f for f in all_fields if f.init],
                                            getattr(cls, "__post_init__", None))
-    if order:
-        values = _values(compared)
-        methods.update(__lt__=_order(lt, values), __le__=_order(le, values),
-                       __gt__=_order(gt, values), __ge__=_order(ge, values))
     if frozen:
         methods.update(__setattr__=_frozen_setattr, __delattr__=_frozen_delattr)
     if "__hash__" not in own:
-        hashed = [f.name for f in all_fields
-                  if (f.compare if f.hash is None else f.hash)]
-        methods["__hash__"] = _over("hash", hashed) if frozen else None
+        methods["__hash__"] = _over("hash", compared) if frozen else None
     for name in ("__init__", "__repr__", "__eq__"):
         if name in own:
             methods.pop(name, None)
@@ -261,6 +244,6 @@ def _make_record(cls, frozen, order, init, slots):
     if "__reduce__" not in own:
         methods["__reduce__"] = _reduction(_values([f.name for f in all_fields if f.init]))
     ns = {k: v for k, v in own.items()
-          if k not in found and k not in ("__dict__", "__weakref__")}
+          if k not in annotated and k not in ("__dict__", "__weakref__")}
     ns.update(methods, __slots__=tuple(annotated), __qualname__=cls.__qualname__)
     return type(cls)(cls.__name__, cls.__bases__, ns)

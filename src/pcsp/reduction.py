@@ -22,7 +22,7 @@ from .errors import BoundExceeded, SemanticsError, UsageError, building
 from .lts import Event, Lts, TAU, rename_lts, tau_closure
 from .record import field, record
 from .report import ConditionReport
-from .ssos import Cond, Vis, build_sslts, fmt_sym_label, nont_event_key
+from .ssos import Cond, Vis, build_sslts, nont_event_key
 from .std_semantics import DEFAULT_MAX_STATES, Engine, build_lts
 from .syntax import (
     Condition, Definitions, TVal, Value, classify_fields,
@@ -61,7 +61,7 @@ class TraceWitness:
 
     def render(self) -> str:
         from .pretty import fmt_construct
-        tr = ", ".join(fmt_sym_label(l) for l in self.trace_labels)
+        tr = ", ".join(map(str, self.trace_labels))
         evs = " / ".join(fmt_construct(e) for e in self.events)
         pos = ",".join(str(i) for i in sorted(self.positions))
         return f"after <{tr}>: events {evs} with output positions {{{pos}}}"

@@ -120,10 +120,18 @@ class Resolver:
                 self.note_var(scope, eq, e.name, expect)
             return scope.get(e.name)
         if cls is NatOp or cls is NatMin:
-            self.scalar_ty(e.left, scope, eq, _TY_NAT)
-            self.scalar_ty(e.right, scope, eq, _TY_NAT)
+            self.nat_operands(e, scope, eq)
             return _TY_NAT
         return None
+
+    def nat_operands(self, e, scope, eq):
+        """Type the two sides of an arithmetic operation or an ordering
+        comparison, each a natural."""
+        for side in (e.left, e.right):
+            if side.__class__ is Atom:
+                self.error(f"value {side.name!r} of type {side.type_name} where a natural "
+                           f"is expected in {eq!r}", eq)
+            self.scalar_ty(side, scope, eq, _TY_NAT)
 
     def infer_bool(self, b, scope, eq):
         if isinstance(b, (BoolAnd, BoolOr)):
@@ -133,8 +141,7 @@ class Resolver:
             self.infer_bool(b.arg, scope, eq)
         elif isinstance(b, Cmp):
             if b.op in ("<", "<=", ">", ">="):
-                self.scalar_ty(b.left, scope, eq, _TY_NAT)
-                self.scalar_ty(b.right, scope, eq, _TY_NAT)
+                self.nat_operands(b, scope, eq)
             else:
                 lt = self.scalar_ty(b.left, scope, eq)
                 rt = self.scalar_ty(b.right, scope, eq)

@@ -80,10 +80,6 @@ def _vis_struct_key(e: Construct):
     return tuple(parts)
 
 
-def fmt_sym_label(label) -> str:
-    return "τ" if label is TAU else str(label)
-
-
 # The symbolic rules, one per node class: each gives the (label,
 # construct_uid, target node) triples of a node of the state graph.
 
@@ -168,7 +164,7 @@ def state_graph(defs: Definitions, proc: Union[str, ProcessTerm]) -> tuple:
     precondition of the symbolic rules: the process is in the Seq fragment,
     on which alone they are defined, and its recursion is guarded."""
     term = defs.body(proc) if isinstance(proc, str) else proc
-    report = check_seq(term, defs)
+    report = check_seq(proc, defs)
     if not report.ok():
         raise SemanticsError(
             "process is not in the Seq fragment: "

@@ -77,15 +77,14 @@ from typing import Optional, Union
 from .errors import SemanticsError
 from .lts import Alphabet, Event, Lts, TAU, build, tau_closure, terms_bounded
 from .syntax import (
-    AlphaPar, Atom, Condition, Definitions, Equation, EventSet,
-    ExtChoice, Hide, Ident, If, IndexedInterleave, IntChoice, Interleave,
-    MixedGuard, Prefix, ProcessTerm, Rename, ReplAlphaPar, ReplExtChoice,
-    ReplIntChoice, ReplInterleave, SharedPar, Sliding, Stop, TType, TVal,
-    KEEPING, VarRef, binders, canonicalise, check_instantiated, classify_fields,
-    comms, construct_binding, domain_values, eval_bool, eval_condition,
-    eval_scalar, free_vars, map_subterms, permute_t, replace_selections,
-    selections, subst_event_set, substitute, subterms, t_values, unfold_walk,
-    with_subterms,
+    AlphaPar, Atom, Condition, Definitions, Equation, EventSet, ExtChoice, Hide,
+    Ident, If, IntChoice, Interleave, MixedGuard, Prefix, ProcessTerm, Rename,
+    ReplAlphaPar, ReplExtChoice, ReplIntChoice, ReplInterleave, SharedPar,
+    Sliding, Stop, TType, TVal, KEEPING, VarRef, binders, canonicalise,
+    check_instantiated, classify_fields, comms, construct_binding, domain_values,
+    eval_bool, eval_condition, eval_scalar, free_vars, map_subterms, permute_t,
+    replace_selections, selections, subst_event_set, substitute, subterms,
+    t_values, unfold_walk, with_subterms,
 )
 
 DEFAULT_MAX_STATES = 200_000
@@ -456,7 +455,8 @@ class StateGraph:
     interns one node, and term() rebuilds the left-associated chain they
     stand for: a choice node ([] chains, ``[] i:X @``), a plain
     interleaving node (||| chains, ``||| i:X @`` over part of t) and a
-    vector node (``||| i:t @``, the instances in index order); node()
+    vector node (``||| i:t @``, the instances in index order, under an
+    operator id of its own that no term has); node()
     splices a first operand of the same choice or plain interleaving.
     Successors are memoised per node, but for a choice node read as an
     operand of a choice (operand_moves): a right-nested chain of n choices
@@ -512,7 +512,10 @@ class StateGraph:
         self._sets: dict = {}     # event set -> its events
         self._data: dict = {}     # operator id -> its evaluated data
         self._partners: dict = {}  # node -> its visible moves by label
-        self._vector_op = self.op_id(IndexedInterleave(STOP, STOP))
+        # the operator id of a vector, which op_id never hands out: its
+        # blank is the plain interleaving its term chains
+        self._vector_op = len(self.blanks)
+        self.blanks.append(Interleave(STOP, STOP))
         self._chains = tuple(self.op_id(cls(STOP, STOP)) for cls in _CHAINS)
         self._choice_op, self._interleave_op = self._chains
         self.lo = symmetric_from         # representatives permute {lo..n-1}
@@ -931,7 +934,6 @@ _RULES = {
     ExtChoice: StateGraph._choice,
     Sliding: StateGraph._choice,
     Interleave: StateGraph._interleave,
-    IndexedInterleave: StateGraph._interleave,
     Hide: StateGraph._hide,
     Rename: StateGraph._rename,
     AlphaPar: StateGraph._parallel,

@@ -19,7 +19,7 @@ The operator table ``OPERATORS`` is the one owner of operator syntax:
 for each operator other than prefix, guard, if/then/else and call it gives
 the symbols and layout, the binding level and the level of each operand,
 and the parser and the printer both read it.  ``subterms``/``map_subterms``
-read the subterm table, the process-term fields of each of the 17 term
+read the subterm table, the process-term fields of each of the 16 term
 classes, which the operator table gives for its operators; walkers that
 only descend into subterms take them from there and keep explicit cases
 for the node kinds they act on.  ``KEEPING`` gives the operands each
@@ -57,7 +57,7 @@ BANG = "!"
 _TVALS: dict[int, "TVal"] = {}  # index -> its one TVal
 
 
-@record(frozen=True, order=True, init=False)
+@record(frozen=True, init=False)
 class TVal:
     """A value of the distinguished type: an index into T = {0..#T-1}.
 
@@ -83,7 +83,7 @@ class TVal:
         return str(self.index)
 
 
-@record(frozen=True, order=True)
+@record(frozen=True)
 class Atom:
     """A member of a declared finite non-t type; ordinal is its declaration rank."""
 
@@ -200,7 +200,7 @@ class Construct:
 
     channel: str
     fields: tuple[Field, ...] = ()
-    uid: int = field(default=-1, compare=False, hash=False)
+    uid: int = field(default=-1, compare=False)
 
 
 @record(frozen=True)
@@ -355,13 +355,13 @@ def eval_scalar(e: ScalarExpr):
         return e
     if isinstance(e, VarRef):
         raise SemanticsError(f"unbound variable {e.name!r} in guard or argument")
-    if isinstance(e, NatOp):
+    if isinstance(e, (NatOp, NatMin)):
         a, b = eval_scalar(e.left), eval_scalar(e.right)
         if not (isinstance(a, int) and isinstance(b, int)):
             raise SemanticsError("arithmetic on non-natural operands")
+        if e.__class__ is NatMin:
+            return min(a, b)
         return a + b if e.op == "+" else max(a - b, 0)
-    if isinstance(e, NatMin):
-        return min(eval_scalar(e.left), eval_scalar(e.right))
     raise SemanticsError(f"cannot evaluate {e!r}")
 
 
@@ -499,16 +499,6 @@ class Interleave:
     right: "ProcessTerm"
 
 
-@record(frozen=True)
-class IndexedInterleave(Interleave):
-    """``||| i:t @ P(i)`` expanded at a size n: a left-associated chain of
-    n-1 of these holds P(0)..P(n-1) in index order.  It prints,
-    substitutes and canonicalises as the interleaving it is.  The standard
-    semantics explores such an interleaving as one vector node whose
-    positions are the index values, and builds the chain only as the term
-    of that node."""
-
-
 # Replicated operators whose index set depends on t stay primitive and are
 # expanded when the instantiation is known; non-t index sets are desugared
 # to binary operators at parse time.
@@ -611,7 +601,6 @@ OPERATORS: dict[type, Operator] = {op.cls: op for op in (
     Operator(ReplExtChoice, "[] {var}:{domain} @ {body}", OPEN, {"body": OPEN}),
     Operator(ReplAlphaPar, "|| {var}:{domain} @ [{alpha}] {body}", OPEN, {"body": OPEN}),
 )}
-OPERATORS[IndexedInterleave] = OPERATORS[Interleave]
 
 # The subterm table: the process-term fields of each term class, in source
 # order; the operator table gives them for its operators.  Every other
@@ -633,7 +622,7 @@ _SUBTERM_FIELDS: dict[type, tuple[str, ...]] = {
 # other than internal choice stay around every move of their operands.
 KEEPING: dict[type, tuple[int, ...]] = {
     ExtChoice: (0, 1), Sliding: (0,),
-    **{cls: (0, 1) for cls in (Interleave, IndexedInterleave, SharedPar, AlphaPar)},
+    **{cls: (0, 1) for cls in (Interleave, SharedPar, AlphaPar)},
     **{cls: (0,) for cls in (Hide, Rename, ReplInterleave, ReplExtChoice, ReplAlphaPar)},
 }
 

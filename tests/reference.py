@@ -27,12 +27,12 @@ from pcsp.lts import Event, Lts, TAU, _edge_row, label_key, tau_closure, terms_b
 from pcsp.parser import _SYMBOLS
 from pcsp.pretty import fmt_condition, fmt_term
 from pcsp.report import ConditionReport, Finding
-from pcsp.ssos import Cond, Vis, fmt_sym_label, sym_label_key
+from pcsp.ssos import Cond, Vis, sym_label_key
 from pcsp.std_semantics import _rename_map, eval_event_set, eval_guard
 from pcsp.syntax import (
     AlphaPar, Atom, Condition, Definitions, DOLLAR, ExtChoice, Hide, Ident, If,
-    IndexedInterleave, IntChoice, Interleave, KEEPING, MixedGuard, Prefix, ProcessTerm,
-    QUERY, Rename, ReplAlphaPar, ReplExtChoice, ReplIntChoice, ReplInterleave, SharedPar,
+    IntChoice, Interleave, KEEPING, MixedGuard, Prefix, ProcessTerm, QUERY, Rename,
+    ReplAlphaPar, ReplExtChoice, ReplIntChoice, ReplInterleave, SharedPar,
     Sliding, Stop, TType, TVal, canonicalise, classify_fields, comms_nont,
     construct_binding, eval_scalar, free_vars, replace_selections, selections, substitute,
     subterms, t_values, unfold_walk, with_subterms,
@@ -248,7 +248,7 @@ def check_unique_nontau_targets(s: Lts) -> list[str]:
                 k = sym_label_key(lab)
                 if k in seen and seen[k] != tgt:
                     problems.append(
-                        f"state {st}: label {fmt_sym_label(lab)} reaches both "
+                        f"state {st}: label {lab} reaches both "
                         f"states {seen[k]} and {tgt}")
                 seen[k] = tgt
     return problems
@@ -270,7 +270,7 @@ def check_lonely_conditionals(s: Lts) -> list[str]:
         for lab in labels:
             if sym_label_key(lab) not in wanted:
                 problems.append(
-                    f"state {st}: label {fmt_sym_label(lab)} alongside "
+                    f"state {st}: label {lab} alongside "
                     f"conditional {fmt_condition(base)}")
     return problems
 
@@ -553,7 +553,6 @@ def _eager_shared_par(graph, key, blank: SharedPar) -> list:
 # blanked operator class -> rule(graph, node key, blank) -> successor triples
 EAGER_RULES = {
     Interleave: _eager_interleave,
-    IndexedInterleave: _eager_interleave,
     Hide: _eager_hide,
     Rename: _eager_rename,
     AlphaPar: _eager_alpha_par,

@@ -142,6 +142,12 @@ MALFORMED_EQUATIONS = [
     ("channel c : t\nP = c?x:t -> if x == y + 1 then STOP else STOP\n",
      ["2:1: comparison between t and nat in 'P'",
       "2:1: undefined variable 'y' in the definition of 'P'"]),
+    # min, + and < take naturals: a datatype value there is reported, not
+    # ordered or left to fail at build time
+    *[(f"datatype X = a | b\nchannel e\nP = if {guard} then e -> STOP else STOP\n",
+       ["3:1: value 'a' of type X where a natural is expected in 'P'",
+        "3:1: value 'b' of type X where a natural is expected in 'P'"])
+      for guard in ("min(a, b) == a", "a + b == a", "a < b")],
 ]
 
 
@@ -295,12 +301,19 @@ def test_self_recursion_behind_a_conditional_exits_2_at_once(tmp_path, capsys, c
 
 @pytest.mark.parametrize("command", [("sslts",), ("cose", "--tsize", "2"),
                                      ("congruence", "--tsize", "2")])
-def test_symbolic_semantics_reject_a_process_outside_seq(capsys, command):
+def test_symbolic_semantics_reject_a_process_outside_seq(tmp_path, capsys, command):
     # an output repeating an input of one construct: the translation
     # semantics found no instance of c2?x:t!x, and congruence reported the
     # two semantics as not bisimilar
     code, out, err = run(capsys, command[0], "ex33.pcsp", "--proc", "SeqVI",
                          *command[1:])
+    assert code == 2 and out == ""
+    assert err == ("error: process is not in the Seq fragment: input variable "
+                   "'x' of type t occurs 2 times in one construct\n")
+    # a recursive process is checked once, not again at its own call
+    src = tmp_path / "rec.pcsp"
+    src.write_text("channel c : t.t\nP = c?x:t!x -> P\n")
+    code, out, err = run(capsys, command[0], str(src), "--proc", "P", *command[1:])
     assert code == 2 and out == ""
     assert err == ("error: process is not in the Seq fragment: input variable "
                    "'x' of type t occurs 2 times in one construct\n")
@@ -485,6 +498,9 @@ def test_bad_sizes_message(capsys, argv, option):
       "--valid-from", "-3", "--model", "failures", "--sizes", "1..2"), "--valid-from", "-3"),
     (("verify", "mutex.pcsp", "--spec", "Spec", "--impl", "Impl", "--abst", "Abst",
       "--valid-from", "x", "--model", "failures", "--sizes", "1..2"), "--valid-from", "x"),
+    # a size below 1 is refused before the file is read
+    (("lts", "no-such-file.pcsp", "--proc", "P", "--tsize", "0"), "--tsize", "0"),
+    (("cose", "mutex.pcsp", "--proc", "Spec", "--tsize", "-1"), "--tsize", "-1"),
 ])
 def test_a_bound_not_a_positive_integer_is_a_usage_error(capsys, argv, option, value):
     code, out, err = run(capsys, *argv)
@@ -602,6 +618,20 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     assert "KeyError: 'missing table entry'" in err
     assert err.endswith("internal error: KeyError (a bug in pcsp; "
                         "the traceback is above)\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("lts", "mutex.pcsp", "--proc", "Spec", "--tsize", "2"),
+    ("verify", "mutex.pcsp", "--spec", "Spec", "--impl", "Impl", "--sizes", "1..2"),
+])
+def test_running_out_of_memory_is_an_error_not_a_bug(capsys, monkeypatch, argv):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(std_semantics.StateGraph, "intern_root", exhausted)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: out of memory\n"
 
 
 def _parsed(parser, argv, capsys):

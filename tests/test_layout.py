@@ -2,7 +2,8 @@
 ``src/pcsp`` is named somewhere in the package besides its own definition,
 and every imported name is used by the module that imports it.  Code that
 only tests reach belongs under ``tests/``.  Start-up loads no module that
-only code generation, DOT or JSON output needs."""
+only code generation, DOT or JSON output needs.  The term classes are the
+process terms of the language, and no more."""
 
 from __future__ import annotations
 
@@ -10,8 +11,11 @@ import ast
 import os
 import subprocess
 import sys
+import typing
 from collections import Counter
 from pathlib import Path
+
+from pcsp import syntax
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "pcsp"
 
@@ -93,3 +97,9 @@ def test_start_up_loads_no_code_generation_or_hashing():
     assert "pcsp.cli" in loaded
     unwanted = {"dataclasses", "inspect", "hashlib", "json"} & set(loaded)
     assert not unwanted, f"import pcsp.cli loads {sorted(unwanted)}"
+
+
+def test_the_subterm_table_holds_exactly_the_process_terms():
+    # a kind of state-graph node (a vector, say) is no term class: every
+    # class the subterm table walks is a member of ProcessTerm, and back
+    assert set(syntax._SUBTERM_FIELDS) == set(typing.get_args(syntax.ProcessTerm))

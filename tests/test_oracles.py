@@ -34,7 +34,7 @@ from pcsp.errors import BoundExceeded, PcspError, SemanticsError
 from pcsp.lts import TAU, Event, Lts, build, label_key, rename_lts, terms_bounded
 from pcsp.parser import parse_definitions
 from pcsp.pretty import fmt_term
-from pcsp.record import fields, replace
+from pcsp.record import fields, record, replace
 from pcsp.reduction import CollapsingFn
 from pcsp.ssos import Cond, build_sslts, state_graph, sym_label_key
 from pcsp.std_semantics import (
@@ -44,7 +44,7 @@ from pcsp.std_semantics import (
 from pcsp.syntax import (
     AlphaPar, Atom, BoolAnd, BoolNot, BoolOr, ChanPrefixItem, Cmp,
     Condition, Construct, DiffType, DOLLAR, Equation, EventLitItem, EventSet,
-    ExtChoice, Field, Hide, Ident, If, IndexedInterleave, IntChoice, Interleave,
+    ExtChoice, Field, Hide, Ident, If, IntChoice, Interleave,
     MixedGuard, NamedType, NatMin, NatOp, Prefix, QUERY, Rename, ReplAlphaPar, ReplExtChoice,
     ReplIntChoice, ReplInterleave, SetType, SharedPar, Sliding, Stop, T_TYPE,
     TType, TVal, VarRef, canonicalise, classify_fields, comms,
@@ -498,7 +498,7 @@ def _reference_concretize(defs, source, tsize, init_env=None,
                           max_states=100_000):
     root_term = defs.body(source) if isinstance(source, str) else source
     # the precondition both share, not the algorithm under test
-    state_graph(defs, root_term)
+    state_graph(defs, source)
     tvalues = tvalues_for(tsize)
     root, root_key = _reference_configure(root_term, dict(init_env or {}))
     return build(root, root_key,
@@ -622,10 +622,20 @@ def test_build_sslts_agrees_with_the_reference(term):
 
 # -- build_lts over (position, env) leaves against term-keyed leaves -------
 
+@record(frozen=True)
+class _Vector:
+    """The reference expansion of ``||| i:t @ P(i)`` at a size n: a
+    left-associated chain of n-1 of these holds P(0)..P(n-1) in index order,
+    which _ReferenceGraph.intern makes one vector node."""
+
+    left: object
+    right: object
+
+
 def _reference_expand(term, tvalues):
     """A term as it enters a state: replicated operators over t at its top,
     above every leaf, become binary trees, an interleaving over the whole of
-    t a chain of IndexedInterleave; a leaf (prefix, conditional, internal
+    t a chain of _Vector; a leaf (prefix, conditional, internal
     choice, identifier) stays as written, replicated operators inside it
     included."""
     if isinstance(term, (ExtChoice, Sliding, Interleave, SharedPar, AlphaPar,
@@ -652,7 +662,7 @@ def _reference_expand(term, tvalues):
     if isinstance(term, ReplExtChoice):
         combine = ExtChoice
     else:
-        combine = IndexedInterleave if isinstance(term.domain, TType) else Interleave
+        combine = _Vector if isinstance(term.domain, TType) else Interleave
     return functools.reduce(combine, parts)
 
 
@@ -745,7 +755,7 @@ class _ReferenceGraph(StateGraph):
         n = len(self.tvalues)
         if isinstance(term, (ReplAlphaPar, ReplInterleave, ReplExtChoice)):
             term = _reference_expand(term, self.tvalues)
-        if term.__class__ is IndexedInterleave:
+        if term.__class__ is _Vector:
             return self.node((self._vector_op,
                               *map(self.intern, _reference_instances(term, n))))
         if isinstance(term, (ExtChoice, Sliding, Interleave, SharedPar, AlphaPar,

@@ -13,7 +13,7 @@ from pcsp import std_semantics
 from pcsp.std_semantics import StateGraph, _rename_map, build_lts, eval_event_set
 from pcsp.ssos import build_sslts
 from pcsp.pretty import fmt_term
-from pcsp.syntax import Ident, IndexedInterleave, Stop, TVal
+from pcsp.syntax import Ident, Interleave, Stop, TVal
 from reference import has_trace, initials_after, traces_upto
 
 
@@ -509,7 +509,7 @@ def test_replicated_operator_inside_a_leaf_stays_as_written():
     assert fmt_term(lts.states[lts.root]) == "b -> (||| i:t @ Q(i))"
     assert lts.n_states() == 10
     vector = _target(lts, lts.root, Event("b"))
-    assert vector == IndexedInterleave(Ident("Q", (TVal(0),)), Ident("Q", (TVal(1),)))
+    assert vector == Interleave(Ident("Q", (TVal(0),)), Ident("Q", (TVal(1),)))
 
 
 def test_leaves_that_expand_alike_stay_apart():
@@ -529,10 +529,10 @@ def test_replicated_operator_below_a_conditional_or_an_internal_choice():
     assert fmt_term(guarded) == "true & (||| i:t @ Q(i))"
     # the conditional takes the successors of the vector it branches to
     (moved, *_) = [cond.states[t] for lab, t, _ in cond.edges[cond.states.index(guarded)]]
-    assert isinstance(moved, IndexedInterleave)
+    assert isinstance(moved, Interleave)
     choice = build_lts(_INSIDE_LEAVES, "I", 2, terms=True)
     assert fmt_term(choice.states[choice.root]) == "(||| i:t @ Q(i)) |~| STOP"
     assert [choice.states[t] for _, t, _ in choice.edges[choice.root]] == [
-        IndexedInterleave(Ident("Q", (TVal(0),)), Ident("Q", (TVal(1),))), Stop()]
+        Interleave(Ident("Q", (TVal(0),)), Ident("Q", (TVal(1),))), Stop()]
     for lts in (cond, choice):
         assert lts.n_states() == 11

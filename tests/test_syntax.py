@@ -8,10 +8,10 @@ from pcsp.lts import Event
 from pcsp.parser import parse_definitions
 from pcsp.record import FrozenInstanceError, replace
 from pcsp.syntax import (
-    Atom, BANG, Condition, Construct, DOLLAR, Field, NamedType, Prefix,
-    QUERY, Stop, T_TYPE, TVal, canonicalise, classify_fields,
-    comms, comms_nont, free_vars, permute_t, replace_selections, selections,
-    substitute, t_values,
+    Atom, BANG, Cmp, Condition, Construct, DOLLAR, Field, NamedType, NatLit, NatMin,
+    NatOp, Prefix, QUERY, Stop, T_TYPE, TVal, canonicalise, classify_fields,
+    comms, comms_nont, eval_bool, eval_scalar, free_vars, permute_t,
+    replace_selections, selections, substitute, t_values,
 )
 
 X_TYPE = NamedType("X", (Atom("X", "u", 0), Atom("X", "v", 1)))
@@ -36,13 +36,25 @@ def test_tval_is_one_instance_per_index():
     assert copy.copy(v) is v and copy.deepcopy(v) is v
     assert pickle.loads(pickle.dumps(v)) is v
     assert replace(v, index=4) is TVal(4)
-    # it hashes by identity, in C, and compares, orders and prints as before
+    # it hashes by identity, in C, compares and prints as before, and has no
+    # order of its own (value_key orders values)
     assert TVal.__hash__ is object.__hash__ and hash(v) == object.__hash__(v)
     assert v == TVal(3) and v != TVal(4) and v != 3 and v != (3,)
-    assert TVal(2) < v <= TVal(3) and sorted([TVal(2), TVal(0)]) == [TVal(0), TVal(2)]
+    with pytest.raises(TypeError):
+        TVal(2) < v
     assert repr(v) == "TVal(index=3)" and str(v) == "3"
     with pytest.raises(FrozenInstanceError):
         v.index = 4
+
+
+def test_arithmetic_and_ordering_take_naturals_only():
+    u, v = X_TYPE.values
+    assert eval_scalar(NatMin(NatLit(3), NatOp("+", NatLit(1), NatLit(1)))) == 2
+    for e in (NatMin(u, v), NatOp("+", u, v), NatMin(NatLit(1), v)):
+        with pytest.raises(SemanticsError, match="arithmetic on non-natural operands"):
+            eval_scalar(e)
+    with pytest.raises(SemanticsError, match="ordering comparison on non-natural operands"):
+        eval_bool(Cmp("<", u, v))
 
 
 def test_classify_fields_worked_example():
