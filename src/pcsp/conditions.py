@@ -27,11 +27,11 @@ from .lts import tau_closure
 from .report import ConditionReport, Finding
 from .std_semantics import DEFAULT_MAX_STATES
 from .syntax import (
-    AlphaPar, BANG, Condition, Definitions, DOLLAR, ExtChoice, Hide, Ident, If,
-    IntChoice, Interleave, MixedGuard, Prefix, ProcessTerm, Rename, ReplAlphaPar,
-    ReplExtChoice, ReplIntChoice, ReplInterleave, SharedPar, Sliding, Stop, TType,
-    TVal, binder_type, binders, classify_fields, free_vars, map_subterms,
-    substitute, subterms, t_values, unfold_walk,
+    AlphaPar, BANG, Definitions, DOLLAR, ExtChoice, Hide, Ident, If, IntChoice,
+    Interleave, Prefix, ProcessTerm, Rename, ReplAlphaPar, ReplExtChoice,
+    ReplIntChoice, ReplInterleave, SharedPar, Sliding, Stop, TType, TVal,
+    binder_type, binders, classify_fields, free_vars, map_subterms, substitute,
+    subterms, t_values, unfold_walk,
 )
 
 __all__ = [
@@ -113,10 +113,11 @@ def check_all(proc: ProcRef, defs: Definitions) -> list[ConditionReport]:
         if kind:
             seq.append((i, Finding(*kind, where)))
         elif cls is If:
-            if isinstance(node.guard, MixedGuard):
+            on_t = bool(node.guard.t_atoms)
+            if on_t and node.guard.other:
                 seq.append((i, Finding(
                     "iv", "guard mixes variables of type t with other types", where)))
-            own.cond |= spine and isinstance(node.guard, (Condition, MixedGuard))
+            own.cond |= spine and on_t
         elif cls is Ident:
             own.calls.add(node.name)
             if spine:
@@ -235,8 +236,7 @@ def _choice_findings(nodes: list, shares: dict) -> tuple[list, list]:
         else:
             dollar = _merge([k[0] for k in kids])
             chans = _merge([k[2] for k in kids])
-            cond = (cls is If and isinstance(node.guard, (Condition, MixedGuard))
-                    or any(k[3] for k in kids))
+            cond = cls is If and bool(node.guard.t_atoms) or any(k[3] for k in kids)
         stack.append((dollar, free, chans, cond))
     return clause_v, [f for _, f in sorted(norm, key=itemgetter(0))]
 
@@ -284,7 +284,7 @@ def _scoped_conditionals(term: ProcessTerm, defs: Definitions, where: str
     stack = [(term, where, {})]
     while stack:
         node, where, scope = stack.pop()
-        if isinstance(node, If) and isinstance(node.guard, (Condition, MixedGuard)):
+        if node.__class__ is If and node.guard.t_atoms:
             yield node, scope, where
         elif isinstance(node, Ident) and node.name not in seen:
             eq = defs.equations.get(node.name)
@@ -335,7 +335,7 @@ def revposconjeqt_evidence(proc: ProcRef, defs: Definitions, model: str,
     checked = 0
     for node, scope, where in conditionals:
         guard = node.guard
-        if isinstance(guard, MixedGuard):
+        if guard.other:
             findings.append(Finding("syntactic", "guard mixes t with other types", where))
             continue
         if guard.negated:

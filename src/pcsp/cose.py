@@ -33,12 +33,11 @@ from .errors import SemanticsError
 from .lts import Event, Lts, TAU, build
 from .pretty import fmt_term
 from .record import record
-from .ssos import Cond, SymbolicGraph, state_graph
-from .std_semantics import DEFAULT_MAX_STATES, eval_guard, file_alphabet, tvalues_for
+from .ssos import SymbolicGraph, state_graph
+from .std_semantics import DEFAULT_MAX_STATES, file_alphabet, tvalues_for
 from .syntax import (
-    Condition, Construct, Definitions, DOLLAR, If, MixedGuard, Prefix,
-    ProcessTerm, QUERY, domain_values, eval_condition, free_vars, selections,
-    substitute,
+    Construct, Definitions, DOLLAR, Guard, If, Prefix, ProcessTerm, QUERY,
+    domain_values, eval_guard, free_vars, selections, substitute,
 )
 
 Environment = dict  # variable name -> TVal
@@ -154,7 +153,7 @@ class _Configurations:
         blank = graph.blanks[key[0]]
         if blank.__class__ is not If:
             kept = graph.kept(key)
-        elif isinstance(blank.guard, (Condition, MixedGuard)):
+        elif blank.guard.t_atoms:
             return i
         else:
             kept = (0,) if eval_guard(blank.guard) else (1,)
@@ -173,7 +172,7 @@ class _Configurations:
         if got is None:
             got = self.edges[i] = []
             for lab, uid, target in self.graph.successors(i):
-                if lab is TAU or isinstance(lab, Cond):
+                if lab is TAU or lab.__class__ is Guard:
                     got.append((lab, uid, target, ({},) if lab is TAU else None))
                     if lab is not TAU:
                         self.conditional.add(i)
@@ -221,11 +220,11 @@ class _Configurations:
             seen.add(cls)
             edges, renv, start = self.edges_of(j), self.restrict(j, env), 0
             for k, (lab, _, target, _) in enumerate(edges):
-                if lab.__class__ is Cond:
+                if lab.__class__ is Guard:
                     if start < k:
                         runs.append((j, renv, start, k))
                     start = k + 1
-                    if eval_condition(lab.condition, env):
+                    if eval_guard(lab, env):
                         expand(target)
             if start < len(edges):
                 runs.append((j, renv, start, len(edges)))

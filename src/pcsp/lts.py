@@ -110,8 +110,8 @@ class Lts:
     """A rooted, finite LTS with deduplicated states.
 
     It also carries the semi-symbolic LTS of a sequential process: its
-    labels are then symbolic (ssos.Vis, ssos.Cond or τ) and its alphabet is
-    empty.
+    labels are then symbolic (ssos.Vis, a syntax.Guard or τ) and its
+    alphabet is empty.
 
     states hold display payloads.
 

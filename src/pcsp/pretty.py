@@ -10,9 +10,9 @@ them.  Term printing labels states in DOT output and diagnostics.
 from __future__ import annotations
 
 from .syntax import (
-    Atom, BANG, BoolAnd, BoolLit, BoolNot, BoolOr, Cmp, Condition, Construct,
-    DOLLAR, EventSet, Field, GUARD, Ident, If, MixedGuard, NatLit, NatMin,
-    NatOp, OPEN, OPERATORS, PREFIX, Prefix, QUERY, Stop, TVal, VarRef,
+    Atom, BANG, BoolAnd, BoolLit, BoolNot, BoolOr, Cmp, Construct, DOLLAR,
+    EventSet, Field, GUARD, Ident, If, NatLit, NatMin, NatOp, OPEN, OPERATORS,
+    PREFIX, Prefix, QUERY, Stop, TVal, VarRef,
 )
 
 
@@ -59,25 +59,17 @@ def fmt_bool(b, prec: int = 0) -> str:
     raise TypeError(f"fmt_bool: {b!r}")
 
 
-def fmt_condition(c: Condition) -> str:
-    conj = " and ".join(f"{l}=={r}" for l, r in c.atoms)
-    if not c.negated:
-        return conj
-    if len(c.atoms) == 1:
-        l, r = c.atoms[0]
-        return f"{l}!={r}"
-    return f"not ({conj})"
-
-
 def fmt_guard(g) -> str:
-    if isinstance(g, Condition):
-        return fmt_condition(g)
-    if isinstance(g, MixedGuard):
-        parts = [f"{l}=={r}" for l, r in g.t_atoms]
-        parts += [fmt_bool(b, 1) for b in g.other]
-        conj = " and ".join(parts)
-        return f"not ({conj})" if g.negated else conj
-    return fmt_bool(g)
+    """A guard: a lone boolean over other data as it stands, else its parts
+    joined by 'and', a negated single t-atom as l!=r."""
+    if not g.t_atoms and len(g.other) == 1 and not g.negated:
+        return fmt_bool(g.other[0])
+    if g.negated and len(g.t_atoms) == 1 and not g.other:
+        l, r = g.t_atoms[0]
+        return f"{l}!={r}"
+    conj = " and ".join([f"{l}=={r}" for l, r in g.t_atoms]
+                        + [fmt_bool(b, 1) for b in g.other])
+    return f"not ({conj})" if g.negated else conj
 
 
 def _fmt_item(x) -> str:

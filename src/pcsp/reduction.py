@@ -22,11 +22,9 @@ from .errors import BoundExceeded, SemanticsError, UsageError, building
 from .lts import Event, Lts, TAU, rename_lts, tau_closure
 from .record import field, record
 from .report import ConditionReport
-from .ssos import Cond, Vis, build_sslts, nont_event_key
+from .ssos import Vis, build_sslts, nont_event_key
 from .std_semantics import DEFAULT_MAX_STATES, Engine, build_lts
-from .syntax import (
-    Condition, Definitions, TVal, Value, classify_fields,
-)
+from .syntax import Definitions, Guard, TVal, Value, classify_fields
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +87,7 @@ class ThresholdReport:
 
 
 def _tau_or_cond(lab) -> bool:
-    return lab is TAU or isinstance(lab, Cond)
+    return lab is TAU or lab.__class__ is Guard
 
 
 MAX_MACRO_STATES = 100_000  # explored by the traces threshold's subset construction
@@ -195,8 +193,8 @@ def _frontiers(s: Lts, start: int) -> set:
     while stack:
         state, conds = stack.pop()
         for lab, tgt, _ in s.edges[state]:
-            if lab is TAU or isinstance(lab, Cond):
-                nxt = (tgt, conds if lab is TAU else conds | {lab.condition})
+            if lab is TAU or lab.__class__ is Guard:
+                nxt = (tgt, conds if lab is TAU else conds | {lab})
                 if nxt not in seen:
                     seen.add(nxt)
                     stack.append(nxt)
@@ -205,9 +203,8 @@ def _frontiers(s: Lts, start: int) -> set:
     return found
 
 
-def _cond_value(cond: Condition, atom_truth: dict) -> bool:
-    v = all(atom_truth[_atom_key(a)] for a in cond.atoms)
-    return (not v) if cond.negated else v
+def _cond_value(cond: Guard, atom_truth: dict) -> bool:
+    return all(atom_truth[_atom_key(a)] for a in cond.t_atoms) != cond.negated
 
 
 def thresh_failures(s: Lts, t_best: int) -> tuple[int, Optional[str], list[str]]:
@@ -227,7 +224,7 @@ def thresh_failures(s: Lts, t_best: int) -> tuple[int, Optional[str], list[str]]
     for st in sorted(candidates):
         frontier = _frontiers(s, st)
         atoms = sorted({_atom_key(a) for conds, _ in frontier
-                        for c in conds for a in c.atoms})
+                        for c in conds for a in c.t_atoms})
         if len(atoms) > 20:
             raise BoundExceeded("condition-valuation", 2 ** 20,
                                 f"{len(atoms)} distinct equality atoms")

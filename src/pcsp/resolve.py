@@ -10,24 +10,25 @@ parameter types, or a callee's, changed since, and those whose last visit
 met a call or a comparison that the next phase reads differently.  Any
 other equation would repeat its last visit, findings and all, so each
 parameter typed costs a visit of its equation and its callers, not a sweep
-over the file.  Then one walk per body classifies guards into t-conditions
-and ordinary boolean expressions and turns the numbers passed to
-t-parameters into t-values; the variables that no binder or parameter
-holds, reported as undefined, are the free names of the body as parsed
-(an ill-typed comparison is dropped from the rewritten one), found by
-``syntax.free_vars``, the one owner of binder scope.
+over the file.  Then one walk per body classifies each guard into a
+syntax.Guard, its t-atoms apart from its other parts, and turns the
+numbers passed to t-parameters into t-values; the variables that no
+binder or parameter holds, reported as undefined, are the free names of
+the body as parsed (an ill-typed comparison is dropped from the rewritten
+one), found by ``syntax.free_vars``, the one owner of binder scope.
 """
 
 from __future__ import annotations
 
 from bisect import insort
+from functools import reduce
 from operator import neg
 
 from .errors import Diagnostic, ParseError
 from .syntax import (
-    Atom, BANG, BoolAnd, BoolLit, BoolNot, BoolOr, Cmp, Condition, Definitions,
-    Equation, Ident, If, MixedGuard, NatLit, NatMin, NatOp, Prefix, REPLICATED,
-    TVal, VarRef, binder_type, binders, free_vars, subterms, with_subterms,
+    Atom, BANG, BoolAnd, BoolNot, BoolOr, Cmp, Definitions, Equation, Guard,
+    Ident, If, NatLit, NatMin, NatOp, Prefix, REPLICATED, TVal, VarRef,
+    binder_type, binders, free_vars, subterms, with_subterms,
 )
 
 _TY_T = "t"
@@ -198,7 +199,7 @@ class Resolver:
                     self.error(f"parameter {callee.params[i]!r} of {term.name!r} "
                                f"used both as {pty} and as {aty}", eq)
             return
-        if cls is If and not isinstance(term.guard, (Condition, MixedGuard)):
+        if cls is If:
             self.infer_bool(term.guard, scope, eq)
         inner = self.scope_below(term, scope, eq)
         for sub in subterms(term):
@@ -269,10 +270,12 @@ class Resolver:
     # -- guard classification ------------------------------------------------
 
     def classify_guard(self, b, scope, eq):
-        """Turn a raw boolean expression into a Condition, a non-t boolean, or
-        a MixedGuard, based on the inferred side types."""
-        if isinstance(b, (Condition, MixedGuard)):
-            return b
+        """Turn a raw boolean expression into a Guard by the inferred side
+        types: its leading nots make it negated, and each conjunct ==/!=
+        between t-values is a t-atom, x!=y the negation of x==y; the other
+        conjuncts are kept, and a guard with no t-atom keeps its boolean
+        whole, the negation inside.  A comparison whose sides have known,
+        different types is reported and dropped."""
         negated = False
         while isinstance(b, BoolNot):
             negated = not negated
@@ -293,39 +296,30 @@ class Resolver:
             if isinstance(c, Cmp) and c.op in ("==", "!="):
                 lt = self._side_ty(c.left, scope)
                 rt = self._side_ty(c.right, scope)
-                if lt == _TY_T or rt == _TY_T:
-                    if lt is not None and rt is not None and lt != rt:
-                        self.error(f"comparison between {lt} and {rt} in {eq!r}", eq)
-                        return BoolLit(False)
+                if lt is not None and rt is not None and lt != rt:
+                    self.error(f"comparison between {lt} and {rt} in {eq!r}", eq)
+                    continue
+                if _TY_T in (lt, rt):
+                    # both sides are t-variables or t-values
                     l = c.left.name if isinstance(c.left, VarRef) else c.left
                     r = c.right.name if isinstance(c.right, VarRef) else c.right
-                    if not isinstance(l, (str, TVal)) or not isinstance(r, (str, TVal)):
-                        self.error(f"ill-typed t-equality in {eq!r}", eq)
-                        return BoolLit(False)
                     if l == r:
                         self.error(f"trivial condition {l}=={r} in {eq!r}", eq)
-                    if c.op == "!=":
-                        any_neq = True
-                        t_atoms.append(("!=", (l, r)))
-                    else:
-                        t_atoms.append(("==", (l, r)))
+                    any_neq |= c.op == "!="
+                    t_atoms.append((l, r))
                     continue
             other.append(c)
-        if t_atoms and not other:
-            if any_neq:
-                if len(t_atoms) > 1:
-                    self.error(f"t-guard in {eq!r} must be a conjunction of "
-                               "equalities or the negation of one", eq)
-                return Condition(not negated, tuple(a for _, a in t_atoms))
-            return Condition(negated, tuple(a for _, a in t_atoms))
-        if not t_atoms:
-            whole = None
-            for c in conj:
-                whole = c if whole is None else BoolAnd(whole, c)
-            return BoolNot(whole) if negated else whole
         if any_neq:
-            self.error(f"mixed guard with t-inequality in {eq!r} is not supported", eq)
-        return MixedGuard(negated, tuple(a for _, a in t_atoms), tuple(other))
+            if other:
+                self.error(f"mixed guard with t-inequality in {eq!r} is not supported", eq)
+            elif len(t_atoms) > 1:
+                self.error(f"t-guard in {eq!r} must be a conjunction of "
+                           "equalities or the negation of one", eq)
+            negated = not negated
+        elif other and not t_atoms:
+            whole = reduce(BoolAnd, other)
+            negated, other = False, [BoolNot(whole) if negated else whole]
+        return Guard(negated, tuple(t_atoms), tuple(other))
 
     def _side_ty(self, e, scope):
         if isinstance(e, VarRef):
@@ -347,9 +341,7 @@ class Resolver:
                          and types[i] == _TY_T else a for i, a in enumerate(term.args))
             return term if args == term.args else Ident(term.name, args)
         if term.__class__ is If:
-            guard = self.classify_guard(term.guard, scope, eq)
-            if guard is not term.guard:
-                term = If(guard, term.then, term.els)
+            term = If(self.classify_guard(term.guard, scope, eq), term.then, term.els)
         inner = self.scope_below(term, scope)
         subs = subterms(term)
         new = [self.rewrite(sub, inner, eq) for sub in subs]

@@ -2,11 +2,12 @@
 
 Builds the SSLTS of a sequential process with the distinguished type t left
 uninstantiated.  Labels are τ, visible symbolic events (constructs whose
-non-t inputs have been resolved to concrete outputs), or conditional events
-(a t-condition or its negation).  External and sliding choice alike promote
-τ and conditional labels through the operands they keep; non-t conditionals
-are evaluated during construction.  The non-t projection of a visible
-symbolic event is the key by which the traces threshold groups events.
+non-t inputs have been resolved to concrete outputs), or conditional events:
+a guard on t or its negation, the syntax.Guard record itself.  External and
+sliding choice alike promote τ and conditional labels through the operands
+they keep; non-t conditionals are evaluated during construction.  The
+non-t projection of a visible symbolic event is the key by which the
+traces threshold groups events.
 
 The symbolic states of one build are the nodes of a state graph of the
 standard semantics (std_semantics.StateGraph) numbered by an Engine with no
@@ -14,10 +15,11 @@ t-values: a leaf is (position, env), keyed as the standard semantics keys
 its leaves, with a symbolic t-variable standing in env as its own name, and
 [], [> and if are operator nodes (SymbolicGraph), a left-nested [] chain
 one n-ary choice node.  The rules stay the symbolic ones, one per node
-class (_RULES), kept as the standard graph keeps its lists: per node, but
-for a choice node read by a choice (StateGraph.operand_moves).  build_sslts
-keys states by state class; the translation semantics (cose) instantiates
-the nodes of its own graph.
+class (_RULES and _if), kept as the standard graph keeps its lists: per
+node, but for a choice node read by a choice (StateGraph.operand_moves).
+A choice moves by the standard rule, which keeps it around a conditional
+move as around a τ.  build_sslts keys states by state class; the
+translation semantics (cose) instantiates the nodes of its own graph.
 """
 
 from __future__ import annotations
@@ -27,15 +29,13 @@ from typing import Union
 from .conditions import check_seq
 from .errors import SemanticsError
 from .lts import TAU, Lts, build
-from .pretty import fmt_condition, fmt_construct, fmt_term
+from .pretty import fmt_construct, fmt_guard, fmt_term
 from .record import record
-from .std_semantics import (
-    DEFAULT_MAX_STATES, Engine, StateGraph, check_guarded_recursion, eval_guard,
-)
+from .std_semantics import DEFAULT_MAX_STATES, Engine, StateGraph, check_guarded_recursion
 from .syntax import (
-    BANG, Condition, Construct, Definitions, ExtChoice, Ident, If, IntChoice,
-    MixedGuard, Prefix, ProcessTerm, Sliding, Stop, classify_fields, comms_nont,
-    construct_binding, selections, value_key,
+    BANG, Construct, Definitions, ExtChoice, Guard, Ident, If, IntChoice, Prefix,
+    ProcessTerm, Sliding, Stop, classify_fields, comms_nont, construct_binding,
+    eval_guard, selections, value_key,
 )
 
 
@@ -49,21 +49,11 @@ class Vis:
         return fmt_construct(self.event)
 
 
-@record(frozen=True)
-class Cond:
-    """A conditional symbolic event label: a t-condition or its negation."""
-
-    condition: Condition
-
-    def __str__(self) -> str:
-        return fmt_condition(self.condition)
-
-
 def sym_label_key(label):
     if label is TAU:
         return (0, "")
-    if isinstance(label, Cond):
-        return (1, fmt_condition(label.condition))
+    if label.__class__ is Guard:
+        return (1, fmt_guard(label))
     return (2, label.event.channel, _vis_struct_key(label.event))
 
 
@@ -113,33 +103,17 @@ def _prefix(graph: SymbolicGraph, i: int, term) -> list:
             for eps in comms_nont(alpha)]
 
 
-def _choice(graph: SymbolicGraph, i: int, term) -> list:
-    """τ and conditional moves of the operands a choice keeps keep it
-    around their targets, visible moves resolve it; [> also slides."""
-    key = graph.kids[i]
-    out = [(TAU, None, key[2])] if term.__class__ is Sliding else []
-    for j in graph.kept(key):
-        for lab, uid, t in graph.operand_moves(key[j + 1]):
-            if lab is TAU or lab.__class__ is Cond:
-                t = graph.node(key[:j + 1] + (t,) + key[j + 2:])
-            out.append((lab, uid, t))
-    return out
-
-
-def _if(graph: SymbolicGraph, i: int, term: If) -> list:
-    """A t-condition moves by it, or by its negation, to the branch it
-    selects; any other guard is evaluated, and the branch it takes moves."""
-    g, key = term.guard, graph.kids[i]
-    if isinstance(g, Condition):
-        return [(Cond(g), None, key[1]), (Cond(g.negate()), None, key[2])]
-    if isinstance(g, MixedGuard):
-        raise SemanticsError(
-            "mixed t/non-t guard reached the symbolic semantics (Seq violation)")
+def _if(graph: SymbolicGraph, key: tuple, term: If) -> list:
+    """A guard on t moves by itself, or by its negation, to the branch it
+    selects (Seq has no mixed guard); any other guard is evaluated, and the
+    branch it takes moves."""
+    g = term.guard
+    if g.t_atoms:
+        return [(g, None, key[1]), (g.negate(), None, key[2])]
     return graph.successors(key[1] if eval_guard(g) else key[2])
 
 
-_RULES = {Stop: _leaf, IntChoice: _leaf, Ident: _leaf, Prefix: _prefix,
-          ExtChoice: _choice, Sliding: _choice, If: _if}
+_RULES = {Stop: _leaf, IntChoice: _leaf, Ident: _leaf, Prefix: _prefix}
 
 
 class SymbolicGraph(StateGraph):
@@ -153,9 +127,11 @@ class SymbolicGraph(StateGraph):
         """The successors of node i by the symbolic rule of its class (in Seq,
         which state_graph checked, each has one)."""
         key = self.kids[i]
-        term = (self.engine.positions[self.leaves[i][0]].term if key is None
-                else self.blanks[key[0]])
-        return _RULES[term.__class__](self, i, term)
+        if key is None:
+            term = self.engine.positions[self.leaves[i][0]].term
+            return _RULES[term.__class__](self, i, term)
+        blank = self.blanks[key[0]]
+        return _if(self, key, blank) if blank.__class__ is If else self._choice(key, blank)
 
 
 def state_graph(defs: Definitions, proc: Union[str, ProcessTerm]) -> tuple:

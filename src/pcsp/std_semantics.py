@@ -77,14 +77,14 @@ from typing import Optional, Union
 from .errors import SemanticsError
 from .lts import Alphabet, Event, Lts, TAU, build, tau_closure, terms_bounded
 from .syntax import (
-    AlphaPar, Atom, Condition, Definitions, Equation, EventSet, ExtChoice, Hide,
-    Ident, If, IntChoice, Interleave, MixedGuard, Prefix, ProcessTerm, Rename,
-    ReplAlphaPar, ReplExtChoice, ReplIntChoice, ReplInterleave, SharedPar,
-    Sliding, Stop, TType, TVal, KEEPING, VarRef, binders, canonicalise,
-    check_instantiated, classify_fields, comms, construct_binding, domain_values,
-    eval_bool, eval_condition, eval_scalar, free_vars, map_subterms, permute_t,
-    replace_selections, selections, subst_event_set, substitute, subterms,
-    t_values, unfold_walk, with_subterms,
+    AlphaPar, Atom, Definitions, Equation, EventSet, ExtChoice, Guard, Hide,
+    Ident, If, IntChoice, Interleave, Prefix, ProcessTerm, Rename, ReplAlphaPar,
+    ReplExtChoice, ReplIntChoice, ReplInterleave, SharedPar, Sliding, Stop,
+    TType, TVal, KEEPING, VarRef, binders, canonicalise, check_instantiated,
+    classify_fields, comms, construct_binding, domain_values, eval_guard,
+    eval_scalar, free_vars, map_subterms, permute_t, replace_selections,
+    selections, subst_event_set, substitute, subterms, t_values, unfold_walk,
+    with_subterms,
 )
 
 DEFAULT_MAX_STATES = 200_000
@@ -154,18 +154,6 @@ def _closed_datums(item, where: str, tvalues) -> tuple:
             raise SemanticsError(f"unbound variable {d!r} in {where}")
         check_instantiated(d, tvalues)
     return tuple(item.datums)
-
-
-def eval_guard(guard) -> bool:
-    if isinstance(guard, Condition):
-        return eval_condition(guard, {})
-    if isinstance(guard, MixedGuard):
-        if any(isinstance(l, str) or isinstance(r, str) for l, r in guard.t_atoms):
-            raise SemanticsError("guard with unbound t-variables reached evaluation")
-        base = all(l == r for l, r in guard.t_atoms)
-        base = base and all(eval_bool(b) for b in guard.other)
-        return (not base) if guard.negated else base
-    return eval_bool(guard)
 
 
 class _Bound(str):
@@ -875,11 +863,13 @@ class StateGraph:
 
     def _choice(self, key, blank):
         # τs of the operands the choice keeps keep it around their targets,
-        # visible moves resolve it; [> also slides
+        # and so do the conditional moves of the symbolic semantics; visible
+        # moves resolve it; [> also slides
         out = [(TAU, None, key[2])] if blank.__class__ is Sliding else []
         for i in self.kept(key):
             out += [(lab, uid, self.node(key[:i + 1] + (t,) + key[i + 2:])
-                     if lab is TAU else t) for lab, uid, t in self.operand_moves(key[i + 1])]
+                     if lab is TAU or lab.__class__ is Guard else t)
+                    for lab, uid, t in self.operand_moves(key[i + 1])]
         return out
 
     def _hide(self, key, blank: Hide):

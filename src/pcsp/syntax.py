@@ -257,22 +257,15 @@ def selections(alpha: Construct, scope: str, tvalues: tuple[TVal, ...]):
 
 # ---------------------------------------------------------------------------
 # Guards
+#
+# A guard is one record, Guard: a conjunction of equality atoms over t-values
+# and of boolean expressions over other data, or its negation.  Only
+# equalities are tested on t, which is all a data-independent process may
+# do with t-values.  A guard is on t iff it has t-atoms, and mixed iff it
+# also has other parts; a mixed guard is outside Seq.  The parser leaves a
+# guard as the boolean expression it reads, and resolution classifies it.
 
 TTerm = Union[str, TVal]  # a side of a t-equality atom
-
-
-@record(frozen=True)
-class Condition:
-    """A conjunction of equality atoms over t-typed terms, or its negation."""
-
-    negated: bool
-    atoms: tuple[tuple[TTerm, TTerm], ...]
-
-    def __post_init__(self):
-        assert self.atoms
-
-    def negate(self) -> "Condition":
-        return Condition(not self.negated, self.atoms)
 
 
 # Non-t boolean expressions: naturals with +, -, min, and non-t value equality.
@@ -336,16 +329,22 @@ BoolExpr = Union[Cmp, BoolNot, BoolAnd, BoolOr, BoolLit]
 
 
 @record(frozen=True)
-class MixedGuard:
-    """A conjunction mixing t-equality atoms and non-t atoms.  Not usable by
-    the symbolic semantics; flagged by the Seq checker."""
+class Guard:
+    """(all t_atoms equal and all other hold) != negated.  A guard with no
+    t-atom keeps its boolean whole, its negation inside, as its one other
+    part.  The conditional label of the symbolic semantics is the guard on
+    t itself."""
 
     negated: bool
     t_atoms: tuple[tuple[TTerm, TTerm], ...]
-    other: tuple[BoolExpr, ...]
+    other: tuple[BoolExpr, ...] = ()
 
+    def negate(self) -> "Guard":
+        return Guard(not self.negated, self.t_atoms, self.other)
 
-Guard = Union[Condition, BoolExpr, MixedGuard]
+    def __str__(self) -> str:
+        from .pretty import fmt_guard
+        return fmt_guard(self)
 
 
 def eval_scalar(e: ScalarExpr):
@@ -386,18 +385,17 @@ def eval_bool(b: BoolExpr) -> bool:
     raise SemanticsError(f"cannot evaluate {b!r}")
 
 
-def eval_condition(cond: Condition, env: dict) -> bool:
-    """Evaluate a t-condition, its variables taking their values in env."""
-    vals = []
-    for l, r in cond.atoms:
-        lv = env.get(l, l) if isinstance(l, str) else l
-        rv = env.get(r, r) if isinstance(r, str) else r
-        if isinstance(lv, str) or isinstance(rv, str):
-            raise SemanticsError(
-                f"condition variable {lv if isinstance(lv, str) else rv!r} "
-                "is not bound by the environment")
-        vals.append(lv == rv)
-    return all(vals) != cond.negated
+def eval_guard(g: Guard, env: Optional[dict] = None) -> bool:
+    """Whether a guard holds, its t-variables taking their values in env."""
+    holds = True
+    for l, r in g.t_atoms:
+        if env:
+            l, r = env.get(l, l), env.get(r, r)
+        if l.__class__ is str or r.__class__ is str:
+            raise SemanticsError(f"guard variable {l if l.__class__ is str else r!r} "
+                                 "is not bound by the environment")
+        holds = holds and l == r
+    return (holds and all(map(eval_bool, g.other))) != g.negated
 
 
 # ---------------------------------------------------------------------------
@@ -899,16 +897,12 @@ def _bool(b: BoolExpr, env) -> BoolExpr:
     return b
 
 
-def _guard(g: Guard, env) -> Guard:
-    if isinstance(g, Condition):
-        return Condition(g.negated, tuple(
-            (_tterm(l, env), _tterm(r, env)) for l, r in g.atoms))
-    if isinstance(g, MixedGuard):
-        return MixedGuard(
-            g.negated,
-            tuple((_tterm(l, env), _tterm(r, env)) for l, r in g.t_atoms),
-            tuple(_bool(b, env) for b in g.other))
-    return _bool(g, env)
+def _guard(g, env):
+    # a guard as parsed is a boolean expression, which resolution classifies
+    if g.__class__ is not Guard:
+        return _bool(g, env)
+    return Guard(g.negated, tuple((_tterm(l, env), _tterm(r, env)) for l, r in g.t_atoms),
+                 tuple(_bool(b, env) for b in g.other))
 
 
 def _type(ty, env):

@@ -14,28 +14,30 @@ tokenizer that tried every symbol with ``startswith`` at each position,
 before the parser's one compiled pattern.  frontiers_by_paths is the
 failures threshold's frontier walk before it expanded each (state,
 conditions met) pair once.  observation_holds evaluates the formula by
-which strong_bisim tells two states apart."""
+which strong_bisim tells two states apart.  parsed_guard_holds evaluates a
+guard as the parser reads it, before resolution classifies it."""
 
 from __future__ import annotations
 
 from operator import itemgetter
 from typing import Callable, Iterator
 
-from pcsp.cose import eval_condition, insts, match
+from pcsp.cose import insts, match
 from pcsp.errors import BoundExceeded, Diagnostic, ParseError, SemanticsError
 from pcsp.lts import Event, Lts, TAU, _edge_row, label_key, tau_closure, terms_bounded
 from pcsp.parser import _SYMBOLS
-from pcsp.pretty import fmt_condition, fmt_term
+from pcsp.pretty import fmt_term
 from pcsp.report import ConditionReport, Finding
-from pcsp.ssos import Cond, Vis, sym_label_key
-from pcsp.std_semantics import _rename_map, eval_event_set, eval_guard
+from pcsp.ssos import Vis, sym_label_key
+from pcsp.std_semantics import _rename_map, eval_event_set
 from pcsp.syntax import (
-    AlphaPar, Atom, Condition, Definitions, DOLLAR, ExtChoice, Hide, Ident, If,
-    IntChoice, Interleave, KEEPING, MixedGuard, Prefix, ProcessTerm, QUERY, Rename,
+    AlphaPar, Atom, Definitions, DOLLAR, ExtChoice, Guard, Hide, Ident, If,
+    IntChoice, Interleave, KEEPING, Prefix, ProcessTerm, QUERY, Rename,
     ReplAlphaPar, ReplExtChoice, ReplIntChoice, ReplInterleave, SharedPar,
     Sliding, Stop, TType, TVal, canonicalise, classify_fields, comms_nont,
-    construct_binding, eval_scalar, free_vars, replace_selections, selections, substitute,
-    subterms, t_values, unfold_walk, with_subterms,
+    construct_binding, eval_bool, eval_guard, eval_scalar, free_vars,
+    replace_selections, selections, substitute, subterms, t_values, unfold_walk,
+    with_subterms,
 )
 
 
@@ -203,9 +205,8 @@ def generates(sigma, env: dict, trace, tvalues) -> bool:
     head, rest = sigma[0], sigma[1:]
     if head is TAU:
         return generates(rest, env, trace, tvalues)
-    if isinstance(head, Cond):
-        return (eval_condition(head.condition, env)
-                and generates(rest, env, trace, tvalues))
+    if isinstance(head, Guard):
+        return eval_guard(head, env) and generates(rest, env, trace, tvalues)
     eps = head.event if isinstance(head, Vis) else head
     if not trace or trace[0] not in insts(eps, env, tvalues):
         return False
@@ -222,8 +223,8 @@ def generated_traces(sigma, env: dict, tvalues) -> Iterator[tuple]:
     if head is TAU:
         yield from generated_traces(rest, env, tvalues)
         return
-    if isinstance(head, Cond):
-        if eval_condition(head.condition, env):
+    if isinstance(head, Guard):
+        if eval_guard(head, env):
             yield from generated_traces(rest, env, tvalues)
         return
     eps = head.event if isinstance(head, Vis) else head
@@ -262,16 +263,16 @@ def check_lonely_conditionals(s: Lts) -> list[str]:
     for st in range(s.n_states()):
         closure = tau_closure(s.edges, st)
         labels = [lab for q in closure for lab, _, _ in s.edges[q] if lab is not TAU]
-        conds = [lab for lab in labels if isinstance(lab, Cond)]
+        conds = [lab for lab in labels if isinstance(lab, Guard)]
         if not conds:
             continue
-        base = conds[0].condition
-        wanted = {sym_label_key(Cond(base)), sym_label_key(Cond(base.negate()))}
+        base = conds[0]
+        wanted = {sym_label_key(base), sym_label_key(base.negate())}
         for lab in labels:
             if sym_label_key(lab) not in wanted:
                 problems.append(
                     f"state {st}: label {lab} alongside "
-                    f"conditional {fmt_condition(base)}")
+                    f"conditional {base}")
     return problems
 
 
@@ -403,21 +404,18 @@ def _sym_choice(term, defs: Definitions) -> list:
     subs = subterms(term)
     for i in KEEPING[term.__class__]:
         for lab, uid, nxt in sym_successors(subs[i], defs):
-            if lab is TAU or lab.__class__ is Cond:
+            if lab is TAU or lab.__class__ is Guard:
                 nxt = with_subterms(term, subs[:i] + (nxt,) + subs[i + 1:])
             out.append((lab, uid, nxt))
     return out
 
 
 def _sym_if(term: If, defs: Definitions) -> list:
-    """A t-condition moves by it, or by its negation, to the branch it
+    """A guard on t moves by itself, or by its negation, to the branch it
     selects; any other guard is evaluated, and the branch it takes moves."""
     g = term.guard
-    if isinstance(g, Condition):
-        return [(Cond(g), None, term.then), (Cond(g.negate()), None, term.els)]
-    if isinstance(g, MixedGuard):
-        raise SemanticsError(
-            "mixed t/non-t guard reached the symbolic semantics (Seq violation)")
+    if g.t_atoms:
+        return [(g, None, term.then), (g.negate(), None, term.els)]
     return sym_successors(term.then if eval_guard(g) else term.els, defs)
 
 
@@ -452,7 +450,7 @@ def replace_t_initials(term: ProcessTerm, uid: int) -> ProcessTerm:
         return (Prefix(replace_selections(term.construct, "t"), term.cont)
                 if term.construct.uid == uid else term)
     if cls is If:
-        if isinstance(term.guard, (Condition, MixedGuard)):
+        if term.guard.t_atoms:
             return term
         kept = (0,) if eval_guard(term.guard) else (1,)
     else:
@@ -463,6 +461,12 @@ def replace_t_initials(term: ProcessTerm, uid: int) -> ProcessTerm:
     for i in kept:
         subs[i] = replace_t_initials(subs[i], uid)
     return with_subterms(term, subs)
+
+
+def parsed_guard_holds(b, env: dict) -> bool:
+    """The truth of a guard as parsed, a boolean expression, before it is
+    classified: eval_bool of it with the values of env substituted."""
+    return eval_bool(substitute(If(b, Stop(), Stop()), env).guard)
 
 
 # ---------------------------------------------------------------------------
@@ -672,7 +676,7 @@ def check_seq(proc, defs: Definitions) -> ConditionReport:
         elif isinstance(node, (ReplIntChoice, ReplExtChoice)):
             kind = ("internal" if isinstance(node, ReplIntChoice) else "external")
             findings.append(Finding("iii", f"replicated {kind} choice", where))
-        elif isinstance(node, If) and isinstance(node.guard, MixedGuard):
+        elif isinstance(node, If) and node.guard.t_atoms and node.guard.other:
             findings.append(Finding(
                 "iv", "guard mixes variables of type t with other types", where))
         elif isinstance(node, (ExtChoice, Sliding)):
@@ -714,7 +718,7 @@ def check_seqnorm(proc, defs: Definitions) -> ConditionReport:
                         "channels", "choice arguments share channel(s) "
                         + ", ".join(sorted(shared)), where))
                 for side, sub in (("left", node.left), ("right", node.right)):
-                    if any(isinstance(n, If) and isinstance(n.guard, (Condition, MixedGuard))
+                    if any(isinstance(n, If) and n.guard.t_atoms
                            for n in initial_spine(sub, defs)):
                         findings.append(Finding(
                             "cond-before-prefix",
@@ -822,9 +826,9 @@ def frontiers_by_paths(s: Lts, start: int) -> list:
             if lab is TAU:
                 if tgt not in on_path:
                     dfs(tgt, conds, on_path | {tgt})
-            elif isinstance(lab, Cond):
+            elif isinstance(lab, Guard):
                 if tgt not in on_path:
-                    dfs(tgt, conds + (lab.condition,), on_path | {tgt})
+                    dfs(tgt, conds + (lab,), on_path | {tgt})
             else:
                 results.append((conds, lab.event))
 

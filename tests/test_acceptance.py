@@ -19,9 +19,9 @@ from pcsp.parser import parse_definitions
 from pcsp.reduction import (
     CollapsingFn, thresh_failures, thresh_traces, verify_pmcp,
 )
-from pcsp.ssos import Cond, Vis, build_sslts
+from pcsp.ssos import Vis, build_sslts
 from pcsp.std_semantics import build_lts, file_alphabet, tvalues_for
-from pcsp.syntax import TVal, substitute
+from pcsp.syntax import Guard, TVal, substitute
 from reference import (
     acceptances_after, check_environment_uniqueness, check_monotonicity,
     check_unique_matching_construct, fmt_definitions, has_failure, traces_upto,
@@ -60,7 +60,7 @@ def test_criterion_2_symbolic_structure():
     s = build_sslts(load("running.pcsp"), "P")
     root_taus = [l for l, _, _ in s.edges[s.root] if l is TAU]
     vis = sorted(str(l) for es in s.edges for l, _, _ in es if isinstance(l, Vis))
-    conds = sorted(str(l) for es in s.edges for l, _, _ in es if isinstance(l, Cond))
+    conds = sorted(str(l) for es in s.edges for l, _, _ in es if isinstance(l, Guard))
     ok = (len(s.edges[s.root]) == 2 and len(root_taus) == 2
           and vis == ["c!a$y:t?z:t", "c!b$y:t?z:t", "d.a", "d.b"]
           and conds == ["y!=z", "y!=z", "y==z", "y==z"])

@@ -143,11 +143,21 @@ MALFORMED_EQUATIONS = [
      ["2:1: comparison between t and nat in 'P'",
       "2:1: undefined variable 'y' in the definition of 'P'"]),
     # min, + and < take naturals: a datatype value there is reported, not
-    # ordered or left to fail at build time
+    # ordered or left to fail at build time, and so is a natural compared
+    # with a datatype value
     *[(f"datatype X = a | b\nchannel e\nP = if {guard} then e -> STOP else STOP\n",
        ["3:1: value 'a' of type X where a natural is expected in 'P'",
-        "3:1: value 'b' of type X where a natural is expected in 'P'"])
-      for guard in ("min(a, b) == a", "a + b == a", "a < b")],
+        "3:1: value 'b' of type X where a natural is expected in 'P'"] + extra)
+      for guard, extra in (("min(a, b) == a", ["3:1: comparison between nat and X in 'P'"]),
+                           ("a + b == a", ["3:1: comparison between nat and X in 'P'"]),
+                           ("a < b", []))],
+    # ==/!= between values of two different known types is reported, not
+    # left silently false
+    ("datatype X = a | b\nchannel e\nP = if a == 1 then e -> STOP else STOP\n",
+     ["3:1: comparison between X and nat in 'P'"]),
+    ("datatype X = a | b\ndatatype Y = c | d\nchannel e\n"
+     "P = if a == c then e -> STOP else STOP\n",
+     ["4:1: comparison between X and Y in 'P'"]),
 ]
 
 

@@ -11,10 +11,10 @@ from pcsp.cose import Configuration, concretize, insts, match
 from pcsp.errors import SemanticsError
 from pcsp.lts import Event, TAU
 from pcsp.parser import parse_definitions
-from pcsp.ssos import Cond, Vis, build_sslts
+from pcsp.ssos import Vis, build_sslts
 from pcsp.std_semantics import build_lts
 from pcsp.syntax import (
-    BANG, Condition, Construct, DOLLAR, Field, QUERY, Stop, T_TYPE, TVal,
+    BANG, Construct, DOLLAR, Field, Guard, QUERY, Stop, T_TYPE, TVal,
     substitute,
 )
 from reference import (
@@ -84,7 +84,7 @@ def test_generates_skips_tau_and_consumes_visible(running):
 
 
 def test_generates_conditional_requires_truth():
-    cond = Cond(Condition(False, (("y", "z"),)))
+    cond = Guard(False, (("y", "z"),))
     assert not generates((cond,), {"y": TVal(0), "z": TVal(1)}, (), TV2)
     assert generates((cond,), {"y": TVal(0), "z": TVal(0)}, (), TV2)
 

@@ -1,6 +1,7 @@
 """Layout guard for the shipped package: every function, method and class in
 ``src/pcsp`` is named somewhere in the package besides its own definition,
-and every imported name is used by the module that imports it.  Code that
+and every imported name is used by the module that imports it, in the
+package and in its tests.  Code that
 only tests reach belongs under ``tests/``.  Start-up loads no module that
 only code generation, DOT or JSON output needs.  The term classes are the
 process terms of the language, and no more."""
@@ -17,12 +18,13 @@ from pathlib import Path
 
 from pcsp import syntax
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "pcsp"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "pcsp"
 
 
-def _modules() -> dict[str, ast.Module]:
+def _modules(where: Path = PACKAGE) -> dict[str, ast.Module]:
     return {p.name: ast.parse(p.read_text(), str(p))
-            for p in sorted(PACKAGE.glob("*.py"))}
+            for p in sorted(where.glob("*.py"))}
 
 
 def _is_dunder(name: str) -> bool:
@@ -62,17 +64,18 @@ def test_every_definition_is_named_elsewhere_in_the_package():
 
 def test_every_import_is_used_by_its_module():
     unused = []
-    for mod, tree in _modules().items():
-        used = _used_names(tree)
-        for node in ast.walk(tree):
-            if not isinstance(node, (ast.Import, ast.ImportFrom)):
-                continue
-            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-                continue
-            for alias in node.names:
-                name = (alias.asname or alias.name).split(".")[0]
-                if not used[name]:
-                    unused.append(f"{mod}:{node.lineno} {name}")
+    for where in (PACKAGE, TESTS):
+        for mod, tree in _modules(where).items():
+            used = _used_names(tree)
+            for node in ast.walk(tree):
+                if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                    continue
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if not used[name]:
+                        unused.append(f"{where.name}/{mod}:{node.lineno} {name}")
     assert not unused, "imported but unused: " + ", ".join(unused)
 
 

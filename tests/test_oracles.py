@@ -29,27 +29,27 @@ from pcsp.analysis import (
 )
 from pcsp.cli import main
 from pcsp.conditions import check_seq
-from pcsp.cose import Configuration, concretize, eval_condition, insts, match
+from pcsp.cose import Configuration, concretize, insts, match
 from pcsp.errors import BoundExceeded, PcspError, SemanticsError
 from pcsp.lts import TAU, Event, Lts, build, label_key, rename_lts, terms_bounded
 from pcsp.parser import parse_definitions
 from pcsp.pretty import fmt_term
 from pcsp.record import fields, record, replace
 from pcsp.reduction import CollapsingFn
-from pcsp.ssos import Cond, build_sslts, state_graph, sym_label_key
+from pcsp.ssos import build_sslts, state_graph, sym_label_key
 from pcsp.std_semantics import (
     DEFAULT_MAX_STATES, Engine, StateGraph, build_lts, check_guarded_recursion,
-    eval_guard, file_alphabet, tvalues_for,
+    file_alphabet, tvalues_for,
 )
 from pcsp.syntax import (
     AlphaPar, Atom, BoolAnd, BoolNot, BoolOr, ChanPrefixItem, Cmp,
-    Condition, Construct, DiffType, DOLLAR, Equation, EventLitItem, EventSet,
-    ExtChoice, Field, Hide, Ident, If, IntChoice, Interleave,
-    MixedGuard, NamedType, NatMin, NatOp, Prefix, QUERY, Rename, ReplAlphaPar, ReplExtChoice,
+    Construct, DiffType, DOLLAR, Equation, EventLitItem, EventSet,
+    ExtChoice, Field, Guard, Hide, Ident, If, IntChoice, Interleave,
+    NamedType, NatMin, NatOp, Prefix, QUERY, Rename, ReplAlphaPar, ReplExtChoice,
     ReplIntChoice, ReplInterleave, SetType, SharedPar, Sliding, Stop, T_TYPE,
     TType, TVal, VarRef, canonicalise, classify_fields, comms,
-    construct_binding, domain_values, free_vars, map_subterms, replace_selections,
-    subst_event_set, substitute, subterms,
+    construct_binding, domain_values, eval_guard, free_vars, map_subterms,
+    replace_selections, subst_event_set, substitute, subterms,
 )
 from reference import (
     EAGER_RULES, acceptances_after, build_unshared, observation_holds, replace_t_initials,
@@ -306,9 +306,7 @@ def _reference_free_vars(term) -> frozenset[str]:
         return frozenset()
 
     def guard(g):
-        if isinstance(g, Condition):
-            return frozenset(s for a in g.atoms for s in a if isinstance(s, str))
-        if isinstance(g, MixedGuard):
+        if isinstance(g, Guard):
             out = frozenset(s for a in g.t_atoms for s in a if isinstance(s, str))
             for b in g.other:
                 out |= boolean(b)
@@ -466,8 +464,8 @@ def _reference_successors_of_config(cfg, defs, tvalues):
         for lab, uid, target in sym_successors(term, defs):
             if lab is TAU:
                 out.append((TAU, uid, *_reference_configure(target, env)))
-            elif isinstance(lab, Cond):
-                if eval_condition(lab.condition, env):
+            elif isinstance(lab, Guard):
+                if eval_guard(lab, env):
                     expand(target)
             else:
                 eps = lab.event

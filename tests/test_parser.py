@@ -1,22 +1,23 @@
 from __future__ import annotations
 
+import itertools
 import time
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import ALL_CORPUS_FILES, load
 from pcsp.errors import ParseError
 import pcsp
 from pcsp.parser import _SYMBOLS, parse_definitions, parse_file, tokenize
-from pcsp.pretty import fmt_term
+from pcsp.pretty import fmt_bool, fmt_term
 from pcsp.syntax import (
     AlphaPar, Atom, BANG, BoolAnd, BoolLit, BoolNot, BoolOr, ChanPrefixItem,
-    Cmp, Condition, DiffType, EventLitItem, EventSet, ExtChoice, Hide, Ident,
+    Cmp, DiffType, EventLitItem, EventSet, ExtChoice, Guard, Hide, Ident,
     If, IntChoice, Interleave, NatLit, NatMin, NatOp, Prefix, Rename,
     ReplAlphaPar, ReplExtChoice, ReplIntChoice, ReplInterleave, SharedPar,
-    Sliding, Stop, T_TYPE, TVal, VarRef, free_vars,
+    Sliding, Stop, T_TYPE, TVal, VarRef, eval_guard, free_vars, substitute,
 )
 import reference
 from reference import fmt_definitions
@@ -336,11 +337,18 @@ def full_terms(draw, scope=(), depth=4):
             return ReplAlphaPar("i", domain, draw(_event_sets(inner)), body)
         return cls("i", domain, body)
     pairs = [(a, b) for a in scope for b in scope if a != b]
-    guards = [st.builds(BoolLit, st.booleans()), _nat_bools()]
+    guards = [st.builds(lambda b: Guard(False, (), (b,)),
+                        st.one_of(st.builds(BoolLit, st.booleans()), _nat_bools()))]
     if pairs:
-        guards.append(st.builds(
-            lambda negated, atoms: Condition(negated, tuple(atoms)), st.booleans(),
-            st.lists(st.sampled_from(pairs), min_size=1, max_size=2)))
+        atoms = st.lists(st.sampled_from(pairs), min_size=1, max_size=2).map(tuple)
+        # t-equalities alone, and conjoined with booleans over n: a
+        # conjunct is not an 'and', which the resolver would flatten, and an
+        # 'or' prints in parentheses
+        conjuncts = st.one_of(_nat_bools().filter(lambda b: not isinstance(b, BoolAnd)),
+                              st.builds(BoolOr, _nat_bools(), _nat_bools()))
+        guards += [st.builds(Guard, st.booleans(), atoms),
+                   st.builds(Guard, st.booleans(), atoms,
+                             st.lists(conjuncts, min_size=1, max_size=2).map(tuple))]
     guard = draw(st.one_of(guards))
     return If(guard, draw(sub), Stop() if kind == "guard" else draw(sub))
 
@@ -354,16 +362,18 @@ _NAT_SCALARS = st.recursive(
     max_leaves=3)
 
 
+# Comparisons over naturals, none of n with itself, which would default n to t.
+_NAT_CMPS = st.builds(Cmp, st.sampled_from(("==", "!=", "<", "<=", ">", ">=")),
+                      _NAT_SCALARS, _NAT_SCALARS).filter(
+    lambda c: not c.left == c.right == VarRef("n"))
+
+
 def _nat_bools():
     """Boolean guards over naturals, in the form that the resolver keeps:
     no 'not' directly inside a 'not' and no 'and' as the right operand of
-    an 'and', which it would flatten, and no comparison of n with itself,
-    which would default n to t."""
-    cmp = st.builds(Cmp, st.sampled_from(("==", "!=", "<", "<=", ">", ">=")),
-                    _NAT_SCALARS, _NAT_SCALARS).filter(
-        lambda c: not c.left == c.right == VarRef("n"))
+    an 'and', which it would flatten."""
     return st.recursive(
-        st.one_of(cmp, st.builds(BoolLit, st.booleans())),
+        st.one_of(_NAT_CMPS, st.builds(BoolLit, st.booleans())),
         lambda b: st.one_of(
             st.builds(BoolNot, b.filter(lambda x: not isinstance(x, BoolNot))),
             st.builds(BoolAnd, b, b.filter(lambda x: not isinstance(x, BoolAnd))),
@@ -381,6 +391,37 @@ def test_random_terms_roundtrip(data):
     src = _ROUNDTRIP_PRELUDE + f"TestP(n) = {fmt_term(term)}\n"
     defs = parse_definitions(src, "rt")
     assert defs.equations["TestP"].body == term
+
+
+# Guards as parsed over the t-variables x, y, z and the natural n: ==/!=
+# between two different t-variables, comparisons over naturals, not and and.
+_RAW_GUARDS = st.recursive(
+    st.one_of(st.builds(lambda op, xy: Cmp(op, VarRef(xy[0]), VarRef(xy[1])),
+                        st.sampled_from(("==", "!=")), st.permutations("xyz")),
+              _NAT_CMPS),
+    lambda b: st.one_of(st.builds(BoolNot, b), st.builds(BoolAnd, b, b)),
+    max_leaves=4)
+
+
+@given(_RAW_GUARDS)
+@settings(max_examples=150, deadline=None)
+def test_classifying_a_guard_keeps_its_truth(raw):
+    # the resolved Guard holds exactly where the boolean as parsed does,
+    # under every valuation of x, y, z in {0, 1, 2} (those at #T <= 3) and
+    # of n in 0..3; a t-inequality conjoined with anything is rejected
+    src = (f"channel c : t\nTestP(n) = c?x:t -> c?y:t -> c?z:t -> "
+           f"if {fmt_bool(raw)} then STOP else STOP\n")
+    try:
+        defs = parse_definitions(src, "guard")
+    except ParseError as exc:
+        assert {d.message.split(" in ")[0] for d in exc.diagnostics} <= {
+            "t-guard", "mixed guard with t-inequality"}
+        assume(False)
+    guard = defs.equations["TestP"].body.cont.cont.cont.guard
+    for x, y, z, n in itertools.product(range(3), range(3), range(3), range(4)):
+        env = {"x": TVal(x), "y": TVal(y), "z": TVal(z), "n": n}
+        got = eval_guard(substitute(If(guard, Stop(), Stop()), env).guard)
+        assert got == reference.parsed_guard_holds(raw, env), env
 
 
 @given(st.data())

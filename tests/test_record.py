@@ -56,7 +56,7 @@ STAND_INS = {
     "TVal": {"index": (1, 2)},
     "Field": {"sel": (BANG, BANG), "payload": (TVal(0), TVal(1)),
               "ty": (None, None), "bang_is_t": (True, False)},
-    "Condition": {"atoms": ((("x", "y"),), (("x", "z"),))},
+    "Guard": {"t_atoms": ((("x", "y"),), (("x", "z"),))},
 }
 
 
@@ -91,8 +91,8 @@ def _check_record(x):
             delattr(x, f.name)
 
 
-def test_the_package_has_fifty_eight_record_classes():
-    assert len(RECORDS) == 58
+def test_the_package_has_fifty_six_record_classes():
+    assert len(RECORDS) == 56
     assert MUTABLE <= RECORDS.keys() | WIDE.keys()
     # no record class derives from another
     assert not [cls for cls in RECORDS.values()
@@ -179,8 +179,6 @@ def test_what_single_classes_keep():
     # __post_init__ checks run, default factories give fresh values
     with pytest.raises(AssertionError):
         syntax.Field(QUERY, "x", None)
-    with pytest.raises(AssertionError):
-        syntax.Condition(False, ())
     assert syntax.Field(QUERY, "x", T_TYPE).bang_is_t is False
     d1, d2 = syntax.Definitions(), syntax.Definitions()
     assert d1 == d2 and d1.equations is not d2.equations and d1.filename == "<input>"

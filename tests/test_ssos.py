@@ -7,9 +7,9 @@ from pcsp.errors import SemanticsError
 from pcsp.lts import TAU
 from pcsp.parser import parse_definitions
 from pcsp.pretty import fmt_construct
-from pcsp.ssos import Cond, Vis, build_sslts, nont_event_key
+from pcsp.ssos import Vis, build_sslts, nont_event_key
 from pcsp.syntax import (
-    Atom, BANG, Construct, DOLLAR, Field, QUERY, Stop, T_TYPE,
+    Atom, BANG, Construct, DOLLAR, Field, Guard, QUERY, Stop, T_TYPE,
 )
 from reference import (
     check_lonely_conditionals, check_unique_nontau_targets,
@@ -45,7 +45,7 @@ def test_fig2_structure(running):
     root_edges = s.edges[s.root]
     assert len(root_edges) == 2 and all(l is TAU for l, _, _ in root_edges)
     assert vis_label_strings(s) == ["c!a$y:t?z:t", "c!b$y:t?z:t", "d.a", "d.b"]
-    conds = [l for es in s.edges for l, _, _ in es if isinstance(l, Cond)]
+    conds = [l for es in s.edges for l, _, _ in es if isinstance(l, Guard)]
     assert len(conds) == 4
     assert sorted(str(c) for c in conds) == ["y!=z", "y!=z", "y==z", "y==z"]
 
@@ -90,9 +90,9 @@ def test_nont_equiv_ignores_conditionals(running):
     s = build_sslts(running, "P")
     # paths through opposite branches of the conditional are non-t equivalent
     paths = [tr for tr in symbolic_traces(s, 3)
-             if len(tr) == 3 and isinstance(tr[2], Cond)]
-    pos = [p for p in paths if not p[2].condition.negated]
-    neg = [p for p in paths if p[2].condition.negated]
+             if len(tr) == 3 and isinstance(tr[2], Guard)]
+    pos = [p for p in paths if not p[2].negated]
+    neg = [p for p in paths if p[2].negated]
     assert pos and neg
 
 

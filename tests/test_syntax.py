@@ -8,7 +8,7 @@ from pcsp.lts import Event
 from pcsp.parser import parse_definitions
 from pcsp.record import FrozenInstanceError, replace
 from pcsp.syntax import (
-    Atom, BANG, Cmp, Condition, Construct, DOLLAR, Field, NamedType, NatLit, NatMin,
+    Atom, BANG, Cmp, Construct, DOLLAR, Field, Guard, NamedType, NatLit, NatMin,
     NatOp, Prefix, QUERY, Stop, T_TYPE, TVal, canonicalise, classify_fields,
     comms, comms_nont, eval_bool, eval_scalar, free_vars, permute_t,
     replace_selections, selections, substitute, t_values,
@@ -309,7 +309,7 @@ def terms(draw, scope=(), depth=3, channels=("ca", "cb", "cc")):
     if kind == "if":
         l, r = draw(st.sampled_from(
             [(a, b) for a in scope for b in scope if a != b]))
-        cond = Condition(draw(st.booleans()), ((l, r),))
+        cond = Guard(draw(st.booleans()), ((l, r),))
         from pcsp.syntax import If
         return If(cond, draw(terms(scope=scope, depth=depth - 1, channels=channels)),
                   draw(terms(scope=scope, depth=depth - 1, channels=channels)))
