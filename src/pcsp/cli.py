@@ -7,13 +7,19 @@ exists), 2 means a usage error, a diagnostic or running out of memory, and
 3 means an internal error (a bug in pcsp), reported with its traceback on
 stderr.  Paths that do not exist are resolved against the bundled corpus,
 so ``pcsp refine mutex.pcsp ...`` works out of the box.
+
+A well-formed command line (the command, its file, and exact ``--option
+value`` pairs and flags with valid values) is read straight from the
+``_SUBCOMMANDS`` table.  argparse reads every other line: it prints
+``--help`` and every usage error, and is imported only then, since it and
+the gettext and locale it loads are a large share of a short run.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import analysis, conditions, cose, reduction, ssos, std_semantics
 from .errors import ParseError, PcspError, UsageError
@@ -51,13 +57,20 @@ def _sizes(spec: str, option: str) -> list[int]:
     return list(dict.fromkeys(sizes))
 
 
-def _bound(text: str) -> int:
-    """The value of --tsize, --max-states or --valid-from: an integer, at least 1."""
+def _positive(text: str) -> int:
+    """The integer that text spells if it is at least 1, else 0."""
     try:
         value = int(text)
     except ValueError:
-        value = 0
-    if value < 1:
+        return 0
+    return value if value >= 1 else 0
+
+
+def _bound(text: str) -> int:
+    """The value of --tsize, --max-states or --valid-from: an integer, at least 1."""
+    value = _positive(text)
+    if not value:
+        import argparse  # loaded already: only argparse calls this
         raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
     return value
 
@@ -70,31 +83,65 @@ def _emit(args, payload: dict, text: str) -> None:
         print(text)
 
 
-def make_parser(argv=()) -> argparse.ArgumentParser:
-    """The parser of the sub-command that argv[0] names, or of every
-    sub-command when it names none, so that --help and a wrong command
-    list them all.  Building one sub-parser is most of the start-up of
-    argparse; the usage line still names every command."""
+def make_parser():
+    """The parser of every sub-command, for the command lines that _read
+    leaves to argparse: --help and every usage error."""
+    import argparse  # only on this path: with gettext and locale, it adds to every start-up
     ap = argparse.ArgumentParser(
         prog="pcsp",
         description="Parameterised verification for a CSP subset: operational "
         "semantics, refinement checking, and type-reduction thresholds.")
-    if argv and argv[0] in _SUBCOMMANDS:
-        names, metavar = argv[:1], "{" + ",".join(_SUBCOMMANDS) + "}"
-    else:
-        names, metavar = list(_SUBCOMMANDS), None
-    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
-        _, help_text, options = _SUBCOMMANDS[name]
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, options) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("file", help="definition file (.pcsp); bundled corpus "
                        "names are resolved automatically")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--max-states", type=_bound,
-                       default=std_semantics.DEFAULT_MAX_STATES)
-        for flag, kwargs in options:
+        for flag, kwargs in _COMMON + options:
             p.add_argument(flag, **kwargs)
     return ap
+
+
+def _read(argv) -> SimpleNamespace | None:
+    """The arguments of a well-formed command line, read from the table as
+    argparse would read them: the command, one file, and in any order
+    exact ``--option value`` pairs and flags, each value of its type and
+    among its choices, every required option given.  None for any other
+    line (help, an abbreviation, ``--option=value``, a value that starts
+    with '-', a bad value, a missing or extra argument), which argparse
+    then reads and reports."""
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return None
+    options = dict(_COMMON + _SUBCOMMANDS[argv[0]][2])
+    words = iter(argv[1:])
+    file, given = None, {}
+    for word in words:
+        kwargs = options.get(word)
+        if kwargs is None:
+            if word.startswith("-") or file is not None:
+                return None
+            file = word
+        elif kwargs.get("action") == "store_true":
+            given[word] = True
+        else:
+            text = next(words, "-")
+            if text.startswith("-"):
+                return None
+            value = text
+            if kwargs.get("type") is _bound:
+                value = _positive(text)
+                if not value:
+                    return None
+            if value not in kwargs.get("choices", (value,)):
+                return None
+            given[word] = value
+    if file is None or any(kwargs.get("required") and flag not in given
+                           for flag, kwargs in options.items()):
+        return None
+    args = SimpleNamespace(command=argv[0], file=file)
+    for flag, kwargs in options.items():
+        default = kwargs.get("default", False if "action" in kwargs else None)
+        setattr(args, flag[2:].replace("-", "_"), given.get(flag, default))
+    return args
 
 
 def _fmt_verdict(v) -> str:
@@ -108,6 +155,12 @@ def _fmt_row(r) -> str:
 
 
 def cmd_conditions(args, defs) -> int:
+    if args.eqt_sizes is not None and args.eqt_model is None:
+        raise UsageError("--eqt-sizes needs --eqt-model")
+    eqt_sizes = tuple(_sizes("2,3" if args.eqt_sizes is None else args.eqt_sizes,
+                             "--eqt-sizes"))
+    typesym_sizes = (None if args.typesym_sizes is None
+                     else _sizes(args.typesym_sizes, "--typesym-sizes"))
     names = [args.proc] if args.proc else sorted(defs.equations)
     reports = {}
     failed = False
@@ -115,13 +168,10 @@ def cmd_conditions(args, defs) -> int:
         rs = conditions.check_all(name, defs)
         if args.eqt_model:
             rs.append(conditions.revposconjeqt_evidence(
-                name, defs, args.eqt_model,
-                tuple(_sizes(args.eqt_sizes, "--eqt-sizes")),
-                args.max_states))
-        if args.typesym_sizes:
+                name, defs, args.eqt_model, eqt_sizes, args.max_states))
+        if typesym_sizes:
             rs.append(analysis.permutation_bisim_check(
-                defs, name, _sizes(args.typesym_sizes, "--typesym-sizes"),
-                args.max_states))
+                defs, name, typesym_sizes, args.max_states))
         reports[name] = rs
         failed = failed or any(r.verdict == "fail" for r in rs)
     payload = {n: [r.to_dict() for r in rs] for n, rs in reports.items()}
@@ -222,11 +272,18 @@ def cmd_threshold(args, defs) -> int:
 
 
 def cmd_verify(args, defs) -> int:
+    if args.abst is not None and args.valid_from is None:
+        raise UsageError("--abst needs --valid-from, the size from which the "
+                         "abstraction premise holds")
+    for flag, value in (("--valid-from", args.valid_from),
+                        ("--sample-premise", args.sample_premise)):
+        if value is not None and args.abst is None:
+            raise UsageError(f"{flag} needs --abst")
     verdict = reduction.verify_pmcp(
         defs, args.spec, args.impl, args.model, _sizes(args.sizes, "--sizes"),
         abst=args.abst, valid_from=args.valid_from,
-        premise_sizes=(_sizes(args.sample_premise, "--sample-premise")
-                       if args.sample_premise else []),
+        premise_sizes=(() if args.sample_premise is None
+                       else _sizes(args.sample_premise, "--sample-premise")),
         eqt_sizes=tuple(_sizes(args.eqt_sizes, "--eqt-sizes")),
         assume_typesym=args.assume_typesym, max_states=args.max_states)
     lines = [f"mode: {verdict.mode}", f"model: {verdict.model}"]
@@ -252,15 +309,18 @@ _REQUIRED = {"required": True}
 _TSIZE = {"type": _bound, "required": True}
 _DOT = {"action": "store_true"}
 
-# sub-command -> (its handler, its help, its options after the file,
-# --format and --max-states that every one takes), in the order --help
-# lists them
+# the options that every sub-command takes after its file
+_COMMON = (("--format", {"choices": ("text", "json"), "default": "text"}),
+           ("--max-states", {"type": _bound, "default": std_semantics.DEFAULT_MAX_STATES}))
+
+# sub-command -> (its handler, its help, its options after the file and
+# _COMMON), in the order --help lists them
 _SUBCOMMANDS = {
     "conditions": (cmd_conditions, "run the syntactic condition checkers", (
         ("--proc", {"help": "check one process (default: all)"}),
         ("--eqt-model", {"choices": ("traces", "failures"),
                          "help": "also sample the equality-test condition in this model"}),
-        ("--eqt-sizes", {"default": "2,3"}),
+        ("--eqt-sizes", {}),  # 2,3 with --eqt-model
         ("--typesym-sizes", {"help": "also sample semantic symmetry in t at these sizes"}),
     )),
     "lts": (cmd_lts, "build the concrete transition system", (
@@ -283,8 +343,7 @@ _SUBCOMMANDS = {
         ("--abst", {"help": "abstraction process for the universal conclusion"}),
         ("--valid-from", {"type": _bound,
                           "help": "size from which the abstraction premise holds"}),
-        ("--sample-premise", {"default": "",
-                              "help": "sizes at which to sample the abstraction premise"}),
+        ("--sample-premise", {"help": "sizes at which to sample the abstraction premise"}),
         ("--eqt-sizes", {"default": "2,3"}),
         ("--assume-typesym", {"action": "store_true",
                               "help": "accept symmetry in t of the implementation on "
@@ -295,11 +354,12 @@ _SUBCOMMANDS = {
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    ap = make_parser(argv)
-    try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+    args = _read(argv)
+    if args is None:
+        try:
+            args = make_parser().parse_args(argv)
+        except SystemExit as exc:
+            return 2 if exc.code not in (0, None) else 0
     try:
         defs = parse_file(_resolve(args.file))
         return _SUBCOMMANDS[args.command][0](args, defs)

@@ -1,19 +1,25 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import pcsp
 from conftest import RENAMED_CONSTANT, symmetric_mutant
-from pcsp import std_semantics
-from pcsp.cli import _SUBCOMMANDS, main, make_parser
+from pcsp import reduction, std_semantics
+from pcsp.cli import _COMMON, _SUBCOMMANDS, _read, main, make_parser
 from pcsp.parser import MAX_DEPTH
+from test_golden import CASES
 
 
 def run(capsys, *argv):
@@ -644,15 +650,15 @@ def test_running_out_of_memory_is_an_error_not_a_bug(capsys, monkeypatch, argv):
     assert err == "error: out of memory\n"
 
 
-def _parsed(parser, argv, capsys):
-    """What parsing argv prints and exits with (None: it parsed)."""
-    code = None
+def _argparse(argv):
+    """The arguments argparse reads from argv, or the exit code, stdout and
+    stderr with which it exits instead."""
+    out, err = io.StringIO(), io.StringIO()
     try:
-        parser.parse_args(argv)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return vars(make_parser().parse_args(argv))
     except SystemExit as exc:
-        code = exc.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+        return exc.code, out.getvalue(), err.getvalue()
 
 
 @pytest.mark.parametrize("argv", [
@@ -662,10 +668,135 @@ def _parsed(parser, argv, capsys):
     *([name] for name in _SUBCOMMANDS),  # a missing argument
 ])
 def test_one_sub_parser_prints_what_all_of_them_do(argv, capsys):
-    one = make_parser(argv)
-    (sub,) = one._subparsers._group_actions
-    assert len(sub.choices) == (1 if argv and argv[0] in _SUBCOMMANDS else len(_SUBCOMMANDS))
-    assert _parsed(one, argv, capsys) == _parsed(make_parser(), argv, capsys)
+    # each line is left to argparse, and main prints and exits as the parser
+    # of every sub-command does: a sub-command's help and usage, and the
+    # top-level usage that lists every command
+    assert _read(argv) is None
+    assert run(capsys, *argv) == _argparse(argv)
+
+
+_VALUES = st.sampled_from(["1", "3", "1..4", "2,3", "Spec", "traces", "failures",
+                           "json", "text", "", "0", "-1", "+2", " 4", "x", "1.5",
+                           "-", "--", "-h", "--proc", "a b"])
+
+
+@st.composite
+def _command_lines(draw, well_formed):
+    """An argv for a command of the table: the command, its file and its
+    options in any order, each option with a value of its type and among
+    its choices.  Unless well_formed, one or two of its parts are then
+    spoilt: a value replaced or dropped, an option abbreviated, written
+    with '=', given twice or left out, or help, '--', an unknown option or
+    a second file added."""
+    command = draw(st.sampled_from(list(_SUBCOMMANDS)))
+    parts = [[draw(st.sampled_from(["mutex.pcsp", "x.pcsp", "verify"]))]]
+    for flag, kwargs in _COMMON + _SUBCOMMANDS[command][2]:
+        if "action" in kwargs:
+            value = []
+        elif "choices" in kwargs:
+            value = [draw(st.sampled_from(kwargs["choices"]))]
+        elif "type" in kwargs:
+            value = [str(draw(st.integers(1, 9)))]
+        else:
+            value = [draw(st.sampled_from(["P", "1..3", "2,3"]))]
+        if kwargs.get("required") or draw(st.booleans()):
+            parts.append([flag] + value)
+    for _ in range(0 if well_formed else draw(st.integers(1, 2))):
+        i = draw(st.integers(0, len(parts) - 1))
+        flag, *value = parts[i]
+        how = draw(st.sampled_from(["value", "value", "no value", "short", "equals",
+                                    "twice", "drop", "add"]))
+        if how == "value":
+            parts[i] = [flag, draw(_VALUES)]
+        elif how == "no value":
+            parts[i] = [flag]
+        elif how == "short" and len(flag) > 3:
+            parts[i] = [flag[:draw(st.integers(3, len(flag) - 1))]] + value
+        elif how == "equals":
+            parts[i] = ["=".join(parts[i])]
+        elif how == "twice":
+            parts.append([flag, draw(_VALUES)])
+        elif how == "drop":
+            del parts[i]
+        else:
+            parts.append([draw(st.sampled_from(
+                ["-h", "--help", "--", "--bogus", "extra.pcsp", "-5"]))])
+    parts = draw(st.permutations(parts))
+    return [command] + [word for part in parts for word in part]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(_command_lines(False),
+                 st.lists(_VALUES | st.sampled_from(list(_SUBCOMMANDS)), max_size=4)))
+@example(["lts", "mutex.pcsp", "--proc", "P", "--tsize"])  # a value missing at the end
+@example(["refine", "mutex.pcsp", "--spec", "Spec", "--tsize", "2"])  # no --impl
+@example(["lts", "mutex.pcsp", "--tsize", "2", "--proc", "-h"])  # a value that is help
+def test_the_table_reader_reads_what_argparse_reads_or_leaves_it(argv):
+    got = _read(argv)
+    assert got is None or vars(got) == _argparse(argv)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_command_lines(True))
+def test_the_table_reader_reads_every_well_formed_line(argv):
+    got = _read(argv)
+    assert got is not None and vars(got) == _argparse(argv)
+
+
+def _benchmark_command_lines():
+    workloads = runpy.run_path(str(Path(__file__).parents[1] / "perfbench" / "workloads.py"))
+    return [inv.argv for invs in workloads["WORKLOADS"].values() for inv in invs] + [
+        inv.argv for inv in workloads["BASELINE"]]
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in CASES.values()]
+                         + _benchmark_command_lines())
+def test_golden_and_benchmark_lines_are_read_without_argparse(argv):
+    got = _read(list(argv))
+    assert got is not None and vars(got) == _argparse(list(argv))
+
+
+def test_a_well_formed_run_loads_no_argparse():
+    probe = ("import sys; from pcsp.cli import main; "
+             "codes = [main(argv.split()) for argv in sys.argv[1:]]; "
+             "print(codes, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(pcsp.__file__).parents[1])]
+        + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run(
+        [sys.executable, "-c", probe,
+         "verify mutex.pcsp --spec Spec --impl Impl --model failures --sizes 1..3",
+         "conditions copy.pcsp --proc COPY --eqt-model traces --eqt-sizes 2",
+         "congruence running.pcsp --proc P --tsize 2",
+         "refine ex511.pcsp --spec Spec --impl Impl --model failures --tsize 3"],
+        env=env, check=True, capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "[0, 0, 0, 1] []"
+
+
+@pytest.mark.parametrize("extra, error", [
+    # --abst was ignored when the hypotheses failed, and otherwise failed
+    # after the thresholds naming valid_from
+    (("--abst", "Abst"),
+     "--abst needs --valid-from, the size from which the abstraction premise holds"),
+    (("--valid-from", "3"), "--valid-from needs --abst"),
+    (("--sample-premise", "3,4"), "--sample-premise needs --abst"),
+    (("--valid-from", "3", "--sample-premise", "3"), "--valid-from needs --abst"),
+])
+def test_verify_checks_its_option_pairing_before_any_build(capsys, monkeypatch,
+                                                           extra, error):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("verify_pmcp ran")
+
+    monkeypatch.setattr(reduction, "verify_pmcp", forbidden)
+    code, out, err = run(capsys, "verify", "mutex.pcsp", "--spec", "Spec", "--impl", "Impl",
+                         "--sizes", "1..2", *extra)
+    assert (code, out, err) == (2, "", f"error: {error}\n")
+
+
+@pytest.mark.parametrize("sizes", ["2,3", "0"])
+def test_eqt_sizes_without_eqt_model_is_a_usage_error(capsys, sizes):
+    code, out, err = run(capsys, "conditions", "copy.pcsp", "--eqt-sizes", sizes)
+    assert (code, out, err) == (2, "", "error: --eqt-sizes needs --eqt-model\n")
 
 
 @pytest.mark.parametrize("argv", [
