@@ -1,6 +1,7 @@
 """Golden outputs of the README Quick-start commands, of ``conditions`` on
-every corpus file (with and without the sampled equality-test check), and
-of both paths of the semantic symmetry check.
+every corpus file (with and without the sampled equality-test check), of
+both paths of the semantic symmetry check, and of the states of a probe
+file (``data-ops.pcsp``) that print every data operator.
 
 Every command runs through ``cli.main``; its stdout must equal
 ``golden/<name>.out`` byte for byte and its exit code must equal the one
@@ -68,6 +69,9 @@ _DOT_COMMANDS = {
     "sslts-mutex-spec-dot": (("sslts", "mutex.pcsp", "--proc", "Spec", "--dot"), 0),
     "cose-running-2-dot": (("cose", "running.pcsp", "--proc", "P", "--tsize", "2",
                             "--dot"), 0),
+    # a probe outside the corpus whose states print every data operator
+    "lts-data-ops-dot": (("lts", str(Path(__file__).parent / "data-ops.pcsp"), "--proc", "Q",
+                          "--tsize", "1", "--dot"), 0),
 }
 CASES = {
     **_COMMANDS,
