@@ -125,10 +125,13 @@ class Verdict:
             return ""
         tr = "<" + ", ".join(str(e) for e in self.trace) + ">"
         if self.kind == "refusal":
-            ref = "{" + ", ".join(
-                str(e) for e in sorted(self.refusal, key=label_key)) + "}"
+            ref = "{" + ", ".join(self.refused()) + "}"
             return f"({tr}, {ref})"
         return tr
+
+    def refused(self) -> list[str]:
+        """The refused events, printed, in label order."""
+        return [str(e) for e in sorted(self.refusal, key=label_key)]
 
     def to_dict(self) -> dict:
         out = {"holds": self.holds}
@@ -136,7 +139,7 @@ class Verdict:
             out["kind"] = self.kind
             out["trace"] = [str(e) for e in self.trace]
             if self.refusal is not None:
-                out["refusal"] = sorted(str(e) for e in self.refusal)
+                out["refusal"] = self.refused()
         return out
 
 

@@ -157,8 +157,8 @@ def _fmt_row(r) -> str:
 def cmd_conditions(args, defs) -> int:
     if args.eqt_sizes is not None and args.eqt_model is None:
         raise UsageError("--eqt-sizes needs --eqt-model")
-    eqt_sizes = tuple(_sizes("2,3" if args.eqt_sizes is None else args.eqt_sizes,
-                             "--eqt-sizes"))
+    eqt_sizes = (conditions.EQT_SIZES if args.eqt_sizes is None
+                 else tuple(_sizes(args.eqt_sizes, "--eqt-sizes")))
     typesym_sizes = (None if args.typesym_sizes is None
                      else _sizes(args.typesym_sizes, "--typesym-sizes"))
     names = [args.proc] if args.proc else sorted(defs.equations)
@@ -344,7 +344,7 @@ _SUBCOMMANDS = {
         ("--valid-from", {"type": _bound,
                           "help": "size from which the abstraction premise holds"}),
         ("--sample-premise", {"help": "sizes at which to sample the abstraction premise"}),
-        ("--eqt-sizes", {"default": "2,3"}),
+        ("--eqt-sizes", {"default": ",".join(map(str, conditions.EQT_SIZES))}),
         ("--assume-typesym", {"action": "store_true",
                               "help": "accept symmetry in t of the implementation on "
                               "assertion when the syntactic check fails"}),

@@ -297,8 +297,12 @@ def _scoped_conditionals(term: ProcessTerm, defs: Definitions, where: str
         stack.extend((sub, where, scope) for sub in reversed(subterms(node)))
 
 
+# The sizes at which the equality-test hypothesis is sampled by default.
+EQT_SIZES = (2, 3)
+
+
 def revposconjeqt_evidence(proc: ProcRef, defs: Definitions, model: str,
-                           sizes=(2, 3),
+                           sizes=EQT_SIZES,
                            max_states: int = DEFAULT_MAX_STATES) -> ConditionReport:
     """Reversed positive-conjunction-of-equality-tests condition.
 

@@ -24,10 +24,10 @@ import re
 from .errors import Diagnostic, ParseError
 from .resolve import Resolver, nests_too_deeply
 from .syntax import (
-    ATOM, Atom, BANG, BoolLit, BoolNot, BoolOr, BoolAnd, ChanPrefixItem, Cmp,
-    Construct, Definitions, DiffType, Equation, EventLitItem, EventSet, Field,
-    GUARD, HIDE, Ident, If, NamedType, NatLit, NatMin, NatOp, OPEN, OPERATORS,
-    Operator, Prefix, SetType, Stop, T_TYPE, TType, TVal, Assertion, VarRef,
+    ATOM, Atom, BANG, BoolLit, BoolNot, Construct, Definitions, DiffType,
+    Equation, EventItem, EventSet, Field, GUARD, HIDE, Ident, If, NamedType,
+    NatLit, OPEN, OPERATORS, Op, Operator, Prefix, SetType, Stop, T_TYPE, TType,
+    TVal, Assertion, VarRef,
     substitute, t_field_atoms, type_is_t,
 )
 
@@ -265,9 +265,7 @@ class _Parser:
     def parse_scalar(self):
         left = self.parse_scalar_term()
         while self.at_sym("+", "-"):
-            op = self.next()[TEXT]
-            right = self.parse_scalar_term()
-            left = NatOp(op, left, right)
+            left = Op(self.next()[TEXT], left, self.parse_scalar_term())
         return left
 
     def parse_scalar_term(self):
@@ -288,7 +286,7 @@ class _Parser:
             self.eat_sym(",")
             b = self.parse_scalar()
             self.eat_sym(")")
-            return NatMin(a, b)
+            return Op("min", a, b)
         if text == "(":
             self.pos += 1
             e = self.parse_scalar()
@@ -308,14 +306,14 @@ class _Parser:
         left = self.parse_bool_and()
         while self.at_kw("or"):
             self.pos += 1
-            left = BoolOr(left, self.parse_bool_and())
+            left = Op("or", left, self.parse_bool_and())
         return left
 
     def parse_bool_and(self):
         left = self.parse_bool_atom()
         while self.at_kw("and"):
             self.pos += 1
-            left = BoolAnd(left, self.parse_bool_atom())
+            left = Op("and", left, self.parse_bool_atom())
         return left
 
     def parse_bool_atom(self):
@@ -337,8 +335,7 @@ class _Parser:
         left = self.parse_scalar()
         if not self.at_sym(*_CMP_OPS):
             self.fail("expected comparison operator")
-        op = self.next()[TEXT]
-        return Cmp(op, left, self.parse_scalar())
+        return Op(self.next()[TEXT], left, self.parse_scalar())
 
     # -- event sets ------------------------------------------------------------
 
@@ -361,13 +358,13 @@ class _Parser:
     def parse_evset(self) -> EventSet:
         if self.at_sym("{|"):
             self.pos += 1
-            closures = self.separated(lambda: ChanPrefixItem(*self.parse_event_fields(
+            closures = self.separated(lambda: EventItem(*self.parse_event_fields(
                 self.eat_ident("channel name"), complete=False)))
             self.eat_sym("|}")
             return EventSet(closures=tuple(closures))
         self.eat_sym("{")
         literals = [] if self.at_sym("}") else self.separated(
-            lambda: EventLitItem(*self.parse_event_fields(
+            lambda: EventItem(*self.parse_event_fields(
                 self.eat_ident("channel name"), complete=True)))
         self.eat_sym("}")
         return EventSet(literals=tuple(literals))
@@ -463,8 +460,7 @@ class _Parser:
         if tok[TEXT] not in self.defs.channels:
             self.fail(f"undeclared channel {tok[TEXT]!r}", tok)
         if self.at_sym("."):
-            name, datums = self.parse_event_fields(tok, complete=True)
-            return EventLitItem(name, datums)
+            return EventItem(*self.parse_event_fields(tok, complete=True))
         return tok[TEXT]
 
     def parse_pairs(self):

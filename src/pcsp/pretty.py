@@ -1,18 +1,19 @@
 """Concrete-syntax printer.
 
 Prints terms, constructs, guards, event sets and types; the printed form of
-a term re-parses to an identical AST.  The operator table in ``syntax`` is
-the one owner of operator syntax: every operator in it prints through its
-form, with each subterm in parentheses where the table's levels ask for
-them.  Term printing labels states in DOT output and diagnostics.
+a term re-parses to an identical AST.  The operator tables in ``syntax``
+(``OPERATORS`` and ``DATA_OPS``) are the one owners of operator syntax:
+every operator in them prints through its form, with each operand in
+parentheses where the table's levels ask for them.  Term printing labels
+states in DOT output and diagnostics.
 """
 
 from __future__ import annotations
 
 from .syntax import (
-    Atom, BANG, BoolAnd, BoolLit, BoolNot, BoolOr, Cmp, Construct, DOLLAR,
-    EventSet, Field, GUARD, Ident, If, NatLit, NatMin, NatOp, OPEN, OPERATORS,
-    PREFIX, Prefix, QUERY, Stop, TVal, VarRef,
+    Atom, BANG, BoolLit, BoolNot, Construct, D_AND, D_CMP, D_OR, DATA_OPS, DOLLAR,
+    EventSet, Field, GUARD, Ident, If, NatLit, OPEN, OPERATORS, Op, PREFIX, Prefix,
+    QUERY, Stop, TVal, VarRef,
 )
 
 
@@ -27,48 +28,36 @@ def fmt_construct(alpha: Construct) -> str:
     return alpha.channel + "".join(fmt_field(f, dot_ok) for f in alpha.fields)
 
 
-def fmt_scalar(e, prec: int = 0) -> str:
-    if isinstance(e, NatLit):
+def fmt_data(e, ctx: int = D_OR) -> str:
+    """A data expression, in parentheses where its operator binds more
+    loosely than ctx, the level of its place (DATA_OPS)."""
+    cls = e.__class__
+    if cls is Op:
+        level, left, right, form, _ = DATA_OPS[e.op]
+        return _paren(form.format(fmt_data(e.left, left), fmt_data(e.right, right)), level, ctx)
+    if cls is BoolNot:
+        return f"not {fmt_data(e.arg, D_CMP)}"
+    if cls is BoolLit:
+        return "true" if e.value else "false"
+    if cls is NatLit:
         return str(e.value)
-    if isinstance(e, VarRef):
+    if cls is VarRef:
         return e.name
-    if isinstance(e, (TVal, Atom)):
+    if cls is TVal or cls is Atom:
         return str(e)
-    if isinstance(e, NatOp):
-        s = f"{fmt_scalar(e.left, 0)}{e.op}{fmt_scalar(e.right, 1)}"
-        return f"({s})" if prec > 0 else s
-    if isinstance(e, NatMin):
-        return f"min({fmt_scalar(e.left)},{fmt_scalar(e.right)})"
-    raise TypeError(f"fmt_scalar: {e!r}")
-
-
-def fmt_bool(b, prec: int = 0) -> str:
-    # prec: 0 = or-level, 1 = and-level, 2 = atom
-    if isinstance(b, BoolLit):
-        return "true" if b.value else "false"
-    if isinstance(b, Cmp):
-        return f"{fmt_scalar(b.left, 1)}{b.op}{fmt_scalar(b.right, 1)}"
-    if isinstance(b, BoolNot):
-        return f"not {fmt_bool(b.arg, 2)}"
-    if isinstance(b, BoolAnd):
-        s = f"{fmt_bool(b.left, 1)} and {fmt_bool(b.right, 2)}"
-        return f"({s})" if prec > 1 else s
-    if isinstance(b, BoolOr):
-        s = f"{fmt_bool(b.left, 0)} or {fmt_bool(b.right, 1)}"
-        return f"({s})" if prec > 0 else s
-    raise TypeError(f"fmt_bool: {b!r}")
+    raise TypeError(f"fmt_data: {e!r}")
 
 
 def fmt_guard(g) -> str:
     """A guard: a lone boolean over other data as it stands, else its parts
     joined by 'and', a negated single t-atom as l!=r."""
     if not g.t_atoms and len(g.other) == 1 and not g.negated:
-        return fmt_bool(g.other[0])
+        return fmt_data(g.other[0])
     if g.negated and len(g.t_atoms) == 1 and not g.other:
         l, r = g.t_atoms[0]
         return f"{l}!={r}"
     conj = " and ".join([f"{l}=={r}" for l, r in g.t_atoms]
-                        + [fmt_bool(b, 1) for b in g.other])
+                        + [fmt_data(b, D_AND) for b in g.other])
     return f"not ({conj})" if g.negated else conj
 
 
@@ -105,7 +94,7 @@ def fmt_term(term, ctx: int = OPEN) -> str:
     if isinstance(term, Ident):
         if not term.args:
             return term.name
-        return term.name + "(" + ",".join(fmt_scalar(a) for a in term.args) + ")"
+        return term.name + "(" + ",".join(map(fmt_data, term.args)) + ")"
     if isinstance(term, Prefix):
         s = f"{fmt_construct(term.construct)} -> {fmt_term(term.cont, PREFIX)}"
         return _paren(s, PREFIX, ctx)

@@ -17,7 +17,7 @@ from collections import deque
 from typing import Optional
 
 from .analysis import Verdict, divergence_free, refines
-from .conditions import check_all, check_typesym_syntactic, revposconjeqt_evidence
+from .conditions import EQT_SIZES, check_all, check_typesym_syntactic, revposconjeqt_evidence
 from .errors import BoundExceeded, SemanticsError, UsageError, building
 from .lts import Event, Lts, TAU, rename_lts, tau_closure
 from .record import field, record
@@ -350,7 +350,7 @@ class PmcpVerdict:
 def verify_pmcp(defs: Definitions, spec: str, impl: str, model: str,
                 sizes, *, abst: Optional[str] = None,
                 valid_from: Optional[int] = None,
-                premise_sizes=(), eqt_sizes=(2, 3),
+                premise_sizes=(), eqt_sizes=EQT_SIZES,
                 assume_typesym: bool = False,
                 max_states: int = DEFAULT_MAX_STATES) -> PmcpVerdict:
     """Run the reduction pipeline: check the theorem hypotheses, compute the

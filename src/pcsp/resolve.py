@@ -21,13 +21,13 @@ one), found by ``syntax.free_vars``, the one owner of binder scope.
 from __future__ import annotations
 
 from bisect import insort
-from functools import reduce
+from functools import partial, reduce
 from operator import neg
 
 from .errors import Diagnostic, ParseError
 from .syntax import (
-    Atom, BANG, BoolAnd, BoolNot, BoolOr, Cmp, Definitions, Equation, Guard,
-    Ident, If, NatLit, NatMin, NatOp, Prefix, REPLICATED, TVal, VarRef,
+    Atom, BANG, BoolNot, Definitions, Equation, Guard, Ident, If, NatLit, Op,
+    Prefix, REPLICATED, TVal, VarRef,
     binder_type, binders, free_vars, subterms, with_subterms,
 )
 
@@ -120,7 +120,7 @@ class Resolver:
             if expect is not None:
                 self.note_var(scope, eq, e.name, expect)
             return scope.get(e.name)
-        if cls is NatOp or cls is NatMin:
+        if cls is Op:  # +, - or min
             self.nat_operands(e, scope, eq)
             return _TY_NAT
         return None
@@ -135,26 +135,26 @@ class Resolver:
             self.scalar_ty(side, scope, eq, _TY_NAT)
 
     def infer_bool(self, b, scope, eq):
-        if isinstance(b, (BoolAnd, BoolOr)):
+        cls = b.__class__
+        if cls is BoolNot:
+            self.infer_bool(b.arg, scope, eq)
+        elif cls is Op and (b.op == "and" or b.op == "or"):
             self.infer_bool(b.left, scope, eq)
             self.infer_bool(b.right, scope, eq)
-        elif isinstance(b, BoolNot):
-            self.infer_bool(b.arg, scope, eq)
-        elif isinstance(b, Cmp):
-            if b.op in ("<", "<=", ">", ">="):
-                self.nat_operands(b, scope, eq)
-            else:
-                lt = self.scalar_ty(b.left, scope, eq)
-                rt = self.scalar_ty(b.right, scope, eq)
-                if lt is None and rt is not None:
-                    self.scalar_ty(b.left, scope, eq, rt)
-                elif rt is None and lt is not None:
-                    self.scalar_ty(b.right, scope, eq, lt)
-                elif lt is None and rt is None:
-                    self.untyped_eq = True
-                    if self.default_eq_to_t:
-                        self.scalar_ty(b.left, scope, eq, _TY_T)
-                        self.scalar_ty(b.right, scope, eq, _TY_T)
+        elif cls is Op and b.op != "==" and b.op != "!=":
+            self.nat_operands(b, scope, eq)
+        elif cls is Op:
+            lt = self.scalar_ty(b.left, scope, eq)
+            rt = self.scalar_ty(b.right, scope, eq)
+            if lt is None and rt is not None:
+                self.scalar_ty(b.left, scope, eq, rt)
+            elif rt is None and lt is not None:
+                self.scalar_ty(b.right, scope, eq, lt)
+            elif lt is None and rt is None:
+                self.untyped_eq = True
+                if self.default_eq_to_t:
+                    self.scalar_ty(b.left, scope, eq, _TY_T)
+                    self.scalar_ty(b.right, scope, eq, _TY_T)
 
     def scope_below(self, term, scope, noting=None):
         """The scope of the subterms of term: each name it binds (binders)
@@ -284,16 +284,15 @@ class Resolver:
         stack = [b]
         while stack:
             node = stack.pop()
-            if isinstance(node, BoolAnd):
-                stack.append(node.right)
-                stack.append(node.left)
+            if node.__class__ is Op and node.op == "and":
+                stack.extend((node.right, node.left))
             else:
                 conj.append(node)
         t_atoms = []
         other = []
         any_neq = False
         for c in conj:
-            if isinstance(c, Cmp) and c.op in ("==", "!="):
+            if c.__class__ is Op and c.op in ("==", "!="):
                 lt = self._side_ty(c.left, scope)
                 rt = self._side_ty(c.right, scope)
                 if lt is not None and rt is not None and lt != rt:
@@ -317,7 +316,7 @@ class Resolver:
                            "equalities or the negation of one", eq)
             negated = not negated
         elif other and not t_atoms:
-            whole = reduce(BoolAnd, other)
+            whole = reduce(partial(Op, "and"), other)
             negated, other = False, [BoolNot(whole) if negated else whole]
         return Guard(negated, tuple(t_atoms), tuple(other))
 

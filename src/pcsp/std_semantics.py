@@ -77,12 +77,12 @@ from typing import Optional, Union
 from .errors import SemanticsError
 from .lts import Alphabet, Event, Lts, TAU, build, tau_closure, terms_bounded
 from .syntax import (
-    AlphaPar, Atom, Definitions, Equation, EventSet, ExtChoice, Guard, Hide,
-    Ident, If, IntChoice, Interleave, Prefix, ProcessTerm, Rename, ReplAlphaPar,
+    AlphaPar, Definitions, Equation, EventSet, ExtChoice, Guard, Hide, Ident,
+    If, IntChoice, Interleave, Prefix, ProcessTerm, Rename, ReplAlphaPar,
     ReplExtChoice, ReplIntChoice, ReplInterleave, SharedPar, Sliding, Stop,
     TType, TVal, KEEPING, VarRef, binders, canonicalise, check_instantiated,
-    classify_fields, comms, construct_binding, domain_values, eval_guard,
-    eval_scalar, free_vars, map_subterms, permute_t, replace_selections,
+    classify_fields, comms, construct_binding, domain_values, eval_data,
+    eval_guard, free_vars, map_subterms, permute_t, replace_selections,
     selections, subst_event_set, substitute, subterms, t_values, unfold_walk,
     with_subterms,
 )
@@ -340,8 +340,7 @@ class Engine:
             raise SemanticsError(
                 f"{term.name!r} expects {len(eq.params)} argument(s), got {len(term.args)}")
         body = self.body(eq.name)
-        return body, self.env_of(body, {k: a if isinstance(a, (TVal, Atom)) else eval_scalar(a)
-                                         for k, a in zip(eq.params, term.args)})
+        return body, self.env_of(body, dict(zip(eq.params, map(eval_data, term.args))))
 
     def branch(self, p: int, env: tuple) -> tuple:
         """The (position, env) of the branch the conditional leaf takes."""

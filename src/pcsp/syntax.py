@@ -18,17 +18,20 @@ one node of a state at a time, for its leaf class.
 The operator table ``OPERATORS`` is the one owner of operator syntax:
 for each operator other than prefix, guard, if/then/else and call it gives
 the symbols and layout, the binding level and the level of each operand,
-and the parser and the printer both read it.  ``subterms``/``map_subterms``
-read the subterm table, the process-term fields of each of the 16 term
-classes, which the operator table gives for its operators; walkers that
-only descend into subterms take them from there and keep explicit cases
-for the node kinds they act on.  ``KEEPING`` gives the operands each
-operator stays around when they move, ``selections`` the $-selections of
-a construct in one scope, for every semantics.  Every other field is data:
-``t_values``/``permute_t`` find and rename the t-values in it, for the
-side-condition checkers, the symmetry reduction and the renaming of
-events.  ``unfold_walk`` visits every node reachable through the
-equations, unfolding each identifier once.
+and the parser and the printer both read it.  ``DATA_OPS`` is its peer for
+the binary data operators (one record, ``Op``): their binding levels and
+forms, which the printer reads, and their meanings, which ``eval_data``
+reads.  ``subterms``/``map_subterms`` read the subterm table, the
+process-term fields of each of the 16 term classes, which the operator
+table gives for its operators; walkers that only descend into subterms
+take them from there and keep explicit cases for the node kinds they act
+on.  ``KEEPING`` gives the operands each operator stays around when they
+move, ``selections`` the $-selections of a construct in one scope, for
+every semantics.  Every other field is data: ``t_values``/``permute_t``
+find and rename the t-values in it, for the side-condition checkers, the
+symmetry reduction and the renaming of events.  ``unfold_walk`` visits
+every node reachable through the equations, unfolding each identifier
+once.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import itertools
 import re
 import sys
 from functools import cached_property
-from operator import attrgetter
+from operator import add, and_, attrgetter, eq, ge, gt, le, lt, ne, or_
 from typing import Iterator, Optional, Union
 
 from .errors import SemanticsError
@@ -268,7 +271,8 @@ def selections(alpha: Construct, scope: str, tvalues: tuple[TVal, ...]):
 TTerm = Union[str, TVal]  # a side of a t-equality atom
 
 
-# Non-t boolean expressions: naturals with +, -, min, and non-t value equality.
+# Data expressions: naturals with +, -, min and comparisons, values of t
+# and of datatypes compared for equality, and booleans with not, and, or.
 
 @record(frozen=True)
 class NatLit:
@@ -281,43 +285,17 @@ class VarRef:
 
 
 @record(frozen=True)
-class NatOp:
-    op: str  # '+' or '-'
-    left: "ScalarExpr"
-    right: "ScalarExpr"
+class Op:
+    """A binary data operator of DATA_OPS applied to two operands."""
 
-
-@record(frozen=True)
-class NatMin:
-    left: "ScalarExpr"
-    right: "ScalarExpr"
-
-
-ScalarExpr = Union[NatLit, VarRef, NatOp, NatMin, Atom, TVal]
-
-
-@record(frozen=True)
-class Cmp:
-    op: str  # '==', '!=', '<', '<=', '>', '>='
-    left: ScalarExpr
-    right: ScalarExpr
+    op: str
+    left: "DataExpr"
+    right: "DataExpr"
 
 
 @record(frozen=True)
 class BoolNot:
-    arg: "BoolExpr"
-
-
-@record(frozen=True)
-class BoolAnd:
-    left: "BoolExpr"
-    right: "BoolExpr"
-
-
-@record(frozen=True)
-class BoolOr:
-    left: "BoolExpr"
-    right: "BoolExpr"
+    arg: "DataExpr"
 
 
 @record(frozen=True)
@@ -325,7 +303,35 @@ class BoolLit:
     value: bool
 
 
-BoolExpr = Union[Cmp, BoolNot, BoolAnd, BoolOr, BoolLit]
+DataExpr = Union[NatLit, VarRef, Atom, TVal, Op, BoolNot, BoolLit]
+
+# Binding levels of data expressions, loosest to tightest; an operand prints
+# in parentheses when its operator binds more loosely than its place.
+D_OR, D_AND, D_CMP, D_SUM, D_ATOM = range(5)
+
+
+def _on_naturals(what: str, fn):
+    """fn, refusing operands other than naturals; what names the operation."""
+    def meaning(a, b):
+        if not (isinstance(a, int) and isinstance(b, int)):
+            raise SemanticsError(f"{what} on non-natural operands")
+        return fn(a, b)
+    return meaning
+
+
+# The data-operator table: for each op of Op, its binding level, the levels
+# of its left and right operands, its printed form and its meaning on the
+# operands' values.  not, min's parentheses and the atoms bind tightest.
+DATA_OPS: dict[str, tuple] = {
+    "or": (D_OR, D_OR, D_AND, "{} or {}", or_),
+    "and": (D_AND, D_AND, D_CMP, "{} and {}", and_),
+    **{op: (D_CMP, D_ATOM, D_ATOM, "{}" + op + "{}",
+            fn if fn in (eq, ne) else _on_naturals("ordering comparison", fn))
+       for op, fn in (("==", eq), ("!=", ne), ("<", lt), ("<=", le), (">", gt), (">=", ge))},
+    "+": (D_SUM, D_SUM, D_ATOM, "{}+{}", _on_naturals("arithmetic", add)),
+    "-": (D_SUM, D_SUM, D_ATOM, "{}-{}", _on_naturals("arithmetic", lambda a, b: max(a - b, 0))),
+    "min": (D_ATOM, D_SUM, D_SUM, "min({},{})", _on_naturals("arithmetic", min)),
+}
 
 
 @record(frozen=True)
@@ -337,7 +343,7 @@ class Guard:
 
     negated: bool
     t_atoms: tuple[tuple[TTerm, TTerm], ...]
-    other: tuple[BoolExpr, ...] = ()
+    other: tuple[DataExpr, ...] = ()
 
     def negate(self) -> "Guard":
         return Guard(not self.negated, self.t_atoms, self.other)
@@ -347,42 +353,25 @@ class Guard:
         return fmt_guard(self)
 
 
-def eval_scalar(e: ScalarExpr):
-    if isinstance(e, NatLit):
+def eval_data(e: DataExpr):
+    """The value of a closed data expression.  and and or evaluate their
+    right operand only when the left one does not decide."""
+    cls = e.__class__
+    if cls is Op:
+        op = e.op
+        left = eval_data(e.left)
+        if op == "and" and not left or op == "or" and left:
+            return left
+        return DATA_OPS[op][4](left, eval_data(e.right))
+    if cls is NatLit or cls is BoolLit:
         return e.value
-    if isinstance(e, (Atom, TVal)):
+    if cls is BoolNot:
+        return not eval_data(e.arg)
+    if cls is TVal or cls is Atom:
         return e
-    if isinstance(e, VarRef):
+    if cls is VarRef:
         raise SemanticsError(f"unbound variable {e.name!r} in guard or argument")
-    if isinstance(e, (NatOp, NatMin)):
-        a, b = eval_scalar(e.left), eval_scalar(e.right)
-        if not (isinstance(a, int) and isinstance(b, int)):
-            raise SemanticsError("arithmetic on non-natural operands")
-        if e.__class__ is NatMin:
-            return min(a, b)
-        return a + b if e.op == "+" else max(a - b, 0)
     raise SemanticsError(f"cannot evaluate {e!r}")
-
-
-def eval_bool(b: BoolExpr) -> bool:
-    if isinstance(b, BoolLit):
-        return b.value
-    if isinstance(b, BoolNot):
-        return not eval_bool(b.arg)
-    if isinstance(b, BoolAnd):
-        return eval_bool(b.left) and eval_bool(b.right)
-    if isinstance(b, BoolOr):
-        return eval_bool(b.left) or eval_bool(b.right)
-    if isinstance(b, Cmp):
-        lv, rv = eval_scalar(b.left), eval_scalar(b.right)
-        if b.op == "==":
-            return lv == rv
-        if b.op == "!=":
-            return lv != rv
-        if not (isinstance(lv, int) and isinstance(rv, int)):
-            raise SemanticsError("ordering comparison on non-natural operands")
-        return {"<": lv < rv, "<=": lv <= rv, ">": lv > rv, ">=": lv >= rv}[b.op]
-    raise SemanticsError(f"cannot evaluate {b!r}")
 
 
 def eval_guard(g: Guard, env: Optional[dict] = None) -> bool:
@@ -395,14 +384,11 @@ def eval_guard(g: Guard, env: Optional[dict] = None) -> bool:
             raise SemanticsError(f"guard variable {l if l.__class__ is str else r!r} "
                                  "is not bound by the environment")
         holds = holds and l == r
-    return (holds and all(map(eval_bool, g.other))) != g.negated
+    return (holds and all(map(eval_data, g.other))) != g.negated
 
 
 # ---------------------------------------------------------------------------
 # Process terms
-
-Arg = Union[Value, ScalarExpr]
-
 
 @record(frozen=True)
 class Stop:
@@ -443,25 +429,19 @@ class If:
 # --- event-set descriptors (hiding, parallel alphabets) --------------------
 
 @record(frozen=True)
-class ChanPrefixItem:
-    """``{| c.d1...dm |}`` item: all events of channel c extending the datums."""
+class EventItem:
+    """An event-set item or a side of a renaming pair.  Among the closures
+    of a set, ``{| c.d1...dm |}``, every event of c extending the datums;
+    among its literals and in a renaming, one complete event c.d1...dk."""
 
     channel: str
     datums: tuple[Union[str, Value], ...] = ()
 
 
 @record(frozen=True)
-class EventLitItem:
-    """A complete event literal ``c.d1...dk`` inside an explicit set."""
-
-    channel: str
-    datums: tuple[Union[str, Value], ...]
-
-
-@record(frozen=True)
 class EventSet:
-    closures: tuple[ChanPrefixItem, ...] = ()
-    literals: tuple[EventLitItem, ...] = ()
+    closures: tuple[EventItem, ...] = ()
+    literals: tuple[EventItem, ...] = ()
 
 
 @record(frozen=True)
@@ -473,7 +453,7 @@ class Hide:
 @record(frozen=True)
 class Rename:
     proc: "ProcessTerm"
-    pairs: tuple[tuple[Union[str, EventLitItem], Union[str, EventLitItem]], ...]
+    pairs: tuple[tuple[Union[str, EventItem], Union[str, EventItem]], ...]
 
 
 @record(frozen=True)
@@ -533,7 +513,7 @@ class ReplExtChoice:
 @record(frozen=True)
 class Ident:
     name: str
-    args: tuple[Arg, ...] = ()
+    args: tuple[DataExpr, ...] = ()
 
 
 ProcessTerm = Union[
@@ -720,7 +700,7 @@ def t_field_atoms(obj, channels: dict) -> Iterator[Atom]:
         held = obj.items if obj.is_t else ()
     elif cls is DiffType:
         held = obj.excluded
-    elif cls in (ChanPrefixItem, EventLitItem):
+    elif cls is EventItem:
         held = [d for d, ty in zip(obj.datums, channels.get(obj.channel, ()))
                 if type_is_t(ty)]
     else:
@@ -872,37 +852,26 @@ def _tterm(s: TTerm, env) -> TTerm:
     return s
 
 
-def _scalar(e: ScalarExpr, env) -> ScalarExpr:
-    if isinstance(e, VarRef):
-        if e.name not in env:
-            return e
+def _data(e: DataExpr, env) -> DataExpr:
+    cls = e.__class__
+    if cls is Op:
+        return Op(e.op, _data(e.left, env), _data(e.right, env))
+    if cls is BoolNot:
+        return BoolNot(_data(e.arg, env))
+    if cls is VarRef and e.name in env:
         v = env[e.name]
         if isinstance(v, str):
             return VarRef(v)
         return NatLit(v) if isinstance(v, int) else v
-    if isinstance(e, NatOp):
-        return NatOp(e.op, _scalar(e.left, env), _scalar(e.right, env))
-    if isinstance(e, NatMin):
-        return NatMin(_scalar(e.left, env), _scalar(e.right, env))
     return e
-
-
-def _bool(b: BoolExpr, env) -> BoolExpr:
-    if isinstance(b, Cmp):
-        return Cmp(b.op, _scalar(b.left, env), _scalar(b.right, env))
-    if isinstance(b, BoolNot):
-        return BoolNot(_bool(b.arg, env))
-    if isinstance(b, (BoolAnd, BoolOr)):
-        return type(b)(_bool(b.left, env), _bool(b.right, env))
-    return b
 
 
 def _guard(g, env):
     # a guard as parsed is a boolean expression, which resolution classifies
     if g.__class__ is not Guard:
-        return _bool(g, env)
+        return _data(g, env)
     return Guard(g.negated, tuple((_tterm(l, env), _tterm(r, env)) for l, r in g.t_atoms),
-                 tuple(_bool(b, env) for b in g.other))
+                 tuple(_data(b, env) for b in g.other))
 
 
 def _type(ty, env):
@@ -918,7 +887,7 @@ def _item(x, env):
     replaced by their values; a channel name stays."""
     if isinstance(x, str):
         return x
-    return type(x)(x.channel, tuple(_datum(d, env) for d in x.datums))
+    return EventItem(x.channel, tuple(_datum(d, env) for d in x.datums))
 
 
 def subst_event_set(s: EventSet, env) -> EventSet:
@@ -972,7 +941,7 @@ def _rebind(term: ProcessTerm, env: dict, ren: Optional[_Renamer]) -> ProcessTer
                                 _rebind(term.body, env, ren))
         return type(term)(var, domain, _rebind(term.body, env, ren))
     if isinstance(term, Ident):
-        return Ident(term.name, tuple(_scalar(a, env) for a in term.args))
+        return Ident(term.name, tuple(_data(a, env) for a in term.args))
     raise SemanticsError(f"unknown process term {term!r}")
 
 

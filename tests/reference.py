@@ -14,8 +14,11 @@ tokenizer that tried every symbol with ``startswith`` at each position,
 before the parser's one compiled pattern.  frontiers_by_paths is the
 failures threshold's frontier walk before it expanded each (state,
 conditions met) pair once.  observation_holds evaluates the formula by
-which strong_bisim tells two states apart.  parsed_guard_holds evaluates a
-guard as the parser reads it, before resolution classifies it."""
+which strong_bisim tells two states apart.  eval_scalar and eval_bool are
+the data evaluator before one table (``syntax.DATA_OPS``) gave each
+operator its meaning: one hand-written case per operator.
+parsed_guard_holds evaluates a guard as the parser reads it, before
+resolution classifies it."""
 
 from __future__ import annotations
 
@@ -31,11 +34,11 @@ from pcsp.report import ConditionReport, Finding
 from pcsp.ssos import Vis, sym_label_key
 from pcsp.std_semantics import _rename_map, eval_event_set
 from pcsp.syntax import (
-    AlphaPar, Atom, Definitions, DOLLAR, ExtChoice, Guard, Hide, Ident, If,
-    IntChoice, Interleave, KEEPING, Prefix, ProcessTerm, QUERY, Rename,
-    ReplAlphaPar, ReplExtChoice, ReplIntChoice, ReplInterleave, SharedPar,
-    Sliding, Stop, TType, TVal, canonicalise, classify_fields, comms_nont,
-    construct_binding, eval_bool, eval_guard, eval_scalar, free_vars,
+    AlphaPar, Atom, BoolLit, BoolNot, Definitions, DOLLAR, ExtChoice, Guard,
+    Hide, Ident, If, IntChoice, Interleave, KEEPING, NatLit, Op, Prefix,
+    ProcessTerm, QUERY, Rename, ReplAlphaPar, ReplExtChoice, ReplIntChoice,
+    ReplInterleave, SharedPar, Sliding, Stop, TType, TVal, VarRef, canonicalise,
+    classify_fields, comms_nont, construct_binding, eval_guard, free_vars,
     replace_selections, selections, substitute, subterms, t_values, unfold_walk,
     with_subterms,
 )
@@ -362,6 +365,49 @@ def check_monotonicity(small: Lts, large: Lts) -> list[str]:
                             f"{small.states[idx].describe()} missing at the "
                             "larger instantiation")
     return problems
+
+
+# ---------------------------------------------------------------------------
+# The data evaluator, one case per operator
+
+def eval_scalar(e):
+    """The value of a closed scalar: a natural, a t-value or a datatype value."""
+    if isinstance(e, NatLit):
+        return e.value
+    if isinstance(e, (Atom, TVal)):
+        return e
+    if isinstance(e, VarRef):
+        raise SemanticsError(f"unbound variable {e.name!r} in guard or argument")
+    if isinstance(e, Op) and e.op in ("+", "-", "min"):
+        a, b = eval_scalar(e.left), eval_scalar(e.right)
+        if not (isinstance(a, int) and isinstance(b, int)):
+            raise SemanticsError("arithmetic on non-natural operands")
+        if e.op == "min":
+            return min(a, b)
+        return a + b if e.op == "+" else max(a - b, 0)
+    raise SemanticsError(f"cannot evaluate {e!r}")
+
+
+def eval_bool(b) -> bool:
+    """The truth of a closed boolean expression."""
+    if isinstance(b, BoolLit):
+        return b.value
+    if isinstance(b, BoolNot):
+        return not eval_bool(b.arg)
+    if isinstance(b, Op) and b.op == "and":
+        return eval_bool(b.left) and eval_bool(b.right)
+    if isinstance(b, Op) and b.op == "or":
+        return eval_bool(b.left) or eval_bool(b.right)
+    if isinstance(b, Op) and b.op in ("==", "!=", "<", "<=", ">", ">="):
+        lv, rv = eval_scalar(b.left), eval_scalar(b.right)
+        if b.op == "==":
+            return lv == rv
+        if b.op == "!=":
+            return lv != rv
+        if not (isinstance(lv, int) and isinstance(rv, int)):
+            raise SemanticsError("ordering comparison on non-natural operands")
+        return {"<": lv < rv, "<=": lv <= rv, ">": lv > rv, ">=": lv >= rv}[b.op]
+    raise SemanticsError(f"cannot evaluate {b!r}")
 
 
 # ---------------------------------------------------------------------------

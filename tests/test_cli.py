@@ -85,6 +85,18 @@ def test_lts_command_json(capsys):
     assert json.loads(out)["states"] == 16
 
 
+def test_a_json_refusal_lists_its_events_in_the_order_of_the_text(capsys):
+    # at #T=11 label order puts c.10.10 last, string order after c.1.1
+    argv = ("refine", "ex511.pcsp", "--spec", "Spec", "--impl", "Impl",
+            "--model", "failures", "--tsize", "11")
+    code, text, _ = run(capsys, *argv)
+    json_code, out, _ = run(capsys, *argv, "--format", "json")
+    refusal = json.loads(out)["refusal"]
+    assert code == json_code == 1
+    assert refusal == [f"c.{i}.{i}" for i in range(11)]
+    assert text.endswith("(<>, {" + ", ".join(refusal) + "})\n")
+
+
 PARSE_ERROR = "channel c : t\nP = c$ -> STOP\n"
 BOUND_TWICE = "channel c : t.t\nP = c$x:t$x:t -> STOP\n"
 
@@ -387,6 +399,21 @@ def test_too_deeply_nested_definition_exits_2(tmp_path, capsys, body):
     assert code == 2 and out == ""
     assert err.endswith("the definition of 'P' nests too deeply\n")
     assert "Traceback" not in err
+
+
+_SUM = "+".join(["1"] * 9000)
+
+
+@pytest.mark.parametrize("equations", [
+    f"R(n) = if {_SUM} > n then a -> STOP else STOP\nP = R(0)\n",
+    f"R(n) = a -> STOP\nP = R({_SUM})\n"], ids=["guard", "argument"])
+def test_a_sum_of_9000_terms_builds(tmp_path, capsys, equations):
+    # each walk over a data expression (parse, resolve, substitute,
+    # evaluate) takes one frame per operator: 12 000 terms nest too deeply
+    src = tmp_path / "sum.pcsp"
+    src.write_text(f"channel a\n{equations}")
+    code, out, err = run(capsys, "lts", str(src), "--proc", "P", "--tsize", "1")
+    assert (code, out, err) == (0, "P at #T=1: 3 states, 2 transitions\n", "")
 
 
 def _deep_body(shape: str, n: int) -> str:

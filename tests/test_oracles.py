@@ -42,10 +42,9 @@ from pcsp.std_semantics import (
     file_alphabet, tvalues_for,
 )
 from pcsp.syntax import (
-    AlphaPar, Atom, BoolAnd, BoolNot, BoolOr, ChanPrefixItem, Cmp,
-    Construct, DiffType, DOLLAR, Equation, EventLitItem, EventSet,
-    ExtChoice, Field, Guard, Hide, Ident, If, IntChoice, Interleave,
-    NamedType, NatMin, NatOp, Prefix, QUERY, Rename, ReplAlphaPar, ReplExtChoice,
+    AlphaPar, Atom, BoolNot, Construct, DiffType, DOLLAR, Equation, EventItem,
+    EventSet, ExtChoice, Field, Guard, Hide, Ident, If, IntChoice, Interleave,
+    NamedType, Op, Prefix, QUERY, Rename, ReplAlphaPar, ReplExtChoice,
     ReplIntChoice, ReplInterleave, SetType, SharedPar, Sliding, Stop, T_TYPE,
     TType, TVal, VarRef, canonicalise, classify_fields, comms,
     construct_binding, domain_values, eval_guard, free_vars, map_subterms,
@@ -289,29 +288,22 @@ def _reference_free_vars(term) -> frozenset[str]:
     over the fields to their right and the continuation, replicated binders
     over the alphabet and the body)."""
 
-    def scalar(e):
+    def data(e):
         if isinstance(e, VarRef):
             return frozenset((e.name,))
-        if isinstance(e, (NatOp, NatMin)):
-            return scalar(e.left) | scalar(e.right)
-        return frozenset()
-
-    def boolean(b):
-        if isinstance(b, Cmp):
-            return scalar(b.left) | scalar(b.right)
-        if isinstance(b, BoolNot):
-            return boolean(b.arg)
-        if isinstance(b, (BoolAnd, BoolOr)):
-            return boolean(b.left) | boolean(b.right)
+        if isinstance(e, Op):
+            return data(e.left) | data(e.right)
+        if isinstance(e, BoolNot):
+            return data(e.arg)
         return frozenset()
 
     def guard(g):
         if isinstance(g, Guard):
             out = frozenset(s for a in g.t_atoms for s in a if isinstance(s, str))
             for b in g.other:
-                out |= boolean(b)
+                out |= data(b)
             return out
-        return boolean(g)
+        return data(g)
 
     def datums(ds):
         return frozenset(d for d in ds if isinstance(d, str))
@@ -368,7 +360,7 @@ def _reference_free_vars(term) -> frozenset[str]:
         out = frozenset()
         for a in term.args:
             if not isinstance(a, (TVal, Atom)):
-                out |= scalar(a)
+                out |= data(a)
         return out
     raise AssertionError(f"unknown term {term!r}")
 
@@ -903,7 +895,7 @@ def _replicated(draw, scope, nested=True):
         body = draw(terms(scope=("i",) + scope, depth=1))
     if kind is ReplAlphaPar:
         datum = draw(st.sampled_from(("i",) + scope))
-        return ReplAlphaPar("i", domain, EventSet((ChanPrefixItem("ca", (datum,)),)), body)
+        return ReplAlphaPar("i", domain, EventSet((EventItem("ca", (datum,)),)), body)
     return kind("i", domain, body)
 
 
@@ -945,13 +937,13 @@ _PAR_DEFS = parse_definitions("""
 channel ca, cd : t
 """)
 _PAR_SETS = (
-    EventSet(), EventSet((ChanPrefixItem("ca"),)),
-    EventSet((ChanPrefixItem("ca"), ChanPrefixItem("cd"))),
-    EventSet((ChanPrefixItem("cd"),)), EventSet((), (EventLitItem("ca", (TVal(0),)),)),
+    EventSet(), EventSet((EventItem("ca"),)),
+    EventSet((EventItem("ca"), EventItem("cd"))),
+    EventSet((EventItem("cd"),)), EventSet((), (EventItem("ca", (TVal(0),)),)),
 )
 _PAR_RENAMINGS = (
     (("cd", "ca"),), (("ca", "ca"), ("cd", "ca")), (("ca", "cd"), ("cd", "ca")),
-    ((EventLitItem("cd", (TVal(0),)), EventLitItem("ca", (TVal(0),))),),
+    ((EventItem("cd", (TVal(0),)), EventItem("ca", (TVal(0),))),),
 )
 
 
@@ -963,7 +955,7 @@ _REPLICATED = {
     "part": lambda body: ReplInterleave("i", DiffType((TVal(0),)), body),
     "choice": lambda body: ReplExtChoice("i", T_TYPE, body),
     "parallel": lambda body: ReplAlphaPar(
-        "i", T_TYPE, EventSet((ChanPrefixItem("ca", ("i",)),)), body),
+        "i", T_TYPE, EventSet((EventItem("ca", ("i",)),)), body),
 }
 
 

@@ -8,16 +8,16 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import ALL_CORPUS_FILES, load
-from pcsp.errors import ParseError
+from pcsp.errors import ParseError, SemanticsError
 import pcsp
 from pcsp.parser import _SYMBOLS, parse_definitions, parse_file, tokenize
-from pcsp.pretty import fmt_bool, fmt_term
+from pcsp.pretty import fmt_data, fmt_term
 from pcsp.syntax import (
-    AlphaPar, Atom, BANG, BoolAnd, BoolLit, BoolNot, BoolOr, ChanPrefixItem,
-    Cmp, DiffType, EventLitItem, EventSet, ExtChoice, Guard, Hide, Ident,
-    If, IntChoice, Interleave, NatLit, NatMin, NatOp, Prefix, Rename,
-    ReplAlphaPar, ReplExtChoice, ReplIntChoice, ReplInterleave, SharedPar,
-    Sliding, Stop, T_TYPE, TVal, VarRef, eval_guard, free_vars, substitute,
+    AlphaPar, Atom, BANG, BoolLit, BoolNot, DiffType, EventItem, EventSet,
+    ExtChoice, Guard, Hide, Ident, If, IntChoice, Interleave, NatLit, Op,
+    Prefix, Rename, ReplAlphaPar, ReplExtChoice, ReplIntChoice, ReplInterleave,
+    SharedPar, Sliding, Stop, T_TYPE, TVal, VarRef, eval_data, eval_guard,
+    free_vars, substitute,
 )
 import reference
 from reference import fmt_definitions
@@ -273,8 +273,8 @@ def _scope_after(construct, scope):
 
 def _event_sets(scope):
     datum = st.sampled_from(scope + (TVal(0), TVal(1)))
-    closure = st.one_of(st.just(ChanPrefixItem("ca")),
-                        st.builds(lambda d: ChanPrefixItem("cc", (d,)), datum))
+    closure = st.one_of(st.just(EventItem("ca")),
+                        st.builds(lambda d: EventItem("cc", (d,)), datum))
     return st.one_of(
         st.lists(closure, min_size=1, max_size=2).map(
             lambda cs: EventSet(closures=tuple(cs))),
@@ -285,8 +285,8 @@ def _event_sets(scope):
 def _events(scope):
     datum = st.sampled_from(scope + (TVal(0), TVal(1)))
     return st.one_of(
-        st.builds(lambda d: EventLitItem("ca", (d,)), datum),
-        st.builds(lambda x, d: EventLitItem("cb", (x, d)), st.sampled_from(_AB), datum))
+        st.builds(lambda d: EventItem("ca", (d,)), datum),
+        st.builds(lambda x, d: EventItem("cb", (x, d)), st.sampled_from(_AB), datum))
 
 
 @st.composite
@@ -344,8 +344,8 @@ def full_terms(draw, scope=(), depth=4):
         # t-equalities alone, and conjoined with booleans over n: a
         # conjunct is not an 'and', which the resolver would flatten, and an
         # 'or' prints in parentheses
-        conjuncts = st.one_of(_nat_bools().filter(lambda b: not isinstance(b, BoolAnd)),
-                              st.builds(BoolOr, _nat_bools(), _nat_bools()))
+        conjuncts = st.one_of(_nat_bools().filter(lambda b: not _is_op(b, "and")),
+                              st.builds(Op, st.just("or"), _nat_bools(), _nat_bools()))
         guards += [st.builds(Guard, st.booleans(), atoms),
                    st.builds(Guard, st.booleans(), atoms,
                              st.lists(conjuncts, min_size=1, max_size=2).map(tuple))]
@@ -357,15 +357,18 @@ def full_terms(draw, scope=(), depth=4):
 # and min, each of which prints in parentheses where the grammar asks.
 _NAT_SCALARS = st.recursive(
     st.sampled_from((NatLit(0), NatLit(1), NatLit(2), VarRef("n"))),
-    lambda s: st.one_of(st.builds(NatOp, st.sampled_from("+-"), s, s),
-                        st.builds(NatMin, s, s)),
+    lambda s: st.builds(Op, st.sampled_from(("+", "-", "min")), s, s),
     max_leaves=3)
 
 
 # Comparisons over naturals, none of n with itself, which would default n to t.
-_NAT_CMPS = st.builds(Cmp, st.sampled_from(("==", "!=", "<", "<=", ">", ">=")),
+_NAT_CMPS = st.builds(Op, st.sampled_from(("==", "!=", "<", "<=", ">", ">=")),
                       _NAT_SCALARS, _NAT_SCALARS).filter(
     lambda c: not c.left == c.right == VarRef("n"))
+
+
+def _is_op(e, op: str) -> bool:
+    return isinstance(e, Op) and e.op == op
 
 
 def _nat_bools():
@@ -376,9 +379,32 @@ def _nat_bools():
         st.one_of(_NAT_CMPS, st.builds(BoolLit, st.booleans())),
         lambda b: st.one_of(
             st.builds(BoolNot, b.filter(lambda x: not isinstance(x, BoolNot))),
-            st.builds(BoolAnd, b, b.filter(lambda x: not isinstance(x, BoolAnd))),
-            st.builds(BoolOr, b, b)),
+            st.builds(Op, st.just("and"), b, b.filter(lambda x: not _is_op(x, "and"))),
+            st.builds(Op, st.just("or"), b, b)),
         max_leaves=3)
+
+
+@given(st.one_of(_NAT_SCALARS.map(lambda e: (e, reference.eval_scalar)),
+                 _nat_bools().map(lambda b: (b, reference.eval_bool))),
+       st.sampled_from((0, 1, 2, 3) + _AB))
+@example((Op("and", BoolLit(False), Op("<", VarRef("n"), NatLit(1))), reference.eval_bool),
+         _AB[0])
+@settings(max_examples=300, deadline=None)
+def test_eval_data_agrees_with_the_ladder_evaluator(expr_and_oracle, n):
+    # the scalars and booleans over n above, closed by a natural or a
+    # datatype value for n: eval_data gives the value that the evaluator
+    # of their kind with one case per operator gives, or the same error
+    expr, oracle = expr_and_oracle
+    closed = substitute(Ident("N", (expr,)), {"n": n}).args[0]
+
+    def outcome(evaluate):
+        try:
+            value = evaluate(closed)
+        except SemanticsError as exc:
+            return "error", str(exc)
+        return type(value), value
+
+    assert outcome(eval_data) == outcome(oracle)
 
 
 @given(st.data())
@@ -396,10 +422,10 @@ def test_random_terms_roundtrip(data):
 # Guards as parsed over the t-variables x, y, z and the natural n: ==/!=
 # between two different t-variables, comparisons over naturals, not and and.
 _RAW_GUARDS = st.recursive(
-    st.one_of(st.builds(lambda op, xy: Cmp(op, VarRef(xy[0]), VarRef(xy[1])),
+    st.one_of(st.builds(lambda op, xy: Op(op, VarRef(xy[0]), VarRef(xy[1])),
                         st.sampled_from(("==", "!=")), st.permutations("xyz")),
               _NAT_CMPS),
-    lambda b: st.one_of(st.builds(BoolNot, b), st.builds(BoolAnd, b, b)),
+    lambda b: st.one_of(st.builds(BoolNot, b), st.builds(Op, st.just("and"), b, b)),
     max_leaves=4)
 
 
@@ -410,7 +436,7 @@ def test_classifying_a_guard_keeps_its_truth(raw):
     # under every valuation of x, y, z in {0, 1, 2} (those at #T <= 3) and
     # of n in 0..3; a t-inequality conjoined with anything is rejected
     src = (f"channel c : t\nTestP(n) = c?x:t -> c?y:t -> c?z:t -> "
-           f"if {fmt_bool(raw)} then STOP else STOP\n")
+           f"if {fmt_data(raw)} then STOP else STOP\n")
     try:
         defs = parse_definitions(src, "guard")
     except ParseError as exc:

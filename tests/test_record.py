@@ -91,8 +91,8 @@ def _check_record(x):
             delattr(x, f.name)
 
 
-def test_the_package_has_fifty_six_record_classes():
-    assert len(RECORDS) == 56
+def test_the_package_has_its_record_classes():
+    assert len(RECORDS) == 51
     assert MUTABLE <= RECORDS.keys() | WIDE.keys()
     # no record class derives from another
     assert not [cls for cls in RECORDS.values()

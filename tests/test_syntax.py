@@ -8,10 +8,10 @@ from pcsp.lts import Event
 from pcsp.parser import parse_definitions
 from pcsp.record import FrozenInstanceError, replace
 from pcsp.syntax import (
-    Atom, BANG, Cmp, Construct, DOLLAR, Field, Guard, NamedType, NatLit, NatMin,
-    NatOp, Prefix, QUERY, Stop, T_TYPE, TVal, canonicalise, classify_fields,
-    comms, comms_nont, eval_bool, eval_scalar, free_vars, permute_t,
-    replace_selections, selections, substitute, t_values,
+    Atom, BANG, BoolLit, Construct, DOLLAR, Field, Guard, NamedType, NatLit, Op,
+    Prefix, QUERY, Stop, T_TYPE, TVal, canonicalise, classify_fields, comms,
+    comms_nont, eval_data, free_vars, permute_t, replace_selections, selections,
+    substitute, t_values,
 )
 
 X_TYPE = NamedType("X", (Atom("X", "u", 0), Atom("X", "v", 1)))
@@ -49,12 +49,15 @@ def test_tval_is_one_instance_per_index():
 
 def test_arithmetic_and_ordering_take_naturals_only():
     u, v = X_TYPE.values
-    assert eval_scalar(NatMin(NatLit(3), NatOp("+", NatLit(1), NatLit(1)))) == 2
-    for e in (NatMin(u, v), NatOp("+", u, v), NatMin(NatLit(1), v)):
+    assert eval_data(Op("min", NatLit(3), Op("+", NatLit(1), NatLit(1)))) == 2
+    for e in (Op("min", u, v), Op("+", u, v), Op("min", NatLit(1), v)):
         with pytest.raises(SemanticsError, match="arithmetic on non-natural operands"):
-            eval_scalar(e)
+            eval_data(e)
     with pytest.raises(SemanticsError, match="ordering comparison on non-natural operands"):
-        eval_bool(Cmp("<", u, v))
+        eval_data(Op("<", u, v))
+    # and and or take their right operand only when the left does not decide
+    assert eval_data(Op("and", BoolLit(False), Op("<", u, NatLit(1)))) is False
+    assert eval_data(Op("or", BoolLit(True), Op("+", u, v))) is True
 
 
 def test_classify_fields_worked_example():
